@@ -104,6 +104,8 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
             certificates.append(cert)
     except (UnsupportedCombination, ValueError) as exc:
         _fail(str(exc))
+    except ArithmeticError as exc:
+        _fail(f"numerical failure: {type(exc).__name__}: {exc}")
 
     verified = all(c.verified for c in certificates)
     worst = max(c.bound for c in certificates)

@@ -1,20 +1,43 @@
 """Exact final-layer solve for softmax objectives with linear multipliers.
 
-Maximizes softmax_m(x) + lin . x over a box by enumerating, for every
-coordinate, whether it sits at its lower bound, its upper bound, or in
-the interior.  For each of the 3^n assignments the interior coordinates
-must form a stationary point of the restricted function, and those
-stationary points have closed forms with at most two solutions: one
+Maximizes softmax_m(x) + lin . x over a box.  At the maximum every
+coordinate sits at its lower bound, its upper bound, or in the interior,
+and for each of the 3^n such assignments the interior ("free")
+coordinates must form a stationary point of the restricted function.
+Those stationary points have closed forms with at most two solutions: one
 family when the target coordinate m is free (the quadratic in its own
-softmax share) and one when m is fixed (all shares proportional to the
-linear coefficients).  The global maximum is the best candidate; every
-box corner is itself a candidate, so the result can never fall below a
-corner evaluation.
+softmax share, case a) and one when m is fixed (all shares proportional
+to the linear coefficients, case b).  The global maximum is the best
+candidate; every box corner is itself a candidate, so the result can
+never fall below a corner evaluation.
+
+The solve runs in two passes.
+
+Screen.  All 2^n corners are scored as one array.  Then the loop runs
+over the free sets F rather than over the 3^n assignments: the case-a
+sign test (lin[m] in [-1/4, 0], lin > 0 on the rest of F) and the case-b
+tests (lin > 0 on F, sum(lin[F]) <= 1/4) do not depend on the fixed
+coordinates, so most free sets are dropped at once.  For a surviving F,
+the stationary points, box test, clip and objective of all 2^(n-|F|)
+lo/hi patterns of its fixed coordinates are array operations.  Each
+screening test is the scalar test widened by a small slack, so the
+screen keeps every candidate the scalar code would accept.
+
+Replay.  The assignments whose screened value lies within a 1e-9 window
+of the screened top are re-run, in enumeration order (base 3, first
+coordinate slowest, all-lower first), through the scalar per-assignment
+code, starting from the all-lower corner and replacing the incumbent
+only on a strictly greater value.  A full scalar pass returns the first
+candidate in that order attaining the scalar maximum, which is the box
+maximum.  Every attainer has a screened value within rounding of it, and
+no screened candidate, being a box point, exceeds it by more than
+rounding, so all attainers are replayed; the replay then returns the
+same value and witness, bit for bit, as the full 3^n scalar pass.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -27,6 +50,9 @@ from .result import EXACT, InnerResult
 _LOWER, _UPPER, _INTERIOR = 0, 1, 2
 _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
+_SCREEN_SLACK = 1e-12
+_REPLAY_WINDOW = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 class DimensionError(Exception):
@@ -104,49 +130,184 @@ def stationary_points_case_b(lam: np.ndarray, c: float, d: float) -> list[np.nda
     return points
 
 
+def _objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
+    return float(softmax(x)[m] + lin @ x)
+
+
+def _assignment_candidates(
+    m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray, assignment: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Candidate points of one lo/hi/interior assignment, in scalar arithmetic.
+
+    This is the reference per-assignment step: the replay runs it on the
+    assignments the screen keeps, so its arithmetic decides the result.
+    """
+    n = len(assignment)
+    free = [j for j in range(n) if assignment[j] == _INTERIOR]
+    x = np.where(np.asarray(assignment) == _UPPER, hi, lo).astype(float)
+    if not free:
+        return [x]
+    fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
+    c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+    if m in free:
+        points = stationary_points_case_a(lin[free], free.index(m), c)
+    else:
+        points = stationary_points_case_b(lin[free], c, float(np.exp(x[m])))
+    trials = []
+    for xs in points:
+        if np.any(xs < lo[free] - _BOX_TOL) or np.any(xs > hi[free] + _BOX_TOL):
+            continue
+        trial = x.copy()
+        trial[free] = np.clip(xs, lo[free], hi[free])
+        trials.append(trial)
+    return trials
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of width n, built once per width.
+
+    Row k of ``upper`` marks the coordinates at their upper bound in box
+    corner k (coordinate j is bit n-1-j of k), so row f doubles as the
+    membership mask of free set f.  ``weights`` holds the base-3 place
+    values of the enumeration, whose first coordinate varies slowest, and
+    ``codes[k]`` is corner k's position in it.
+    """
+    k = np.arange(2**n)
+    upper = ((k[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    weights = 3 ** np.arange(n - 1, -1, -1)
+    codes = (upper * weights).sum(axis=1)
+    for table in (upper, weights, codes):
+        table.flags.writeable = False
+    return upper, weights, codes
+
+
+def _objective_rows(m: int, lin: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return softmax(x)[:, m] + x @ lin
+
+
+def _screen_case_a(lin: np.ndarray, i: int, c: np.ndarray, has_fixed: bool):
+    """Case-a stationary points for every row of fixed-coordinate sums c."""
+    sq = math.sqrt(max(1.0 + 4.0 * lin[i], 0.0))
+    for denom in {1.0 + sq, 1.0 - sq}:
+        if denom == 0.0:
+            continue
+        shares = 2.0 * lin / denom
+        shares[i] = denom / 2.0
+        total = float(shares.sum())
+        if has_fixed:
+            if total >= 1.0:
+                continue
+            yield np.log(shares) + np.log(c / (1.0 - total))[:, None]
+        elif abs(total - 1.0) <= _SUM_ONE_TOL:
+            yield np.log(shares)[None, :]
+
+
+def _screen_case_b(lin: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """Case-b stationary points for every row of (c, d); NaN where none."""
+    total = float(lin.sum())
+    exists = total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK)
+    disc = np.sqrt(np.maximum(1.0 - 4.0 * c * total / d, 0.0))
+    for sign in (1.0, -1.0):
+        t = d * (1.0 + sign * disc) / (2.0 * total)
+        t = np.where(exists & (t > 0.0), t, np.nan)
+        yield np.log(lin / d[:, None]) + 2.0 * np.log(t)[:, None]
+
+
+def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, ...]]:
+    """Assignments whose screened value is near the top, in enumeration order.
+
+    Scores all box corners in one array, then, for each free set that
+    passes the sign tests, the stationary points of all lo/hi patterns of
+    its fixed coordinates in one array.  The tests are the scalar ones
+    widened by a small slack, so no candidate the scalar code accepts is
+    dropped.  Patterns whose fixed coordinates all underflow exp are
+    replayed unscored: there the scalar code takes its C = 0 branch in
+    case a and divides by zero in case b, and the replay keeps both.
+    """
+    n = lo.shape[0]
+    upper, weights, corner_codes = _corner_tables(n)
+    corners = np.where(upper, hi, lo)
+    exp_corners = np.exp(corners)
+    codes = [corner_codes]
+    values = [_objective_rows(m, lin, corners)]
+    unscored = []
+
+    # free sets that can hold a stationary point whatever the fixed
+    # coordinates are: case a needs m in F, lin[m] in [-1/4, 0] and lin > 0
+    # on the rest of F; case b needs m outside F, lin > 0 on F and
+    # sum(lin[F]) <= D/(4C), which is at most 1/4 because C >= D
+    nonpositive = upper & (lin <= 0.0)
+    case_a = (
+        upper[:, m]
+        & (-0.25 <= lin[m] <= 0.0)
+        & ~np.any(np.delete(nonpositive, m, axis=1), axis=1)
+    )
+    case_b = (
+        ~upper[:, m]
+        & ~np.any(nonpositive, axis=1)
+        & (upper @ lin <= 0.25 * (1.0 + _SCREEN_SLACK))
+    )
+    case_b[0] = False  # the empty free set: the corners, scored above
+    index = np.arange(2**n)
+    for f in np.flatnonzero(case_a | case_b):
+        free = upper[f]
+        fixed = ~free
+        rows = np.flatnonzero((index & f) == 0)
+        row_codes = corner_codes[rows] + 2 * int(weights[free].sum())
+        x = corners[rows]
+        c = exp_corners[rows][:, fixed].sum(axis=1)
+        has_fixed = bool(fixed.any())
+        if has_fixed:
+            unscored.append(row_codes[c < _TINY])
+        if case_a[f]:
+            i = int(np.count_nonzero(free[:m]))
+            point_sets = _screen_case_a(lin[free], i, c, has_fixed)
+        else:
+            point_sets = _screen_case_b(lin[free], c, exp_corners[rows, m])
+        lo_f, hi_f = lo[free], hi[free]
+        for points in point_sets:
+            slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + np.abs(points))
+            inside = np.all((points >= lo_f - slack) & (points <= hi_f + slack), axis=1)
+            if not inside.any():
+                continue
+            trial = x[inside]
+            trial[:, free] = np.clip(points[inside], lo_f, hi_f)
+            codes.append(row_codes[inside])
+            values.append(_objective_rows(m, lin, trial))
+
+    codes = np.concatenate(codes)
+    values = np.concatenate(values)
+    top = float(values.max())
+    near = values >= top - _REPLAY_WINDOW * max(1.0, abs(top))
+    replay = sorted(set(np.concatenate([codes[near], *unscored]).tolist()))
+    return [tuple(int(a) for a in (code // weights) % 3) for code in replay]
+
+
 def final_softmax_exact(
     m: int,
     lam_k: Multiplier,
     box: Interval,
     cap: int = 12,
 ) -> InnerResult:
-    """Exact max of softmax_m(x) - lam_k(x) over the box (3^n enumeration).
+    """Exact max of softmax_m(x) - lam_k(x) over the box.
 
     Ties between equally-good candidates keep the first one in the fixed
-    enumeration order (all-lower first), so the witness is reproducible.
+    3^n enumeration order (all-lower first), so the witness is reproducible.
     """
     n = box.lo.shape[0]
     if n > cap:
         raise DimensionError(f"dimension {n} exceeds the 3^n enumeration cap {cap}")
     lin = -linear_coeffs(lam_k, n)
-
-    def objective(x: np.ndarray) -> float:
-        return float(softmax(x)[m] + lin @ x)
-
     lo, hi = box.lo, box.hi
-    best_x = lo.copy()
-    best_f = objective(best_x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        replay = _screen(m, lin, lo, hi)
 
-    for assignment in itertools.product((_LOWER, _UPPER, _INTERIOR), repeat=n):
-        free = [j for j in range(n) if assignment[j] == _INTERIOR]
-        x = np.where(np.asarray(assignment) == _UPPER, hi, lo).astype(float)
-        if not free:
-            value = objective(x)
-            if value > best_f:
-                best_f, best_x = value, x.copy()
-            continue
-        fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
-        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
-        if m in free:
-            candidates = stationary_points_case_a(lin[free], free.index(m), c)
-        else:
-            candidates = stationary_points_case_b(lin[free], c, float(np.exp(x[m])))
-        for xs in candidates:
-            if np.any(xs < lo[free] - _BOX_TOL) or np.any(xs > hi[free] + _BOX_TOL):
-                continue
-            trial = x.copy()
-            trial[free] = np.clip(xs, lo[free], hi[free])
-            value = objective(trial)
+    best_x = lo.copy()
+    best_f = _objective(m, lin, best_x)
+    for assignment in replay:
+        for trial in _assignment_candidates(m, lin, lo, hi, assignment):
+            value = _objective(m, lin, trial)
             if value > best_f:
                 best_f, best_x = value, trial
     return InnerResult(value=best_f, mode=EXACT, witness=best_x)

@@ -77,6 +77,18 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
+    def test_overflow_exits_two(self, tmp_path):
+        # lr 1000 drives the linexp input exponent past math.exp's range
+        spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.1)
+        out = tmp_path / "cert.json"
+        result = run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--family", "linexp",
+             "--lr", "1000", "--steps", "50", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "OverflowError" in result.output
+        assert not out.exists()
+
     def test_certificate_round_trip_bit_exact(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)
         out = tmp_path / "cert.json"

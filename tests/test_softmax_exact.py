@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,17 +6,47 @@ import pytest
 
 from funclag import Interval, Linear, Zero, softmax
 from funclag.inner import (
+    EXACT,
     DimensionError,
     box_softmax_max,
     box_softmax_min,
     final_softmax_exact,
     stationary_points_case_a,
     stationary_points_case_b,
+    softmax_exact,
 )
 
 
 def objective(m, lin, x):
     return float(softmax(x)[m] + lin @ x)
+
+
+def reference_candidates(m, lin, lo, hi):
+    """The plain 3^n loop: (assignment, value, point) of every candidate.
+
+    The all-lower start comes first with assignment None, then each
+    assignment's scalar candidates in enumeration order (all-lower first).
+    """
+    n = lo.shape[0]
+    yield None, objective(m, lin, lo), lo.copy()
+    for assignment in itertools.product((0, 1, 2), repeat=n):
+        free = [j for j in range(n) if assignment[j] == 2]
+        x = np.where(np.asarray(assignment) == 1, hi, lo).astype(float)
+        if not free:
+            yield assignment, objective(m, lin, x), x
+            continue
+        fixed = [j for j in range(n) if assignment[j] != 2]
+        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+        if m in free:
+            candidates = stationary_points_case_a(lin[free], free.index(m), c)
+        else:
+            candidates = stationary_points_case_b(lin[free], c, float(np.exp(x[m])))
+        for xs in candidates:
+            if np.any(xs < lo[free] - 1e-9) or np.any(xs > hi[free] + 1e-9):
+                continue
+            trial = x.copy()
+            trial[free] = np.clip(xs, lo[free], hi[free])
+            yield assignment, objective(m, lin, trial), trial
 
 
 def case_a_gradient(lam, i, c, x):
@@ -110,10 +141,73 @@ class TestFinalSoftmaxExact:
             math.exp(0.0) / (math.exp(0.0) + math.exp(0.5) + math.exp(0.9)), rel=1e-12
         )
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        lam = Linear(theta=0.2 * rng.standard_normal(11))
+        lo = rng.standard_normal(11)
+        res = final_softmax_exact(3, lam, Interval(lo, lo + rng.random(11)))
+        assert res.mode == EXACT
+        assert res.value >= objective(3, -lam.theta, lo)
+
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started past the cap")
+
+        monkeypatch.setattr(softmax_exact, "_corner_tables", no_enumeration)
+        monkeypatch.setattr(softmax_exact, "_assignment_candidates", no_enumeration)
         box = Interval(np.zeros(13), np.ones(13))
         with pytest.raises(DimensionError):
             final_softmax_exact(0, Zero(), box, cap=12)
+        with pytest.raises(DimensionError):
+            final_softmax_exact(0, Zero(), Interval(np.zeros(5), np.ones(5)), cap=4)
+
+    def test_matches_reference_loop_bit_for_bit(self):
+        """Value and witness are the reference loop's first best candidate."""
+        seen = {"case a wins": 0, "case b wins": 0, "degenerate": 0, "zero": 0,
+                "ordered tie": 0}
+
+        def check(m, lin, box, lam):
+            candidates = list(reference_candidates(m, lin, box.lo, box.hi))
+            top = max(value for _, value, _ in candidates)
+            won, value, witness = next(c for c in candidates if c[1] == top)
+            res = final_softmax_exact(m, lam, box)
+            assert res.mode == EXACT
+            assert res.value == value, (m, lin, box)
+            assert np.array_equal(res.witness, witness), (m, lin, box)
+            if won is not None and 2 in won:
+                seen["case a wins" if won[m] == 2 else "case b wins"] += 1
+            seen["ordered tie"] += won is not None and any(
+                v == top and not np.array_equal(x, witness) for _, v, x in candidates
+            )
+
+        rng = np.random.default_rng(11)
+        for n in range(1, 8):
+            per_label = 6 if n <= 4 else (2 if n <= 6 else 1)
+            for m in range(n):
+                for k in range(per_label):
+                    lo = 1.5 * rng.standard_normal(n)
+                    width = 2.5 * rng.random(n)
+                    # lin > 0 off the target and lin[m] in [-1/4, 0] make
+                    # stationary points of both cases reachable
+                    lin = rng.random(n) * rng.choice([0.05, 0.2, 0.6])
+                    if k % 2 == 0:
+                        lin[m] = -0.25 * rng.random()
+                        width[m] = 5.0
+                    else:
+                        lin[rng.random(n) < 0.25] *= -1.0
+                    if k % 3 == 1:
+                        width[rng.random(n) < 0.4] = 0.0
+                        seen["degenerate"] += int(np.any(width == 0.0))
+                    box = Interval(lo, lo + width)
+                    if k % 3 == 2:
+                        check(m, np.zeros(n), box, Zero())
+                        seen["zero"] += 1
+                    else:
+                        check(m, lin, box, Linear(theta=-lin))
+        # sum(lin) = 0 on a dyadic cube: the objective is flat along the
+        # diagonal and the points of assignments (1, 2) and (2, 0) tie exactly
+        lin = np.array([-205.0, 205.0]) / 1024.0
+        check(0, lin, Interval(np.full(2, 0.5), np.full(2, 1.75)), Linear(theta=-lin))
+        assert all(count > 0 for count in seen.values()), seen
 
     def test_matches_fine_grid(self):
         rng = np.random.default_rng(7)
