@@ -19,7 +19,6 @@ from .dual import (
     evaluate_dual,
     lambda_star_affine,
     optimize,
-    sample_lower_bound,
     stack_families,
     subgradient,
 )
@@ -55,7 +54,14 @@ from .multipliers import (
     expected_under_layer,
     init_stack,
 )
-from .oracle import BudgetExceeded, GridSpec, grid_maximize, mc_expectation, random_problem
+from .oracle import (
+    BudgetExceeded,
+    GridSpec,
+    grid_maximize,
+    mc_expectation,
+    random_problem,
+    sample_lower_bound,
+)
 from .specs import (
     BoxOfDeltas,
     ConfigError,

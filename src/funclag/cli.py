@@ -17,10 +17,11 @@ import click
 import numpy as np
 
 from .bounds import propagate_intervals
-from .dual import Certificate, OptimizerConfig, SolverOptions, optimize, sample_lower_bound
+from .dual import Certificate, OptimizerConfig, SolverOptions, optimize
 from .jsonio import decode_reals, encode_reals
 from .model import load_model
 from .multipliers import UnsupportedCombination
+from .oracle import sample_lower_bound
 from .specs import (
     ConfigError,
     SubGaussianNoise,
@@ -69,12 +70,11 @@ def main():
 @click.option("--grid-n", default=20, show_default=True, help="softmax bound grid size")
 @click.option("--exact-cap", default=12, show_default=True, help="exact softmax dimension cap")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--threads", default=1, show_default=True)
 @click.option("--attack/--no-attack", default=True, show_default=True,
               help="record a sampled attack value per problem")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
-           grid_n, exact_cap, seed, threads, attack, out_path):
+           grid_n, exact_cap, seed, attack, out_path):
     """Run the dual optimization and write certificates."""
     net = _load_model_or_fail(model_path)
     spec_config = _load_spec_config(spec_path)
@@ -89,7 +89,7 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
     options = SolverOptions(softmax_grid_n=grid_n, exact_softmax_cap=exact_cap)
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
-        seed=seed, threads=threads, options=options,
+        seed=seed, options=options,
     )
     certificates: list[Certificate] = []
     try:

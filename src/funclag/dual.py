@@ -12,12 +12,19 @@ inner solves whose witnesses feed envelope subgradients; certify-mode
 evaluations use only exact or sound upper-bound solvers, and only those
 values ever enter a certificate.  Internal dual variables of the bound
 constructions are warm-started across steps and co-optimized.
+
+Dispatch has three positions.  A box input problem g_0 is a transition
+problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
+the sub-Gaussian input bound is the one special case of position 0, and
+g_K has its own solver.  Every g_k is differentiated by one rule, the
+envelope theorem at its maximizer, except where a solver returns its
+gradients itself (the linexp bounds and a quadratic bound without a
+witness).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +89,6 @@ class OptimizerConfig:
     seed: int = 0
     init: str = "zeros"
     init_scale: float = 0.01
-    threads: int = 1
     early_stop: bool = True
     # also certify the tail-averaged parameters at the end; averaging damps
     # the zig-zag of subgradient steps around nonsmooth minima
@@ -112,200 +118,113 @@ def _is_quadratic_like(lam: Multiplier) -> bool:
     return isinstance(lam, (Zero, Linear, Quadratic, DiagQuadratic))
 
 
-def _child_seed(seed, k: int):
-    return (*seed, k) if isinstance(seed, tuple) else (seed, k)
+def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
+    """Envelope gradients (grads_prev, grads_next) of g_k at its maximizer.
 
-
-def _witness_grads_prev(lam_k: Multiplier, witness: np.ndarray) -> dict | None:
-    """Envelope gradient of -lam_k(x) at the witness."""
-    if isinstance(lam_k, Linear):
-        return {"theta": -witness}
-    if isinstance(lam_k, Quadratic):
+    g_k = E[lam_next(W s(x) + b)] - lam_prev(x); the final problem has no
+    lam_next (None).  A multiplier without parameters gets None.
+    """
+    grads_prev = None
+    if isinstance(lam_prev, Linear):
+        grads_prev = {"theta": -witness}
+    elif isinstance(lam_prev, Quadratic):
         g_q = -np.outer(witness, witness)
         np.fill_diagonal(g_q, -0.5 * witness**2)
-        return {"Q": g_q, "q": -witness}
-    if isinstance(lam_k, DiagQuadratic):
-        return {"alpha": -witness, "beta": -(witness**2)}
-    return None
-
-
-def _witness_grads_next(lam_next: Multiplier, layer, witness: np.ndarray) -> dict | None:
-    """Envelope gradient of E[lam_next(W s(x) + b)] at the witness."""
+        grads_prev = {"Q": g_q, "q": -witness}
+    elif isinstance(lam_prev, DiagQuadratic):
+        grads_prev = {"alpha": -witness, "beta": -(witness**2)}
+    if lam_next is None or isinstance(lam_next, Zero):
+        return grads_prev, None
     s = layer.apply_activation(witness)
     feat = weight_mean(layer.weights) @ s + weight_mean(layer.bias)
     if isinstance(lam_next, Linear):
-        return {"theta": feat}
+        return grads_prev, {"theta": feat}
     var = weight_variance(layer.weights) @ s**2 + weight_variance(layer.bias)
     if isinstance(lam_next, Quadratic):
         g_q = np.outer(feat, feat)
         np.fill_diagonal(g_q, 0.5 * (feat**2 + var))
-        return {"Q": g_q, "q": feat}
+        return grads_prev, {"Q": g_q, "q": feat}
     if isinstance(lam_next, DiagQuadratic):
-        return {"alpha": feat, "beta": feat**2 + var}
-    return None
+        return grads_prev, {"alpha": feat, "beta": feat**2 + var}
+    return grads_prev, None
 
 
-def _solve_input(problem, lam1, layer, box, mode, options, duals, want_grads):
-    input_set = problem.input_set
-    if isinstance(input_set, SubGaussianNoise):
-        if not isinstance(lam1, LinExp):
-            raise UnsupportedCombination(
-                "sub-Gaussian input sets need a linexp input multiplier"
-            )
-        res = inner.inner_linexp_input(layer, input_set.center, input_set.sigma, lam1)
-        grads_next = None
-        if want_grads:
-            _, grads_next = inner.input_param_grads(
-                layer, input_set.center, input_set.sigma, lam1
-            )
-        return res, None, grads_next, None
-    if isinstance(lam1, LinExp):
-        raise UnsupportedCombination("linexp input multipliers need a noise family")
-    if _is_linear_like(lam1):
-        res = inner.inner_linear(layer, Zero(), lam1, box)
-        grads_next = None
-        if want_grads:
-            grads_next = _witness_grads_next(lam1, layer, res.witness)
-        return res, None, grads_next, None
-    if _is_quadratic_like(lam1):
-        kappa_steps, penalty_steps = _qp_budgets(mode, options)
-        res = inner.inner_quadratic_bound(
-            layer, Zero(), lam1, box, duals=duals,
-            kappa_steps=kappa_steps, penalty_steps=penalty_steps,
-        )
-        grads_next = None
-        if want_grads:
-            if res.witness is not None:
-                grads_next = _witness_grads_next(lam1, layer, res.witness)
-            else:
-                _, _, grads_next = inner.quadratic_param_grads(
-                    layer, Zero(), lam1, box, res.internal_duals
-                )
-        return res, None, grads_next, res.internal_duals
-    raise UnsupportedCombination(f"no input solver for {type(lam1).__name__}")
-
-
-def _qp_budgets(mode, options):
-    if mode == TRAIN:
-        return options.train_qp_kappa_steps, options.train_qp_penalty_steps
-    return options.qp_kappa_steps, options.qp_penalty_steps
-
-
-def _solve_middle(lam_k, lam_next, layer, box, mode, options, duals, want_grads):
+def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_grads):
+    """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is Zero() for g_0."""
     if isinstance(lam_k, LinExp):
         if not _is_linear_like(lam_next):
             raise UnsupportedCombination("linexp multipliers pair with linear successors")
         zeta_init = duals.get("zeta") if duals else None
         res = inner.inner_linexp_transition(lam_k, lam_next, layer, box, zeta_init=zeta_init)
-        grads_prev = grads_next = None
+        grads = None
         if want_grads:
             _, grads_prev, g2 = inner.transition_param_grads(
                 lam_k, lam_next, layer, box, res.internal_duals["zeta"]
             )
-            grads_next = g2 if isinstance(lam_next, Linear) else None
-        return res, grads_prev, grads_next, res.internal_duals
+            grads = (grads_prev, g2 if isinstance(lam_next, Linear) else None)
+        return res, grads, res.internal_duals
     if isinstance(lam_next, LinExp):
         raise UnsupportedCombination("linexp multipliers are input-side only")
     if _is_linear_like(lam_k) and _is_linear_like(lam_next):
-        res = inner.inner_linear(layer, lam_k, lam_next, box)
-        grads_prev = grads_next = None
-        if want_grads:
-            grads_prev = _witness_grads_prev(lam_k, res.witness)
-            grads_next = _witness_grads_next(lam_next, layer, res.witness)
-        return res, grads_prev, grads_next, None
+        return inner.inner_linear(layer, lam_k, lam_next, box), None, None
     if _is_quadratic_like(lam_k) and _is_quadratic_like(lam_next):
-        kappa_steps, penalty_steps = _qp_budgets(mode, options)
+        train = mode == TRAIN
         res = inner.inner_quadratic_bound(
             layer, lam_k, lam_next, box, duals=duals,
-            kappa_steps=kappa_steps, penalty_steps=penalty_steps,
+            kappa_steps=options.train_qp_kappa_steps if train else options.qp_kappa_steps,
+            penalty_steps=options.train_qp_penalty_steps if train else options.qp_penalty_steps,
         )
-        grads_prev = grads_next = None
-        if want_grads:
-            if res.witness is not None:
-                # linear fast path: the witness is exact
-                grads_prev = _witness_grads_prev(lam_k, res.witness)
-                grads_next = _witness_grads_next(lam_next, layer, res.witness)
-            else:
-                _, grads_prev, grads_next = inner.quadratic_param_grads(
-                    layer, lam_k, lam_next, box, res.internal_duals
-                )
-                grads_prev = grads_prev or None
-                grads_next = grads_next or None
-        return res, grads_prev, grads_next, res.internal_duals
+        grads = None
+        if want_grads and res.witness is None:
+            _, *grads = inner.quadratic_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
+        return res, grads, res.internal_duals
     raise UnsupportedCombination(
         f"no middle-layer solver for ({type(lam_k).__name__}, {type(lam_next).__name__})"
     )
 
 
-def _softmax_value_and_grad(m, lin):
+def _softmax_pga(m, lin, beta, box, seed, options):
+    """Train-mode PGA on softmax(x)[m] + lin @ x - beta @ (x * x)."""
+    two_beta = 2.0 * beta
+
     def f(x):
-        return float(softmax(x)[m] + lin @ x)
+        return float(softmax(x)[m] + lin @ x - beta @ (x * x))
 
     def g(x):
         s = softmax(x)
         grad = -s[m] * s
         grad[m] += s[m]
-        return grad + lin
+        return grad + lin - two_beta * x
 
-    return f, g
-
-
-def _diag_quad_softmax_value_and_grad(m, alpha, beta):
-    def f(x):
-        return float(softmax(x)[m] - alpha @ x - beta @ (x * x))
-
-    def g(x):
-        s = softmax(x)
-        grad = -s[m] * s
-        grad[m] += s[m]
-        return grad - alpha - 2.0 * beta * x
-
-    return f, g
-
-
-def _pga_inits(m, lin, box):
     init_softmax = box.lo.copy()
     init_softmax[m] = box.hi[m]
     init_linear = np.where(lin >= 0, box.hi, box.lo)
-    return [init_softmax, init_linear]
+    return inner.heuristic_inner_max(
+        f, box, seed, grad=g,
+        steps=options.pga_steps, step_size=options.pga_step_size,
+        restarts=options.pga_restarts, extra_inits=[init_softmax, init_linear],
+    )
 
 
-def _solve_final(problem, lam_K, box, mode, options, seed, want_grads):
+def _solve_final(problem, lam_K, box, mode, options, seed):
     objective = problem.objective
     n = box.lo.shape[0]
     if isinstance(objective, LogitDiff):
         if not _is_linear_like(lam_K):
             raise UnsupportedCombination("logit objectives need a linear final multiplier")
-        res = inner.final_linear(objective.coefficients(n), lam_K, box)
-        grads_prev = None
-        if want_grads and isinstance(lam_K, Linear):
-            grads_prev = {"theta": -res.witness}
-        return res, grads_prev, None, None
+        return inner.final_linear(objective.coefficients(n), lam_K, box), None, None
 
     m = objective.label
     if _is_linear_like(lam_K):
-        lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
-        if mode == CERTIFY:
-            if n <= options.exact_softmax_cap:
-                res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-            else:
-                res = inner.final_softmax_affine_bound(
-                    m, lam_K, box, n_grid=options.softmax_grid_n
-                )
+        cap = options.exact_softmax_cap if mode == CERTIFY else options.train_exact_softmax_cap
+        if n <= cap:
+            res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
+        elif mode == CERTIFY:
+            res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
         else:
-            if n <= options.train_exact_softmax_cap:
-                res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-            else:
-                f, g = _softmax_value_and_grad(m, lin)
-                res = inner.heuristic_inner_max(
-                    f, box, seed, grad=g,
-                    steps=options.pga_steps, step_size=options.pga_step_size,
-                    restarts=options.pga_restarts, extra_inits=_pga_inits(m, lin, box),
-                )
-        grads_prev = None
-        if want_grads and isinstance(lam_K, Linear) and res.witness is not None:
-            grads_prev = {"theta": -res.witness}
-        return res, grads_prev, None, None
+            lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
+            res = _softmax_pga(m, lin, np.zeros(n), box, seed, options)
+        return res, None, None
     if isinstance(lam_K, DiagQuadratic):
         if mode == CERTIFY:
             mu = np.zeros(n)
@@ -313,40 +232,41 @@ def _solve_final(problem, lam_K, box, mode, options, seed, want_grads):
             res = inner.final_softmax_quadratic_bound(
                 mu, lam_K, box, n_grid=options.softmax_grid_n
             )
-            return res, None, None, None
-        f, g = _diag_quad_softmax_value_and_grad(m, lam_K.alpha, lam_K.beta)
-        res = inner.heuristic_inner_max(
-            f, box, seed, grad=g,
-            steps=options.pga_steps, step_size=options.pga_step_size,
-            restarts=options.pga_restarts, extra_inits=_pga_inits(m, -lam_K.alpha, box),
-        )
-        grads_prev = None
-        if want_grads and res.witness is not None:
-            grads_prev = {
-                "alpha": -res.witness,
-                "beta": -(res.witness * res.witness),
-            }
-        return res, grads_prev, None, None
+        else:
+            res = _softmax_pga(m, -lam_K.alpha, lam_K.beta, box, seed, options)
+        return res, None, None
     raise UnsupportedCombination(
         f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
     )
 
 
 def _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_grads):
+    """Solve g_k: (result, explicit grads, new internal duals).
+
+    Explicit grads are a (grads_prev, grads_next) pair, returned only where
+    the envelope rule at the witness does not apply; otherwise None.
+    """
     net = problem.network
     K = net.depth
-    if k == 0:
-        return _solve_input(
-            problem, stack[0], net.layers[0], bounds.box(0), mode, options,
-            state.get(0), want_grads,
-        )
-    if k < K:
-        return _solve_middle(
-            stack[k - 1], stack[k], net.layers[k], bounds.box(k), mode, options,
-            state.get(k), want_grads,
-        )
-    return _solve_final(
-        problem, stack[K - 1], bounds.box(K), mode, options, _child_seed(seed, k), want_grads
+    if k == K:
+        child_seed = (*seed, k) if isinstance(seed, tuple) else (seed, k)
+        return _solve_final(problem, stack[K - 1], bounds.box(K), mode, options, child_seed)
+    input_set, lam1 = problem.input_set, stack[0]
+    if k == 0 and isinstance(input_set, SubGaussianNoise):
+        if not isinstance(lam1, LinExp):
+            raise UnsupportedCombination("sub-Gaussian input sets need a linexp input multiplier")
+        layer = net.layers[0]
+        res = inner.inner_linexp_input(layer, input_set.center, input_set.sigma, lam1)
+        grads = None
+        if want_grads:
+            _, grads_next = inner.input_param_grads(layer, input_set.center, input_set.sigma, lam1)
+            grads = (None, grads_next)
+        return res, grads, None
+    if k == 0 and isinstance(lam1, LinExp):
+        raise UnsupportedCombination("linexp input multipliers need a noise family")
+    lam_k = stack[k - 1] if k > 0 else Zero()
+    return _solve_transition(
+        lam_k, stack[k], net.layers[k], bounds.box(k), mode, options, state.get(k), want_grads
     )
 
 
@@ -357,15 +277,14 @@ def evaluate_dual(
     mode: str = CERTIFY,
     options: SolverOptions | None = None,
     state: dict | None = None,
-    threads: int = 1,
     seed=0,
 ) -> DualEvaluation:
     """Evaluate the dual at a multiplier stack (sound in certify mode)."""
-    evaluation, _ = _evaluate(problem, stack, bounds, mode, options, state, threads, seed, False)
+    evaluation, _ = _evaluate(problem, stack, bounds, mode, options, state, seed, False)
     return evaluation
 
 
-def _evaluate(problem, stack, bounds, mode, options, state, threads, seed, want_grads):
+def _evaluate(problem, stack, bounds, mode, options, state, seed, want_grads):
     if mode not in (TRAIN, CERTIFY):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or SolverOptions()
@@ -377,48 +296,34 @@ def _evaluate(problem, stack, bounds, mode, options, state, threads, seed, want_
     if len(bounds) != K + 1:
         raise ValueError("bounds do not match the network depth")
 
-    def solve(k):
-        return _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_grads)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(solve, range(K + 1)))
-    else:
-        outcomes = [solve(k) for k in range(K + 1)]
-
-    # state updates and the value sum happen in fixed layer order so the
-    # result does not depend on the thread count
-    values = []
     results = []
-    grads = [dict() for _ in range(K)]
-    for k, (res, grads_prev, grads_next, new_duals) in enumerate(outcomes):
-        values.append(res.value)
+    grads = [zero_param_grads(lam) for lam in stack.lams] if want_grads else None
+    for k in range(K + 1):
+        res, explicit, new_duals = _solve_problem(
+            k, problem, stack, bounds, mode, options, state, seed, want_grads
+        )
         results.append(res)
         if new_duals is not None:
             state[k] = new_duals
-        if want_grads:
-            if grads_prev and k >= 1:
-                _accumulate(grads[k - 1], grads_prev)
-            if grads_next and k <= K - 1:
-                _accumulate(grads[k], grads_next)
+        if not want_grads:
+            continue
+        if explicit is None and res.witness is not None:
+            lam_prev = stack[k - 1] if k > 0 else Zero()
+            lam_next, layer = (stack[k], net.layers[k]) if k < K else (None, None)
+            explicit = _witness_grads(lam_prev, lam_next, layer, res.witness)
+        grads_prev, grads_next = explicit or (None, None)
+        if grads_prev and k >= 1:
+            _accumulate(grads[k - 1], grads_prev)
+        if grads_next and k <= K - 1:
+            _accumulate(grads[k], grads_next)
+    values = [res.value for res in results]
     total = float(sum(values))
-    evaluation = DualEvaluation(values=values, results=results, total=total, mode=mode)
-    if not want_grads:
-        return evaluation, None
-    full = []
-    for lam, g in zip(stack.lams, grads):
-        base = zero_param_grads(lam)
-        _accumulate(base, g)
-        full.append(base)
-    return evaluation, full
+    return DualEvaluation(values=values, results=results, total=total, mode=mode), grads
 
 
 def _accumulate(target: dict, contribution: dict) -> None:
     for name, value in contribution.items():
-        if name in target:
-            target[name] = target[name] + np.asarray(value)
-        else:
-            target[name] = np.asarray(value, dtype=float).copy()
+        target[name] = target[name] + np.asarray(value)
 
 
 def subgradient(
@@ -430,7 +335,7 @@ def subgradient(
     state: dict | None = None,
 ) -> list[dict]:
     """Envelope subgradient of the train-mode dual in the stack parameters."""
-    _, grads = _evaluate(problem, stack, bounds, TRAIN, options, state, 1, seed, True)
+    _, grads = _evaluate(problem, stack, bounds, TRAIN, options, state, seed, True)
     return grads
 
 
@@ -481,10 +386,6 @@ def stack_families(problem: VerificationProblem, family: str) -> list[str]:
     raise UnsupportedCombination(f"unknown multiplier family {family!r}")
 
 
-def _stack_widths(net: CanonicalNetwork) -> list[int]:
-    return [layer.out_dim for layer in net.layers]
-
-
 @dataclass
 class Certificate:
     """Machine-checkable outcome of one verification run.
@@ -502,7 +403,9 @@ class Certificate:
     fingerprint: dict
 
     def __post_init__(self):
-        assert self.verified == (self.bound <= 0.0)
+        # documents read back through from_jsonable come from outside
+        if self.verified != (self.bound <= 0.0):
+            raise ValueError(f"verified={self.verified} contradicts bound {self.bound!r}")
 
     def to_jsonable(self) -> dict:
         return {
@@ -567,6 +470,9 @@ def optimize(
     certify-mode evaluation updates the best sound bound.  Stops early as
     soon as the best certified margin is non-positive.  The certificate
     records the best bound, the stack that achieved it, and the trace.
+    An ``ArithmeticError`` after the step-0 certified evaluation ends the
+    run with a ``RuntimeWarning``; the certificate then holds the steps
+    completed before it.  One raised earlier propagates.
     """
     config = config or OptimizerConfig()
     if config.steps < 0:
@@ -578,7 +484,7 @@ def optimize(
     if stack is None:
         families = stack_families(problem, family)
         stack = init_stack(
-            families, _stack_widths(net),
+            families, [layer.out_dim for layer in net.layers],
             strategy=config.init, scale=config.init_scale, seed=config.seed,
         )
 
@@ -588,13 +494,13 @@ def optimize(
     def certify(current_stack):
         evaluation = evaluate_dual(
             problem, current_stack, bounds, CERTIFY,
-            options=options, state=state, threads=config.threads, seed=config.seed,
+            options=options, state=state, seed=config.seed,
         )
         return evaluation.total
 
     trace: list[dict] = []
     train_eval, _ = _evaluate(
-        problem, stack, bounds, TRAIN, options, state, config.threads, (config.seed, 0), False
+        problem, stack, bounds, TRAIN, options, state, (config.seed, 0), False
     )
     certified = certify(stack)
     trace.append({"step": 0, "train_value": train_eval.total, "certified_value": certified})
@@ -606,37 +512,46 @@ def optimize(
         adam = _Adam(params)
         tail_start = config.steps - config.steps // 4
         tail_avg, tail_count = None, 0
-        last_step = 0
         for step in range(1, config.steps + 1):
-            last_step = step
             lr = config.lr * (0.1 ** (step // config.decay_every))
-            evaluation, grads = _evaluate(
-                problem, stack, bounds, TRAIN, options, state,
-                config.threads, (config.seed, step), True,
-            )
-            grad_dicts = [
-                {name: np.asarray(g[name]) for name in p}
-                for p, g in zip(params, grads)
-            ]
-            params = adam.step(params, grad_dicts, lr)
-            stack = MultiplierStack(
-                lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
-            )
-            if config.certify_tail_average and step >= tail_start:
-                tail_count += 1
-                if tail_avg is None:
-                    tail_avg = [{k: v.copy() for k, v in p.items()} for p in params]
-                else:
-                    for avg, p in zip(tail_avg, params):
-                        for k in avg:
-                            avg[k] += (p[k] - avg[k]) / tail_count
-            entry = {"step": step, "train_value": evaluation.total, "certified_value": None}
-            if step % config.certify_every == 0 or step == config.steps:
-                certified = certify(stack)
-                entry["certified_value"] = certified
-                if certified - threshold < best_margin:
-                    best_margin = certified - threshold
-                    best_stack = stack
+            try:
+                evaluation, grads = _evaluate(
+                    problem, stack, bounds, TRAIN, options, state, (config.seed, step), True
+                )
+                grad_dicts = [
+                    {name: np.asarray(g[name]) for name in p}
+                    for p, g in zip(params, grads)
+                ]
+                params = adam.step(params, grad_dicts, lr)
+                stack = MultiplierStack(
+                    lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
+                )
+                if config.certify_tail_average and step >= tail_start:
+                    tail_count += 1
+                    if tail_avg is None:
+                        tail_avg = [{k: v.copy() for k, v in p.items()} for p in params]
+                    else:
+                        for avg, p in zip(tail_avg, params):
+                            for k in avg:
+                                avg[k] += (p[k] - avg[k]) / tail_count
+                entry = {"step": step, "train_value": evaluation.total, "certified_value": None}
+                if step % config.certify_every == 0 or step == config.steps:
+                    certified = certify(stack)
+                    entry["certified_value"] = certified
+                    if certified - threshold < best_margin:
+                        best_margin = certified - threshold
+                        best_stack = stack
+            except ArithmeticError as exc:
+                # a diverging run keeps the sound bound it already has; the
+                # parameters it diverged to are not worth a tail average
+                warnings.warn(
+                    f"optimization stopped at step {step} by {type(exc).__name__}: {exc}; "
+                    "keeping the best certified bound",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                tail_avg = None
+                break
             trace.append(entry)
             if config.early_stop and best_margin <= 0.0:
                 break
@@ -646,7 +561,7 @@ def optimize(
             )
             certified = certify(avg_stack)
             trace.append(
-                {"step": last_step, "train_value": trace[-1]["train_value"],
+                {"step": step, "train_value": trace[-1]["train_value"],
                  "certified_value": certified}
             )
             if certified - threshold < best_margin:
@@ -662,8 +577,6 @@ def optimize(
         "softmax_grid_n": options.softmax_grid_n,
         "exact_softmax_cap": options.exact_softmax_cap,
         "gaussian_truncation": _truncation_levels(net),
-        # thread count is an execution detail: certificates must be
-        # byte-identical across worker-pool sizes
         "config": {
             "steps": config.steps,
             "lr": config.lr,
@@ -714,191 +627,3 @@ def lambda_star_affine(net: CanonicalNetwork, c) -> MultiplierStack:
         thetas[k] = theta
         theta = weight_mean(net.layers[k].weights).T @ theta
     return MultiplierStack(lams=tuple(Linear(theta=t) for t in thetas))
-
-
-# --- sampled lower bounds --------------------------------------------------
-
-
-def _sample_layer_weights(net, rng):
-    """One untruncated weight realization per layer.
-
-    Gaussian draws are deliberately *not* truncated here: the sampled
-    estimate then targets exactly the expectation semantics of the
-    closed forms the dual bounds, making weak duality an identity rather
-    than an approximation.
-    """
-    return [(_draw(layer.weights, rng), _draw(layer.bias, rng)) for layer in net.layers]
-
-
-def _draw(dist, rng):
-    from .model import DiagonalGaussian, Dropout
-
-    if isinstance(dist, DiagonalGaussian):
-        return rng.normal(dist.mean, dist.stddev)
-    if isinstance(dist, Dropout):
-        return dist.values * (rng.random(dist.values.shape) < dist.keep)
-    return weight_mean(dist)
-
-
-def _forward_batch(net, x, weights) -> np.ndarray:
-    out = x
-    for layer, (w, b) in zip(net.layers, weights):
-        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
-        out = s @ w.T + b
-    return out
-
-
-def _forward_batch_per_row(net, x, rng) -> np.ndarray:
-    """Forward pass with an independent untruncated weight draw per row."""
-    from .oracle import _draw_untruncated_batch
-
-    n = x.shape[0]
-    out = x
-    for layer in net.layers:
-        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
-        w = _draw_untruncated_batch(layer.weights, rng, n)
-        b = _draw_untruncated_batch(layer.bias, rng, n)
-        out = np.einsum("nij,nj->ni", w, s) + b
-    return out
-
-
-def _objective_values(objective, logits: np.ndarray) -> np.ndarray:
-    if isinstance(objective, LogitDiff):
-        return logits[:, objective.target] - logits[:, objective.true]
-    return softmax(logits)[:, objective.label]
-
-
-def _batch_objective_estimate(net, objective, x, weight_draws, rng):
-    """Per-input estimates of the expected objective (mean, stderr)."""
-    if net.is_deterministic():
-        weights = [(weight_mean(l.weights), weight_mean(l.bias)) for l in net.layers]
-        values = _objective_values(objective, _forward_batch(net, x, weights))
-        return values, np.zeros_like(values)
-    total = np.zeros(x.shape[0])
-    total_sq = np.zeros(x.shape[0])
-    for _ in range(weight_draws):
-        weights = _sample_layer_weights(net, rng)
-        values = _objective_values(objective, _forward_batch(net, x, weights))
-        total += values
-        total_sq += values**2
-    mean = total / weight_draws
-    var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
-    stderr = np.sqrt(var / weight_draws)
-    return mean, stderr
-
-
-def sample_lower_bound(
-    problem: VerificationProblem,
-    n_samples: int = 1000,
-    seed: int = 0,
-    weight_draws: int = 1000,
-    hill_steps: int = 100,
-) -> tuple[float, float]:
-    """Heuristic lower estimate of the specification optimum.
-
-    Box input sets: the objective is estimated at random box points and
-    the best point is refined by coordinate hill climbing.  Sub-Gaussian
-    input sets: the expectation is estimated under a small catalog of
-    feasible noise distributions (a point mass at zero, truncated
-    Gaussians, a symmetric two-point mixture).  Returns (value, stderr);
-    never a certificate.
-    """
-    rng = np.random.default_rng(seed)
-    net = problem.network
-    input_set = problem.input_set
-
-    if isinstance(input_set, SubGaussianNoise):
-        return _sub_gaussian_lower_bound(problem, n_samples, rng)
-
-    box = problem.support_box()
-    lo, hi = box.lo, box.hi
-    points = lo + rng.random((max(n_samples, 1), lo.shape[0])) * (hi - lo)
-    means, stderrs = _batch_objective_estimate(net, problem.objective, points, weight_draws, rng)
-    best_idx = int(np.argmax(means))
-    best_x = points[best_idx].copy()
-    best_val, best_err = float(means[best_idx]), float(stderrs[best_idx])
-
-    if hill_steps > 0:
-        step = 0.25 * (hi - lo)
-        x = best_x.copy()
-        for _ in range(hill_steps):
-            improved = False
-            for i in range(x.shape[0]):
-                if step[i] == 0.0:
-                    continue
-                candidates = []
-                for direction in (1.0, -1.0):
-                    trial = x.copy()
-                    trial[i] = float(np.clip(trial[i] + direction * step[i], lo[i], hi[i]))
-                    candidates.append(trial)
-                vals, errs = _batch_objective_estimate(
-                    net, problem.objective, np.stack(candidates), min(weight_draws, 200), rng
-                )
-                j = int(np.argmax(vals))
-                if vals[j] > best_val:
-                    best_val, best_err = float(vals[j]), float(errs[j])
-                    x = candidates[j]
-                    improved = True
-            if not improved:
-                step *= 0.5
-                if float(step.max()) < 1e-6 * float((hi - lo).max() + 1e-12):
-                    break
-        # fresh estimate at the climbed point avoids max-selection bias
-        final_mean, final_err = _batch_objective_estimate(
-            net, problem.objective, x[np.newaxis, :], weight_draws, rng
-        )
-        best_val, best_err = float(final_mean[0]), float(final_err[0])
-    return best_val, best_err
-
-
-def _sub_gaussian_lower_bound(problem, n_samples, rng):
-    """Best estimate over a catalog of feasible noise distributions.
-
-    Feasibility means zero mean, i.i.d. coordinates, support inside the
-    (possibly clipped) box around the center, and a sub-Gaussian mgf with
-    the problem's sigma.  Symmetric truncation radii keep the mean at
-    zero even when clipping shrinks one side of the box, and symmetric
-    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.
-    """
-    input_set = problem.input_set
-    net = problem.network
-    center = input_set.center
-    box = input_set.support_box()
-    radius = np.maximum(np.minimum(center - box.lo, box.hi - center), 0.0)
-    scale_cap = min(input_set.sigma, input_set.epsilon)
-    dim = center.shape[0]
-    n = max(n_samples, 1)
-
-    def estimate(noise_sampler):
-        x = center + noise_sampler(n)
-        if net.is_deterministic():
-            values, _ = _batch_objective_estimate(net, problem.objective, x, 1, rng)
-        else:
-            # joint (noise, weight) draws: one weight realization per row
-            values = _objective_values(
-                problem.objective, _forward_batch_per_row(net, x, rng)
-            )
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return mean, stderr
-
-    samplers = [lambda k: np.zeros((k, dim))]
-    if scale_cap > 0.0 and np.any(radius > 0.0):
-        for s in (scale_cap, 0.5 * scale_cap):
-            def trunc_normal(k, s=s):
-                draw = rng.normal(0.0, s, size=(k, dim))
-                bad = np.abs(draw) > radius
-                while np.any(bad):
-                    draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)
-                    bad = np.abs(draw) > radius
-                return draw
-
-            samplers.append(trunc_normal)
-        two_point = np.minimum(scale_cap, radius)
-        samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
-    best_val, best_err = -math.inf, 0.0
-    for sampler in samplers:
-        val, err = estimate(sampler)
-        if val > best_val:
-            best_val, best_err = val, err
-    return best_val, best_err

@@ -444,7 +444,10 @@ def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
-    rng = np.random.default_rng(seed)
+    return _sampled_forward(net, x, np.random.default_rng(seed))
+
+
+def _sampled_forward(net: CanonicalNetwork, x: np.ndarray, rng) -> np.ndarray:
     out = x
     for layer in net.layers:
         w = layer.weights.sample(rng)
@@ -467,12 +470,7 @@ def mean_softmax_estimate(
     x = np.asarray(x, dtype=float)
     probs = np.empty((n_samples, net.output_dim))
     for i in range(n_samples):
-        out = x
-        for layer in net.layers:
-            w = layer.weights.sample(rng)
-            b = layer.bias.sample(rng)
-            out = w @ layer.apply_activation(out) + b
-        probs[i] = softmax(out)
+        probs[i] = softmax(_sampled_forward(net, x, rng))
     mean = probs.mean(axis=0)
     if n_samples == 1 or net.is_deterministic():
         stderr = np.zeros(net.output_dim)

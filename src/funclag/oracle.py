@@ -5,11 +5,15 @@ certificates can be cross-checked against an implementation-independent
 route at desk scale: dense grids with explicit Lipschitz error bounds,
 Monte Carlo layer expectations, and a reproducible random problem
 generator for fuzzing.  Grids are only trusted in up to a few dimensions.
+The sampled attack ``sample_lower_bound``, a heuristic lower estimate of
+the specification optimum that certificates record next to their bound,
+lives here as well.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,8 @@ from .model import (
     Deterministic,
     DiagonalGaussian,
     Dropout,
+    softmax,
+    weight_mean,
 )
 from .multipliers import Multiplier
 from .specs import (
@@ -122,14 +128,17 @@ def mc_expectation(
     return mean, stderr
 
 
-def _draw_untruncated_batch(dist, rng, n):
-    """(n, *dist.shape) weight realizations; deterministic weights broadcast."""
-    shape = (n,) + tuple(dist.shape)
+def _draw_untruncated_batch(dist, rng, n=None):
+    """(n, *dist.shape) weight realizations, or one of dist.shape for n None.
+
+    Deterministic weights draw nothing; a batch broadcasts them.
+    """
+    shape = tuple(dist.shape) if n is None else (n,) + tuple(dist.shape)
     if isinstance(dist, DiagonalGaussian):
         return rng.normal(dist.mean, dist.stddev, size=shape)
     if isinstance(dist, Dropout):
         return dist.values * (rng.random(shape) < dist.keep)
-    return np.broadcast_to(dist.values, shape)
+    return dist.values if n is None else np.broadcast_to(dist.values, shape)
 
 
 def _evaluate_batch(lam, y: np.ndarray) -> np.ndarray:
@@ -275,3 +284,172 @@ def random_problem(
             threshold=0.5,
         )
     return net, problem
+
+
+# --- sampled lower bounds ---------------------------------------------------
+
+
+def _forward_batch(net: CanonicalNetwork, x: np.ndarray, rng, per_row: bool) -> np.ndarray:
+    """Logits of a batch of inputs under untruncated weight draws.
+
+    ``rng`` None uses the mean weights.  ``per_row`` draws independent
+    weights for every row; otherwise one draw is shared by all rows.
+    Gaussian draws are deliberately *not* truncated here: the sampled
+    estimate then targets exactly the expectation semantics of the
+    closed forms the dual bounds, making weak duality an identity rather
+    than an approximation.
+    """
+    out = x
+    for layer in net.layers:
+        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
+        if per_row:
+            w = _draw_untruncated_batch(layer.weights, rng, s.shape[0])
+            b = _draw_untruncated_batch(layer.bias, rng, s.shape[0])
+            out = np.einsum("nij,nj->ni", w, s) + b
+            continue
+        if rng is None:
+            w, b = weight_mean(layer.weights), weight_mean(layer.bias)
+        else:
+            w = _draw_untruncated_batch(layer.weights, rng)
+            b = _draw_untruncated_batch(layer.bias, rng)
+        out = s @ w.T + b
+    return out
+
+
+def _objective_values(objective, logits: np.ndarray) -> np.ndarray:
+    if isinstance(objective, LogitDiff):
+        return logits[:, objective.target] - logits[:, objective.true]
+    return softmax(logits)[:, objective.label]
+
+
+def _batch_objective_estimate(net, objective, x, weight_draws, rng):
+    """Per-input estimates of the expected objective (mean, stderr)."""
+    if net.is_deterministic():
+        # a zero-stddev Gaussian counts as deterministic and draws nothing
+        values = _objective_values(objective, _forward_batch(net, x, None, False))
+        return values, np.zeros_like(values)
+    total = np.zeros(x.shape[0])
+    total_sq = np.zeros(x.shape[0])
+    for _ in range(weight_draws):
+        values = _objective_values(objective, _forward_batch(net, x, rng, False))
+        total += values
+        total_sq += values**2
+    mean = total / weight_draws
+    var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
+    stderr = np.sqrt(var / weight_draws)
+    return mean, stderr
+
+
+def sample_lower_bound(
+    problem: VerificationProblem,
+    n_samples: int = 1000,
+    seed: int = 0,
+    weight_draws: int = 1000,
+    hill_steps: int = 100,
+) -> tuple[float, float]:
+    """Heuristic lower estimate of the specification optimum.
+
+    Box input sets: the objective is estimated at random box points and
+    the best point is refined by coordinate hill climbing.  Sub-Gaussian
+    input sets: the expectation is estimated under a small catalog of
+    feasible noise distributions (a point mass at zero, truncated
+    Gaussians, a symmetric two-point mixture).  Returns (value, stderr);
+    never a certificate.
+    """
+    rng = np.random.default_rng(seed)
+    net = problem.network
+    input_set = problem.input_set
+
+    if isinstance(input_set, SubGaussianNoise):
+        return _sub_gaussian_lower_bound(problem, n_samples, rng)
+
+    box = problem.support_box()
+    lo, hi = box.lo, box.hi
+    points = lo + rng.random((max(n_samples, 1), lo.shape[0])) * (hi - lo)
+    means, stderrs = _batch_objective_estimate(net, problem.objective, points, weight_draws, rng)
+    best_idx = int(np.argmax(means))
+    best_x = points[best_idx].copy()
+    best_val, best_err = float(means[best_idx]), float(stderrs[best_idx])
+
+    if hill_steps > 0:
+        step = 0.25 * (hi - lo)
+        x = best_x.copy()
+        for _ in range(hill_steps):
+            improved = False
+            for i in range(x.shape[0]):
+                if step[i] == 0.0:
+                    continue
+                candidates = []
+                for direction in (1.0, -1.0):
+                    trial = x.copy()
+                    trial[i] = float(np.clip(trial[i] + direction * step[i], lo[i], hi[i]))
+                    candidates.append(trial)
+                vals, errs = _batch_objective_estimate(
+                    net, problem.objective, np.stack(candidates), min(weight_draws, 200), rng
+                )
+                j = int(np.argmax(vals))
+                if vals[j] > best_val:
+                    best_val, best_err = float(vals[j]), float(errs[j])
+                    x = candidates[j]
+                    improved = True
+            if not improved:
+                step *= 0.5
+                if float(step.max()) < 1e-6 * float((hi - lo).max() + 1e-12):
+                    break
+        # fresh estimate at the climbed point avoids max-selection bias
+        final_mean, final_err = _batch_objective_estimate(
+            net, problem.objective, x[np.newaxis, :], weight_draws, rng
+        )
+        best_val, best_err = float(final_mean[0]), float(final_err[0])
+    return best_val, best_err
+
+
+def _sub_gaussian_lower_bound(problem, n_samples, rng):
+    """Best estimate over a catalog of feasible noise distributions.
+
+    Feasibility means zero mean, i.i.d. coordinates, support inside the
+    (possibly clipped) box around the center, and a sub-Gaussian mgf with
+    the problem's sigma.  Symmetric truncation radii keep the mean at
+    zero even when clipping shrinks one side of the box, and symmetric
+    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.
+    """
+    input_set = problem.input_set
+    net = problem.network
+    center = input_set.center
+    box = input_set.support_box()
+    radius = np.maximum(np.minimum(center - box.lo, box.hi - center), 0.0)
+    scale_cap = min(input_set.sigma, input_set.epsilon)
+    dim = center.shape[0]
+    n = max(n_samples, 1)
+
+    def estimate(noise_sampler):
+        x = center + noise_sampler(n)
+        if net.is_deterministic():
+            values, _ = _batch_objective_estimate(net, problem.objective, x, 1, rng)
+        else:
+            # joint (noise, weight) draws: one weight realization per row
+            values = _objective_values(problem.objective, _forward_batch(net, x, rng, True))
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return mean, stderr
+
+    samplers = [lambda k: np.zeros((k, dim))]
+    if scale_cap > 0.0 and np.any(radius > 0.0):
+        for s in (scale_cap, 0.5 * scale_cap):
+            def trunc_normal(k, s=s):
+                draw = rng.normal(0.0, s, size=(k, dim))
+                bad = np.abs(draw) > radius
+                while np.any(bad):
+                    draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)
+                    bad = np.abs(draw) > radius
+                return draw
+
+            samplers.append(trunc_normal)
+        two_point = np.minimum(scale_cap, radius)
+        samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
+    best_val, best_err = -math.inf, 0.0
+    for sampler in samplers:
+        val, err = estimate(sampler)
+        if val > best_val:
+            best_val, best_err = val, err
+    return best_val, best_err

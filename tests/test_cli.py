@@ -77,17 +77,64 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
-    def test_overflow_exits_two(self, tmp_path):
+    def test_overflow_keeps_step_zero_bound(self, tmp_path):
         # lr 1000 drives the linexp input exponent past math.exp's range
+        # after step 0; the sound step-0 bounds must survive
+        spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.1)
+        out = tmp_path / "cert.json"
+        with pytest.warns(RuntimeWarning, match="OverflowError"):
+            result = run_cli(
+                ["verify", "--model", MODEL, "--spec", spec, "--family", "linexp",
+                 "--lr", "1000", "--steps", "50", "--out", str(out)]
+            )
+        assert result.exit_code == 1, result.output
+        doc = decode_reals(json.loads(out.read_text()))
+        step0 = [
+            c["trace"][0]["certified_value"] - c["metadata"]["threshold"]
+            for c in doc["certificates"]
+        ]
+        assert doc["bound"] == max(step0)
+        assert doc["bound"] == pytest.approx(0.382, abs=1e-3)
+
+        def reals(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    yield from reals(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from reals(value)
+            elif isinstance(node, float):
+                yield node
+
+        values = list(reals(doc))
+        assert values and all(np.isfinite(values))
+
+    def test_overflow_before_first_certificate_exits_two(self, tmp_path, monkeypatch):
+        import funclag.inner
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(funclag.inner, "inner_linexp_input", overflow)
         spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.1)
         out = tmp_path / "cert.json"
         result = run_cli(
             ["verify", "--model", MODEL, "--spec", spec, "--family", "linexp",
-             "--lr", "1000", "--steps", "50", "--out", str(out)]
+             "--steps", "5", "--out", str(out)]
         )
         assert result.exit_code == 2
         assert "OverflowError" in result.output
         assert not out.exists()
+
+    def test_threads_option_is_gone(self, tmp_path):
+        spec = write_spec(tmp_path)
+        result = CliRunner().invoke(
+            main,
+            ["verify", "--model", MODEL, "--spec", spec, "--threads", "4",
+             "--out", str(tmp_path / "cert.json")],
+        )
+        assert result.exit_code == 2
+        assert "--threads" in result.output
 
     def test_certificate_round_trip_bit_exact(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)
@@ -105,15 +152,29 @@ class TestVerify:
             assert rebuilt["bound"] == entry["bound"]
             assert rebuilt["multipliers"] == entry["multipliers"]
 
-    def test_determinism_across_runs_and_threads(self, tmp_path):
+    def test_doctored_certificate_is_rejected(self, tmp_path):
+        spec = write_spec(tmp_path, p_max=0.05)
+        out = tmp_path / "cert.json"
+        run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
+             "--out", str(out)]
+        )
+        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
+        assert entry["bound"] > 0.0 and entry["verified"] is False
+        from funclag.dual import Certificate
+
+        Certificate.from_jsonable(entry)
+        with pytest.raises(ValueError, match="contradicts"):
+            Certificate.from_jsonable({**entry, "verified": True})
+
+    def test_determinism_across_runs(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)
         contents = []
-        for run, threads in ((0, 1), (1, 1), (2, 1), (3, 4)):
+        for run in range(4):
             out = tmp_path / f"cert_{run}.json"
             run_cli(
                 ["verify", "--model", MODEL, "--spec", spec, "--steps", "15",
-                 "--certify-every", "5", "--seed", "7", "--threads", str(threads),
-                 "--out", str(out)]
+                 "--certify-every", "5", "--seed", "7", "--out", str(out)]
             )
             contents.append(out.read_bytes())
         assert all(c == contents[0] for c in contents[1:])

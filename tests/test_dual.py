@@ -78,21 +78,6 @@ class TestEvaluateDual:
             )
             assert ev.total >= value - 4.0 * stderr - 1e-9
 
-    def test_thread_count_does_not_change_values(self):
-        net, problem = random_problem(seed=21)
-        family = "linexp" if isinstance(problem.input_set, SubGaussianNoise) else "linear"
-        stack = init_stack(
-            stack_families(problem, family),
-            [layer.out_dim for layer in net.layers],
-            strategy="noise",
-            seed=0,
-        )
-        bounds = propagate_intervals(net, problem.support_box())
-        single = evaluate_dual(problem, stack, bounds, threads=1)
-        multi = evaluate_dual(problem, stack, bounds, threads=4)
-        assert single.total == multi.total
-        assert single.values == multi.values
-
     def test_certify_mode_rejects_heuristic_results(self, two_layer_net):
         from funclag.dual import DualEvaluation
         from funclag.inner import InnerResult
@@ -162,7 +147,7 @@ class TestSubgradient:
                                 )
                             )
                             ev, _ = _evaluate(
-                                problem, stack2, bounds, "train", None, {}, 1, (seed, 0), False
+                                problem, stack2, bounds, "train", None, {}, (seed, 0), False
                             )
                             values.append(ev.total)
                         fd = (values[0] - values[1]) / (2.0 * h)

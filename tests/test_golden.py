@@ -1,0 +1,177 @@
+"""Golden digests of `funclag verify` outputs.
+
+Certificates are hex-float JSON, so any change to the arithmetic of an
+inner solver, an envelope gradient, the outer loop or the sampled attack
+changes the SHA-256 of the output file.  The jobs below are small and
+together reach every final-layer solver, every transition solver and
+both forward paths of the attack; ``test_jobs_cover_every_path`` asserts
+that they do.  A change meant to alter certificates regenerates the
+digests with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import funclag.inner
+import funclag.oracle
+from funclag.cli import main
+from funclag.model import model_to_dict
+from funclag.oracle import random_problem
+
+BUNDLED = Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json"
+CENTER = [0.3, 0.5, 0.6, 0.4, 0.7, 0.2]
+
+
+def _wide_model() -> dict:
+    """Deterministic 5-8-8 net: 8 outputs pass the train exact-softmax cap of 6."""
+    rng = np.random.default_rng(5)
+    dims = [5, 8, 8]
+    layers = []
+    for i in range(2):
+        w = 2.0 * rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
+        b = 0.1 * rng.standard_normal(dims[i + 1])
+        layers.append({
+            "activation": "identity" if i == 0 else "relu",
+            "weights": {"kind": "deterministic", "values": w.tolist()},
+            "bias": {"kind": "deterministic", "values": b.tolist()},
+        })
+    return {"input_dim": dims[0], "layers": layers}
+
+
+def _random_job(seed: int) -> tuple[dict, dict]:
+    """A random_problem network and its spec as verify input files."""
+    net, problem = random_problem(seed)
+    iset = problem.input_set
+    spec = {"input": iset.center.tolist(), "epsilon": iset.epsilon, "clip": False}
+    if hasattr(problem.objective, "true"):
+        spec.update(type="adversarial", true_label=problem.objective.true)
+    else:
+        spec.update(type="dist_robust_ood", sigma=iset.sigma, p_max=0.5)
+    return model_to_dict(net), spec
+
+
+# name -> (model (None: the bundled one), spec, extra verify flags)
+JOBS = {
+    "robust-linear": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
+                             "p_max": 0.2}, []),
+    "adversarial-linear": (None, {"type": "adversarial", "input": CENTER, "epsilon": 0.12,
+                                  "true_label": 0}, []),
+    "dist-linexp": (None, {"type": "dist_robust_ood", "input": CENTER, "epsilon": 0.04,
+                           "sigma": 0.05, "p_max": 0.2}, ["--family", "linexp"]),
+    "robust-quadratic": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
+                                "p_max": 0.3}, ["--family", "quadratic", "--steps", "2",
+                                                "--certify-every", "2"]),
+    # exact cap 7 < 8 outputs: certify takes the affine grid, train takes PGA
+    "wide-linear": (_wide_model(), {"type": "robust_ood", "input": [0.5] * 5,
+                                    "epsilon": 0.04, "p_max": 0.3},
+                    ["--exact-cap", "7", "--grid-n", "3"]),
+    # Gaussian weights, box input: one weight draw shared by the batch
+    "gaussian-adversarial": (*_random_job(120), []),
+    # dropout weights, sub-Gaussian input: one weight draw per row
+    "dropout-dist-linexp": (*_random_job(8), ["--family", "linexp"]),
+}
+
+GOLDEN = {
+    "robust-linear": "672b44cfa5b377407876c6ce9817ae2d611dc59f5b4a4cf94402b3ca6a7903b8",
+    "adversarial-linear": "20a9128efbb3d750aaa02cddaacd0285d78155554590a9565ce47f760612417e",
+    "dist-linexp": "00faf9e34941cc99f39f87499822ff099a07314f22599ff5ce0f2aed2c960beb",
+    "robust-quadratic": "d54051903b5092a39a49a27980fba1e6b4f852374faac3dcced583d4f18d13aa",
+    "wide-linear": "3ce63d5a5c28592e3535194963e35d9e7421224ab94992b305413f28e3802124",
+    "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
+    "dropout-dist-linexp": "0c41fb6092d1ddcc6b0f2e72b586cfa22f8465f85bc4af67712d7469cfdcf981",
+}
+
+# what each job must reach; the attack path is ("attack", per_row)
+EXPECTED = {
+    "robust-linear": {"inner_linear", "final_softmax_exact"},
+    "adversarial-linear": {"inner_linear", "final_linear"},
+    "dist-linexp": {"inner_linexp_input", "input_param_grads", "inner_linexp_transition",
+                    "transition_param_grads"},
+    "robust-quadratic": {"inner_quadratic_bound", "quadratic_param_grads",
+                         "heuristic_inner_max", "final_softmax_quadratic_bound"},
+    "wide-linear": {"inner_linear", "heuristic_inner_max", "final_softmax_affine_bound"},
+    "gaussian-adversarial": {"final_linear", ("attack", False)},
+    "dropout-dist-linexp": {"inner_linexp_input", ("attack", True)},
+}
+
+SOLVERS = [
+    "inner_linear", "final_linear", "inner_linexp_input", "input_param_grads",
+    "inner_linexp_transition", "transition_param_grads", "inner_quadratic_bound",
+    "quadratic_param_grads", "final_softmax_exact", "final_softmax_affine_bound",
+    "final_softmax_quadratic_bound", "heuristic_inner_max",
+]
+
+
+def run_job(name: str, workdir: Path) -> tuple[int, bytes]:
+    model, spec, flags = JOBS[name]
+    model_path = BUNDLED
+    if model is not None:
+        model_path = workdir / f"{name}-model.json"
+        model_path.write_text(json.dumps(model))
+    spec_path = workdir / f"{name}-spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = workdir / f"{name}-out.json"
+    args = ["verify", "--model", str(model_path), "--spec", str(spec_path), "--steps", "3",
+            "--lr", "0.05", "--certify-every", "3", "--seed", "3", *flags, "--out", str(out)]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    return result.exit_code, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Every job's exit code, output digest and the solver paths it reached."""
+    workdir = tmp_path_factory.mktemp("golden")
+    patch = pytest.MonkeyPatch()
+    reached: set = set()
+
+    def recording(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            reached.add(key(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        patch.setattr(module, name, wrapper)
+
+    for solver in SOLVERS:
+        recording(funclag.inner, solver, lambda *a, solver=solver, **k: solver)
+    recording(funclag.oracle, "_forward_batch",
+              lambda net, x, rng, per_row: ("attack", per_row) if rng is not None else None)
+    results = {}
+    try:
+        for name in JOBS:
+            reached.clear()
+            code, data = run_job(name, workdir)
+            results[name] = (code, hashlib.sha256(data).hexdigest(), set(reached))
+    finally:
+        patch.undo()
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_output_matches_golden_digest(outputs, name):
+    code, digest, _ = outputs[name]
+    assert code in (0, 1)
+    assert digest == GOLDEN[name]
+
+
+def test_jobs_cover_every_path(outputs):
+    for name, expected in EXPECTED.items():
+        missing = expected - outputs[name][2]
+        assert not missing, f"{name} did not reach {missing}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for job in JOBS:
+            _, data = run_job(job, Path(tmp))
+            print(f'    "{job}": "{hashlib.sha256(data).hexdigest()}",')
