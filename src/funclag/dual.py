@@ -184,17 +184,26 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_gr
 
 
 def _softmax_pga(m, lin, beta, box, seed, options):
-    """Train-mode PGA on softmax(x)[m] + lin @ x - beta @ (x * x)."""
+    """Train-mode PGA on softmax(x)[m] + lin @ x - beta @ (x * x), row by row."""
     two_beta = 2.0 * beta
+    # the two length-n dot products differ between any two summation
+    # orders by at most 2 gamma_n times the sum of absolute terms, and the
+    # two final additions round once each on either side
+    unit = 0.5 * np.finfo(float).eps
+    error_factor = (2 * lin.shape[0] + 8) * unit
+    abs_lin, abs_beta = np.abs(lin), np.abs(beta)
 
     def f(x):
-        return float(softmax(x)[m] + lin @ x - beta @ (x * x))
+        return softmax(x)[..., m] + lin @ x.T - beta @ (x * x).T
 
     def g(x):
         s = softmax(x)
-        grad = -s[m] * s
-        grad[m] += s[m]
+        grad = -s[:, m, None] * s
+        grad[:, m] += s[:, m]
         return grad + lin - two_beta * x
+
+    def error(x):
+        return error_factor * (1.0 + np.abs(x) @ abs_lin + (x * x) @ abs_beta)
 
     init_softmax = box.lo.copy()
     init_softmax[m] = box.hi[m]
@@ -202,7 +211,7 @@ def _softmax_pga(m, lin, beta, box, seed, options):
     return inner.heuristic_inner_max(
         f, box, seed, grad=g,
         steps=options.pga_steps, step_size=options.pga_step_size,
-        restarts=options.pga_restarts, extra_inits=[init_softmax, init_linear],
+        restarts=options.pga_restarts, extra_inits=[init_softmax, init_linear], error=error,
     )
 
 

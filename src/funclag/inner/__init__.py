@@ -1,75 +1,34 @@
-"""Per-layer inner maximization solvers for the dual decomposition."""
+"""Per-layer inner maximization solvers for the dual decomposition.
 
-from .linear import final_linear, inner_linear, scalar_activation_linear_max
+The package namespace holds the solvers ``dual`` calls as
+``inner.<name>``; helpers are imported from their submodules.
+"""
+
+from .linear import final_linear, inner_linear
 from .linexp import (
     inner_linexp_input,
     inner_linexp_transition,
     input_param_grads,
-    transition_bound_at_zeta,
     transition_param_grads,
-    transition_value_with_duals,
 )
-from .quadratic import (
-    NumericalError,
-    certified_lambda_max,
-    gershgorin_upper,
-    inner_quadratic_bound,
-    power_iteration,
-    qp_box_bound,
-    quadratic_bound_with_duals,
-    quadratic_param_grads,
-)
-from .result import EXACT, HEURISTIC_LOWER, SOUND_MODES, UPPER_BOUND, InnerResult
+from .quadratic import inner_quadratic_bound, quadratic_param_grads
+from .result import InnerResult
 from .search import heuristic_inner_max
-from .softmax_bounds import (
-    affine_cell_bound,
-    final_softmax_affine_bound,
-    final_softmax_quadratic_bound,
-    quadratic_cell_bound,
-    scalar_exp_quad_max,
-)
-from .softmax_exact import (
-    DimensionError,
-    box_softmax_max,
-    box_softmax_min,
-    final_softmax_exact,
-    stationary_points_case_a,
-    stationary_points_case_b,
-)
+from .softmax_bounds import final_softmax_affine_bound, final_softmax_quadratic_bound
+from .softmax_exact import final_softmax_exact
 
 __all__ = [
-    "EXACT",
-    "HEURISTIC_LOWER",
-    "SOUND_MODES",
-    "UPPER_BOUND",
-    "DimensionError",
     "InnerResult",
-    "NumericalError",
-    "affine_cell_bound",
-    "box_softmax_max",
-    "box_softmax_min",
-    "certified_lambda_max",
     "final_linear",
     "final_softmax_affine_bound",
     "final_softmax_exact",
     "final_softmax_quadratic_bound",
-    "gershgorin_upper",
     "heuristic_inner_max",
     "inner_linear",
     "inner_linexp_input",
     "inner_linexp_transition",
     "inner_quadratic_bound",
     "input_param_grads",
-    "power_iteration",
-    "qp_box_bound",
-    "quadratic_bound_with_duals",
-    "quadratic_cell_bound",
     "quadratic_param_grads",
-    "scalar_activation_linear_max",
-    "scalar_exp_quad_max",
-    "stationary_points_case_a",
-    "stationary_points_case_b",
-    "transition_bound_at_zeta",
     "transition_param_grads",
-    "transition_value_with_duals",
 ]

@@ -11,9 +11,16 @@ a box-constrained indefinite quadratic.  After rescaling the box to
 
 which is dual-feasible for every shift vector kappa, so subgradient
 steps on kappa can only tighten, never invalidate, the bound.  The
-lambda_max used in emitted values is a certified upper bound: a power
-iteration estimate escalated until a Cholesky factorization proves it,
-with the Gershgorin row bound as the always-valid fallback.
+lambda_max used in emitted values is a certified upper bound: the
+symmetric eigensolver's top eigenvalue, escalated until a Cholesky
+factorization proves it, with the Gershgorin row bound as the
+always-valid fallback.
+
+Gradients in the penalties and in the multiplier parameters are those
+of the Danskin surrogate: with the top eigenvector and the active set of
+kappa frozen, the bound is affine in the rescaled QP data, and its
+gradient there is pulled back in closed form through the rescaling, the
+QP assembly and the expected coefficients of lam_next.
 """
 
 from __future__ import annotations
@@ -24,7 +31,15 @@ import numpy as np
 
 from ..bounds import Interval
 from ..model import CanonicalLayer
-from ..multipliers import Multiplier, as_quadratic, expected_quadratic_coeffs
+from ..multipliers import (
+    Linear,
+    Multiplier,
+    as_quadratic,
+    as_quadratic_adjoint,
+    expected_quadratic_coeffs,
+    expected_quadratic_coeffs_adjoint,
+    zero_param_grads,
+)
 from .linear import inner_linear
 from .result import UPPER_BOUND, InnerResult
 
@@ -40,52 +55,16 @@ def gershgorin_upper(a: np.ndarray) -> float:
     return float(np.max(diag + off))
 
 
-def gershgorin_lower(a: np.ndarray) -> float:
-    diag = np.diag(a)
-    off = np.sum(np.abs(a), axis=1) - np.abs(diag)
-    return float(np.min(diag - off))
+def top_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a symmetric matrix and a unit eigenvector of it."""
+    values, vectors = np.linalg.eigh(a)
+    return float(values[-1]), vectors[:, -1]
 
 
-def power_iteration(
-    a: np.ndarray, iters: int = 60, tol: float = 1e-7
-) -> tuple[float, np.ndarray, float]:
-    """Estimate the algebraically largest eigenvalue of a symmetric matrix.
-
-    The matrix is shifted by its Gershgorin lower bound so the target
-    eigenvalue dominates in magnitude.  Returns (rayleigh quotient,
-    unit eigenvector estimate, residual norm); the rayleigh quotient is
-    always a lower bound on lambda_max.  For a unit vector the residual
-    is sqrt(|Av|^2 - rayleigh^2), so each step costs one matvec.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0]), np.ones(1), 0.0
-    shift = gershgorin_lower(a)
-    shifted = a - shift * np.eye(n)
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= math.sqrt(float(v @ v))
-    residual = math.inf
-    for _ in range(max(iters, 30)):
-        w = shifted @ v
-        rayleigh = float(v @ w)
-        residual = math.sqrt(max(float(w @ w) - rayleigh * rayleigh, 0.0))
-        if residual <= tol * max(1.0, abs(rayleigh)):
-            break
-        norm = math.sqrt(float(w @ w))
-        if norm == 0.0:
-            # v is in the kernel of the shifted matrix
-            break
-        v = w / norm
-    w = a @ v
-    rayleigh = float(v @ w)
-    residual = math.sqrt(max(float(w @ w) - rayleigh * rayleigh, 0.0))
-    return rayleigh, v, residual
-
-
-def certified_lambda_max(a: np.ndarray, tol: float = 1e-7) -> float:
+def certified_lambda_max(a: np.ndarray) -> float:
     """Upper bound on lambda_max, certified by a PSD factorization check.
 
-    Starting from the power-iteration estimate plus its residual, the
+    Starting from the eigensolver's top eigenvalue plus a margin, the
     candidate is escalated until mu * I - A admits a Cholesky
     factorization; the Gershgorin disc bound caps the escalation and is
     returned when nothing smaller certifies.
@@ -94,17 +73,17 @@ def certified_lambda_max(a: np.ndarray, tol: float = 1e-7) -> float:
         raise NumericalError("matrix has non-finite entries")
     n = a.shape[0]
     gersh = gershgorin_upper(a)
-    rayleigh, _, residual = power_iteration(a, tol=tol)
-    scale = max(1.0, abs(rayleigh), float(np.max(np.abs(a))))
+    lmax, _ = top_eigenpair(a)
+    scale = max(1.0, abs(lmax), float(np.max(np.abs(a))))
     margin = 1e-11 * scale
-    candidate = rayleigh + residual + margin
+    candidate = lmax + margin
     eye = np.eye(n)
     while candidate < gersh:
         try:
             np.linalg.cholesky(candidate * eye - a + margin * eye)
             return float(candidate + margin)
         except np.linalg.LinAlgError:
-            candidate = rayleigh + 4.0 * (candidate - rayleigh)
+            candidate = lmax + 4.0 * (candidate - lmax)
     return gersh
 
 
@@ -125,28 +104,24 @@ def qp_box_bound(
     """Bound max of c0 + g.t + 0.5 t'Ht over t in [-1, 1]^d.
 
     Runs subgradient descent on the shift vector kappa, tracking the
-    best iterate by a cheap power-iteration estimate; the returned value
-    is the *certified* bound re-evaluated at that iterate (and at the
-    start point), so it is sound regardless of the tracking accuracy.
+    best iterate by its uncertified top eigenvalue; the returned value
+    is the *certified* bound re-evaluated at that iterate, so it is
+    sound regardless of the tracking accuracy.
     """
     d = g.shape[0]
     mf = _pack_mf(h, g)
     kappa = np.zeros(d + 1) if kappa is None else np.asarray(kappa, dtype=float).copy()
 
-    def estimate(kap):
-        lmax, v, residual = power_iteration(mf - np.diag(kap))
-        s = max(lmax + residual, 0.0)
-        return 0.5 * float(np.maximum(kap + s, 0.0).sum()), lmax, v
-
-    best_est, _, _ = estimate(kappa)
+    best_est = math.inf
     best_kappa = kappa.copy()
     scale = max(1.0, float(np.max(np.abs(mf))))
     for t in range(steps):
-        est, lmax, v = estimate(kappa)
+        lmax, v = top_eigenpair(mf - np.diag(kappa))
+        s = max(lmax, 0.0)
+        est = 0.5 * float(np.maximum(kappa + s, 0.0).sum())
         if est < best_est:
             best_est = est
             best_kappa = kappa.copy()
-        s = max(lmax, 0.0)
         active = (kappa + s) > 0.0
         grad = 0.5 * active.astype(float)
         if lmax > 0.0:
@@ -180,6 +155,25 @@ def _reduce_and_rescale(h, g, c0, lo, hi):
     return h_scaled, g_scaled, c0
 
 
+def _rescale_adjoint(grad_g, grad_h, lo, hi):
+    """Pull a gradient in the (g, H) that _reduce_and_rescale returns back to its input.
+
+    Over all coordinates the reduction substitutes x = p + half * t, with
+    p the midpoint (a fixed coordinate's value) and half zero on fixed
+    coordinates: c0' = c0 + g.p + 0.5 p'Hp, g' = half * (g + Hp) and
+    H' = H * half half', restricted to the free coordinates.  c0 enters
+    with weight one.
+    """
+    p = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    keep = hi - lo > 0.0
+    scaled_g = np.zeros_like(p)
+    scaled_g[keep] = half[keep] * grad_g
+    full_h = np.zeros((p.size, p.size))
+    full_h[np.ix_(keep, keep)] = grad_h * np.outer(half[keep], half[keep])
+    return p + scaled_g, 0.5 * np.outer(p, p) + np.outer(scaled_g, p) + full_h
+
+
 def _assemble_relu_qp(layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_minus):
     """Build (H, g, c0) in variables (x, y) with the relu constraints dualized."""
     c0, m, big_m = expected_quadratic_coeffs(layer, q_n, q_n_lin)
@@ -193,21 +187,45 @@ def _assemble_relu_qp(layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_m
     return h, g, c0
 
 
-def _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
+def _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
+    """(H, g, c0, lo, hi) of the layer QP before reduction."""
     q_k, q_k_lin = as_quadratic(lam_k, layer.in_dim)
     q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
     if layer.activation == "identity":
         c0, m, big_m = expected_quadratic_coeffs(layer, q_n, q_n_lin)
-        h = big_m - q_k
-        g = m - q_k_lin
-        lo, hi = box.lo, box.hi
-    else:
-        h, g, c0 = _assemble_relu_qp(
-            layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_minus
-        )
-        lo = np.concatenate([box.lo, np.maximum(box.lo, 0.0)])
-        hi = np.concatenate([box.hi, np.maximum(box.hi, 0.0)])
-    return _reduce_and_rescale(h, g, c0, lo, hi)
+        return big_m - q_k, m - q_k_lin, c0, box.lo, box.hi
+    h, g, c0 = _assemble_relu_qp(layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_minus)
+    lo = np.concatenate([box.lo, np.maximum(box.lo, 0.0)])
+    hi = np.concatenate([box.hi, np.maximum(box.hi, 0.0)])
+    return h, g, c0, lo, hi
+
+
+def _assembly_adjoint(layer, grad_h, grad_g):
+    """Adjoint of _assemble in (H, g); c0 is E[lam_next]'s constant with weight one.
+
+    Returns the gradients in (Q_k, q_k), in the coefficients (M, m) of
+    E[lam_next] and in the penalties stacked as (zeta, zeta_plus,
+    zeta_minus), the last None for an identity layer.
+    """
+    if layer.activation == "identity":
+        return -grad_h, -grad_g, grad_h, grad_g, None
+    n = layer.in_dim
+    x, y = slice(0, n), slice(n, 2 * n)
+    grad_zeta = np.diag(grad_h[x, y]) + np.diag(grad_h[y, x]) - 2.0 * np.diag(grad_h[y, y])
+    penalties = np.concatenate([grad_zeta, grad_g[y] - grad_g[x], grad_g[y]])
+    return -grad_h[x, x], -grad_g[x], grad_h[y, y], grad_g[y], penalties
+
+
+def _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
+    return _reduce_and_rescale(*_assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus))
+
+
+def _penalties(duals: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zeta, zeta_plus, zeta_minus) from internal duals, the signed pair clamped at 0."""
+    zeta = np.asarray(duals.get("zeta", np.zeros(n)), dtype=float)
+    zeta_plus = np.maximum(np.asarray(duals.get("zeta_plus", np.zeros(n)), dtype=float), 0.0)
+    zeta_minus = np.maximum(np.asarray(duals.get("zeta_minus", np.zeros(n)), dtype=float), 0.0)
+    return zeta, zeta_plus, zeta_minus
 
 
 def quadratic_bound_with_duals(
@@ -218,10 +236,7 @@ def quadratic_bound_with_duals(
     duals: dict,
 ) -> float:
     """Certified bound at the given internal duals (sign-clamped as needed)."""
-    n = layer.in_dim
-    zeta = np.asarray(duals.get("zeta", np.zeros(n)), dtype=float)
-    zeta_plus = np.maximum(np.asarray(duals.get("zeta_plus", np.zeros(n)), dtype=float), 0.0)
-    zeta_minus = np.maximum(np.asarray(duals.get("zeta_minus", np.zeros(n)), dtype=float), 0.0)
+    zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
     h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
     if h is None:
         return float(c0)
@@ -262,16 +277,12 @@ def inner_quadratic_bound(
     q_k, q_k_lin = as_quadratic(lam_k, n)
     q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
     if not q_k.any() and not q_n.any():
-        from ..multipliers import Linear
-
         result = inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
         result.internal_duals = dict(duals or {})
         return result
 
     duals = dict(duals or {})
-    zeta = np.asarray(duals.get("zeta", np.zeros(n)), dtype=float).copy()
-    zeta_plus = np.asarray(duals.get("zeta_plus", np.zeros(n)), dtype=float).copy()
-    zeta_minus = np.asarray(duals.get("zeta_minus", np.zeros(n)), dtype=float).copy()
+    zeta, zeta_plus, zeta_minus = _penalties(duals, n)
     kappa = duals.get("kappa")
 
     def bound_at(z, zp, zm, kap, steps):
@@ -298,15 +309,13 @@ def inner_quadratic_bound(
     best_est = math.inf
     scale = max(1.0, float(np.max(np.abs(q_k))) if q_k.size else 1.0, float(np.max(np.abs(q_n))) if q_n.size else 1.0)
     for t in range(penalty_steps):
-        est, _, _, _, kappa = _danskin_surrogate(
-            layer, lam_k, lam_next, box,
-            params[:n], np.maximum(params[n : 2 * n], 0.0), np.maximum(params[2 * n :], 0.0),
-            kappa,
+        est, kappa, blocks = _danskin(
+            layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
         )
         if est < best_est:
             best_est = est
             best_params = params.copy()
-        grad = _penalty_subgradient(layer, lam_k, lam_next, box, params, kappa)
+        grad = np.zeros(3 * n) if blocks is None else blocks[4]
         lr = 0.3 * scale / (1.0 + 0.2 * t)
         params = params - lr * grad
         params[n:] = np.maximum(params[n:], 0.0)
@@ -338,31 +347,30 @@ def inner_quadratic_bound(
     )
 
 
-def _danskin_surrogate(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
-    """Danskin pieces of the bound at fixed kappa: value, eigvector, active set."""
-    h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    if h is None:
-        return c0, None, None, 0.0, np.zeros(1)
-    mf = _pack_mf(h, g)
-    if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
-        kappa = np.zeros(g.shape[0] + 1)
-    lmax, v, _ = power_iteration(mf - np.diag(kappa))
+def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
+    """Danskin value of the bound at kappa and its gradient in the layer data.
+
+    With the top eigenvector v = (v0, w) of Mf - diag(kappa) and the
+    active set A of kappa frozen, the bound c0 + 0.5 * sum(kappa_A) +
+    0.5 |A| v'(Mf - diag(kappa))v (the last term only when lambda_max > 0)
+    is affine in the rescaled QP data (c0, g, H), with gradient
+    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, kappa, blocks): blocks
+    is None when no coordinate is free, else the gradients of
+    _assembly_adjoint.
+    """
+    h, g, c0, lo, hi = _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    h_s, g_s, c0_s = _reduce_and_rescale(h, g, c0, lo, hi)
+    if h_s is None:
+        return c0_s, np.zeros(1), None
+    if kappa is None or np.asarray(kappa).shape != (g_s.shape[0] + 1,):
+        kappa = np.zeros(g_s.shape[0] + 1)
+    lmax, v = top_eigenpair(_pack_mf(h_s, g_s) - np.diag(kappa))
     s = max(lmax, 0.0)
-    active = (kappa + s) > 0.0
-    value = c0 + 0.5 * float(np.maximum(kappa + s, 0.0).sum())
-    return value, v, active, lmax, kappa
-
-
-def _surrogate_value(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, v, active, positive, kappa):
-    """Affine-in-parameters surrogate that matches the bound at the base point."""
-    h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    if h is None:
-        return c0
-    mf = _pack_mf(h, g)
-    val = c0 + 0.5 * float(kappa[active].sum())
-    if positive:
-        val += 0.5 * float(active.sum()) * float(v @ (mf - np.diag(kappa)) @ v)
-    return val
+    value = c0_s + 0.5 * float(np.maximum(kappa + s, 0.0).sum())
+    weight = 0.5 * float(np.count_nonzero(kappa + s > 0.0)) if lmax > 0.0 else 0.0
+    w = v[1:]
+    grad_g, grad_h = _rescale_adjoint(2.0 * weight * v[0] * w, weight * np.outer(w, w), lo, hi)
+    return value, kappa, _assembly_adjoint(layer, grad_h, grad_g)
 
 
 def quadratic_param_grads(
@@ -374,77 +382,20 @@ def quadratic_param_grads(
 ) -> tuple[float, dict, dict]:
     """Bound value plus Danskin gradients in both multipliers' parameters.
 
-    The bound at frozen internal duals is affine in each multiplier
-    parameter once the top eigvector and active set are held fixed, so
-    unit-bump differences of the surrogate recover the exact gradient.
+    The gradient is the surrogate's of ``_danskin`` at the frozen
+    internal duals, mapped onto lam_k through its (Q, q) and onto
+    lam_next through the expected coefficients of E[lam_next].
     """
-    from ..multipliers import unit_param_bumps, zero_param_grads
-
-    n = layer.in_dim
-    zeta = np.asarray(duals.get("zeta", np.zeros(n)), dtype=float)
-    zeta_plus = np.maximum(np.asarray(duals.get("zeta_plus", np.zeros(n)), dtype=float), 0.0)
-    zeta_minus = np.maximum(np.asarray(duals.get("zeta_minus", np.zeros(n)), dtype=float), 0.0)
-    value, v, active, lmax, kappa = _danskin_surrogate(
+    zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
+    value, _, blocks = _danskin(
         layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, duals.get("kappa")
     )
-    grads_k = zero_param_grads(lam_k)
-    grads_next = zero_param_grads(lam_next)
-    if v is None:
-        return float(value), grads_k, grads_next
-    positive = lmax > 0.0
-    base = _surrogate_value(
-        layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, v, active, positive, kappa
+    if blocks is None:
+        return float(value), zero_param_grads(lam_k), zero_param_grads(lam_next)
+    grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = blocks
+    grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
+    return (
+        float(value),
+        as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
+        as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
     )
-    for name, idx, bumped in unit_param_bumps(lam_k):
-        diff = (
-            _surrogate_value(
-                layer, bumped, lam_next, box, zeta, zeta_plus, zeta_minus, v, active, positive, kappa
-            )
-            - base
-        )
-        if idx == ():
-            grads_k[name] = np.asarray(diff)
-        else:
-            grads_k[name][idx] = diff
-            if len(idx) == 2 and idx[0] != idx[1]:
-                grads_k[name][idx[::-1]] = diff
-    for name, idx, bumped in unit_param_bumps(lam_next):
-        diff = (
-            _surrogate_value(
-                layer, lam_k, bumped, box, zeta, zeta_plus, zeta_minus, v, active, positive, kappa
-            )
-            - base
-        )
-        if idx == ():
-            grads_next[name] = np.asarray(diff)
-        else:
-            grads_next[name][idx] = diff
-            if len(idx) == 2 and idx[0] != idx[1]:
-                grads_next[name][idx[::-1]] = diff
-    return float(value), grads_k, grads_next
-
-
-def _penalty_subgradient(layer, lam_k, lam_next, box, params, kappa):
-    """Exact gradient of the Danskin surrogate in the penalty parameters.
-
-    The surrogate is affine in (zeta, zeta_plus, zeta_minus) once the top
-    eigvector and active set are frozen, so unit-step differences recover
-    its gradient exactly.
-    """
-    n = layer.in_dim
-    z, zp, zm = params[:n], params[n : 2 * n], params[2 * n :]
-    value, v, active, lmax, kappa = _danskin_surrogate(layer, lam_k, lam_next, box, z, zp, zm, kappa)
-    if v is None:
-        return np.zeros(3 * n)
-    positive = lmax > 0.0
-    base = _surrogate_value(layer, lam_k, lam_next, box, z, zp, zm, v, active, positive, kappa)
-    grad = np.zeros(3 * n)
-    for i in range(3 * n):
-        bumped = params.copy()
-        bumped[i] += 1.0
-        bz, bzp, bzm = bumped[:n], bumped[n : 2 * n], bumped[2 * n :]
-        grad[i] = (
-            _surrogate_value(layer, lam_k, lam_next, box, bz, bzp, bzm, v, active, positive, kappa)
-            - base
-        )
-    return grad

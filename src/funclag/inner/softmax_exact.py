@@ -149,10 +149,18 @@ def _assignment_candidates(
         return [x]
     fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
     c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+    shift = 0.0
+    if fixed and c == 0.0:
+        # every fixed logit underflows exp: solve in logits moved down by the
+        # largest fixed one (softmax is shift-invariant) and move points back
+        shift = float(x[fixed].max())
+        c = float(np.exp(x[fixed] - shift).sum())
     if m in free:
         points = stationary_points_case_a(lin[free], free.index(m), c)
     else:
-        points = stationary_points_case_b(lin[free], c, float(np.exp(x[m])))
+        points = stationary_points_case_b(lin[free], c, float(np.exp(x[m] - shift)))
+    if shift:
+        points = [xs + shift for xs in points]
     trials = []
     for xs in points:
         if np.any(xs < lo[free] - _BOX_TOL) or np.any(xs > hi[free] + _BOX_TOL):

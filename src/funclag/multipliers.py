@@ -165,6 +165,23 @@ def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def as_quadratic_adjoint(lam: Multiplier, grad_q_mat: np.ndarray, grad_q: np.ndarray) -> dict:
+    """Map a gradient in the (Q, q) of ``as_quadratic`` onto lam's parameters.
+
+    A quadratic's symmetric off-diagonal pair Q_ij = Q_ji is one tied
+    parameter, as the optimizer updates it.
+    """
+    if isinstance(lam, Linear):
+        return {"theta": grad_q}
+    if isinstance(lam, Quadratic):
+        tied = grad_q_mat + grad_q_mat.T
+        np.fill_diagonal(tied, np.diag(grad_q_mat))
+        return {"Q": tied, "q": grad_q}
+    if isinstance(lam, DiagQuadratic):
+        return {"alpha": grad_q, "beta": 2.0 * np.diag(grad_q_mat)}
+    return zero_param_grads(lam)
+
+
 def linear_coeffs(lam: Multiplier, width: int) -> np.ndarray:
     """The theta vector of a Zero/Linear multiplier."""
     if isinstance(lam, Zero):
@@ -193,6 +210,26 @@ def expected_quadratic_coeffs(
     m = w_mean.T @ (q + Q @ b_mean)
     c0 = float(q @ b_mean + 0.5 * (b_mean @ Q @ b_mean + diag_q @ b_var))
     return c0, m, M
+
+
+def expected_quadratic_coeffs_adjoint(
+    layer: CanonicalLayer, grad_m: np.ndarray, grad_big_m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pull a gradient in (c0, m, M) of ``expected_quadratic_coeffs`` back to (Q, q).
+
+    c0 enters with weight one, as it does in every bound built on it.
+    """
+    w_mean = weight_mean(layer.weights)
+    w_var = weight_variance(layer.weights)
+    b_mean = weight_mean(layer.bias)
+    b_var = weight_variance(layer.bias)
+    grad_q_mat = (
+        w_mean @ grad_big_m @ w_mean.T
+        + np.diag(w_var @ np.diag(grad_big_m))
+        + np.outer(w_mean @ grad_m, b_mean)
+        + 0.5 * (np.outer(b_mean, b_mean) + np.diag(b_var))
+    )
+    return grad_q_mat, w_mean @ grad_m + b_mean
 
 
 def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
@@ -267,36 +304,6 @@ def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
             beta=np.asarray(params["beta"], dtype=float),
         )
     raise UnsupportedCombination(f"{type(lam).__name__} has no parameters")
-
-
-def unit_param_bumps(lam: Multiplier):
-    """Yield (name, index, bumped multiplier) with one parameter entry raised by 1.
-
-    Symmetric off-diagonal entries of a quadratic's Q move together, so
-    the bump matches the tied parameterization the optimizer updates.
-    """
-    params = get_params(lam)
-    for name, arr in params.items():
-        if arr.ndim == 0:
-            bumped = {k: np.array(v) for k, v in params.items()}
-            bumped[name] = arr + 1.0
-            yield name, (), with_params(lam, bumped)
-        elif arr.ndim == 1:
-            for i in range(arr.shape[0]):
-                bumped = {k: np.array(v) for k, v in params.items()}
-                bumped[name] = arr.copy()
-                bumped[name][i] += 1.0
-                yield name, (i,), with_params(lam, bumped)
-        else:
-            for i in range(arr.shape[0]):
-                for j in range(i, arr.shape[1]):
-                    bumped = {k: np.array(v) for k, v in params.items()}
-                    mat = arr.copy()
-                    mat[i, j] += 1.0
-                    if i != j:
-                        mat[j, i] += 1.0
-                    bumped[name] = mat
-                    yield name, (i, j), with_params(lam, bumped)
 
 
 def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:

@@ -47,13 +47,12 @@ from funclag import (
 from funclag.cli import main as cli_main
 from funclag.dual import stack_families
 from funclag.inner import (
-    box_softmax_max,
     final_softmax_affine_bound,
     final_softmax_exact,
     final_softmax_quadratic_bound,
     inner_quadratic_bound,
-    stationary_points_case_b,
 )
+from funclag.inner.softmax_exact import box_softmax_max, stationary_points_case_b
 from funclag.oracle import mc_expectation, random_problem
 
 from conftest import det_layer

@@ -22,7 +22,7 @@ from funclag import (
     subgradient,
 )
 from funclag.dual import _evaluate, stack_families
-from funclag.inner import box_softmax_max
+from funclag.inner.softmax_exact import box_softmax_max
 from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 

@@ -6,7 +6,8 @@ changes the SHA-256 of the output file.  The jobs below are small and
 together reach every final-layer solver, every transition solver and
 both forward paths of the attack; ``test_jobs_cover_every_path`` asserts
 that they do.  A change meant to alter certificates regenerates the
-digests with ``PYTHONPATH=src python tests/test_golden.py``.
+digests with ``PYTHONPATH=src python tests/test_golden.py``, which also
+names the jobs whose digest differs from ``GOLDEN``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ GOLDEN = {
     "robust-linear": "672b44cfa5b377407876c6ce9817ae2d611dc59f5b4a4cf94402b3ca6a7903b8",
     "adversarial-linear": "20a9128efbb3d750aaa02cddaacd0285d78155554590a9565ce47f760612417e",
     "dist-linexp": "00faf9e34941cc99f39f87499822ff099a07314f22599ff5ce0f2aed2c960beb",
-    "robust-quadratic": "d54051903b5092a39a49a27980fba1e6b4f852374faac3dcced583d4f18d13aa",
+    "robust-quadratic": "a5c428a8c840a408357271bca128f06692df393d618629d2483af625f76e5a09",
     "wide-linear": "3ce63d5a5c28592e3535194963e35d9e7421224ab94992b305413f28e3802124",
     "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
     "dropout-dist-linexp": "0c41fb6092d1ddcc6b0f2e72b586cfa22f8465f85bc4af67712d7469cfdcf981",
@@ -171,7 +172,12 @@ def test_jobs_cover_every_path(outputs):
 if __name__ == "__main__":
     import tempfile
 
+    changed = []
     with tempfile.TemporaryDirectory() as tmp:
         for job in JOBS:
             _, data = run_job(job, Path(tmp))
-            print(f'    "{job}": "{hashlib.sha256(data).hexdigest()}",')
+            digest = hashlib.sha256(data).hexdigest()
+            print(f'    "{job}": "{digest}",')
+            if digest != GOLDEN.get(job):
+                changed.append(job)
+    print("differ from GOLDEN:", ", ".join(changed) or "none")

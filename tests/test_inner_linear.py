@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Linear, Zero
-from funclag.inner import final_linear, inner_linear, scalar_activation_linear_max
+from funclag.inner import final_linear, inner_linear
+from funclag.inner.linear import scalar_activation_linear_max
 
 from conftest import det_layer
 

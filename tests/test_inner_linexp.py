@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from funclag import Interval, LinExp, Linear
-from funclag.inner import (
-    inner_linear,
-    inner_linexp_input,
-    inner_linexp_transition,
-    transition_value_with_duals,
-)
+from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
+from funclag.inner.linexp import transition_value_with_duals
 
 from conftest import det_layer
 

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Quadratic, Zero
-from funclag.inner import (
+import funclag.inner.quadratic as quadratic
+from funclag import (
+    CanonicalLayer,
+    DiagonalGaussian,
+    DiagQuadratic,
+    Dropout,
+    Interval,
+    Linear,
+    Quadratic,
+    Zero,
+)
+from funclag.inner import inner_linear, inner_quadratic_bound, quadratic_param_grads
+from funclag.inner.quadratic import (
+    _danskin,
+    _pack_mf,
+    _qp_data,
     certified_lambda_max,
     gershgorin_upper,
-    inner_linear,
-    inner_quadratic_bound,
-    power_iteration,
     qp_box_bound,
     quadratic_bound_with_duals,
+    top_eigenpair,
 )
+from funclag.multipliers import get_params, with_params, zero_param_grads
 
 from conftest import det_layer
 
@@ -21,11 +34,12 @@ def sym(rng, n, scale=1.0):
 
 
 class TestEigenvalueBounds:
-    def test_power_iteration_known_matrix(self):
+    def test_top_eigenpair_known_matrix(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        rayleigh, v, residual = power_iteration(a)
-        assert rayleigh == pytest.approx(3.0, abs=1e-7)
-        assert residual < 1e-6
+        lmax, v = top_eigenpair(a)
+        assert lmax == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(a @ v, lmax * v, atol=1e-12)
+        assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
 
     def test_certified_dominates_true_lambda_max(self):
         rng = np.random.default_rng(0)
@@ -36,6 +50,54 @@ class TestEigenvalueBounds:
                 true = float(np.linalg.eigvalsh(a)[-1])
                 assert cert >= true - 1e-12
                 assert cert <= gershgorin_upper(a) + 1e-12
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[-0.7]]),
+            np.array([[0.0]]),
+            3.0 * np.eye(4),
+            np.diag([2.0, 2.0, 2.0, -1.0]),
+            # a rotated diag(1.5, 1.5, 1.5, -2): a triple top eigenvalue
+            (lambda q: q @ np.diag([1.5, 1.5, 1.5, -2.0]) @ q.T)(
+                np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+            ),
+            np.outer([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]),
+            -np.outer([0.3, 0.1, -0.4, 2.0], [0.3, 0.1, -0.4, 2.0]),
+            np.zeros((3, 3)),
+        ],
+        ids=["1x1", "1x1-zero", "scaled-identity", "repeated-diagonal", "repeated-rotated",
+             "rank1-psd", "rank1-nsd", "zero"],
+    )
+    def test_certified_on_structured_matrices(self, a):
+        cert = certified_lambda_max(a)
+        assert cert >= float(np.linalg.eigvalsh(a)[-1])
+        assert cert <= gershgorin_upper(a)
+
+    def test_escalation_certifies_an_underestimate(self, monkeypatch):
+        # an eigensolver estimate 0.5 too low fails the first Cholesky checks;
+        # the escalation must still end at a certified bound below Gershgorin
+        rng = np.random.default_rng(8)
+        calls = []
+        real_cholesky = np.linalg.cholesky
+
+        def counting_cholesky(m):
+            calls.append(1)
+            return real_cholesky(m)
+
+        def low_estimate(m):
+            lmax, v = top_eigenpair(m)
+            return lmax - 0.5, v
+
+        monkeypatch.setattr(quadratic, "top_eigenpair", low_estimate)
+        monkeypatch.setattr(quadratic.np.linalg, "cholesky", counting_cholesky)
+        for _ in range(20):
+            a = sym(rng, 5, scale=2.0)
+            true = float(np.linalg.eigvalsh(a)[-1])
+            calls.clear()
+            cert = certified_lambda_max(a)
+            assert true <= cert <= gershgorin_upper(a)
+            assert len(calls) > 1 or cert == gershgorin_upper(a)
 
     def test_gershgorin(self):
         a = np.array([[1.0, -2.0], [-2.0, 0.5]])
@@ -149,3 +211,182 @@ class TestInnerQuadraticBound:
                 }
                 value = quadratic_bound_with_duals(layer, qk, qn, box, perturbed)
                 assert value >= oracle - 1e-9
+
+
+# --- closed-form Danskin gradients against the unit-bump differences ------
+
+
+def _unit_param_bumps(lam):
+    """(name, index, multiplier with that entry raised by 1); Q's off-diagonal pairs move together."""
+    params = get_params(lam)
+    for name, arr in params.items():
+        for idx in np.ndindex(arr.shape):
+            if len(idx) == 2 and idx[0] > idx[1]:
+                continue
+            bumped = {k: np.array(v) for k, v in params.items()}
+            bumped[name][idx] += 1.0
+            if len(idx) == 2 and idx[0] != idx[1]:
+                bumped[name][idx[::-1]] += 1.0
+            yield name, idx, with_params(lam, bumped)
+
+
+def _frozen_surrogate(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, frozen):
+    """The surrogate at frozen (v, active set, lambda_max > 0, kappa): affine in its inputs."""
+    v, active, positive, kappa = frozen
+    h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    val = c0 + 0.5 * float(kappa[active].sum())
+    if positive:
+        val += 0.5 * float(active.sum()) * float(v @ (_pack_mf(h, g) - np.diag(kappa)) @ v)
+    return val
+
+
+def _freeze(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
+    h, g, _ = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    if h is None:
+        return None
+    if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
+        kappa = np.zeros(g.shape[0] + 1)
+    lmax, v = top_eigenpair(_pack_mf(h, g) - np.diag(kappa))
+    return v, (kappa + max(lmax, 0.0)) > 0.0, lmax > 0.0, kappa
+
+
+def bump_param_grads(layer, lam_k, lam_next, box, duals):
+    """Unit-bump differences of the frozen surrogate, as quadratic_param_grads took them."""
+    penalties = quadratic._penalties(duals, layer.in_dim)
+    frozen = _freeze(layer, lam_k, lam_next, box, *penalties, duals.get("kappa"))
+    grads_k, grads_next = zero_param_grads(lam_k), zero_param_grads(lam_next)
+    if frozen is None:
+        return grads_k, grads_next
+    base = _frozen_surrogate(layer, lam_k, lam_next, box, *penalties, frozen)
+    for lam, grads, place in ((lam_k, grads_k, 0), (lam_next, grads_next, 1)):
+        for name, idx, bumped in _unit_param_bumps(lam):
+            pair = [lam_k, lam_next]
+            pair[place] = bumped
+            diff = _frozen_surrogate(layer, *pair, box, *penalties, frozen) - base
+            grads[name][idx] = diff
+            grads[name][idx[::-1]] = diff
+    return grads_k, grads_next
+
+
+def bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa):
+    """Unit-bump differences of the frozen surrogate in (zeta, zeta_plus, zeta_minus)."""
+    n = layer.in_dim
+    frozen = _freeze(layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa)
+    if frozen is None:
+        return np.zeros(3 * n)
+    base = _frozen_surrogate(layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], frozen)
+    grad = np.zeros(3 * n)
+    for i in range(3 * n):
+        bumped = params.copy()
+        bumped[i] += 1.0
+        grad[i] = _frozen_surrogate(
+            layer, lam_k, lam_next, box, bumped[:n], bumped[n : 2 * n], bumped[2 * n :], frozen
+        ) - base
+    return grad
+
+
+def _random_multiplier(rng, kind, width):
+    if kind == "zero":
+        return Zero()
+    if kind == "linear":
+        return Linear(theta=rng.standard_normal(width))
+    if kind == "quadratic":
+        return Quadratic(Q=sym(rng, width), q=rng.standard_normal(width))
+    return DiagQuadratic(alpha=rng.standard_normal(width), beta=rng.standard_normal(width))
+
+
+def _random_layer(rng, n_in, n_out, activation, weights):
+    w = rng.standard_normal((n_out, n_in))
+    b = 0.3 * rng.standard_normal(n_out)
+    if weights == "gaussian":
+        return CanonicalLayer(
+            activation=activation,
+            weights=DiagonalGaussian(mean=w, stddev=0.3 * rng.random((n_out, n_in))),
+            bias=DiagonalGaussian(mean=b, stddev=0.2 * rng.random(n_out)),
+        )
+    if weights == "dropout":
+        return CanonicalLayer(
+            activation=activation,
+            weights=Dropout(values=w, keep=np.full((n_out, n_in), 0.8)),
+            bias=Dropout(values=b, keep=np.full(n_out, 0.9)),
+        )
+    return det_layer(w, b, activation)
+
+
+def _random_box(rng, n, degenerate):
+    lo = rng.standard_normal(n)
+    width = rng.random(n) + 0.1
+    if degenerate == "point":
+        width[rng.random(n) < 0.5] = 0.0
+    elif degenerate == "negative":
+        # relu outputs pinned at 0: the y block loses coordinates
+        lo = np.where(rng.random(n) < 0.5, -2.0 - rng.random(n), lo)
+        width = np.where(lo < -1.5, 0.5 * rng.random(n), width)
+    return Interval(lo, lo + width)
+
+
+KINDS = ("zero", "linear", "quadratic", "diag")
+
+
+class TestAdjointGradients:
+    """The closed form against the unit-bump differences it replaced, to 1e-12."""
+
+    def _instances(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n_in, n_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            activation = ("relu", "identity")[(i // 16) % 2]
+            weights = ("deterministic", "gaussian", "dropout")[i % 3]
+            layer = _random_layer(rng, n_in, n_out, activation, weights)
+            lam_k = _random_multiplier(rng, KINDS[i % 4], n_in)
+            lam_next = _random_multiplier(rng, KINDS[(i // 4) % 4], n_out)
+            box = _random_box(rng, n_in, ("none", "point", "negative")[(i // 32) % 3])
+            duals = {
+                "zeta": rng.standard_normal(n_in),
+                "zeta_plus": rng.standard_normal(n_in),
+                "zeta_minus": rng.random(n_in),
+            }
+            if i % 5:
+                duals["kappa"] = rng.standard_normal(2 * n_in + 1 if activation == "relu" else n_in + 1)
+            yield layer, lam_k, lam_next, box, duals
+
+    def test_param_grads_match_unit_bumps(self):
+        worst = 0.0
+        for layer, lam_k, lam_next, box, duals in self._instances(20, 300):
+            _, grads_k, grads_next = quadratic_param_grads(layer, lam_k, lam_next, box, duals)
+            ref_k, ref_next = bump_param_grads(layer, lam_k, lam_next, box, duals)
+            for got, ref in ((grads_k, ref_k), (grads_next, ref_next)):
+                assert got.keys() == ref.keys()
+                for name in ref:
+                    assert got[name].shape == ref[name].shape
+                    worst = max(worst, float(np.max(np.abs(got[name] - ref[name]), initial=0.0)))
+        assert worst <= 1e-12
+
+    def test_penalty_grads_match_unit_bumps(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for layer, lam_k, lam_next, box, duals in self._instances(22, 200):
+            if layer.activation != "relu":
+                continue
+            n = layer.in_dim
+            params = np.concatenate([rng.standard_normal(n), rng.random(2 * n)])
+            kappa = duals.get("kappa")
+            _, _, blocks = _danskin(
+                layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
+            )
+            got = np.zeros(3 * n) if blocks is None else blocks[4]
+            ref = bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            checked += 1
+        assert checked >= 100
+
+    def test_instances_cover_every_pairing_and_degenerate_boxes(self):
+        seen = set()
+        for layer, lam_k, lam_next, box, _ in self._instances(20, 300):
+            fixed = bool(np.any(box.hi - box.lo <= 0.0))
+            pinned = layer.activation == "relu" and bool(np.any(box.hi <= 0.0))
+            seen.add((type(lam_k).__name__, type(lam_next).__name__, layer.activation))
+            seen.add(("fixed", fixed))
+            seen.add(("pinned", pinned))
+        assert len([s for s in seen if len(s) == 3]) == 32
+        assert {("fixed", True), ("pinned", True)} <= seen

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
-from funclag import Interval, Quadratic, Zero
+from funclag import Interval, Quadratic, Zero, expected_under_layer
+from funclag.dual import SolverOptions, _softmax_pga
 from funclag.inner import heuristic_inner_max, inner_quadratic_bound
+from funclag.model import softmax
 
 from conftest import det_layer
 
@@ -11,7 +14,7 @@ def test_concave_quadratic_interior_max():
     target = np.array([0.3, -0.2])
 
     def f(x):
-        return -float(((x - target) ** 2).sum())
+        return -((x - target) ** 2).sum(axis=-1)
 
     box = Interval(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     res = heuristic_inner_max(f, box, seed=0, steps=800, step_size=0.02)
@@ -23,7 +26,7 @@ def test_linear_objective_reaches_corner():
     c = np.array([1.0, -2.0])
 
     def f(x):
-        return float(c @ x)
+        return c @ x.T
 
     box = Interval(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     res = heuristic_inner_max(f, box, seed=0, steps=400)
@@ -42,10 +45,97 @@ def test_never_exceeds_certified_bound():
         lo = rng.standard_normal(2)
         box = Interval(lo, lo + rng.random(2) + 0.2)
         certified = inner_quadratic_bound(layer, Zero(), qn, box)
-        from funclag import expected_under_layer
 
         def f(x):
-            return expected_under_layer(qn, layer, x)
+            if x.ndim == 1:
+                return expected_under_layer(qn, layer, x)
+            return np.array([expected_under_layer(qn, layer, row) for row in x])
 
         heuristic = heuristic_inner_max(f, box, seed=3, steps=300)
         assert heuristic.value <= certified.value + 1e-9
+
+
+# --- restart-batched PGA against the sequential loop it replaced ---------
+
+
+def sequential_softmax_pga(m, lin, beta, box, seed, options):
+    """One restart after another, one point at a time, as the loop ran."""
+    two_beta = 2.0 * beta
+
+    def f(x):
+        return float(softmax(x)[m] + lin @ x - beta @ (x * x))
+
+    def g(x):
+        s = softmax(x)
+        grad = -s[m] * s
+        grad[m] += s[m]
+        return grad + lin - two_beta * x
+
+    lo, hi = box.lo, box.hi
+    rng = np.random.default_rng(seed)
+    init_softmax = lo.copy()
+    init_softmax[m] = hi[m]
+    starts = [0.5 * (lo + hi), init_softmax, np.where(lin >= 0, hi, lo)]
+    while len(starts) < options.pga_restarts:
+        starts.append(lo + rng.random(lo.shape) * (hi - lo))
+    best_x = starts[0]
+    best_f = f(best_x)
+    for x0 in starts:
+        x = x0.copy()
+        fx = f(x)
+        if fx > best_f:
+            best_f, best_x = fx, x.copy()
+        for _ in range(options.pga_steps):
+            x = np.clip(x + options.pga_step_size * g(x), lo, hi)
+            fx = f(x)
+            if fx > best_f:
+                best_f, best_x = fx, x.copy()
+    return best_f, best_x
+
+
+def _pga_cases():
+    rng = np.random.default_rng(30)
+    for i in range(60):
+        n = int(rng.integers(1, 10))
+        lo = 3.0 * rng.standard_normal(n)
+        box = Interval(lo, lo + 2.0 * rng.random(n) + (5.0 if i % 3 == 0 else 0.0))
+        lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        beta = 0.3 * rng.standard_normal(n) if i % 2 else np.zeros(n)
+        yield f"random-{i}", int(rng.integers(n)), lin, beta, box, 4
+    # large coefficients drive every restart into the same corner within a
+    # few steps, where the rest of its iterates repeat the corner
+    box = Interval(np.zeros(3), np.ones(3))
+    yield "stalled-corner", 0, np.array([50.0, -50.0, 50.0]), np.zeros(3), box, 4
+    # lin >= 0 only at m: the softmax and linear warm starts are the same
+    # point, so two restarts tie exactly at every step
+    yield "tied-restarts", 1, np.array([-0.2, 0.3, -0.1, -0.4]), np.zeros(4), \
+        Interval(np.full(4, -0.5), np.full(4, 0.5)), 3
+    # a zero-width box: every iterate of every restart is the same point
+    yield "point-box", 0, np.array([0.1, -0.1]), np.zeros(2), \
+        Interval(np.array([0.2, 0.4]), np.array([0.2, 0.4])), 4
+
+
+@pytest.mark.parametrize("case", list(_pga_cases()), ids=lambda c: c[0])
+def test_batched_pga_matches_sequential_loop(case):
+    _, m, lin, beta, box, restarts = case
+    options = SolverOptions(pga_restarts=restarts)
+    ref_value, ref_x = sequential_softmax_pga(m, lin, beta, box, (7, 1), options)
+    res = _softmax_pga(m, lin, beta, box, (7, 1), options)
+    assert res.value == ref_value
+    assert np.array_equal(res.witness, ref_x)
+
+
+def test_finite_difference_path_is_batched():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return -((x - 0.25) ** 2).sum(axis=-1)
+
+    box = Interval(np.zeros(3), np.ones(3))
+    res = heuristic_inner_max(f, box, seed=1, steps=50, step_size=0.2, restarts=4)
+    assert res.value > -1e-6
+    np.testing.assert_allclose(res.witness, 0.25, atol=1e-3)
+    # per step 2n calls on all 4 restarts; single points only in the replay
+    assert calls.count((4, 3)) == 2 * 3 * 50
+    assert calls[2 * 3 * 50] == (4 * 51, 3)

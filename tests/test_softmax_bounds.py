@@ -3,14 +3,12 @@ import pytest
 
 from funclag import DiagQuadratic, Interval, Linear, Zero, softmax
 from funclag.inner import (
-    affine_cell_bound,
-    box_softmax_max,
     final_softmax_affine_bound,
     final_softmax_exact,
     final_softmax_quadratic_bound,
-    quadratic_cell_bound,
-    scalar_exp_quad_max,
 )
+from funclag.inner.softmax_bounds import affine_cell_bound, quadratic_cell_bound, scalar_exp_quad_max
+from funclag.inner.softmax_exact import box_softmax_max
 
 
 def random_box(rng, n):

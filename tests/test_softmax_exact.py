@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Linear, Zero, softmax
-from funclag.inner import (
-    EXACT,
+from funclag.inner import final_softmax_exact, softmax_exact
+from funclag.inner.result import EXACT
+from funclag.inner.softmax_exact import (
     DimensionError,
     box_softmax_max,
     box_softmax_min,
-    final_softmax_exact,
     stationary_points_case_a,
     stationary_points_case_b,
-    softmax_exact,
 )
 
 
@@ -237,3 +236,18 @@ class TestFinalSoftmaxExact:
         P = np.stack([X.ravel(), Y.ravel()], axis=1)
         vals = softmax(P)[:, 0] + P @ lam
         assert res.value >= vals.max() - 1e-9
+
+    @pytest.mark.parametrize(
+        "theta, m",
+        [((0.1, -0.1), 0), ((-0.1, 0.1), 1), ((-0.1, -0.1), 0), ((-0.1, -0.1), 1)],
+    )
+    def test_logits_below_exp_underflow(self, theta, m):
+        # every fixed logit underflows exp; the value obeys the shift
+        # identity of softmax(x)[m] - theta.x: moving the box by c * 1
+        # changes it by -c * sum(theta)
+        lam = Linear(theta=np.array(theta))
+        low = final_softmax_exact(m, lam, Interval(np.full(2, -800.0), np.full(2, -799.0)))
+        unit = final_softmax_exact(m, lam, Interval(np.zeros(2), np.ones(2)))
+        assert low.mode == EXACT
+        assert low.value == pytest.approx(unit.value + 800.0 * sum(theta), abs=1e-10)
+        np.testing.assert_allclose(low.witness, unit.witness - 800.0, atol=1e-9)
