@@ -42,7 +42,6 @@ from .model import (
     softmax,
 )
 from .multipliers import (
-    DiagQuadratic,
     Linear,
     LinExp,
     Multiplier,

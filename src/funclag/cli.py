@@ -10,6 +10,7 @@ Exit codes: 0 verified, 1 sound but not verified, 2 error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,14 @@ _EXIT_ERROR = 2
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(_EXIT_ERROR)
+
+
+def _all_finite(values) -> bool:
+    """True for a non-empty list of finite JSON numbers."""
+    return isinstance(values, list) and bool(values) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    )
 
 
 def _load_spec_config(path: str) -> dict:
@@ -151,6 +160,8 @@ def auc(id_path, certs_dir, out_path):
         id_scores = json.loads(Path(id_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         _fail(f"cannot read id scores: {exc}")
+    if not _all_finite(id_scores):
+        _fail("id scores must be a non-empty list of finite numbers")
     cert_files = sorted(Path(certs_dir).glob("*.json")) if Path(certs_dir).is_dir() else []
     if not cert_files:
         _fail(f"no certificate files in {certs_dir}")
@@ -164,12 +175,17 @@ def auc(id_path, certs_dir, out_path):
             certs = doc["certificates"]
             # per-sample confidence score: worst certified label bound
             per_label = [c["metadata"]["objective_bound"] for c in certs]
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            attack_vals = [c["metadata"].get("attack_value") for c in certs]
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             _fail(f"bad certificate file {path.name}: {exc}")
+        if not _all_finite(per_label):
+            _fail(f"bad certificate file {path.name}: no certificates, or a non-finite "
+                  "objective bound")
         bounds_per_sample.append(min(max(per_label), 1.0))
-        attack_vals = [c["metadata"].get("attack_value") for c in certs]
         if any(v is None for v in attack_vals):
             have_attacks = False
+        elif not _all_finite(attack_vals):
+            _fail(f"bad certificate file {path.name}: a non-finite attack value")
         else:
             attacks_per_sample.append(min(max(attack_vals), 1.0))
 

@@ -41,7 +41,6 @@ from .model import (
     weight_variance,
 )
 from .multipliers import (
-    DiagQuadratic,
     Linear,
     LinExp,
     Multiplier,
@@ -115,7 +114,7 @@ def _is_linear_like(lam: Multiplier) -> bool:
 
 
 def _is_quadratic_like(lam: Multiplier) -> bool:
-    return isinstance(lam, (Zero, Linear, Quadratic, DiagQuadratic))
+    return isinstance(lam, (Zero, Linear, Quadratic))
 
 
 def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
@@ -131,8 +130,6 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
         g_q = -np.outer(witness, witness)
         np.fill_diagonal(g_q, -0.5 * witness**2)
         grads_prev = {"Q": g_q, "q": -witness}
-    elif isinstance(lam_prev, DiagQuadratic):
-        grads_prev = {"alpha": -witness, "beta": -(witness**2)}
     if lam_next is None or isinstance(lam_next, Zero):
         return grads_prev, None
     s = layer.apply_activation(witness)
@@ -144,8 +141,6 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
         g_q = np.outer(feat, feat)
         np.fill_diagonal(g_q, 0.5 * (feat**2 + var))
         return grads_prev, {"Q": g_q, "q": feat}
-    if isinstance(lam_next, DiagQuadratic):
-        return grads_prev, {"alpha": feat, "beta": feat**2 + var}
     return grads_prev, None
 
 
@@ -183,27 +178,26 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_gr
     )
 
 
-def _softmax_pga(m, lin, beta, box, seed, options):
-    """Train-mode PGA on softmax(x)[m] + lin @ x - beta @ (x * x), row by row."""
-    two_beta = 2.0 * beta
-    # the two length-n dot products differ between any two summation
-    # orders by at most 2 gamma_n times the sum of absolute terms, and the
-    # two final additions round once each on either side
+def _softmax_pga(m, lin, box, seed, options):
+    """Train-mode PGA on softmax(x)[m] + lin @ x, row by row."""
+    # the length-n dot product differs between any two summation orders
+    # by at most 2 gamma_n times the sum of absolute terms, and the final
+    # addition rounds once on either side
     unit = 0.5 * np.finfo(float).eps
     error_factor = (2 * lin.shape[0] + 8) * unit
-    abs_lin, abs_beta = np.abs(lin), np.abs(beta)
+    abs_lin = np.abs(lin)
 
     def f(x):
-        return softmax(x)[..., m] + lin @ x.T - beta @ (x * x).T
+        return softmax(x)[..., m] + lin @ x.T
 
     def g(x):
         s = softmax(x)
         grad = -s[:, m, None] * s
         grad[:, m] += s[:, m]
-        return grad + lin - two_beta * x
+        return grad + lin
 
     def error(x):
-        return error_factor * (1.0 + np.abs(x) @ abs_lin + (x * x) @ abs_beta)
+        return error_factor * (1.0 + np.abs(x) @ abs_lin)
 
     init_softmax = box.lo.copy()
     init_softmax[m] = box.hi[m]
@@ -223,30 +217,20 @@ def _solve_final(problem, lam_K, box, mode, options, seed):
             raise UnsupportedCombination("logit objectives need a linear final multiplier")
         return inner.final_linear(objective.coefficients(n), lam_K, box), None, None
 
+    if not _is_linear_like(lam_K):
+        raise UnsupportedCombination(
+            f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
+        )
     m = objective.label
-    if _is_linear_like(lam_K):
-        cap = options.exact_softmax_cap if mode == CERTIFY else options.train_exact_softmax_cap
-        if n <= cap:
-            res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-        elif mode == CERTIFY:
-            res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
-        else:
-            lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
-            res = _softmax_pga(m, lin, np.zeros(n), box, seed, options)
-        return res, None, None
-    if isinstance(lam_K, DiagQuadratic):
-        if mode == CERTIFY:
-            mu = np.zeros(n)
-            mu[m] = 1.0
-            res = inner.final_softmax_quadratic_bound(
-                mu, lam_K, box, n_grid=options.softmax_grid_n
-            )
-        else:
-            res = _softmax_pga(m, -lam_K.alpha, lam_K.beta, box, seed, options)
-        return res, None, None
-    raise UnsupportedCombination(
-        f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
-    )
+    cap = options.exact_softmax_cap if mode == CERTIFY else options.train_exact_softmax_cap
+    if n <= cap:
+        res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
+    elif mode == CERTIFY:
+        res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
+    else:
+        lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
+        res = _softmax_pga(m, lin, box, seed, options)
+    return res, None, None
 
 
 def _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_grads):
@@ -390,8 +374,7 @@ def stack_families(problem: VerificationProblem, family: str) -> list[str]:
             raise UnsupportedCombination("the linexp family needs at least two layers")
         return ["linexp"] + ["linear"] * (K - 1)
     if family == "quadratic":
-        final = "linear" if isinstance(problem.objective, LogitDiff) else "diag_quadratic"
-        return ["quadratic"] * (K - 1) + [final]
+        return ["quadratic"] * (K - 1) + ["linear"]
     raise UnsupportedCombination(f"unknown multiplier family {family!r}")
 
 

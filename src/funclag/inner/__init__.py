@@ -14,7 +14,7 @@ from .linexp import (
 from .quadratic import inner_quadratic_bound, quadratic_param_grads
 from .result import InnerResult
 from .search import heuristic_inner_max
-from .softmax_bounds import final_softmax_affine_bound, final_softmax_quadratic_bound
+from .softmax_bounds import final_softmax_affine_bound
 from .softmax_exact import final_softmax_exact
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "final_linear",
     "final_softmax_affine_bound",
     "final_softmax_exact",
-    "final_softmax_quadratic_bound",
     "heuristic_inner_max",
     "inner_linear",
     "inner_linexp_input",

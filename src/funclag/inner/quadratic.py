@@ -38,7 +38,6 @@ from ..multipliers import (
     as_quadratic_adjoint,
     expected_quadratic_coeffs,
     expected_quadratic_coeffs_adjoint,
-    zero_param_grads,
 )
 from .linear import inner_linear
 from .result import UPPER_BOUND, InnerResult
@@ -133,7 +132,7 @@ def qp_box_bound(
 
 
 def _reduce_and_rescale(h, g, c0, lo, hi):
-    """Substitute degenerate coordinates and map the rest onto [-1, 1]."""
+    """Substitute degenerate coordinates and map the rest onto [-1, 1] (maybe none)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     fixed = hi - lo <= 0.0
@@ -145,8 +144,6 @@ def _reduce_and_rescale(h, g, c0, lo, hi):
         g = g[keep] + h[np.ix_(keep, fixed)] @ xf
         h = h[np.ix_(keep, keep)]
         lo, hi = lo[keep], hi[keep]
-    if g.shape[0] == 0:
-        return None, None, c0
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     c0 = c0 + float(g @ center) + 0.5 * float(center @ h @ center)
@@ -238,8 +235,6 @@ def quadratic_bound_with_duals(
     """Certified bound at the given internal duals (sign-clamped as needed)."""
     zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
     h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    if h is None:
-        return float(c0)
     kappa = duals.get("kappa")
     if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
         kappa = np.zeros(g.shape[0] + 1)
@@ -287,8 +282,6 @@ def inner_quadratic_bound(
 
     def bound_at(z, zp, zm, kap, steps):
         h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, np.maximum(zp, 0), np.maximum(zm, 0))
-        if h is None:
-            return float(c0), np.zeros(1)
         if kap is None or np.asarray(kap).shape != (g.shape[0] + 1,):
             kap = None
         val, kap = qp_box_bound(h, g, c0, kappa=kap, steps=steps)
@@ -315,9 +308,8 @@ def inner_quadratic_bound(
         if est < best_est:
             best_est = est
             best_params = params.copy()
-        grad = np.zeros(3 * n) if blocks is None else blocks[4]
         lr = 0.3 * scale / (1.0 + 0.2 * t)
-        params = params - lr * grad
+        params = params - lr * blocks[4]
         params[n:] = np.maximum(params[n:], 0.0)
         if (t + 1) % 8 == 0:
             _, kappa = bound_at(
@@ -354,14 +346,11 @@ def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
     active set A of kappa frozen, the bound c0 + 0.5 * sum(kappa_A) +
     0.5 |A| v'(Mf - diag(kappa))v (the last term only when lambda_max > 0)
     is affine in the rescaled QP data (c0, g, H), with gradient
-    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, kappa, blocks): blocks
-    is None when no coordinate is free, else the gradients of
-    _assembly_adjoint.
+    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, kappa, the gradients of
+    _assembly_adjoint).
     """
     h, g, c0, lo, hi = _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
     h_s, g_s, c0_s = _reduce_and_rescale(h, g, c0, lo, hi)
-    if h_s is None:
-        return c0_s, np.zeros(1), None
     if kappa is None or np.asarray(kappa).shape != (g_s.shape[0] + 1,):
         kappa = np.zeros(g_s.shape[0] + 1)
     lmax, v = top_eigenpair(_pack_mf(h_s, g_s) - np.diag(kappa))
@@ -390,8 +379,6 @@ def quadratic_param_grads(
     value, _, blocks = _danskin(
         layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, duals.get("kappa")
     )
-    if blocks is None:
-        return float(value), zero_param_grads(lam_k), zero_param_grads(lam_next)
     grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = blocks
     grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
     return (

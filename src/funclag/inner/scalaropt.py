@@ -1,12 +1,10 @@
 """Deterministic one-dimensional search utilities.
 
-Two kinds of certified maximization back the sound solvers: a concave
-maximizer whose returned value is an upper bound obtained from tangent
-lines at a bisected bracket, and a Lipschitz branch-and-bound whose cell
-bounds come from midpoint values padded by L * halfwidth.  Both always
-over-estimate the true maximum, never under-estimate it, so they can sit
+A Lipschitz branch-and-bound backs the sound solvers: its cell bounds
+come from midpoint values padded by L * halfwidth, so it always
+over-estimates the true maximum, never under-estimates it, and can sit
 inside certified bounds.  Golden-section minimization is used for the
-scalar dual variables (nu, theta, zeta) where any evaluation point is
+scalar dual variables (nu, zeta), where any evaluation point is
 dual-feasible and therefore safe.
 """
 
@@ -77,45 +75,6 @@ def expanding_bracket_min(
             a, m, b = m, b, b + 2.0 * (b - m)
             fa, fm, fb = fm, fb, f(b)
     return a, b
-
-
-def concave_max_upper(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-) -> tuple[float, float]:
-    """Certified upper bound on max of a concave differentiable f on [lo, hi].
-
-    Bisects on the derivative to bracket the stationary point, then caps
-    the maximum with the tighter of the two tangent-line bounds at the
-    bracket ends.  Returns (upper bound, approximate argmax).
-    """
-    lo, hi = float(lo), float(hi)
-    if hi <= lo:
-        return f(lo), lo
-    dlo = df(lo)
-    if dlo <= 0.0:
-        return f(lo), lo
-    dhi = df(hi)
-    if dhi >= 0.0:
-        return f(hi), hi
-    a, b = lo, hi
-    da, db = dlo, dhi
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        dmid = df(mid)
-        if dmid > 0.0:
-            a, da = mid, dmid
-        else:
-            b, db = mid, dmid
-    gap = b - a
-    upper = min(f(a) + da * gap, f(b) - db * gap)
-    return upper, 0.5 * (a + b)
 
 
 def lipschitz_box_max(

@@ -1,12 +1,12 @@
-"""Sound upper bounds for final-layer softmax objectives.
+"""Sound upper bound for final-layer softmax objectives past the exact cap.
 
-Both bounds partition the reachable objective range [t_1, t_N] into grid
-cells and bound each cell after dualizing the softmax level constraint
-with a single scalar.  Any non-negative (respectively real) value of
-that scalar gives a valid cell bound, so the scalar searches below can
-stop anywhere without endangering soundness; only the inner per-cell
-maximizations must over-estimate, and they do so via exact closed forms
-for concave coordinates plus certified one-dimensional global searches.
+The bound partitions the reachable objective range [t_1, t_N] into grid
+cells and bounds each cell after dualizing the softmax level constraint
+with a single scalar.  Any non-negative value of that scalar gives a
+valid cell bound, so the scalar search below can stop anywhere without
+endangering soundness; only the inner per-cell maximization must
+over-estimate, and it does so via a clamped closed form for every
+coordinate but one plus a certified one-dimensional global search.
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ import math
 import numpy as np
 
 from ..bounds import Interval
-from ..multipliers import DiagQuadratic, Multiplier, linear_coeffs
+from ..multipliers import Multiplier, linear_coeffs
 from .result import UPPER_BOUND, InnerResult
-from .scalaropt import concave_max_upper, expanding_bracket_min, golden_section_min, lipschitz_box_max
+from .scalaropt import expanding_bracket_min, golden_section_min, lipschitz_box_max
 from .softmax_exact import box_softmax_max, box_softmax_min
 
 
 def _exp(z: float) -> float:
     return math.exp(min(z, 700.0))
-
-
-# --- affine multiplier, one-hot objective --------------------------------
 
 
 def affine_cell_bound(
@@ -114,119 +111,4 @@ def final_softmax_affine_bound(
         value=best_total,
         mode=UPPER_BOUND,
         internal_duals={"nu": nus, "t_grid": grid},
-    )
-
-
-# --- diagonal quadratic multiplier, general class weights ----------------
-
-
-def scalar_exp_quad_max(c: float, a: float, b: float, lo: float, hi: float) -> float:
-    """Certified max of c * exp(z) - a * z - b * z^2 over [lo, hi].
-
-    The curvature c * exp(z) - 2b changes sign at most once, so the
-    interval splits into a convex part (endpoint maximum, exact) and a
-    concave part (tangent-certified bisection bound).
-    """
-    if hi <= lo:
-        return c * _exp(lo) - a * lo - b * lo * lo
-
-    def r(z: float) -> float:
-        return c * _exp(z) - a * z - b * z * z
-
-    def dr(z: float) -> float:
-        return c * _exp(z) - a - 2.0 * b * z
-
-    def endpoints(zl: float, zh: float) -> float:
-        return max(r(zl), r(zh))
-
-    if c == 0.0:
-        if b > 0.0:
-            vertex = min(max(-a / (2.0 * b), lo), hi)
-            return max(r(vertex), endpoints(lo, hi))
-        return endpoints(lo, hi)
-
-    ratio = 2.0 * b / c
-    if ratio > 0.0:
-        z_split = math.log(ratio)
-        if c > 0.0:
-            concave_seg = (lo, min(z_split, hi))
-            convex_seg = (max(z_split, lo), hi)
-        else:
-            convex_seg = (lo, min(z_split, hi))
-            concave_seg = (max(z_split, lo), hi)
-        best = -math.inf
-        if convex_seg[0] <= convex_seg[1]:
-            best = max(best, endpoints(*convex_seg))
-        if concave_seg[0] <= concave_seg[1]:
-            upper, _ = concave_max_upper(r, dr, *concave_seg)
-            best = max(best, upper)
-        return best
-    if c > 0.0:
-        return endpoints(lo, hi)
-    upper, _ = concave_max_upper(r, dr, lo, hi)
-    return upper
-
-
-def quadratic_cell_bound(
-    mu: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    box: Interval,
-    t_pair: tuple[float, float],
-    theta: float,
-) -> float:
-    """Cell bound at a given dual scalar theta (valid for every real theta)."""
-    best = -math.inf
-    for t in t_pair:
-        total = t
-        for i in range(len(mu)):
-            total += scalar_exp_quad_max(
-                (mu[i] - t) * theta,
-                float(alpha[i]),
-                float(beta[i]),
-                float(box.lo[i]),
-                float(box.hi[i]),
-            )
-        best = max(best, total)
-    return best
-
-
-def final_softmax_quadratic_bound(
-    mu,
-    lam_k: DiagQuadratic,
-    box: Interval,
-    n_grid: int = 20,
-    theta_tol: float = 1e-6,
-) -> InnerResult:
-    """Sound bound on max mu . softmax(x) - lam_k(x) for diagonal quadratics.
-
-    Partitions [min mu, max mu] and dualizes the level constraint of each
-    cell with a scalar theta minimized by golden section (theta = 0
-    always included); the per-coordinate scalar problems split at the
-    curvature sign change and are bounded exactly or by tangent caps.
-    """
-    mu = np.asarray(mu, dtype=float)
-    alpha, beta = lam_k.alpha, lam_k.beta
-    t_min, t_max = float(mu.min()), float(mu.max())
-    grid = np.linspace(t_min, t_max, max(int(n_grid), 2))
-
-    thetas = np.zeros(len(grid) - 1)
-    best_total = -math.inf
-    for j in range(len(grid) - 1):
-        t_pair = (float(grid[j]), float(grid[j + 1]))
-
-        def value(theta: float) -> float:
-            return quadratic_cell_bound(mu, alpha, beta, box, t_pair, theta)
-
-        v0 = value(0.0)
-        lo_b, hi_b = expanding_bracket_min(value, x0=0.0, step=1.0)
-        theta_star, v_star = golden_section_min(value, lo_b, hi_b, tol=theta_tol)
-        if v0 <= v_star:
-            theta_star, v_star = 0.0, v0
-        thetas[j] = theta_star
-        best_total = max(best_total, v_star)
-    return InnerResult(
-        value=best_total,
-        mode=UPPER_BOUND,
-        internal_duals={"theta": thetas, "t_grid": grid},
     )

@@ -120,29 +120,7 @@ class Quadratic:
         return float(0.5 * x @ self.Q @ x + self.q @ x)
 
 
-@dataclass(frozen=True)
-class DiagQuadratic:
-    """lam(x) = alpha . x + beta . (x * x)"""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _vec(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _vec(self.beta, "beta"))
-        if self.alpha.shape != self.beta.shape:
-            raise ValueError("alpha and beta must share one length")
-
-    @property
-    def width(self) -> int:
-        return self.alpha.shape[0]
-
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.alpha @ x + self.beta @ (x * x))
-
-
-Multiplier = Zero | Linear | LinExp | Quadratic | DiagQuadratic
+Multiplier = Zero | Linear | LinExp | Quadratic
 
 
 def evaluate(lam: Multiplier, x) -> float:
@@ -158,8 +136,6 @@ def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((width, width)), lam.theta
     if isinstance(lam, Quadratic):
         return lam.Q, lam.q
-    if isinstance(lam, DiagQuadratic):
-        return 2.0 * np.diag(lam.beta), lam.alpha
     raise UnsupportedCombination(
         f"{type(lam).__name__} has no quadratic representation"
     )
@@ -177,8 +153,6 @@ def as_quadratic_adjoint(lam: Multiplier, grad_q_mat: np.ndarray, grad_q: np.nda
         tied = grad_q_mat + grad_q_mat.T
         np.fill_diagonal(tied, np.diag(grad_q_mat))
         return {"Q": tied, "q": grad_q}
-    if isinstance(lam, DiagQuadratic):
-        return {"alpha": grad_q, "beta": 2.0 * np.diag(grad_q_mat)}
     return zero_param_grads(lam)
 
 
@@ -246,9 +220,8 @@ def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
         return 0.0
     if isinstance(lam, Linear):
         return float(lam.theta @ mean_out)
-    if isinstance(lam, (Quadratic, DiagQuadratic)):
-        Q, q = as_quadratic(lam, layer.out_dim)
-        c0, m, M = expected_quadratic_coeffs(layer, Q, q)
+    if isinstance(lam, Quadratic):
+        c0, m, M = expected_quadratic_coeffs(layer, lam.Q, lam.q)
         return float(c0 + m @ s + 0.5 * s @ M @ s)
     if isinstance(lam, LinExp):
         linear_part = float(lam.alpha @ mean_out)
@@ -278,8 +251,6 @@ def get_params(lam: Multiplier) -> dict[str, np.ndarray]:
         }
     if isinstance(lam, Quadratic):
         return {"Q": np.array(lam.Q), "q": np.array(lam.q)}
-    if isinstance(lam, DiagQuadratic):
-        return {"alpha": np.array(lam.alpha), "beta": np.array(lam.beta)}
     raise UnsupportedCombination(f"{type(lam).__name__} has no parameters")
 
 
@@ -298,11 +269,6 @@ def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
     if isinstance(lam, Quadratic):
         q_mat = np.asarray(params["Q"], dtype=float)
         return Quadratic(Q=0.5 * (q_mat + q_mat.T), q=np.asarray(params["q"], dtype=float))
-    if isinstance(lam, DiagQuadratic):
-        return DiagQuadratic(
-            alpha=np.asarray(params["alpha"], dtype=float),
-            beta=np.asarray(params["beta"], dtype=float),
-        )
     raise UnsupportedCombination(f"{type(lam).__name__} has no parameters")
 
 
@@ -384,8 +350,6 @@ def init_stack(
         elif family == "quadratic":
             raw = noise((width, width))
             lams.append(Quadratic(Q=0.5 * (raw + raw.T), q=noise(width)))
-        elif family == "diag_quadratic":
-            lams.append(DiagQuadratic(alpha=noise(width), beta=noise(width)))
         else:
             raise ValueError(f"unknown multiplier family {family!r}")
     return MultiplierStack(lams=tuple(lams))
@@ -410,13 +374,6 @@ def stack_to_jsonable(stack: MultiplierStack) -> list[dict]:
         elif isinstance(lam, Quadratic):
             out.append(
                 {"family": "quadratic", "params": {"Q": lam.Q.tolist(), "q": lam.q.tolist()}}
-            )
-        elif isinstance(lam, DiagQuadratic):
-            out.append(
-                {
-                    "family": "diag_quadratic",
-                    "params": {"alpha": lam.alpha.tolist(), "beta": lam.beta.tolist()},
-                }
             )
         elif isinstance(lam, Zero):
             out.append({"family": "linear", "params": {"theta": []}})
@@ -445,13 +402,6 @@ def stack_from_jsonable(entries) -> MultiplierStack:
                 Quadratic(
                     Q=np.asarray(params["Q"], dtype=float),
                     q=np.asarray(params["q"], dtype=float),
-                )
-            )
-        elif family == "diag_quadratic":
-            lams.append(
-                DiagQuadratic(
-                    alpha=np.asarray(params["alpha"], dtype=float),
-                    beta=np.asarray(params["beta"], dtype=float),
                 )
             )
         else:

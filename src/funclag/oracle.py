@@ -142,7 +142,7 @@ def _draw_untruncated_batch(dist, rng, n=None):
 
 
 def _evaluate_batch(lam, y: np.ndarray) -> np.ndarray:
-    from .multipliers import DiagQuadratic, LinExp, Linear, Quadratic, Zero
+    from .multipliers import LinExp, Linear, Quadratic, Zero
 
     if isinstance(lam, Zero):
         return np.zeros(y.shape[0])
@@ -150,8 +150,6 @@ def _evaluate_batch(lam, y: np.ndarray) -> np.ndarray:
         return y @ lam.theta
     if isinstance(lam, Quadratic):
         return 0.5 * np.einsum("ni,ij,nj->n", y, lam.Q, y) + y @ lam.q
-    if isinstance(lam, DiagQuadratic):
-        return y @ lam.alpha + (y * y) @ lam.beta
     if isinstance(lam, LinExp):
         return y @ lam.alpha + np.exp(y @ lam.gamma + lam.kappa)
     raise TypeError(f"cannot batch-evaluate {type(lam).__name__}")

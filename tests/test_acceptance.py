@@ -19,7 +19,6 @@ from funclag import (
     CanonicalNetwork,
     Deterministic,
     DiagonalGaussian,
-    DiagQuadratic,
     Dropout,
     ExpectedSoftmax,
     Interval,
@@ -49,7 +48,6 @@ from funclag.dual import stack_families
 from funclag.inner import (
     final_softmax_affine_bound,
     final_softmax_exact,
-    final_softmax_quadratic_bound,
     inner_quadratic_bound,
 )
 from funclag.inner.softmax_exact import box_softmax_max, stationary_points_case_b
@@ -252,24 +250,6 @@ def test_criterion_5_bound_orderings():
         if bound.value < exact.value - 1e-9:
             affine_viol += 1
 
-    quad_viol = 0
-    for _ in range(50):
-        lo = rng.standard_normal(2)
-        box = Interval(lo, lo + 0.5 + 2.0 * rng.random(2))
-        alpha = 0.4 * rng.standard_normal(2)
-        beta = 0.3 * rng.standard_normal(2)
-        mu = rng.random(2)
-        bound = final_softmax_quadratic_bound(
-            mu, DiagQuadratic(alpha=alpha, beta=beta), box, n_grid=12
-        )
-        xs = np.linspace(box.lo[0], box.hi[0], 700)
-        ys = np.linspace(box.lo[1], box.hi[1], 700)
-        mesh_x, mesh_y = np.meshgrid(xs, ys, indexing="ij")
-        points = np.stack([mesh_x.ravel(), mesh_y.ravel()], axis=1)
-        values = softmax(points) @ mu - points @ alpha - (points * points) @ beta
-        if bound.value < float(values.max()) - 1e-9:
-            quad_viol += 1
-
     qcqp_viol = 0
     for _ in range(50):
         w = rng.standard_normal((1, 1))
@@ -291,9 +271,8 @@ def test_criterion_5_bound_orderings():
 
     report(
         5,
-        affine_viol == 0 and quad_viol == 0 and qcqp_viol == 0,
-        f"violations: level-set bound {affine_viol}/50, quadratic softmax {quad_viol}/50, "
-        f"qcqp {qcqp_viol}/50",
+        affine_viol == 0 and qcqp_viol == 0,
+        f"violations: level-set bound {affine_viol}/50, qcqp {qcqp_viol}/50",
     )
 
 

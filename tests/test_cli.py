@@ -287,6 +287,38 @@ class TestAuc:
         )
         assert result.exit_code == 2
 
+    def run_auc(self, tmp_path, certs, ids=(0.9,)):
+        id_path = tmp_path / "ids.json"
+        id_path.write_text(json.dumps(ids))
+        return run_cli(["auc", "--id-scores", str(id_path), "--certs", certs,
+                        "--out", str(tmp_path / "auc.json")])
+
+    def test_empty_certificate_list_exits_two(self, tmp_path):
+        certs = self.make_cert_dir(tmp_path, [[]])
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2
+        assert "sample_0.json" in result.output
+
+    @pytest.mark.parametrize("field", ["objective_bound", "attack_value"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_two(self, tmp_path, field, value):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]], attacks=[[0.1, 0.2]])
+        path = tmp_path / "certs" / "sample_0.json"
+        doc = json.loads(path.read_text())
+        doc["certificates"][1]["metadata"][field] = value
+        path.write_text(json.dumps(doc))
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2
+        assert not (tmp_path / "auc.json").exists()
+
+    @pytest.mark.parametrize("ids", [{"scores": [0.9]}, ["0.9"], [[0.9]], [], [0.9, None]],
+                             ids=["object", "strings", "nested", "empty", "null"])
+    def test_malformed_id_scores_exit_two(self, tmp_path, ids):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        result = self.run_auc(tmp_path, certs, ids)
+        assert result.exit_code == 2
+        assert "id scores" in result.output
+
     def test_matches_brute_force(self, tmp_path):
         rng = np.random.default_rng(3)
         n = 50

@@ -91,7 +91,7 @@ class TestEvaluateDual:
             )
 
     def test_unsupported_combinations_raise(self, two_layer_net):
-        from funclag import DiagQuadratic, LinExp, UnsupportedCombination
+        from funclag import LinExp, Quadratic, UnsupportedCombination
 
         bounds = propagate_intervals(
             two_layer_net, logit_diff_problem(two_layer_net).support_box()
@@ -104,13 +104,20 @@ class TestEvaluateDual:
         )
         with pytest.raises(UnsupportedCombination):
             evaluate_dual(box_problem, linexp_stack, bounds)
-        # a logit objective has no solver for a quadratic final multiplier
-        diag_stack = MultiplierStack(
-            lams=(Linear(theta=np.zeros(2)),
-                  DiagQuadratic(alpha=np.zeros(2), beta=np.ones(2)))
+        # neither objective has a solver for a quadratic final multiplier
+        quadratic_stack = MultiplierStack(
+            lams=(Linear(theta=np.zeros(2)), Quadratic(Q=np.eye(2), q=np.zeros(2)))
         )
         with pytest.raises(UnsupportedCombination):
-            evaluate_dual(box_problem, diag_stack, bounds)
+            evaluate_dual(box_problem, quadratic_stack, bounds)
+        softmax_problem = VerificationProblem(
+            network=two_layer_net,
+            input_set=box_problem.input_set,
+            objective=ExpectedSoftmax(label=0),
+            threshold=0.5,
+        )
+        with pytest.raises(UnsupportedCombination, match="softmax"):
+            evaluate_dual(softmax_problem, quadratic_stack, bounds)
 
 
 class TestSubgradient:

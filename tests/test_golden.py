@@ -83,7 +83,7 @@ GOLDEN = {
     "robust-linear": "672b44cfa5b377407876c6ce9817ae2d611dc59f5b4a4cf94402b3ca6a7903b8",
     "adversarial-linear": "20a9128efbb3d750aaa02cddaacd0285d78155554590a9565ce47f760612417e",
     "dist-linexp": "00faf9e34941cc99f39f87499822ff099a07314f22599ff5ce0f2aed2c960beb",
-    "robust-quadratic": "a5c428a8c840a408357271bca128f06692df393d618629d2483af625f76e5a09",
+    "robust-quadratic": "31c3c20a87915a231925a61b9de6525ab5249a168d15e099668fc2456daab356",
     "wide-linear": "3ce63d5a5c28592e3535194963e35d9e7421224ab94992b305413f28e3802124",
     "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
     "dropout-dist-linexp": "0c41fb6092d1ddcc6b0f2e72b586cfa22f8465f85bc4af67712d7469cfdcf981",
@@ -96,7 +96,7 @@ EXPECTED = {
     "dist-linexp": {"inner_linexp_input", "input_param_grads", "inner_linexp_transition",
                     "transition_param_grads"},
     "robust-quadratic": {"inner_quadratic_bound", "quadratic_param_grads",
-                         "heuristic_inner_max", "final_softmax_quadratic_bound"},
+                         "final_softmax_exact"},
     "wide-linear": {"inner_linear", "heuristic_inner_max", "final_softmax_affine_bound"},
     "gaussian-adversarial": {"final_linear", ("attack", False)},
     "dropout-dist-linexp": {"inner_linexp_input", ("attack", True)},
@@ -106,7 +106,7 @@ SOLVERS = [
     "inner_linear", "final_linear", "inner_linexp_input", "input_param_grads",
     "inner_linexp_transition", "transition_param_grads", "inner_quadratic_bound",
     "quadratic_param_grads", "final_softmax_exact", "final_softmax_affine_bound",
-    "final_softmax_quadratic_bound", "heuristic_inner_max",
+    "heuristic_inner_max",
 ]
 
 
@@ -164,6 +164,7 @@ def test_output_matches_golden_digest(outputs, name):
 
 
 def test_jobs_cover_every_path(outputs):
+    assert set(SOLVERS) <= set().union(*EXPECTED.values())
     for name, expected in EXPECTED.items():
         missing = expected - outputs[name][2]
         assert not missing, f"{name} did not reach {missing}"

@@ -5,7 +5,6 @@ import funclag.inner.quadratic as quadratic
 from funclag import (
     CanonicalLayer,
     DiagonalGaussian,
-    DiagQuadratic,
     Dropout,
     Interval,
     Linear,
@@ -189,6 +188,22 @@ class TestInnerQuadraticBound:
         vals = [expected_under_layer(qn, layer, np.array([z])) for z in zs]
         assert res.value >= max(vals) - 1e-9
 
+    def test_point_box_gradients_follow_the_bound(self, two_layer_net):
+        # no coordinate is free: the bound is the value at the point, and it
+        # still moves with the multipliers (0.4948 -> 0.9948 per unit of q_0)
+        layer = two_layer_net.layers[0]
+        box = Interval(np.array([0.3, 0.2]), np.array([0.3, 0.2]))
+        lam_next = Quadratic(Q=np.eye(2), q=np.ones(2))
+        res = inner_quadratic_bound(layer, Zero(), lam_next, box)
+        assert res.value == pytest.approx(0.4948, abs=1e-12)
+        _, _, grads = quadratic_param_grads(layer, Zero(), lam_next, box, res.internal_duals)
+        for name, idx, bumped in _unit_param_bumps(lam_next):
+            diff = inner_quadratic_bound(layer, Zero(), bumped, box).value - res.value
+            assert grads[name][idx] == pytest.approx(diff, abs=1e-12), (name, idx)
+        q0 = with_params(lam_next, {"Q": np.eye(2), "q": np.array([2.0, 1.0])})
+        assert inner_quadratic_bound(layer, Zero(), q0, box).value == pytest.approx(0.9948, abs=1e-12)
+        assert grads["q"][0] == pytest.approx(0.5, abs=1e-12)
+
     def test_perturbed_duals_stay_sound(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -242,8 +257,6 @@ def _frozen_surrogate(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, 
 
 def _freeze(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
     h, g, _ = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    if h is None:
-        return None
     if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
         kappa = np.zeros(g.shape[0] + 1)
     lmax, v = top_eigenpair(_pack_mf(h, g) - np.diag(kappa))
@@ -255,8 +268,6 @@ def bump_param_grads(layer, lam_k, lam_next, box, duals):
     penalties = quadratic._penalties(duals, layer.in_dim)
     frozen = _freeze(layer, lam_k, lam_next, box, *penalties, duals.get("kappa"))
     grads_k, grads_next = zero_param_grads(lam_k), zero_param_grads(lam_next)
-    if frozen is None:
-        return grads_k, grads_next
     base = _frozen_surrogate(layer, lam_k, lam_next, box, *penalties, frozen)
     for lam, grads, place in ((lam_k, grads_k, 0), (lam_next, grads_next, 1)):
         for name, idx, bumped in _unit_param_bumps(lam):
@@ -272,8 +283,6 @@ def bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa):
     """Unit-bump differences of the frozen surrogate in (zeta, zeta_plus, zeta_minus)."""
     n = layer.in_dim
     frozen = _freeze(layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa)
-    if frozen is None:
-        return np.zeros(3 * n)
     base = _frozen_surrogate(layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], frozen)
     grad = np.zeros(3 * n)
     for i in range(3 * n):
@@ -290,9 +299,7 @@ def _random_multiplier(rng, kind, width):
         return Zero()
     if kind == "linear":
         return Linear(theta=rng.standard_normal(width))
-    if kind == "quadratic":
-        return Quadratic(Q=sym(rng, width), q=rng.standard_normal(width))
-    return DiagQuadratic(alpha=rng.standard_normal(width), beta=rng.standard_normal(width))
+    return Quadratic(Q=sym(rng, width), q=rng.standard_normal(width))
 
 
 def _random_layer(rng, n_in, n_out, activation, weights):
@@ -325,7 +332,7 @@ def _random_box(rng, n, degenerate):
     return Interval(lo, lo + width)
 
 
-KINDS = ("zero", "linear", "quadratic", "diag")
+KINDS = ("zero", "linear", "quadratic")
 
 
 class TestAdjointGradients:
@@ -338,8 +345,8 @@ class TestAdjointGradients:
             activation = ("relu", "identity")[(i // 16) % 2]
             weights = ("deterministic", "gaussian", "dropout")[i % 3]
             layer = _random_layer(rng, n_in, n_out, activation, weights)
-            lam_k = _random_multiplier(rng, KINDS[i % 4], n_in)
-            lam_next = _random_multiplier(rng, KINDS[(i // 4) % 4], n_out)
+            lam_k = _random_multiplier(rng, KINDS[(i // 3) % 3], n_in)
+            lam_next = _random_multiplier(rng, KINDS[(i // 9) % 3], n_out)
             box = _random_box(rng, n_in, ("none", "point", "negative")[(i // 32) % 3])
             duals = {
                 "zeta": rng.standard_normal(n_in),
@@ -374,7 +381,7 @@ class TestAdjointGradients:
             _, _, blocks = _danskin(
                 layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
             )
-            got = np.zeros(3 * n) if blocks is None else blocks[4]
+            got = blocks[4]
             ref = bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
             checked += 1
@@ -387,6 +394,7 @@ class TestAdjointGradients:
             pinned = layer.activation == "relu" and bool(np.any(box.hi <= 0.0))
             seen.add((type(lam_k).__name__, type(lam_next).__name__, layer.activation))
             seen.add(("fixed", fixed))
+            seen.add(("all fixed", bool(np.all(box.hi - box.lo <= 0.0))))
             seen.add(("pinned", pinned))
-        assert len([s for s in seen if len(s) == 3]) == 32
-        assert {("fixed", True), ("pinned", True)} <= seen
+        assert len([s for s in seen if len(s) == 3]) == 18
+        assert {("fixed", True), ("all fixed", True), ("pinned", True)} <= seen

@@ -7,11 +7,11 @@ from funclag import (
     CanonicalLayer,
     Deterministic,
     DiagonalGaussian,
-    DiagQuadratic,
     Dropout,
     LinExp,
     Linear,
     Quadratic,
+    UnsupportedCombination,
     Zero,
     evaluate,
     expected_under_layer,
@@ -33,10 +33,6 @@ class TestEvaluate:
     def test_linexp_exp_of_zero(self):
         lam = LinExp(alpha=np.zeros(2), gamma=np.zeros(2), kappa=0.0)
         assert evaluate(lam, np.array([5.0, -7.0])) == 1.0
-
-    def test_diag_quadratic(self):
-        lam = DiagQuadratic(alpha=np.array([0.0]), beta=np.array([1.0]))
-        assert evaluate(lam, np.array([3.0])) == 9.0
 
     def test_zero(self):
         assert evaluate(Zero(), np.array([1.0, 2.0])) == 0.0
@@ -89,7 +85,6 @@ class TestExpectedUnderLayer:
             Linear(theta=rng.standard_normal(3)),
             Quadratic(Q=np.eye(3), q=rng.standard_normal(3)),
             LinExp(alpha=rng.standard_normal(3), gamma=0.3 * rng.standard_normal(3), kappa=-0.5),
-            DiagQuadratic(alpha=rng.standard_normal(3), beta=rng.standard_normal(3)),
         ):
             assert expected_under_layer(lam, layer, x) == pytest.approx(
                 evaluate(lam, out), rel=1e-12, abs=1e-12
@@ -123,7 +118,6 @@ class TestExpectedUnderLayer:
                 Linear(theta=rng.standard_normal(2)),
                 Quadratic(Q=np.array([[1.0, 0.3], [0.3, -0.5]]), q=rng.standard_normal(2)),
                 LinExp(alpha=rng.standard_normal(2), gamma=0.4 * rng.standard_normal(2), kappa=-0.2),
-                DiagQuadratic(alpha=rng.standard_normal(2), beta=rng.standard_normal(2)),
             ):
                 closed = expected_under_layer(lam, layer, x)
                 mean, stderr = mc_expectation(layer, lam, x, 150_000, seed=17)
@@ -143,28 +137,34 @@ class TestInitStack:
         assert math.exp(stack[0].kappa) <= 1e-4
 
     def test_noise_reproducible(self):
-        a = init_stack(["linear", "diag_quadratic"], [2, 2], strategy="noise", seed=11)
-        b = init_stack(["linear", "diag_quadratic"], [2, 2], strategy="noise", seed=11)
+        a = init_stack(["linear", "quadratic"], [2, 2], strategy="noise", seed=11)
+        b = init_stack(["linear", "quadratic"], [2, 2], strategy="noise", seed=11)
         np.testing.assert_array_equal(a[0].theta, b[0].theta)
-        np.testing.assert_array_equal(a[1].alpha, b[1].alpha)
-        c = init_stack(["linear", "diag_quadratic"], [2, 2], strategy="noise", seed=12)
+        np.testing.assert_array_equal(a[1].Q, b[1].Q)
+        c = init_stack(["linear", "quadratic"], [2, 2], strategy="noise", seed=12)
         assert not np.array_equal(a[0].theta, c[0].theta)
 
 
 class TestSerialization:
     def test_round_trip(self):
         stack = init_stack(
-            ["linexp", "quadratic", "diag_quadratic", "linear"],
+            ["linexp", "quadratic", "quadratic", "linear"],
             [2, 3, 2, 4],
             strategy="noise",
             seed=3,
         )
         doc = stack_to_jsonable(stack)
         back = stack_from_jsonable(doc)
-        assert [d["family"] for d in doc] == ["linexp", "quadratic", "diag_quadratic", "linear"]
+        assert [d["family"] for d in doc] == ["linexp", "quadratic", "quadratic", "linear"]
         for lam, lam2 in zip(stack.lams, back.lams):
             for name, arr in get_params(lam).items():
                 np.testing.assert_array_equal(arr, get_params(lam2)[name])
+
+    def test_diag_quadratic_entry_is_rejected(self):
+        # a certificate naming a family this version lacks fails loudly instead of loading
+        entry = {"family": "diag_quadratic", "params": {"alpha": [0.0], "beta": [1.0]}}
+        with pytest.raises(UnsupportedCombination, match="diag_quadratic"):
+            stack_from_jsonable([entry])
 
     def test_params_round_trip(self):
         lam = Quadratic(Q=np.array([[1.0, 0.5], [0.5, 2.0]]), q=np.array([1.0, -1.0]))

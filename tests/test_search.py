@@ -58,18 +58,17 @@ def test_never_exceeds_certified_bound():
 # --- restart-batched PGA against the sequential loop it replaced ---------
 
 
-def sequential_softmax_pga(m, lin, beta, box, seed, options):
+def sequential_softmax_pga(m, lin, box, seed, options):
     """One restart after another, one point at a time, as the loop ran."""
-    two_beta = 2.0 * beta
 
     def f(x):
-        return float(softmax(x)[m] + lin @ x - beta @ (x * x))
+        return float(softmax(x)[m] + lin @ x)
 
     def g(x):
         s = softmax(x)
         grad = -s[m] * s
         grad[m] += s[m]
-        return grad + lin - two_beta * x
+        return grad + lin
 
     lo, hi = box.lo, box.hi
     rng = np.random.default_rng(seed)
@@ -100,27 +99,26 @@ def _pga_cases():
         lo = 3.0 * rng.standard_normal(n)
         box = Interval(lo, lo + 2.0 * rng.random(n) + (5.0 if i % 3 == 0 else 0.0))
         lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
-        beta = 0.3 * rng.standard_normal(n) if i % 2 else np.zeros(n)
-        yield f"random-{i}", int(rng.integers(n)), lin, beta, box, 4
+        yield f"random-{i}", int(rng.integers(n)), lin, box, 4
     # large coefficients drive every restart into the same corner within a
     # few steps, where the rest of its iterates repeat the corner
     box = Interval(np.zeros(3), np.ones(3))
-    yield "stalled-corner", 0, np.array([50.0, -50.0, 50.0]), np.zeros(3), box, 4
+    yield "stalled-corner", 0, np.array([50.0, -50.0, 50.0]), box, 4
     # lin >= 0 only at m: the softmax and linear warm starts are the same
     # point, so two restarts tie exactly at every step
-    yield "tied-restarts", 1, np.array([-0.2, 0.3, -0.1, -0.4]), np.zeros(4), \
+    yield "tied-restarts", 1, np.array([-0.2, 0.3, -0.1, -0.4]), \
         Interval(np.full(4, -0.5), np.full(4, 0.5)), 3
     # a zero-width box: every iterate of every restart is the same point
-    yield "point-box", 0, np.array([0.1, -0.1]), np.zeros(2), \
+    yield "point-box", 0, np.array([0.1, -0.1]), \
         Interval(np.array([0.2, 0.4]), np.array([0.2, 0.4])), 4
 
 
 @pytest.mark.parametrize("case", list(_pga_cases()), ids=lambda c: c[0])
 def test_batched_pga_matches_sequential_loop(case):
-    _, m, lin, beta, box, restarts = case
+    _, m, lin, box, restarts = case
     options = SolverOptions(pga_restarts=restarts)
-    ref_value, ref_x = sequential_softmax_pga(m, lin, beta, box, (7, 1), options)
-    res = _softmax_pga(m, lin, beta, box, (7, 1), options)
+    ref_value, ref_x = sequential_softmax_pga(m, lin, box, (7, 1), options)
+    res = _softmax_pga(m, lin, box, (7, 1), options)
     assert res.value == ref_value
     assert np.array_equal(res.witness, ref_x)
 
