@@ -24,6 +24,7 @@ witness).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,18 +64,10 @@ CERTIFY = "certify"
 
 @dataclass
 class SolverOptions:
-    """Tunables shared by the inner solvers."""
+    """Width cap of the exact softmax output solve, grid size of the bound past it."""
 
     softmax_grid_n: int = 20
     exact_softmax_cap: int = 12
-    train_exact_softmax_cap: int = 6
-    qp_kappa_steps: int = 120
-    qp_penalty_steps: int = 40
-    train_qp_kappa_steps: int = 10
-    train_qp_penalty_steps: int = 2
-    pga_steps: int = 200
-    pga_step_size: float = 0.01
-    pga_restarts: int = 4
 
 
 @dataclass
@@ -86,8 +79,6 @@ class OptimizerConfig:
     decay_every: int = 250
     certify_every: int = 50
     seed: int = 0
-    init: str = "zeros"
-    init_scale: float = 0.01
     early_stop: bool = True
     # also certify the tail-averaged parameters at the end; averaging damps
     # the zig-zag of subgradient steps around nonsmooth minima
@@ -144,7 +135,7 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
     return grads_prev, None
 
 
-def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_grads):
+def _solve_transition(lam_k, lam_next, layer, box, mode, duals, want_grads):
     """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is Zero() for g_0."""
     if isinstance(lam_k, LinExp):
         if not _is_linear_like(lam_next):
@@ -163,11 +154,11 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_gr
     if _is_linear_like(lam_k) and _is_linear_like(lam_next):
         return inner.inner_linear(layer, lam_k, lam_next, box), None, None
     if _is_quadratic_like(lam_k) and _is_quadratic_like(lam_next):
-        train = mode == TRAIN
+        # train steps warm-start the duals and take a few search steps
+        kappa_steps, penalty_steps = (10, 2) if mode == TRAIN else (120, 40)
         res = inner.inner_quadratic_bound(
             layer, lam_k, lam_next, box, duals=duals,
-            kappa_steps=options.train_qp_kappa_steps if train else options.qp_kappa_steps,
-            penalty_steps=options.train_qp_penalty_steps if train else options.qp_penalty_steps,
+            kappa_steps=kappa_steps, penalty_steps=penalty_steps,
         )
         grads = None
         if want_grads and res.witness is None:
@@ -178,7 +169,7 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, options, duals, want_gr
     )
 
 
-def _softmax_pga(m, lin, box, seed, options):
+def _softmax_pga(m, lin, box, seed):
     """Train-mode PGA on softmax(x)[m] + lin @ x, row by row."""
     # the length-n dot product differs between any two summation orders
     # by at most 2 gamma_n times the sum of absolute terms, and the final
@@ -203,9 +194,8 @@ def _softmax_pga(m, lin, box, seed, options):
     init_softmax[m] = box.hi[m]
     init_linear = np.where(lin >= 0, box.hi, box.lo)
     return inner.heuristic_inner_max(
-        f, box, seed, grad=g,
-        steps=options.pga_steps, step_size=options.pga_step_size,
-        restarts=options.pga_restarts, extra_inits=[init_softmax, init_linear], error=error,
+        f, box, seed, grad=g, steps=200, step_size=0.01, restarts=4,
+        extra_inits=[init_softmax, init_linear], error=error,
     )
 
 
@@ -222,14 +212,13 @@ def _solve_final(problem, lam_K, box, mode, options, seed):
             f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
         )
     m = objective.label
-    cap = options.exact_softmax_cap if mode == CERTIFY else options.train_exact_softmax_cap
-    if n <= cap:
+    if n <= options.exact_softmax_cap:
         res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
     elif mode == CERTIFY:
         res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
     else:
         lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
-        res = _softmax_pga(m, lin, box, seed, options)
+        res = _softmax_pga(m, lin, box, seed)
     return res, None, None
 
 
@@ -259,7 +248,7 @@ def _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_g
         raise UnsupportedCombination("linexp input multipliers need a noise family")
     lam_k = stack[k - 1] if k > 0 else Zero()
     return _solve_transition(
-        lam_k, stack[k], net.layers[k], bounds.box(k), mode, options, state.get(k), want_grads
+        lam_k, stack[k], net.layers[k], bounds.box(k), mode, state.get(k), want_grads
     )
 
 
@@ -467,18 +456,21 @@ def optimize(
     completed before it.  One raised earlier propagates.
     """
     config = config or OptimizerConfig()
+    options = config.options
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
-    options = config.options
+    if config.certify_every < 1 or config.decay_every < 1:
+        raise ValueError("certify_every and decay_every must be at least 1")
+    if not 0.0 < config.lr < math.inf:
+        raise ValueError(f"lr must be finite and positive, got {config.lr!r}")
+    if options.softmax_grid_n < 2:
+        raise ValueError("softmax_grid_n must be at least 2")
     net = problem.network
     if bounds is None:
         bounds = propagate_intervals(net, problem.support_box())
     if stack is None:
         families = stack_families(problem, family)
-        stack = init_stack(
-            families, [layer.out_dim for layer in net.layers],
-            strategy=config.init, scale=config.init_scale, seed=config.seed,
-        )
+        stack = init_stack(families, [layer.out_dim for layer in net.layers])
 
     state: dict = {}
     threshold = problem.threshold
@@ -575,7 +567,7 @@ def optimize(
             "decay_every": config.decay_every,
             "certify_every": config.certify_every,
             "seed": config.seed,
-            "init": config.init,
+            "init": "zeros",
         },
     }
     return Certificate(

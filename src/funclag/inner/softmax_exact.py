@@ -13,15 +13,15 @@ never fall below a corner evaluation.
 
 The solve runs in two passes.
 
-Screen.  All 2^n corners are scored as one array.  Then the loop runs
-over the free sets F rather than over the 3^n assignments: the case-a
-sign test (lin[m] in [-1/4, 0], lin > 0 on the rest of F) and the case-b
+Screen.  All 2^n corners are scored as one array.  The case-a sign
+test (lin[m] in [-1/4, 0], lin > 0 on the rest of F) and the case-b
 tests (lin > 0 on F, sum(lin[F]) <= 1/4) do not depend on the fixed
-coordinates, so most free sets are dropped at once.  For a surviving F,
-the stationary points, box test, clip and objective of all 2^(n-|F|)
-lo/hi patterns of its fixed coordinates are array operations.  Each
-screening test is the scalar test widened by a small slack, so the
-screen keeps every candidate the scalar code would accept.
+coordinates, so most free sets F are dropped at once.  The rest are
+scored by case and size |F|, in array passes over their (F, lo/hi
+pattern of the fixed coordinates) rows.  Sums are taken over the same
+compacted arrays as in the scalar code, and each screening test is the
+scalar test widened by a small slack, so the screen keeps every
+candidate the scalar code would accept.
 
 Replay.  The assignments whose screened value lies within a 1e-9 window
 of the screened top are re-run, in enumeration order (base 3, first
@@ -47,11 +47,12 @@ from ..model import softmax
 from ..multipliers import Multiplier, linear_coeffs
 from .result import EXACT, InnerResult
 
-_LOWER, _UPPER, _INTERIOR = 0, 1, 2
+_UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
 _SCREEN_SLACK = 1e-12
 _REPLAY_WINDOW = 1e-9
+_ROW_BUDGET = 512  # screen rows per array pass; bounds the temporaries
 _TINY = np.finfo(float).tiny
 
 
@@ -172,123 +173,129 @@ def _assignment_candidates(
 
 
 @functools.lru_cache(maxsize=None)
-def _corner_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _corner_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only index tables of width n, built once per width.
 
     Row k of ``upper`` marks the coordinates at their upper bound in box
     corner k (coordinate j is bit n-1-j of k), so row f doubles as the
-    membership mask of free set f.  ``weights`` holds the base-3 place
-    values of the enumeration, whose first coordinate varies slowest, and
-    ``codes[k]`` is corner k's position in it.
+    membership mask of free set f; ``picks`` takes every corner from a
+    lo vector followed by a hi vector.  ``weights`` holds the base-3
+    place values of the enumeration, whose first coordinate varies
+    slowest, and ``codes[k]`` is corner k's position in it.
     """
     k = np.arange(2**n)
     upper = ((k[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    picks = n * upper + np.arange(n)
     weights = 3 ** np.arange(n - 1, -1, -1)
     codes = (upper * weights).sum(axis=1)
-    for table in (upper, weights, codes):
+    for table in (upper, picks, weights, codes):
         table.flags.writeable = False
-    return upper, weights, codes
+    return upper, picks, weights, codes
 
 
 def _objective_rows(m: int, lin: np.ndarray, x: np.ndarray) -> np.ndarray:
     return softmax(x)[:, m] + x @ lin
 
 
-def _screen_case_a(lin: np.ndarray, i: int, c: np.ndarray, has_fixed: bool):
-    """Case-a stationary points for every row of fixed-coordinate sums c."""
-    sq = math.sqrt(max(1.0 + 4.0 * lin[i], 0.0))
-    for denom in {1.0 + sq, 1.0 - sq}:
-        if denom == 0.0:
-            continue
-        shares = 2.0 * lin / denom
-        shares[i] = denom / 2.0
-        total = float(shares.sum())
-        if has_fixed:
-            if total >= 1.0:
-                continue
-            yield np.log(shares) + np.log(c / (1.0 - total))[:, None]
-        elif abs(total - 1.0) <= _SUM_ONE_TOL:
-            yield np.log(shares)[None, :]
+def _screen_rows(m, lin, lo, hi, free, corners, exp_lo, exp_hi):
+    """(codes, values) of every fixed pattern of free sets of one size and case.
 
+    The stationary points have shape (root, free set, pattern, free
+    coordinate); assignments to replay unscored get the value NaN.
+    """
+    count, n = free.shape
+    size = int(free[0].sum())
+    _, _, weights, corner_codes = _corner_tables(n)
+    patterns, picks, _, _ = _corner_tables(n - size)
+    order = np.argsort(~free, axis=1, kind="stable")
+    free_idx, fixed_idx = order[:, :size], order[:, size:]
+    exp_fixed = np.take(np.concatenate([exp_lo[fixed_idx], exp_hi[fixed_idx]], 1), picks, 1)
+    c = exp_fixed.sum(axis=2)
+    lam = lin[free_idx]
+    below_m = free[:, :m].sum(axis=1)
 
-def _screen_case_b(lin: np.ndarray, c: np.ndarray, d: np.ndarray):
-    """Case-b stationary points for every row of (c, d); NaN where none."""
-    total = float(lin.sum())
-    exists = total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK)
-    disc = np.sqrt(np.maximum(1.0 - 4.0 * c * total / d, 0.0))
-    for sign in (1.0, -1.0):
-        t = d * (1.0 + sign * disc) / (2.0 * total)
+    if free[0, m]:
+        # case a: shares 2 lam / denom, and denom / 2 at m, per root denom
+        sq = math.sqrt(max(1.0 + 4.0 * lin[m], 0.0))
+        denom = np.array(sorted({1.0 + sq, 1.0 - sq} - {0.0}))[:, None, None]
+        shares = 2.0 * lam / denom
+        shares[:, np.arange(count), below_m] = denom[:, :, 0] / 2.0
+        total = shares.sum(axis=2)[:, :, None]
+        offset = np.where(total < 1.0, np.log(c / (1.0 - total)), np.nan) if size < n \
+            else np.where(np.abs(total - 1.0) <= _SUM_ONE_TOL, 0.0, np.nan)
+        points = np.log(shares)[:, :, None] + offset[..., None]
+    else:
+        # case b: both roots t of the denominator quadratic
+        d = exp_fixed[np.arange(count), :, m - below_m]
+        total = lam.sum(axis=1)[:, None]
+        exists = total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK)
+        disc = np.sqrt(np.maximum(1.0 - 4.0 * c * total / d, 0.0))
+        t = d * (1.0 + np.array([1.0, -1.0])[:, None, None] * disc) / (2.0 * total)
         t = np.where(exists & (t > 0.0), t, np.nan)
-        yield np.log(lin / d[:, None]) + 2.0 * np.log(t)[:, None]
+        points = np.log(lam[:, None] / d[:, :, None]) + 2.0 * np.log(t)[..., None]
+
+    def corners_and_codes(f, p):
+        # corner k of assignment (f, p) has its free coordinates at lo
+        k = (patterns[p] << (n - 1 - fixed_idx[f])).sum(axis=1)
+        return k, corner_codes[k] + 2 * (free[f] @ weights)
+
+    found = []
+    lo_f, hi_f = lo[free_idx][:, None], hi[free_idx][:, None]
+    slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + np.abs(points))
+    root, f, p = np.nonzero(((points >= lo_f - slack) & (points <= hi_f + slack)).all(axis=3))
+    if f.size:
+        k, codes = corners_and_codes(f, p)
+        trial = corners[k]
+        trial[free[f]] = np.clip(points[root, f, p], lo_f[f, 0], hi_f[f, 0]).ravel()
+        found.append((codes, _objective_rows(m, lin, trial)))
+    tiny = c < _TINY
+    if size < n and tiny.any():
+        f, p = np.nonzero(tiny)
+        found.append((corners_and_codes(f, p)[1], np.full(f.size, np.nan)))
+    return found
 
 
 def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, ...]]:
     """Assignments whose screened value is near the top, in enumeration order.
 
-    Scores all box corners in one array, then, for each free set that
-    passes the sign tests, the stationary points of all lo/hi patterns of
-    its fixed coordinates in one array.  The tests are the scalar ones
-    widened by a small slack, so no candidate the scalar code accepts is
-    dropped.  Patterns whose fixed coordinates all underflow exp are
-    replayed unscored: there the scalar code takes its C = 0 branch in
-    case a and divides by zero in case b, and the replay keeps both.
+    Scores all box corners in one array, then the stationary points of
+    every (free set, fixed pattern) assignment whose free set passes the
+    sign tests, in array passes of about ``_ROW_BUDGET`` assignments.  The
+    tests are the scalar ones widened by a small slack, so no candidate
+    the scalar code accepts is dropped.  Patterns whose fixed coordinates
+    all underflow exp are replayed unscored: there the scalar code takes
+    its C = 0 branch in case a and divides by zero in case b, and the
+    replay keeps both.
     """
     n = lo.shape[0]
-    upper, weights, corner_codes = _corner_tables(n)
-    corners = np.where(upper, hi, lo)
-    exp_corners = np.exp(corners)
-    codes = [corner_codes]
-    values = [_objective_rows(m, lin, corners)]
-    unscored = []
+    upper, picks, weights, corner_codes = _corner_tables(n)
+    corners = np.take(np.concatenate([lo, hi]), picks)
+    exp_lo, exp_hi = np.exp(lo), np.exp(hi)
+    found = [(corner_codes, _objective_rows(m, lin, corners))]
 
     # free sets that can hold a stationary point whatever the fixed
     # coordinates are: case a needs m in F, lin[m] in [-1/4, 0] and lin > 0
     # on the rest of F; case b needs m outside F, lin > 0 on F and
     # sum(lin[F]) <= D/(4C), which is at most 1/4 because C >= D
-    nonpositive = upper & (lin <= 0.0)
-    case_a = (
-        upper[:, m]
-        & (-0.25 <= lin[m] <= 0.0)
-        & ~np.any(np.delete(nonpositive, m, axis=1), axis=1)
-    )
-    case_b = (
-        ~upper[:, m]
-        & ~np.any(nonpositive, axis=1)
-        & (upper @ lin <= 0.25 * (1.0 + _SCREEN_SLACK))
-    )
+    blocked = np.count_nonzero(upper & (lin <= 0.0), axis=1)
+    case_a = upper[:, m] & (blocked == 1) & (-0.25 <= lin[m] <= 0.0)
+    case_b = ~upper[:, m] & (blocked == 0) & (upper @ lin <= 0.25 * (1.0 + _SCREEN_SLACK))
     case_b[0] = False  # the empty free set: the corners, scored above
-    index = np.arange(2**n)
-    for f in np.flatnonzero(case_a | case_b):
-        free = upper[f]
-        fixed = ~free
-        rows = np.flatnonzero((index & f) == 0)
-        row_codes = corner_codes[rows] + 2 * int(weights[free].sum())
-        x = corners[rows]
-        c = exp_corners[rows][:, fixed].sum(axis=1)
-        has_fixed = bool(fixed.any())
-        if has_fixed:
-            unscored.append(row_codes[c < _TINY])
-        if case_a[f]:
-            i = int(np.count_nonzero(free[:m]))
-            point_sets = _screen_case_a(lin[free], i, c, has_fixed)
-        else:
-            point_sets = _screen_case_b(lin[free], c, exp_corners[rows, m])
-        lo_f, hi_f = lo[free], hi[free]
-        for points in point_sets:
-            slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + np.abs(points))
-            inside = np.all((points >= lo_f - slack) & (points <= hi_f + slack), axis=1)
-            if not inside.any():
-                continue
-            trial = x[inside]
-            trial[:, free] = np.clip(points[inside], lo_f, hi_f)
-            codes.append(row_codes[inside])
-            values.append(_objective_rows(m, lin, trial))
+    survivors = np.flatnonzero(case_a | case_b)
+    # free sets of one size and case share their array shapes
+    keys = 2 * upper[survivors].sum(axis=1) + case_a[survivors]
+    for key in sorted(set(keys.tolist())):
+        group = survivors[keys == key]
+        step = max(1, _ROW_BUDGET >> (n - key // 2))
+        for start in range(0, group.size, step):
+            free = upper[group[start:start + step]]
+            found += _screen_rows(m, lin, lo, hi, free, corners, exp_lo, exp_hi)
 
-    codes = np.concatenate(codes)
-    values = np.concatenate(values)
-    top = float(values.max())
-    near = values >= top - _REPLAY_WINDOW * max(1.0, abs(top))
-    replay = sorted(set(np.concatenate([codes[near], *unscored]).tolist()))
+    codes, values = (np.concatenate(part) for part in zip(*found))
+    top = float(np.nanmax(values))
+    # NaN never compares below the window, so unscored rows are kept
+    near = ~(values < top - _REPLAY_WINDOW * max(1.0, abs(top)))
+    replay = sorted(set(codes[near].tolist()))
     return [tuple(int(a) for a in (code // weights) % 3) for code in replay]
 
 

@@ -126,6 +126,35 @@ class TestVerify:
         assert "OverflowError" in result.output
         assert not out.exists()
 
+    def test_exact_cap_below_output_width(self, tmp_path):
+        # 3 outputs over --exact-cap 2: certify steps take the affine grid
+        # bound and train steps take projected gradient ascent
+        spec = write_spec(tmp_path, p_max=0.2)
+        out = tmp_path / "cert.json"
+        result = run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "4", "--certify-every", "2",
+             "--exact-cap", "2", "--grid-n", "4", "--out", str(out)]
+        )
+        assert result.exit_code in (0, 1), result.output
+        doc = decode_reals(json.loads(out.read_text()))
+        assert len(doc["certificates"]) == 3
+        assert all(np.isfinite(c["bound"]) for c in doc["certificates"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--certify-every", "0"), ("--decay-every", "0"), ("--lr", "nan"), ("--grid-n", "1")],
+    )
+    def test_bad_outer_loop_setting_exits_two(self, tmp_path, flag, value):
+        spec = write_spec(tmp_path, p_max=0.2)
+        out = tmp_path / "cert.json"
+        result = run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "4", flag, value,
+             "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "must be" in result.output
+        assert not out.exists()
+
     def test_threads_option_is_gone(self, tmp_path):
         spec = write_spec(tmp_path)
         result = CliRunner().invoke(

@@ -301,6 +301,36 @@ class TestOptimize:
         assert capped.results[-1].mode == "upper_bound"
         assert capped.total >= exact.total - 1e-9
 
+    def test_train_mode_solves_softmax_exactly_up_to_the_cap(self):
+        from funclag import SolverOptions
+
+        rng = np.random.default_rng(4)
+        net = CanonicalNetwork(
+            layers=(
+                det_layer(rng.standard_normal((6, 3)), 0.1 * rng.standard_normal(6)),
+                det_layer(rng.standard_normal((8, 6)), 0.1 * rng.standard_normal(8), "relu"),
+            )
+        )
+        problem = VerificationProblem(
+            network=net,
+            input_set=BoxOfDeltas(center=rng.random(3), epsilon=0.1),
+            objective=ExpectedSoftmax(label=2),
+            threshold=0.5,
+        )
+        bounds = propagate_intervals(net, problem.support_box())
+        stack = init_stack(
+            stack_families(problem, "linear"), [6, 8], strategy="noise", scale=0.2, seed=1
+        )
+        certify = evaluate_dual(problem, stack, bounds)
+        train = evaluate_dual(problem, stack, bounds, mode="train")
+        assert train.results[-1].mode == "exact"
+        assert train.values == certify.values
+        capped = evaluate_dual(
+            problem, stack, bounds, mode="train", options=SolverOptions(exact_softmax_cap=7)
+        )
+        assert capped.results[-1].mode == "heuristic_lower"
+        assert capped.values[-1] <= certify.values[-1]
+
     def test_adam_tightens_affine_problem(self):
         rng = np.random.default_rng(9)
         net = random_affine_net(rng, conditioned=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Quadratic, Zero, expected_under_layer
-from funclag.dual import SolverOptions, _softmax_pga
+from funclag.dual import _softmax_pga
 from funclag.inner import heuristic_inner_max, inner_quadratic_bound
 from funclag.model import softmax
 
@@ -58,8 +58,11 @@ def test_never_exceeds_certified_bound():
 # --- restart-batched PGA against the sequential loop it replaced ---------
 
 
-def sequential_softmax_pga(m, lin, box, seed, options):
-    """One restart after another, one point at a time, as the loop ran."""
+def sequential_softmax_pga(m, lin, box, seed):
+    """One restart after another, one point at a time, as the loop ran.
+
+    Four restarts of 200 steps of size 0.01, the constants of _softmax_pga.
+    """
 
     def f(x):
         return float(softmax(x)[m] + lin @ x)
@@ -75,7 +78,7 @@ def sequential_softmax_pga(m, lin, box, seed, options):
     init_softmax = lo.copy()
     init_softmax[m] = hi[m]
     starts = [0.5 * (lo + hi), init_softmax, np.where(lin >= 0, hi, lo)]
-    while len(starts) < options.pga_restarts:
+    while len(starts) < 4:
         starts.append(lo + rng.random(lo.shape) * (hi - lo))
     best_x = starts[0]
     best_f = f(best_x)
@@ -84,8 +87,8 @@ def sequential_softmax_pga(m, lin, box, seed, options):
         fx = f(x)
         if fx > best_f:
             best_f, best_x = fx, x.copy()
-        for _ in range(options.pga_steps):
-            x = np.clip(x + options.pga_step_size * g(x), lo, hi)
+        for _ in range(200):
+            x = np.clip(x + 0.01 * g(x), lo, hi)
             fx = f(x)
             if fx > best_f:
                 best_f, best_x = fx, x.copy()
@@ -99,26 +102,25 @@ def _pga_cases():
         lo = 3.0 * rng.standard_normal(n)
         box = Interval(lo, lo + 2.0 * rng.random(n) + (5.0 if i % 3 == 0 else 0.0))
         lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
-        yield f"random-{i}", int(rng.integers(n)), lin, box, 4
+        yield f"random-{i}", int(rng.integers(n)), lin, box
     # large coefficients drive every restart into the same corner within a
     # few steps, where the rest of its iterates repeat the corner
     box = Interval(np.zeros(3), np.ones(3))
-    yield "stalled-corner", 0, np.array([50.0, -50.0, 50.0]), box, 4
+    yield "stalled-corner", 0, np.array([50.0, -50.0, 50.0]), box
     # lin >= 0 only at m: the softmax and linear warm starts are the same
     # point, so two restarts tie exactly at every step
     yield "tied-restarts", 1, np.array([-0.2, 0.3, -0.1, -0.4]), \
-        Interval(np.full(4, -0.5), np.full(4, 0.5)), 3
+        Interval(np.full(4, -0.5), np.full(4, 0.5))
     # a zero-width box: every iterate of every restart is the same point
     yield "point-box", 0, np.array([0.1, -0.1]), \
-        Interval(np.array([0.2, 0.4]), np.array([0.2, 0.4])), 4
+        Interval(np.array([0.2, 0.4]), np.array([0.2, 0.4]))
 
 
 @pytest.mark.parametrize("case", list(_pga_cases()), ids=lambda c: c[0])
 def test_batched_pga_matches_sequential_loop(case):
-    _, m, lin, box, restarts = case
-    options = SolverOptions(pga_restarts=restarts)
-    ref_value, ref_x = sequential_softmax_pga(m, lin, box, (7, 1), options)
-    res = _softmax_pga(m, lin, box, (7, 1), options)
+    _, m, lin, box = case
+    ref_value, ref_x = sequential_softmax_pga(m, lin, box, (7, 1))
+    res = _softmax_pga(m, lin, box, (7, 1))
     assert res.value == ref_value
     assert np.array_equal(res.witness, ref_x)
 

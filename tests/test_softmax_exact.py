@@ -179,7 +179,7 @@ class TestFinalSoftmaxExact:
             )
 
         rng = np.random.default_rng(11)
-        for n in range(1, 8):
+        for n in range(1, 9):
             per_label = 6 if n <= 4 else (2 if n <= 6 else 1)
             for m in range(n):
                 for k in range(per_label):
@@ -206,7 +206,47 @@ class TestFinalSoftmaxExact:
         # diagonal and the points of assignments (1, 2) and (2, 0) tie exactly
         lin = np.array([-205.0, 205.0]) / 1024.0
         check(0, lin, Interval(np.full(2, 0.5), np.full(2, 1.75)), Linear(theta=-lin))
+        # every coefficient small and positive: each free set without m
+        # passes the sign tests, so one free-set size fills several passes
+        for m in (0, 5):
+            lin = 0.02 * rng.random(8) + 1e-3
+            lo = 1.5 * rng.standard_normal(8)
+            check(m, lin, Interval(lo, lo + 2.5 * rng.random(8)), Linear(theta=-lin))
         assert all(count > 0 for count in seen.values()), seen
+
+    def test_screen_scores_every_scalar_candidate(self, monkeypatch):
+        """Every assignment with a scalar stationary candidate gets a screen row."""
+        passes = []
+        screen_rows = softmax_exact._screen_rows
+
+        def spy(*args):
+            found = screen_rows(*args)
+            passes.append(np.concatenate([codes for codes, _ in found] or [[]]))
+            return found
+
+        monkeypatch.setattr(softmax_exact, "_screen_rows", spy)
+        rng = np.random.default_rng(12)
+        for n, kind in [(8, "small"), (8, "small"), (5, "mixed"), (6, "mixed"), (7, "mixed")]:
+            m = int(rng.integers(n))
+            lo = 0.5 * rng.standard_normal(n)
+            hi = lo + 1.0 + 2.0 * rng.random(n)
+            if kind == "small":
+                lin = 0.02 * rng.random(n) + 1e-3
+            else:
+                lin = 0.2 * rng.random(n)
+                lin[m] = -0.25 * rng.random()
+            passes.clear()
+            final_softmax_exact(m, Linear(theta=-lin), Interval(lo, hi))
+            screened = set(np.concatenate(passes).astype(int).tolist())
+            weights = 3 ** np.arange(n - 1, -1, -1)
+            accepted = {
+                int(np.dot(assignment, weights))
+                for assignment, _, _ in reference_candidates(m, lin, lo, hi)
+                if assignment is not None and 2 in assignment
+            }
+            assert accepted and accepted <= screened, (n, m, sorted(accepted - screened))
+            if kind == "small":
+                assert len(passes) > 7  # a free-set size spans several passes
 
     def test_matches_fine_grid(self):
         rng = np.random.default_rng(7)
