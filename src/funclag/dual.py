@@ -7,11 +7,11 @@ The dual value decomposes into per-layer maximizations
     g_K: max_x psi(x) - lam_K(x) over the final box,
 
 and the sum upper-bounds the specification optimum for *every* choice of
-multipliers (weak duality).  Train-mode evaluations may use heuristic
-inner solves whose witnesses feed envelope subgradients; certify-mode
-evaluations use only exact or sound upper-bound solvers, and only those
-values ever enter a certificate.  Internal dual variables of the bound
-constructions are warm-started across steps and co-optimized.
+multipliers (weak duality).  Every inner solve is exact or a sound upper
+bound in both modes; train mode differs only in taking fewer search
+steps in the quadratic bound, and only certify-mode values ever enter a
+certificate.  Internal dual variables of the bound constructions are
+warm-started across steps and co-optimized.
 
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
@@ -37,7 +37,6 @@ from .model import (
     CanonicalNetwork,
     StructureError,
     model_to_dict,
-    softmax,
     weight_mean,
     weight_variance,
 )
@@ -78,6 +77,7 @@ class OptimizerConfig:
     lr: float = 1e-3
     decay_every: int = 250
     certify_every: int = 50
+    # recorded in the certificate metadata; no solver draws random numbers
     seed: int = 0
     early_stop: bool = True
     # also certify the tail-averaged parameters at the end; averaging damps
@@ -94,10 +94,6 @@ class DualEvaluation:
     results: list[inner.InnerResult]
     total: float
     mode: str
-
-    def __post_init__(self):
-        if self.mode == CERTIFY and not all(r.is_sound for r in self.results):
-            raise ValueError("certify-mode evaluation contains unsound inner results")
 
 
 def _is_linear_like(lam: Multiplier) -> bool:
@@ -169,37 +165,7 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, duals, want_grads):
     )
 
 
-def _softmax_pga(m, lin, box, seed):
-    """Train-mode PGA on softmax(x)[m] + lin @ x, row by row."""
-    # the length-n dot product differs between any two summation orders
-    # by at most 2 gamma_n times the sum of absolute terms, and the final
-    # addition rounds once on either side
-    unit = 0.5 * np.finfo(float).eps
-    error_factor = (2 * lin.shape[0] + 8) * unit
-    abs_lin = np.abs(lin)
-
-    def f(x):
-        return softmax(x)[..., m] + lin @ x.T
-
-    def g(x):
-        s = softmax(x)
-        grad = -s[:, m, None] * s
-        grad[:, m] += s[:, m]
-        return grad + lin
-
-    def error(x):
-        return error_factor * (1.0 + np.abs(x) @ abs_lin)
-
-    init_softmax = box.lo.copy()
-    init_softmax[m] = box.hi[m]
-    init_linear = np.where(lin >= 0, box.hi, box.lo)
-    return inner.heuristic_inner_max(
-        f, box, seed, grad=g, steps=200, step_size=0.01, restarts=4,
-        extra_inits=[init_softmax, init_linear], error=error,
-    )
-
-
-def _solve_final(problem, lam_K, box, mode, options, seed):
+def _solve_final(problem, lam_K, box, options):
     objective = problem.objective
     n = box.lo.shape[0]
     if isinstance(objective, LogitDiff):
@@ -214,15 +180,12 @@ def _solve_final(problem, lam_K, box, mode, options, seed):
     m = objective.label
     if n <= options.exact_softmax_cap:
         res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-    elif mode == CERTIFY:
-        res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
     else:
-        lin = -(lam_K.theta if isinstance(lam_K, Linear) else np.zeros(n))
-        res = _softmax_pga(m, lin, box, seed)
+        res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
     return res, None, None
 
 
-def _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_grads):
+def _solve_problem(k, problem, stack, bounds, mode, options, state, want_grads):
     """Solve g_k: (result, explicit grads, new internal duals).
 
     Explicit grads are a (grads_prev, grads_next) pair, returned only where
@@ -231,8 +194,7 @@ def _solve_problem(k, problem, stack, bounds, mode, options, state, seed, want_g
     net = problem.network
     K = net.depth
     if k == K:
-        child_seed = (*seed, k) if isinstance(seed, tuple) else (seed, k)
-        return _solve_final(problem, stack[K - 1], bounds.box(K), mode, options, child_seed)
+        return _solve_final(problem, stack[K - 1], bounds.box(K), options)
     input_set, lam1 = problem.input_set, stack[0]
     if k == 0 and isinstance(input_set, SubGaussianNoise):
         if not isinstance(lam1, LinExp):
@@ -259,14 +221,13 @@ def evaluate_dual(
     mode: str = CERTIFY,
     options: SolverOptions | None = None,
     state: dict | None = None,
-    seed=0,
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack (sound in certify mode)."""
-    evaluation, _ = _evaluate(problem, stack, bounds, mode, options, state, seed, False)
+    """Evaluate the dual at a multiplier stack (sound in both modes)."""
+    evaluation, _ = _evaluate(problem, stack, bounds, mode, options, state, False)
     return evaluation
 
 
-def _evaluate(problem, stack, bounds, mode, options, state, seed, want_grads):
+def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
     if mode not in (TRAIN, CERTIFY):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or SolverOptions()
@@ -282,7 +243,7 @@ def _evaluate(problem, stack, bounds, mode, options, state, seed, want_grads):
     grads = [zero_param_grads(lam) for lam in stack.lams] if want_grads else None
     for k in range(K + 1):
         res, explicit, new_duals = _solve_problem(
-            k, problem, stack, bounds, mode, options, state, seed, want_grads
+            k, problem, stack, bounds, mode, options, state, want_grads
         )
         results.append(res)
         if new_duals is not None:
@@ -312,12 +273,11 @@ def subgradient(
     problem: VerificationProblem,
     stack: MultiplierStack,
     bounds: LayerBounds,
-    seed=0,
     options: SolverOptions | None = None,
     state: dict | None = None,
 ) -> list[dict]:
     """Envelope subgradient of the train-mode dual in the stack parameters."""
-    _, grads = _evaluate(problem, stack, bounds, TRAIN, options, state, seed, True)
+    _, grads = _evaluate(problem, stack, bounds, TRAIN, options, state, True)
     return grads
 
 
@@ -477,15 +437,12 @@ def optimize(
 
     def certify(current_stack):
         evaluation = evaluate_dual(
-            problem, current_stack, bounds, CERTIFY,
-            options=options, state=state, seed=config.seed,
+            problem, current_stack, bounds, CERTIFY, options=options, state=state
         )
         return evaluation.total
 
     trace: list[dict] = []
-    train_eval, _ = _evaluate(
-        problem, stack, bounds, TRAIN, options, state, (config.seed, 0), False
-    )
+    train_eval, _ = _evaluate(problem, stack, bounds, TRAIN, options, state, False)
     certified = certify(stack)
     trace.append({"step": 0, "train_value": train_eval.total, "certified_value": certified})
     best_margin = certified - threshold
@@ -500,7 +457,7 @@ def optimize(
             lr = config.lr * (0.1 ** (step // config.decay_every))
             try:
                 evaluation, grads = _evaluate(
-                    problem, stack, bounds, TRAIN, options, state, (config.seed, step), True
+                    problem, stack, bounds, TRAIN, options, state, True
                 )
                 grad_dicts = [
                     {name: np.asarray(g[name]) for name in p}

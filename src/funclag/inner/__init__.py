@@ -13,7 +13,6 @@ from .linexp import (
 )
 from .quadratic import inner_quadratic_bound, quadratic_param_grads
 from .result import InnerResult
-from .search import heuristic_inner_max
 from .softmax_bounds import final_softmax_affine_bound
 from .softmax_exact import final_softmax_exact
 
@@ -22,7 +21,6 @@ __all__ = [
     "final_linear",
     "final_softmax_affine_bound",
     "final_softmax_exact",
-    "heuristic_inner_max",
     "inner_linear",
     "inner_linexp_input",
     "inner_linexp_transition",

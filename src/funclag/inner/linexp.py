@@ -10,12 +10,11 @@ and the exponential part is capped by the sub-Gaussian mgf bound, giving
 The exponent keeps the g.(W mu) term that the mgf factorization produces.
 
 The transition problem max_x b2'.(W2 s(x) + c2) - lam_1(x) is bounded by
-a jointly convex dual program in (eta, zeta): eta decouples z = s(x), and
-zeta dualizes the epigraph of the exponential, contributing
-zeta*(log(zeta) - 1 - kappa) with value 0 at zeta = 0.  Any dual point is
-a valid upper bound.  For fixed zeta the eta minimization separates per
-coordinate into a piecewise-linear convex problem solved exactly over
-its breakpoints; the scalar zeta is then minimized by golden section.
+dualizing the epigraph of the exponential with a scalar zeta >= 0, which
+contributes zeta*(log(zeta) - 1 - kappa) with value 0 at zeta = 0.  For
+fixed zeta the remaining box maximization separates per coordinate and
+has a closed form, so every zeta gives a valid upper bound; zeta is then
+minimized by golden section.
 """
 
 from __future__ import annotations
@@ -78,58 +77,6 @@ def input_param_grads(
     return value, grads
 
 
-def _sstar(a: float, b: float, lo: float, hi: float, activation: str) -> tuple[float, float]:
-    # s*(a, b) = max_z -a z - b s(z), reusing the (A s(z) - B z) solver
-    return scalar_activation_linear_max(-b, a, lo, hi, activation)
-
-
-def _activation_candidates(lo: float, hi: float, activation: str) -> list[tuple[float, float]]:
-    if activation == "relu":
-        cands = [(lo, max(lo, 0.0))]
-        if lo < 0.0 < hi:
-            cands.append((0.0, 0.0))
-        cands.append((hi, max(hi, 0.0)))
-        return cands
-    return [(lo, lo), (hi, hi)]
-
-
-def _coordinate_eta_min(
-    a: float, c: float, lo: float, hi: float, activation: str
-) -> tuple[float, float]:
-    """Exact min over eta of max((eta+c)s(lo), (eta+c)s(hi)) + s*(a, eta).
-
-    Both pieces are piecewise-linear convex in eta, so the minimum sits
-    at a slope breakpoint; those come from the corner switch at eta = -c
-    and from argmax changes of s*.
-    """
-    s_lo = max(lo, 0.0) if activation == "relu" else lo
-    s_hi = max(hi, 0.0) if activation == "relu" else hi
-    cands = _activation_candidates(lo, hi, activation)
-
-    def total(eta: float) -> float:
-        corner = max((eta + c) * s_lo, (eta + c) * s_hi)
-        sstar, _ = _sstar(a, eta, lo, hi, activation)
-        return corner + sstar
-
-    breakpoints = set()
-    if s_lo != s_hi:
-        breakpoints.add(-c)
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            z1, sv1 = cands[i]
-            z2, sv2 = cands[j]
-            if sv1 != sv2:
-                breakpoints.add(-a * (z1 - z2) / (sv1 - sv2))
-    if not breakpoints:
-        return 0.0, total(0.0)
-    best_eta, best_val = None, math.inf
-    for eta in sorted(breakpoints):
-        val = total(eta)
-        if val < best_val:
-            best_eta, best_val = eta, val
-    return best_eta, best_val
-
-
 def _transition_pieces(lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer):
     beta = linear_coeffs(lam2, layer.out_dim)
     w2 = weight_mean(layer.weights)
@@ -139,58 +86,13 @@ def _transition_pieces(lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer):
     return beta, w2, b2, c, bias_term
 
 
-def transition_value_with_duals(
-    lam1: LinExp,
-    lam2: Multiplier,
-    layer: CanonicalLayer,
-    box: Interval,
-    eta: np.ndarray,
-    zeta: float,
-) -> float:
-    """Evaluate the transition dual program at given (eta, zeta >= 0).
-
-    Every such evaluation upper-bounds the true transition maximum, which
-    is what makes perturbed or stale duals safe.
-    """
-    eta = np.asarray(eta, dtype=float)
-    zeta = max(float(zeta), 0.0)
-    _, _, _, c, bias_term = _transition_pieces(lam1, lam2, layer)
-    n = layer.in_dim
-    total = bias_term
-    total += zeta * (math.log(zeta) - 1.0 - lam1.kappa) if zeta > 0.0 else 0.0
-    a = lam1.alpha + zeta * lam1.gamma
-    for j in range(n):
-        lo_j, hi_j = float(box.lo[j]), float(box.hi[j])
-        s_lo = max(lo_j, 0.0) if layer.activation == "relu" else lo_j
-        s_hi = max(hi_j, 0.0) if layer.activation == "relu" else hi_j
-        total += max((eta[j] + c[j]) * s_lo, (eta[j] + c[j]) * s_hi)
-        sstar, _ = _sstar(float(a[j]), float(eta[j]), lo_j, hi_j, layer.activation)
-        total += sstar
-    return float(total)
-
-
-def _solve_eta(lam1: LinExp, c, box: Interval, activation: str, zeta: float):
-    a = lam1.alpha + zeta * lam1.gamma
-    eta = np.empty(len(a))
-    partial = 0.0
-    for j in range(len(a)):
-        eta_j, val_j = _coordinate_eta_min(
-            float(a[j]), float(c[j]), float(box.lo[j]), float(box.hi[j]), activation
-        )
-        eta[j] = eta_j
-        partial += val_j
-    return eta, partial
-
-
 def transition_bound_at_zeta(
     lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer, box: Interval, zeta: float
 ) -> tuple[float, np.ndarray]:
     """Bound value at a fixed zeta >= 0 plus the per-coordinate witnesses.
 
     With the exponential epigraph dualized by zeta, the remaining box
-    maximization is separable per coordinate and solvable in closed
-    form; per-coordinate strong duality makes this equal to the value
-    of the (eta, zeta) program minimized exactly over eta.
+    maximization is separable per coordinate and solvable in closed form.
     """
     zeta = max(float(zeta), 0.0)
     _, _, _, c, bias_term = _transition_pieces(lam1, lam2, layer)
@@ -216,7 +118,6 @@ def inner_linexp_transition(
     zeta_tol: float = 1e-10,
 ) -> InnerResult:
     """Sound bound on max_x E[lam2(layer(x))] - lam1(x) over the box."""
-    _, _, _, c, bias_term = _transition_pieces(lam1, lam2, layer)
 
     def objective(zeta: float) -> float:
         return transition_bound_at_zeta(lam1, lam2, layer, box, zeta)[0]
@@ -244,12 +145,7 @@ def inner_linexp_transition(
             if val < best_val:
                 best_val, best_zeta = val, z
 
-    eta, _ = _solve_eta(lam1, c, box, layer.activation, best_zeta)
-    return InnerResult(
-        value=best_val,
-        mode=UPPER_BOUND,
-        internal_duals={"eta": eta, "zeta": best_zeta},
-    )
+    return InnerResult(value=best_val, mode=UPPER_BOUND, internal_duals={"zeta": best_zeta})
 
 
 def transition_param_grads(

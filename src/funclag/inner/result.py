@@ -8,9 +8,6 @@ import numpy as np
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
-HEURISTIC_LOWER = "heuristic_lower"
-
-SOUND_MODES = (EXACT, UPPER_BOUND)
 
 
 @dataclass
@@ -18,12 +15,12 @@ class InnerResult:
     """Outcome of one per-layer maximization.
 
     ``mode`` states the guarantee: ``exact`` results carry a feasible
-    witness attaining the value, ``upper_bound`` results dominate the
-    true maximum by construction, and ``heuristic_lower`` results are
-    local-search values that must never feed a certificate.
-    ``internal_duals`` records the auxiliary dual parameters (eta, zeta,
-    nu, theta, kappa, ...) a bound construction used, so the same bound
-    can be re-evaluated at perturbed duals or warm-started.
+    witness attaining the value, and ``upper_bound`` results dominate the
+    true maximum by construction; no other kind of result exists, so any
+    value may enter a certificate.  ``internal_duals`` records the
+    auxiliary dual parameters (zeta, nu, kappa, ...) a bound construction
+    used, so the same bound can be re-evaluated at perturbed duals or
+    warm-started.
     """
 
     value: float
@@ -32,10 +29,6 @@ class InnerResult:
     internal_duals: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in (EXACT, UPPER_BOUND, HEURISTIC_LOWER):
+        if self.mode not in (EXACT, UPPER_BOUND):
             raise ValueError(f"unknown inner-result mode {self.mode!r}")
         self.value = float(self.value)
-
-    @property
-    def is_sound(self) -> bool:
-        return self.mode in SOUND_MODES

@@ -70,7 +70,7 @@ class SubGaussianNoise:
         object.__setattr__(self, "sigma", float(self.sigma))
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigError("sigma must be non-negative")
 
     def support_box(self) -> Interval:
@@ -145,6 +145,15 @@ class VerificationProblem:
 _SPEC_TYPES = ("adversarial", "robust_ood", "dist_robust_ood")
 
 
+def _number(config: dict, key: str, convert=float):
+    try:
+        return convert(config[key])
+    except KeyError as exc:
+        raise ConfigError(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be numeric, got {config[key]!r}") from exc
+
+
 def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProblem]:
     """Expand a spec config into its per-target verification problems.
 
@@ -158,11 +167,8 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
     spec_type = config.get("type")
     if spec_type not in _SPEC_TYPES:
         raise ConfigError(f"type must be one of {_SPEC_TYPES}")
-    try:
-        center = np.asarray(config["input"], dtype=float)
-        epsilon = float(config["epsilon"])
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
+    center = _number(config, "input", lambda v: np.asarray(v, dtype=float))
+    epsilon = _number(config, "epsilon")
     if center.ndim != 1 or center.shape[0] != net.input_dim:
         raise ConfigError("input must be a vector matching the network input_dim")
     clip = bool(config.get("clip", True))
@@ -170,7 +176,9 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
     if spec_type == "adversarial":
         if "true_label" not in config:
             raise ConfigError("adversarial specs need true_label")
-        true_label = int(config["true_label"])
+        if net.output_dim < 2:
+            raise ConfigError("adversarial specs need a model with at least two outputs")
+        true_label = _number(config, "true_label", int)
         if not 0 <= true_label < net.output_dim:
             raise ConfigError("true_label out of range")
         input_set = BoxOfDeltas(center=center, epsilon=epsilon, clip=clip)
@@ -187,7 +195,7 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
 
     if "p_max" not in config:
         raise ConfigError("OOD specs need p_max")
-    p_max = float(config["p_max"])
+    p_max = _number(config, "p_max")
     if not 0.0 < p_max < 1.0:
         raise ConfigError("p_max must lie strictly inside (0, 1)")
     if spec_type == "robust_ood":
@@ -196,7 +204,7 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
         if "sigma" not in config:
             raise ConfigError("dist_robust_ood specs need sigma")
         input_set = SubGaussianNoise(
-            center=center, epsilon=epsilon, sigma=float(config["sigma"]), clip=clip
+            center=center, epsilon=epsilon, sigma=_number(config, "sigma"), clip=clip
         )
     return [
         VerificationProblem(

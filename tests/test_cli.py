@@ -127,8 +127,8 @@ class TestVerify:
         assert not out.exists()
 
     def test_exact_cap_below_output_width(self, tmp_path):
-        # 3 outputs over --exact-cap 2: certify steps take the affine grid
-        # bound and train steps take projected gradient ascent
+        # 3 outputs over --exact-cap 2: train and certify steps both take
+        # the affine grid bound
         spec = write_spec(tmp_path, p_max=0.2)
         out = tmp_path / "cert.json"
         result = run_cli(
@@ -153,6 +153,37 @@ class TestVerify:
         )
         assert result.exit_code == 2, result.output
         assert "must be" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", "wide"), ("input", ["a"] * 6), ("p_max", "high"), ("sigma", "small"),
+         ("true_label", "first")],
+    )
+    def test_non_numeric_spec_field_exits_two(self, tmp_path, command, field, value):
+        kind = {"sigma": "dist_robust_ood", "true_label": "adversarial"}.get(field, "robust_ood")
+        spec = write_spec(tmp_path, **{"type": kind, "sigma": 0.1, "true_label": 0, field: value})
+        out = tmp_path / "out.json"
+        result = run_cli([command, "--model", MODEL, "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_adversarial_spec_on_one_output_exits_two(self, tmp_path, command):
+        model = {"input_dim": 6, "layers": [{
+            "activation": "identity",
+            "weights": {"kind": "deterministic", "values": [[1.0] * 6]},
+            "bias": {"kind": "deterministic", "values": [0.0]},
+        }]}
+        model_path = tmp_path / "one-output.json"
+        model_path.write_text(json.dumps(model))
+        spec = write_spec(tmp_path, type="adversarial", true_label=0)
+        out = tmp_path / "out.json"
+        result = run_cli([command, "--model", str(model_path), "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "two outputs" in result.output
         assert not out.exists()
 
     def test_threads_option_is_gone(self, tmp_path):

@@ -78,17 +78,13 @@ class TestEvaluateDual:
             )
             assert ev.total >= value - 4.0 * stderr - 1e-9
 
-    def test_certify_mode_rejects_heuristic_results(self, two_layer_net):
-        from funclag.dual import DualEvaluation
+    def test_certify_mode_rejects_heuristic_results(self):
+        # every inner result is exact or an upper bound: a heuristic one
+        # cannot be built, so it cannot reach a certify-mode evaluation
         from funclag.inner import InnerResult
 
-        with pytest.raises(ValueError):
-            DualEvaluation(
-                values=[0.0],
-                results=[InnerResult(value=0.0, mode="heuristic_lower")],
-                total=0.0,
-                mode="certify",
-            )
+        with pytest.raises(ValueError, match="heuristic_lower"):
+            InnerResult(value=0.0, mode="heuristic_lower")
 
     def test_unsupported_combinations_raise(self, two_layer_net):
         from funclag import LinExp, Quadratic, UnsupportedCombination
@@ -132,7 +128,7 @@ class TestSubgradient:
                 seed=seed,
             )
             bounds = propagate_intervals(net, problem.support_box())
-            grads = subgradient(problem, stack, bounds, seed=(seed, 0))
+            grads = subgradient(problem, stack, bounds)
             h = 1e-5
             for i, lam in enumerate(stack.lams):
                 params = get_params(lam)
@@ -154,7 +150,7 @@ class TestSubgradient:
                                 )
                             )
                             ev, _ = _evaluate(
-                                problem, stack2, bounds, "train", None, {}, (seed, 0), False
+                                problem, stack2, bounds, "train", None, {}, False
                             )
                             values.append(ev.total)
                         fd = (values[0] - values[1]) / (2.0 * h)
@@ -177,7 +173,7 @@ class TestSubgradient:
         )
         bounds = propagate_intervals(net, problem.support_box())
         stack = MultiplierStack(lams=(Linear(theta=np.zeros(2)), Linear(theta=np.zeros(2))))
-        grads = subgradient(problem, stack, bounds, seed=0)
+        grads = subgradient(problem, stack, bounds)
         for g in grads:
             np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
 
@@ -302,8 +298,6 @@ class TestOptimize:
         assert capped.total >= exact.total - 1e-9
 
     def test_train_mode_solves_softmax_exactly_up_to_the_cap(self):
-        from funclag import SolverOptions
-
         rng = np.random.default_rng(4)
         net = CanonicalNetwork(
             layers=(
@@ -325,11 +319,29 @@ class TestOptimize:
         train = evaluate_dual(problem, stack, bounds, mode="train")
         assert train.results[-1].mode == "exact"
         assert train.values == certify.values
-        capped = evaluate_dual(
-            problem, stack, bounds, mode="train", options=SolverOptions(exact_softmax_cap=7)
+
+    def test_train_mode_past_the_cap_takes_the_certify_bound(self):
+        from funclag import SolverOptions
+
+        net, problem = random_problem(seed=3, kinds=("robust_ood",))
+        bounds = propagate_intervals(net, problem.support_box())
+        stack = init_stack(
+            stack_families(problem, "linear"),
+            [layer.out_dim for layer in net.layers],
+            strategy="noise",
+            scale=0.2,
+            seed=1,
         )
-        assert capped.results[-1].mode == "heuristic_lower"
-        assert capped.values[-1] <= certify.values[-1]
+        options = SolverOptions(exact_softmax_cap=1, softmax_grid_n=5)
+        certify = evaluate_dual(problem, stack, bounds, options=options)
+        train = evaluate_dual(problem, stack, bounds, mode="train", options=options)
+        final = train.results[-1]
+        assert final.mode == "upper_bound"
+        assert train.values == certify.values
+        box = bounds.box(net.depth)
+        assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
+        grads = subgradient(problem, stack, bounds, options=options)
+        assert np.any(grads[-1]["theta"] != 0.0)
 
     def test_adam_tightens_affine_problem(self):
         rng = np.random.default_rng(9)

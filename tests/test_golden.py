@@ -31,7 +31,7 @@ CENTER = [0.3, 0.5, 0.6, 0.4, 0.7, 0.2]
 
 
 def _wide_model() -> dict:
-    """Deterministic 5-8-8 net: 8 outputs pass the train exact-softmax cap of 6."""
+    """Deterministic 5-8-8 net: 8 outputs, wider than the exact cap the job sets."""
     rng = np.random.default_rng(5)
     dims = [5, 8, 8]
     layers = []
@@ -69,7 +69,7 @@ JOBS = {
     "robust-quadratic": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
                                 "p_max": 0.3}, ["--family", "quadratic", "--steps", "2",
                                                 "--certify-every", "2"]),
-    # exact cap 7 < 8 outputs: certify takes the affine grid, train takes PGA
+    # exact cap 7 < 8 outputs: train and certify both take the affine grid
     "wide-linear": (_wide_model(), {"type": "robust_ood", "input": [0.5] * 5,
                                     "epsilon": 0.04, "p_max": 0.3},
                     ["--exact-cap", "7", "--grid-n", "3"]),
@@ -84,7 +84,7 @@ GOLDEN = {
     "adversarial-linear": "20a9128efbb3d750aaa02cddaacd0285d78155554590a9565ce47f760612417e",
     "dist-linexp": "00faf9e34941cc99f39f87499822ff099a07314f22599ff5ce0f2aed2c960beb",
     "robust-quadratic": "31c3c20a87915a231925a61b9de6525ab5249a168d15e099668fc2456daab356",
-    "wide-linear": "3ce63d5a5c28592e3535194963e35d9e7421224ab94992b305413f28e3802124",
+    "wide-linear": "511758a40dc087c98f008c6b09113efd24be03470222b66cd5e25be7ebc979a4",
     "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
     "dropout-dist-linexp": "0c41fb6092d1ddcc6b0f2e72b586cfa22f8465f85bc4af67712d7469cfdcf981",
 }
@@ -97,7 +97,7 @@ EXPECTED = {
                     "transition_param_grads"},
     "robust-quadratic": {"inner_quadratic_bound", "quadratic_param_grads",
                          "final_softmax_exact"},
-    "wide-linear": {"inner_linear", "heuristic_inner_max", "final_softmax_affine_bound"},
+    "wide-linear": {"inner_linear", "final_softmax_affine_bound"},
     "gaussian-adversarial": {"final_linear", ("attack", False)},
     "dropout-dist-linexp": {"inner_linexp_input", ("attack", True)},
 }
@@ -106,7 +106,6 @@ SOLVERS = [
     "inner_linear", "final_linear", "inner_linexp_input", "input_param_grads",
     "inner_linexp_transition", "transition_param_grads", "inner_quadratic_bound",
     "quadratic_param_grads", "final_softmax_exact", "final_softmax_affine_bound",
-    "heuristic_inner_max",
 ]
 
 

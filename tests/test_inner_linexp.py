@@ -5,7 +5,7 @@ import pytest
 
 from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
-from funclag.inner.linexp import transition_value_with_duals
+from funclag.inner.linexp import transition_bound_at_zeta
 
 from conftest import det_layer
 
@@ -92,8 +92,8 @@ class TestTransitionBound:
         layer = det_layer([[1.0]], [0.0], "relu")
         lam1 = LinExp(alpha=np.array([0.3]), gamma=np.array([0.2]), kappa=-1.0)
         box = Interval(np.array([-1.0]), np.array([1.0]))
-        value = transition_value_with_duals(lam1, Linear(theta=np.array([1.0])), layer, box,
-                                            eta=np.zeros(1), zeta=0.0)
+        value, _ = transition_bound_at_zeta(lam1, Linear(theta=np.array([1.0])), layer, box,
+                                            zeta=0.0)
         assert math.isfinite(value)
 
     def test_exp_suppressed_matches_inner_linear(self):
@@ -118,11 +118,9 @@ class TestTransitionBound:
             layer, lam1, lam2, box = random_transition_instance(rng)
             res = inner_linexp_transition(lam1, lam2, layer, box)
             oracle = transition_grid_max(layer, lam1, lam2, box)
-            eta = res.internal_duals["eta"]
             zeta = res.internal_duals["zeta"]
             for _ in range(10):
-                eta_p = eta + 0.5 * rng.standard_normal(eta.shape)
                 zeta_p = max(zeta + 0.5 * rng.standard_normal(), 0.0)
-                perturbed = transition_value_with_duals(lam1, lam2, layer, box, eta_p, zeta_p)
+                perturbed, _ = transition_bound_at_zeta(lam1, lam2, layer, box, zeta_p)
                 assert perturbed >= oracle - 1e-9
                 assert perturbed >= res.value - 1e-9

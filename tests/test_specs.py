@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funclag import (
+    CanonicalNetwork,
     ConfigError,
     EmptyInput,
     ExpectedSoftmax,
@@ -14,7 +15,7 @@ from funclag import (
     guaranteed_auc,
 )
 
-from conftest import random_affine_net
+from conftest import det_layer, random_affine_net
 
 
 def base_config(net, **overrides):
@@ -73,6 +74,15 @@ class TestBuildProblem:
             {"epsilon": -1.0},
             {"true_label": 99},
             {"p_max": 1.5, "type": "robust_ood"},
+            {"epsilon": "wide"},
+            {"epsilon": None},
+            {"input": "center"},
+            {"input": [["a"]]},
+            {"true_label": "first"},
+            {"true_label": [0]},
+            {"type": "robust_ood", "p_max": "high"},
+            {"type": "dist_robust_ood", "p_max": 0.5, "sigma": "small"},
+            {"type": "dist_robust_ood", "p_max": 0.5, "sigma": float("nan")},
         ],
     )
     def test_config_errors(self, mutation):
@@ -84,6 +94,13 @@ class TestBuildProblem:
         config.update(mutation)
         with pytest.raises(ConfigError):
             build_problem(net, config)
+
+    def test_adversarial_needs_two_outputs(self):
+        net = CanonicalNetwork(layers=(det_layer(np.ones((1, 3)), np.zeros(1)),))
+        with pytest.raises(ConfigError, match="two outputs"):
+            build_problem(net, base_config(net))
+        config = base_config(net, type="robust_ood", p_max=0.5)
+        assert len(build_problem(net, config)) == 1
 
     def test_objective_labels_validated(self):
         with pytest.raises(ConfigError):
