@@ -40,10 +40,6 @@ class Interval:
         if np.any(lo > hi):
             raise ValueError("lo must not exceed hi")
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))

@@ -10,16 +10,16 @@ and the sum upper-bounds the specification optimum for *every* choice of
 multipliers (weak duality).  Every inner solve is exact or a sound upper
 bound in both modes; train mode differs only in taking fewer search
 steps in the quadratic bound, and only certify-mode values ever enter a
-certificate.  Internal dual variables of the bound constructions are
-warm-started across steps and co-optimized.
+certificate.  The quadratic bound's internal dual variables are
+warm-started across steps; the other bounds are closed forms.
 
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
 the sub-Gaussian input bound is the one special case of position 0, and
 g_K has its own solver.  Every g_k is differentiated by one rule, the
 envelope theorem at its maximizer, except where a solver returns its
-gradients itself (the linexp bounds and a quadratic bound without a
-witness).
+gradients itself (the linexp input bound and a quadratic bound without
+a witness).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import inner
 from .bounds import LayerBounds, propagate_intervals
+from .inner.result import UPPER_BOUND
 from .jsonio import sha256_of
 from .model import (
     CanonicalNetwork,
@@ -104,14 +105,20 @@ def _is_quadratic_like(lam: Multiplier) -> bool:
     return isinstance(lam, (Zero, Linear, Quadratic))
 
 
-def _witness_grads(lam_prev: Multiplier, lam_next, layer, witness: np.ndarray):
+def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult):
     """Envelope gradients (grads_prev, grads_next) of g_k at its maximizer.
 
     g_k = E[lam_next(W s(x) + b)] - lam_prev(x); the final problem has no
-    lam_next (None).  A multiplier without parameters gets None.
+    lam_next (None).  A multiplier without parameters gets None.  A
+    linexp lam_prev enters the bound through its dual zeta as
+    alpha.x + zeta * (gamma.x + kappa).
     """
+    witness = res.witness
     grads_prev = None
-    if isinstance(lam_prev, Linear):
+    if isinstance(lam_prev, LinExp):
+        zeta = res.internal_duals["zeta"]
+        grads_prev = {"alpha": -witness, "gamma": -zeta * witness, "kappa": -zeta}
+    elif isinstance(lam_prev, Linear):
         grads_prev = {"theta": -witness}
     elif isinstance(lam_prev, Quadratic):
         g_q = -np.outer(witness, witness)
@@ -136,15 +143,7 @@ def _solve_transition(lam_k, lam_next, layer, box, mode, duals, want_grads):
     if isinstance(lam_k, LinExp):
         if not _is_linear_like(lam_next):
             raise UnsupportedCombination("linexp multipliers pair with linear successors")
-        zeta_init = duals.get("zeta") if duals else None
-        res = inner.inner_linexp_transition(lam_k, lam_next, layer, box, zeta_init=zeta_init)
-        grads = None
-        if want_grads:
-            _, grads_prev, g2 = inner.transition_param_grads(
-                lam_k, lam_next, layer, box, res.internal_duals["zeta"]
-            )
-            grads = (grads_prev, g2 if isinstance(lam_next, Linear) else None)
-        return res, grads, res.internal_duals
+        return inner.inner_linexp_transition(lam_k, lam_next, layer, box), None, None
     if isinstance(lam_next, LinExp):
         raise UnsupportedCombination("linexp multipliers are input-side only")
     if _is_linear_like(lam_k) and _is_linear_like(lam_next):
@@ -199,13 +198,11 @@ def _solve_problem(k, problem, stack, bounds, mode, options, state, want_grads):
     if k == 0 and isinstance(input_set, SubGaussianNoise):
         if not isinstance(lam1, LinExp):
             raise UnsupportedCombination("sub-Gaussian input sets need a linexp input multiplier")
-        layer = net.layers[0]
-        res = inner.inner_linexp_input(layer, input_set.center, input_set.sigma, lam1)
-        grads = None
+        args = (net.layers[0], input_set.center, input_set.sigma, lam1)
         if want_grads:
-            _, grads_next = inner.input_param_grads(layer, input_set.center, input_set.sigma, lam1)
-            grads = (None, grads_next)
-        return res, grads, None
+            value, grads_next = inner.input_param_grads(*args)
+            return inner.InnerResult(value=value, mode=UPPER_BOUND), (None, grads_next), None
+        return inner.inner_linexp_input(*args), None, None
     if k == 0 and isinstance(lam1, LinExp):
         raise UnsupportedCombination("linexp input multipliers need a noise family")
     lam_k = stack[k - 1] if k > 0 else Zero()
@@ -253,7 +250,7 @@ def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
         if explicit is None and res.witness is not None:
             lam_prev = stack[k - 1] if k > 0 else Zero()
             lam_next, layer = (stack[k], net.layers[k]) if k < K else (None, None)
-            explicit = _witness_grads(lam_prev, lam_next, layer, res.witness)
+            explicit = _witness_grads(lam_prev, lam_next, layer, res)
         grads_prev, grads_next = explicit or (None, None)
         if grads_prev and k >= 1:
             _accumulate(grads[k - 1], grads_prev)

@@ -5,12 +5,7 @@ The package namespace holds the solvers ``dual`` calls as
 """
 
 from .linear import final_linear, inner_linear
-from .linexp import (
-    inner_linexp_input,
-    inner_linexp_transition,
-    input_param_grads,
-    transition_param_grads,
-)
+from .linexp import inner_linexp_input, inner_linexp_transition, input_param_grads
 from .quadratic import inner_quadratic_bound, quadratic_param_grads
 from .result import InnerResult
 from .softmax_bounds import final_softmax_affine_bound
@@ -27,5 +22,4 @@ __all__ = [
     "inner_quadratic_bound",
     "input_param_grads",
     "quadratic_param_grads",
-    "transition_param_grads",
 ]

@@ -19,38 +19,38 @@ from ..multipliers import Multiplier, linear_coeffs
 from .result import EXACT, InnerResult
 
 
-def scalar_activation_linear_max(
-    a: float, b: float, lo: float, hi: float, activation: str
-) -> tuple[float, float]:
-    """Exact max of a * s(z) - b * z over [lo, hi].
+def activation_candidates(lo, hi, activation: str) -> list[tuple]:
+    """Candidate maximizers of a * s(z) - b * z over [lo, hi], smallest z first.
 
-    Candidates are the end points plus, for relu, the kink at zero when
-    it lies inside the interval.  Ties resolve to the smallest z.
+    Each is (z, s(z), inside): the end points always count (inside is
+    True), and the relu kink at zero counts where lo < 0 < hi.
     """
     if activation == "relu":
-        candidates = [lo]
-        if lo < 0.0 < hi:
-            candidates.append(0.0)
-        candidates.append(hi)
+        return [
+            (lo, np.maximum(lo, 0.0), True),
+            (0.0, 0.0, (lo < 0.0) & (0.0 < hi)),
+            (hi, np.maximum(hi, 0.0), True),
+        ]
+    if activation == "identity":
+        return [(lo, lo, True), (hi, hi, True)]
+    raise ValueError(f"unknown activation {activation!r}")
 
-        def value(z: float) -> float:
-            return a * max(z, 0.0) - b * z
 
-    elif activation == "identity":
-        candidates = [lo, hi]
+def activation_linear_max(a, b, lo, hi, activation: str) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-coordinate max of a * s(z) - b * z over [lo, hi]: (values, witness).
 
-        def value(z: float) -> float:
-            return a * z - b * z
-
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-
-    best_z = candidates[0]
-    best_v = value(best_z)
-    for z in candidates[1:]:
-        v = value(z)
-        if v > best_v:
-            best_v, best_z = v, z
+    Ties go to the first candidate, the smallest z.  The arguments
+    broadcast, so a stack of b rows solves one box for several b at once.
+    """
+    (best_z, s, _), *rest = activation_candidates(lo, hi, activation)
+    best_v = a * s - b * best_z
+    for z, s, inside in rest:
+        v = a * s - b * z
+        if inside is not True:
+            v = np.where(inside, v, -np.inf)
+        better = v > best_v
+        best_v = np.where(better, v, best_v)
+        best_z = np.where(better, z, best_z)
     return best_v, best_z
 
 
@@ -66,14 +66,10 @@ def inner_linear(
     w_mean = weight_mean(layer.weights)
     b_mean = weight_mean(layer.bias)
     a = w_mean.T @ theta_next
+    values, witness = activation_linear_max(a, theta_k, box.lo, box.hi, layer.activation)
     total = float(theta_next @ b_mean)
-    witness = np.empty(layer.in_dim)
-    for i in range(layer.in_dim):
-        v, z = scalar_activation_linear_max(
-            float(a[i]), float(theta_k[i]), float(box.lo[i]), float(box.hi[i]), layer.activation
-        )
+    for v in values.tolist():
         total += v
-        witness[i] = z
     return InnerResult(value=total, mode=EXACT, witness=witness)
 
 

@@ -17,10 +17,12 @@ class InnerResult:
     ``mode`` states the guarantee: ``exact`` results carry a feasible
     witness attaining the value, and ``upper_bound`` results dominate the
     true maximum by construction; no other kind of result exists, so any
-    value may enter a certificate.  ``internal_duals`` records the
+    value may enter a certificate.  An ``upper_bound`` witness, where one
+    is given, maximizes the relaxation the bound evaluates, so the
+    envelope gradient applies to it.  ``internal_duals`` records the
     auxiliary dual parameters (zeta, nu, kappa, ...) a bound construction
-    used, so the same bound can be re-evaluated at perturbed duals or
-    warm-started.
+    used, so the same bound can be re-evaluated at perturbed duals; only
+    the quadratic bound is warm-started from them.
     """
 
     value: float

@@ -59,10 +59,6 @@ class Linear:
     def __post_init__(self):
         object.__setattr__(self, "theta", _vec(self.theta, "theta"))
 
-    @property
-    def width(self) -> int:
-        return self.theta.shape[0]
-
     def evaluate(self, x) -> float:
         return float(self.theta @ np.asarray(x, dtype=float))
 
@@ -81,10 +77,6 @@ class LinExp:
         object.__setattr__(self, "kappa", float(self.kappa))
         if self.alpha.shape != self.gamma.shape:
             raise ValueError("alpha and gamma must share one length")
-
-    @property
-    def width(self) -> int:
-        return self.alpha.shape[0]
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -110,10 +102,6 @@ class Quadratic:
         object.__setattr__(self, "q", _vec(self.q, "q"))
         if self.q.shape[0] != Q.shape[0]:
             raise ValueError("Q and q dimensions disagree")
-
-    @property
-    def width(self) -> int:
-        return self.q.shape[0]
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -298,11 +286,6 @@ class MultiplierStack:
 
     def __getitem__(self, i: int) -> Multiplier:
         return self.lams[i]
-
-    def replace(self, i: int, lam: Multiplier) -> "MultiplierStack":
-        lams = list(self.lams)
-        lams[i] = lam
-        return MultiplierStack(lams=tuple(lams))
 
 
 FAMILIES = ("linear", "linexp", "quadratic")

@@ -150,8 +150,15 @@ def _number(config: dict, key: str, convert=float):
         return convert(config[key])
     except KeyError as exc:
         raise ConfigError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be numeric, got {config[key]!r}") from exc
+
+
+def _label(value) -> int:
+    """A class label; int() would read true as 1 and truncate 1.7 to 1."""
+    if isinstance(value, bool) or int(value) != float(value):
+        raise ConfigError(f"true_label must be an integer, got {value!r}")
+    return int(value)
 
 
 def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProblem]:
@@ -171,14 +178,16 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
     epsilon = _number(config, "epsilon")
     if center.ndim != 1 or center.shape[0] != net.input_dim:
         raise ConfigError("input must be a vector matching the network input_dim")
-    clip = bool(config.get("clip", True))
+    clip = config.get("clip", True)
+    if not isinstance(clip, bool):
+        raise ConfigError(f"clip must be true or false, got {clip!r}")
 
     if spec_type == "adversarial":
         if "true_label" not in config:
             raise ConfigError("adversarial specs need true_label")
         if net.output_dim < 2:
             raise ConfigError("adversarial specs need a model with at least two outputs")
-        true_label = _number(config, "true_label", int)
+        true_label = _number(config, "true_label", _label)
         if not 0 <= true_label < net.output_dim:
             raise ConfigError("true_label out of range")
         input_set = BoxOfDeltas(center=center, epsilon=epsilon, clip=clip)

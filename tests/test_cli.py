@@ -171,6 +171,24 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"type": "adversarial", "true_label": 1.7}, "true_label"),
+         ({"type": "adversarial", "true_label": True}, "true_label"),
+         ({"clip": "false"}, "clip"),
+         ({"clip": 1}, "clip")],
+    )
+    def test_spec_value_that_would_change_the_spec_exits_two(
+        self, tmp_path, command, overrides, field
+    ):
+        spec = write_spec(tmp_path, **overrides)
+        out = tmp_path / "out.json"
+        result = run_cli([command, "--model", MODEL, "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_adversarial_spec_on_one_output_exits_two(self, tmp_path, command):
         model = {"input_dim": 6, "layers": [{
             "activation": "identity",

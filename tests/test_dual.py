@@ -116,6 +116,33 @@ class TestEvaluateDual:
             evaluate_dual(softmax_problem, quadratic_stack, bounds)
 
 
+def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
+    """Central differences of the train dual match ``subgradient`` entry by entry."""
+    grads = subgradient(problem, stack, bounds)
+    for i, lam in enumerate(stack.lams):
+        params = get_params(lam)
+        for name, arr in params.items():
+            flat = np.atleast_1d(np.asarray(arr, dtype=float))
+            for j in range(min(flat.size, entries)):
+                values = []
+                for sign in (1.0, -1.0):
+                    bumped = {k: np.array(v, dtype=float) for k, v in params.items()}
+                    vec = np.atleast_1d(bumped[name]).ravel()
+                    vec[j] += sign * h
+                    bumped[name] = vec.reshape(np.shape(arr)) if np.shape(arr) else vec[0]
+                    stack2 = MultiplierStack(
+                        lams=tuple(
+                            with_params(l, bumped) if ii == i else l
+                            for ii, l in enumerate(stack.lams)
+                        )
+                    )
+                    ev, _ = _evaluate(problem, stack2, bounds, "train", None, {}, False)
+                    values.append(ev.total)
+                fd = (values[0] - values[1]) / (2.0 * h)
+                analytic = float(np.atleast_1d(np.asarray(grads[i][name])).ravel()[j])
+                assert abs(fd - analytic) <= rtol * max(1.0, abs(fd))
+
+
 class TestSubgradient:
     def test_finite_difference_agreement(self):
         for seed in (1, 4):
@@ -128,34 +155,22 @@ class TestSubgradient:
                 seed=seed,
             )
             bounds = propagate_intervals(net, problem.support_box())
-            grads = subgradient(problem, stack, bounds)
-            h = 1e-5
-            for i, lam in enumerate(stack.lams):
-                params = get_params(lam)
-                for name, arr in params.items():
-                    flat = np.atleast_1d(np.asarray(arr, dtype=float))
-                    for j in range(min(flat.size, 3)):
-                        values = []
-                        for sign in (1.0, -1.0):
-                            bumped = {k: np.array(v, dtype=float) for k, v in params.items()}
-                            vec = np.atleast_1d(bumped[name]).ravel()
-                            vec[j] += sign * h
-                            bumped[name] = (
-                                vec.reshape(np.shape(arr)) if np.shape(arr) else vec[0]
-                            )
-                            stack2 = MultiplierStack(
-                                lams=tuple(
-                                    with_params(l, bumped) if ii == i else l
-                                    for ii, l in enumerate(stack.lams)
-                                )
-                            )
-                            ev, _ = _evaluate(
-                                problem, stack2, bounds, "train", None, {}, False
-                            )
-                            values.append(ev.total)
-                        fd = (values[0] - values[1]) / (2.0 * h)
-                        analytic = float(np.atleast_1d(np.asarray(grads[i][name])).ravel()[j])
-                        assert abs(fd - analytic) <= 1e-4 * max(1.0, abs(fd))
+            assert_finite_differences(problem, stack, bounds, h=1e-5, rtol=1e-4)
+
+    def test_linexp_finite_difference_agreement(self):
+        # the linexp multiplier enters the input bound and, at the optimal
+        # zeta, the transition bound's envelope gradient
+        for seed in (0, 1, 6):
+            net, problem = random_problem(seed=seed, kinds=("dist_robust_ood",))
+            stack = init_stack(
+                stack_families(problem, "linexp"),
+                [layer.out_dim for layer in net.layers],
+                strategy="noise",
+                scale=0.3,
+                seed=seed,
+            )
+            bounds = propagate_intervals(net, problem.support_box())
+            assert_finite_differences(problem, stack, bounds, h=1e-6, rtol=1e-7, entries=8)
 
     def test_symmetric_problem_zero_gradient(self):
         # zero multipliers on an identity layer followed by a zero map:

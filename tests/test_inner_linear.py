@@ -3,28 +3,55 @@ import pytest
 
 from funclag import Interval, Linear, Zero
 from funclag.inner import final_linear, inner_linear
-from funclag.inner.linear import scalar_activation_linear_max
+from funclag.inner.linear import activation_linear_max
 
 from conftest import det_layer
 
 
+def coordinate_max(a, b, lo, hi, activation):
+    values, witness = activation_linear_max(*(np.array([v]) for v in (a, b, lo, hi)), activation)
+    return float(values[0]), float(witness[0])
+
+
 class TestScalarMax:
     def test_relu_kink_candidates(self):
-        value, z = scalar_activation_linear_max(2.0, 1.0, -1.0, 3.0, "relu")
+        value, z = coordinate_max(2.0, 1.0, -1.0, 3.0, "relu")
         assert value == 3.0 and z == 3.0
 
     def test_zero_coefficients(self):
-        value, z = scalar_activation_linear_max(0.0, 0.0, -1.0, 2.0, "relu")
+        value, z = coordinate_max(0.0, 0.0, -1.0, 2.0, "relu")
         assert value == 0.0
         assert z == -1.0  # ties resolve to the smallest candidate
 
     def test_negative_slope(self):
-        value, z = scalar_activation_linear_max(-1.0, 1.0, -2.0, 2.0, "relu")
+        value, z = coordinate_max(-1.0, 1.0, -2.0, 2.0, "relu")
         assert value == 2.0 and z == -2.0
 
     def test_identity(self):
-        value, z = scalar_activation_linear_max(1.0, 2.0, -1.0, 4.0, "identity")
+        value, z = coordinate_max(1.0, 2.0, -1.0, 4.0, "identity")
         assert value == 1.0 and z == -1.0
+
+    def test_kink_wins_inside_the_interval_only(self):
+        # -|z|-shaped objective: the kink is the max when it lies inside
+        assert coordinate_max(-2.0, -1.0, -1.0, 1.0, "relu") == (0.0, 0.0)
+        assert coordinate_max(-2.0, -1.0, 0.5, 1.0, "relu") == (-0.5, 0.5)
+        assert coordinate_max(-2.0, -1.0, -1.0, -0.5, "relu") == (-0.5, -0.5)
+
+    def test_stacked_coefficients_broadcast(self):
+        rng = np.random.default_rng(1)
+        lo = rng.standard_normal(4)
+        hi = lo + rng.random(4)
+        a, b = rng.standard_normal(4), rng.standard_normal((5, 4))
+        values, witness = activation_linear_max(a, b, lo, hi, "relu")
+        assert values.shape == witness.shape == (5, 4)
+        for row in range(5):
+            v, z = activation_linear_max(a, b[row], lo, hi, "relu")
+            np.testing.assert_array_equal(values[row], v)
+            np.testing.assert_array_equal(witness[row], z)
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="activation"):
+            activation_linear_max(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), "tanh")
 
 
 class TestInnerLinear:

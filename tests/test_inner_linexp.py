@@ -103,7 +103,7 @@ class TestTransitionBound:
             suppressed = LinExp(alpha=lam1.alpha, gamma=np.zeros(3), kappa=-1000.0)
             res = inner_linexp_transition(suppressed, lam2, layer, box)
             ref = inner_linear(layer, Linear(theta=lam1.alpha), lam2, box)
-            assert abs(res.value - ref.value) <= 1e-3
+            assert abs(res.value - ref.value) <= 1e-12
 
     def test_dominates_grid_oracle(self):
         rng = np.random.default_rng(10)
@@ -124,3 +124,38 @@ class TestTransitionBound:
                 perturbed, _ = transition_bound_at_zeta(lam1, lam2, layer, box, zeta_p)
                 assert perturbed >= oracle - 1e-9
                 assert perturbed >= res.value - 1e-9
+
+    def test_large_exponent_repro(self):
+        # the optimum sits at zeta = 1/(2g); a bracket search up to
+        # exp(kappa + max g.x) = exp(2g) cannot resolve it for large g
+        layer = det_layer([[1.0, 1.0]], [0.0], "relu")
+        box = Interval(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        for g, expected in ((10.0, 1.8002), (20.0, 1.8828), (30.0, 1.9151)):
+            lam1 = LinExp(alpha=np.zeros(2), gamma=np.array([g, -g]), kappa=0.0)
+            res = inner_linexp_transition(lam1, Linear(theta=np.array([1.0])), layer, box)
+            assert res.value == pytest.approx(expected, abs=1e-4)
+            assert res.internal_duals["zeta"] == pytest.approx(0.5 / g, rel=1e-9)
+
+    def test_no_zeta_on_a_dense_grid_is_lower(self):
+        rng = np.random.default_rng(21)
+        zetas = np.concatenate([[0.0], np.logspace(-12.0, 45.0 / math.log(10.0), 600)])
+        instances = [
+            (det_layer([[1.0, 1.0]], [0.0], "relu"), LinExp(np.zeros(2), np.array([g, -g]), 0.0),
+             Linear(theta=np.array([1.0])), Interval(-np.ones(2), np.ones(2)))
+            for g in (10.0, 20.0, 30.0)
+        ]
+        for trial in range(40):
+            n = int(rng.integers(1, 6))
+            layer, lam1, lam2, box = random_transition_instance(rng, n=n, m=2)
+            if trial % 2:
+                # steep gamma with kappa + max g.x in [20, 45]
+                gamma = 10.0 ** rng.uniform(-1.0, 1.5) * lam1.gamma
+                gmax = float(np.maximum(gamma * box.lo, gamma * box.hi).sum())
+                lam1 = LinExp(lam1.alpha, gamma, rng.uniform(20.0, 45.0) - gmax)
+            if trial % 3 == 0:
+                layer = det_layer(layer.weights.values, layer.bias.values, "identity")
+            instances.append((layer, lam1, lam2, box))
+        for layer, lam1, lam2, box in instances:
+            res = inner_linexp_transition(lam1, lam2, layer, box)
+            grid = min(transition_bound_at_zeta(lam1, lam2, layer, box, z)[0] for z in zetas)
+            assert res.value <= grid + 1e-12 * abs(grid)

@@ -83,6 +83,14 @@ class TestBuildProblem:
             {"type": "robust_ood", "p_max": "high"},
             {"type": "dist_robust_ood", "p_max": 0.5, "sigma": "small"},
             {"type": "dist_robust_ood", "p_max": 0.5, "sigma": float("nan")},
+            {"true_label": 1.7},
+            {"true_label": True},
+            {"true_label": False},
+            {"true_label": float("inf")},
+            {"clip": "false"},
+            {"clip": 0},
+            {"clip": None},
+            {"type": "robust_ood", "p_max": 0.5, "clip": "true"},
         ],
     )
     def test_config_errors(self, mutation):
