@@ -128,17 +128,17 @@ def mc_expectation(
     return mean, stderr
 
 
-def _draw_untruncated_batch(dist, rng, n=None):
-    """(n, *dist.shape) weight realizations, or one of dist.shape for n None.
+def _draw_untruncated_batch(dist, rng, n):
+    """(n, *dist.shape) weight realizations.
 
-    Deterministic weights draw nothing; a batch broadcasts them.
+    Deterministic weights draw nothing; the batch broadcasts them.
     """
-    shape = tuple(dist.shape) if n is None else (n,) + tuple(dist.shape)
+    shape = (n,) + tuple(dist.shape)
     if isinstance(dist, DiagonalGaussian):
         return rng.normal(dist.mean, dist.stddev, size=shape)
     if isinstance(dist, Dropout):
         return dist.values * (rng.random(shape) < dist.keep)
-    return dist.values if n is None else np.broadcast_to(dist.values, shape)
+    return np.broadcast_to(dist.values, shape)
 
 
 def _evaluate_batch(lam, y: np.ndarray) -> np.ndarray:
@@ -287,51 +287,104 @@ def random_problem(
 # --- sampled lower bounds ---------------------------------------------------
 
 
-def _forward_batch(net: CanonicalNetwork, x: np.ndarray, rng, per_row: bool) -> np.ndarray:
-    """Logits of a batch of inputs under untruncated weight draws.
+# One batched weight estimate holds at most max(points, _ROW_BUDGET)
+# (draw, point) rows per array pass.
+_ROW_BUDGET = 1024
 
-    ``rng`` None uses the mean weights.  ``per_row`` draws independent
-    weights for every row; otherwise one draw is shared by all rows.
-    Gaussian draws are deliberately *not* truncated here: the sampled
-    estimate then targets exactly the expectation semantics of the
-    closed forms the dual bounds, making weak duality an identity rather
-    than an approximation.
+
+def _forward_batch(layers, x: np.ndarray, rng) -> np.ndarray:
+    """Outputs of ``layers`` (logits for a whole net) for a batch of inputs.
+
+    ``rng`` None uses the mean weights; otherwise every row gets its own
+    untruncated weight draw.  Gaussian draws are deliberately *not*
+    truncated here: the sampled estimate then targets exactly the
+    expectation semantics of the closed forms the dual bounds, making
+    weak duality an identity rather than an approximation.
     """
     out = x
-    for layer in net.layers:
+    for layer in layers:
         s = np.maximum(out, 0.0) if layer.activation == "relu" else out
-        if per_row:
+        if rng is None:
+            out = s @ weight_mean(layer.weights).T + weight_mean(layer.bias)
+        else:
             w = _draw_untruncated_batch(layer.weights, rng, s.shape[0])
             b = _draw_untruncated_batch(layer.bias, rng, s.shape[0])
             out = np.einsum("nij,nj->ni", w, s) + b
-            continue
-        if rng is None:
-            w, b = weight_mean(layer.weights), weight_mean(layer.bias)
-        else:
-            w = _draw_untruncated_batch(layer.weights, rng)
-            b = _draw_untruncated_batch(layer.bias, rng)
-        out = s @ w.T + b
+    return out
+
+
+def _forward_draws(layers, h: np.ndarray, take: int, rng) -> np.ndarray:
+    """Logits (take, N, out) of the N rows of ``h`` under ``take`` weight draws.
+
+    Each draw realizes every weight tensor of ``layers`` once, untruncated
+    as in ``_forward_batch``, and applies it to all N rows.  One
+    standard-normal block covers the Gaussian entries of all draws, draw
+    by draw in layer order (weights before bias), and one uniform block
+    the dropout entries.  So when ``layers`` hold one kind of stochastic
+    tensor, ``rng`` is consumed exactly as by ``take`` successive draws
+    of one tensor at a time.
+    """
+    tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
+
+    def blocks(kind, draw):
+        sizes = [math.prod(dist.shape) for dist in tensors if isinstance(dist, kind)]
+        block = draw((take, sum(sizes)))
+        return iter(np.split(block, list(itertools.accumulate(sizes))[:-1], axis=1))
+
+    normals = blocks(DiagonalGaussian, rng.standard_normal)
+    uniforms = blocks(Dropout, rng.random)
+
+    def realize(dist):
+        shape = (take,) + tuple(dist.shape)
+        if isinstance(dist, DiagonalGaussian):
+            return dist.mean + dist.stddev * next(normals).reshape(shape)
+        if isinstance(dist, Dropout):
+            return dist.values * (next(uniforms).reshape(shape) < dist.keep)
+        return dist.values
+
+    out = h
+    for layer in layers:
+        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
+        w, b = realize(layer.weights), realize(layer.bias)
+        out = s @ np.swapaxes(w, -1, -2) + (b[:, np.newaxis] if b.ndim == 2 else b)
     return out
 
 
 def _objective_values(objective, logits: np.ndarray) -> np.ndarray:
     if isinstance(objective, LogitDiff):
-        return logits[:, objective.target] - logits[:, objective.true]
-    return softmax(logits)[:, objective.label]
+        return logits[..., objective.target] - logits[..., objective.true]
+    return softmax(logits)[..., objective.label]
 
 
 def _batch_objective_estimate(net, objective, x, weight_draws, rng):
-    """Per-input estimates of the expected objective (mean, stderr)."""
+    """Per-input estimates of the expected objective (mean, stderr).
+
+    Weight draws run in chunks of at most max(N, _ROW_BUDGET) (draw,
+    point) rows, and layers before the first stochastic tensor run once.
+    The sums accumulate in draw order, so on a net with one kind of
+    stochastic tensor the estimate equals, bit for bit, a loop over
+    single draws.
+    """
     if net.is_deterministic():
         # a zero-stddev Gaussian counts as deterministic and draws nothing
-        values = _objective_values(objective, _forward_batch(net, x, None, False))
+        values = _objective_values(objective, _forward_batch(net.layers, x, None))
         return values, np.zeros_like(values)
+    first = next(
+        i for i, layer in enumerate(net.layers)
+        if not (isinstance(layer.weights, Deterministic) and isinstance(layer.bias, Deterministic))
+    )
+    hidden = _forward_batch(net.layers[:first], x, None)
+    per_chunk = max(_ROW_BUDGET // x.shape[0], 1)
     total = np.zeros(x.shape[0])
     total_sq = np.zeros(x.shape[0])
-    for _ in range(weight_draws):
-        values = _objective_values(objective, _forward_batch(net, x, rng, False))
-        total += values
-        total_sq += values**2
+    for done in range(0, weight_draws, per_chunk):
+        take = min(per_chunk, weight_draws - done)
+        values = _objective_values(
+            objective, _forward_draws(net.layers[first:], hidden, take, rng)
+        )
+        # cumsum adds row after row; a sum over axis 0 is pairwise for one point
+        total = np.cumsum(np.vstack([total, values]), axis=0)[-1]
+        total_sq = np.cumsum(np.vstack([total_sq, values**2]), axis=0)[-1]
     mean = total / weight_draws
     var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
     stderr = np.sqrt(var / weight_draws)
@@ -352,8 +405,13 @@ def sample_lower_bound(
     input sets: the expectation is estimated under a small catalog of
     feasible noise distributions (a point mass at zero, truncated
     Gaussians, a symmetric two-point mixture).  Returns (value, stderr);
-    never a certificate.
+    never a certificate.  Raises ValueError when ``weight_draws`` < 1 or
+    ``hill_steps`` < 0.
     """
+    if weight_draws < 1:
+        raise ValueError("weight_draws must be at least 1")
+    if hill_steps < 0:
+        raise ValueError("hill_steps must be non-negative")
     rng = np.random.default_rng(seed)
     net = problem.network
     input_set = problem.input_set
@@ -409,7 +467,9 @@ def _sub_gaussian_lower_bound(problem, n_samples, rng):
     (possibly clipped) box around the center, and a sub-Gaussian mgf with
     the problem's sigma.  Symmetric truncation radii keep the mean at
     zero even when clipping shrinks one side of the box, and symmetric
-    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.
+    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.  A
+    coordinate with radius 0 (a clipped center on the box edge) gets no
+    noise.
     """
     input_set = problem.input_set
     net = problem.network
@@ -426,7 +486,7 @@ def _sub_gaussian_lower_bound(problem, n_samples, rng):
             values, _ = _batch_objective_estimate(net, problem.objective, x, 1, rng)
         else:
             # joint (noise, weight) draws: one weight realization per row
-            values = _objective_values(problem.objective, _forward_batch(net, x, rng, True))
+            values = _objective_values(problem.objective, _forward_batch(net.layers, x, rng))
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return mean, stderr
@@ -435,7 +495,7 @@ def _sub_gaussian_lower_bound(problem, n_samples, rng):
     if scale_cap > 0.0 and np.any(radius > 0.0):
         for s in (scale_cap, 0.5 * scale_cap):
             def trunc_normal(k, s=s):
-                draw = rng.normal(0.0, s, size=(k, dim))
+                draw = np.where(radius > 0.0, rng.normal(0.0, s, size=(k, dim)), 0.0)
                 bad = np.abs(draw) > radius
                 while np.any(bad):
                     draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)

@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import funclag
 from funclag.cli import main
 from funclag.jsonio import decode_reals
 from funclag.specs import guaranteed_auc
@@ -213,6 +218,29 @@ class TestVerify:
         )
         assert result.exit_code == 2
         assert "--threads" in result.output
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_clipped_center_on_box_edge_attack_terminates(self, tmp_path, edge):
+        # clipping leaves the edge coordinate a noise radius of 0; its
+        # truncated-Gaussian draws must not be rejected forever.  A child
+        # process with a timeout keeps a regression from hanging the suite.
+        spec = write_spec(
+            tmp_path, type="dist_robust_ood", input=[edge, 0.5, 0.6, 0.4, 0.7, 0.2],
+            sigma=0.05, p_max=0.2, clip=True,
+        )
+        out = tmp_path / "cert.json"
+        src = str(Path(funclag.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "funclag.cli", "verify", "--model", MODEL, "--spec", spec,
+             "--family", "linexp", "--steps", "2", "--certify-every", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode in (0, 1), result.stderr
+        doc = decode_reals(json.loads(out.read_text()))
+        for cert in doc["certificates"]:
+            assert math.isfinite(cert["metadata"]["attack_value"])
 
     def test_certificate_round_trip_bit_exact(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)

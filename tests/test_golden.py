@@ -4,8 +4,9 @@ Certificates are hex-float JSON, so any change to the arithmetic of an
 inner solver, an envelope gradient, the outer loop or the sampled attack
 changes the SHA-256 of the output file.  The jobs below are small and
 together reach every final-layer solver, every transition solver and
-both forward paths of the attack; ``test_jobs_cover_every_path`` asserts
-that they do.  A change meant to alter certificates regenerates the
+both forward paths of the attack (weight draws shared by a batch of
+points, and one draw per noisy input row); ``test_jobs_cover_every_path``
+asserts that they do.  A change meant to alter certificates regenerates the
 digests with ``PYTHONPATH=src python tests/test_golden.py``, which also
 names the jobs whose digest differs from ``GOLDEN``.
 """
@@ -75,6 +76,8 @@ JOBS = {
                     ["--exact-cap", "7", "--grid-n", "3"]),
     # Gaussian weights, box input: one weight draw shared by the batch
     "gaussian-adversarial": (*_random_job(120), []),
+    # Gaussian then dropout weights, box input: normals drawn before uniforms
+    "mixed-adversarial": (*_random_job(108), []),
     # dropout weights, sub-Gaussian input: one weight draw per row
     "dropout-dist-linexp": (*_random_job(8), ["--family", "linexp"]),
 }
@@ -86,10 +89,12 @@ GOLDEN = {
     "robust-quadratic": "31c3c20a87915a231925a61b9de6525ab5249a168d15e099668fc2456daab356",
     "wide-linear": "511758a40dc087c98f008c6b09113efd24be03470222b66cd5e25be7ebc979a4",
     "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
+    "mixed-adversarial": "deb77635991ffcdefd83fdc4a4a0b2a34e5b74127ee7c1ee6c6c2029fb1822a7",
     "dropout-dist-linexp": "1e1298d6a236429c106e4b4ad7c861e96f3502cd49f3c2988c28f23ecf92d467",
 }
 
-# what each job must reach; the attack path is ("attack", per_row)
+# what each job must reach; the attack path is ("attack", "draws") for
+# shared weight draws and ("attack", "per_row") for one draw per row
 EXPECTED = {
     "robust-linear": {"inner_linear", "final_softmax_exact"},
     "adversarial-linear": {"inner_linear", "final_linear"},
@@ -97,8 +102,9 @@ EXPECTED = {
     "robust-quadratic": {"inner_quadratic_bound", "quadratic_param_grads",
                          "final_softmax_exact"},
     "wide-linear": {"inner_linear", "final_softmax_affine_bound"},
-    "gaussian-adversarial": {"final_linear", ("attack", False)},
-    "dropout-dist-linexp": {"inner_linexp_input", ("attack", True)},
+    "gaussian-adversarial": {"final_linear", ("attack", "draws")},
+    "mixed-adversarial": {"final_linear", ("attack", "draws")},
+    "dropout-dist-linexp": {"inner_linexp_input", ("attack", "per_row")},
 }
 
 SOLVERS = [
@@ -142,7 +148,8 @@ def outputs(tmp_path_factory):
     for solver in SOLVERS:
         recording(funclag.inner, solver, lambda *a, solver=solver, **k: solver)
     recording(funclag.oracle, "_forward_batch",
-              lambda net, x, rng, per_row: ("attack", per_row) if rng is not None else None)
+              lambda layers, x, rng: ("attack", "per_row") if rng is not None else None)
+    recording(funclag.oracle, "_forward_draws", lambda *a, **k: ("attack", "draws"))
     results = {}
     try:
         for name in JOBS:

@@ -3,17 +3,27 @@ import json
 import numpy as np
 import pytest
 
+import funclag.oracle as oracle
 from funclag import (
     BudgetExceeded,
+    CanonicalLayer,
+    CanonicalNetwork,
+    Deterministic,
+    DiagonalGaussian,
+    Dropout,
+    ExpectedSoftmax,
     GridSpec,
     Interval,
     Linear,
+    LogitDiff,
     grid_maximize,
     load_model,
     mc_expectation,
     model_to_dict,
     random_problem,
+    sample_lower_bound,
 )
+from funclag.model import softmax
 
 
 class TestGridMaximize:
@@ -86,3 +96,110 @@ class TestRandomProblem:
             path.write_text(json.dumps(model_to_dict(net)))
             reloaded = load_model(path)
             assert model_to_dict(reloaded) == model_to_dict(net)
+
+
+def _stochastic_net(tensors: dict) -> CanonicalNetwork:
+    """3 -> 5 -> 4 -> 3 net; ``tensors`` maps (layer, part) to "gaussian" or "dropout"."""
+    rng = np.random.default_rng(0)
+    dims = [3, 5, 4, 3]
+    layers = []
+    for i in range(3):
+        parts = {}
+        for part, shape in (("weights", (dims[i + 1], dims[i])), ("bias", (dims[i + 1],))):
+            values = rng.standard_normal(shape) / np.sqrt(dims[i])
+            kind = tensors.get((i, part))
+            if kind == "gaussian":
+                parts[part] = DiagonalGaussian(mean=values, stddev=0.3 * rng.random(shape))
+            elif kind == "dropout":
+                parts[part] = Dropout(values=values, keep=0.5 + 0.5 * rng.random(shape))
+            else:
+                parts[part] = Deterministic(values=values)
+        layers.append(CanonicalLayer(activation="identity" if i == 0 else "relu", **parts))
+    return CanonicalNetwork(layers=tuple(layers))
+
+
+def _per_draw_estimate(net, objective, x, weight_draws, rng):
+    """Reference estimate: one forward pass per weight draw, every tensor
+    drawn in layer order, sums accumulated draw by draw."""
+
+    def draw(dist):
+        if isinstance(dist, DiagonalGaussian):
+            return rng.normal(dist.mean, dist.stddev, size=dist.shape)
+        if isinstance(dist, Dropout):
+            return dist.values * (rng.random(dist.shape) < dist.keep)
+        return dist.values
+
+    total = np.zeros(x.shape[0])
+    total_sq = np.zeros(x.shape[0])
+    for _ in range(weight_draws):
+        out = x
+        for layer in net.layers:
+            s = np.maximum(out, 0.0) if layer.activation == "relu" else out
+            w = draw(layer.weights)
+            b = draw(layer.bias)
+            out = s @ w.T + b
+        if isinstance(objective, LogitDiff):
+            values = out[:, objective.target] - out[:, objective.true]
+        else:
+            values = softmax(out)[:, objective.label]
+        total += values
+        total_sq += values**2
+    mean = total / weight_draws
+    var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
+    return mean, np.sqrt(var / weight_draws)
+
+
+ONE_KIND_NETS = {
+    "gaussian-weights": {(1, "weights"): "gaussian"},
+    "gaussian-weights-and-bias": {(1, "weights"): "gaussian", (2, "bias"): "gaussian"},
+    "dropout-weights": {(2, "weights"): "dropout"},
+    "dropout-two-layers": {(1, "weights"): "dropout", (2, "weights"): "dropout"},
+}
+OBJECTIVES = (LogitDiff(target=2, true=0), ExpectedSoftmax(label=1))
+
+
+class TestBatchedObjectiveEstimate:
+    @pytest.mark.parametrize("budget", [1024, 1, 7])
+    @pytest.mark.parametrize("n_points", [1, 2, 200])
+    @pytest.mark.parametrize("net_name", sorted(ONE_KIND_NETS))
+    def test_bit_identical_to_per_draw_loop(self, monkeypatch, net_name, n_points, budget):
+        # budget 7 makes chunks of 7 or 3 draws, neither of which divides 50
+        monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
+        net = _stochastic_net(ONE_KIND_NETS[net_name])
+        x = np.random.default_rng(n_points).random((n_points, 3))
+        for objective in OBJECTIVES:
+            got = oracle._batch_objective_estimate(
+                net, objective, x, 50, np.random.default_rng(9)
+            )
+            want = _per_draw_estimate(net, objective, x, 50, np.random.default_rng(9))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_mixed_kinds_agree_in_distribution(self):
+        # all normals are drawn before all uniforms, so the draws differ
+        net = _stochastic_net({(1, "weights"): "gaussian", (2, "weights"): "dropout"})
+        x = np.random.default_rng(4).random((2, 3))
+        for objective in OBJECTIVES:
+            mean, err = oracle._batch_objective_estimate(
+                net, objective, x, 4000, np.random.default_rng(1)
+            )
+            ref_mean, ref_err = _per_draw_estimate(
+                net, objective, x, 4000, np.random.default_rng(2)
+            )
+            assert np.all(err > 0.0)
+            assert np.all(np.abs(mean - ref_mean) <= 4.0 * np.hypot(err, ref_err))
+
+
+class TestSampleLowerBoundArguments:
+    @pytest.mark.parametrize(
+        "kwargs", [{"weight_draws": 0}, {"weight_draws": -2}, {"hill_steps": -1}]
+    )
+    def test_rejects_bad_counts(self, kwargs):
+        _, problem = random_problem(120)
+        with pytest.raises(ValueError):
+            sample_lower_bound(problem, n_samples=10, **kwargs)
+
+    def test_zero_hill_steps_allowed(self):
+        _, problem = random_problem(120)
+        value, stderr = sample_lower_bound(problem, n_samples=10, weight_draws=5, hill_steps=0)
+        assert np.isfinite(value) and np.isfinite(stderr)
