@@ -30,7 +30,6 @@ from .model import (
     Dropout,
     ModelError,
     ParseError,
-    RawAffine,
     SchemaError,
     ShapeError,
     StructureError,
@@ -38,7 +37,6 @@ from .model import (
     load_model,
     mean_softmax_estimate,
     model_to_dict,
-    normalize_layers,
     softmax,
 )
 from .multipliers import (
@@ -49,18 +47,9 @@ from .multipliers import (
     Quadratic,
     UnsupportedCombination,
     Zero,
-    evaluate,
-    expected_under_layer,
     init_stack,
 )
-from .oracle import (
-    BudgetExceeded,
-    GridSpec,
-    grid_maximize,
-    mc_expectation,
-    random_problem,
-    sample_lower_bound,
-)
+from .oracle import random_problem, sample_lower_bound
 from .specs import (
     BoxOfDeltas,
     ConfigError,

@@ -81,9 +81,6 @@ class OptimizerConfig:
     # recorded in the certificate metadata; no solver draws random numbers
     seed: int = 0
     early_stop: bool = True
-    # also certify the tail-averaged parameters at the end; averaging damps
-    # the zig-zag of subgradient steps around nonsmooth minima
-    certify_tail_average: bool = False
     options: SolverOptions = field(default_factory=SolverOptions)
 
 
@@ -408,9 +405,11 @@ def optimize(
     certify-mode evaluation updates the best sound bound.  Stops early as
     soon as the best certified margin is non-positive.  The certificate
     records the best bound, the stack that achieved it, and the trace.
-    An ``ArithmeticError`` after the step-0 certified evaluation ends the
-    run with a ``RuntimeWarning``; the certificate then holds the steps
-    completed before it.  One raised earlier propagates.
+    A non-finite train or certified dual value raises
+    ``FloatingPointError``.  An ``ArithmeticError`` or a
+    ``np.linalg.LinAlgError`` after the step-0 certified evaluation ends
+    the run with a ``RuntimeWarning``; the certificate then holds the
+    steps completed before it.  One raised earlier propagates.
     """
     config = config or OptimizerConfig()
     options = config.options
@@ -436,26 +435,27 @@ def optimize(
         evaluation = evaluate_dual(
             problem, current_stack, bounds, CERTIFY, options=options, state=state
         )
-        return evaluation.total
+        return _finite_total(evaluation)
 
     trace: list[dict] = []
     train_eval, _ = _evaluate(problem, stack, bounds, TRAIN, options, state, False)
+    train_value = _finite_total(train_eval)
     certified = certify(stack)
-    trace.append({"step": 0, "train_value": train_eval.total, "certified_value": certified})
+    trace.append({"step": 0, "train_value": train_value, "certified_value": certified})
     best_margin = certified - threshold
     best_stack = stack
 
     if config.steps > 0 and (best_margin > 0.0 or not config.early_stop):
         params = [get_params(lam) for lam in stack.lams]
         adam = _Adam(params)
-        tail_start = config.steps - config.steps // 4
-        tail_avg, tail_count = None, 0
         for step in range(1, config.steps + 1):
             lr = config.lr * (0.1 ** (step // config.decay_every))
             try:
                 evaluation, grads = _evaluate(
                     problem, stack, bounds, TRAIN, options, state, True
                 )
+                entry = {"step": step, "train_value": _finite_total(evaluation),
+                         "certified_value": None}
                 grad_dicts = [
                     {name: np.asarray(g[name]) for name in p}
                     for p, g in zip(params, grads)
@@ -464,47 +464,24 @@ def optimize(
                 stack = MultiplierStack(
                     lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
                 )
-                if config.certify_tail_average and step >= tail_start:
-                    tail_count += 1
-                    if tail_avg is None:
-                        tail_avg = [{k: v.copy() for k, v in p.items()} for p in params]
-                    else:
-                        for avg, p in zip(tail_avg, params):
-                            for k in avg:
-                                avg[k] += (p[k] - avg[k]) / tail_count
-                entry = {"step": step, "train_value": evaluation.total, "certified_value": None}
                 if step % config.certify_every == 0 or step == config.steps:
                     certified = certify(stack)
                     entry["certified_value"] = certified
                     if certified - threshold < best_margin:
                         best_margin = certified - threshold
                         best_stack = stack
-            except ArithmeticError as exc:
-                # a diverging run keeps the sound bound it already has; the
-                # parameters it diverged to are not worth a tail average
+            except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                # a diverging run keeps the sound bound it already has
                 warnings.warn(
                     f"optimization stopped at step {step} by {type(exc).__name__}: {exc}; "
                     "keeping the best certified bound",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                tail_avg = None
                 break
             trace.append(entry)
             if config.early_stop and best_margin <= 0.0:
                 break
-        if tail_avg is not None and best_margin > 0.0:
-            avg_stack = MultiplierStack(
-                lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, tail_avg))
-            )
-            certified = certify(avg_stack)
-            trace.append(
-                {"step": step, "train_value": trace[-1]["train_value"],
-                 "certified_value": certified}
-            )
-            if certified - threshold < best_margin:
-                best_margin = certified - threshold
-                best_stack = avg_stack
 
     metadata = {
         "family": family,
@@ -532,6 +509,12 @@ def optimize(
         metadata=metadata,
         fingerprint=problem_fingerprint(problem, bounds),
     )
+
+
+def _finite_total(evaluation: DualEvaluation) -> float:
+    if not math.isfinite(evaluation.total):
+        raise FloatingPointError(f"the {evaluation.mode} dual value is not finite")
+    return evaluation.total
 
 
 def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:

@@ -43,7 +43,7 @@ from .linear import inner_linear
 from .result import UPPER_BOUND, InnerResult
 
 
-class NumericalError(Exception):
+class NumericalError(ArithmeticError):
     """A certified eigenvalue bound could not be produced."""
 
 

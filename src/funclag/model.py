@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ShapeError(ModelError):
 
 
 class StructureError(ModelError):
-    """A raw layer sequence cannot be grouped into canonical layers."""
+    """A layer sequence does not form a valid canonical network."""
 
 
 _ACTIVATIONS = ("identity", "relu")
@@ -77,9 +77,9 @@ class DiagonalGaussian:
 
     ``truncation`` is the number of standard deviations used when the
     weight is *sampled*: draws are rejected outside mean +- truncation *
-    stddev so that realized weights have bounded support.  Moments and
-    the mgf are those of the untruncated Gaussian; the support interval
-    is the truncated one.
+    stddev so that realized weights have bounded support.  Moments are
+    those of the untruncated Gaussian; the support interval is the
+    truncated one.
     """
 
     mean: np.ndarray
@@ -162,18 +162,6 @@ def weight_variance(dist: WeightDistribution) -> np.ndarray:
         return dist.stddev**2
     if isinstance(dist, Dropout):
         return dist.values**2 * dist.keep * (1.0 - dist.keep)
-    raise TypeError(f"unknown weight distribution {type(dist).__name__}")
-
-
-def weight_log_mgf(dist: WeightDistribution, theta: np.ndarray) -> np.ndarray:
-    """Entrywise log moment generating function log E[exp(w * theta)]."""
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(dist, Deterministic):
-        return dist.values * theta
-    if isinstance(dist, DiagonalGaussian):
-        return dist.mean * theta + 0.5 * dist.stddev**2 * theta**2
-    if isinstance(dist, Dropout):
-        return np.log(dist.keep * np.exp(dist.values * theta) + (1.0 - dist.keep))
     raise TypeError(f"unknown weight distribution {type(dist).__name__}")
 
 
@@ -262,54 +250,6 @@ class CanonicalNetwork:
         return self.is_deterministic() and all(
             layer.activation == "identity" for layer in self.layers
         )
-
-
-@dataclass(frozen=True)
-class RawAffine:
-    """An affine descriptor used by :func:`normalize_layers`."""
-
-    weights: WeightDistribution
-    bias: WeightDistribution
-
-
-def normalize_layers(items: Sequence) -> CanonicalNetwork:
-    """Group an alternating affine/activation sequence into canonical layers.
-
-    Each activation descriptor (the string ``"relu"`` or ``"identity"``)
-    fuses into the affine map that *follows* it.  Already-canonical
-    layers pass through unchanged, which makes the operation idempotent.
-    Two consecutive activations, a leading relu, or a trailing activation
-    raise :class:`StructureError`.
-    """
-    layers: list[CanonicalLayer] = []
-    pending: str | None = None
-    for item in items:
-        if isinstance(item, str):
-            if item not in _ACTIVATIONS:
-                raise StructureError(f"unknown activation descriptor {item!r}")
-            if pending is not None:
-                raise StructureError("two consecutive activation descriptors")
-            if not layers and item != "identity":
-                raise StructureError("sequence must begin with an affine descriptor")
-            pending = item
-        elif isinstance(item, RawAffine):
-            layers.append(
-                CanonicalLayer(
-                    activation=pending or "identity",
-                    weights=item.weights,
-                    bias=item.bias,
-                )
-            )
-            pending = None
-        elif isinstance(item, CanonicalLayer):
-            if pending is not None:
-                raise StructureError("activation descriptor before a canonical layer")
-            layers.append(item)
-        else:
-            raise StructureError(f"unsupported descriptor of type {type(item).__name__}")
-    if pending is not None:
-        raise StructureError("trailing activation descriptor")
-    return CanonicalNetwork(layers=tuple(layers))
 
 
 # --- JSON model format -------------------------------------------------

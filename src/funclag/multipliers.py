@@ -1,19 +1,17 @@
-"""Functional multiplier families and their exact layer expectations.
+"""Functional multiplier families and the layer expectations the dual needs.
 
 A multiplier attaches to one layer boundary and maps that layer's
 activation vector to a scalar penalty.  For stochastic layers the dual
-needs E[lam(W s(x) + b)] over the weight distribution; for the families
-here this expectation is available in closed form:
+needs E[lam(W s(x) + b)] over the weight distribution.  Linear and
+quadratic multipliers need only the first and second weight moments
+(Gaussian: mean/variance; dropout: v*p and v^2*p*(1-p)), and the
+quadratic coefficients of that expectation live here.  Linexp
+multipliers sit only on the output of the deterministic input layer, so
+no solve takes an expectation of an exponential over random weights.
 
-* linear and quadratic parts need only the first and second weight
-  moments (Gaussian: mean/variance; dropout: v*p and v^2*p*(1-p));
-* the exponential part of a linexp multiplier factorizes into a product
-  of per-entry moment generating functions because weight entries are
-  independent.
-
-Gaussian expectations deliberately use the *untruncated* moments and
-mgf even though sampling and support boxes are truncated; the certified
-output records this via its metadata.
+Gaussian expectations deliberately use the *untruncated* moments even
+though sampling and support boxes are truncated; the certified output
+records this via its metadata.
 """
 
 from __future__ import annotations
@@ -22,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CanonicalLayer,
-    weight_log_mgf,
-    weight_mean,
-    weight_variance,
-)
+from .model import CanonicalLayer, weight_mean, weight_variance
 
 
 class UnsupportedCombination(Exception):
@@ -46,9 +39,6 @@ def _vec(x, name: str) -> np.ndarray:
 class Zero:
     """The identically-zero multiplier (the convention at both ends)."""
 
-    def evaluate(self, x) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -58,9 +48,6 @@ class Linear:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _vec(self.theta, "theta"))
-
-    def evaluate(self, x) -> float:
-        return float(self.theta @ np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -77,10 +64,6 @@ class LinExp:
         object.__setattr__(self, "kappa", float(self.kappa))
         if self.alpha.shape != self.gamma.shape:
             raise ValueError("alpha and gamma must share one length")
-
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.alpha @ x + np.exp(self.gamma @ x + self.kappa))
 
 
 @dataclass(frozen=True)
@@ -103,17 +86,8 @@ class Quadratic:
         if self.q.shape[0] != Q.shape[0]:
             raise ValueError("Q and q dimensions disagree")
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.Q @ x + self.q @ x)
-
 
 Multiplier = Zero | Linear | LinExp | Quadratic
-
-
-def evaluate(lam: Multiplier, x) -> float:
-    """Evaluate a multiplier's closed form at a point."""
-    return lam.evaluate(x)
 
 
 def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,37 +168,6 @@ def expected_quadratic_coeffs_adjoint(
     return grad_q_mat, w_mean @ grad_m + b_mean
 
 
-def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
-    """E over (W, b) of lam(W s(x) + b) at a fixed layer input x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.in_dim,):
-        raise ValueError(f"x must have shape ({layer.in_dim},), got {x.shape}")
-    s = layer.apply_activation(x)
-    w_mean = weight_mean(layer.weights)
-    b_mean = weight_mean(layer.bias)
-    mean_out = w_mean @ s + b_mean
-
-    if isinstance(lam, Zero):
-        return 0.0
-    if isinstance(lam, Linear):
-        return float(lam.theta @ mean_out)
-    if isinstance(lam, Quadratic):
-        c0, m, M = expected_quadratic_coeffs(layer, lam.Q, lam.q)
-        return float(c0 + m @ s + 0.5 * s @ M @ s)
-    if isinstance(lam, LinExp):
-        linear_part = float(lam.alpha @ mean_out)
-        # E[exp(gamma.(Ws+b) + kappa)] = exp(kappa) * prod_ij mgf_ij(gamma_i s_j)
-        # * prod_i mgf_bias_i(gamma_i), accumulated in log space.
-        theta_w = np.outer(lam.gamma, s)
-        log_exp = lam.kappa
-        log_exp += float(np.sum(weight_log_mgf(layer.weights, theta_w)))
-        log_exp += float(np.sum(weight_log_mgf(layer.bias, lam.gamma)))
-        return linear_part + float(np.exp(log_exp))
-    raise UnsupportedCombination(
-        f"no closed-form expectation for {type(lam).__name__}"
-    )
-
-
 def get_params(lam: Multiplier) -> dict[str, np.ndarray]:
     """The trainable parameter arrays of a multiplier (kappa as a 0-d array)."""
     if isinstance(lam, Zero):
@@ -288,51 +231,27 @@ class MultiplierStack:
         return self.lams[i]
 
 
-FAMILIES = ("linear", "linexp", "quadratic")
-
 DEFAULT_LINEXP_KAPPA = -10.0
 
 
-def init_stack(
-    families,
-    widths,
-    strategy: str = "zeros",
-    scale: float = 0.01,
-    seed: int = 0,
-) -> MultiplierStack:
-    """Build an initial stack, one family name per boundary.
+def init_stack(families, widths) -> MultiplierStack:
+    """The initial stack, one family name per boundary.
 
-    ``zeros`` initializes every parameter at zero except the linexp
-    kappa, which starts at a large negative value so the exponential
-    term is effectively off; ``noise`` adds reproducible Gaussian noise
-    of the given scale on top.
+    Every parameter starts at zero except the linexp kappa, which starts
+    at a large negative value so the exponential term is effectively off.
     """
-    if strategy not in ("zeros", "noise"):
-        raise ValueError(f"unknown init strategy {strategy!r}")
     if len(families) != len(widths):
         raise ValueError("families and widths must have equal length")
-    rng = np.random.default_rng(seed)
-
-    def noise(shape):
-        if strategy == "noise":
-            return scale * rng.standard_normal(shape)
-        return np.zeros(shape)
-
     lams: list[Multiplier] = []
     for family, width in zip(families, widths):
         if family == "linear":
-            lams.append(Linear(theta=noise(width)))
+            lams.append(Linear(theta=np.zeros(width)))
         elif family == "linexp":
             lams.append(
-                LinExp(
-                    alpha=noise(width),
-                    gamma=noise(width),
-                    kappa=DEFAULT_LINEXP_KAPPA + float(noise(())),
-                )
+                LinExp(alpha=np.zeros(width), gamma=np.zeros(width), kappa=DEFAULT_LINEXP_KAPPA)
             )
         elif family == "quadratic":
-            raw = noise((width, width))
-            lams.append(Quadratic(Q=0.5 * (raw + raw.T), q=noise(width)))
+            lams.append(Quadratic(Q=np.zeros((width, width)), q=np.zeros(width)))
         else:
             raise ValueError(f"unknown multiplier family {family!r}")
     return MultiplierStack(lams=tuple(lams))

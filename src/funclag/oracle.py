@@ -1,24 +1,20 @@
-"""Independent brute-force and sampling oracles.
+"""The random problem generator and the sampled attack.
 
-These live in the shipped library rather than only in the test suite so
-certificates can be cross-checked against an implementation-independent
-route at desk scale: dense grids with explicit Lipschitz error bounds,
-Monte Carlo layer expectations, and a reproducible random problem
-generator for fuzzing.  Grids are only trusted in up to a few dimensions.
-The sampled attack ``sample_lower_bound``, a heuristic lower estimate of
-the specification optimum that certificates record next to their bound,
-lives here as well.
+``random_problem`` builds reproducible random networks and
+specifications for fuzz suites and benchmarks.  ``sample_lower_bound``
+is a heuristic lower estimate of the specification optimum that
+certificates record next to their bound; it never enters the certified
+claim.  The brute-force references the tests compare the verifier
+against live with the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Interval
 from .model import (
     CanonicalLayer,
     CanonicalNetwork,
@@ -28,7 +24,6 @@ from .model import (
     softmax,
     weight_mean,
 )
-from .multipliers import Multiplier
 from .specs import (
     BoxOfDeltas,
     ExpectedSoftmax,
@@ -36,165 +31,6 @@ from .specs import (
     SubGaussianNoise,
     VerificationProblem,
 )
-
-_POINT_BUDGET = 10**7
-
-
-class BudgetExceeded(Exception):
-    """The grid would contain more points than the safety budget allows."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A dense grid: points per dimension (>= 2 each) over a box."""
-
-    resolution: tuple[int, ...]
-    box: Interval
-
-    def __post_init__(self):
-        resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        if len(resolution) == 1 and self.box.lo.shape[0] > 1:
-            resolution = resolution * self.box.lo.shape[0]
-        object.__setattr__(self, "resolution", resolution)
-        if len(resolution) != self.box.lo.shape[0]:
-            raise ValueError("resolution and box dimensions disagree")
-        if any(r < 2 for r in resolution):
-            raise ValueError("resolution must be at least 2 per dimension")
-        total = 1
-        for r in resolution:
-            total *= r
-            if total > _POINT_BUDGET:
-                raise BudgetExceeded(f"grid exceeds {_POINT_BUDGET} points")
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.box.hi - self.box.lo) / (np.asarray(self.resolution) - 1)
-
-
-def grid_maximize(f, grid: GridSpec, lipschitz: float) -> tuple[float, np.ndarray, float]:
-    """Dense-grid maximum of a batch-evaluable function plus its error bound.
-
-    ``f`` receives an (N, d) array and returns N values.  Every box point
-    lies within half a cell diagonal of some grid point, so the true
-    maximum exceeds the grid maximum by at most L * h / 2 with h the cell
-    diameter.  Returns (value, argmax, error bound).
-    """
-    axes = [
-        np.linspace(grid.box.lo[i], grid.box.hi[i], grid.resolution[i])
-        for i in range(len(grid.resolution))
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    best_val = -np.inf
-    best_point = points[0]
-    chunk = 200_000
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
-        values = np.asarray(f(block), dtype=float)
-        idx = int(np.argmax(values))
-        if values[idx] > best_val:
-            best_val = float(values[idx])
-            best_point = block[idx].copy()
-    diameter = float(np.linalg.norm(grid.spacing))
-    return best_val, best_point, lipschitz * diameter / 2.0
-
-
-def mc_expectation(
-    layer: CanonicalLayer, lam: Multiplier, x, n: int, seed: int
-) -> tuple[float, float]:
-    """Sample mean and standard error of lam(W s(x) + b) over weight draws.
-
-    Gaussian weights are drawn untruncated, matching the moment and mgf
-    semantics of the closed-form expectations this oracle validates.
-    Draws are batched, so millions of samples stay cheap.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    s = layer.apply_activation(x)
-    total, total_sq = 0.0, 0.0
-    done = 0
-    while done < n:
-        take = min(100_000, n - done)
-        w = _draw_untruncated_batch(layer.weights, rng, take)
-        b = _draw_untruncated_batch(layer.bias, rng, take)
-        y = np.einsum("nij,j->ni", w, s) + b
-        values = _evaluate_batch(lam, y)
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-        done += take
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
-    stderr = float(np.sqrt(var / n)) if n > 1 else 0.0
-    return mean, stderr
-
-
-def _draw_untruncated_batch(dist, rng, n):
-    """(n, *dist.shape) weight realizations.
-
-    Deterministic weights draw nothing; the batch broadcasts them.
-    """
-    shape = (n,) + tuple(dist.shape)
-    if isinstance(dist, DiagonalGaussian):
-        return rng.normal(dist.mean, dist.stddev, size=shape)
-    if isinstance(dist, Dropout):
-        return dist.values * (rng.random(shape) < dist.keep)
-    return np.broadcast_to(dist.values, shape)
-
-
-def _evaluate_batch(lam, y: np.ndarray) -> np.ndarray:
-    from .multipliers import LinExp, Linear, Quadratic, Zero
-
-    if isinstance(lam, Zero):
-        return np.zeros(y.shape[0])
-    if isinstance(lam, Linear):
-        return y @ lam.theta
-    if isinstance(lam, Quadratic):
-        return 0.5 * np.einsum("ni,ij,nj->n", y, lam.Q, y) + y @ lam.q
-    if isinstance(lam, LinExp):
-        return y @ lam.alpha + np.exp(y @ lam.gamma + lam.kappa)
-    raise TypeError(f"cannot batch-evaluate {type(lam).__name__}")
-
-
-def enumerate_dropout_patterns(layer: CanonicalLayer):
-    """All (probability, W, b) realizations of a dropout layer.
-
-    Exhaustive over the 2^m on/off patterns of entries with keep strictly
-    inside (0, 1); usable as an exact expectation oracle for tiny layers.
-    """
-    parts = []
-    for dist in (layer.weights, layer.bias):
-        if isinstance(dist, Dropout):
-            free = np.argwhere((dist.keep > 0) & (dist.keep < 1))
-            base = dist.values * (dist.keep == 1.0)
-            parts.append(("dropout", dist, free, base))
-        elif isinstance(dist, Deterministic):
-            parts.append(("fixed", dist.values, None, None))
-        else:
-            raise ValueError("pattern enumeration only covers dropout and deterministic")
-
-    def realizations(part):
-        kind = part[0]
-        if kind == "fixed":
-            yield 1.0, part[1]
-            return
-        _, dist, free, base = part
-        m = len(free)
-        for mask_bits in itertools.product((0, 1), repeat=m):
-            prob = 1.0
-            value = base.copy()
-            for bit, idx in zip(mask_bits, free):
-                idx = tuple(idx)
-                keep_p = dist.keep[idx]
-                if bit:
-                    prob *= keep_p
-                    value[idx] = dist.values[idx]
-                else:
-                    prob *= 1.0 - keep_p
-            yield prob, value
-
-    for p_w, w in realizations(parts[0]):
-        for p_b, b in realizations(parts[1]):
-            yield p_w * p_b, w, b
 
 
 def random_problem(
@@ -290,6 +126,19 @@ def random_problem(
 # One batched weight estimate holds at most max(points, _ROW_BUDGET)
 # (draw, point) rows per array pass.
 _ROW_BUDGET = 1024
+
+
+def _draw_untruncated_batch(dist, rng, n):
+    """(n, *dist.shape) weight realizations.
+
+    Deterministic weights draw nothing; the batch broadcasts them.
+    """
+    shape = (n,) + tuple(dist.shape)
+    if isinstance(dist, DiagonalGaussian):
+        return rng.normal(dist.mean, dist.stddev, size=shape)
+    if isinstance(dist, Dropout):
+        return dist.values * (rng.random(shape) < dist.keep)
+    return np.broadcast_to(dist.values, shape)
 
 
 def _forward_batch(layers, x: np.ndarray, rng) -> np.ndarray:

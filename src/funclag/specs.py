@@ -27,6 +27,16 @@ class EmptyInput(Exception):
     """Score aggregation received an empty list."""
 
 
+def _support_box(center: np.ndarray, epsilon: float, clip: bool) -> Interval:
+    """The l_inf ball of radius epsilon around center, clipped to [0, 1] if asked."""
+    lo = center - epsilon
+    hi = center + epsilon
+    if clip:
+        lo = np.clip(lo, 0.0, 1.0)
+        hi = np.clip(hi, 0.0, 1.0)
+    return Interval(lo, hi)
+
+
 @dataclass(frozen=True)
 class BoxOfDeltas:
     """Point-mass inputs anywhere in an l_inf ball, optionally clipped to [0, 1]."""
@@ -44,12 +54,7 @@ class BoxOfDeltas:
             raise ConfigError("epsilon must be positive")
 
     def support_box(self) -> Interval:
-        lo = self.center - self.epsilon
-        hi = self.center + self.epsilon
-        if self.clip:
-            lo = np.clip(lo, 0.0, 1.0)
-            hi = np.clip(hi, 0.0, 1.0)
-        return Interval(lo, hi)
+        return _support_box(self.center, self.epsilon, self.clip)
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,7 @@ class SubGaussianNoise:
             raise ConfigError("sigma must be non-negative")
 
     def support_box(self) -> Interval:
-        lo = self.center - self.epsilon
-        hi = self.center + self.epsilon
-        if self.clip:
-            lo = np.clip(lo, 0.0, 1.0)
-            hi = np.clip(hi, 0.0, 1.0)
-        return Interval(lo, hi)
+        return _support_box(self.center, self.epsilon, self.clip)
 
 
 InputSet = BoxOfDeltas | SubGaussianNoise
@@ -146,12 +146,16 @@ _SPEC_TYPES = ("adversarial", "robust_ood", "dist_robust_ood")
 
 
 def _number(config: dict, key: str, convert=float):
+    """config[key] through ``convert``; missing, non-numeric or non-finite is a ConfigError."""
     try:
-        return convert(config[key])
+        value = convert(config[key])
     except KeyError as exc:
         raise ConfigError(f"missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be numeric, got {config[key]!r}") from exc
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key} must be finite, got {config[key]!r}")
+    return value
 
 
 def _label(value) -> int:

@@ -33,9 +33,7 @@ from funclag import (
     Zero,
     adversarial_auc,
     evaluate_dual,
-    expected_under_layer,
     guaranteed_auc,
-    init_stack,
     lambda_star_affine,
     load_model,
     optimize,
@@ -51,9 +49,10 @@ from funclag.inner import (
     inner_quadratic_bound,
 )
 from funclag.inner.softmax_exact import box_softmax_max, stationary_points_case_b
-from funclag.oracle import mc_expectation, random_problem
+from funclag.oracle import random_problem
 
 from conftest import det_layer
+from oracles import evaluate, expected_under_layer, mc_expectation, noisy_stack
 
 MODEL_PATH = str(Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json")
 
@@ -79,10 +78,9 @@ def test_criterion_1_weak_duality_fuzz():
     for index in range(200):
         net, problem = random_problem(seed=index)
         family = pick_family(problem, index)
-        stack = init_stack(
+        stack = noisy_stack(
             stack_families(problem, family),
             [layer.out_dim for layer in net.layers],
-            strategy="noise",
             scale=0.15,
             seed=index,
         )
@@ -169,7 +167,7 @@ def test_criterion_3_affine_tightness():
                 problem,
                 OptimizerConfig(
                     steps=steps, lr=lr, decay_every=250, certify_every=5,
-                    early_stop=False, certify_tail_average=True,
+                    early_stop=False,
                 ),
                 family="linear",
                 stack=stack,
@@ -353,7 +351,7 @@ def test_criterion_7_linexp_input_bound():
             violations += 1
         # sigma -> 0 collapses onto the deterministic evaluation
         at_zero = inner_linexp_input(layer, center, 0.0, lam1).value
-        direct = lam1.evaluate(layer.weights.values @ center + layer.bias.values)
+        direct = evaluate(lam1, layer.weights.values @ center + layer.bias.values)
         worst_sigma0 = max(worst_sigma0, abs(at_zero - direct))
     report(
         7,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,29 @@ class TestVerify:
         assert "OverflowError" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "family, error", [("linear", "FloatingPointError"), ("quadratic", "LinAlgError")]
+    )
+    def test_divergence_keeps_a_finite_bound(self, tmp_path, family, error):
+        # lr 1e308 sends the step-1 multipliers to overflow: a linear run
+        # then certifies a non-finite value, a quadratic one fails its
+        # eigensolve; either way the step-0 bound stands
+        spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.2)
+        out = tmp_path / "cert.json"
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            pytest.warns(RuntimeWarning, match=error),
+        ):
+            result = run_cli(
+                ["verify", "--model", MODEL, "--spec", spec, "--family", family,
+                 "--lr", "1e308", "--steps", "6", "--certify-every", "1", "--no-attack",
+                 "--out", str(out)]
+            )
+        assert result.exit_code in (0, 1), result.output
+        text = out.read_text()
+        assert math.isfinite(decode_reals(json.loads(text))["bound"])
+        assert not re.search(r"\b(nan|inf|infinity)\b", text + result.output, re.IGNORECASE)
+
     def test_exact_cap_below_output_width(self, tmp_path):
         # 3 outputs over --exact-cap 2: train and certify steps both take
         # the affine grid bound
@@ -164,7 +188,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "field, value",
         [("epsilon", "wide"), ("input", ["a"] * 6), ("p_max", "high"), ("sigma", "small"),
-         ("true_label", "first")],
+         ("true_label", "first"),
+         # json reads the literals NaN and Infinity; a spec must not carry them
+         ("epsilon", math.inf), ("input", [math.nan] + [0.5] * 5), ("sigma", math.inf)],
     )
     def test_non_numeric_spec_field_exits_two(self, tmp_path, command, field, value):
         kind = {"sigma": "dist_robust_ood", "true_label": "adversarial"}.get(field, "robust_ood")

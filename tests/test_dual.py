@@ -27,6 +27,7 @@ from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
+from oracles import noisy_stack
 
 
 def zero_stack(net):
@@ -64,10 +65,9 @@ class TestEvaluateDual:
                 family = "linear"
             else:
                 family = ("linear", "quadratic")[seed % 2]
-            stack = init_stack(
+            stack = noisy_stack(
                 stack_families(problem, family),
                 [layer.out_dim for layer in net.layers],
-                strategy="noise",
                 scale=0.15,
                 seed=seed,
             )
@@ -147,10 +147,9 @@ class TestSubgradient:
     def test_finite_difference_agreement(self):
         for seed in (1, 4):
             net, problem = random_problem(seed=seed, kinds=("robust_ood",))
-            stack = init_stack(
+            stack = noisy_stack(
                 stack_families(problem, "linear"),
                 [layer.out_dim for layer in net.layers],
-                strategy="noise",
                 scale=0.3,
                 seed=seed,
             )
@@ -162,10 +161,9 @@ class TestSubgradient:
         # zeta, the transition bound's envelope gradient
         for seed in (0, 1, 6):
             net, problem = random_problem(seed=seed, kinds=("dist_robust_ood",))
-            stack = init_stack(
+            stack = noisy_stack(
                 stack_families(problem, "linexp"),
                 [layer.out_dim for layer in net.layers],
-                strategy="noise",
                 scale=0.3,
                 seed=seed,
             )
@@ -297,10 +295,9 @@ class TestOptimize:
 
         net, problem = random_problem(seed=3, kinds=("robust_ood",))
         bounds = propagate_intervals(net, problem.support_box())
-        stack = init_stack(
+        stack = noisy_stack(
             stack_families(problem, "linear"),
             [layer.out_dim for layer in net.layers],
-            strategy="noise",
             scale=0.2,
             seed=1,
         )
@@ -327,8 +324,8 @@ class TestOptimize:
             threshold=0.5,
         )
         bounds = propagate_intervals(net, problem.support_box())
-        stack = init_stack(
-            stack_families(problem, "linear"), [6, 8], strategy="noise", scale=0.2, seed=1
+        stack = noisy_stack(
+            stack_families(problem, "linear"), [6, 8], scale=0.2, seed=1
         )
         certify = evaluate_dual(problem, stack, bounds)
         train = evaluate_dual(problem, stack, bounds, mode="train")
@@ -340,10 +337,9 @@ class TestOptimize:
 
         net, problem = random_problem(seed=3, kinds=("robust_ood",))
         bounds = propagate_intervals(net, problem.support_box())
-        stack = init_stack(
+        stack = noisy_stack(
             stack_families(problem, "linear"),
             [layer.out_dim for layer in net.layers],
-            strategy="noise",
             scale=0.2,
             seed=1,
         )

@@ -8,6 +8,7 @@ from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transit
 from funclag.inner.linexp import transition_bound_at_zeta
 
 from conftest import det_layer
+from oracles import evaluate
 
 
 def random_transition_instance(rng, n=2, m=2):
@@ -53,7 +54,7 @@ class TestInputBound:
         center = rng.random(2)
         res = inner_linexp_input(layer, center, sigma=0.0, lam1=lam1)
         nominal = layer.weights.values @ center + layer.bias.values
-        direct = lam1.evaluate(nominal)
+        direct = evaluate(lam1, nominal)
         assert res.value == pytest.approx(direct, rel=1e-12)
 
     def test_dominates_truncated_gaussian_monte_carlo(self):

@@ -25,6 +25,7 @@ from funclag.inner.quadratic import (
 from funclag.multipliers import get_params, with_params, zero_param_grads
 
 from conftest import det_layer
+from oracles import expected_under_layer
 
 
 def sym(rng, n, scale=1.0):
@@ -182,8 +183,6 @@ class TestInnerQuadraticBound:
         box = Interval(np.array([-1.0]), np.array([1.0]))
         res = inner_quadratic_bound(layer, Zero(), qn, box)
         # exact expectation on a z-grid (one free variable)
-        from funclag import expected_under_layer
-
         zs = np.linspace(-1.0, 1.0, 2001)
         vals = [expected_under_layer(qn, layer, np.array([z])) for z in zs]
         assert res.value >= max(vals) - 1e-9

@@ -10,18 +10,16 @@ from funclag import (
     Deterministic,
     DiagonalGaussian,
     ParseError,
-    RawAffine,
     SchemaError,
     ShapeError,
-    StructureError,
     forward_sample,
     load_model,
     mean_softmax_estimate,
     model_to_dict,
-    normalize_layers,
     softmax,
 )
-from funclag.oracle import enumerate_dropout_patterns
+
+from oracles import enumerate_dropout_patterns
 
 
 def write_model(tmp_path, doc):
@@ -113,34 +111,6 @@ class TestLoadModel:
         doc["layers"][0]["activation"] = "relu"
         with pytest.raises(SchemaError):
             load_model(write_model(tmp_path, doc))
-
-
-class TestNormalizeLayers:
-    def test_grouping_rule(self):
-        a = RawAffine(Deterministic(np.eye(2)), Deterministic(np.zeros(2)))
-        b = RawAffine(Deterministic(np.ones((2, 2))), Deterministic(np.zeros(2)))
-        net = normalize_layers([a, "relu", b])
-        assert [layer.activation for layer in net.layers] == ["identity", "relu"]
-
-    def test_single_affine(self):
-        a = RawAffine(Deterministic(np.eye(2)), Deterministic(np.zeros(2)))
-        net = normalize_layers([a])
-        assert net.depth == 1
-        assert net.layers[0].activation == "identity"
-
-    def test_double_activation_rejected(self):
-        a = RawAffine(Deterministic(np.eye(2)), Deterministic(np.zeros(2)))
-        with pytest.raises(StructureError):
-            normalize_layers([a, "relu", "relu", a])
-
-    def test_trailing_activation_rejected(self):
-        a = RawAffine(Deterministic(np.eye(2)), Deterministic(np.zeros(2)))
-        with pytest.raises(StructureError):
-            normalize_layers([a, "relu"])
-
-    def test_idempotent_on_canonical(self, two_layer_net):
-        again = normalize_layers(list(two_layer_net.layers))
-        assert again == two_layer_net
 
 
 class TestForwardSample:

@@ -7,11 +7,12 @@ so a sound bound may never fall below the best point a local search finds.
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Quadratic, Zero, expected_under_layer
+from funclag import Interval, Linear, Quadratic, Zero
 from funclag.inner import final_softmax_affine_bound, inner_quadratic_bound
 from funclag.model import softmax
 
 from conftest import det_layer
+from oracles import expected_under_layer
 
 
 def test_never_exceeds_certified_bound():

@@ -103,6 +103,17 @@ class TestBuildProblem:
         with pytest.raises(ConfigError):
             build_problem(net, config)
 
+    @pytest.mark.parametrize("field", ["epsilon", "input", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, field, value):
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        config = base_config(net, type="dist_robust_ood", p_max=0.5, sigma=0.1, clip=False)
+        del config["true_label"]
+        config[field] = [value] + [0.5] * (net.input_dim - 1) if field == "input" else value
+        with pytest.raises(ConfigError, match=field):
+            build_problem(net, config)
+
     def test_adversarial_needs_two_outputs(self):
         net = CanonicalNetwork(layers=(det_layer(np.ones((1, 3)), np.zeros(1)),))
         with pytest.raises(ConfigError, match="two outputs"):
