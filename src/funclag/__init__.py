@@ -46,7 +46,6 @@ from .multipliers import (
     MultiplierStack,
     Quadratic,
     UnsupportedCombination,
-    Zero,
     init_stack,
 )
 from .oracle import random_problem, sample_lower_bound

@@ -98,12 +98,13 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
     options = SolverOptions(softmax_grid_n=grid_n, exact_softmax_cap=exact_cap)
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
-        seed=seed, options=options,
+        options=options,
     )
     certificates: list[Certificate] = []
     try:
         for problem in problems:
             cert = optimize(problem, config=config, family=family)
+            cert.metadata["config"]["seed"] = seed
             if attack:
                 value, stderr = sample_lower_bound(
                     problem, n_samples=200, seed=seed, weight_draws=200, hill_steps=25

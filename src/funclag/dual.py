@@ -48,7 +48,6 @@ from .multipliers import (
     MultiplierStack,
     Quadratic,
     UnsupportedCombination,
-    Zero,
     get_params,
     init_stack,
     stack_from_jsonable,
@@ -78,8 +77,6 @@ class OptimizerConfig:
     lr: float = 1e-3
     decay_every: int = 250
     certify_every: int = 50
-    # recorded in the certificate metadata; no solver draws random numbers
-    seed: int = 0
     early_stop: bool = True
     options: SolverOptions = field(default_factory=SolverOptions)
 
@@ -94,20 +91,12 @@ class DualEvaluation:
     mode: str
 
 
-def _is_linear_like(lam: Multiplier) -> bool:
-    return isinstance(lam, (Zero, Linear))
-
-
-def _is_quadratic_like(lam: Multiplier) -> bool:
-    return isinstance(lam, (Zero, Linear, Quadratic))
-
-
 def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult):
     """Envelope gradients (grads_prev, grads_next) of g_k at its maximizer.
 
-    g_k = E[lam_next(W s(x) + b)] - lam_prev(x); the final problem has no
-    lam_next (None).  A multiplier without parameters gets None.  A
-    linexp lam_prev enters the bound through its dual zeta as
+    g_k = E[lam_next(W s(x) + b)] - lam_prev(x); g_0 has no lam_prev and
+    the final problem no lam_next (None), and a missing multiplier gets
+    None.  A linexp lam_prev enters the bound through its dual zeta as
     alpha.x + zeta * (gamma.x + kappa).
     """
     witness = res.witness
@@ -121,7 +110,7 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult
         g_q = -np.outer(witness, witness)
         np.fill_diagonal(g_q, -0.5 * witness**2)
         grads_prev = {"Q": g_q, "q": -witness}
-    if lam_next is None or isinstance(lam_next, Zero):
+    if lam_next is None:
         return grads_prev, None
     s = layer.apply_activation(witness)
     feat = weight_mean(layer.weights) @ s + weight_mean(layer.bias)
@@ -136,16 +125,16 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult
 
 
 def _solve_transition(lam_k, lam_next, layer, box, mode, duals, want_grads):
-    """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is Zero() for g_0."""
+    """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is zero for g_0."""
     if isinstance(lam_k, LinExp):
-        if not _is_linear_like(lam_next):
+        if not isinstance(lam_next, Linear):
             raise UnsupportedCombination("linexp multipliers pair with linear successors")
         return inner.inner_linexp_transition(lam_k, lam_next, layer, box), None, None
     if isinstance(lam_next, LinExp):
         raise UnsupportedCombination("linexp multipliers are input-side only")
-    if _is_linear_like(lam_k) and _is_linear_like(lam_next):
+    if isinstance(lam_k, Linear) and isinstance(lam_next, Linear):
         return inner.inner_linear(layer, lam_k, lam_next, box), None, None
-    if _is_quadratic_like(lam_k) and _is_quadratic_like(lam_next):
+    if isinstance(lam_k, (Linear, Quadratic)) and isinstance(lam_next, (Linear, Quadratic)):
         # train steps warm-start the duals and take a few search steps
         kappa_steps, penalty_steps = (10, 2) if mode == TRAIN else (120, 40)
         res = inner.inner_quadratic_bound(
@@ -165,11 +154,11 @@ def _solve_final(problem, lam_K, box, options):
     objective = problem.objective
     n = box.lo.shape[0]
     if isinstance(objective, LogitDiff):
-        if not _is_linear_like(lam_K):
+        if not isinstance(lam_K, Linear):
             raise UnsupportedCombination("logit objectives need a linear final multiplier")
         return inner.final_linear(objective.coefficients(n), lam_K, box), None, None
 
-    if not _is_linear_like(lam_K):
+    if not isinstance(lam_K, Linear):
         raise UnsupportedCombination(
             f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
         )
@@ -202,7 +191,7 @@ def _solve_problem(k, problem, stack, bounds, mode, options, state, want_grads):
         return inner.inner_linexp_input(*args), None, None
     if k == 0 and isinstance(lam1, LinExp):
         raise UnsupportedCombination("linexp input multipliers need a noise family")
-    lam_k = stack[k - 1] if k > 0 else Zero()
+    lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros(net.layers[0].in_dim))
     return _solve_transition(
         lam_k, stack[k], net.layers[k], bounds.box(k), mode, state.get(k), want_grads
     )
@@ -245,7 +234,7 @@ def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
         if not want_grads:
             continue
         if explicit is None and res.witness is not None:
-            lam_prev = stack[k - 1] if k > 0 else Zero()
+            lam_prev = stack[k - 1] if k > 0 else None
             lam_next, layer = (stack[k], net.layers[k]) if k < K else (None, None)
             explicit = _witness_grads(lam_prev, lam_next, layer, res)
         grads_prev, grads_next = explicit or (None, None)
@@ -295,7 +284,7 @@ class _Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             new_p = {}
             for name in p:
-                grad = np.asarray(g.get(name, np.zeros_like(p[name])), dtype=float)
+                grad = np.asarray(g[name])
                 m[name] = b1 * m[name] + (1.0 - b1) * grad
                 v[name] = b2 * v[name] + (1.0 - b2) * grad**2
                 step = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
@@ -339,6 +328,8 @@ class Certificate:
 
     def __post_init__(self):
         # documents read back through from_jsonable come from outside
+        if not math.isfinite(self.bound):
+            raise ValueError(f"certificate bound {self.bound!r} is not finite")
         if self.verified != (self.bound <= 0.0):
             raise ValueError(f"verified={self.verified} contradicts bound {self.bound!r}")
 
@@ -406,7 +397,8 @@ def optimize(
     soon as the best certified margin is non-positive.  The certificate
     records the best bound, the stack that achieved it, and the trace.
     A non-finite train or certified dual value raises
-    ``FloatingPointError``.  An ``ArithmeticError`` or a
+    ``FloatingPointError``, and so does a numpy overflow or invalid
+    operation after step 0.  An ``ArithmeticError`` or a
     ``np.linalg.LinAlgError`` after the step-0 certified evaluation ends
     the run with a ``RuntimeWarning``; the certificate then holds the
     steps completed before it.  One raised earlier propagates.
@@ -448,40 +440,38 @@ def optimize(
     if config.steps > 0 and (best_margin > 0.0 or not config.early_stop):
         params = [get_params(lam) for lam in stack.lams]
         adam = _Adam(params)
-        for step in range(1, config.steps + 1):
-            lr = config.lr * (0.1 ** (step // config.decay_every))
-            try:
-                evaluation, grads = _evaluate(
-                    problem, stack, bounds, TRAIN, options, state, True
-                )
-                entry = {"step": step, "train_value": _finite_total(evaluation),
-                         "certified_value": None}
-                grad_dicts = [
-                    {name: np.asarray(g[name]) for name in p}
-                    for p, g in zip(params, grads)
-                ]
-                params = adam.step(params, grad_dicts, lr)
-                stack = MultiplierStack(
-                    lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
-                )
-                if step % config.certify_every == 0 or step == config.steps:
-                    certified = certify(stack)
-                    entry["certified_value"] = certified
-                    if certified - threshold < best_margin:
-                        best_margin = certified - threshold
-                        best_stack = stack
-            except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                # a diverging run keeps the sound bound it already has
-                warnings.warn(
-                    f"optimization stopped at step {step} by {type(exc).__name__}: {exc}; "
-                    "keeping the best certified bound",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            trace.append(entry)
-            if config.early_stop and best_margin <= 0.0:
-                break
+        # an overflow or NaN past step 0 raises FloatingPointError and ends the run
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(1, config.steps + 1):
+                lr = config.lr * (0.1 ** (step // config.decay_every))
+                try:
+                    evaluation, grads = _evaluate(
+                        problem, stack, bounds, TRAIN, options, state, True
+                    )
+                    entry = {"step": step, "train_value": _finite_total(evaluation),
+                             "certified_value": None}
+                    params = adam.step(params, grads, lr)
+                    stack = MultiplierStack(
+                        lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
+                    )
+                    if step % config.certify_every == 0 or step == config.steps:
+                        certified = certify(stack)
+                        entry["certified_value"] = certified
+                        if certified - threshold < best_margin:
+                            best_margin = certified - threshold
+                            best_stack = stack
+                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    # a diverging run keeps the sound bound it already has
+                    warnings.warn(
+                        f"optimization stopped at step {step} by {type(exc).__name__}: {exc}; "
+                        "keeping the best certified bound",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    break
+                trace.append(entry)
+                if config.early_stop and best_margin <= 0.0:
+                    break
 
     metadata = {
         "family": family,
@@ -497,7 +487,6 @@ def optimize(
             "lr": config.lr,
             "decay_every": config.decay_every,
             "certify_every": config.certify_every,
-            "seed": config.seed,
             "init": "zeros",
         },
     }

@@ -61,8 +61,8 @@ def inner_linear(
     box: Interval,
 ) -> InnerResult:
     """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box."""
-    theta_k = linear_coeffs(lam_k, layer.in_dim)
-    theta_next = linear_coeffs(lam_next, layer.out_dim)
+    theta_k = linear_coeffs(lam_k)
+    theta_next = linear_coeffs(lam_next)
     w_mean = weight_mean(layer.weights)
     b_mean = weight_mean(layer.bias)
     a = w_mean.T @ theta_next
@@ -76,7 +76,7 @@ def inner_linear(
 def final_linear(c, lam_k: Multiplier, box: Interval) -> InnerResult:
     """Exact box maximum of (c - theta_K) . x for a linear objective."""
     c = np.asarray(c, dtype=float)
-    d = c - linear_coeffs(lam_k, c.shape[0])
+    d = c - linear_coeffs(lam_k)
     at_lo = d * box.lo
     at_hi = d * box.hi
     witness = np.where(at_hi > at_lo, box.hi, box.lo)

@@ -78,7 +78,7 @@ def input_param_grads(
 
 def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> tuple[np.ndarray, float]:
     """(W'beta, beta.b) of the successor's expected linear part."""
-    beta = linear_coeffs(lam2, layer.out_dim)
+    beta = linear_coeffs(lam2)
     return weight_mean(layer.weights).T @ beta, float(beta @ weight_mean(layer.bias))
 
 

@@ -158,7 +158,7 @@ def final_softmax_affine_bound(
     internal duals keep each cell's nu for re-checks.
     """
     n = box.lo.shape[0]
-    lin = -linear_coeffs(lam_k, n)
+    lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
     # softmax at a box corner: one rounding per term and per exponent part
     slack = (2 * n + 8 + 2 * float(np.max(hi) - np.min(lo))) * _UNIT

@@ -313,7 +313,7 @@ def final_softmax_exact(
     n = box.lo.shape[0]
     if n > cap:
         raise DimensionError(f"dimension {n} exceeds the 3^n enumeration cap {cap}")
-    lin = -linear_coeffs(lam_k, n)
+    lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
     with np.errstate(divide="ignore", invalid="ignore"):
         replay = _screen(m, lin, lo, hi)

@@ -16,7 +16,7 @@ records this via its metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,6 @@ def _vec(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a vector")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Zero:
-    """The identically-zero multiplier (the convention at both ends)."""
 
 
 @dataclass(frozen=True)
@@ -87,13 +82,15 @@ class Quadratic:
             raise ValueError("Q and q dimensions disagree")
 
 
-Multiplier = Zero | Linear | LinExp | Quadratic
+Multiplier = Linear | LinExp | Quadratic
+
+# the family name each class is serialized under
+_FAMILY_CLASSES = {"linear": Linear, "linexp": LinExp, "quadratic": Quadratic}
+_FAMILY_NAMES = {cls: name for name, cls in _FAMILY_CLASSES.items()}
 
 
 def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(Q, q) such that lam(x) = 0.5 x'Qx + q.x, for the quadratic-family views."""
-    if isinstance(lam, Zero):
-        return np.zeros((width, width)), np.zeros(width)
     if isinstance(lam, Linear):
         return np.zeros((width, width)), lam.theta
     if isinstance(lam, Quadratic):
@@ -111,17 +108,13 @@ def as_quadratic_adjoint(lam: Multiplier, grad_q_mat: np.ndarray, grad_q: np.nda
     """
     if isinstance(lam, Linear):
         return {"theta": grad_q}
-    if isinstance(lam, Quadratic):
-        tied = grad_q_mat + grad_q_mat.T
-        np.fill_diagonal(tied, np.diag(grad_q_mat))
-        return {"Q": tied, "q": grad_q}
-    return zero_param_grads(lam)
+    tied = grad_q_mat + grad_q_mat.T
+    np.fill_diagonal(tied, np.diag(grad_q_mat))
+    return {"Q": tied, "q": grad_q}
 
 
-def linear_coeffs(lam: Multiplier, width: int) -> np.ndarray:
-    """The theta vector of a Zero/Linear multiplier."""
-    if isinstance(lam, Zero):
-        return np.zeros(width)
+def linear_coeffs(lam: Multiplier) -> np.ndarray:
+    """The theta vector of a linear multiplier."""
     if isinstance(lam, Linear):
         return lam.theta
     raise UnsupportedCombination(f"{type(lam).__name__} is not linear")
@@ -170,37 +163,19 @@ def expected_quadratic_coeffs_adjoint(
 
 def get_params(lam: Multiplier) -> dict[str, np.ndarray]:
     """The trainable parameter arrays of a multiplier (kappa as a 0-d array)."""
-    if isinstance(lam, Zero):
-        return {}
-    if isinstance(lam, Linear):
-        return {"theta": np.array(lam.theta)}
-    if isinstance(lam, LinExp):
-        return {
-            "alpha": np.array(lam.alpha),
-            "gamma": np.array(lam.gamma),
-            "kappa": np.array(lam.kappa),
-        }
-    if isinstance(lam, Quadratic):
-        return {"Q": np.array(lam.Q), "q": np.array(lam.q)}
-    raise UnsupportedCombination(f"{type(lam).__name__} has no parameters")
+    return {f.name: np.array(getattr(lam, f.name)) for f in fields(lam)}
 
 
 def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
-    """Rebuild a multiplier of the same family from a parameter dict."""
-    if isinstance(lam, Zero):
-        return lam
-    if isinstance(lam, Linear):
-        return Linear(theta=np.asarray(params["theta"], dtype=float))
-    if isinstance(lam, LinExp):
-        return LinExp(
-            alpha=np.asarray(params["alpha"], dtype=float),
-            gamma=np.asarray(params["gamma"], dtype=float),
-            kappa=float(params["kappa"]),
-        )
+    """Rebuild a multiplier of the same family from a parameter dict.
+
+    A quadratic's Q is symmetrized first: an update may have moved Q_ij
+    and Q_ji apart.
+    """
     if isinstance(lam, Quadratic):
         q_mat = np.asarray(params["Q"], dtype=float)
-        return Quadratic(Q=0.5 * (q_mat + q_mat.T), q=np.asarray(params["q"], dtype=float))
-    raise UnsupportedCombination(f"{type(lam).__name__} has no parameters")
+        params = {**params, "Q": 0.5 * (q_mat + q_mat.T)}
+    return type(lam)(**{f.name: params[f.name] for f in fields(lam)})
 
 
 def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:
@@ -215,8 +190,8 @@ class MultiplierStack:
     """One multiplier per layer boundary, lam_1 .. lam_K.
 
     Entry k (0-based) attaches to the output of layer k; the multipliers
-    at the two ends of the dual (lam_0 and lam_{K+1}) are implicitly
-    Zero and never stored.
+    at the two ends of the dual (lam_0 and lam_{K+1}) are identically
+    zero and never stored.
     """
 
     lams: tuple[Multiplier, ...]
@@ -258,54 +233,29 @@ def init_stack(families, widths) -> MultiplierStack:
 
 
 def stack_to_jsonable(stack: MultiplierStack) -> list[dict]:
-    out = []
-    for lam in stack.lams:
-        if isinstance(lam, Linear):
-            out.append({"family": "linear", "params": {"theta": lam.theta.tolist()}})
-        elif isinstance(lam, LinExp):
-            out.append(
-                {
-                    "family": "linexp",
-                    "params": {
-                        "alpha": lam.alpha.tolist(),
-                        "gamma": lam.gamma.tolist(),
-                        "kappa": lam.kappa,
-                    },
-                }
-            )
-        elif isinstance(lam, Quadratic):
-            out.append(
-                {"family": "quadratic", "params": {"Q": lam.Q.tolist(), "q": lam.q.tolist()}}
-            )
-        elif isinstance(lam, Zero):
-            out.append({"family": "linear", "params": {"theta": []}})
-        else:
-            raise UnsupportedCombination(f"cannot serialize {type(lam).__name__}")
-    return out
+    return [
+        {
+            "family": _FAMILY_NAMES[type(lam)],
+            "params": {name: arr.tolist() for name, arr in get_params(lam).items()},
+        }
+        for lam in stack.lams
+    ]
 
 
 def stack_from_jsonable(entries) -> MultiplierStack:
+    """Rebuild a stack; a family's parameters must be exactly its fields, all finite."""
     lams: list[Multiplier] = []
     for entry in entries:
         family = entry["family"]
-        params = entry["params"]
-        if family == "linear":
-            lams.append(Linear(theta=np.asarray(params["theta"], dtype=float)))
-        elif family == "linexp":
-            lams.append(
-                LinExp(
-                    alpha=np.asarray(params["alpha"], dtype=float),
-                    gamma=np.asarray(params["gamma"], dtype=float),
-                    kappa=float(params["kappa"]),
-                )
-            )
-        elif family == "quadratic":
-            lams.append(
-                Quadratic(
-                    Q=np.asarray(params["Q"], dtype=float),
-                    q=np.asarray(params["q"], dtype=float),
-                )
-            )
-        else:
+        cls = _FAMILY_CLASSES.get(family)
+        if cls is None:
             raise UnsupportedCombination(f"unknown multiplier family {family!r}")
+        names = [f.name for f in fields(cls)]
+        params = entry["params"]
+        if sorted(params) != sorted(names):
+            raise ValueError(f"{family} multiplier needs parameters {names}, got {sorted(params)}")
+        values = {name: np.asarray(params[name], dtype=float) for name in names}
+        if not all(np.isfinite(arr).all() for arr in values.values()):
+            raise ValueError(f"{family} multiplier has a non-finite parameter")
+        lams.append(cls(**values))
     return MultiplierStack(lams=tuple(lams))

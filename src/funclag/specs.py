@@ -231,22 +231,16 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
 
 
 def _pairwise_auc(positives: np.ndarray, negatives: np.ndarray) -> float:
-    """Mann-Whitney statistic with half credit for ties, via midranks."""
-    scores = np.concatenate([negatives, positives])
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    n_pos = len(positives)
-    n_neg = len(negatives)
-    rank_sum = float(ranks[n_neg:].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    """Mann-Whitney statistic with half credit for ties.
+
+    Over the sorted negatives, the left insertion point of a positive
+    counts the negatives it beats and the right one adds its ties, so the
+    two sums count each win twice and each tie once.
+    """
+    negatives = np.sort(negatives)
+    below = np.searchsorted(negatives, positives, side="left").sum()
+    not_above = np.searchsorted(negatives, positives, side="right").sum()
+    return float((below + not_above) / (2.0 * len(positives) * len(negatives)))
 
 
 def _validate_scores(values, name: str) -> np.ndarray:

@@ -26,7 +26,6 @@ from funclag.multipliers import (
     MultiplierStack,
     Quadratic,
     UnsupportedCombination,
-    Zero,
     expected_quadratic_coeffs,
     get_params,
     init_stack,
@@ -39,9 +38,7 @@ def evaluate(lam: Multiplier, y):
     """lam at the rows of an (N, n) array, or a float at one point (n,)."""
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
-    if isinstance(lam, Zero):
-        values = np.zeros(rows.shape[0])
-    elif isinstance(lam, Linear):
+    if isinstance(lam, Linear):
         values = rows @ lam.theta
     elif isinstance(lam, Quadratic):
         values = 0.5 * np.einsum("ni,ij,nj->n", rows, lam.Q, rows) + rows @ lam.q
@@ -101,8 +98,6 @@ def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
     b_mean = weight_mean(layer.bias)
     mean_out = w_mean @ s + b_mean
 
-    if isinstance(lam, Zero):
-        return 0.0
     if isinstance(lam, Linear):
         return float(lam.theta @ mean_out)
     if isinstance(lam, Quadratic):

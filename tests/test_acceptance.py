@@ -30,7 +30,6 @@ from funclag import (
     Quadratic,
     SubGaussianNoise,
     VerificationProblem,
-    Zero,
     adversarial_auc,
     evaluate_dual,
     guaranteed_auc,
@@ -107,7 +106,7 @@ def test_criterion_2_zero_multiplier_reduction():
         kind = "adversarial" if index % 2 == 0 else "robust_ood"
         net, problem = random_problem(seed=1_000 + index, kinds=(kind,))
         bounds = propagate_intervals(net, problem.support_box())
-        stack = MultiplierStack(lams=tuple(Zero() for _ in net.layers))
+        stack = MultiplierStack(lams=tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers))
         total = evaluate_dual(problem, stack, bounds).total
         box = bounds.box(net.depth)
         if isinstance(problem.objective, LogitDiff):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,12 +134,12 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "family, error", [("linear", "FloatingPointError"), ("quadratic", "LinAlgError")]
+        "family, error", [("linear", "FloatingPointError"), ("quadratic", "FloatingPointError")]
     )
     def test_divergence_keeps_a_finite_bound(self, tmp_path, family, error):
         # lr 1e308 sends the step-1 multipliers to overflow: a linear run
-        # then certifies a non-finite value, a quadratic one fails its
-        # eigensolve; either way the step-0 bound stands
+        # then overflows in its certify solve, a quadratic one in the
+        # symmetrization of its updated Q; either way the step-0 bound stands
         spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.2)
         out = tmp_path / "cert.json"
         with (
@@ -154,6 +155,24 @@ class TestVerify:
         text = out.read_text()
         assert math.isfinite(decode_reals(json.loads(text))["bound"])
         assert not re.search(r"\b(nan|inf|infinity)\b", text + result.output, re.IGNORECASE)
+
+    @pytest.mark.parametrize("family", ["linear", "quadratic"])
+    def test_divergence_warns_once(self, tmp_path, family):
+        # numpy overflow past step 0 stops the run inside optimize, so the
+        # user sees its stop warning alone (shown once for the three
+        # problems, as Python's default filter shows it), and the step-0
+        # bound stands
+        spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            result = run_cli(
+                ["verify", "--model", MODEL, "--spec", spec, "--family", family,
+                 "--lr", "1e308", "--steps", "6", "--certify-every", "1", "--no-attack",
+                 "--out", str(tmp_path / "cert.json")]
+            )
+        runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1 and runtime[0].startswith("optimization stopped"), runtime
+        assert "worst certified margin 0.288661 " in result.output
 
     def test_exact_cap_below_output_width(self, tmp_path):
         # 3 outputs over --exact-cap 2: train and certify steps both take
@@ -268,17 +287,20 @@ class TestVerify:
         for cert in doc["certificates"]:
             assert math.isfinite(cert["metadata"]["attack_value"])
 
-    def test_certificate_round_trip_bit_exact(self, tmp_path):
-        spec = write_spec(tmp_path, p_max=0.2)
+    @pytest.mark.parametrize("family", ["linear", "linexp", "quadratic"])
+    def test_certificate_round_trip_bit_exact(self, tmp_path, family):
+        noise = {"type": "dist_robust_ood", "sigma": 0.1} if family == "linexp" else {}
+        spec = write_spec(tmp_path, p_max=0.2, **noise)
         out = tmp_path / "cert.json"
         run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "12",
+            ["verify", "--model", MODEL, "--spec", spec, "--family", family, "--steps", "12",
              "--certify-every", "6", "--out", str(out)]
         )
         doc = decode_reals(json.loads(out.read_text()))
         from funclag.dual import Certificate
 
         for entry in doc["certificates"]:
+            assert entry["multipliers"][0]["family"] == family
             cert = Certificate.from_jsonable(entry)
             rebuilt = cert.to_jsonable()
             assert rebuilt["bound"] == entry["bound"]
@@ -298,6 +320,20 @@ class TestVerify:
         Certificate.from_jsonable(entry)
         with pytest.raises(ValueError, match="contradicts"):
             Certificate.from_jsonable({**entry, "verified": True})
+
+    def test_non_finite_bound_is_rejected(self, tmp_path):
+        # a NaN bound with verified false passes the sign check on its own
+        spec = write_spec(tmp_path, p_max=0.05)
+        out = tmp_path / "cert.json"
+        run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
+             "--out", str(out)]
+        )
+        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
+        from funclag.dual import Certificate
+
+        with pytest.raises(ValueError, match="not finite"):
+            Certificate.from_jsonable({**entry, "bound": math.nan, "verified": False})
 
     def test_determinism_across_runs(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)

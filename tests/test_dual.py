@@ -12,7 +12,6 @@ from funclag import (
     StructureError,
     SubGaussianNoise,
     VerificationProblem,
-    Zero,
     evaluate_dual,
     init_stack,
     lambda_star_affine,
@@ -31,7 +30,7 @@ from oracles import noisy_stack
 
 
 def zero_stack(net):
-    return MultiplierStack(lams=tuple(Zero() for _ in net.layers))
+    return MultiplierStack(lams=tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers))
 
 
 class TestEvaluateDual:
@@ -202,7 +201,7 @@ class TestLambdaStarAffine:
         )
         from funclag.inner import final_linear, inner_linear
 
-        g0 = inner_linear(net.layers[0], Zero(), stack[0], bounds.box(0))
+        g0 = inner_linear(net.layers[0], Linear(theta=np.zeros(1)), stack[0], bounds.box(0))
         gK = final_linear(np.array([1.0]), stack[0], bounds.box(1))
         assert g0.value + gK.value == pytest.approx(2.0, abs=1e-12)
 

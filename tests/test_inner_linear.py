@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Zero
+from funclag import Interval, Linear
 from funclag.inner import final_linear, inner_linear
 from funclag.inner.linear import activation_linear_max
 
@@ -59,14 +59,14 @@ class TestInnerLinear:
         layer = det_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], activation="relu")
         theta_k = np.array([0.5, -1.5])
         box = Interval(np.array([-1.0, -2.0]), np.array([2.0, 1.0]))
-        res = inner_linear(layer, Linear(theta=theta_k), Zero(), box)
+        res = inner_linear(layer, Linear(theta=theta_k), Linear(theta=np.zeros(2)), box)
         expected = np.maximum(-theta_k * box.lo, -theta_k * box.hi).sum()
         assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_one_dim_relu(self):
         layer = det_layer([[2.0]], [0.0], activation="relu")
         box = Interval(np.array([-1.0]), np.array([1.0]))
-        res = inner_linear(layer, Zero(), Linear(theta=np.array([1.0])), box)
+        res = inner_linear(layer, Linear(theta=np.zeros(1)), Linear(theta=np.array([1.0])), box)
         assert res.value == pytest.approx(2.0, abs=1e-12)
         assert res.witness[0] == 1.0
 
@@ -115,7 +115,7 @@ class TestFinalLinear:
     def test_corner_selection(self):
         c = np.array([1.0, -1.0])
         box = Interval(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        res = final_linear(c, Zero(), box)
+        res = final_linear(c, Linear(theta=np.zeros(2)), box)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(res.witness, [1.0, 0.0])
 

@@ -9,7 +9,6 @@ from funclag import (
     Interval,
     Linear,
     Quadratic,
-    Zero,
 )
 from funclag.inner import inner_linear, inner_quadratic_bound, quadratic_param_grads
 from funclag.inner.quadratic import (
@@ -160,7 +159,7 @@ class TestInnerQuadraticBound:
         layer = det_layer(rng.standard_normal((2, 2)), np.zeros(2), "identity")
         qn = Quadratic(Q=sym(rng, 2), q=rng.standard_normal(2))
         box = Interval(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
-        res = inner_quadratic_bound(layer, Zero(), qn, box)
+        res = inner_quadratic_bound(layer, Linear(theta=np.zeros(2)), qn, box)
         xs = np.linspace(-0.5, 0.5, 201)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         P = np.stack([X.ravel(), Y.ravel()], axis=1)
@@ -181,7 +180,7 @@ class TestInnerQuadraticBound:
         )
         qn = Quadratic(Q=np.array([[1.0]]), q=np.array([0.5]))
         box = Interval(np.array([-1.0]), np.array([1.0]))
-        res = inner_quadratic_bound(layer, Zero(), qn, box)
+        res = inner_quadratic_bound(layer, Linear(theta=np.zeros(1)), qn, box)
         # exact expectation on a z-grid (one free variable)
         zs = np.linspace(-1.0, 1.0, 2001)
         vals = [expected_under_layer(qn, layer, np.array([z])) for z in zs]
@@ -192,15 +191,16 @@ class TestInnerQuadraticBound:
         # still moves with the multipliers (0.4948 -> 0.9948 per unit of q_0)
         layer = two_layer_net.layers[0]
         box = Interval(np.array([0.3, 0.2]), np.array([0.3, 0.2]))
+        lam_k = Linear(theta=np.zeros(2))
         lam_next = Quadratic(Q=np.eye(2), q=np.ones(2))
-        res = inner_quadratic_bound(layer, Zero(), lam_next, box)
+        res = inner_quadratic_bound(layer, lam_k, lam_next, box)
         assert res.value == pytest.approx(0.4948, abs=1e-12)
-        _, _, grads = quadratic_param_grads(layer, Zero(), lam_next, box, res.internal_duals)
+        _, _, grads = quadratic_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
         for name, idx, bumped in _unit_param_bumps(lam_next):
-            diff = inner_quadratic_bound(layer, Zero(), bumped, box).value - res.value
+            diff = inner_quadratic_bound(layer, lam_k, bumped, box).value - res.value
             assert grads[name][idx] == pytest.approx(diff, abs=1e-12), (name, idx)
         q0 = with_params(lam_next, {"Q": np.eye(2), "q": np.array([2.0, 1.0])})
-        assert inner_quadratic_bound(layer, Zero(), q0, box).value == pytest.approx(0.9948, abs=1e-12)
+        assert inner_quadratic_bound(layer, lam_k, q0, box).value == pytest.approx(0.9948, abs=1e-12)
         assert grads["q"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_perturbed_duals_stay_sound(self):
@@ -295,10 +295,17 @@ def bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa):
 
 def _random_multiplier(rng, kind, width):
     if kind == "zero":
-        return Zero()
+        return Linear(theta=np.zeros(width))
     if kind == "linear":
         return Linear(theta=rng.standard_normal(width))
     return Quadratic(Q=sym(rng, width), q=rng.standard_normal(width))
+
+
+def _kind(lam):
+    """The KINDS entry a ``_random_multiplier`` draw came from."""
+    if isinstance(lam, Quadratic):
+        return "quadratic"
+    return "linear" if lam.theta.any() else "zero"
 
 
 def _random_layer(rng, n_in, n_out, activation, weights):
@@ -391,7 +398,7 @@ class TestAdjointGradients:
         for layer, lam_k, lam_next, box, _ in self._instances(20, 300):
             fixed = bool(np.any(box.hi - box.lo <= 0.0))
             pinned = layer.activation == "relu" and bool(np.any(box.hi <= 0.0))
-            seen.add((type(lam_k).__name__, type(lam_next).__name__, layer.activation))
+            seen.add((_kind(lam_k), _kind(lam_next), layer.activation))
             seen.add(("fixed", fixed))
             seen.add(("all fixed", bool(np.all(box.hi - box.lo <= 0.0))))
             seen.add(("pinned", pinned))

@@ -12,7 +12,6 @@ from funclag import (
     Linear,
     Quadratic,
     UnsupportedCombination,
-    Zero,
     init_stack,
 )
 from funclag.multipliers import (
@@ -34,7 +33,7 @@ class TestEvaluate:
         assert evaluate(lam, np.array([5.0, -7.0])) == 1.0
 
     def test_zero(self):
-        assert evaluate(Zero(), np.array([1.0, 2.0])) == 0.0
+        assert evaluate(Linear(theta=np.zeros(2)), np.array([1.0, 2.0])) == 0.0
 
 
 def one_dim_gaussian_layer(mean, stddev):
@@ -152,6 +151,19 @@ class TestSerialization:
         # a certificate naming a family this version lacks fails loudly instead of loading
         entry = {"family": "diag_quadratic", "params": {"alpha": [0.0], "beta": [1.0]}}
         with pytest.raises(UnsupportedCombination, match="diag_quadratic"):
+            stack_from_jsonable([entry])
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ({"family": "linear", "params": {"theta": [0.5, float("nan")]}}, "non-finite"),
+            ({"family": "linexp", "params": {"alpha": [0.0], "gamma": [0.0]}}, "kappa"),
+            ({"family": "quadratic", "params": {"Q": [[1.0]], "q": [0.0], "theta": [1.0]}}, "theta"),
+        ],
+        ids=["non_finite", "missing", "extra"],
+    )
+    def test_malformed_parameters_are_rejected(self, entry, match):
+        with pytest.raises(ValueError, match=match):
             stack_from_jsonable([entry])
 
     def test_params_round_trip(self):

@@ -7,7 +7,7 @@ so a sound bound may never fall below the best point a local search finds.
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Quadratic, Zero
+from funclag import Interval, Linear, Quadratic
 from funclag.inner import final_softmax_affine_bound, inner_quadratic_bound
 from funclag.model import softmax
 
@@ -25,7 +25,7 @@ def test_never_exceeds_certified_bound():
         )
         lo = rng.standard_normal(2)
         box = Interval(lo, lo + rng.random(2) + 0.2)
-        certified = inner_quadratic_bound(layer, Zero(), qn, box)
+        certified = inner_quadratic_bound(layer, Linear(theta=np.zeros(2)), qn, box)
 
         # the corners, the centre and random points of the box
         corners = np.array([[a, b] for a in (box.lo[0], box.hi[0]) for b in (box.lo[1], box.hi[1])])

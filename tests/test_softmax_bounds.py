@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Zero
+from funclag import Interval, Linear
 from funclag.inner import final_softmax_affine_bound, final_softmax_exact
 from funclag.inner.softmax_bounds import affine_cell_bound
 from funclag.inner.softmax_exact import box_softmax_max
@@ -77,9 +77,9 @@ class TestAffineBound:
         rng = np.random.default_rng(0)
         for _ in range(5):
             box = random_box(rng, 3)
-            res = final_softmax_affine_bound(0, Zero(), box, n_grid=8)
+            res = final_softmax_affine_bound(0, Linear(theta=np.zeros(3)), box, n_grid=8)
             t_max = box_softmax_max(0, box)
-            exact = final_softmax_exact(0, Zero(), box).value
+            exact = final_softmax_exact(0, Linear(theta=np.zeros(3)), box).value
             assert res.value >= exact - 1e-9
             assert res.value <= t_max + 1e-9
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear, Zero, softmax
+from funclag import Interval, Linear, softmax
 from funclag.inner import final_softmax_exact, softmax_exact
 from funclag.inner.result import EXACT
 from funclag.inner.softmax_exact import (
@@ -127,7 +127,7 @@ class TestStationaryPointsCaseB:
 class TestFinalSoftmaxExact:
     def test_monotone_corner(self):
         box = Interval(np.zeros(2), np.ones(2))
-        res = final_softmax_exact(0, Zero(), box)
+        res = final_softmax_exact(0, Linear(theta=np.zeros(2)), box)
         assert res.value == pytest.approx(math.e / (math.e + 1.0), rel=1e-12)
         np.testing.assert_allclose(res.witness, [1.0, 0.0])
 
@@ -155,9 +155,9 @@ class TestFinalSoftmaxExact:
         monkeypatch.setattr(softmax_exact, "_assignment_candidates", no_enumeration)
         box = Interval(np.zeros(13), np.ones(13))
         with pytest.raises(DimensionError):
-            final_softmax_exact(0, Zero(), box, cap=12)
+            final_softmax_exact(0, Linear(theta=np.zeros(13)), box, cap=12)
         with pytest.raises(DimensionError):
-            final_softmax_exact(0, Zero(), Interval(np.zeros(5), np.ones(5)), cap=4)
+            final_softmax_exact(0, Linear(theta=np.zeros(5)), Interval(np.zeros(5), np.ones(5)), cap=4)
 
     def test_matches_reference_loop_bit_for_bit(self):
         """Value and witness are the reference loop's first best candidate."""
@@ -198,7 +198,7 @@ class TestFinalSoftmaxExact:
                         seen["degenerate"] += int(np.any(width == 0.0))
                     box = Interval(lo, lo + width)
                     if k % 3 == 2:
-                        check(m, np.zeros(n), box, Zero())
+                        check(m, np.zeros(n), box, Linear(theta=np.zeros(n)))
                         seen["zero"] += 1
                     else:
                         check(m, lin, box, Linear(theta=-lin))
