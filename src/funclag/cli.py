@@ -75,7 +75,8 @@ def main():
 @click.option("--steps", default=1000, show_default=True)
 @click.option("--lr", default=1e-3, show_default=True)
 @click.option("--decay-every", default=250, show_default=True)
-@click.option("--certify-every", default=50, show_default=True)
+@click.option("--certify-every", default=50, show_default=True,
+              help="steps between the values that count toward the bound and the early stop")
 @click.option("--grid-n", default=20, show_default=True, help="softmax bound grid size")
 @click.option("--exact-cap", default=12, show_default=True, help="exact softmax dimension cap")
 @click.option("--seed", default=0, show_default=True)

@@ -8,10 +8,9 @@ The dual value decomposes into per-layer maximizations
 
 and the sum upper-bounds the specification optimum for *every* choice of
 multipliers (weak duality).  Every inner solve is exact or a sound upper
-bound in both modes; train mode differs only in taking fewer search
-steps in the quadratic bound, and only certify-mode values ever enter a
-certificate.  The quadratic bound's internal dual variables are
-warm-started across steps; the other bounds are closed forms.
+bound, and a dual evaluation is a pure function of the problem, the
+stack, the boxes and the solver options, so the value that drives a
+gradient step is also a value a certificate may hold.
 
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
@@ -57,10 +56,6 @@ from .multipliers import (
 )
 from .specs import LogitDiff, SubGaussianNoise, VerificationProblem
 
-TRAIN = "train"
-CERTIFY = "certify"
-
-
 @dataclass
 class SolverOptions:
     """Width cap of the exact softmax output solve, grid size of the bound past it."""
@@ -88,7 +83,6 @@ class DualEvaluation:
     values: list[float]
     results: list[inner.InnerResult]
     total: float
-    mode: str
 
 
 def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult):
@@ -124,27 +118,22 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult
     return grads_prev, None
 
 
-def _solve_transition(lam_k, lam_next, layer, box, mode, duals, want_grads):
+def _solve_transition(lam_k, lam_next, layer, box, want_grads):
     """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is zero for g_0."""
     if isinstance(lam_k, LinExp):
         if not isinstance(lam_next, Linear):
             raise UnsupportedCombination("linexp multipliers pair with linear successors")
-        return inner.inner_linexp_transition(lam_k, lam_next, layer, box), None, None
+        return inner.inner_linexp_transition(lam_k, lam_next, layer, box), None
     if isinstance(lam_next, LinExp):
         raise UnsupportedCombination("linexp multipliers are input-side only")
     if isinstance(lam_k, Linear) and isinstance(lam_next, Linear):
-        return inner.inner_linear(layer, lam_k, lam_next, box), None, None
+        return inner.inner_linear(layer, lam_k, lam_next, box), None
     if isinstance(lam_k, (Linear, Quadratic)) and isinstance(lam_next, (Linear, Quadratic)):
-        # train steps warm-start the duals and take a few search steps
-        kappa_steps, penalty_steps = (10, 2) if mode == TRAIN else (120, 40)
-        res = inner.inner_quadratic_bound(
-            layer, lam_k, lam_next, box, duals=duals,
-            kappa_steps=kappa_steps, penalty_steps=penalty_steps,
-        )
+        res = inner.inner_quadratic_bound(layer, lam_k, lam_next, box)
         grads = None
         if want_grads and res.witness is None:
             _, *grads = inner.quadratic_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
-        return res, grads, res.internal_duals
+        return res, grads
     raise UnsupportedCombination(
         f"no middle-layer solver for ({type(lam_k).__name__}, {type(lam_next).__name__})"
     )
@@ -156,7 +145,7 @@ def _solve_final(problem, lam_K, box, options):
     if isinstance(objective, LogitDiff):
         if not isinstance(lam_K, Linear):
             raise UnsupportedCombination("logit objectives need a linear final multiplier")
-        return inner.final_linear(objective.coefficients(n), lam_K, box), None, None
+        return inner.final_linear(objective.coefficients(n), lam_K, box), None
 
     if not isinstance(lam_K, Linear):
         raise UnsupportedCombination(
@@ -167,11 +156,11 @@ def _solve_final(problem, lam_K, box, options):
         res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
     else:
         res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
-    return res, None, None
+    return res, None
 
 
-def _solve_problem(k, problem, stack, bounds, mode, options, state, want_grads):
-    """Solve g_k: (result, explicit grads, new internal duals).
+def _solve_problem(k, problem, stack, bounds, options, want_grads):
+    """Solve g_k: (result, explicit grads).
 
     Explicit grads are a (grads_prev, grads_next) pair, returned only where
     the envelope rule at the witness does not apply; otherwise None.
@@ -187,34 +176,27 @@ def _solve_problem(k, problem, stack, bounds, mode, options, state, want_grads):
         args = (net.layers[0], input_set.center, input_set.sigma, lam1)
         if want_grads:
             value, grads_next = inner.input_param_grads(*args)
-            return inner.InnerResult(value=value, mode=UPPER_BOUND), (None, grads_next), None
-        return inner.inner_linexp_input(*args), None, None
+            return inner.InnerResult(value=value, mode=UPPER_BOUND), (None, grads_next)
+        return inner.inner_linexp_input(*args), None
     if k == 0 and isinstance(lam1, LinExp):
         raise UnsupportedCombination("linexp input multipliers need a noise family")
     lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros(net.layers[0].in_dim))
-    return _solve_transition(
-        lam_k, stack[k], net.layers[k], bounds.box(k), mode, state.get(k), want_grads
-    )
+    return _solve_transition(lam_k, stack[k], net.layers[k], bounds.box(k), want_grads)
 
 
 def evaluate_dual(
     problem: VerificationProblem,
     stack: MultiplierStack,
     bounds: LayerBounds,
-    mode: str = CERTIFY,
     options: SolverOptions | None = None,
-    state: dict | None = None,
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack (sound in both modes)."""
-    evaluation, _ = _evaluate(problem, stack, bounds, mode, options, state, False)
+    """Evaluate the dual at a multiplier stack: a sound bound on the optimum."""
+    evaluation, _ = _evaluate(problem, stack, bounds, options, False)
     return evaluation
 
 
-def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
-    if mode not in (TRAIN, CERTIFY):
-        raise ValueError(f"unknown mode {mode!r}")
+def _evaluate(problem, stack, bounds, options, want_grads):
     options = options or SolverOptions()
-    state = {} if state is None else state
     net = problem.network
     K = net.depth
     if len(stack) != K:
@@ -225,12 +207,8 @@ def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
     results = []
     grads = [zero_param_grads(lam) for lam in stack.lams] if want_grads else None
     for k in range(K + 1):
-        res, explicit, new_duals = _solve_problem(
-            k, problem, stack, bounds, mode, options, state, want_grads
-        )
+        res, explicit = _solve_problem(k, problem, stack, bounds, options, want_grads)
         results.append(res)
-        if new_duals is not None:
-            state[k] = new_duals
         if not want_grads:
             continue
         if explicit is None and res.witness is not None:
@@ -244,7 +222,7 @@ def _evaluate(problem, stack, bounds, mode, options, state, want_grads):
             _accumulate(grads[k], grads_next)
     values = [res.value for res in results]
     total = float(sum(values))
-    return DualEvaluation(values=values, results=results, total=total, mode=mode), grads
+    return DualEvaluation(values=values, results=results, total=total), grads
 
 
 def _accumulate(target: dict, contribution: dict) -> None:
@@ -257,10 +235,9 @@ def subgradient(
     stack: MultiplierStack,
     bounds: LayerBounds,
     options: SolverOptions | None = None,
-    state: dict | None = None,
 ) -> list[dict]:
-    """Envelope subgradient of the train-mode dual in the stack parameters."""
-    _, grads = _evaluate(problem, stack, bounds, TRAIN, options, state, True)
+    """Envelope subgradient of the dual in the stack parameters."""
+    _, grads = _evaluate(problem, stack, bounds, options, True)
     return grads
 
 
@@ -389,19 +366,20 @@ def optimize(
     bounds: LayerBounds | None = None,
     stack: MultiplierStack | None = None,
 ) -> Certificate:
-    """Gradient-based outer minimization with periodic certified evaluation.
+    """Gradient-based outer minimization with periodic certified values.
 
-    Runs Adam on the multiplier parameters using train-mode evaluations;
-    every ``certify_every`` steps (plus at step 0 and at the end) a
-    certify-mode evaluation updates the best sound bound.  Stops early as
-    soon as the best certified margin is non-positive.  The certificate
+    Runs Adam on the multiplier parameters and evaluates each stack once:
+    after t updates the dual at stack_t, with its gradients while steps
+    remain, is step t+1's ``train_value``.  At step 0, every
+    ``certify_every`` steps and at the last step the same value is step
+    t's ``certified_value`` and updates the best sound bound; the run
+    stops early as soon as that margin is non-positive.  The certificate
     records the best bound, the stack that achieved it, and the trace.
-    A non-finite train or certified dual value raises
-    ``FloatingPointError``, and so does a numpy overflow or invalid
-    operation after step 0.  An ``ArithmeticError`` or a
-    ``np.linalg.LinAlgError`` after the step-0 certified evaluation ends
+    A non-finite dual value raises ``FloatingPointError``, and so does a
+    numpy overflow or invalid operation after step 0.  An
+    ``ArithmeticError`` or a ``np.linalg.LinAlgError`` after step 0 ends
     the run with a ``RuntimeWarning``; the certificate then holds the
-    steps completed before it.  One raised earlier propagates.
+    steps completed before it.  One raised at step 0 propagates.
     """
     config = config or OptimizerConfig()
     options = config.options
@@ -420,21 +398,11 @@ def optimize(
         families = stack_families(problem, family)
         stack = init_stack(families, [layer.out_dim for layer in net.layers])
 
-    state: dict = {}
     threshold = problem.threshold
-
-    def certify(current_stack):
-        evaluation = evaluate_dual(
-            problem, current_stack, bounds, CERTIFY, options=options, state=state
-        )
-        return _finite_total(evaluation)
-
-    trace: list[dict] = []
-    train_eval, _ = _evaluate(problem, stack, bounds, TRAIN, options, state, False)
-    train_value = _finite_total(train_eval)
-    certified = certify(stack)
-    trace.append({"step": 0, "train_value": train_value, "certified_value": certified})
-    best_margin = certified - threshold
+    evaluation, grads = _evaluate(problem, stack, bounds, options, config.steps > 0)
+    value = _finite_total(evaluation)
+    trace: list[dict] = [{"step": 0, "train_value": value, "certified_value": value}]
+    best_margin = value - threshold
     best_stack = stack
 
     if config.steps > 0 and (best_margin > 0.0 or not config.early_stop):
@@ -444,22 +412,15 @@ def optimize(
         with np.errstate(over="raise", invalid="raise"):
             for step in range(1, config.steps + 1):
                 lr = config.lr * (0.1 ** (step // config.decay_every))
+                entry = {"step": step, "train_value": value, "certified_value": None}
                 try:
-                    evaluation, grads = _evaluate(
-                        problem, stack, bounds, TRAIN, options, state, True
-                    )
-                    entry = {"step": step, "train_value": _finite_total(evaluation),
-                             "certified_value": None}
                     params = adam.step(params, grads, lr)
                     stack = MultiplierStack(
                         lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
                     )
-                    if step % config.certify_every == 0 or step == config.steps:
-                        certified = certify(stack)
-                        entry["certified_value"] = certified
-                        if certified - threshold < best_margin:
-                            best_margin = certified - threshold
-                            best_stack = stack
+                    last = step == config.steps
+                    evaluation, grads = _evaluate(problem, stack, bounds, options, not last)
+                    value = _finite_total(evaluation)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
                     # a diverging run keeps the sound bound it already has
                     warnings.warn(
@@ -469,6 +430,11 @@ def optimize(
                         stacklevel=2,
                     )
                     break
+                if step % config.certify_every == 0 or last:
+                    entry["certified_value"] = value
+                    if value - threshold < best_margin:
+                        best_margin = value - threshold
+                        best_stack = stack
                 trace.append(entry)
                 if config.early_stop and best_margin <= 0.0:
                     break
@@ -502,7 +468,7 @@ def optimize(
 
 def _finite_total(evaluation: DualEvaluation) -> float:
     if not math.isfinite(evaluation.total):
-        raise FloatingPointError(f"the {evaluation.mode} dual value is not finite")
+        raise FloatingPointError("the dual value is not finite")
     return evaluation.total
 
 

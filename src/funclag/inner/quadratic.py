@@ -43,6 +43,12 @@ from .linear import inner_linear
 from .result import UPPER_BOUND, InnerResult
 
 
+# the one schedule, started from zero: subgradient steps on the diagonal
+# shift kappa and on the relu penalties
+_KAPPA_STEPS = 10
+_PENALTY_STEPS = 2
+
+
 class NumericalError(ArithmeticError):
     """A certified eigenvalue bound could not be produced."""
 
@@ -93,28 +99,22 @@ def shifted_diagonal_bound(mf: np.ndarray, kappa: np.ndarray) -> float:
     return 0.5 * float(np.maximum(kappa + s, 0.0).sum())
 
 
-def qp_box_bound(
-    h: np.ndarray,
-    g: np.ndarray,
-    c0: float,
-    kappa: np.ndarray | None = None,
-    steps: int = 120,
-) -> tuple[float, np.ndarray]:
+def qp_box_bound(h: np.ndarray, g: np.ndarray, c0: float) -> tuple[float, np.ndarray]:
     """Bound max of c0 + g.t + 0.5 t'Ht over t in [-1, 1]^d.
 
-    Runs subgradient descent on the shift vector kappa, tracking the
-    best iterate by its uncertified top eigenvalue; the returned value
-    is the *certified* bound re-evaluated at that iterate, so it is
-    sound regardless of the tracking accuracy.
+    Runs subgradient descent on the shift vector kappa from zero,
+    tracking the best iterate by its uncertified top eigenvalue; the
+    returned value is the *certified* bound re-evaluated at that
+    iterate, so it is sound regardless of the tracking accuracy.
     """
     d = g.shape[0]
     mf = _pack_mf(h, g)
-    kappa = np.zeros(d + 1) if kappa is None else np.asarray(kappa, dtype=float).copy()
+    kappa = np.zeros(d + 1)
 
     best_est = math.inf
     best_kappa = kappa.copy()
     scale = max(1.0, float(np.max(np.abs(mf))))
-    for t in range(steps):
+    for t in range(_KAPPA_STEPS):
         lmax, v = top_eigenpair(mf - np.diag(kappa))
         s = max(lmax, 0.0)
         est = 0.5 * float(np.maximum(kappa + s, 0.0).sum())
@@ -255,55 +255,45 @@ def inner_quadratic_bound(
     lam_k: Multiplier,
     lam_next: Multiplier,
     box: Interval,
-    duals: dict | None = None,
-    kappa_steps: int = 120,
-    penalty_steps: int = 40,
 ) -> InnerResult:
     """Sound bound on the quadratic-multiplier layer problem.
 
     When both quadratic blocks vanish the problem is linear and the exact
     per-coordinate closed form is returned instead.  Otherwise the relu
-    penalties (zeta, zeta_plus, zeta_minus) and the shift vector kappa
-    are jointly improved by subgradient steps, warm-started from
-    ``duals``; every iterate evaluated is a valid bound and the best one
-    is returned together with its duals.
+    penalties (zeta, zeta_plus, zeta_minus) take a few subgradient steps
+    from zero, tracked by the Danskin surrogate.  The zero penalties and
+    the best iterate each get a few shift-vector steps from kappa = 0
+    and a certified value; every such value is a valid bound, and the
+    smaller one is returned together with its duals.
     """
     n = layer.in_dim
     q_k, q_k_lin = as_quadratic(lam_k, n)
     q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
     if not q_k.any() and not q_n.any():
-        result = inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
-        result.internal_duals = dict(duals or {})
-        return result
+        return inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
 
-    duals = dict(duals or {})
-    zeta, zeta_plus, zeta_minus = _penalties(duals, n)
-    kappa = duals.get("kappa")
+    def bound_at(z, zp, zm):
+        h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, zp, zm)
+        return qp_box_bound(h, g, c0)
 
-    def bound_at(z, zp, zm, kap, steps):
-        h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, np.maximum(zp, 0), np.maximum(zm, 0))
-        if kap is None or np.asarray(kap).shape != (g.shape[0] + 1,):
-            kap = None
-        val, kap = qp_box_bound(h, g, c0, kappa=kap, steps=steps)
-        return val, kap
-
+    zeros = np.zeros(n)
     if layer.activation == "identity":
-        value, kappa = bound_at(zeta, zeta_plus, zeta_minus, kappa, kappa_steps)
+        value, kappa = bound_at(zeros, zeros, zeros)
         return InnerResult(
             value=value,
             mode=UPPER_BOUND,
-            internal_duals={"zeta": zeta, "zeta_plus": zeta_plus, "zeta_minus": zeta_minus, "kappa": kappa},
+            internal_duals={"zeta": zeros, "zeta_plus": zeros, "zeta_minus": zeros, "kappa": kappa},
         )
 
-    # penalty search is tracked by the cheap Danskin surrogate; only the
-    # warm start and the winning iterate get a certified evaluation
-    params = np.concatenate([zeta, zeta_plus, zeta_minus])
+    # the penalty search is tracked by the cheap Danskin surrogate; only
+    # the zero start and the winning iterate get a certified evaluation
+    params = np.zeros(3 * n)
     best_params = params.copy()
     best_est = math.inf
     scale = max(1.0, float(np.max(np.abs(q_k))) if q_k.size else 1.0, float(np.max(np.abs(q_n))) if q_n.size else 1.0)
-    for t in range(penalty_steps):
-        est, kappa, blocks = _danskin(
-            layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
+    for t in range(_PENALTY_STEPS):
+        est, blocks = _danskin(
+            layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], None
         )
         if est < best_est:
             best_est = est
@@ -311,21 +301,14 @@ def inner_quadratic_bound(
         lr = 0.3 * scale / (1.0 + 0.2 * t)
         params = params - lr * blocks[4]
         params[n:] = np.maximum(params[n:], 0.0)
-        if (t + 1) % 8 == 0:
-            _, kappa = bound_at(
-                params[:n], params[n : 2 * n], params[2 * n :], kappa, max(8, kappa_steps // 8)
-            )
 
-    candidates = [(zeta, zeta_plus, zeta_minus)]
-    z, zp, zm = best_params[:n], best_params[n : 2 * n], best_params[2 * n :]
-    candidates.append((z, zp, zm))
     best_val = math.inf
     best = None
-    for z, zp, zm in candidates:
-        val, kap = bound_at(z, zp, zm, kappa, kappa_steps)
+    for z, zp, zm in ((zeros, zeros, zeros), np.split(best_params, 3)):
+        val, kap = bound_at(z, zp, zm)
         if val < best_val:
             best_val = val
-            best = (z.copy(), np.maximum(zp, 0.0), np.maximum(zm, 0.0), kap)
+            best = (z, zp, zm, kap)
     zeta, zeta_plus, zeta_minus, kappa = best
     return InnerResult(
         value=best_val,
@@ -346,7 +329,7 @@ def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
     active set A of kappa frozen, the bound c0 + 0.5 * sum(kappa_A) +
     0.5 |A| v'(Mf - diag(kappa))v (the last term only when lambda_max > 0)
     is affine in the rescaled QP data (c0, g, H), with gradient
-    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, kappa, the gradients of
+    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, the gradients of
     _assembly_adjoint).
     """
     h, g, c0, lo, hi = _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
@@ -359,7 +342,7 @@ def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
     weight = 0.5 * float(np.count_nonzero(kappa + s > 0.0)) if lmax > 0.0 else 0.0
     w = v[1:]
     grad_g, grad_h = _rescale_adjoint(2.0 * weight * v[0] * w, weight * np.outer(w, w), lo, hi)
-    return value, kappa, _assembly_adjoint(layer, grad_h, grad_g)
+    return value, _assembly_adjoint(layer, grad_h, grad_g)
 
 
 def quadratic_param_grads(
@@ -376,7 +359,7 @@ def quadratic_param_grads(
     lam_next through the expected coefficients of E[lam_next].
     """
     zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
-    value, _, blocks = _danskin(
+    value, blocks = _danskin(
         layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, duals.get("kappa")
     )
     grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = blocks

@@ -21,8 +21,8 @@ class InnerResult:
     is given, maximizes the relaxation the bound evaluates, so the
     envelope gradient applies to it.  ``internal_duals`` records the
     auxiliary dual parameters (zeta, nu, kappa, ...) a bound construction
-    used, so the same bound can be re-evaluated at perturbed duals; only
-    the quadratic bound is warm-started from them.
+    used, so the same bound can be re-evaluated at perturbed duals; no
+    solver reads them back, so a result depends on its inputs alone.
     """
 
     value: float

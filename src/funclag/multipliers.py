@@ -56,7 +56,10 @@ class LinExp:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _vec(self.alpha, "alpha"))
         object.__setattr__(self, "gamma", _vec(self.gamma, "gamma"))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        kappa = np.asarray(self.kappa, dtype=float)
+        if kappa.ndim != 0:
+            raise ValueError("kappa must be a scalar")
+        object.__setattr__(self, "kappa", float(kappa))
         if self.alpha.shape != self.gamma.shape:
             raise ValueError("alpha and gamma must share one length")
 

@@ -122,7 +122,9 @@ class TestVerify:
         def overflow(*args, **kwargs):
             raise OverflowError("math range error")
 
+        # step 0 takes gradients when steps remain, so both input solves fail
         monkeypatch.setattr(funclag.inner, "inner_linexp_input", overflow)
+        monkeypatch.setattr(funclag.inner, "input_param_grads", overflow)
         spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.1)
         out = tmp_path / "cert.json"
         result = run_cli(
@@ -138,7 +140,7 @@ class TestVerify:
     )
     def test_divergence_keeps_a_finite_bound(self, tmp_path, family, error):
         # lr 1e308 sends the step-1 multipliers to overflow: a linear run
-        # then overflows in its certify solve, a quadratic one in the
+        # then overflows in evaluating them, a quadratic one in the
         # symmetrization of its updated Q; either way the step-0 bound stands
         spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.2)
         out = tmp_path / "cert.json"
@@ -175,8 +177,8 @@ class TestVerify:
         assert "worst certified margin 0.288661 " in result.output
 
     def test_exact_cap_below_output_width(self, tmp_path):
-        # 3 outputs over --exact-cap 2: train and certify steps both take
-        # the affine grid bound
+        # 3 outputs over --exact-cap 2: every evaluation takes the affine
+        # grid bound
         spec = write_spec(tmp_path, p_max=0.2)
         out = tmp_path / "cert.json"
         result = run_cli(
@@ -297,14 +299,23 @@ class TestVerify:
              "--certify-every", "6", "--out", str(out)]
         )
         doc = decode_reals(json.loads(out.read_text()))
-        from funclag.dual import Certificate
+        from funclag.dual import Certificate, evaluate_dual, problem_fingerprint
 
-        for entry in doc["certificates"]:
+        problems = funclag.build_problem(
+            funclag.load_model(MODEL), json.loads(Path(spec).read_text())
+        )
+        assert len(problems) == len(doc["certificates"])
+        for problem, entry in zip(problems, doc["certificates"]):
             assert entry["multipliers"][0]["family"] == family
             cert = Certificate.from_jsonable(entry)
             rebuilt = cert.to_jsonable()
             assert rebuilt["bound"] == entry["bound"]
             assert rebuilt["multipliers"] == entry["multipliers"]
+            # a dual evaluation is pure: the stored stack alone reproduces the bound
+            bounds = funclag.propagate_intervals(problem.network, problem.support_box())
+            assert problem_fingerprint(problem, bounds) == cert.fingerprint
+            total = evaluate_dual(problem, cert.stack, bounds).total
+            assert total - problem.threshold == cert.bound
 
     def test_doctored_certificate_is_rejected(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.05)

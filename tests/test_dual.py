@@ -79,7 +79,7 @@ class TestEvaluateDual:
 
     def test_certify_mode_rejects_heuristic_results(self):
         # every inner result is exact or an upper bound: a heuristic one
-        # cannot be built, so it cannot reach a certify-mode evaluation
+        # cannot be built, so it cannot reach a certificate
         from funclag.inner import InnerResult
 
         with pytest.raises(ValueError, match="heuristic_lower"):
@@ -116,7 +116,7 @@ class TestEvaluateDual:
 
 
 def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
-    """Central differences of the train dual match ``subgradient`` entry by entry."""
+    """Central differences of the dual match ``subgradient`` entry by entry."""
     grads = subgradient(problem, stack, bounds)
     for i, lam in enumerate(stack.lams):
         params = get_params(lam)
@@ -135,7 +135,7 @@ def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
                             for ii, l in enumerate(stack.lams)
                         )
                     )
-                    ev, _ = _evaluate(problem, stack2, bounds, "train", None, {}, False)
+                    ev, _ = _evaluate(problem, stack2, bounds, None, False)
                     values.append(ev.total)
                 fd = (values[0] - values[1]) / (2.0 * h)
                 analytic = float(np.atleast_1d(np.asarray(grads[i][name])).ravel()[j])
@@ -279,6 +279,28 @@ class TestOptimize:
         # tracked minimum is non-increasing by construction
         assert np.all(np.diff(running_min) <= 0.0)
 
+    def test_each_stack_is_evaluated_once(self, monkeypatch):
+        # stack_0 .. stack_60, each once: the value that takes the gradient
+        # at a certify step is the certified value
+        import funclag.dual
+
+        calls = []
+        original = funclag.dual._evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(funclag.dual, "_evaluate", counting)
+        net, problem = random_problem(seed=2, kinds=("robust_ood",))
+        cert = optimize(
+            problem,
+            OptimizerConfig(steps=60, lr=0.05, certify_every=20, early_stop=False),
+            family="linear",
+        )
+        assert len(calls) == 61
+        assert cert.bound == -0.17638086129746655
+
     def test_quadratic_family_trains(self):
         net, problem = random_problem(seed=6, kinds=("robust_ood",))
         cert = optimize(
@@ -326,10 +348,8 @@ class TestOptimize:
         stack = noisy_stack(
             stack_families(problem, "linear"), [6, 8], scale=0.2, seed=1
         )
-        certify = evaluate_dual(problem, stack, bounds)
-        train = evaluate_dual(problem, stack, bounds, mode="train")
-        assert train.results[-1].mode == "exact"
-        assert train.values == certify.values
+        evaluation = evaluate_dual(problem, stack, bounds)
+        assert evaluation.results[-1].mode == "exact"
 
     def test_train_mode_past_the_cap_takes_the_certify_bound(self):
         from funclag import SolverOptions
@@ -343,11 +363,8 @@ class TestOptimize:
             seed=1,
         )
         options = SolverOptions(exact_softmax_cap=1, softmax_grid_n=5)
-        certify = evaluate_dual(problem, stack, bounds, options=options)
-        train = evaluate_dual(problem, stack, bounds, mode="train", options=options)
-        final = train.results[-1]
+        final = evaluate_dual(problem, stack, bounds, options=options).results[-1]
         assert final.mode == "upper_bound"
-        assert train.values == certify.values
         box = bounds.box(net.depth)
         assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
         grads = subgradient(problem, stack, bounds, options=options)

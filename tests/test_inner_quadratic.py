@@ -384,7 +384,7 @@ class TestAdjointGradients:
             n = layer.in_dim
             params = np.concatenate([rng.standard_normal(n), rng.random(2 * n)])
             kappa = duals.get("kappa")
-            _, _, blocks = _danskin(
+            _, blocks = _danskin(
                 layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
             )
             got = blocks[4]

@@ -159,8 +159,17 @@ class TestSerialization:
             ({"family": "linear", "params": {"theta": [0.5, float("nan")]}}, "non-finite"),
             ({"family": "linexp", "params": {"alpha": [0.0], "gamma": [0.0]}}, "kappa"),
             ({"family": "quadratic", "params": {"Q": [[1.0]], "q": [0.0], "theta": [1.0]}}, "theta"),
+            # vectors for theta/alpha/gamma/q, a square matrix for Q, a scalar for kappa
+            ({"family": "linexp", "params": {"alpha": [0.0], "gamma": [0.0], "kappa": [1.0]}},
+             "kappa"),
+            ({"family": "linexp", "params": {"alpha": 0.0, "gamma": [0.0], "kappa": 1.0}},
+             "alpha"),
+            ({"family": "linear", "params": {"theta": [[0.5]]}}, "theta"),
+            ({"family": "quadratic", "params": {"Q": [1.0], "q": [0.0]}}, "Q"),
+            ({"family": "quadratic", "params": {"Q": [[1.0]], "q": 0.0}}, "q"),
         ],
-        ids=["non_finite", "missing", "extra"],
+        ids=["non_finite", "missing", "extra", "list_kappa", "scalar_alpha", "matrix_theta",
+             "vector_Q", "scalar_q"],
     )
     def test_malformed_parameters_are_rejected(self, entry, match):
         with pytest.raises(ValueError, match=match):
