@@ -9,7 +9,6 @@ from .bounds import (
     interval_activation,
     interval_affine,
     propagate_intervals,
-    weight_support,
 )
 from .dual import (
     Certificate,

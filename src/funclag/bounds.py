@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CanonicalNetwork,
-    Deterministic,
-    DiagonalGaussian,
-    Dropout,
-    WeightDistribution,
-)
+from .model import CanonicalNetwork
 
 
 @dataclass(frozen=True)
@@ -68,26 +62,6 @@ class LayerBounds:
         ]
 
 
-def weight_support(dist: WeightDistribution) -> Interval:
-    """The envelope of values a random weight can realize.
-
-    Deterministic v -> [v, v]; truncated Gaussian -> mean +- k * stddev;
-    dropout -> hull of {0, value}, collapsing at keep = 0 or keep = 1.
-    """
-    if isinstance(dist, Deterministic):
-        return Interval(dist.values, dist.values)
-    if isinstance(dist, DiagonalGaussian):
-        radius = dist.truncation * dist.stddev
-        return Interval(dist.mean - radius, dist.mean + radius)
-    if isinstance(dist, Dropout):
-        lo = np.where(dist.keep == 1.0, dist.values, np.minimum(dist.values, 0.0))
-        hi = np.where(dist.keep == 1.0, dist.values, np.maximum(dist.values, 0.0))
-        lo = np.where(dist.keep == 0.0, 0.0, lo)
-        hi = np.where(dist.keep == 0.0, 0.0, hi)
-        return Interval(lo, hi)
-    raise TypeError(f"unknown weight distribution {type(dist).__name__}")
-
-
 def interval_affine(x: Interval, w: Interval, b: Interval) -> Interval:
     """Sound interval enclosure of W @ x + b over interval W, x and b.
 
@@ -116,7 +90,11 @@ def interval_activation(x: Interval, activation: str) -> Interval:
 
 
 def propagate_intervals(net: CanonicalNetwork, input_box: Interval) -> LayerBounds:
-    """Compose weight supports and interval affine maps layer by layer."""
+    """Compose weight supports and interval affine maps layer by layer.
+
+    Raises ValueError when a box leaves the finite range; the overflow
+    itself is not reported separately.
+    """
     if input_box.lo.shape != (net.input_dim,):
         raise ValueError(
             f"input box must have {net.input_dim} coordinates, got {input_box.lo.shape}"
@@ -125,8 +103,9 @@ def propagate_intervals(net: CanonicalNetwork, input_box: Interval) -> LayerBoun
     current = input_box
     for layer in net.layers:
         current = interval_activation(current, layer.activation)
-        current = interval_affine(
-            current, weight_support(layer.weights), weight_support(layer.bias)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = interval_affine(
+                current, Interval(*layer.weights.support), Interval(*layer.bias.support)
+            )
         boxes.append(current)
     return LayerBounds(boxes=tuple(boxes))

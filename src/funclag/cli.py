@@ -143,7 +143,10 @@ def bounds(model_path, spec_path, out_path):
         problems = build_problem(net, spec_config)
     except ConfigError as exc:
         _fail(str(exc))
-    layer_bounds = propagate_intervals(net, problems[0].support_box())
+    try:
+        layer_bounds = propagate_intervals(net, problems[0].support_box())
+    except ValueError as exc:
+        _fail(str(exc))
     Path(out_path).write_text(json.dumps({"layers": layer_bounds.to_lists()}, indent=1))
     widths = "/".join(str(len(box.lo)) for box in layer_bounds.boxes)
     click.echo(f"wrote boxes for layer widths {widths}")

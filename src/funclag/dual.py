@@ -33,13 +33,7 @@ from . import inner
 from .bounds import LayerBounds, propagate_intervals
 from .inner.result import UPPER_BOUND
 from .jsonio import sha256_of
-from .model import (
-    CanonicalNetwork,
-    StructureError,
-    model_to_dict,
-    weight_mean,
-    weight_variance,
-)
+from .model import CanonicalNetwork, StructureError, model_to_dict
 from .multipliers import (
     Linear,
     LinExp,
@@ -107,10 +101,10 @@ def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult
     if lam_next is None:
         return grads_prev, None
     s = layer.apply_activation(witness)
-    feat = weight_mean(layer.weights) @ s + weight_mean(layer.bias)
+    feat = layer.weights.mean @ s + layer.bias.mean
     if isinstance(lam_next, Linear):
         return grads_prev, {"theta": feat}
-    var = weight_variance(layer.weights) @ s**2 + weight_variance(layer.bias)
+    var = layer.weights.variance @ s**2 + layer.bias.variance
     if isinstance(lam_next, Quadratic):
         g_q = np.outer(feat, feat)
         np.fill_diagonal(g_q, 0.5 * (feat**2 + var))
@@ -473,15 +467,12 @@ def _finite_total(evaluation: DualEvaluation) -> float:
 
 
 def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:
-    levels = []
-    for layer in net.layers:
-        level = None
-        for dist in (layer.weights, layer.bias):
-            trunc = getattr(dist, "truncation", None)
-            if trunc is not None:
-                level = trunc if level is None else max(level, trunc)
-        levels.append(level)
-    return levels
+    """Per layer, the largest Gaussian truncation of its tensors (None: no Gaussian)."""
+    return [
+        max((d.truncation for d in (layer.weights, layer.bias) if d.truncation is not None),
+            default=None)
+        for layer in net.layers
+    ]
 
 
 # --- exact multipliers for affine networks --------------------------------
@@ -501,5 +492,5 @@ def lambda_star_affine(net: CanonicalNetwork, c) -> MultiplierStack:
     theta = c
     for k in range(net.depth - 1, -1, -1):
         thetas[k] = theta
-        theta = weight_mean(net.layers[k].weights).T @ theta
+        theta = net.layers[k].weights.mean.T @ theta
     return MultiplierStack(lams=tuple(Linear(theta=t) for t in thetas))

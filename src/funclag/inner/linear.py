@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bounds import Interval
-from ..model import CanonicalLayer, weight_mean
+from ..model import CanonicalLayer
 from ..multipliers import Multiplier, linear_coeffs
 from .result import EXACT, InnerResult
 
@@ -63,11 +63,9 @@ def inner_linear(
     """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box."""
     theta_k = linear_coeffs(lam_k)
     theta_next = linear_coeffs(lam_next)
-    w_mean = weight_mean(layer.weights)
-    b_mean = weight_mean(layer.bias)
-    a = w_mean.T @ theta_next
+    a = layer.weights.mean.T @ theta_next
     values, witness = activation_linear_max(a, theta_k, box.lo, box.hi, layer.activation)
-    total = float(theta_next @ b_mean)
+    total = float(theta_next @ layer.bias.mean)
     for v in values.tolist():
         total += v
     return InnerResult(value=total, mode=EXACT, witness=witness)

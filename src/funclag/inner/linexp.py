@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ..bounds import Interval
-from ..model import CanonicalLayer, is_deterministic, weight_mean
+from ..model import CanonicalLayer
 from ..multipliers import LinExp, Multiplier, linear_coeffs
 from .linear import activation_candidates, activation_linear_max
 from .result import UPPER_BOUND, InnerResult
@@ -37,12 +37,12 @@ _ZETA_LOG_CAP = 45.0  # zeta stays below e^45, where the bound is finite; any ze
 
 def _input_bound(layer: CanonicalLayer, center, sigma: float, lam1: LinExp):
     """(value, nominal W mu + b, exponential term, W'g) of the input bound."""
-    if not (is_deterministic(layer.weights) and is_deterministic(layer.bias)):
+    if not layer.is_deterministic():
         raise ValueError("input-layer linexp bound requires a deterministic first layer")
     if layer.activation != "identity":
         raise ValueError("layer 0 must have an identity activation")
-    w = weight_mean(layer.weights)
-    nominal = w @ np.asarray(center, dtype=float) + weight_mean(layer.bias)
+    w = layer.weights.mean
+    nominal = w @ np.asarray(center, dtype=float) + layer.bias.mean
     wtg = w.T @ lam1.gamma
     exponent = 0.5 * sigma**2 * float(wtg @ wtg) + float(lam1.gamma @ nominal) + lam1.kappa
     e = math.exp(exponent)
@@ -70,7 +70,7 @@ def input_param_grads(
     value, nominal, e, wtg = _input_bound(layer, center, sigma, lam1)
     grads = {
         "alpha": nominal,
-        "gamma": e * (sigma**2 * (weight_mean(layer.weights) @ wtg) + nominal),
+        "gamma": e * (sigma**2 * (layer.weights.mean @ wtg) + nominal),
         "kappa": e,
     }
     return value, grads
@@ -79,7 +79,7 @@ def input_param_grads(
 def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> tuple[np.ndarray, float]:
     """(W'beta, beta.b) of the successor's expected linear part."""
     beta = linear_coeffs(lam2)
-    return weight_mean(layer.weights).T @ beta, float(beta @ weight_mean(layer.bias))
+    return layer.weights.mean.T @ beta, float(beta @ layer.bias.mean)
 
 
 def transition_bound_at_zeta(

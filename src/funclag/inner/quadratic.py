@@ -262,9 +262,10 @@ def inner_quadratic_bound(
     per-coordinate closed form is returned instead.  Otherwise the relu
     penalties (zeta, zeta_plus, zeta_minus) take a few subgradient steps
     from zero, tracked by the Danskin surrogate.  The zero penalties and
-    the best iterate each get a few shift-vector steps from kappa = 0
-    and a certified value; every such value is a valid bound, and the
-    smaller one is returned together with its duals.
+    the best iterate, when it moved off zero, each get a few shift-vector
+    steps from kappa = 0 and a certified value; every such value is a
+    valid bound, and the smallest one is returned together with its
+    duals.
     """
     n = layer.in_dim
     q_k, q_k_lin = as_quadratic(lam_k, n)
@@ -302,9 +303,13 @@ def inner_quadratic_bound(
         params = params - lr * blocks[4]
         params[n:] = np.maximum(params[n:], 0.0)
 
+    # a search that kept the zero start would only repeat its solve
+    starts = [(zeros, zeros, zeros)]
+    if best_params.any():
+        starts.append(np.split(best_params, 3))
     best_val = math.inf
     best = None
-    for z, zp, zm in ((zeros, zeros, zeros), np.split(best_params, 3)):
+    for z, zp, zm in starts:
         val, kap = bound_at(z, zp, zm)
         if val < best_val:
             best_val = val

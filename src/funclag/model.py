@@ -13,8 +13,10 @@ raw inputs enter an affine map directly.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -54,11 +56,22 @@ def _as_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+# A weight kind owns its semantics: the first two moments the dual reads
+# (``mean``, ``variance``), the bounded ``support`` the boxes read, the
+# truncated ``sample`` of the public forward passes and the untruncated
+# ``realize`` of the attack.  ``noise`` names the shared block of draws
+# ``realize`` takes its entries from (None: deterministic, draws nothing), and
+# ``truncation`` the Gaussian cut in standard deviations (None: no tail).
+
+
 @dataclass(frozen=True)
 class Deterministic:
     """A point-mass weight: always equal to ``values``."""
 
     values: np.ndarray
+
+    noise = None
+    truncation = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_array(self.values, "values"))
@@ -67,7 +80,25 @@ class Deterministic:
     def shape(self):
         return self.values.shape
 
+    @property
+    def mean(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def variance(self) -> np.ndarray:
+        return np.zeros_like(self.values)
+
+    @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values, self.values
+
+    def is_point_mass(self) -> bool:
+        return True
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.values
+
+    def realize(self, noise) -> np.ndarray:
         return self.values
 
 
@@ -86,10 +117,14 @@ class DiagonalGaussian:
     stddev: np.ndarray
     truncation: float = 3.0
 
+    noise = "normal"
+
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_array(self.mean, "mean"))
         object.__setattr__(self, "stddev", _as_array(self.stddev, "stddev"))
-        object.__setattr__(self, "truncation", float(self.truncation))
+        if isinstance(self.truncation, bool):
+            raise ValueError("truncation must be a number, not a boolean")
+        object.__setattr__(self, "truncation", float(_as_array(self.truncation, "truncation", 0)))
         if self.stddev.shape != self.mean.shape:
             raise ShapeError("mean and stddev must share one shape")
         if np.any(self.stddev < 0):
@@ -101,6 +136,18 @@ class DiagonalGaussian:
     def shape(self):
         return self.mean.shape
 
+    @property
+    def variance(self) -> np.ndarray:
+        return self.stddev**2
+
+    @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        radius = self.truncation * self.stddev
+        return self.mean - radius, self.mean + radius
+
+    def is_point_mass(self) -> bool:
+        return bool(np.all(self.stddev == 0))
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         draw = rng.normal(self.mean, self.stddev)
         radius = self.truncation * self.stddev
@@ -110,6 +157,10 @@ class DiagonalGaussian:
             draw = np.where(bad, redraw, draw)
             bad = np.abs(draw - self.mean) > radius
         return draw
+
+    def realize(self, noise: np.ndarray) -> np.ndarray:
+        """Untruncated draws from standard-normal ``noise`` of shape (take, *shape)."""
+        return self.mean + self.stddev * noise
 
 
 @dataclass(frozen=True)
@@ -123,6 +174,9 @@ class Dropout:
     values: np.ndarray
     keep: np.ndarray
 
+    noise = "uniform"
+    truncation = None
+
     def __post_init__(self):
         object.__setattr__(self, "values", _as_array(self.values, "values"))
         object.__setattr__(self, "keep", _as_array(self.keep, "keep"))
@@ -135,44 +189,38 @@ class Dropout:
     def shape(self):
         return self.values.shape
 
+    @property
+    def mean(self) -> np.ndarray:
+        return self.values * self.keep
+
+    @property
+    def variance(self) -> np.ndarray:
+        return self.values**2 * self.keep * (1.0 - self.keep)
+
+    @property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hull of {0, value}, collapsing at keep = 0 or keep = 1."""
+        lo = np.where(self.keep == 1.0, self.values, np.minimum(self.values, 0.0))
+        hi = np.where(self.keep == 1.0, self.values, np.maximum(self.values, 0.0))
+        return np.where(self.keep == 0.0, 0.0, lo), np.where(self.keep == 0.0, 0.0, hi)
+
+    def is_point_mass(self) -> bool:
+        return bool(np.all((self.keep == 0) | (self.keep == 1)))
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         mask = rng.random(self.values.shape) < self.keep
         return self.values * mask
 
+    def realize(self, noise: np.ndarray) -> np.ndarray:
+        """Masked values from uniform ``noise`` of shape (take, *shape)."""
+        return self.values * (noise < self.keep)
+
 
 WeightDistribution = Union[Deterministic, DiagonalGaussian, Dropout]
 
-
-def weight_mean(dist: WeightDistribution) -> np.ndarray:
-    """First moment, entrywise."""
-    if isinstance(dist, Deterministic):
-        return dist.values
-    if isinstance(dist, DiagonalGaussian):
-        return dist.mean
-    if isinstance(dist, Dropout):
-        return dist.values * dist.keep
-    raise TypeError(f"unknown weight distribution {type(dist).__name__}")
-
-
-def weight_variance(dist: WeightDistribution) -> np.ndarray:
-    """Second central moment, entrywise."""
-    if isinstance(dist, Deterministic):
-        return np.zeros_like(dist.values)
-    if isinstance(dist, DiagonalGaussian):
-        return dist.stddev**2
-    if isinstance(dist, Dropout):
-        return dist.values**2 * dist.keep * (1.0 - dist.keep)
-    raise TypeError(f"unknown weight distribution {type(dist).__name__}")
-
-
-def is_deterministic(dist: WeightDistribution) -> bool:
-    if isinstance(dist, Deterministic):
-        return True
-    if isinstance(dist, DiagonalGaussian):
-        return bool(np.all(dist.stddev == 0))
-    if isinstance(dist, Dropout):
-        return bool(np.all((dist.keep == 0) | (dist.keep == 1)))
-    raise TypeError(f"unknown weight distribution {type(dist).__name__}")
+# the kind name each class is serialized under
+_KIND_CLASSES = {"deterministic": Deterministic, "gaussian": DiagonalGaussian, "dropout": Dropout}
+_KIND_NAMES = {cls: name for name, cls in _KIND_CLASSES.items()}
 
 
 @dataclass(frozen=True)
@@ -207,7 +255,7 @@ class CanonicalLayer:
         return np.maximum(x, 0.0) if self.activation == "relu" else x
 
     def is_deterministic(self) -> bool:
-        return is_deterministic(self.weights) and is_deterministic(self.bias)
+        return self.weights.is_point_mass() and self.bias.is_point_mass()
 
 
 @dataclass(frozen=True)
@@ -254,13 +302,6 @@ class CanonicalNetwork:
 
 # --- JSON model format -------------------------------------------------
 
-_WEIGHT_KEYS = {
-    "deterministic": {"kind", "values"},
-    "gaussian": {"kind", "mean", "stddev", "truncation"},
-    "dropout": {"kind", "values", "keep"},
-}
-
-
 def _check_keys(obj: dict, expected: set, what: str) -> None:
     keys = set(obj)
     missing = expected - keys
@@ -272,24 +313,29 @@ def _check_keys(obj: dict, expected: set, what: str) -> None:
 
 
 def _weights_from_dict(obj, ndim: int, what: str) -> WeightDistribution:
+    """A weight object: its ``kind`` name plus exactly the fields of that kind."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be an object")
     kind = obj.get("kind")
-    if kind not in _WEIGHT_KEYS:
-        raise SchemaError(f"{what}: kind must be one of {sorted(_WEIGHT_KEYS)}")
-    _check_keys(obj, _WEIGHT_KEYS[kind], what)
-    if kind == "deterministic":
-        return Deterministic(values=_as_array(obj["values"], what, ndim))
-    if kind == "gaussian":
-        return DiagonalGaussian(
-            mean=_as_array(obj["mean"], what, ndim),
-            stddev=_as_array(obj["stddev"], what, ndim),
-            truncation=float(obj["truncation"]),
-        )
-    return Dropout(
-        values=_as_array(obj["values"], what, ndim),
-        keep=_as_array(obj["keep"], what, ndim),
-    )
+    cls = _KIND_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"{what}: kind must be one of {sorted(_KIND_CLASSES)}")
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, {"kind", *names}, what)
+    try:
+        dist = cls(**{name: obj[name] for name in names})
+    except (ShapeError, ValueError) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+    if len(dist.shape) != ndim:
+        raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {dist.shape}")
+    return dist
+
+
+def _weights_to_dict(dist: WeightDistribution) -> dict:
+    return {
+        "kind": _KIND_NAMES[type(dist)],
+        **{f.name: np.asarray(getattr(dist, f.name)).tolist() for f in fields(dist)},
+    }
 
 
 def load_model(path) -> CanonicalNetwork:
@@ -338,33 +384,20 @@ def load_model(path) -> CanonicalNetwork:
 
 def model_to_dict(net: CanonicalNetwork) -> dict:
     """Inverse of :func:`load_model`: dump a network to its JSON document."""
-
-    def weight_dict(dist: WeightDistribution) -> dict:
-        if isinstance(dist, Deterministic):
-            return {"kind": "deterministic", "values": dist.values.tolist()}
-        if isinstance(dist, DiagonalGaussian):
-            return {
-                "kind": "gaussian",
-                "mean": dist.mean.tolist(),
-                "stddev": dist.stddev.tolist(),
-                "truncation": dist.truncation,
-            }
-        return {"kind": "dropout", "values": dist.values.tolist(), "keep": dist.keep.tolist()}
-
     return {
         "input_dim": net.input_dim,
         "layers": [
             {
                 "activation": layer.activation,
-                "weights": weight_dict(layer.weights),
-                "bias": weight_dict(layer.bias),
+                "weights": _weights_to_dict(layer.weights),
+                "bias": _weights_to_dict(layer.bias),
             }
             for layer in net.layers
         ],
     }
 
 
-# --- sampling ----------------------------------------------------------
+# --- forward passes ----------------------------------------------------
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -372,6 +405,57 @@ def softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def forward(layers, h: np.ndarray, weights) -> np.ndarray:
+    """Outputs of ``layers`` at the rows of ``h`` (..., N, in) under realized weights.
+
+    ``weights`` holds one realized (W, b) pair per layer, from
+    :func:`mean_weights`, :func:`draw_weights` or :func:`sample_weights`.
+    A pair is either one (out, in) matrix and (out,) vector applied to
+    every row, or a stack of ``take`` draws, (take, out, in) and
+    (take, out), each applied to every row of its slice of ``h``.
+    """
+    out = h
+    for layer, (w, b) in zip(layers, weights):
+        out = layer.apply_activation(out) @ w.swapaxes(-1, -2) + b[..., np.newaxis, :]
+    return out
+
+
+def mean_weights(layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The mean (W, b) of every layer."""
+    return [(layer.weights.mean, layer.bias.mean) for layer in layers]
+
+
+def sample_weights(layers, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One truncated draw of every (W, b), tensor by tensor in layer order."""
+    return [(layer.weights.sample(rng), layer.bias.sample(rng)) for layer in layers]
+
+
+def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
+    """``take`` untruncated draws of every (W, b), stacked on a leading axis.
+
+    One standard-normal block covers the Gaussian entries of all draws,
+    draw by draw in layer order (weights before bias), and one uniform
+    block the dropout entries; a deterministic tensor draws nothing and
+    stays unstacked.  So when ``layers`` hold one kind of stochastic tensor,
+    ``rng`` is consumed exactly as by ``take`` successive draws of one
+    tensor at a time.  Gaussian draws are deliberately *not* truncated:
+    an estimate over them targets exactly the expectation semantics of
+    the closed forms the dual bounds, making weak duality an identity
+    rather than an approximation.
+    """
+    tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
+    blocks = {}
+    for noise, draw in (("normal", rng.standard_normal), ("uniform", rng.random)):
+        sizes = [math.prod(dist.shape) for dist in tensors if dist.noise == noise]
+        block = draw((take, sum(sizes)))
+        blocks[noise] = iter(np.split(block, list(itertools.accumulate(sizes))[:-1], axis=1))
+    realized = iter([
+        dist.realize(next(blocks[dist.noise]).reshape((take, *dist.shape)) if dist.noise else None)
+        for dist in tensors
+    ])
+    return list(zip(realized, realized))
 
 
 def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
@@ -384,16 +468,8 @@ def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
-    return _sampled_forward(net, x, np.random.default_rng(seed))
-
-
-def _sampled_forward(net: CanonicalNetwork, x: np.ndarray, rng) -> np.ndarray:
-    out = x
-    for layer in net.layers:
-        w = layer.weights.sample(rng)
-        b = layer.bias.sample(rng)
-        out = w @ layer.apply_activation(out) + b
-    return out
+    rng = np.random.default_rng(seed)
+    return forward(net.layers, x[np.newaxis], sample_weights(net.layers, rng))[0]
 
 
 def mean_softmax_estimate(
@@ -407,10 +483,10 @@ def mean_softmax_estimate(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
+    rows = np.asarray(x, dtype=float)[np.newaxis]
     probs = np.empty((n_samples, net.output_dim))
     for i in range(n_samples):
-        probs[i] = softmax(_sampled_forward(net, x, rng))
+        probs[i] = softmax(forward(net.layers, rows, sample_weights(net.layers, rng)))[0]
     mean = probs.mean(axis=0)
     if n_samples == 1 or net.is_deterministic():
         stderr = np.zeros(net.output_dim)

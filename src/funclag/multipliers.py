@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import CanonicalLayer, weight_mean, weight_variance
+from .model import CanonicalLayer
 
 
 class UnsupportedCombination(Exception):
@@ -133,10 +133,8 @@ def expected_quadratic_coeffs(
     enter; the variance terms contribute to the diagonal of M and to c0
     because weight entries are independent.
     """
-    w_mean = weight_mean(layer.weights)
-    w_var = weight_variance(layer.weights)
-    b_mean = weight_mean(layer.bias)
-    b_var = weight_variance(layer.bias)
+    w_mean, w_var = layer.weights.mean, layer.weights.variance
+    b_mean, b_var = layer.bias.mean, layer.bias.variance
     diag_q = np.diag(Q)
     M = w_mean.T @ Q @ w_mean + np.diag(w_var.T @ diag_q)
     m = w_mean.T @ (q + Q @ b_mean)
@@ -151,10 +149,8 @@ def expected_quadratic_coeffs_adjoint(
 
     c0 enters with weight one, as it does in every bound built on it.
     """
-    w_mean = weight_mean(layer.weights)
-    w_var = weight_variance(layer.weights)
-    b_mean = weight_mean(layer.bias)
-    b_var = weight_variance(layer.bias)
+    w_mean, w_var = layer.weights.mean, layer.weights.variance
+    b_mean, b_var = layer.bias.mean, layer.bias.variance
     grad_q_mat = (
         w_mean @ grad_big_m @ w_mean.T
         + np.diag(w_var @ np.diag(grad_big_m))

@@ -10,7 +10,6 @@ against live with the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -21,8 +20,10 @@ from .model import (
     Deterministic,
     DiagonalGaussian,
     Dropout,
+    draw_weights,
+    forward,
+    mean_weights,
     softmax,
-    weight_mean,
 )
 from .specs import (
     BoxOfDeltas,
@@ -128,77 +129,6 @@ def random_problem(
 _ROW_BUDGET = 1024
 
 
-def _draw_untruncated_batch(dist, rng, n):
-    """(n, *dist.shape) weight realizations.
-
-    Deterministic weights draw nothing; the batch broadcasts them.
-    """
-    shape = (n,) + tuple(dist.shape)
-    if isinstance(dist, DiagonalGaussian):
-        return rng.normal(dist.mean, dist.stddev, size=shape)
-    if isinstance(dist, Dropout):
-        return dist.values * (rng.random(shape) < dist.keep)
-    return np.broadcast_to(dist.values, shape)
-
-
-def _forward_batch(layers, x: np.ndarray, rng) -> np.ndarray:
-    """Outputs of ``layers`` (logits for a whole net) for a batch of inputs.
-
-    ``rng`` None uses the mean weights; otherwise every row gets its own
-    untruncated weight draw.  Gaussian draws are deliberately *not*
-    truncated here: the sampled estimate then targets exactly the
-    expectation semantics of the closed forms the dual bounds, making
-    weak duality an identity rather than an approximation.
-    """
-    out = x
-    for layer in layers:
-        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
-        if rng is None:
-            out = s @ weight_mean(layer.weights).T + weight_mean(layer.bias)
-        else:
-            w = _draw_untruncated_batch(layer.weights, rng, s.shape[0])
-            b = _draw_untruncated_batch(layer.bias, rng, s.shape[0])
-            out = np.einsum("nij,nj->ni", w, s) + b
-    return out
-
-
-def _forward_draws(layers, h: np.ndarray, take: int, rng) -> np.ndarray:
-    """Logits (take, N, out) of the N rows of ``h`` under ``take`` weight draws.
-
-    Each draw realizes every weight tensor of ``layers`` once, untruncated
-    as in ``_forward_batch``, and applies it to all N rows.  One
-    standard-normal block covers the Gaussian entries of all draws, draw
-    by draw in layer order (weights before bias), and one uniform block
-    the dropout entries.  So when ``layers`` hold one kind of stochastic
-    tensor, ``rng`` is consumed exactly as by ``take`` successive draws
-    of one tensor at a time.
-    """
-    tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
-
-    def blocks(kind, draw):
-        sizes = [math.prod(dist.shape) for dist in tensors if isinstance(dist, kind)]
-        block = draw((take, sum(sizes)))
-        return iter(np.split(block, list(itertools.accumulate(sizes))[:-1], axis=1))
-
-    normals = blocks(DiagonalGaussian, rng.standard_normal)
-    uniforms = blocks(Dropout, rng.random)
-
-    def realize(dist):
-        shape = (take,) + tuple(dist.shape)
-        if isinstance(dist, DiagonalGaussian):
-            return dist.mean + dist.stddev * next(normals).reshape(shape)
-        if isinstance(dist, Dropout):
-            return dist.values * (next(uniforms).reshape(shape) < dist.keep)
-        return dist.values
-
-    out = h
-    for layer in layers:
-        s = np.maximum(out, 0.0) if layer.activation == "relu" else out
-        w, b = realize(layer.weights), realize(layer.bias)
-        out = s @ np.swapaxes(w, -1, -2) + (b[:, np.newaxis] if b.ndim == 2 else b)
-    return out
-
-
 def _objective_values(objective, logits: np.ndarray) -> np.ndarray:
     if isinstance(objective, LogitDiff):
         return logits[..., objective.target] - logits[..., objective.true]
@@ -216,20 +146,20 @@ def _batch_objective_estimate(net, objective, x, weight_draws, rng):
     """
     if net.is_deterministic():
         # a zero-stddev Gaussian counts as deterministic and draws nothing
-        values = _objective_values(objective, _forward_batch(net.layers, x, None))
+        values = _objective_values(objective, forward(net.layers, x, mean_weights(net.layers)))
         return values, np.zeros_like(values)
     first = next(
-        i for i, layer in enumerate(net.layers)
-        if not (isinstance(layer.weights, Deterministic) and isinstance(layer.bias, Deterministic))
+        i for i, layer in enumerate(net.layers) if layer.weights.noise or layer.bias.noise
     )
-    hidden = _forward_batch(net.layers[:first], x, None)
+    layers = net.layers[first:]
+    hidden = forward(net.layers[:first], x, mean_weights(net.layers[:first]))
     per_chunk = max(_ROW_BUDGET // x.shape[0], 1)
     total = np.zeros(x.shape[0])
     total_sq = np.zeros(x.shape[0])
     for done in range(0, weight_draws, per_chunk):
         take = min(per_chunk, weight_draws - done)
         values = _objective_values(
-            objective, _forward_draws(net.layers[first:], hidden, take, rng)
+            objective, forward(layers, hidden, draw_weights(layers, take, rng))
         )
         # cumsum adds row after row; a sum over axis 0 is pairwise for one point
         total = np.cumsum(np.vstack([total, values]), axis=0)[-1]
@@ -335,7 +265,8 @@ def _sub_gaussian_lower_bound(problem, n_samples, rng):
             values, _ = _batch_objective_estimate(net, problem.objective, x, 1, rng)
         else:
             # joint (noise, weight) draws: one weight realization per row
-            values = _objective_values(problem.objective, _forward_batch(net.layers, x, rng))
+            logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
+            values = _objective_values(problem.objective, logits[:, 0])
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return mean, stderr

@@ -17,7 +17,8 @@ from funclag.model import (
     Deterministic,
     DiagonalGaussian,
     Dropout,
-    weight_mean,
+    draw_weights,
+    forward,
 )
 from funclag.multipliers import (
     Linear,
@@ -31,7 +32,6 @@ from funclag.multipliers import (
     init_stack,
     with_params,
 )
-from funclag.oracle import _draw_untruncated_batch
 
 
 def evaluate(lam: Multiplier, y):
@@ -94,9 +94,7 @@ def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
     if x.shape != (layer.in_dim,):
         raise ValueError(f"x must have shape ({layer.in_dim},), got {x.shape}")
     s = layer.apply_activation(x)
-    w_mean = weight_mean(layer.weights)
-    b_mean = weight_mean(layer.bias)
-    mean_out = w_mean @ s + b_mean
+    mean_out = layer.weights.mean @ s + layer.bias.mean
 
     if isinstance(lam, Linear):
         return float(lam.theta @ mean_out)
@@ -127,16 +125,13 @@ def mc_expectation(
     Draws are batched, so millions of samples stay cheap.
     """
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    s = layer.apply_activation(x)
+    row = np.asarray(x, dtype=float)[np.newaxis]
     total, total_sq = 0.0, 0.0
     done = 0
     while done < n:
         take = min(100_000, n - done)
-        w = _draw_untruncated_batch(layer.weights, rng, take)
-        b = _draw_untruncated_batch(layer.bias, rng, take)
-        y = np.einsum("nij,j->ni", w, s) + b
-        values = evaluate(lam, y)
+        y = forward([layer], row, draw_weights([layer], take, rng))
+        values = evaluate(lam, np.broadcast_to(y, (take, 1, layer.out_dim))[:, 0])
         total += float(values.sum())
         total_sq += float((values**2).sum())
         done += take

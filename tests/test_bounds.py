@@ -13,8 +13,8 @@ from funclag import (
     interval_activation,
     interval_affine,
     propagate_intervals,
-    weight_support,
 )
+from funclag.model import forward, sample_weights
 from funclag.oracle import random_problem
 
 from conftest import det_layer
@@ -22,28 +22,26 @@ from conftest import det_layer
 
 class TestWeightSupport:
     def test_gaussian(self):
-        sup = weight_support(
-            DiagonalGaussian(mean=np.array([[1.0]]), stddev=np.array([[0.1]]), truncation=3.0)
-        )
-        np.testing.assert_allclose(sup.lo, [[0.7]])
-        np.testing.assert_allclose(sup.hi, [[1.3]])
+        lo, hi = DiagonalGaussian(
+            mean=np.array([[1.0]]), stddev=np.array([[0.1]]), truncation=3.0
+        ).support
+        np.testing.assert_allclose(lo, [[0.7]])
+        np.testing.assert_allclose(hi, [[1.3]])
 
     def test_dropout_hull(self):
-        sup = weight_support(Dropout(values=np.array([[-2.0]]), keep=np.array([[0.5]])))
-        np.testing.assert_allclose(sup.lo, [[-2.0]])
-        np.testing.assert_allclose(sup.hi, [[0.0]])
+        lo, hi = Dropout(values=np.array([[-2.0]]), keep=np.array([[0.5]])).support
+        np.testing.assert_allclose(lo, [[-2.0]])
+        np.testing.assert_allclose(hi, [[0.0]])
 
     def test_dropout_boundary_keeps(self):
-        sup = weight_support(
-            Dropout(values=np.array([[3.0, -1.0]]), keep=np.array([[1.0, 0.0]]))
-        )
-        np.testing.assert_allclose(sup.lo, [[3.0, 0.0]])
-        np.testing.assert_allclose(sup.hi, [[3.0, 0.0]])
+        lo, hi = Dropout(values=np.array([[3.0, -1.0]]), keep=np.array([[1.0, 0.0]])).support
+        np.testing.assert_allclose(lo, [[3.0, 0.0]])
+        np.testing.assert_allclose(hi, [[3.0, 0.0]])
 
     def test_deterministic(self):
-        sup = weight_support(Deterministic(np.array([[5.0]])))
-        np.testing.assert_allclose(sup.lo, [[5.0]])
-        np.testing.assert_allclose(sup.hi, [[5.0]])
+        lo, hi = Deterministic(np.array([[5.0]])).support
+        np.testing.assert_allclose(lo, [[5.0]])
+        np.testing.assert_allclose(hi, [[5.0]])
 
 
 class TestIntervalAffine:
@@ -103,13 +101,10 @@ class TestPropagate:
             bounds = propagate_intervals(net, box)
             rng = np.random.default_rng(seed + 1000)
             for trial in range(1_700):
-                x = box.lo + rng.random(net.input_dim) * (box.hi - box.lo)
-                out = x
-                wrng = np.random.default_rng((seed, trial))
-                for k, layer in enumerate(net.layers):
-                    w = layer.weights.sample(wrng)
-                    b = layer.bias.sample(wrng)
-                    out = w @ layer.apply_activation(out) + b
+                out = box.lo + rng.random((1, net.input_dim)) * (box.hi - box.lo)
+                weights = sample_weights(net.layers, np.random.default_rng((seed, trial)))
+                for k in range(net.depth):
+                    out = forward(net.layers[k : k + 1], out, weights[k : k + 1])
                     assert bounds.box(k + 1).contains(out, tol=0.0)
 
     def test_monotone_in_input_box(self):

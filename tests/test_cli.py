@@ -256,6 +256,24 @@ class TestVerify:
         assert "two outputs" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    @pytest.mark.parametrize("truncation", [math.inf, True], ids=["infinite", "boolean"])
+    def test_bad_truncation_exits_two(self, tmp_path, command, truncation):
+        model = {"input_dim": 1, "layers": [{
+            "activation": "identity",
+            "weights": {"kind": "gaussian", "mean": [[1.0], [2.0]], "stddev": [[0.0], [0.0]],
+                        "truncation": truncation},
+            "bias": {"kind": "deterministic", "values": [0.0, 0.0]},
+        }]}
+        model_path = tmp_path / "truncation.json"
+        model_path.write_text(json.dumps(model))
+        spec = write_spec(tmp_path, type="adversarial", input=[0.5], true_label=0)
+        out = tmp_path / "out.json"
+        result = run_cli([command, "--model", str(model_path), "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot load model" in result.output and "truncation" in result.output
+        assert not out.exists()
+
     def test_threads_option_is_gone(self, tmp_path):
         spec = write_spec(tmp_path)
         result = CliRunner().invoke(
@@ -405,6 +423,23 @@ class TestBounds:
         run_cli(["bounds", "--model", str(model_path), "--spec", spec, "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["layers"][2] == [[0.0, 0.0]]
+
+    def test_boxes_past_the_finite_range_exit_two(self, tmp_path):
+        layer = {
+            "weights": {"kind": "deterministic", "values": [[1e200]]},
+            "bias": {"kind": "deterministic", "values": [0.0]},
+        }
+        model = {"input_dim": 1, "layers": [
+            {"activation": "identity", **layer}, {"activation": "relu", **layer},
+        ]}
+        model_path = tmp_path / "huge.json"
+        model_path.write_text(json.dumps(model))
+        spec = write_spec(tmp_path, input=[0.5])
+        out = tmp_path / "bounds.json"
+        result = run_cli(["bounds", "--model", str(model_path), "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: interval endpoints must be finite" in result.output
+        assert not out.exists()
 
     def test_sampled_activations_inside_dumped_boxes(self, tmp_path):
         spec = write_spec(tmp_path)

@@ -88,10 +88,8 @@ class TestInnerLinear:
             box = Interval(lo, lo + 1.5 * rng.random(2) + 0.1)
             res = inner_linear(layer, lam_k, lam_n, box)
             # grid oracle over x at 1e-3 resolution
-            from funclag.model import weight_mean
-
-            w_mean = weight_mean(layer.weights)
-            b_mean = weight_mean(layer.bias)
+            w_mean = layer.weights.mean
+            b_mean = layer.bias.mean
             xs = np.linspace(box.lo[0], box.hi[0], 1001)
             ys = np.linspace(box.lo[1], box.hi[1], 1001)
             X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -9,6 +9,7 @@ from funclag import (
     CanonicalNetwork,
     Deterministic,
     DiagonalGaussian,
+    Dropout,
     ParseError,
     SchemaError,
     ShapeError,
@@ -54,15 +55,26 @@ class TestLoadModel:
         assert net.output_dim == 2
         assert model_to_dict(net) == two_layer_doc()
 
-    def test_negative_stddev_rejected(self, tmp_path):
+    def test_weight_of_the_wrong_rank_rejected(self, tmp_path):
+        doc = two_layer_doc()
+        doc["layers"][0]["bias"] = {"kind": "dropout", "values": [[0.0, 0.0]], "keep": [[1.0, 1.0]]}
+        with pytest.raises(ShapeError, match="layer 0 bias must be 1-dimensional"):
+            load_model(write_model(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "stddev, truncation",
+        [(-0.1, 3.0), (0.1, float("inf")), (0.1, float("nan")), (0.1, True)],
+        ids=["negative_stddev", "infinite_truncation", "nan_truncation", "boolean_truncation"],
+    )
+    def test_bad_gaussian_rejected(self, tmp_path, stddev, truncation):
         doc = two_layer_doc()
         doc["layers"][0]["weights"] = {
             "kind": "gaussian",
             "mean": [[1.0, 0.0], [0.0, 1.0]],
-            "stddev": [[0.1, 0.0], [0.0, -0.1]],
-            "truncation": 3.0,
+            "stddev": [[0.1, 0.0], [0.0, stddev]],
+            "truncation": truncation,
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="layer 0 weights"):
             load_model(write_model(tmp_path, doc))
 
     def test_keep_out_of_range_rejected(self, tmp_path):
@@ -111,6 +123,19 @@ class TestLoadModel:
         doc["layers"][0]["activation"] = "relu"
         with pytest.raises(SchemaError):
             load_model(write_model(tmp_path, doc))
+
+
+class TestWeightKinds:
+    @pytest.mark.parametrize(
+        "dist, point_mass",
+        [(Deterministic(np.ones(2)), True),
+         (DiagonalGaussian(mean=np.ones(2), stddev=np.array([0.0, 0.3])), False),
+         (DiagonalGaussian(mean=np.ones(2), stddev=np.zeros(2)), True),
+         (Dropout(values=np.ones(2), keep=np.array([0.25, 1.0])), False),
+         (Dropout(values=np.ones(2), keep=np.array([0.0, 1.0])), True)],
+    )
+    def test_point_mass(self, dist, point_mass):
+        assert dist.is_point_mass() is point_mass
 
 
 class TestForwardSample:

@@ -1,4 +1,5 @@
-"""The shipped package depends on the standard library, numpy and click only."""
+"""The shipped package depends on the standard library, numpy and click only,
+and each weight kind is the one home of its own semantics."""
 
 import ast
 import os
@@ -29,6 +30,38 @@ def test_imports_stay_inside_the_runtime_dependencies(path):
         if name not in ALLOWED and name not in sys.stdlib_module_names
     }
     assert not foreign, f"{path.relative_to(SRC)} imports {sorted(foreign)}"
+
+
+WEIGHT_KINDS = {"Deterministic", "DiagonalGaussian", "Dropout"}
+
+
+def isinstance_kind_tests(path: Path):
+    """Weight-kind names that an ``isinstance`` call in one module tests against."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            for name in ast.walk(node.args[1]):
+                if isinstance(name, ast.Name) and name.id in WEIGHT_KINDS:
+                    yield name.id
+                elif isinstance(name, ast.Attribute) and name.attr in WEIGHT_KINDS:
+                    yield name.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_dispatches_on_a_weight_kind(path):
+    # moments, support, draws and JSON are methods of the kinds themselves
+    found = sorted(set(isinstance_kind_tests(path)))
+    assert not found, f"{path.relative_to(SRC)} calls isinstance on {found}"
+
+
+def test_kind_guard_sees_a_dispatch(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(d):\n    return isinstance(d, (model.Dropout, int))\n")
+    assert list(isinstance_kind_tests(probe)) == ["Dropout"]
 
 
 def test_import_loads_no_test_dependency():
