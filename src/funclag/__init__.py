@@ -19,7 +19,6 @@ from .dual import (
     lambda_star_affine,
     optimize,
     stack_families,
-    subgradient,
 )
 from .model import (
     CanonicalLayer,

@@ -19,13 +19,12 @@ import numpy as np
 
 from .bounds import propagate_intervals
 from .dual import Certificate, OptimizerConfig, SolverOptions, optimize
-from .jsonio import decode_reals, encode_reals
+from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
 from .multipliers import UnsupportedCombination
 from .oracle import sample_lower_bound
 from .specs import (
     ConfigError,
-    SubGaussianNoise,
     adversarial_auc,
     build_problem,
     guaranteed_auc,
@@ -44,8 +43,7 @@ def _fail(message: str):
 def _all_finite(values) -> bool:
     """True for a non-empty list of finite JSON numbers."""
     return isinstance(values, list) and bool(values) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in values
+        is_real(v) and math.isfinite(v) for v in values
     )
 
 
@@ -92,9 +90,6 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
         problems = build_problem(net, spec_config)
     except ConfigError as exc:
         _fail(str(exc))
-
-    if any(isinstance(p.input_set, SubGaussianNoise) for p in problems) and family != "linexp":
-        _fail("dist_robust_ood specs require --family linexp")
 
     options = SolverOptions(softmax_grid_n=grid_n, exact_softmax_cap=exact_cap)
     config = OptimizerConfig(

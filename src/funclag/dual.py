@@ -15,10 +15,11 @@ gradient step is also a value a certificate may hold.
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
 the sub-Gaussian input bound is the one special case of position 0, and
-g_K has its own solver.  Every g_k is differentiated by one rule, the
-envelope theorem at its maximizer, except where a solver returns its
-gradients itself (the linexp input bound and a quadratic bound without
-a witness).
+g_K has its own solver.  Each solver returns the envelope (Danskin)
+gradient of its bound in the adjacent multipliers, and the dual
+gradient is their sum.  A pairing no solver supports raises
+``UnsupportedCombination``, mostly from the solvers' own coefficient
+views (``linear_coeffs``, ``as_quadratic``).
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ import numpy as np
 
 from . import inner
 from .bounds import LayerBounds, propagate_intervals
-from .inner.result import UPPER_BOUND
 from .jsonio import sha256_of
 from .model import CanonicalNetwork, StructureError, model_to_dict
 from .multipliers import (
     Linear,
     LinExp,
-    Multiplier,
     MultiplierStack,
-    Quadratic,
     UnsupportedCombination,
     get_params,
     init_stack,
@@ -72,110 +70,51 @@ class OptimizerConfig:
 
 @dataclass
 class DualEvaluation:
-    """One full dual evaluation: per-layer values and their sum."""
+    """One full dual evaluation: per-layer values, their sum and its gradient.
+
+    ``grads`` holds, per multiplier of the stack, the envelope gradient of
+    ``total`` keyed like ``get_params``.
+    """
 
     values: list[float]
     results: list[inner.InnerResult]
     total: float
-
-
-def _witness_grads(lam_prev: Multiplier, lam_next, layer, res: inner.InnerResult):
-    """Envelope gradients (grads_prev, grads_next) of g_k at its maximizer.
-
-    g_k = E[lam_next(W s(x) + b)] - lam_prev(x); g_0 has no lam_prev and
-    the final problem no lam_next (None), and a missing multiplier gets
-    None.  A linexp lam_prev enters the bound through its dual zeta as
-    alpha.x + zeta * (gamma.x + kappa).
-    """
-    witness = res.witness
-    grads_prev = None
-    if isinstance(lam_prev, LinExp):
-        zeta = res.internal_duals["zeta"]
-        grads_prev = {"alpha": -witness, "gamma": -zeta * witness, "kappa": -zeta}
-    elif isinstance(lam_prev, Linear):
-        grads_prev = {"theta": -witness}
-    elif isinstance(lam_prev, Quadratic):
-        g_q = -np.outer(witness, witness)
-        np.fill_diagonal(g_q, -0.5 * witness**2)
-        grads_prev = {"Q": g_q, "q": -witness}
-    if lam_next is None:
-        return grads_prev, None
-    s = layer.apply_activation(witness)
-    feat = layer.weights.mean @ s + layer.bias.mean
-    if isinstance(lam_next, Linear):
-        return grads_prev, {"theta": feat}
-    var = layer.weights.variance @ s**2 + layer.bias.variance
-    if isinstance(lam_next, Quadratic):
-        g_q = np.outer(feat, feat)
-        np.fill_diagonal(g_q, 0.5 * (feat**2 + var))
-        return grads_prev, {"Q": g_q, "q": feat}
-    return grads_prev, None
-
-
-def _solve_transition(lam_k, lam_next, layer, box, want_grads):
-    """max_x E[lam_next(layer(x))] - lam_k(x) over the box; lam_k is zero for g_0."""
-    if isinstance(lam_k, LinExp):
-        if not isinstance(lam_next, Linear):
-            raise UnsupportedCombination("linexp multipliers pair with linear successors")
-        return inner.inner_linexp_transition(lam_k, lam_next, layer, box), None
-    if isinstance(lam_next, LinExp):
-        raise UnsupportedCombination("linexp multipliers are input-side only")
-    if isinstance(lam_k, Linear) and isinstance(lam_next, Linear):
-        return inner.inner_linear(layer, lam_k, lam_next, box), None
-    if isinstance(lam_k, (Linear, Quadratic)) and isinstance(lam_next, (Linear, Quadratic)):
-        res = inner.inner_quadratic_bound(layer, lam_k, lam_next, box)
-        grads = None
-        if want_grads and res.witness is None:
-            _, *grads = inner.quadratic_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
-        return res, grads
-    raise UnsupportedCombination(
-        f"no middle-layer solver for ({type(lam_k).__name__}, {type(lam_next).__name__})"
-    )
+    grads: list[dict]
 
 
 def _solve_final(problem, lam_K, box, options):
     objective = problem.objective
     n = box.lo.shape[0]
     if isinstance(objective, LogitDiff):
-        if not isinstance(lam_K, Linear):
-            raise UnsupportedCombination("logit objectives need a linear final multiplier")
-        return inner.final_linear(objective.coefficients(n), lam_K, box), None
-
+        return inner.final_linear(objective.coefficients(n), lam_K, box)
     if not isinstance(lam_K, Linear):
         raise UnsupportedCombination(
             f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
         )
     m = objective.label
     if n <= options.exact_softmax_cap:
-        res = inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-    else:
-        res = inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
-    return res, None
+        return inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
+    return inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
 
 
-def _solve_problem(k, problem, stack, bounds, options, want_grads):
-    """Solve g_k: (result, explicit grads).
-
-    Explicit grads are a (grads_prev, grads_next) pair, returned only where
-    the envelope rule at the witness does not apply; otherwise None.
-    """
+def _solve_problem(k, problem, stack, bounds, options):
+    """Solve g_k; on a box input set g_0 is the transition problem with lam_0 = 0."""
     net = problem.network
     K = net.depth
     if k == K:
         return _solve_final(problem, stack[K - 1], bounds.box(K), options)
-    input_set, lam1 = problem.input_set, stack[0]
+    layer, box, lam_next = net.layers[k], bounds.box(k), stack[k]
+    input_set = problem.input_set
     if k == 0 and isinstance(input_set, SubGaussianNoise):
-        if not isinstance(lam1, LinExp):
+        if not isinstance(lam_next, LinExp):
             raise UnsupportedCombination("sub-Gaussian input sets need a linexp input multiplier")
-        args = (net.layers[0], input_set.center, input_set.sigma, lam1)
-        if want_grads:
-            value, grads_next = inner.input_param_grads(*args)
-            return inner.InnerResult(value=value, mode=UPPER_BOUND), (None, grads_next)
-        return inner.inner_linexp_input(*args), None
-    if k == 0 and isinstance(lam1, LinExp):
-        raise UnsupportedCombination("linexp input multipliers need a noise family")
-    lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros(net.layers[0].in_dim))
-    return _solve_transition(lam_k, stack[k], net.layers[k], bounds.box(k), want_grads)
+        return inner.inner_linexp_input(layer, input_set.center, input_set.sigma, lam_next)
+    lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros(layer.in_dim))
+    if isinstance(lam_k, LinExp):
+        return inner.inner_linexp_transition(lam_k, lam_next, layer, box)
+    if isinstance(lam_k, Linear) and isinstance(lam_next, Linear):
+        return inner.inner_linear(layer, lam_k, lam_next, box)
+    return inner.inner_quadratic_bound(layer, lam_k, lam_next, box)
 
 
 def evaluate_dual(
@@ -184,55 +123,24 @@ def evaluate_dual(
     bounds: LayerBounds,
     options: SolverOptions | None = None,
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack: a sound bound on the optimum."""
-    evaluation, _ = _evaluate(problem, stack, bounds, options, False)
-    return evaluation
-
-
-def _evaluate(problem, stack, bounds, options, want_grads):
+    """Evaluate the dual at a multiplier stack: a sound bound on the optimum and its gradient."""
     options = options or SolverOptions()
-    net = problem.network
-    K = net.depth
+    K = problem.network.depth
     if len(stack) != K:
         raise ValueError(f"stack has {len(stack)} multipliers, network has {K} layers")
     if len(bounds) != K + 1:
         raise ValueError("bounds do not match the network depth")
 
-    results = []
-    grads = [zero_param_grads(lam) for lam in stack.lams] if want_grads else None
-    for k in range(K + 1):
-        res, explicit = _solve_problem(k, problem, stack, bounds, options, want_grads)
-        results.append(res)
-        if not want_grads:
-            continue
-        if explicit is None and res.witness is not None:
-            lam_prev = stack[k - 1] if k > 0 else None
-            lam_next, layer = (stack[k], net.layers[k]) if k < K else (None, None)
-            explicit = _witness_grads(lam_prev, lam_next, layer, res)
-        grads_prev, grads_next = explicit or (None, None)
-        if grads_prev and k >= 1:
-            _accumulate(grads[k - 1], grads_prev)
-        if grads_next and k <= K - 1:
-            _accumulate(grads[k], grads_next)
+    results = [_solve_problem(k, problem, stack, bounds, options) for k in range(K + 1)]
+    grads = [zero_param_grads(lam) for lam in stack.lams]
+    for k, res in enumerate(results):
+        # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
+        for i, contribution in zip((k - 1, k), res.grads):
+            if contribution and 0 <= i < K:
+                for name, value in contribution.items():
+                    grads[i][name] = grads[i][name] + np.asarray(value)
     values = [res.value for res in results]
-    total = float(sum(values))
-    return DualEvaluation(values=values, results=results, total=total), grads
-
-
-def _accumulate(target: dict, contribution: dict) -> None:
-    for name, value in contribution.items():
-        target[name] = target[name] + np.asarray(value)
-
-
-def subgradient(
-    problem: VerificationProblem,
-    stack: MultiplierStack,
-    bounds: LayerBounds,
-    options: SolverOptions | None = None,
-) -> list[dict]:
-    """Envelope subgradient of the dual in the stack parameters."""
-    _, grads = _evaluate(problem, stack, bounds, options, True)
-    return grads
+    return DualEvaluation(values=values, results=results, total=float(sum(values)), grads=grads)
 
 
 # --- outer optimization ---------------------------------------------------
@@ -363,8 +271,8 @@ def optimize(
     """Gradient-based outer minimization with periodic certified values.
 
     Runs Adam on the multiplier parameters and evaluates each stack once:
-    after t updates the dual at stack_t, with its gradients while steps
-    remain, is step t+1's ``train_value``.  At step 0, every
+    after t updates the dual at stack_t is step t+1's ``train_value``,
+    and its gradient takes that step.  At step 0, every
     ``certify_every`` steps and at the last step the same value is step
     t's ``certified_value`` and updates the best sound bound; the run
     stops early as soon as that margin is non-positive.  The certificate
@@ -393,7 +301,7 @@ def optimize(
         stack = init_stack(families, [layer.out_dim for layer in net.layers])
 
     threshold = problem.threshold
-    evaluation, grads = _evaluate(problem, stack, bounds, options, config.steps > 0)
+    evaluation = evaluate_dual(problem, stack, bounds, options)
     value = _finite_total(evaluation)
     trace: list[dict] = [{"step": 0, "train_value": value, "certified_value": value}]
     best_margin = value - threshold
@@ -408,12 +316,11 @@ def optimize(
                 lr = config.lr * (0.1 ** (step // config.decay_every))
                 entry = {"step": step, "train_value": value, "certified_value": None}
                 try:
-                    params = adam.step(params, grads, lr)
+                    params = adam.step(params, evaluation.grads, lr)
                     stack = MultiplierStack(
                         lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
                     )
-                    last = step == config.steps
-                    evaluation, grads = _evaluate(problem, stack, bounds, options, not last)
+                    evaluation = evaluate_dual(problem, stack, bounds, options)
                     value = _finite_total(evaluation)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
                     # a diverging run keeps the sound bound it already has
@@ -424,7 +331,7 @@ def optimize(
                         stacklevel=2,
                     )
                     break
-                if step % config.certify_every == 0 or last:
+                if step % config.certify_every == 0 or step == config.steps:
                     entry["certified_value"] = value
                     if value - threshold < best_margin:
                         best_margin = value - threshold

@@ -6,7 +6,9 @@ problem decomposes into independent scalar problems
     max_{z in [l, u]}  a * s(z) - b * z
 
 whose maximum sits at an interval end point or, for relu, at the kink.
-These solves are exact for deterministic and stochastic layers alike.
+These solves are exact for deterministic and stochastic layers alike,
+and the envelope gradient at the witness x is -x for lam_k and the mean
+successor input E[W s(x) + b] for lam_next.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ def activation_linear_max(a, b, lo, hi, activation: str) -> tuple[np.ndarray, np
     return best_v, best_z
 
 
+def mean_output(layer: CanonicalLayer, x: np.ndarray) -> np.ndarray:
+    """E[W s(x) + b]: the layer output at x under the mean weights."""
+    return layer.weights.mean @ layer.apply_activation(x) + layer.bias.mean
+
+
 def inner_linear(
     layer: CanonicalLayer,
     lam_k: Multiplier,
@@ -68,7 +75,8 @@ def inner_linear(
     total = float(theta_next @ layer.bias.mean)
     for v in values.tolist():
         total += v
-    return InnerResult(value=total, mode=EXACT, witness=witness)
+    grads = ({"theta": -witness}, {"theta": mean_output(layer, witness)})
+    return InnerResult(value=total, mode=EXACT, witness=witness, grads=grads)
 
 
 def final_linear(c, lam_k: Multiplier, box: Interval) -> InnerResult:
@@ -79,4 +87,4 @@ def final_linear(c, lam_k: Multiplier, box: Interval) -> InnerResult:
     at_hi = d * box.hi
     witness = np.where(at_hi > at_lo, box.hi, box.lo)
     value = float(np.maximum(at_lo, at_hi).sum())
-    return InnerResult(value=value, mode=EXACT, witness=witness)
+    return InnerResult(value=value, mode=EXACT, witness=witness, grads=({"theta": -witness}, None))

@@ -29,14 +29,22 @@ import numpy as np
 from ..bounds import Interval
 from ..model import CanonicalLayer
 from ..multipliers import LinExp, Multiplier, linear_coeffs
-from .linear import activation_candidates, activation_linear_max
+from .linear import activation_candidates, activation_linear_max, mean_output
 from .result import UPPER_BOUND, InnerResult
 
 _ZETA_LOG_CAP = 45.0  # zeta stays below e^45, where the bound is finite; any zeta is sound
 
 
-def _input_bound(layer: CanonicalLayer, center, sigma: float, lam1: LinExp):
-    """(value, nominal W mu + b, exponential term, W'g) of the input bound."""
+def inner_linexp_input(
+    layer: CanonicalLayer,
+    center: np.ndarray,
+    sigma: float,
+    lam1: LinExp,
+) -> InnerResult:
+    """Sound bound on the input problem for sub-Gaussian noise families.
+
+    The bound is smooth in (alpha, gamma, kappa), so its gradient is exact.
+    """
     if not layer.is_deterministic():
         raise ValueError("input-layer linexp bound requires a deterministic first layer")
     if layer.activation != "identity":
@@ -46,34 +54,10 @@ def _input_bound(layer: CanonicalLayer, center, sigma: float, lam1: LinExp):
     wtg = w.T @ lam1.gamma
     exponent = 0.5 * sigma**2 * float(wtg @ wtg) + float(lam1.gamma @ nominal) + lam1.kappa
     e = math.exp(exponent)
-    return float(lam1.alpha @ nominal) + e, nominal, e, wtg
-
-
-def inner_linexp_input(
-    layer: CanonicalLayer,
-    center: np.ndarray,
-    sigma: float,
-    lam1: LinExp,
-) -> InnerResult:
-    """Sound bound on the input problem for sub-Gaussian noise families."""
-    value, *_ = _input_bound(layer, center, sigma, lam1)
-    return InnerResult(value=value, mode=UPPER_BOUND)
-
-
-def input_param_grads(
-    layer: CanonicalLayer,
-    center: np.ndarray,
-    sigma: float,
-    lam1: LinExp,
-) -> tuple[float, dict]:
-    """Value and exact gradients of the input bound in (alpha, gamma, kappa)."""
-    value, nominal, e, wtg = _input_bound(layer, center, sigma, lam1)
-    grads = {
-        "alpha": nominal,
-        "gamma": e * (sigma**2 * (layer.weights.mean @ wtg) + nominal),
-        "kappa": e,
-    }
-    return value, grads
+    grads = {"alpha": nominal, "gamma": e * (sigma**2 * (w @ wtg) + nominal), "kappa": e}
+    return InnerResult(
+        value=float(lam1.alpha @ nominal) + e, mode=UPPER_BOUND, grads=(None, grads)
+    )
 
 
 def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> tuple[np.ndarray, float]:
@@ -133,7 +117,13 @@ def inner_linexp_transition(
     zetas = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
     values, witness = transition_bound_at_zeta(lam1, lam2, layer, box, zetas)
     best = int(np.argmin(values))
+    # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
+    x, zeta = witness[best], float(zetas[best])
+    grads = (
+        {"alpha": -x, "gamma": -zeta * x, "kappa": -zeta},
+        {"theta": mean_output(layer, x)},
+    )
     return InnerResult(
-        value=values[best], mode=UPPER_BOUND, witness=witness[best],
-        internal_duals={"zeta": float(zetas[best])},
+        value=values[best], mode=UPPER_BOUND, witness=x, grads=grads,
+        internal_duals={"zeta": zeta},
     )

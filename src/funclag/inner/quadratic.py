@@ -259,72 +259,73 @@ def inner_quadratic_bound(
     """Sound bound on the quadratic-multiplier layer problem.
 
     When both quadratic blocks vanish the problem is linear and the exact
-    per-coordinate closed form is returned instead.  Otherwise the relu
-    penalties (zeta, zeta_plus, zeta_minus) take a few subgradient steps
-    from zero, tracked by the Danskin surrogate.  The zero penalties and
-    the best iterate, when it moved off zero, each get a few shift-vector
-    steps from kappa = 0 and a certified value; every such value is a
-    valid bound, and the smallest one is returned together with its
-    duals.
+    per-coordinate closed form is returned instead.  Otherwise, on a relu
+    layer, the penalties (zeta, zeta_plus, zeta_minus) take a few
+    subgradient steps from zero, tracked by the Danskin surrogate.  The
+    zero penalties and the best iterate, when it moved off zero, each get
+    a few shift-vector steps from kappa = 0 and a certified value; every
+    such value is a valid bound, and the smallest one is returned
+    together with its duals and the surrogate's gradients at them.
     """
     n = layer.in_dim
     q_k, q_k_lin = as_quadratic(lam_k, n)
     q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
     if not q_k.any() and not q_n.any():
-        return inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
-
-    def bound_at(z, zp, zm):
-        h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, zp, zm)
-        return qp_box_bound(h, g, c0)
+        return _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin)
 
     zeros = np.zeros(n)
-    if layer.activation == "identity":
-        value, kappa = bound_at(zeros, zeros, zeros)
-        return InnerResult(
-            value=value,
-            mode=UPPER_BOUND,
-            internal_duals={"zeta": zeros, "zeta_plus": zeros, "zeta_minus": zeros, "kappa": kappa},
-        )
-
-    # the penalty search is tracked by the cheap Danskin surrogate; only
-    # the zero start and the winning iterate get a certified evaluation
-    params = np.zeros(3 * n)
-    best_params = params.copy()
-    best_est = math.inf
-    scale = max(1.0, float(np.max(np.abs(q_k))) if q_k.size else 1.0, float(np.max(np.abs(q_n))) if q_n.size else 1.0)
-    for t in range(_PENALTY_STEPS):
-        est, blocks = _danskin(
-            layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], None
-        )
-        if est < best_est:
-            best_est = est
-            best_params = params.copy()
-        lr = 0.3 * scale / (1.0 + 0.2 * t)
-        params = params - lr * blocks[4]
-        params[n:] = np.maximum(params[n:], 0.0)
-
-    # a search that kept the zero start would only repeat its solve
     starts = [(zeros, zeros, zeros)]
-    if best_params.any():
-        starts.append(np.split(best_params, 3))
+    if layer.activation == "relu":
+        # the penalty search is tracked by the cheap Danskin surrogate; only
+        # the zero start and the winning iterate get a certified evaluation
+        params = np.zeros(3 * n)
+        best_params = params.copy()
+        best_est = math.inf
+        scale = float(max(1.0, np.abs(q_k).max(initial=0.0), np.abs(q_n).max(initial=0.0)))
+        for t in range(_PENALTY_STEPS):
+            est, blocks = _danskin(
+                layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], None
+            )
+            if est < best_est:
+                best_est = est
+                best_params = params.copy()
+            lr = 0.3 * scale / (1.0 + 0.2 * t)
+            params = params - lr * blocks[4]
+            params[n:] = np.maximum(params[n:], 0.0)
+        # a search that kept the zero start would only repeat its solve
+        if best_params.any():
+            starts.append(np.split(best_params, 3))
+
     best_val = math.inf
     best = None
     for z, zp, zm in starts:
-        val, kap = bound_at(z, zp, zm)
+        h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, zp, zm)
+        val, kap = qp_box_bound(h, g, c0)
         if val < best_val:
             best_val = val
             best = (z, zp, zm, kap)
-    zeta, zeta_plus, zeta_minus, kappa = best
+    duals = dict(zip(("zeta", "zeta_plus", "zeta_minus", "kappa"), best))
     return InnerResult(
         value=best_val,
         mode=UPPER_BOUND,
-        internal_duals={
-            "zeta": zeta,
-            "zeta_plus": zeta_plus,
-            "zeta_minus": zeta_minus,
-            "kappa": kappa,
-        },
+        grads=_param_grads(layer, lam_k, lam_next, box, duals),
+        internal_duals=duals,
     )
+
+
+def _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin) -> InnerResult:
+    """The exact linear solve at Q = 0, its gradients mapped onto both multipliers:
+    at the witness x, -(0.5 x x', x) for lam_k and (0.5 (E[y] E[y]' + diag Var[y]),
+    E[y]) for lam_next, with y = W s(x) + b."""
+    res = inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
+    x = res.witness
+    feat = res.grads[1]["theta"]
+    var = layer.weights.variance @ layer.apply_activation(x) ** 2 + layer.bias.variance
+    res.grads = (
+        as_quadratic_adjoint(lam_k, -0.5 * np.outer(x, x), res.grads[0]["theta"]),
+        as_quadratic_adjoint(lam_next, 0.5 * (np.outer(feat, feat) + np.diag(var)), feat),
+    )
+    return res
 
 
 def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
@@ -350,27 +351,26 @@ def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
     return value, _assembly_adjoint(layer, grad_h, grad_g)
 
 
-def quadratic_param_grads(
+def _param_grads(
     layer: CanonicalLayer,
     lam_k: Multiplier,
     lam_next: Multiplier,
     box: Interval,
     duals: dict,
-) -> tuple[float, dict, dict]:
-    """Bound value plus Danskin gradients in both multipliers' parameters.
+) -> tuple[dict, dict]:
+    """Danskin gradients of the bound in both multipliers' parameters.
 
     The gradient is the surrogate's of ``_danskin`` at the frozen
     internal duals, mapped onto lam_k through its (Q, q) and onto
     lam_next through the expected coefficients of E[lam_next].
     """
     zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
-    value, blocks = _danskin(
+    _, blocks = _danskin(
         layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, duals.get("kappa")
     )
     grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = blocks
     grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
     return (
-        float(value),
         as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
         as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
     )

@@ -17,17 +17,20 @@ class InnerResult:
     ``mode`` states the guarantee: ``exact`` results carry a feasible
     witness attaining the value, and ``upper_bound`` results dominate the
     true maximum by construction; no other kind of result exists, so any
-    value may enter a certificate.  An ``upper_bound`` witness, where one
-    is given, maximizes the relaxation the bound evaluates, so the
-    envelope gradient applies to it.  ``internal_duals`` records the
-    auxiliary dual parameters (zeta, nu, kappa, ...) a bound construction
-    used, so the same bound can be re-evaluated at perturbed duals; no
-    solver reads them back, so a result depends on its inputs alone.
+    value may enter a certificate.  ``grads`` is (grads_prev, grads_next),
+    the envelope (Danskin) gradient of ``value`` in the parameters of
+    (lam_k, lam_next) at the maximizer of the relaxation the solver
+    bounded, each a dict keyed like ``get_params`` and None for a side
+    without a multiplier.  ``internal_duals`` records the auxiliary dual
+    parameters (zeta, nu, kappa, ...) a bound construction used, so the
+    same bound can be re-evaluated at perturbed duals; no solver reads
+    them back, so a result depends on its inputs alone.
     """
 
     value: float
     mode: str
     witness: np.ndarray | None = None
+    grads: tuple[dict | None, dict | None] = (None, None)
     internal_duals: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -190,5 +190,6 @@ def final_softmax_affine_bound(
         value=totals[i],
         mode=UPPER_BOUND,
         witness=points[i],
+        grads=({"theta": -points[i]}, None),
         internal_duals={"nu": nus, "t_grid": grid},
     )

@@ -325,4 +325,4 @@ def final_softmax_exact(
             value = _objective(m, lin, trial)
             if value > best_f:
                 best_f, best_x = value, trial
-    return InnerResult(value=best_f, mode=EXACT, witness=best_x)
+    return InnerResult(value=best_f, mode=EXACT, witness=best_x, grads=({"theta": -best_x}, None))

@@ -13,6 +13,21 @@ import json
 import numpy as np
 
 
+def is_real(value) -> bool:
+    """A JSON number or numpy real scalar; a bool (an int subclass) or a string is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def all_reals(value) -> bool:
+    """True for a real or nested lists of reals, checked entry by entry (``[0.5, true]``
+    converts to a float array); a numpy array passes on an integer or float dtype."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(all_reals(v) for v in value)
+    return is_real(value)
+
+
 def encode_reals(obj):
     """Recursively replace floats (and numpy arrays) by hex-float strings."""
     if isinstance(obj, bool):

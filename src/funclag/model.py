@@ -22,6 +22,8 @@ from typing import Union
 
 import numpy as np
 
+from .jsonio import all_reals, is_real
+
 
 class ModelError(Exception):
     """Base class for model construction and loading failures."""
@@ -47,6 +49,8 @@ _ACTIVATIONS = ("identity", "relu")
 
 
 def _as_array(values, what: str, ndim: int | None = None) -> np.ndarray:
+    if not all_reals(values):
+        raise ValueError(f"{what} must hold numbers, not booleans or strings")
     arr = np.asarray(values, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
@@ -122,8 +126,6 @@ class DiagonalGaussian:
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_array(self.mean, "mean"))
         object.__setattr__(self, "stddev", _as_array(self.stddev, "stddev"))
-        if isinstance(self.truncation, bool):
-            raise ValueError("truncation must be a number, not a boolean")
         object.__setattr__(self, "truncation", float(_as_array(self.truncation, "truncation", 0)))
         if self.stddev.shape != self.mean.shape:
             raise ShapeError("mean and stddev must share one shape")
@@ -355,7 +357,8 @@ def load_model(path) -> CanonicalNetwork:
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     _check_keys(doc, {"input_dim", "layers"}, "model")
-    if not isinstance(doc["input_dim"], int) or doc["input_dim"] <= 0:
+    input_dim = doc["input_dim"]
+    if not (is_real(input_dim) and isinstance(input_dim, int)) or input_dim <= 0:
         raise SchemaError("input_dim must be a positive integer")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise SchemaError("layers must be a non-empty list")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Interval
+from .jsonio import all_reals
 from .model import CanonicalNetwork
 
 
@@ -146,21 +147,25 @@ _SPEC_TYPES = ("adversarial", "robust_ood", "dist_robust_ood")
 
 
 def _number(config: dict, key: str, convert=float):
-    """config[key] through ``convert``; missing, non-numeric or non-finite is a ConfigError."""
+    """config[key] through ``convert``; missing, non-numeric (a string or a boolean,
+    also inside a list) or non-finite is a ConfigError."""
+    if key not in config:
+        raise ConfigError(f"missing field {key!r}")
+    raw = config[key]
+    if not all_reals(raw):
+        raise ConfigError(f"{key} must be numeric, got {raw!r}")
     try:
-        value = convert(config[key])
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
+        value = convert(raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be numeric, got {config[key]!r}") from exc
+        raise ConfigError(f"{key} must be numeric, got {raw!r}") from exc
     if not np.all(np.isfinite(value)):
-        raise ConfigError(f"{key} must be finite, got {config[key]!r}")
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
     return value
 
 
 def _label(value) -> int:
-    """A class label; int() would read true as 1 and truncate 1.7 to 1."""
-    if isinstance(value, bool) or int(value) != float(value):
+    """A class label; int() would truncate 1.7 to 1."""
+    if int(value) != float(value):
         raise ConfigError(f"true_label must be an integer, got {value!r}")
     return int(value)
 

@@ -76,13 +76,16 @@ class TestVerify:
         assert result.exit_code == 2
 
     def test_dist_robust_requires_linexp(self, tmp_path):
+        # the dual itself rejects a sub-Gaussian input set without a linexp multiplier
         spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1)
-        result = CliRunner().invoke(
-            main,
-            ["verify", "--model", MODEL, "--spec", spec, "--family", "linear",
-             "--out", str(tmp_path / "cert.json")],
-        )
-        assert result.exit_code == 2
+        for family in ("linear", "quadratic"):
+            result = CliRunner().invoke(
+                main,
+                ["verify", "--model", MODEL, "--spec", spec, "--family", family,
+                 "--out", str(tmp_path / "cert.json")],
+            )
+            assert result.exit_code == 2
+            assert "linexp" in result.output
 
     def test_overflow_keeps_step_zero_bound(self, tmp_path):
         # lr 1000 drives the linexp input exponent past math.exp's range
@@ -122,9 +125,8 @@ class TestVerify:
         def overflow(*args, **kwargs):
             raise OverflowError("math range error")
 
-        # step 0 takes gradients when steps remain, so both input solves fail
+        # the step-0 evaluation fails in its input solve
         monkeypatch.setattr(funclag.inner, "inner_linexp_input", overflow)
-        monkeypatch.setattr(funclag.inner, "input_param_grads", overflow)
         spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.1)
         out = tmp_path / "cert.json"
         result = run_cli(
@@ -211,7 +213,10 @@ class TestVerify:
         [("epsilon", "wide"), ("input", ["a"] * 6), ("p_max", "high"), ("sigma", "small"),
          ("true_label", "first"),
          # json reads the literals NaN and Infinity; a spec must not carry them
-         ("epsilon", math.inf), ("input", [math.nan] + [0.5] * 5), ("sigma", math.inf)],
+         ("epsilon", math.inf), ("input", [math.nan] + [0.5] * 5), ("sigma", math.inf),
+         # json keeps "0.04" a string and true a bool; neither is a number
+         ("epsilon", "0.04"), ("epsilon", True), ("sigma", True), ("input", [True, False] * 3),
+         ("input", [0.5] * 5 + [True]), ("true_label", "1")],
     )
     def test_non_numeric_spec_field_exits_two(self, tmp_path, command, field, value):
         kind = {"sigma": "dist_robust_ood", "true_label": "adversarial"}.get(field, "robust_ood")

@@ -18,9 +18,8 @@ from funclag import (
     optimize,
     propagate_intervals,
     sample_lower_bound,
-    subgradient,
 )
-from funclag.dual import _evaluate, stack_families
+from funclag.dual import stack_families
 from funclag.inner.softmax_exact import box_softmax_max
 from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
@@ -116,8 +115,8 @@ class TestEvaluateDual:
 
 
 def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
-    """Central differences of the dual match ``subgradient`` entry by entry."""
-    grads = subgradient(problem, stack, bounds)
+    """Central differences of the dual match its gradient entry by entry."""
+    grads = evaluate_dual(problem, stack, bounds).grads
     for i, lam in enumerate(stack.lams):
         params = get_params(lam)
         for name, arr in params.items():
@@ -135,8 +134,7 @@ def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
                             for ii, l in enumerate(stack.lams)
                         )
                     )
-                    ev, _ = _evaluate(problem, stack2, bounds, None, False)
-                    values.append(ev.total)
+                    values.append(evaluate_dual(problem, stack2, bounds).total)
                 fd = (values[0] - values[1]) / (2.0 * h)
                 analytic = float(np.atleast_1d(np.asarray(grads[i][name])).ravel()[j])
                 assert abs(fd - analytic) <= rtol * max(1.0, abs(fd))
@@ -185,9 +183,36 @@ class TestSubgradient:
         )
         bounds = propagate_intervals(net, problem.support_box())
         stack = MultiplierStack(lams=(Linear(theta=np.zeros(2)), Linear(theta=np.zeros(2))))
-        grads = subgradient(problem, stack, bounds)
+        grads = evaluate_dual(problem, stack, bounds).grads
         for g in grads:
             np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["linear", "linexp", "quadratic", "quadratic-zero"])
+    def test_gradients_have_the_parameter_shapes(self, family):
+        # the sum broadcasts, so a misshapen solver gradient would pass into it
+        # unseen; the zero quadratic stack takes the exact-linear delegation
+        kinds = ("dist_robust_ood",) if family == "linexp" else ("adversarial", "robust_ood")
+        for seed in (0, 4, 9):
+            net, problem = random_problem(seed=seed, kinds=kinds)
+            families = stack_families(problem, family.partition("-")[0])
+            widths = [layer.out_dim for layer in net.layers]
+            if family == "quadratic-zero":
+                stack = init_stack(families, widths)
+            else:
+                stack = noisy_stack(families, widths, scale=0.2, seed=seed)
+            bounds = propagate_intervals(net, problem.support_box())
+            evaluation = evaluate_dual(problem, stack, bounds)
+            # g_k's two sides: lam_k (none for g_0) and lam_{k+1} (none for g_K)
+            sides = [(None, stack[0])] + list(zip(stack.lams, stack.lams[1:] + (None,)))
+            pairs = list(zip(stack.lams, evaluation.grads))
+            for res, lams in zip(evaluation.results, sides):
+                pairs += [(lam, g) for lam, g in zip(lams, res.grads) if lam is not None]
+            assert len(evaluation.grads) == len(stack)
+            for lam, grad in pairs:
+                params = get_params(lam)
+                assert grad.keys() == params.keys(), seed
+                for name, arr in params.items():
+                    assert np.shape(grad[name]) == arr.shape, (seed, name)
 
 
 class TestLambdaStarAffine:
@@ -285,13 +310,13 @@ class TestOptimize:
         import funclag.dual
 
         calls = []
-        original = funclag.dual._evaluate
+        original = funclag.dual.evaluate_dual
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(funclag.dual, "_evaluate", counting)
+        monkeypatch.setattr(funclag.dual, "evaluate_dual", counting)
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
         cert = optimize(
             problem,
@@ -367,7 +392,7 @@ class TestOptimize:
         assert final.mode == "upper_bound"
         box = bounds.box(net.depth)
         assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
-        grads = subgradient(problem, stack, bounds, options=options)
+        grads = evaluate_dual(problem, stack, bounds, options=options).grads
         assert np.any(grads[-1]["theta"] != 0.0)
 
     def test_adam_tightens_affine_problem(self):

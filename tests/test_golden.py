@@ -98,9 +98,8 @@ GOLDEN = {
 EXPECTED = {
     "robust-linear": {"inner_linear", "final_softmax_exact"},
     "adversarial-linear": {"inner_linear", "final_linear"},
-    "dist-linexp": {"inner_linexp_input", "input_param_grads", "inner_linexp_transition"},
-    "robust-quadratic": {"inner_quadratic_bound", "quadratic_param_grads",
-                         "final_softmax_exact"},
+    "dist-linexp": {"inner_linexp_input", "inner_linexp_transition"},
+    "robust-quadratic": {"inner_quadratic_bound", "final_softmax_exact"},
     "wide-linear": {"inner_linear", "final_softmax_affine_bound"},
     "gaussian-adversarial": {"final_linear", ("attack", "draws")},
     "mixed-adversarial": {"final_linear", ("attack", "draws")},
@@ -108,9 +107,8 @@ EXPECTED = {
 }
 
 SOLVERS = [
-    "inner_linear", "final_linear", "inner_linexp_input", "input_param_grads",
-    "inner_linexp_transition", "inner_quadratic_bound", "quadratic_param_grads",
-    "final_softmax_exact", "final_softmax_affine_bound",
+    "inner_linear", "final_linear", "inner_linexp_input", "inner_linexp_transition",
+    "inner_quadratic_bound", "final_softmax_exact", "final_softmax_affine_bound",
 ]
 
 

@@ -10,10 +10,11 @@ from funclag import (
     Linear,
     Quadratic,
 )
-from funclag.inner import inner_linear, inner_quadratic_bound, quadratic_param_grads
+from funclag.inner import inner_linear, inner_quadratic_bound
 from funclag.inner.quadratic import (
     _danskin,
     _pack_mf,
+    _param_grads,
     _qp_data,
     certified_lambda_max,
     gershgorin_upper,
@@ -195,7 +196,7 @@ class TestInnerQuadraticBound:
         lam_next = Quadratic(Q=np.eye(2), q=np.ones(2))
         res = inner_quadratic_bound(layer, lam_k, lam_next, box)
         assert res.value == pytest.approx(0.4948, abs=1e-12)
-        _, _, grads = quadratic_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
+        _, grads = res.grads
         for name, idx, bumped in _unit_param_bumps(lam_next):
             diff = inner_quadratic_bound(layer, lam_k, bumped, box).value - res.value
             assert grads[name][idx] == pytest.approx(diff, abs=1e-12), (name, idx)
@@ -263,7 +264,7 @@ def _freeze(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
 
 
 def bump_param_grads(layer, lam_k, lam_next, box, duals):
-    """Unit-bump differences of the frozen surrogate, as quadratic_param_grads took them."""
+    """Unit-bump differences of the frozen surrogate, as _param_grads takes them."""
     penalties = quadratic._penalties(duals, layer.in_dim)
     frozen = _freeze(layer, lam_k, lam_next, box, *penalties, duals.get("kappa"))
     grads_k, grads_next = zero_param_grads(lam_k), zero_param_grads(lam_next)
@@ -366,7 +367,7 @@ class TestAdjointGradients:
     def test_param_grads_match_unit_bumps(self):
         worst = 0.0
         for layer, lam_k, lam_next, box, duals in self._instances(20, 300):
-            _, grads_k, grads_next = quadratic_param_grads(layer, lam_k, lam_next, box, duals)
+            grads_k, grads_next = _param_grads(layer, lam_k, lam_next, box, duals)
             ref_k, ref_next = bump_param_grads(layer, lam_k, lam_next, box, duals)
             for got, ref in ((grads_k, ref_k), (grads_next, ref_next)):
                 assert got.keys() == ref.keys()

@@ -63,8 +63,9 @@ class TestLoadModel:
 
     @pytest.mark.parametrize(
         "stddev, truncation",
-        [(-0.1, 3.0), (0.1, float("inf")), (0.1, float("nan")), (0.1, True)],
-        ids=["negative_stddev", "infinite_truncation", "nan_truncation", "boolean_truncation"],
+        [(-0.1, 3.0), (0.1, float("inf")), (0.1, float("nan")), (0.1, True), (0.1, "3")],
+        ids=["negative_stddev", "infinite_truncation", "nan_truncation", "boolean_truncation",
+             "string_truncation"],
     )
     def test_bad_gaussian_rejected(self, tmp_path, stddev, truncation):
         doc = two_layer_doc()
@@ -117,6 +118,29 @@ class TestLoadModel:
         path.write_text(json.dumps(doc).replace("NaN", "NaN"))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "weights, input_dim, field, error",
+        [
+            ({"kind": "deterministic", "values": [[True, 0.0], [0.0, 1.0]]}, 2, "values",
+             ValueError),
+            ({"kind": "deterministic", "values": [["1.5", 0.0], [0.0, 1.0]]}, 2, "values",
+             ValueError),
+            ({"kind": "dropout", "values": [[1.0, 0.0], [0.0, 1.0]],
+              "keep": [[True, 1.0], [1.0, 1.0]]}, 2, "keep", ValueError),
+            # one input: true == 1 would pass the layer-0 width check
+            ({"kind": "deterministic", "values": [[1.0], [0.0]]}, True, "input_dim",
+             SchemaError),
+        ],
+        ids=["bool-values", "string-values", "bool-keep", "bool-input-dim"],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, weights, input_dim, field,
+                                                   error):
+        doc = two_layer_doc()
+        doc["input_dim"] = input_dim
+        doc["layers"][0]["weights"] = weights
+        with pytest.raises(error, match=field):
+            load_model(write_model(tmp_path, doc))
 
     def test_relu_on_first_layer_rejected(self, tmp_path):
         doc = two_layer_doc()

@@ -1,5 +1,6 @@
 """The shipped package depends on the standard library, numpy and click only,
-and each weight kind is the one home of its own semantics."""
+each weight kind is the one home of its own semantics, and each inner solver
+the one home of its bound's gradient."""
 
 import ast
 import os
@@ -62,6 +63,55 @@ def test_kind_guard_sees_a_dispatch(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f(d):\n    return isinstance(d, (model.Dropout, int))\n")
     assert list(isinstance_kind_tests(probe)) == ["Dropout"]
+
+
+INNER = SRC / "funclag" / "inner"
+
+
+def attribute_reads(path: Path, attr: str):
+    """Line numbers where one module reads ``<expr>.<attr>``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            yield node.lineno
+
+
+def inner_calls(path: Path) -> set[str]:
+    """Names ``<name>`` of the ``inner.<name>(...)`` calls in one module."""
+    return {
+        node.func.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "inner"
+    }
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if INNER not in p.parents], ids=lambda p: str(p.relative_to(SRC))
+)
+def test_only_the_solvers_read_their_internal_duals(path):
+    # a solver's gradient travels in InnerResult.grads, not through its duals
+    lines = list(attribute_reads(path, "internal_duals"))
+    assert not lines, f"{path.relative_to(SRC)} reads .internal_duals on lines {lines}"
+
+
+def test_inner_exports_exactly_the_solvers_dual_calls():
+    import funclag.inner
+
+    exported = set(funclag.inner.__all__) - {"InnerResult"}
+    assert exported == inner_calls(SRC / "funclag" / "dual.py")
+
+
+def test_solver_guards_see_a_violation(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(res, lam):\n"
+        "    zeta = res.internal_duals['zeta']\n"
+        "    return inner.inner_linear(lam, zeta), inner.InnerResult\n"
+    )
+    assert list(attribute_reads(probe, "internal_duals")) == [2]
+    assert inner_calls(probe) == {"inner_linear"}
 
 
 def test_import_loads_no_test_dependency():

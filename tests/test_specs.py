@@ -91,6 +91,11 @@ class TestBuildProblem:
             {"clip": 0},
             {"clip": None},
             {"type": "robust_ood", "p_max": 0.5, "clip": "true"},
+            # float() reads "0.04" and true, int() reads "1"
+            {"epsilon": "0.04"},
+            {"epsilon": True},
+            {"type": "dist_robust_ood", "p_max": 0.5, "sigma": True},
+            {"true_label": "1"},
         ],
     )
     def test_config_errors(self, mutation):
@@ -113,6 +118,28 @@ class TestBuildProblem:
         config[field] = [value] + [0.5] * (net.input_dim - 1) if field == "input" else value
         with pytest.raises(ConfigError, match=field):
             build_problem(net, config)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [lambda n: ([True, False] * n)[:n],
+         lambda n: [0.5] * (n - 1) + [True],
+         lambda n: ["0.5"] * n],
+        ids=["bools", "mixed", "strings"],
+    )
+    def test_input_entries_must_be_numbers(self, entries):
+        # np.asarray([0.5, True]) is a float array, so each entry is checked
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        with pytest.raises(ConfigError, match="input"):
+            build_problem(net, base_config(net, input=entries(net.input_dim)))
+
+    def test_numpy_inputs_still_load(self):
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        config = base_config(net, input=np.full(net.input_dim, 0.5), epsilon=np.float64(0.05),
+                             true_label=np.int64(0))
+        problems = build_problem(net, config)
+        assert problems[0].input_set.epsilon == 0.05
 
     def test_adversarial_needs_two_outputs(self):
         net = CanonicalNetwork(layers=(det_layer(np.ones((1, 3)), np.zeros(1)),))
