@@ -2,42 +2,46 @@
 
 Maximizes softmax_m(x) + lin . x over a box.  At the maximum every
 coordinate sits at its lower bound, its upper bound, or in the interior,
-and for each of the 3^n such assignments the interior ("free")
-coordinates must form a stationary point of the restricted function.
-Those stationary points have closed forms with at most two solutions: one
+and for each such lo/hi/interior assignment the interior ("free")
+coordinates form a stationary point of the restricted function.  Those
+stationary points have closed forms with at most two solutions: one
 family when the target coordinate m is free (the quadratic in its own
 softmax share, case a) and one when m is fixed (all shares proportional
-to the linear coefficients, case b).  The global maximum is the best
-candidate; every box corner is itself a candidate, so the result can
-never fall below a corner evaluation.
+to the linear coefficients, case b).
 
-The solve runs in two passes.
+Water-filling.  Few of the 3^n assignments can hold the maximizer.  For
+j != m with lin_j <= 0 the partial derivative -s_m s_j + lin_j
+(s = softmax(x)) is negative, so x_j = lo_j.  Fix x_m: the other
+coordinates enter softmax_m only through S = sum_{j != m} exp(x_j), so
+at the maximizer the coordinates with lin_j > 0 (the set J+) maximize
+sum lin_j x_j at that S, and the unique solution is the water-filling
+x_j = clip(log(lin_j / mu), lo_j, hi_j) for one mu > 0.  As log mu falls,
+each j in J+ moves lo -> interior -> hi past log lin_j - lo_j, then
+log lin_j - hi_j.  So the maximizer's assignment is one of the
+2|J+| + 1 patterns on the way, times the three states of x_m: at most
+6n - 3 rows.  Case a needs lin_m in [-1/4, 0], and case b needs
+sum(lin[F]) <= 1/4, which drops more rows.
 
-Screen.  All 2^n corners are scored as one array.  The case-a sign
-test (lin[m] in [-1/4, 0], lin > 0 on the rest of F) and the case-b
-tests (lin > 0 on F, sum(lin[F]) <= 1/4) do not depend on the fixed
-coordinates, so most free sets F are dropped at once.  The rest are
-scored by case and size |F|, in array passes over their (F, lo/hi
-pattern of the fixed coordinates) rows.  Sums are taken over the same
-compacted arrays as in the scalar code, and each screening test is the
-scalar test widened by a small slack, so the screen keeps every
-candidate the scalar code would accept.
-
-Replay.  The assignments whose screened value lies within a 1e-9 window
-of the screened top are re-run, in enumeration order (base 3, first
-coordinate slowest, all-lower first), through the scalar per-assignment
-code, starting from the all-lower corner and replacing the incumbent
-only on a strictly greater value.  A full scalar pass returns the first
-candidate in that order attaining the scalar maximum, which is the box
-maximum.  Every attainer has a screened value within rounding of it, and
-no screened candidate, being a box point, exceeds it by more than
-rounding, so all attainers are replayed; the replay then returns the
-same value and witness, bit for bit, as the full 3^n scalar pass.
+Screen, then replay.  Each row's candidates are scored in plain floats by
+the same closed forms, every test widened by a small slack, so the
+screen scores every candidate the scalar code accepts.  The rows whose
+screened value lies within a 1e-9 window of the screened top, and those
+whose fixed logits all underflow exp (left unscored), are re-run in
+enumeration order (base 3, first coordinate slowest, all-lower first)
+through the scalar per-assignment code, starting from the all-lower
+corner and replacing the incumbent only on a strictly greater value.
+The full 3^n scalar pass returns the first candidate in that order that
+attains the scalar maximum, which is the box maximum.  That candidate's
+assignment is a water-filling row (on a zero-width coordinate the rows
+may hold its hi twin, which computes the same point), its screened
+value lies within rounding of the maximum, and no screened candidate,
+being a box point, exceeds the maximum by more than rounding.  So the
+replay keeps it and returns the same value and witness, bit for bit,
+as the full pass.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -52,7 +56,6 @@ _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
 _SCREEN_SLACK = 1e-12
 _REPLAY_WINDOW = 1e-9
-_ROW_BUDGET = 512  # screen rows per array pass; bounds the temporaries
 _TINY = np.finfo(float).tiny
 
 
@@ -172,131 +175,116 @@ def _assignment_candidates(
     return trials
 
 
-@functools.lru_cache(maxsize=None)
-def _corner_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index tables of width n, built once per width.
+def _rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
+    """The water-filling assignments, the only ones that can hold the maximizer.
 
-    Row k of ``upper`` marks the coordinates at their upper bound in box
-    corner k (coordinate j is bit n-1-j of k), so row f doubles as the
-    membership mask of free set f; ``picks`` takes every corner from a
-    lo vector followed by a hi vector.  ``weights`` holds the base-3
-    place values of the enumeration, whose first coordinate varies
-    slowest, and ``codes[k]`` is corner k's position in it.
+    Coordinates j != m with lin_j <= 0 sit at lo.  Those in J+ (lin_j > 0)
+    move lo -> interior -> hi as log mu falls past log lin_j - lo_j, then
+    log lin_j - hi_j, interior first on a tie; every step is a pattern.
+    x_m is lo, hi, or interior when lin_m is in [-1/4, 0].  Rows with x_m
+    fixed whose free coordinates sum past 1/4 hold no case-b point.
     """
-    k = np.arange(2**n)
-    upper = ((k[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    picks = n * upper + np.arange(n)
-    weights = 3 ** np.arange(n - 1, -1, -1)
-    codes = (upper * weights).sum(axis=1)
-    for table in (upper, picks, weights, codes):
-        table.flags.writeable = False
-    return upper, picks, weights, codes
+    n = len(lin)
+    rising = [j for j in range(n) if j != m and lin[j] > 0.0]
+    events = sorted(
+        [(math.log(lin[j]) - lo[j], _INTERIOR, j) for j in rising]
+        + [(math.log(lin[j]) - hi[j], _UPPER, j) for j in rising],
+        key=lambda event: (-event[0], event[1] == _UPPER),
+    )
+    states = [0, _UPPER] + ([_INTERIOR] if -0.25 <= lin[m] <= 0.0 else [])
+    pattern, rows = [0] * n, []
+    for step in range(len(events) + 1):
+        if step:
+            _, state, j = events[step - 1]
+            pattern[j] = state
+        free = [lin[j] for j in rising if pattern[j] == _INTERIOR]
+        blocked = bool(free) and sum(free) > 0.25 * (1.0 + _SCREEN_SLACK)
+        for state in states:
+            if not (blocked and state != _INTERIOR):
+                rows.append(pattern[:m] + [state] + pattern[m + 1:])
+    return rows
 
 
-def _objective_rows(m: int, lin: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return softmax(x)[:, m] + x @ lin
+def _score(m: int, lin: list, x: list) -> float:
+    top = max(x)
+    e = [math.exp(v - top) for v in x]
+    return e[m] / sum(e) + sum(a * v for a, v in zip(lin, x))
 
 
-def _screen_rows(m, lin, lo, hi, free, corners, exp_lo, exp_hi):
-    """(codes, values) of every fixed pattern of free sets of one size and case.
+def _log(v: float) -> float:
+    # lin_j / exp(x_m) can underflow to 0; the point then leaves the box
+    return math.log(v) if v > 0.0 else -math.inf
 
-    The stationary points have shape (root, free set, pattern, free
-    coordinate); assignments to replay unscored get the value NaN.
+
+def _screen_row(m, lin, lo, hi, exp_lo, exp_hi, row):
+    """Screened values of one assignment's candidates, or None to replay it unscored.
+
+    The case-a / case-b closed forms of ``_assignment_candidates`` in
+    plain floats, each test widened by a small slack, so the screen
+    scores every candidate the scalar code accepts.  A row whose fixed
+    logits all underflow exp is left unscored: there the scalar code
+    solves in shifted logits.
     """
-    count, n = free.shape
-    size = int(free[0].sum())
-    _, _, weights, corner_codes = _corner_tables(n)
-    patterns, picks, _, _ = _corner_tables(n - size)
-    order = np.argsort(~free, axis=1, kind="stable")
-    free_idx, fixed_idx = order[:, :size], order[:, size:]
-    exp_fixed = np.take(np.concatenate([exp_lo[fixed_idx], exp_hi[fixed_idx]], 1), picks, 1)
-    c = exp_fixed.sum(axis=2)
-    lam = lin[free_idx]
-    below_m = free[:, :m].sum(axis=1)
-
-    if free[0, m]:
-        # case a: shares 2 lam / denom, and denom / 2 at m, per root denom
+    x = [h if s == _UPPER else low for s, low, h in zip(row, lo, hi)]
+    free = [j for j, s in enumerate(row) if s == _INTERIOR]
+    if not free:
+        return [_score(m, lin, x)]
+    fixed = len(free) < len(row)
+    c = sum(eh if s == _UPPER else el for s, el, eh in zip(row, exp_lo, exp_hi) if s != _INTERIOR)
+    if fixed and c < _TINY:
+        return None
+    points = []
+    if row[m] == _INTERIOR:
         sq = math.sqrt(max(1.0 + 4.0 * lin[m], 0.0))
-        denom = np.array(sorted({1.0 + sq, 1.0 - sq} - {0.0}))[:, None, None]
-        shares = 2.0 * lam / denom
-        shares[:, np.arange(count), below_m] = denom[:, :, 0] / 2.0
-        total = shares.sum(axis=2)[:, :, None]
-        offset = np.where(total < 1.0, np.log(c / (1.0 - total)), np.nan) if size < n \
-            else np.where(np.abs(total - 1.0) <= _SUM_ONE_TOL, 0.0, np.nan)
-        points = np.log(shares)[:, :, None] + offset[..., None]
+        for denom in {1.0 + sq, 1.0 - sq} - {0.0}:
+            shares = [denom / 2.0 if j == m else 2.0 * lin[j] / denom for j in free]
+            if min(shares) <= 0.0:
+                continue
+            total = sum(shares)
+            if not fixed:
+                if abs(total - 1.0) > _SUM_ONE_TOL + _SCREEN_SLACK:
+                    continue
+                offset = 0.0
+            elif total < 1.0:
+                offset = math.log(c / (1.0 - total))
+            elif total < 1.0 + _SCREEN_SLACK:
+                return None
+            else:
+                continue
+            points.append([math.log(share) + offset for share in shares])
     else:
-        # case b: both roots t of the denominator quadratic
-        d = exp_fixed[np.arange(count), :, m - below_m]
-        total = lam.sum(axis=1)[:, None]
-        exists = total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK)
-        disc = np.sqrt(np.maximum(1.0 - 4.0 * c * total / d, 0.0))
-        t = d * (1.0 + np.array([1.0, -1.0])[:, None, None] * disc) / (2.0 * total)
-        t = np.where(exists & (t > 0.0), t, np.nan)
-        points = np.log(lam[:, None] / d[:, :, None]) + 2.0 * np.log(t)[..., None]
-
-    def corners_and_codes(f, p):
-        # corner k of assignment (f, p) has its free coordinates at lo
-        k = (patterns[p] << (n - 1 - fixed_idx[f])).sum(axis=1)
-        return k, corner_codes[k] + 2 * (free[f] @ weights)
-
-    found = []
-    lo_f, hi_f = lo[free_idx][:, None], hi[free_idx][:, None]
-    slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + np.abs(points))
-    root, f, p = np.nonzero(((points >= lo_f - slack) & (points <= hi_f + slack)).all(axis=3))
-    if f.size:
-        k, codes = corners_and_codes(f, p)
-        trial = corners[k]
-        trial[free[f]] = np.clip(points[root, f, p], lo_f[f, 0], hi_f[f, 0]).ravel()
-        found.append((codes, _objective_rows(m, lin, trial)))
-    tiny = c < _TINY
-    if size < n and tiny.any():
-        f, p = np.nonzero(tiny)
-        found.append((corners_and_codes(f, p)[1], np.full(f.size, np.nan)))
-    return found
+        d = exp_hi[m] if row[m] == _UPPER else exp_lo[m]
+        lam = [lin[j] for j in free]
+        total = sum(lam)
+        if not total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK):
+            return []
+        disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
+        for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
+            if t > 0.0:
+                points.append([_log(a / d) + 2.0 * math.log(t) for a in lam])
+    values = []
+    for xs in points:
+        trial = x.copy()
+        for j, v in zip(free, xs):
+            slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + abs(v))
+            if not lo[j] - slack <= v <= hi[j] + slack:
+                break
+            trial[j] = min(max(v, lo[j]), hi[j])
+        else:
+            values.append(_score(m, lin, trial))
+    return values
 
 
 def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, ...]]:
-    """Assignments whose screened value is near the top, in enumeration order.
-
-    Scores all box corners in one array, then the stationary points of
-    every (free set, fixed pattern) assignment whose free set passes the
-    sign tests, in array passes of about ``_ROW_BUDGET`` assignments.  The
-    tests are the scalar ones widened by a small slack, so no candidate
-    the scalar code accepts is dropped.  Patterns whose fixed coordinates
-    all underflow exp are replayed unscored: there the scalar code takes
-    its C = 0 branch in case a and divides by zero in case b, and the
-    replay keeps both.
-    """
-    n = lo.shape[0]
-    upper, picks, weights, corner_codes = _corner_tables(n)
-    corners = np.take(np.concatenate([lo, hi]), picks)
-    exp_lo, exp_hi = np.exp(lo), np.exp(hi)
-    found = [(corner_codes, _objective_rows(m, lin, corners))]
-
-    # free sets that can hold a stationary point whatever the fixed
-    # coordinates are: case a needs m in F, lin[m] in [-1/4, 0] and lin > 0
-    # on the rest of F; case b needs m outside F, lin > 0 on F and
-    # sum(lin[F]) <= D/(4C), which is at most 1/4 because C >= D
-    blocked = np.count_nonzero(upper & (lin <= 0.0), axis=1)
-    case_a = upper[:, m] & (blocked == 1) & (-0.25 <= lin[m] <= 0.0)
-    case_b = ~upper[:, m] & (blocked == 0) & (upper @ lin <= 0.25 * (1.0 + _SCREEN_SLACK))
-    case_b[0] = False  # the empty free set: the corners, scored above
-    survivors = np.flatnonzero(case_a | case_b)
-    # free sets of one size and case share their array shapes
-    keys = 2 * upper[survivors].sum(axis=1) + case_a[survivors]
-    for key in sorted(set(keys.tolist())):
-        group = survivors[keys == key]
-        step = max(1, _ROW_BUDGET >> (n - key // 2))
-        for start in range(0, group.size, step):
-            free = upper[group[start:start + step]]
-            found += _screen_rows(m, lin, lo, hi, free, corners, exp_lo, exp_hi)
-
-    codes, values = (np.concatenate(part) for part in zip(*found))
-    top = float(np.nanmax(values))
-    # NaN never compares below the window, so unscored rows are kept
-    near = ~(values < top - _REPLAY_WINDOW * max(1.0, abs(top)))
-    replay = sorted(set(codes[near].tolist()))
-    return [tuple(int(a) for a in (code // weights) % 3) for code in replay]
+    """Water-filling assignments whose screened value is near the top, in enumeration order."""
+    lin_f, lo_f, hi_f = lin.tolist(), lo.tolist(), hi.tolist()
+    exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
+    screened = [(row, _screen_row(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row))
+                for row in _rows(m, lin_f, lo_f, hi_f)]
+    top = max(v for _, values in screened if values for v in values)
+    floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
+    replay = [row for row, values in screened if values is None or any(not v < floor for v in values)]
+    return sorted(tuple(row) for row in replay)
 
 
 def final_softmax_exact(
@@ -315,12 +303,9 @@ def final_softmax_exact(
         raise DimensionError(f"dimension {n} exceeds the 3^n enumeration cap {cap}")
     lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        replay = _screen(m, lin, lo, hi)
-
     best_x = lo.copy()
     best_f = _objective(m, lin, best_x)
-    for assignment in replay:
+    for assignment in _screen(m, lin, lo, hi):
         for trial in _assignment_candidates(m, lin, lo, hi, assignment):
             value = _objective(m, lin, trial)
             if value > best_f:

@@ -3,7 +3,8 @@
 None of these runs in a verification.  They are the slow, direct routes:
 multipliers evaluated at points, closed-form layer expectations through
 per-entry moment generating functions, Monte Carlo layer expectations,
-exhaustive dropout patterns, and reproducible noisy multiplier stacks.
+exhaustive dropout patterns, reproducible noisy multiplier stacks, and
+the full 3^n enumeration of the softmax output problem.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
 from funclag.model import (
     CanonicalLayer,
     Deterministic,
@@ -19,6 +21,7 @@ from funclag.model import (
     Dropout,
     draw_weights,
     forward,
+    softmax,
 )
 from funclag.multipliers import (
     Linear,
@@ -181,3 +184,50 @@ def enumerate_dropout_patterns(layer: CanonicalLayer):
     for p_w, w in realizations(parts[0]):
         for p_b, b in realizations(parts[1]):
             yield p_w * p_b, w, b
+
+
+def softmax_objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
+    return float(softmax(x)[m] + lin @ x)
+
+
+def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The plain 3^n loop of max softmax_m(x) + lin . x: (assignment, value, point) per candidate.
+
+    The all-lower start comes first with assignment None, then each
+    lo/hi/interior assignment's candidates in enumeration order (base 3,
+    first coordinate slowest, all-lower first).  When every fixed logit
+    underflows exp, the stationary points are solved in logits moved
+    down by the largest fixed one.  The box maximum is the first
+    candidate attaining the largest value.
+    """
+    n = lo.shape[0]
+    yield None, softmax_objective(m, lin, lo), lo.copy()
+    for assignment in itertools.product((0, 1, 2), repeat=n):
+        free = [j for j in range(n) if assignment[j] == 2]
+        x = np.where(np.asarray(assignment) == 1, hi, lo).astype(float)
+        if not free:
+            yield assignment, softmax_objective(m, lin, x), x
+            continue
+        fixed = [j for j in range(n) if assignment[j] != 2]
+        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+        shift = float(x[fixed].max()) if fixed and c == 0.0 else 0.0
+        if shift:
+            c = float(np.exp(x[fixed] - shift).sum())
+        if m in free:
+            candidates = stationary_points_case_a(lin[free], free.index(m), c)
+        else:
+            candidates = stationary_points_case_b(lin[free], c, float(np.exp(x[m] - shift)))
+        for xs in candidates:
+            xs = xs + shift if shift else xs
+            if np.any(xs < lo[free] - 1e-9) or np.any(xs > hi[free] + 1e-9):
+                continue
+            trial = x.copy()
+            trial[free] = np.clip(xs, lo[free], hi[free])
+            yield assignment, softmax_objective(m, lin, trial), trial
+
+
+def reference_softmax_max(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(assignment, value, point) of the first candidate of the 3^n loop attaining its maximum."""
+    candidates = list(reference_candidates(m, lin, lo, hi))
+    top = max(value for _, value, _ in candidates)
+    return next(c for c in candidates if c[1] == top)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -15,37 +14,11 @@ from funclag.inner.softmax_exact import (
     stationary_points_case_b,
 )
 
+from oracles import reference_candidates
+
 
 def objective(m, lin, x):
     return float(softmax(x)[m] + lin @ x)
-
-
-def reference_candidates(m, lin, lo, hi):
-    """The plain 3^n loop: (assignment, value, point) of every candidate.
-
-    The all-lower start comes first with assignment None, then each
-    assignment's scalar candidates in enumeration order (all-lower first).
-    """
-    n = lo.shape[0]
-    yield None, objective(m, lin, lo), lo.copy()
-    for assignment in itertools.product((0, 1, 2), repeat=n):
-        free = [j for j in range(n) if assignment[j] == 2]
-        x = np.where(np.asarray(assignment) == 1, hi, lo).astype(float)
-        if not free:
-            yield assignment, objective(m, lin, x), x
-            continue
-        fixed = [j for j in range(n) if assignment[j] != 2]
-        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
-        if m in free:
-            candidates = stationary_points_case_a(lin[free], free.index(m), c)
-        else:
-            candidates = stationary_points_case_b(lin[free], c, float(np.exp(x[m])))
-        for xs in candidates:
-            if np.any(xs < lo[free] - 1e-9) or np.any(xs > hi[free] + 1e-9):
-                continue
-            trial = x.copy()
-            trial[free] = np.clip(xs, lo[free], hi[free])
-            yield assignment, objective(m, lin, trial), trial
 
 
 def case_a_gradient(lam, i, c, x):
@@ -151,7 +124,6 @@ class TestFinalSoftmaxExact:
         def no_enumeration(*args):
             raise AssertionError("enumeration started past the cap")
 
-        monkeypatch.setattr(softmax_exact, "_corner_tables", no_enumeration)
         monkeypatch.setattr(softmax_exact, "_assignment_candidates", no_enumeration)
         box = Interval(np.zeros(13), np.ones(13))
         with pytest.raises(DimensionError):
@@ -160,15 +132,16 @@ class TestFinalSoftmaxExact:
             final_softmax_exact(0, Linear(theta=np.zeros(5)), Interval(np.zeros(5), np.ones(5)), cap=4)
 
     def test_matches_reference_loop_bit_for_bit(self):
-        """Value and witness are the reference loop's first best candidate."""
-        seen = {"case a wins": 0, "case b wins": 0, "degenerate": 0, "zero": 0,
-                "ordered tie": 0}
+        """Value and witness are the 3^n loop's first best candidate, on 1000+ instances."""
+        seen = dict.fromkeys(
+            ["case a wins", "case b wins", "ordered tie", "degenerate", "zero", "target in case a",
+             "small positive", "tied thresholds", "underflow", "width 10"], 0)
 
-        def check(m, lin, box, lam):
+        def check(m, lin, box):
             candidates = list(reference_candidates(m, lin, box.lo, box.hi))
             top = max(value for _, value, _ in candidates)
             won, value, witness = next(c for c in candidates if c[1] == top)
-            res = final_softmax_exact(m, lam, box)
+            res = final_softmax_exact(m, Linear(theta=-lin), box)
             assert res.mode == EXACT
             assert res.value == value, (m, lin, box)
             assert np.array_equal(res.witness, witness), (m, lin, box)
@@ -177,76 +150,75 @@ class TestFinalSoftmaxExact:
             seen["ordered tie"] += won is not None and any(
                 v == top and not np.array_equal(x, witness) for _, v, x in candidates
             )
+            seen["width 10"] += len(lin) == 10
 
         rng = np.random.default_rng(11)
-        for n in range(1, 9):
-            per_label = 6 if n <= 4 else (2 if n <= 6 else 1)
-            for m in range(n):
-                for k in range(per_label):
-                    lo = 1.5 * rng.standard_normal(n)
-                    width = 2.5 * rng.random(n)
-                    # lin > 0 off the target and lin[m] in [-1/4, 0] make
-                    # stationary points of both cases reachable
-                    lin = rng.random(n) * rng.choice([0.05, 0.2, 0.6])
-                    if k % 2 == 0:
-                        lin[m] = -0.25 * rng.random()
-                        width[m] = 5.0
-                    else:
-                        lin[rng.random(n) < 0.25] *= -1.0
-                    if k % 3 == 1:
-                        width[rng.random(n) < 0.4] = 0.0
-                        seen["degenerate"] += int(np.any(width == 0.0))
-                    box = Interval(lo, lo + width)
-                    if k % 3 == 2:
-                        check(m, np.zeros(n), box, Linear(theta=np.zeros(n)))
-                        seen["zero"] += 1
-                    else:
-                        check(m, lin, box, Linear(theta=-lin))
+        for i in range(1000):
+            # widths 1-5, and 6-10 on every 200th instance (the loop is 3^n)
+            n = 6 + i // 200 if i % 200 == 199 else 1 + i % 5
+            m = int(rng.integers(n))
+            lo = 1.5 * rng.standard_normal(n)
+            width = 2.5 * rng.random(n)
+            lin = rng.random(n) * rng.choice([0.05, 0.2, 0.6])
+            kind = i % 7
+            if kind == 0:
+                # lin > 0 off the target and lin[m] in [-1/4, 0]: both cases reachable
+                lin[m] = -0.25 * rng.random()
+                width[m] = 5.0
+                seen["target in case a"] += 1
+            elif kind == 1:
+                lin[rng.random(n) < 0.25] *= -1.0
+                width[rng.random(n) < 0.4] = 0.0
+                seen["degenerate"] += int(np.any(width == 0.0))
+            elif kind == 2:
+                lin = np.zeros(n)
+                seen["zero"] += 1
+            elif kind == 3:
+                lin = 0.02 * rng.random(n) + 1e-3
+                seen["small positive"] += 1
+            elif kind == 4 and n >= 3:
+                # two coordinates share log lin_j - lo_j exactly
+                j, k = [j for j in range(n) if j != m][:2]
+                lin[k], lo[k] = lin[j], lo[j]
+                lin[m] = -0.25 * rng.random()
+                seen["tied thresholds"] += 1
+            elif kind == 5:
+                # every logit below exp underflow
+                lo -= 800.0
+                lin[rng.random(n) < 0.25] *= -1.0
+                seen["underflow"] += 1
+            elif kind == 6:
+                lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
+            check(m, lin, Interval(lo, lo + width))
         # sum(lin) = 0 on a dyadic cube: the objective is flat along the
         # diagonal and the points of assignments (1, 2) and (2, 0) tie exactly
-        lin = np.array([-205.0, 205.0]) / 1024.0
-        check(0, lin, Interval(np.full(2, 0.5), np.full(2, 1.75)), Linear(theta=-lin))
-        # every coefficient small and positive: each free set without m
-        # passes the sign tests, so one free-set size fills several passes
-        for m in (0, 5):
-            lin = 0.02 * rng.random(8) + 1e-3
-            lo = 1.5 * rng.standard_normal(8)
-            check(m, lin, Interval(lo, lo + 2.5 * rng.random(8)), Linear(theta=-lin))
+        check(0, np.array([-205.0, 205.0]) / 1024.0, Interval(np.full(2, 0.5), np.full(2, 1.75)))
         assert all(count > 0 for count in seen.values()), seen
 
-    def test_screen_scores_every_scalar_candidate(self, monkeypatch):
-        """Every assignment with a scalar stationary candidate gets a screen row."""
-        passes = []
-        screen_rows = softmax_exact._screen_rows
+    def test_every_attainer_is_a_water_filling_row(self):
+        """Every assignment whose scalar candidate attains the maximum is a row.
 
-        def spy(*args):
-            found = screen_rows(*args)
-            passes.append(np.concatenate([codes for codes, _ in found] or [[]]))
-            return found
-
-        monkeypatch.setattr(softmax_exact, "_screen_rows", spy)
+        On boxes of positive width; a zero-width coordinate makes its lo
+        and hi assignments the same point, and the rows hold one of them.
+        """
         rng = np.random.default_rng(12)
-        for n, kind in [(8, "small"), (8, "small"), (5, "mixed"), (6, "mixed"), (7, "mixed")]:
+        for trial in range(60):
+            n = 2 + trial % 6
             m = int(rng.integers(n))
             lo = 0.5 * rng.standard_normal(n)
-            hi = lo + 1.0 + 2.0 * rng.random(n)
-            if kind == "small":
+            hi = lo + 0.1 + 2.0 * rng.random(n)
+            if trial % 3 == 0:
                 lin = 0.02 * rng.random(n) + 1e-3
             else:
-                lin = 0.2 * rng.random(n)
-                lin[m] = -0.25 * rng.random()
-            passes.clear()
-            final_softmax_exact(m, Linear(theta=-lin), Interval(lo, hi))
-            screened = set(np.concatenate(passes).astype(int).tolist())
-            weights = 3 ** np.arange(n - 1, -1, -1)
-            accepted = {
-                int(np.dot(assignment, weights))
-                for assignment, _, _ in reference_candidates(m, lin, lo, hi)
-                if assignment is not None and 2 in assignment
-            }
-            assert accepted and accepted <= screened, (n, m, sorted(accepted - screened))
-            if kind == "small":
-                assert len(passes) > 7  # a free-set size spans several passes
+                lin = 0.3 * rng.standard_normal(n)
+                lin[m] = -0.25 * rng.random() if trial % 3 == 1 else lin[m]
+            rows = {tuple(row) for row in softmax_exact._rows(m, lin.tolist(), lo.tolist(),
+                                                              hi.tolist())}
+            assert len(rows) <= 6 * n - 3
+            candidates = list(reference_candidates(m, lin, lo, hi))
+            top = max(value for _, value, _ in candidates)
+            attainers = {a for a, value, _ in candidates if a is not None and value == top}
+            assert attainers and attainers <= rows, (n, m, sorted(attainers - rows))
 
     def test_matches_fine_grid(self):
         rng = np.random.default_rng(7)
