@@ -14,7 +14,6 @@ from .dual import (
     Certificate,
     DualEvaluation,
     OptimizerConfig,
-    SolverOptions,
     evaluate_dual,
     lambda_star_affine,
     optimize,

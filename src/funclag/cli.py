@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .bounds import propagate_intervals
-from .dual import Certificate, OptimizerConfig, SolverOptions, optimize
+from .dual import Certificate, OptimizerConfig, optimize
 from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
 from .multipliers import UnsupportedCombination
@@ -75,14 +75,12 @@ def main():
 @click.option("--decay-every", default=250, show_default=True)
 @click.option("--certify-every", default=50, show_default=True,
               help="steps between the values that count toward the bound and the early stop")
-@click.option("--grid-n", default=20, show_default=True, help="softmax bound grid size")
-@click.option("--exact-cap", default=12, show_default=True, help="exact softmax dimension cap")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--attack/--no-attack", default=True, show_default=True,
               help="record a sampled attack value per problem")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
-           grid_n, exact_cap, seed, attack, out_path):
+           seed, attack, out_path):
     """Run the dual optimization and write certificates."""
     net = _load_model_or_fail(model_path)
     spec_config = _load_spec_config(spec_path)
@@ -91,10 +89,8 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
     except ConfigError as exc:
         _fail(str(exc))
 
-    options = SolverOptions(softmax_grid_n=grid_n, exact_softmax_cap=exact_cap)
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
-        options=options,
     )
     certificates: list[Certificate] = []
     try:

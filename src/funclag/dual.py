@@ -9,8 +9,8 @@ The dual value decomposes into per-layer maximizations
 and the sum upper-bounds the specification optimum for *every* choice of
 multipliers (weak duality).  Every inner solve is exact or a sound upper
 bound, and a dual evaluation is a pure function of the problem, the
-stack, the boxes and the solver options, so the value that drives a
-gradient step is also a value a certificate may hold.
+stack and the boxes, so the value that drives a gradient step is also
+a value a certificate may hold.
 
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +49,6 @@ from .multipliers import (
 from .specs import LogitDiff, SubGaussianNoise, VerificationProblem
 
 @dataclass
-class SolverOptions:
-    """Width cap of the exact softmax output solve, grid size of the bound past it."""
-
-    softmax_grid_n: int = 20
-    exact_softmax_cap: int = 12
-
-
-@dataclass
 class OptimizerConfig:
     """Outer-loop settings; the learning-rate schedule divides by 10."""
 
@@ -65,7 +57,6 @@ class OptimizerConfig:
     decay_every: int = 250
     certify_every: int = 50
     early_stop: bool = True
-    options: SolverOptions = field(default_factory=SolverOptions)
 
 
 @dataclass
@@ -82,27 +73,23 @@ class DualEvaluation:
     grads: list[dict]
 
 
-def _solve_final(problem, lam_K, box, options):
+def _solve_final(problem, lam_K, box):
     objective = problem.objective
-    n = box.lo.shape[0]
     if isinstance(objective, LogitDiff):
-        return inner.final_linear(objective.coefficients(n), lam_K, box)
+        return inner.final_linear(objective.coefficients(box.lo.shape[0]), lam_K, box)
     if not isinstance(lam_K, Linear):
         raise UnsupportedCombination(
             f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
         )
-    m = objective.label
-    if n <= options.exact_softmax_cap:
-        return inner.final_softmax_exact(m, lam_K, box, cap=options.exact_softmax_cap)
-    return inner.final_softmax_affine_bound(m, lam_K, box, n_grid=options.softmax_grid_n)
+    return inner.final_softmax_exact(objective.label, lam_K, box)
 
 
-def _solve_problem(k, problem, stack, bounds, options):
+def _solve_problem(k, problem, stack, bounds):
     """Solve g_k; on a box input set g_0 is the transition problem with lam_0 = 0."""
     net = problem.network
     K = net.depth
     if k == K:
-        return _solve_final(problem, stack[K - 1], bounds.box(K), options)
+        return _solve_final(problem, stack[K - 1], bounds.box(K))
     layer, box, lam_next = net.layers[k], bounds.box(k), stack[k]
     input_set = problem.input_set
     if k == 0 and isinstance(input_set, SubGaussianNoise):
@@ -121,17 +108,15 @@ def evaluate_dual(
     problem: VerificationProblem,
     stack: MultiplierStack,
     bounds: LayerBounds,
-    options: SolverOptions | None = None,
 ) -> DualEvaluation:
     """Evaluate the dual at a multiplier stack: a sound bound on the optimum and its gradient."""
-    options = options or SolverOptions()
     K = problem.network.depth
     if len(stack) != K:
         raise ValueError(f"stack has {len(stack)} multipliers, network has {K} layers")
     if len(bounds) != K + 1:
         raise ValueError("bounds do not match the network depth")
 
-    results = [_solve_problem(k, problem, stack, bounds, options) for k in range(K + 1)]
+    results = [_solve_problem(k, problem, stack, bounds) for k in range(K + 1)]
     grads = [zero_param_grads(lam) for lam in stack.lams]
     for k, res in enumerate(results):
         # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
@@ -284,15 +269,12 @@ def optimize(
     steps completed before it.  One raised at step 0 propagates.
     """
     config = config or OptimizerConfig()
-    options = config.options
     if config.steps < 0:
         raise ValueError("steps must be non-negative")
     if config.certify_every < 1 or config.decay_every < 1:
         raise ValueError("certify_every and decay_every must be at least 1")
     if not 0.0 < config.lr < math.inf:
         raise ValueError(f"lr must be finite and positive, got {config.lr!r}")
-    if options.softmax_grid_n < 2:
-        raise ValueError("softmax_grid_n must be at least 2")
     net = problem.network
     if bounds is None:
         bounds = propagate_intervals(net, problem.support_box())
@@ -301,7 +283,7 @@ def optimize(
         stack = init_stack(families, [layer.out_dim for layer in net.layers])
 
     threshold = problem.threshold
-    evaluation = evaluate_dual(problem, stack, bounds, options)
+    evaluation = evaluate_dual(problem, stack, bounds)
     value = _finite_total(evaluation)
     trace: list[dict] = [{"step": 0, "train_value": value, "certified_value": value}]
     best_margin = value - threshold
@@ -320,7 +302,7 @@ def optimize(
                     stack = MultiplierStack(
                         lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
                     )
-                    evaluation = evaluate_dual(problem, stack, bounds, options)
+                    evaluation = evaluate_dual(problem, stack, bounds)
                     value = _finite_total(evaluation)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
                     # a diverging run keeps the sound bound it already has
@@ -344,10 +326,7 @@ def optimize(
         "family": family,
         "threshold": threshold,
         "objective_bound": best_margin + threshold,
-        "exp_bound_variant": "derivation_consistent",
         "weight_moment_semantics": "untruncated_gaussian",
-        "softmax_grid_n": options.softmax_grid_n,
-        "exact_softmax_cap": options.exact_softmax_cap,
         "gaussian_truncation": _truncation_levels(net),
         "config": {
             "steps": config.steps,

@@ -10,13 +10,11 @@ from .linear import final_linear, inner_linear
 from .linexp import inner_linexp_input, inner_linexp_transition
 from .quadratic import inner_quadratic_bound
 from .result import InnerResult
-from .softmax_bounds import final_softmax_affine_bound
 from .softmax_exact import final_softmax_exact
 
 __all__ = [
     "InnerResult",
     "final_linear",
-    "final_softmax_affine_bound",
     "final_softmax_exact",
     "inner_linear",
     "inner_linexp_input",

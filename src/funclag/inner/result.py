@@ -22,7 +22,7 @@ class InnerResult:
     (lam_k, lam_next) at the maximizer of the relaxation the solver
     bounded, each a dict keyed like ``get_params`` and None for a side
     without a multiplier.  ``internal_duals`` records the auxiliary dual
-    parameters (zeta, nu, kappa, ...) a bound construction used, so the
+    parameters (zeta, kappa, ...) a bound construction used, so the
     same bound can be re-evaluated at perturbed duals; no solver reads
     them back, so a result depends on its inputs alone.
     """

@@ -59,24 +59,6 @@ _REPLAY_WINDOW = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-class DimensionError(Exception):
-    """The 3^n enumeration was refused because n exceeds the cap."""
-
-
-def box_softmax_max(m: int, box: Interval) -> float:
-    """Box maximum of softmax_m: own logit high, every other logit low."""
-    x = box.lo.copy()
-    x[m] = box.hi[m]
-    return float(softmax(x)[m])
-
-
-def box_softmax_min(m: int, box: Interval) -> float:
-    """Box minimum of softmax_m: own logit low, every other logit high."""
-    x = box.hi.copy()
-    x[m] = box.lo[m]
-    return float(softmax(x)[m])
-
-
 def stationary_points_case_a(lam: np.ndarray, i: int, c: float) -> list[np.ndarray]:
     """Stationary points of exp(x_i) / (sum_j exp(x_j) + C) + lam . x.
 
@@ -283,24 +265,17 @@ def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tup
                 for row in _rows(m, lin_f, lo_f, hi_f)]
     top = max(v for _, values in screened if values for v in values)
     floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
-    replay = [row for row, values in screened if values is None or any(not v < floor for v in values)]
+    replay = [row for row, values in screened
+              if values is None or any(not v < floor for v in values)]
     return sorted(tuple(row) for row in replay)
 
 
-def final_softmax_exact(
-    m: int,
-    lam_k: Multiplier,
-    box: Interval,
-    cap: int = 12,
-) -> InnerResult:
+def final_softmax_exact(m: int, lam_k: Multiplier, box: Interval) -> InnerResult:
     """Exact max of softmax_m(x) - lam_k(x) over the box.
 
     Ties between equally-good candidates keep the first one in the fixed
     3^n enumeration order (all-lower first), so the witness is reproducible.
     """
-    n = box.lo.shape[0]
-    if n > cap:
-        raise DimensionError(f"dimension {n} exceeds the 3^n enumeration cap {cap}")
     lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
     best_x = lo.copy()

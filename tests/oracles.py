@@ -186,6 +186,20 @@ def enumerate_dropout_patterns(layer: CanonicalLayer):
             yield p_w * p_b, w, b
 
 
+def box_softmax_max(m: int, box) -> float:
+    """Box maximum of softmax_m: own logit high, every other logit low."""
+    x = box.lo.copy()
+    x[m] = box.hi[m]
+    return float(softmax(x)[m])
+
+
+def box_softmax_min(m: int, box) -> float:
+    """Box minimum of softmax_m: own logit low, every other logit high."""
+    x = box.hi.copy()
+    x[m] = box.lo[m]
+    return float(softmax(x)[m])
+
+
 def softmax_objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
     return float(softmax(x)[m] + lin @ x)
 

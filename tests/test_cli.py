@@ -178,23 +178,22 @@ class TestVerify:
         assert len(runtime) == 1 and runtime[0].startswith("optimization stopped"), runtime
         assert "worst certified margin 0.288661 " in result.output
 
-    def test_exact_cap_below_output_width(self, tmp_path):
-        # 3 outputs over --exact-cap 2: every evaluation takes the affine
-        # grid bound
+    @pytest.mark.parametrize("flag, value", [("--exact-cap", "2"), ("--grid-n", "4")])
+    def test_removed_softmax_flags_exit_two(self, tmp_path, flag, value):
+        # every output width is solved exactly: no cap and no grid to set
         spec = write_spec(tmp_path, p_max=0.2)
         out = tmp_path / "cert.json"
         result = run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "4", "--certify-every", "2",
-             "--exact-cap", "2", "--grid-n", "4", "--out", str(out)]
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "4", flag, value,
+             "--out", str(out)]
         )
-        assert result.exit_code in (0, 1), result.output
-        doc = decode_reals(json.loads(out.read_text()))
-        assert len(doc["certificates"]) == 3
-        assert all(np.isfinite(c["bound"]) for c in doc["certificates"])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--certify-every", "0"), ("--decay-every", "0"), ("--lr", "nan"), ("--grid-n", "1")],
+        [("--certify-every", "0"), ("--decay-every", "0"), ("--lr", "nan")],
     )
     def test_bad_outer_loop_setting_exits_two(self, tmp_path, flag, value):
         spec = write_spec(tmp_path, p_max=0.2)

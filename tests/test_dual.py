@@ -20,12 +20,11 @@ from funclag import (
     sample_lower_bound,
 )
 from funclag.dual import stack_families
-from funclag.inner.softmax_exact import box_softmax_max
 from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
-from oracles import noisy_stack
+from oracles import box_softmax_max, noisy_stack
 
 
 def zero_stack(net):
@@ -336,25 +335,6 @@ class TestOptimize:
         zero_bound = cert.trace[0]["certified_value"]
         assert cert.metadata["objective_bound"] <= zero_bound + 1e-12
 
-    def test_softmax_cap_falls_back_to_level_set_bound(self):
-        from funclag import SolverOptions
-
-        net, problem = random_problem(seed=3, kinds=("robust_ood",))
-        bounds = propagate_intervals(net, problem.support_box())
-        stack = noisy_stack(
-            stack_families(problem, "linear"),
-            [layer.out_dim for layer in net.layers],
-            scale=0.2,
-            seed=1,
-        )
-        exact = evaluate_dual(problem, stack, bounds)
-        capped = evaluate_dual(
-            problem, stack, bounds,
-            options=SolverOptions(exact_softmax_cap=1, softmax_grid_n=12),
-        )
-        assert capped.results[-1].mode == "upper_bound"
-        assert capped.total >= exact.total - 1e-9
-
     def test_train_mode_solves_softmax_exactly_up_to_the_cap(self):
         rng = np.random.default_rng(4)
         net = CanonicalNetwork(
@@ -375,25 +355,6 @@ class TestOptimize:
         )
         evaluation = evaluate_dual(problem, stack, bounds)
         assert evaluation.results[-1].mode == "exact"
-
-    def test_train_mode_past_the_cap_takes_the_certify_bound(self):
-        from funclag import SolverOptions
-
-        net, problem = random_problem(seed=3, kinds=("robust_ood",))
-        bounds = propagate_intervals(net, problem.support_box())
-        stack = noisy_stack(
-            stack_families(problem, "linear"),
-            [layer.out_dim for layer in net.layers],
-            scale=0.2,
-            seed=1,
-        )
-        options = SolverOptions(exact_softmax_cap=1, softmax_grid_n=5)
-        final = evaluate_dual(problem, stack, bounds, options=options).results[-1]
-        assert final.mode == "upper_bound"
-        box = bounds.box(net.depth)
-        assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
-        grads = evaluate_dual(problem, stack, bounds, options=options).grads
-        assert np.any(grads[-1]["theta"] != 0.0)
 
     def test_adam_tightens_affine_problem(self):
         rng = np.random.default_rng(9)

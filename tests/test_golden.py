@@ -32,7 +32,7 @@ CENTER = [0.3, 0.5, 0.6, 0.4, 0.7, 0.2]
 
 
 def _wide_model() -> dict:
-    """Deterministic 5-8-8 net: 8 outputs, wider than the exact cap the job sets."""
+    """Deterministic 5-8-8 net: 8 outputs, the widest softmax output of the jobs."""
     rng = np.random.default_rng(5)
     dims = [5, 8, 8]
     layers = []
@@ -70,10 +70,8 @@ JOBS = {
     "robust-quadratic": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
                                 "p_max": 0.3}, ["--family", "quadratic", "--steps", "2",
                                                 "--certify-every", "2"]),
-    # exact cap 7 < 8 outputs: every evaluation takes the affine grid
     "wide-linear": (_wide_model(), {"type": "robust_ood", "input": [0.5] * 5,
-                                    "epsilon": 0.04, "p_max": 0.3},
-                    ["--exact-cap", "7", "--grid-n", "3"]),
+                                    "epsilon": 0.04, "p_max": 0.3}, []),
     # Gaussian weights, box input: one weight draw shared by the batch
     "gaussian-adversarial": (*_random_job(120), []),
     # Gaussian then dropout weights, box input: normals drawn before uniforms
@@ -83,14 +81,14 @@ JOBS = {
 }
 
 GOLDEN = {
-    "robust-linear": "672b44cfa5b377407876c6ce9817ae2d611dc59f5b4a4cf94402b3ca6a7903b8",
-    "adversarial-linear": "20a9128efbb3d750aaa02cddaacd0285d78155554590a9565ce47f760612417e",
-    "dist-linexp": "9a5b3fdb639bb5c44617168d92592c9c8d52721e5710df424a2e47fb6099eb85",
-    "robust-quadratic": "e569acd7a4a1631942316c7c2ee8ebea374b70fb52548028ad6241479d40d2b0",
-    "wide-linear": "511758a40dc087c98f008c6b09113efd24be03470222b66cd5e25be7ebc979a4",
-    "gaussian-adversarial": "961f67a7fe8f7a6e3157935857b1ba0d546dda68f2d29085f8705f5b558cfb7f",
-    "mixed-adversarial": "deb77635991ffcdefd83fdc4a4a0b2a34e5b74127ee7c1ee6c6c2029fb1822a7",
-    "dropout-dist-linexp": "9ce708b634c5dc14bfb7736d98f059f28765aab2a4395ab894c7b2ce24f42c1f",
+    "robust-linear": "bc7a8fbd734f1831de6e807ee86d714154fda6890586846831e9ca8dba628788",
+    "adversarial-linear": "212274d8419eb53bf7829d00414a3a83c27d10041774b2b9e72afff3038c94a0",
+    "dist-linexp": "c7439b6e1b5b6d2636a7ad220fe1dfdafdb4dc1dc80ef0dc7ae3a5f39568228a",
+    "robust-quadratic": "f536d350ba09fa63b5ed642823f5f87bb3b6d24ec148b24e229f52d0fc10863f",
+    "wide-linear": "87d42af9da6d61ebb8f88b43c80bc132b94b97c7f94f9d0f555a8628ec4df5bf",
+    "gaussian-adversarial": "b78cddcde9519c246a8be2a3b5dce2b9f93cf55a21616fdc8c4e4c3128399ebe",
+    "mixed-adversarial": "99e0866c0da81f81a25e3be7d4d99b125e0a303cb5e5c975399ccaab7b032f2d",
+    "dropout-dist-linexp": "08f49595178aa6724ede3a4a1ad3e46dccabf0f86832e0bda41f0862328f6372",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for
@@ -100,7 +98,7 @@ EXPECTED = {
     "adversarial-linear": {"inner_linear", "final_linear"},
     "dist-linexp": {"inner_linexp_input", "inner_linexp_transition"},
     "robust-quadratic": {"inner_quadratic_bound", "final_softmax_exact"},
-    "wide-linear": {"inner_linear", "final_softmax_affine_bound"},
+    "wide-linear": {"inner_linear", "final_softmax_exact"},
     "gaussian-adversarial": {"final_linear", ("attack", "draws")},
     "mixed-adversarial": {"final_linear", ("attack", "draws")},
     "dropout-dist-linexp": {"inner_linexp_input", ("attack", "per_row")},
@@ -108,7 +106,7 @@ EXPECTED = {
 
 SOLVERS = [
     "inner_linear", "final_linear", "inner_linexp_input", "inner_linexp_transition",
-    "inner_quadratic_bound", "final_softmax_exact", "final_softmax_affine_bound",
+    "inner_quadratic_bound", "final_softmax_exact",
 ]
 
 

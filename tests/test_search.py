@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Linear, Quadratic
-from funclag.inner import final_softmax_affine_bound, inner_quadratic_bound
+from funclag.inner import final_softmax_exact, inner_quadratic_bound
 from funclag.model import softmax
 
 from conftest import det_layer
@@ -35,14 +35,14 @@ def test_never_exceeds_certified_bound():
         assert sampled <= certified.value + 1e-9
 
 
-# --- the output bound past the exact cap against the PGA loop -------------
+# --- the exact softmax output solve against the PGA loop ------------------
 
 
 def sequential_softmax_pga(m, lin, box, seed):
     """Projected gradient ascent on softmax_m(x) + lin . x, point by point.
 
-    Four restarts of 200 steps of size 0.01: the loop that train steps past
-    the exact cap ran before they took the sound affine bound.
+    Four restarts of 200 steps of size 0.01: a local search whose best
+    point no maximum over the box may fall below.
     """
 
     def f(x):
@@ -99,16 +99,15 @@ def _pga_cases():
 
 @pytest.mark.parametrize("case", list(_pga_cases()), ids=lambda c: c[0])
 def test_batched_pga_matches_sequential_loop(case):
-    """The all-cells-at-once affine bound never falls below the PGA loop.
+    """The exact output solve never falls below the PGA loop's best point.
 
-    The name dates from when train steps past the exact cap ran a
-    restart-batched PGA checked against this loop; both modes now take
-    ``final_softmax_affine_bound`` there, at the default grid.
+    The name dates from when a restart-batched PGA was checked against
+    this loop; the witness is a box point attaining the value.
     """
     _, m, lin, box = case
     ref_value, ref_x = sequential_softmax_pga(m, lin, box, (7, 1))
-    res = final_softmax_affine_bound(m, Linear(theta=-lin), box)
-    assert res.mode == "upper_bound"
+    res = final_softmax_exact(m, Linear(theta=-lin), box)
+    assert res.mode == "exact"
     assert res.value >= ref_value
     assert np.all(res.witness >= box.lo) and np.all(res.witness <= box.hi)
-    assert res.value >= float(softmax(res.witness)[m] + lin @ res.witness)
+    assert res.value == float(softmax(res.witness)[m] + lin @ res.witness)

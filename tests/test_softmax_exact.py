@@ -6,15 +6,9 @@ import pytest
 from funclag import Interval, Linear, softmax
 from funclag.inner import final_softmax_exact, softmax_exact
 from funclag.inner.result import EXACT
-from funclag.inner.softmax_exact import (
-    DimensionError,
-    box_softmax_max,
-    box_softmax_min,
-    stationary_points_case_a,
-    stationary_points_case_b,
-)
+from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
 
-from oracles import reference_candidates
+from oracles import box_softmax_max, box_softmax_min, reference_candidates
 
 
 def objective(m, lin, x):
@@ -113,23 +107,20 @@ class TestFinalSoftmaxExact:
             math.exp(0.0) / (math.exp(0.0) + math.exp(0.5) + math.exp(0.9)), rel=1e-12
         )
 
-    def test_dimension_cap(self, monkeypatch):
+    def test_width_16_is_solved_exactly(self):
         rng = np.random.default_rng(5)
-        lam = Linear(theta=0.2 * rng.standard_normal(11))
-        lo = rng.standard_normal(11)
-        res = final_softmax_exact(3, lam, Interval(lo, lo + rng.random(11)))
+        n, m = 16, 3
+        lin = 0.2 * rng.standard_normal(n)
+        lo = rng.standard_normal(n)
+        box = Interval(lo, lo + rng.random(n))
+        res = final_softmax_exact(m, Linear(theta=-lin), box)
         assert res.mode == EXACT
-        assert res.value >= objective(3, -lam.theta, lo)
-
-        def no_enumeration(*args):
-            raise AssertionError("enumeration started past the cap")
-
-        monkeypatch.setattr(softmax_exact, "_assignment_candidates", no_enumeration)
-        box = Interval(np.zeros(13), np.ones(13))
-        with pytest.raises(DimensionError):
-            final_softmax_exact(0, Linear(theta=np.zeros(13)), box, cap=12)
-        with pytest.raises(DimensionError):
-            final_softmax_exact(0, Linear(theta=np.zeros(5)), Interval(np.zeros(5), np.ones(5)), cap=4)
+        assert np.all((box.lo <= res.witness) & (res.witness <= box.hi))
+        assert res.value == objective(m, lin, res.witness)
+        corners = np.where(rng.random((2000, n)) < 0.5, box.lo, box.hi)
+        points = box.lo + rng.random((20_000, n)) * (box.hi - box.lo)
+        for sample in (corners, points):
+            assert res.value >= float((softmax(sample)[:, m] + sample @ lin).max())
 
     def test_matches_reference_loop_bit_for_bit(self):
         """Value and witness are the 3^n loop's first best candidate, on 1000+ instances."""
