@@ -25,11 +25,13 @@ sum(lin[F]) <= 1/4, which drops more rows.
 Screen, then replay.  Each row's candidates are scored in plain floats by
 the same closed forms, every test widened by a small slack, so the
 screen scores every candidate the scalar code accepts.  The rows whose
-screened value lies within a 1e-9 window of the screened top, and those
-whose fixed logits all underflow exp (left unscored), are re-run in
-enumeration order (base 3, first coordinate slowest, all-lower first)
+screened value lies within a 1e-9 window of the screened top are re-run
+in enumeration order (base 3, first coordinate slowest, all-lower first)
 through the scalar per-assignment code, starting from the all-lower
 corner and replacing the incumbent only on a strictly greater value.
+So are the rows whose fixed exps sum below the smallest normal float or
+above the square root of the largest, unscored: the scalar code solves
+those in shifted logits.
 The full 3^n scalar pass returns the first candidate in that order that
 attains the scalar maximum, which is the box maximum.  That candidate's
 assignment is a water-filling row (on a zero-width coordinate the rows
@@ -56,7 +58,9 @@ _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
 _SCREEN_SLACK = 1e-12
 _REPLAY_WINDOW = 1e-9
-_TINY = np.finfo(float).tiny
+# the closed forms run in unshifted logits while the fixed exps sum inside
+# [_TINY, _HUGE]: normal floats whose case-a / case-b arithmetic cannot overflow
+_TINY, _HUGE = np.finfo(float).tiny, math.sqrt(np.finfo(float).max)
 
 
 def stationary_points_case_a(lam: np.ndarray, i: int, c: float) -> list[np.ndarray]:
@@ -136,9 +140,9 @@ def _assignment_candidates(
     fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
     c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
     shift = 0.0
-    if fixed and c == 0.0:
-        # every fixed logit underflows exp: solve in logits moved down by the
-        # largest fixed one (softmax is shift-invariant) and move points back
+    if fixed and not _TINY <= c <= _HUGE:
+        # solve in logits moved down by the largest fixed one (softmax is
+        # shift-invariant) and move the points back
         shift = float(x[fixed].max())
         c = float(np.exp(x[fixed] - shift).sum())
     if m in free:
@@ -204,8 +208,8 @@ def _screen_row(m, lin, lo, hi, exp_lo, exp_hi, row):
     The case-a / case-b closed forms of ``_assignment_candidates`` in
     plain floats, each test widened by a small slack, so the screen
     scores every candidate the scalar code accepts.  A row whose fixed
-    logits all underflow exp is left unscored: there the scalar code
-    solves in shifted logits.
+    exps sum outside [_TINY, _HUGE] is left unscored: there the scalar
+    code solves in shifted logits.
     """
     x = [h if s == _UPPER else low for s, low, h in zip(row, lo, hi)]
     free = [j for j, s in enumerate(row) if s == _INTERIOR]
@@ -213,7 +217,7 @@ def _screen_row(m, lin, lo, hi, exp_lo, exp_hi, row):
         return [_score(m, lin, x)]
     fixed = len(free) < len(row)
     c = sum(eh if s == _UPPER else el for s, el, eh in zip(row, exp_lo, exp_hi) if s != _INTERIOR)
-    if fixed and c < _TINY:
+    if fixed and not _TINY <= c <= _HUGE:
         return None
     points = []
     if row[m] == _INTERIOR:

@@ -209,10 +209,11 @@ def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
     The all-lower start comes first with assignment None, then each
     lo/hi/interior assignment's candidates in enumeration order (base 3,
-    first coordinate slowest, all-lower first).  When every fixed logit
-    underflows exp, the stationary points are solved in logits moved
-    down by the largest fixed one.  The box maximum is the first
-    candidate attaining the largest value.
+    first coordinate slowest, all-lower first).  When the fixed exps sum
+    below the smallest normal float or above the square root of the
+    largest, the stationary points are solved in logits moved down by the
+    largest fixed one.  The box maximum is the first candidate attaining
+    the largest value.
     """
     n = lo.shape[0]
     yield None, softmax_objective(m, lin, lo), lo.copy()
@@ -224,7 +225,8 @@ def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray
             continue
         fixed = [j for j in range(n) if assignment[j] != 2]
         c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
-        shift = float(x[fixed].max()) if fixed and c == 0.0 else 0.0
+        shifted = fixed and not np.finfo(float).tiny <= c <= np.sqrt(np.finfo(float).max)
+        shift = float(x[fixed].max()) if shifted else 0.0
         if shift:
             c = float(np.exp(x[fixed] - shift).sum())
         if m in free:
@@ -239,9 +241,3 @@ def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray
             trial[free] = np.clip(xs, lo[free], hi[free])
             yield assignment, softmax_objective(m, lin, trial), trial
 
-
-def reference_softmax_max(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(assignment, value, point) of the first candidate of the 3^n loop attaining its maximum."""
-    candidates = list(reference_candidates(m, lin, lo, hi))
-    top = max(value for _, value, _ in candidates)
-    return next(c for c in candidates if c[1] == top)

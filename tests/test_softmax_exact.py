@@ -254,3 +254,30 @@ class TestFinalSoftmaxExact:
         assert low.mode == EXACT
         assert low.value == pytest.approx(unit.value + 800.0 * sum(theta), abs=1e-10)
         np.testing.assert_allclose(low.witness, unit.witness - 800.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "offset, spread", [(-740.0, 5.0), (350.0, 10.0), (705.0, 5.0), (1000.0, 1.0)]
+    )
+    def test_logits_past_the_normal_exp_range(self, offset, spread):
+        # fixed exps that sum to a subnormal, or past the square root of
+        # the float range, are solved in shifted logits: no sampled box
+        # point beats the value, and it is the 3^n loop's, bit for bit
+        rng = np.random.default_rng(abs(int(offset)))
+        for trial in range(30):
+            n = 2 + trial % 4
+            m = trial % n
+            lo = offset + rng.standard_normal(n)
+            box = Interval(lo, lo + spread * rng.random(n))
+            lin = 0.1 * rng.standard_normal(n)
+            if trial % 2:
+                lin = 0.1 * np.abs(lin)
+            with np.errstate(over="ignore"):
+                res = final_softmax_exact(m, Linear(theta=-lin), box)
+                candidates = list(reference_candidates(m, lin, box.lo, box.hi))
+            top = max(value for _, value, _ in candidates)
+            _, value, witness = next(c for c in candidates if c[1] == top)
+            assert res.value == value and np.array_equal(res.witness, witness)
+            points = np.vstack([box.lo + rng.random((4000, n)) * (box.hi - box.lo),
+                                np.where(rng.random((500, n)) < 0.5, box.lo, box.hi)])
+            sampled = float((softmax(points)[:, m] + points @ lin).max())
+            assert res.value >= sampled - 1e-12 * abs(sampled)
