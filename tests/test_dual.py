@@ -24,7 +24,7 @@ from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
-from oracles import box_softmax_max, noisy_stack
+from oracles import box_softmax_max, noisy_stack, softmax_objective
 
 
 def zero_stack(net):
@@ -355,6 +355,34 @@ class TestOptimize:
         )
         evaluation = evaluate_dual(problem, stack, bounds)
         assert evaluation.results[-1].mode == "exact"
+
+    def test_wide_softmax_output_is_solved_exactly(self):
+        # 16 outputs: the final layer takes the exact solve like any width
+        rng = np.random.default_rng(6)
+        net = CanonicalNetwork(
+            layers=(
+                det_layer(rng.standard_normal((6, 3)), 0.1 * rng.standard_normal(6)),
+                det_layer(rng.standard_normal((16, 6)), 0.1 * rng.standard_normal(16), "relu"),
+            )
+        )
+        problem = VerificationProblem(
+            network=net,
+            input_set=BoxOfDeltas(center=rng.random(3), epsilon=0.1),
+            objective=ExpectedSoftmax(label=5),
+            threshold=0.5,
+        )
+        bounds = propagate_intervals(net, problem.support_box())
+        stack = noisy_stack(stack_families(problem, "linear"), [6, 16], scale=0.2, seed=2)
+        final = evaluate_dual(problem, stack, bounds).results[-1]
+        assert final.mode == "exact"
+        box = bounds.box(net.depth)
+        assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
+        lin = -stack[1].theta
+        assert final.value == softmax_objective(5, lin, final.witness)
+        corners = np.where(rng.random((500, 16)) < 0.5, box.lo, box.hi)
+        points = box.lo + rng.random((5000, 16)) * (box.hi - box.lo)
+        for sample in (corners, points):
+            assert final.value >= max(softmax_objective(5, lin, x) for x in sample)
 
     def test_adam_tightens_affine_problem(self):
         rng = np.random.default_rng(9)

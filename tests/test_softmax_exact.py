@@ -31,6 +31,64 @@ def case_b_gradient(lam, c, d, x):
     return lam - d * e / denom**2
 
 
+FUZZ_COVERAGE = ("case a wins", "case b wins", "ordered tie", "degenerate", "zero",
+                 "target in case a", "small positive", "tied thresholds", "underflow", "width 10")
+
+
+def fuzz_instance(rng, n, kind, seen):
+    """One random instance (m, lin, box) of fuzz kind 0-6, counted in ``seen``."""
+    m = int(rng.integers(n))
+    lo = 1.5 * rng.standard_normal(n)
+    width = 2.5 * rng.random(n)
+    lin = rng.random(n) * rng.choice([0.05, 0.2, 0.6])
+    if kind == 0:
+        # lin > 0 off the target and lin[m] in [-1/4, 0]: both cases reachable
+        lin[m] = -0.25 * rng.random()
+        width[m] = 5.0
+        seen["target in case a"] += 1
+    elif kind == 1:
+        lin[rng.random(n) < 0.25] *= -1.0
+        width[rng.random(n) < 0.4] = 0.0
+        seen["degenerate"] += int(np.any(width == 0.0))
+    elif kind == 2:
+        lin = np.zeros(n)
+        seen["zero"] += 1
+    elif kind == 3:
+        lin = 0.02 * rng.random(n) + 1e-3
+        seen["small positive"] += 1
+    elif kind == 4 and n >= 3:
+        # two coordinates share log lin_j - lo_j exactly
+        j, k = [j for j in range(n) if j != m][:2]
+        lin[k], lo[k] = lin[j], lo[j]
+        lin[m] = -0.25 * rng.random()
+        seen["tied thresholds"] += 1
+    elif kind == 5:
+        # every logit below exp underflow
+        lo -= 800.0
+        lin[rng.random(n) < 0.25] *= -1.0
+        seen["underflow"] += 1
+    elif kind == 6:
+        lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
+    return m, lin, Interval(lo, lo + width)
+
+
+def check_against_reference(m, lin, box, seen):
+    """The solve returns the 3^n loop's first best candidate, bit for bit."""
+    candidates = list(reference_candidates(m, lin, box.lo, box.hi))
+    top = max(value for _, value, _ in candidates)
+    won, value, witness = next(c for c in candidates if c[1] == top)
+    res = final_softmax_exact(m, Linear(theta=-lin), box)
+    assert res.mode == EXACT
+    assert res.value == value, (m, lin, box)
+    assert np.array_equal(res.witness, witness), (m, lin, box)
+    if won is not None and 2 in won:
+        seen["case a wins" if won[m] == 2 else "case b wins"] += 1
+    seen["ordered tie"] += won is not None and any(
+        v == top and not np.array_equal(x, witness) for _, v, x in candidates
+    )
+    seen["width 10"] += len(lin) == 10
+
+
 class TestStationaryPointsCaseA:
     def test_zero_discriminant(self):
         pts = stationary_points_case_a(np.array([-0.25, 0.1]), 0, 1.0)
@@ -124,67 +182,29 @@ class TestFinalSoftmaxExact:
 
     def test_matches_reference_loop_bit_for_bit(self):
         """Value and witness are the 3^n loop's first best candidate, on 1000+ instances."""
-        seen = dict.fromkeys(
-            ["case a wins", "case b wins", "ordered tie", "degenerate", "zero", "target in case a",
-             "small positive", "tied thresholds", "underflow", "width 10"], 0)
-
-        def check(m, lin, box):
-            candidates = list(reference_candidates(m, lin, box.lo, box.hi))
-            top = max(value for _, value, _ in candidates)
-            won, value, witness = next(c for c in candidates if c[1] == top)
-            res = final_softmax_exact(m, Linear(theta=-lin), box)
-            assert res.mode == EXACT
-            assert res.value == value, (m, lin, box)
-            assert np.array_equal(res.witness, witness), (m, lin, box)
-            if won is not None and 2 in won:
-                seen["case a wins" if won[m] == 2 else "case b wins"] += 1
-            seen["ordered tie"] += won is not None and any(
-                v == top and not np.array_equal(x, witness) for _, v, x in candidates
-            )
-            seen["width 10"] += len(lin) == 10
-
+        seen = dict.fromkeys(FUZZ_COVERAGE, 0)
         rng = np.random.default_rng(11)
         for i in range(1000):
             # widths 1-5, and 6-10 on every 200th instance (the loop is 3^n)
             n = 6 + i // 200 if i % 200 == 199 else 1 + i % 5
-            m = int(rng.integers(n))
-            lo = 1.5 * rng.standard_normal(n)
-            width = 2.5 * rng.random(n)
-            lin = rng.random(n) * rng.choice([0.05, 0.2, 0.6])
-            kind = i % 7
-            if kind == 0:
-                # lin > 0 off the target and lin[m] in [-1/4, 0]: both cases reachable
-                lin[m] = -0.25 * rng.random()
-                width[m] = 5.0
-                seen["target in case a"] += 1
-            elif kind == 1:
-                lin[rng.random(n) < 0.25] *= -1.0
-                width[rng.random(n) < 0.4] = 0.0
-                seen["degenerate"] += int(np.any(width == 0.0))
-            elif kind == 2:
-                lin = np.zeros(n)
-                seen["zero"] += 1
-            elif kind == 3:
-                lin = 0.02 * rng.random(n) + 1e-3
-                seen["small positive"] += 1
-            elif kind == 4 and n >= 3:
-                # two coordinates share log lin_j - lo_j exactly
-                j, k = [j for j in range(n) if j != m][:2]
-                lin[k], lo[k] = lin[j], lo[j]
-                lin[m] = -0.25 * rng.random()
-                seen["tied thresholds"] += 1
-            elif kind == 5:
-                # every logit below exp underflow
-                lo -= 800.0
-                lin[rng.random(n) < 0.25] *= -1.0
-                seen["underflow"] += 1
-            elif kind == 6:
-                lin = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.0)
-            check(m, lin, Interval(lo, lo + width))
+            check_against_reference(*fuzz_instance(rng, n, i % 7, seen), seen)
         # sum(lin) = 0 on a dyadic cube: the objective is flat along the
         # diagonal and the points of assignments (1, 2) and (2, 0) tie exactly
-        check(0, np.array([-205.0, 205.0]) / 1024.0, Interval(np.full(2, 0.5), np.full(2, 1.75)))
+        check_against_reference(
+            0, np.array([-205.0, 205.0]) / 1024.0, Interval(np.full(2, 0.5), np.full(2, 1.75)), seen
+        )
         assert all(count > 0 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("n, count", [(6, 42), (7, 14), (8, 7)])
+    def test_matches_reference_loop_at_width(self, n, count):
+        """Every fuzz kind at the widths the main fuzz samples rarely, bit for bit."""
+        seen = dict.fromkeys(FUZZ_COVERAGE, 0)
+        rng = np.random.default_rng(100 + n)
+        for i in range(count):
+            check_against_reference(*fuzz_instance(rng, n, i % 7, seen), seen)
+        kinds = ("target in case a", "degenerate", "zero", "small positive", "tied thresholds",
+                 "underflow")
+        assert all(seen[kind] > 0 for kind in kinds), seen
 
     def test_every_attainer_is_a_water_filling_row(self):
         """Every assignment whose scalar candidate attains the maximum is a row.
@@ -281,3 +301,49 @@ class TestFinalSoftmaxExact:
                                 np.where(rng.random((500, n)) < 0.5, box.lo, box.hi)])
             sampled = float((softmax(points)[:, m] + points @ lin).max())
             assert res.value >= sampled - 1e-12 * abs(sampled)
+
+
+class TestRows:
+    def test_positive_coordinates_fill_in_threshold_order(self):
+        # thresholds log lin_j - lo_j, log lin_j - hi_j: j=1 interior at
+        # log 0.1, j=2 interior at log 0.05, j=1 hi at log 0.1 - 1, j=2 hi
+        # at log 0.05 - 1; x_0 takes all three states since lin_0 = 0
+        rows = softmax_exact._rows(0, [0.0, 0.1, 0.05], [0.0] * 3, [1.0] * 3)
+        patterns = [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)]
+        assert rows == [[state, a, b] for a, b in patterns for state in (0, 1, 2)]
+        assert len(rows) == 6 * 3 - 3
+
+    def test_tied_thresholds_take_interior_first(self):
+        # log lin_1 - hi_1 == log lin_2 - lo_2: j=2 turns interior before
+        # j=1 reaches hi, so (hi, lo) is no pattern and (interior, interior) is
+        rows = softmax_exact._rows(0, [0.0, 0.1, 0.1], [0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
+        patterns = {(row[1], row[2]) for row in rows}
+        assert patterns == {(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)}
+
+    def test_nonpositive_coordinates_sit_at_lo(self):
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            n = 2 + trial % 6
+            m = int(rng.integers(n))
+            lin = 0.3 * rng.standard_normal(n)
+            lin[rng.random(n) < 0.3] = 0.0
+            lo = rng.standard_normal(n)
+            rows = softmax_exact._rows(m, lin.tolist(), lo.tolist(), (lo + rng.random(n)).tolist())
+            at_lo = [j for j in range(n) if j != m and lin[j] <= 0.0]
+            assert rows and all(row[j] == 0 for row in rows for j in at_lo)
+            assert len(rows) <= 6 * n - 3
+
+    @pytest.mark.parametrize(
+        "lin_m, interior", [(-0.3, False), (-0.25, True), (-0.1, True), (0.0, True), (0.1, False)]
+    )
+    def test_target_is_interior_only_for_lin_m_in_a_quarter(self, lin_m, interior):
+        rows = softmax_exact._rows(1, [0.05, lin_m, 0.02], [0.0, -1.0, 0.5], [2.0, 1.0, 1.0])
+        assert any(row[1] == 2 for row in rows) == interior
+        assert {row[1] for row in rows} >= {0, 1}
+
+    def test_fixed_target_rows_past_a_quarter_are_dropped(self):
+        # with both others interior sum(lin[F]) = 0.3 > 1/4: case b has no
+        # point there, so only the interior target is kept
+        rows = softmax_exact._rows(0, [-0.1, 0.2, 0.1], [0.0] * 3, [1.0] * 3)
+        assert [row[0] for row in rows if row[1:] == [2, 2]] == [2]
+        assert sorted(row[0] for row in rows if row[1:] == [2, 0]) == [0, 1, 2]
