@@ -326,7 +326,6 @@ def optimize(
         "family": family,
         "threshold": threshold,
         "objective_bound": best_margin + threshold,
-        "weight_moment_semantics": "untruncated_gaussian",
         "gaussian_truncation": _truncation_levels(net),
         "config": {
             "steps": config.steps,

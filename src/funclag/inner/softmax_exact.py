@@ -138,7 +138,8 @@ def _assignment_candidates(
     if not free:
         return [x]
     fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
-    c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+    with np.errstate(over="ignore"):
+        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
     shift = 0.0
     if fixed and not _TINY <= c <= _HUGE:
         # solve in logits moved down by the largest fixed one (softmax is
@@ -264,7 +265,9 @@ def _screen_row(m, lin, lo, hi, exp_lo, exp_hi, row):
 def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, ...]]:
     """Water-filling assignments whose screened value is near the top, in enumeration order."""
     lin_f, lo_f, hi_f = lin.tolist(), lo.tolist(), hi.tolist()
-    exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
+    with np.errstate(over="ignore"):
+        # an infinite exp sums past _HUGE, so its rows replay unscored
+        exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
     screened = [(row, _screen_row(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row))
                 for row in _rows(m, lin_f, lo_f, hi_f)]
     top = max(v for _, values in screened if values for v in values)

@@ -6,9 +6,9 @@ Every layer is stored in the canonical "activation, then affine" form
 
 where ``s`` is ``identity`` or ``relu`` and both ``W`` and ``b`` may be
 random: deterministic matrices, entrywise-independent diagonal Gaussians
-(truncated at sampling time), or Bernoulli dropout masks applied to a
-value matrix.  The first layer always has an identity activation so that
-raw inputs enter an affine map directly.
+truncated at a fixed number of standard deviations, or Bernoulli dropout
+masks applied to a value matrix.  The first layer always has an identity
+activation so that raw inputs enter an affine map directly.
 """
 
 from __future__ import annotations
@@ -60,10 +60,20 @@ def _as_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _truncated_variance_factor(a: float) -> float:
+    """Variance of a standard normal truncated to [-a, a]: 1 - 2 a phi(a) / (2 Phi(a) - 1).
+
+    The direct form cancels for small ``a``; there its series takes over.
+    """
+    if a < 1e-2:
+        return a * a / 3.0 - 2.0 * a**4 / 45.0
+    density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return 1.0 - 2.0 * a * density / math.erf(a / math.sqrt(2.0))
+
+
 # A weight kind owns its semantics: the first two moments the dual reads
-# (``mean``, ``variance``), the bounded ``support`` the boxes read, the
-# truncated ``sample`` of the public forward passes and the untruncated
-# ``realize`` of the attack.  ``noise`` names the shared block of draws
+# (``mean``, ``variance``), the bounded ``support`` the boxes read and the
+# ``realize`` of every draw.  ``noise`` names the shared block of draws
 # ``realize`` takes its entries from (None: deterministic, draws nothing), and
 # ``truncation`` the Gaussian cut in standard deviations (None: no tail).
 
@@ -99,22 +109,17 @@ class Deterministic:
     def is_point_mass(self) -> bool:
         return True
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.values
-
     def realize(self, noise) -> np.ndarray:
         return self.values
 
 
 @dataclass(frozen=True)
 class DiagonalGaussian:
-    """Entrywise-independent Gaussian weights N(mean, stddev^2).
+    """Entrywise-independent Gaussian weights N(mean, stddev^2) truncated
+    to mean +- truncation * stddev.
 
-    ``truncation`` is the number of standard deviations used when the
-    weight is *sampled*: draws are rejected outside mean +- truncation *
-    stddev so that realized weights have bounded support.  Moments are
-    those of the untruncated Gaussian; the support interval is the
-    truncated one.
+    The truncated distribution is the only one: its support bounds the
+    boxes, its moments enter the dual and every draw lies inside it.
     """
 
     mean: np.ndarray
@@ -140,7 +145,7 @@ class DiagonalGaussian:
 
     @property
     def variance(self) -> np.ndarray:
-        return self.stddev**2
+        return self.stddev**2 * _truncated_variance_factor(self.truncation)
 
     @property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,18 +155,8 @@ class DiagonalGaussian:
     def is_point_mass(self) -> bool:
         return bool(np.all(self.stddev == 0))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        draw = rng.normal(self.mean, self.stddev)
-        radius = self.truncation * self.stddev
-        bad = np.abs(draw - self.mean) > radius
-        while np.any(bad):
-            redraw = rng.normal(self.mean, self.stddev)
-            draw = np.where(bad, redraw, draw)
-            bad = np.abs(draw - self.mean) > radius
-        return draw
-
     def realize(self, noise: np.ndarray) -> np.ndarray:
-        """Untruncated draws from standard-normal ``noise`` of shape (take, *shape)."""
+        """Draws from standard-normal ``noise`` of shape (take, *shape), already cut."""
         return self.mean + self.stddev * noise
 
 
@@ -208,10 +203,6 @@ class Dropout:
 
     def is_point_mass(self) -> bool:
         return bool(np.all((self.keep == 0) | (self.keep == 1)))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        mask = rng.random(self.values.shape) < self.keep
-        return self.values * mask
 
     def realize(self, noise: np.ndarray) -> np.ndarray:
         """Masked values from uniform ``noise`` of shape (take, *shape)."""
@@ -414,7 +405,7 @@ def forward(layers, h: np.ndarray, weights) -> np.ndarray:
     """Outputs of ``layers`` at the rows of ``h`` (..., N, in) under realized weights.
 
     ``weights`` holds one realized (W, b) pair per layer, from
-    :func:`mean_weights`, :func:`draw_weights` or :func:`sample_weights`.
+    :func:`mean_weights` or :func:`draw_weights`.
     A pair is either one (out, in) matrix and (out,) vector applied to
     every row, or a stack of ``take`` draws, (take, out, in) and
     (take, out), each applied to every row of its slice of ``h``.
@@ -430,30 +421,36 @@ def mean_weights(layers) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(layer.weights.mean, layer.bias.mean) for layer in layers]
 
 
-def sample_weights(layers, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One truncated draw of every (W, b), tensor by tensor in layer order."""
-    return [(layer.weights.sample(rng), layer.bias.sample(rng)) for layer in layers]
-
-
 def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
-    """``take`` untruncated draws of every (W, b), stacked on a leading axis.
+    """``take`` draws of every (W, b), stacked on a leading axis.
 
     One standard-normal block covers the Gaussian entries of all draws,
     draw by draw in layer order (weights before bias), and one uniform
     block the dropout entries; a deterministic tensor draws nothing and
-    stays unstacked.  So when ``layers`` hold one kind of stochastic tensor,
-    ``rng`` is consumed exactly as by ``take`` successive draws of one
-    tensor at a time.  Gaussian draws are deliberately *not* truncated:
-    an estimate over them targets exactly the expectation semantics of
-    the closed forms the dual bounds, making weak duality an identity
-    rather than an approximation.
+    stays unstacked.  Normal entries past their tensor's truncation are
+    redrawn in C order until none is left, so every Gaussian draw lies in
+    the support the boxes enclose.  Without Gaussian tensors, ``rng`` is
+    consumed exactly as by ``take`` successive draws.
     """
     tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
     blocks = {}
     for noise, draw in (("normal", rng.standard_normal), ("uniform", rng.random)):
-        sizes = [math.prod(dist.shape) for dist in tensors if dist.noise == noise]
+        drawn = [dist for dist in tensors if dist.noise == noise]
+        if not drawn:
+            continue
+        sizes = [math.prod(dist.shape) for dist in drawn]
         block = draw((take, sum(sizes)))
-        blocks[noise] = iter(np.split(block, list(itertools.accumulate(sizes))[:-1], axis=1))
+        if noise == "normal":
+            # one check of the whole block against each column's cut, then
+            # only the redrawn entries are checked again
+            limit = np.array([dist.truncation for dist in drawn]).repeat(sizes)
+            flat = block.reshape(-1)
+            tail = (np.abs(block) > limit).reshape(-1).nonzero()[0]
+            while tail.size:
+                flat[tail] = draw(tail.size)
+                tail = tail[np.abs(flat[tail]) > limit[tail % limit.size]]
+        ends = itertools.accumulate(sizes)
+        blocks[noise] = iter([block[:, end - size:end] for size, end in zip(sizes, ends)])
     realized = iter([
         dist.realize(next(blocks[dist.noise]).reshape((take, *dist.shape)) if dist.noise else None)
         for dist in tensors
@@ -462,17 +459,15 @@ def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
 
 
 def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
-    """One stochastic forward pass with freshly sampled weights.
+    """One stochastic forward pass with one :func:`draw_weights` draw.
 
-    Gaussian weights are rejection-sampled within their truncated support
-    and dropout weights are Bernoulli masks; deterministic weights pass
-    through unchanged.  The pass is a pure function of (net, x, seed).
+    The pass is a pure function of (net, x, seed).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
     rng = np.random.default_rng(seed)
-    return forward(net.layers, x[np.newaxis], sample_weights(net.layers, rng))[0]
+    return forward(net.layers, x[np.newaxis], draw_weights(net.layers, 1, rng)).reshape(-1)
 
 
 def mean_softmax_estimate(
@@ -489,7 +484,7 @@ def mean_softmax_estimate(
     rows = np.asarray(x, dtype=float)[np.newaxis]
     probs = np.empty((n_samples, net.output_dim))
     for i in range(n_samples):
-        probs[i] = softmax(forward(net.layers, rows, sample_weights(net.layers, rng)))[0]
+        probs[i] = softmax(forward(net.layers, rows, draw_weights(net.layers, 1, rng))).reshape(-1)
     mean = probs.mean(axis=0)
     if n_samples == 1 or net.is_deterministic():
         stderr = np.zeros(net.output_dim)

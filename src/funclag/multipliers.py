@@ -4,14 +4,10 @@ A multiplier attaches to one layer boundary and maps that layer's
 activation vector to a scalar penalty.  For stochastic layers the dual
 needs E[lam(W s(x) + b)] over the weight distribution.  Linear and
 quadratic multipliers need only the first and second weight moments
-(Gaussian: mean/variance; dropout: v*p and v^2*p*(1-p)), and the
-quadratic coefficients of that expectation live here.  Linexp
+(Gaussian: the truncated mean/variance; dropout: v*p and v^2*p*(1-p)),
+and the quadratic coefficients of that expectation live here.  Linexp
 multipliers sit only on the output of the deterministic input layer, so
 no solve takes an expectation of an exponential over random weights.
-
-Gaussian expectations deliberately use the *untruncated* moments even
-though sampling and support boxes are truncated; the certified output
-records this via its metadata.
 """
 
 from __future__ import annotations

@@ -140,9 +140,10 @@ def _batch_objective_estimate(net, objective, x, weight_draws, rng):
 
     Weight draws run in chunks of at most max(N, _ROW_BUDGET) (draw,
     point) rows, and layers before the first stochastic tensor run once.
-    The sums accumulate in draw order, so on a net with one kind of
-    stochastic tensor the estimate equals, bit for bit, a loop over
-    single draws.
+    The sums accumulate in draw order, so on a net without Gaussian
+    tensors the estimate equals, bit for bit, a loop over single draws.
+    A Gaussian tail redraw takes its normals after the whole chunk's, so
+    there the draws depend on the chunking, though not their distribution.
     """
     if net.is_deterministic():
         # a zero-stddev Gaussian counts as deterministic and draws nothing
@@ -184,9 +185,11 @@ def sample_lower_bound(
     input sets: the expectation is estimated under a small catalog of
     feasible noise distributions (a point mass at zero, truncated
     Gaussians, a symmetric two-point mixture).  Returns (value, stderr);
-    never a certificate.  Raises ValueError when ``weight_draws`` < 1 or
-    ``hill_steps`` < 0.
+    never a certificate.  Raises ValueError when ``n_samples`` < 1,
+    ``weight_draws`` < 1 or ``hill_steps`` < 0.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if weight_draws < 1:
         raise ValueError("weight_draws must be at least 1")
     if hill_steps < 0:
@@ -200,7 +203,7 @@ def sample_lower_bound(
 
     box = problem.support_box()
     lo, hi = box.lo, box.hi
-    points = lo + rng.random((max(n_samples, 1), lo.shape[0])) * (hi - lo)
+    points = lo + rng.random((n_samples, lo.shape[0])) * (hi - lo)
     means, stderrs = _batch_objective_estimate(net, problem.objective, points, weight_draws, rng)
     best_idx = int(np.argmax(means))
     best_x = points[best_idx].copy()
@@ -239,7 +242,7 @@ def sample_lower_bound(
     return best_val, best_err
 
 
-def _sub_gaussian_lower_bound(problem, n_samples, rng):
+def _sub_gaussian_lower_bound(problem, n, rng):
     """Best estimate over a catalog of feasible noise distributions.
 
     Feasibility means zero mean, i.i.d. coordinates, support inside the
@@ -257,7 +260,6 @@ def _sub_gaussian_lower_bound(problem, n_samples, rng):
     radius = np.maximum(np.minimum(center - box.lo, box.hi - center), 0.0)
     scale_cap = min(input_set.sigma, input_set.epsilon)
     dim = center.shape[0]
-    n = max(n_samples, 1)
 
     def estimate(noise_sampler):
         x = center + noise_sampler(n)

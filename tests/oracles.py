@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import special
 
 from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
 from funclag.model import (
@@ -74,12 +75,20 @@ def noisy_stack(families, widths, scale: float, seed: int) -> MultiplierStack:
 
 
 def weight_log_mgf(dist, theta: np.ndarray) -> np.ndarray:
-    """Entrywise log moment generating function log E[exp(w * theta)]."""
+    """Entrywise log moment generating function log E[exp(w * theta)].
+
+    A Gaussian truncated at a standard deviations has the mgf
+    exp(mu t + sigma^2 t^2 / 2) (Phi(a - sigma t) - Phi(-a - sigma t)) / (2 Phi(a) - 1);
+    the Phi difference is even in sigma t, and taken at |sigma t| it never
+    subtracts two numbers near 1.
+    """
     theta = np.asarray(theta, dtype=float)
     if isinstance(dist, Deterministic):
         return dist.values * theta
     if isinstance(dist, DiagonalGaussian):
-        return dist.mean * theta + 0.5 * dist.stddev**2 * theta**2
+        a, u = dist.truncation, np.abs(dist.stddev * theta)
+        mass = (special.ndtr(a - u) - special.ndtr(-a - u)) / (2.0 * special.ndtr(a) - 1.0)
+        return dist.mean * theta + 0.5 * u**2 + np.log(mass)
     if isinstance(dist, Dropout):
         return np.log(dist.keep * np.exp(dist.values * theta) + (1.0 - dist.keep))
     raise TypeError(f"unknown weight distribution {type(dist).__name__}")
@@ -91,7 +100,7 @@ def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
     Linear and quadratic parts need the first two weight moments; the
     exponential part of a linexp multiplier factorizes into per-entry
     moment generating functions because weight entries are independent.
-    Gaussian weights use the untruncated moments and mgf.
+    Gaussian weights use the truncated moments and mgf.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (layer.in_dim,):
@@ -123,9 +132,9 @@ def mc_expectation(
 ) -> tuple[float, float]:
     """Sample mean and standard error of lam(W s(x) + b) over weight draws.
 
-    Gaussian weights are drawn untruncated, matching the moment and mgf
-    semantics of the closed-form expectations this oracle validates.
-    Draws are batched, so millions of samples stay cheap.
+    The weights come from ``draw_weights``, so Gaussian ones are truncated,
+    as in the closed-form expectations this oracle validates.  Draws are
+    batched, so millions of samples stay cheap.
     """
     rng = np.random.default_rng(seed)
     row = np.asarray(x, dtype=float)[np.newaxis]

@@ -14,7 +14,7 @@ from funclag import (
     interval_affine,
     propagate_intervals,
 )
-from funclag.model import forward, sample_weights
+from funclag.model import draw_weights, forward
 from funclag.oracle import random_problem
 
 from conftest import det_layer
@@ -102,7 +102,7 @@ class TestPropagate:
             rng = np.random.default_rng(seed + 1000)
             for trial in range(1_700):
                 out = box.lo + rng.random((1, net.input_dim)) * (box.hi - box.lo)
-                weights = sample_weights(net.layers, np.random.default_rng((seed, trial)))
+                weights = draw_weights(net.layers, 1, np.random.default_rng((seed, trial)))
                 for k in range(net.depth):
                     out = forward(net.layers[k : k + 1], out, weights[k : k + 1])
                     assert bounds.box(k + 1).contains(out, tol=0.0)

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from funclag import (
     BoxOfDeltas,
+    CanonicalLayer,
     CanonicalNetwork,
+    Deterministic,
+    DiagonalGaussian,
     ExpectedSoftmax,
     LogitDiff,
     Linear,
@@ -384,6 +389,24 @@ class TestOptimize:
         for sample in (corners, points):
             assert final.value >= max(softmax_objective(5, lin, x) for x in sample)
 
+    def test_logits_past_exp_overflow_run_every_step(self):
+        # logits near 715 overflow a plain exp; the output solve replays
+        # those rows in shifted logits, so no step warns or stops the run
+        net = CanonicalNetwork(layers=(det_layer(np.full((3, 2), 10.0), [705.0, 0.0, 1.0]),))
+        for label in range(3):
+            problem = VerificationProblem(
+                network=net,
+                input_set=BoxOfDeltas(center=np.array([0.5, 0.5]), epsilon=0.1, clip=False),
+                objective=ExpectedSoftmax(label=label),
+                threshold=0.5,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cert = optimize(
+                    problem, OptimizerConfig(steps=20, lr=0.05, certify_every=5, early_stop=False)
+                )
+            assert [entry["step"] for entry in cert.trace] == list(range(21))
+
     def test_adam_tightens_affine_problem(self):
         rng = np.random.default_rng(9)
         net = random_affine_net(rng, conditioned=True)
@@ -403,6 +426,27 @@ class TestOptimize:
 
 
 class TestSampleLowerBound:
+    def test_certificate_holds_against_the_attack_at_a_tight_truncation(self):
+        # one N(0, 1) weight cut at 0.5 sd feeding a relu: the boxes keep
+        # |w| <= 0.5, so the bound (0.25025) holds for E relu(w) = 0.1224 of
+        # the truncated net but not for the untruncated 0.399
+        gaussian = DiagonalGaussian(mean=np.zeros((1, 1)), stddev=np.ones((1, 1)), truncation=0.5)
+        net = CanonicalNetwork(layers=(
+            CanonicalLayer(
+                activation="identity", weights=gaussian, bias=Deterministic(np.zeros(1))
+            ),
+            det_layer([[1.0], [0.0]], [0.0, 0.0], activation="relu"),
+        ))
+        problem = VerificationProblem(
+            network=net,
+            input_set=BoxOfDeltas(center=np.array([1.0]), epsilon=0.001, clip=False),
+            objective=LogitDiff(target=0, true=1),
+            threshold=0.0,
+        )
+        cert = optimize(problem, OptimizerConfig(steps=2000, lr=0.01))
+        value, stderr = sample_lower_bound(problem, n_samples=200, seed=0, weight_draws=5000)
+        assert cert.bound >= value - 4.0 * stderr
+
     def test_monotone_one_dim_box_hits_corner(self):
         net = CanonicalNetwork(layers=(det_layer([[1.0], [0.0]], [0.0, 0.0]),))
         problem = VerificationProblem(

@@ -81,14 +81,14 @@ JOBS = {
 }
 
 GOLDEN = {
-    "robust-linear": "bc7a8fbd734f1831de6e807ee86d714154fda6890586846831e9ca8dba628788",
-    "adversarial-linear": "212274d8419eb53bf7829d00414a3a83c27d10041774b2b9e72afff3038c94a0",
-    "dist-linexp": "c7439b6e1b5b6d2636a7ad220fe1dfdafdb4dc1dc80ef0dc7ae3a5f39568228a",
-    "robust-quadratic": "f536d350ba09fa63b5ed642823f5f87bb3b6d24ec148b24e229f52d0fc10863f",
-    "wide-linear": "87d42af9da6d61ebb8f88b43c80bc132b94b97c7f94f9d0f555a8628ec4df5bf",
-    "gaussian-adversarial": "b78cddcde9519c246a8be2a3b5dce2b9f93cf55a21616fdc8c4e4c3128399ebe",
-    "mixed-adversarial": "99e0866c0da81f81a25e3be7d4d99b125e0a303cb5e5c975399ccaab7b032f2d",
-    "dropout-dist-linexp": "08f49595178aa6724ede3a4a1ad3e46dccabf0f86832e0bda41f0862328f6372",
+    "robust-linear": "ed701a84546b92f095ee1543ca81f1e6812d50988911faf8ae5f6706501bbf7b",
+    "adversarial-linear": "0628c2de915c8055c2fcdb07667b7e22d398e90b09bb5151d3c2611030d36eb8",
+    "dist-linexp": "84ce787c4bec1a7934ee16202b2c037cfc3ffd1f4ed900f7a02f57fbceda5e31",
+    "robust-quadratic": "2e000a7f39a672f977650decebcde6a771e31c3d31fae30b7a6a0a748baafd10",
+    "wide-linear": "2d7ab7e31c04a69d3128ccf4f4a650ed1a44b7462d53c0f3f595089d92d6a510",
+    "gaussian-adversarial": "3811979837934eee0898c32b417f829b08b91c2c30624b58fe8cecb99938188f",
+    "mixed-adversarial": "0114b451e5e3df841532fbcbf1b21559abf1dbfe2e93dad29e7bacb3e79b706d",
+    "dropout-dist-linexp": "ef2810d128c851ff05b1337ec86bb9403ebd428c982756efc2b47a0603bf8c0d",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for

@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +20,7 @@ from funclag import (
     model_to_dict,
     softmax,
 )
+from funclag.model import draw_weights
 
 from oracles import enumerate_dropout_patterns
 
@@ -160,6 +162,39 @@ class TestWeightKinds:
     )
     def test_point_mass(self, dist, point_mass):
         assert dist.is_point_mass() is point_mass
+
+    def test_truncated_variance_matches_mpmath(self):
+        # Var of N(0, 1) cut at a: 1 - 2 a phi(a) / (2 Phi(a) - 1), which cancels
+        # toward 0 as a -> 0; 1e-2 is where the model switches to a series
+        cuts = [*np.geomspace(1e-8, 40.0, 400), *np.nextafter(1e-2, [0.0, 1.0]), 1e-2]
+        for a in cuts:
+            dist = DiagonalGaussian(mean=np.zeros(1), stddev=np.ones(1), truncation=a)
+            got = float(dist.variance[0])
+            with mpmath.workdps(40):
+                m = mpmath.mpf(float(a))
+                want = float(1 - 2 * m * mpmath.npdf(m) / (2 * mpmath.ncdf(m) - 1))
+            assert got >= 0.0
+            assert abs(got - want) <= 1e-9 * want, a
+
+    @pytest.mark.parametrize("cut", [0.25, 0.5, 3.0])
+    def test_draws_follow_the_truncated_distribution(self, cut):
+        # a weight cut at ``cut`` sd and a bias at twice that share one block
+        rng = np.random.default_rng(3)
+        layer = CanonicalLayer(
+            activation="identity",
+            weights=DiagonalGaussian(mean=rng.standard_normal((2, 3)),
+                                     stddev=0.2 + rng.random((2, 3)), truncation=cut),
+            bias=DiagonalGaussian(mean=rng.standard_normal(2), stddev=0.2 + rng.random(2),
+                                  truncation=2.0 * cut),
+        )
+        n = 100_000
+        ((w, b),) = draw_weights([layer], n, np.random.default_rng(5))
+        for dist, draws in ((layer.weights, w), (layer.bias, b)):
+            lo, hi = dist.support
+            assert np.all((draws >= lo) & (draws <= hi))
+            sq = (draws - dist.mean) ** 2
+            stderr = sq.std(axis=0) / np.sqrt(n)
+            assert np.all(np.abs(sq.mean(axis=0) - dist.variance) <= 4.0 * stderr)
 
 
 class TestForwardSample:

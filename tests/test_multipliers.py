@@ -46,17 +46,26 @@ def one_dim_gaussian_layer(mean, stddev):
 
 class TestExpectedUnderLayer:
     def test_quadratic_second_moment(self):
-        # E[0.5 (w x)^2] with w ~ N(1,1), x = 2: 0.5 (E[w]^2 + Var w) x^2
+        # E[0.5 (w x)^2] with w ~ N(1,1) cut at 3 sd, x = 2: 0.5 (E[w]^2 + Var w) x^2,
+        # Var w = 1 - 2 * 3 phi(3) / (2 Phi(3) - 1)
+        density = math.exp(-4.5) / math.sqrt(2.0 * math.pi)
+        var = 1.0 - 6.0 * density / math.erf(3.0 / math.sqrt(2.0))
         layer = one_dim_gaussian_layer(1.0, 1.0)
         lam = Quadratic(Q=np.array([[1.0]]), q=np.array([0.0]))
-        assert expected_under_layer(lam, layer, np.array([2.0])) == pytest.approx(4.0, abs=1e-12)
+        assert expected_under_layer(lam, layer, np.array([2.0])) == pytest.approx(
+            2.0 * (1.0 + var), rel=1e-12
+        )
 
     def test_gaussian_mgf(self):
-        # E[exp(w)] for w ~ N(0,1) is e^{1/2}
+        # E[exp(w)] for w ~ N(0,1) cut at 3 sd is e^{1/2} (Phi(2) - Phi(-4)) / (2 Phi(3) - 1)
         layer = one_dim_gaussian_layer(0.0, 1.0)
         lam = LinExp(alpha=np.zeros(1), gamma=np.ones(1), kappa=0.0)
+
+        def phi(x):
+            return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
         assert expected_under_layer(lam, layer, np.array([1.0])) == pytest.approx(
-            math.exp(0.5), rel=1e-12
+            math.exp(0.5) * (phi(2.0) - phi(-4.0)) / (2.0 * phi(3.0) - 1.0), rel=1e-12
         )
 
     def test_two_point_mgf(self):

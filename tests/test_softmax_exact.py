@@ -302,6 +302,25 @@ class TestFinalSoftmaxExact:
             sampled = float((softmax(points)[:, m] + points @ lin).max())
             assert res.value >= sampled - 1e-12 * abs(sampled)
 
+    @pytest.mark.parametrize("offset", [705.0, 720.0, 1000.0])
+    def test_logits_past_exp_overflow(self, offset):
+        # exp of a bound overflows: under the dual's error state the solve
+        # neither raises nor falls below any sampled box point
+        rng = np.random.default_rng(int(offset))
+        for trial in range(134):
+            n = 2 + trial % 5
+            m = trial % n
+            lo = offset + rng.standard_normal(n)
+            box = Interval(lo, lo + 6.0 * rng.random(n))
+            lin = 0.1 * rng.standard_normal(n)
+            if trial % 2:
+                lin = 0.1 * np.abs(lin)
+            with np.errstate(over="raise", invalid="raise"):
+                res = final_softmax_exact(m, Linear(theta=-lin), box)
+            points = box.lo + rng.random((3000, n)) * (box.hi - box.lo)
+            sampled = float((softmax(points)[:, m] + points @ lin).max())
+            assert res.value >= sampled - 1e-12 * abs(sampled)
+
 
 class TestRows:
     def test_positive_coordinates_fill_in_threshold_order(self):
