@@ -97,13 +97,15 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
         for problem in problems:
             cert = optimize(problem, config=config, family=family)
             cert.metadata["config"]["seed"] = seed
-            if attack:
-                value, stderr = sample_lower_bound(
-                    problem, n_samples=200, seed=seed, weight_draws=200, hill_steps=25
-                )
+            certificates.append(cert)
+        if attack:
+            # one attack per spec: every label reads the same draws
+            attacks = sample_lower_bound(
+                problems, n_samples=200, seed=seed, weight_draws=200, hill_steps=25
+            )
+            for cert, (value, stderr) in zip(certificates, attacks):
                 cert.metadata["attack_value"] = value
                 cert.metadata["attack_stderr"] = stderr
-            certificates.append(cert)
     except (UnsupportedCombination, ValueError) as exc:
         _fail(str(exc))
     except ArithmeticError as exc:

@@ -2,14 +2,16 @@
 
 ``random_problem`` builds reproducible random networks and
 specifications for fuzz suites and benchmarks.  ``sample_lower_bound``
-is a heuristic lower estimate of the specification optimum that
-certificates record next to their bound; it never enters the certified
-claim.  The brute-force references the tests compare the verifier
-against live with the tests.
+gives heuristic lower estimates of the optima of one spec's problems,
+one per label, that certificates record next to their bound; they never
+enter the certified claim.  The labels read the same forward passes, and
+each gets the value its attack alone would get.  The brute-force
+references the tests compare the verifier against live with the tests.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -125,67 +127,84 @@ def random_problem(
 
 
 # One batched weight estimate holds at most max(points, _ROW_BUDGET)
-# (draw, point) rows per array pass.
+# (draw, point) rows per array pass, counting the points of one label.
 _ROW_BUDGET = 1024
 
 
-def _objective_values(objective, logits: np.ndarray) -> np.ndarray:
-    if isinstance(objective, LogitDiff):
-        return logits[..., objective.target] - logits[..., objective.true]
-    return softmax(logits)[..., objective.label]
+def _objective_values(objectives, logits: np.ndarray) -> np.ndarray:
+    """Every objective at every row: (..., N, out) logits to (..., N, len(objectives))."""
+    values = np.empty(logits.shape[:-1] + (len(objectives),))
+    diffs = [k for k, objective in enumerate(objectives) if isinstance(objective, LogitDiff)]
+    if diffs:
+        targets = [objectives[k].target for k in diffs]
+        trues = [objectives[k].true for k in diffs]
+        values[..., diffs] = logits[..., targets] - logits[..., trues]
+    probs = [k for k, objective in enumerate(objectives) if not isinstance(objective, LogitDiff)]
+    if probs:
+        values[..., probs] = softmax(logits)[..., [objectives[k].label for k in probs]]
+    return values
 
 
-def _batch_objective_estimate(net, objective, x, weight_draws, rng):
-    """Per-input estimates of the expected objective (mean, stderr).
+def _batch_objective_estimate(net, objectives, x, weight_draws, rng, points=None):
+    """Estimates (mean, stderr) of every objective at every input, (N, L) each.
 
-    Weight draws run in chunks of at most max(N, _ROW_BUDGET) (draw,
-    point) rows, and layers before the first stochastic tensor run once.
-    The sums accumulate in draw order, so on a net without Gaussian
-    tensors the estimate equals, bit for bit, a loop over single draws.
-    A Gaussian tail redraw takes its normals after the whole chunk's, so
+    Weight draws run in chunks of at most max(points, _ROW_BUDGET)
+    (draw, point) rows, where ``points`` (default N) is the batch the
+    chunks are sized for: a batch of several labels' points passes one
+    label's count, so ``rng`` is consumed as by that label alone.  Layers
+    before the first stochastic tensor run once.  Each draw is applied to
+    every row, so a row's estimate does not depend on the other rows, and
+    the sums accumulate in draw order: on a net without Gaussian tensors
+    the estimate equals, bit for bit, a loop over single draws.  A
+    Gaussian tail redraw takes its normals after the whole chunk's, so
     there the draws depend on the chunking, though not their distribution.
     """
     if net.is_deterministic():
         # a zero-stddev Gaussian counts as deterministic and draws nothing
-        values = _objective_values(objective, forward(net.layers, x, mean_weights(net.layers)))
+        values = _objective_values(objectives, forward(net.layers, x, mean_weights(net.layers)))
         return values, np.zeros_like(values)
     first = next(
         i for i, layer in enumerate(net.layers) if layer.weights.noise or layer.bias.noise
     )
     layers = net.layers[first:]
     hidden = forward(net.layers[:first], x, mean_weights(net.layers[:first]))
-    per_chunk = max(_ROW_BUDGET // x.shape[0], 1)
-    total = np.zeros(x.shape[0])
-    total_sq = np.zeros(x.shape[0])
+    per_chunk = max(_ROW_BUDGET // (points or x.shape[0]), 1)
+    total = np.zeros((1, x.shape[0], len(objectives)))
+    total_sq = np.zeros_like(total)
     for done in range(0, weight_draws, per_chunk):
         take = min(per_chunk, weight_draws - done)
         values = _objective_values(
-            objective, forward(layers, hidden, draw_weights(layers, take, rng))
+            objectives, forward(layers, hidden, draw_weights(layers, take, rng))
         )
-        # cumsum adds row after row; a sum over axis 0 is pairwise for one point
-        total = np.cumsum(np.vstack([total, values]), axis=0)[-1]
-        total_sq = np.cumsum(np.vstack([total_sq, values**2]), axis=0)[-1]
-    mean = total / weight_draws
-    var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
+        # cumsum adds draw after draw; a sum over axis 0 is pairwise for one point
+        total = np.cumsum(np.concatenate([total, values]), axis=0)[-1:]
+        total_sq = np.cumsum(np.concatenate([total_sq, values**2]), axis=0)[-1:]
+    mean = total[0] / weight_draws
+    var = np.maximum(total_sq[0] / weight_draws - mean**2, 0.0)
     stderr = np.sqrt(var / weight_draws)
     return mean, stderr
 
 
 def sample_lower_bound(
-    problem: VerificationProblem,
+    problems: list[VerificationProblem],
     n_samples: int = 1000,
     seed: int = 0,
     weight_draws: int = 1000,
     hill_steps: int = 100,
-) -> tuple[float, float]:
-    """Heuristic lower estimate of the specification optimum.
+) -> list[tuple[float, float]]:
+    """Heuristic lower estimates of the specification optima, one per problem.
 
-    Box input sets: the objective is estimated at random box points and
-    the best point is refined by coordinate hill climbing.  Sub-Gaussian
-    input sets: the expectation is estimated under a small catalog of
-    feasible noise distributions (a point mass at zero, truncated
-    Gaussians, a symmetric two-point mixture).  Returns (value, stderr);
-    never a certificate.  Raises ValueError when ``n_samples`` < 1,
+    The problems share one network and one input set (the labels of one
+    spec, as ``build_problem`` expands it); each gets the value it would
+    get alone with ``seed``, bit for bit, while every label reads the same
+    forward passes.  Box input sets: the objective is estimated at random
+    box points and each label's best point is refined by coordinate hill
+    climbing, all labels in lockstep.  Sub-Gaussian input sets: the
+    expectation is estimated under a small catalog of feasible noise
+    distributions (a point mass at zero, truncated Gaussians, a symmetric
+    two-point mixture).  Returns one (value, stderr) per problem; never a
+    certificate.  Raises ValueError when the problems do not share one
+    network and one input set, or when ``n_samples`` < 1,
     ``weight_draws`` < 1 or ``hill_steps`` < 0.
     """
     if n_samples < 1:
@@ -194,67 +213,93 @@ def sample_lower_bound(
         raise ValueError("weight_draws must be at least 1")
     if hill_steps < 0:
         raise ValueError("hill_steps must be non-negative")
+    if not problems:
+        return []
+    net, input_set = problems[0].network, problems[0].input_set
+    if any(p.network is not net or p.input_set is not input_set for p in problems):
+        raise ValueError("the problems must share one network and one input set")
+    objectives = [p.objective for p in problems]
     rng = np.random.default_rng(seed)
-    net = problem.network
-    input_set = problem.input_set
 
     if isinstance(input_set, SubGaussianNoise):
-        return _sub_gaussian_lower_bound(problem, n_samples, rng)
+        return _sub_gaussian_lower_bounds(net, input_set, objectives, n_samples, rng)
 
-    box = problem.support_box()
+    box = input_set.support_box()
     lo, hi = box.lo, box.hi
     points = lo + rng.random((n_samples, lo.shape[0])) * (hi - lo)
-    means, stderrs = _batch_objective_estimate(net, problem.objective, points, weight_draws, rng)
-    best_idx = int(np.argmax(means))
-    best_x = points[best_idx].copy()
-    best_val, best_err = float(means[best_idx]), float(stderrs[best_idx])
+    means, stderrs = _batch_objective_estimate(net, objectives, points, weight_draws, rng)
+    best_idx = np.argmax(means, axis=0)
+    labels = np.arange(len(objectives))
+    best_val, best_err = means[best_idx, labels], stderrs[best_idx, labels]
+    if hill_steps == 0:
+        return list(zip(best_val.tolist(), best_err.tolist()))
 
-    if hill_steps > 0:
-        step = 0.25 * (hi - lo)
-        x = best_x.copy()
-        for _ in range(hill_steps):
-            improved = False
-            for i in range(x.shape[0]):
-                if step[i] == 0.0:
-                    continue
-                candidates = []
-                for direction in (1.0, -1.0):
-                    trial = x.copy()
-                    trial[i] = float(np.clip(trial[i] + direction * step[i], lo[i], hi[i]))
-                    candidates.append(trial)
-                vals, errs = _batch_objective_estimate(
-                    net, problem.objective, np.stack(candidates), min(weight_draws, 200), rng
-                )
-                j = int(np.argmax(vals))
-                if vals[j] > best_val:
-                    best_val, best_err = float(vals[j]), float(errs[j])
-                    x = candidates[j]
-                    improved = True
-            if not improved:
-                step *= 0.5
-                if float(step.max()) < 1e-6 * float((hi - lo).max() + 1e-12):
-                    break
-        # fresh estimate at the climbed point avoids max-selection bias
-        final_mean, final_err = _batch_objective_estimate(
-            net, problem.objective, x[np.newaxis, :], weight_draws, rng
-        )
-        best_val, best_err = float(final_mean[0]), float(final_err[0])
-    return best_val, best_err
+    # Each label's climb draws its weights as its own generator would, so
+    # the labels still climbing share one generator; a label leaves with a
+    # copy of it and takes its final estimate from that.
+    x = points[best_idx]
+    step = np.tile(0.25 * (hi - lo), (len(objectives), 1))
+    floor = 1e-6 * float((hi - lo).max() + 1e-12)
+    live = np.ones(len(objectives), dtype=bool)
+    results = [None] * len(objectives)
+
+    def final_estimates(leaving):
+        # a fresh estimate at the climbed point avoids max-selection bias;
+        # one row per call, as a label alone makes it
+        for k in leaving:
+            mean, err = _batch_objective_estimate(
+                net, objectives[k:k + 1], x[k:k + 1], weight_draws, copy.deepcopy(rng)
+            )
+            results[k] = (float(mean[0, 0]), float(err[0, 0]))
+
+    for _ in range(hill_steps):
+        improved = np.zeros(len(objectives), dtype=bool)
+        for i in range(x.shape[1]):
+            # a coordinate has a zero step only on a zero-width side of the box
+            moving = np.flatnonzero(live & (step[:, i] != 0.0))
+            if moving.size == 0:
+                continue
+            # rows 2k and 2k + 1 move label moving[k] up and down
+            trials = x[moving].repeat(2, axis=0)
+            trials[0::2, i] = np.clip(x[moving, i] + step[moving, i], lo[i], hi[i])
+            trials[1::2, i] = np.clip(x[moving, i] - step[moving, i], lo[i], hi[i])
+            means, errs = _batch_objective_estimate(
+                net, objectives, trials, min(weight_draws, 200), rng, points=2
+            )
+            rows = np.arange(trials.shape[0])
+            owner = moving.repeat(2)
+            vals = means[rows, owner].reshape(-1, 2)
+            j = np.argmax(vals, axis=1)
+            chosen = 2 * np.arange(moving.size) + j
+            better = vals[np.arange(moving.size), j] > best_val[moving]
+            up = moving[better]
+            best_val[up] = means[chosen[better], up]
+            best_err[up] = errs[chosen[better], up]
+            x[up] = trials[chosen[better]]
+            improved[up] = True
+        halving = live & ~improved
+        step[halving] *= 0.5
+        leaving = halving & (step.max(axis=1) < floor)
+        final_estimates(np.flatnonzero(leaving))
+        live &= ~leaving
+        if not live.any():
+            break
+    final_estimates(np.flatnonzero(live))
+    return results
 
 
-def _sub_gaussian_lower_bound(problem, n, rng):
-    """Best estimate over a catalog of feasible noise distributions.
+def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
+    """Best estimate of each objective over a catalog of feasible noise distributions.
 
     Feasibility means zero mean, i.i.d. coordinates, support inside the
     (possibly clipped) box around the center, and a sub-Gaussian mgf with
-    the problem's sigma.  Symmetric truncation radii keep the mean at
-    zero even when clipping shrinks one side of the box, and symmetric
+    the set's sigma.  Symmetric truncation radii keep the mean at zero
+    even when clipping shrinks one side of the box, and symmetric
     truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.  A
     coordinate with radius 0 (a clipped center on the box edge) gets no
-    noise.
+    noise.  Each distribution is sampled once, and one forward pass of
+    its rows scores every objective.
     """
-    input_set = problem.input_set
-    net = problem.network
     center = input_set.center
     box = input_set.support_box()
     radius = np.maximum(np.minimum(center - box.lo, box.hi - center), 0.0)
@@ -264,13 +309,15 @@ def _sub_gaussian_lower_bound(problem, n, rng):
     def estimate(noise_sampler):
         x = center + noise_sampler(n)
         if net.is_deterministic():
-            values, _ = _batch_objective_estimate(net, problem.objective, x, 1, rng)
+            values, _ = _batch_objective_estimate(net, objectives, x, 1, rng)
         else:
             # joint (noise, weight) draws: one weight realization per row
             logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
-            values = _objective_values(problem.objective, logits[:, 0])
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            values = _objective_values(objectives, logits[:, 0])
+        # a contiguous row per objective sums as a lone objective's values do
+        per_objective = np.ascontiguousarray(values.T)
+        mean = per_objective.mean(axis=1)
+        stderr = per_objective.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
         return mean, stderr
 
     samplers = [lambda k: np.zeros((k, dim))]
@@ -287,9 +334,10 @@ def _sub_gaussian_lower_bound(problem, n, rng):
             samplers.append(trunc_normal)
         two_point = np.minimum(scale_cap, radius)
         samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
-    best_val, best_err = -math.inf, 0.0
+    best_val = np.full(len(objectives), -math.inf)
+    best_err = np.zeros(len(objectives))
     for sampler in samplers:
         val, err = estimate(sampler)
-        if val > best_val:
-            best_val, best_err = val, err
-    return best_val, best_err
+        better = val > best_val
+        best_val[better], best_err[better] = val[better], err[better]
+    return list(zip(best_val.tolist(), best_err.tolist()))

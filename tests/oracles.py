@@ -3,13 +3,15 @@
 None of these runs in a verification.  They are the slow, direct routes:
 multipliers evaluated at points, closed-form layer expectations through
 per-entry moment generating functions, Monte Carlo layer expectations,
-exhaustive dropout patterns, reproducible noisy multiplier stacks, and
-the full 3^n enumeration of the softmax output problem.
+exhaustive dropout patterns, reproducible noisy multiplier stacks, the
+full 3^n enumeration of the softmax output problem, and the sampled
+attack of one problem alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import special
@@ -22,6 +24,7 @@ from funclag.model import (
     Dropout,
     draw_weights,
     forward,
+    mean_weights,
     softmax,
 )
 from funclag.multipliers import (
@@ -36,6 +39,7 @@ from funclag.multipliers import (
     init_stack,
     with_params,
 )
+from funclag.specs import LogitDiff, SubGaussianNoise
 
 
 def evaluate(lam: Multiplier, y):
@@ -250,3 +254,129 @@ def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray
             trial[free] = np.clip(xs, lo[free], hi[free])
             yield assignment, softmax_objective(m, lin, trial), trial
 
+
+
+# --- the sampled attack of one problem alone ---------------------------------
+
+
+def _objective_values(objective, logits):
+    if isinstance(objective, LogitDiff):
+        return logits[..., objective.target] - logits[..., objective.true]
+    return softmax(logits)[..., objective.label]
+
+
+def objective_estimate(net, objective, x, weight_draws, rng, row_budget=1024):
+    """Per-input (mean, stderr) of one objective, weight draws in chunks of at
+    most max(N, row_budget) (draw, point) rows, sums in draw order."""
+    if net.is_deterministic():
+        values = _objective_values(objective, forward(net.layers, x, mean_weights(net.layers)))
+        return values, np.zeros_like(values)
+    first = next(
+        i for i, layer in enumerate(net.layers) if layer.weights.noise or layer.bias.noise
+    )
+    layers = net.layers[first:]
+    hidden = forward(net.layers[:first], x, mean_weights(net.layers[:first]))
+    per_chunk = max(row_budget // x.shape[0], 1)
+    total = np.zeros(x.shape[0])
+    total_sq = np.zeros(x.shape[0])
+    for done in range(0, weight_draws, per_chunk):
+        take = min(per_chunk, weight_draws - done)
+        values = _objective_values(
+            objective, forward(layers, hidden, draw_weights(layers, take, rng))
+        )
+        total = np.cumsum(np.vstack([total, values]), axis=0)[-1]
+        total_sq = np.cumsum(np.vstack([total_sq, values**2]), axis=0)[-1]
+    mean = total / weight_draws
+    var = np.maximum(total_sq / weight_draws - mean**2, 0.0)
+    return mean, np.sqrt(var / weight_draws)
+
+
+def sample_lower_bound_alone(problem, n_samples=1000, seed=0, weight_draws=1000,
+                             hill_steps=100):
+    """The sampled attack of one problem with its own generator: random box
+    points, then one coordinate climb from the best, then a fresh estimate
+    at the climbed point; or the best of the noise catalog on a
+    sub-Gaussian input set."""
+    rng = np.random.default_rng(seed)
+    net = problem.network
+    if isinstance(problem.input_set, SubGaussianNoise):
+        return _sub_gaussian_alone(problem, n_samples, rng)
+
+    box = problem.support_box()
+    lo, hi = box.lo, box.hi
+    points = lo + rng.random((n_samples, lo.shape[0])) * (hi - lo)
+    means, stderrs = objective_estimate(net, problem.objective, points, weight_draws, rng)
+    best_idx = int(np.argmax(means))
+    best_val, best_err = float(means[best_idx]), float(stderrs[best_idx])
+    if hill_steps == 0:
+        return best_val, best_err
+    step = 0.25 * (hi - lo)
+    x = points[best_idx].copy()
+    for _ in range(hill_steps):
+        improved = False
+        for i in range(x.shape[0]):
+            if step[i] == 0.0:
+                continue
+            candidates = []
+            for direction in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] = float(np.clip(trial[i] + direction * step[i], lo[i], hi[i]))
+                candidates.append(trial)
+            vals, errs = objective_estimate(
+                net, problem.objective, np.stack(candidates), min(weight_draws, 200), rng
+            )
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_err = float(vals[j]), float(errs[j])
+                x = candidates[j]
+                improved = True
+        if not improved:
+            step *= 0.5
+            if float(step.max()) < 1e-6 * float((hi - lo).max() + 1e-12):
+                break
+    final_mean, final_err = objective_estimate(
+        net, problem.objective, x[np.newaxis, :], weight_draws, rng
+    )
+    return float(final_mean[0]), float(final_err[0])
+
+
+def _sub_gaussian_alone(problem, n, rng):
+    input_set = problem.input_set
+    net = problem.network
+    center = input_set.center
+    box = input_set.support_box()
+    radius = np.maximum(np.minimum(center - box.lo, box.hi - center), 0.0)
+    scale_cap = min(input_set.sigma, input_set.epsilon)
+    dim = center.shape[0]
+
+    def estimate(noise_sampler):
+        x = center + noise_sampler(n)
+        if net.is_deterministic():
+            values, _ = objective_estimate(net, problem.objective, x, 1, rng)
+        else:
+            logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
+            values = _objective_values(problem.objective, logits[:, 0])
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return mean, stderr
+
+    samplers = [lambda k: np.zeros((k, dim))]
+    if scale_cap > 0.0 and np.any(radius > 0.0):
+        for s in (scale_cap, 0.5 * scale_cap):
+            def trunc_normal(k, s=s):
+                draw = np.where(radius > 0.0, rng.normal(0.0, s, size=(k, dim)), 0.0)
+                bad = np.abs(draw) > radius
+                while np.any(bad):
+                    draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)
+                    bad = np.abs(draw) > radius
+                return draw
+
+            samplers.append(trunc_normal)
+        two_point = np.minimum(scale_cap, radius)
+        samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
+    best_val, best_err = -math.inf, 0.0
+    for sampler in samplers:
+        val, err = estimate(sampler)
+        if val > best_val:
+            best_val, best_err = val, err
+    return best_val, best_err

@@ -81,8 +81,8 @@ def test_criterion_1_weak_duality_fuzz():
         )
         bounds = propagate_intervals(net, problem.support_box())
         total = evaluate_dual(problem, stack, bounds).total
-        value, stderr = sample_lower_bound(
-            problem, n_samples=5_000, seed=index, weight_draws=100, hill_steps=5
+        [(value, stderr)] = sample_lower_bound(
+            [problem], n_samples=5_000, seed=index, weight_draws=100, hill_steps=5
         )
         slack = 4.0 * stderr if not net.is_deterministic() else 0.0
         if total < value - slack - 1e-9:

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import funclag
+import funclag.cli
 from funclag.cli import main
 from funclag.jsonio import decode_reals
 from funclag.specs import guaranteed_auc
@@ -367,6 +368,43 @@ class TestVerify:
 
         with pytest.raises(ValueError, match="not finite"):
             Certificate.from_jsonable({**entry, "bound": math.nan, "verified": False})
+
+    @pytest.mark.parametrize(
+        "spec_type,labels",
+        [("robust_ood", [0, 1, 2]), ("adversarial", [1, 2]), ("dist_robust_ood", [0, 1, 2])],
+    )
+    def test_one_attack_per_job(self, tmp_path, monkeypatch, spec_type, labels):
+        calls = []
+        original = funclag.cli.sample_lower_bound
+
+        def spy(problems, **kwargs):
+            calls.append(list(problems))
+            return original(problems, **kwargs)
+
+        monkeypatch.setattr(funclag.cli, "sample_lower_bound", spy)
+        extra = {"sigma": 0.05, "p_max": 0.2} if spec_type == "dist_robust_ood" else {}
+        extra.update({"true_label": 0} if spec_type == "adversarial" else {})
+        spec = write_spec(tmp_path, type=spec_type, **extra)
+        family = ["--family", "linexp"] if spec_type == "dist_robust_ood" else []
+        out = tmp_path / "cert.json"
+        result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "2",
+                          "--certify-every", "2", "--seed", "4", *family, "--out", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        [problems] = calls
+        objectives = [p.objective for p in problems]
+        assert [getattr(o, "label", getattr(o, "target", None)) for o in objectives] == labels
+        attacks = original(problems, n_samples=200, seed=4, weight_draws=200, hill_steps=25)
+        certs = decode_reals(json.loads(out.read_text()))["certificates"]
+        assert [(c["metadata"]["attack_value"], c["metadata"]["attack_stderr"])
+                for c in certs] == attacks
+
+        calls.clear()
+        result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "2",
+                          "--certify-every", "2", "--no-attack", *family, "--out", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        assert calls == []
+        certs = decode_reals(json.loads(out.read_text()))["certificates"]
+        assert all("attack_value" not in c["metadata"] for c in certs)
 
     def test_determinism_across_runs(self, tmp_path):
         spec = write_spec(tmp_path, p_max=0.2)

@@ -75,8 +75,8 @@ class TestEvaluateDual:
             )
             bounds = propagate_intervals(net, problem.support_box())
             ev = evaluate_dual(problem, stack, bounds)
-            value, stderr = sample_lower_bound(
-                problem, n_samples=1500, seed=seed, weight_draws=50, hill_steps=5
+            [(value, stderr)] = sample_lower_bound(
+                [problem], n_samples=1500, seed=seed, weight_draws=50, hill_steps=5
             )
             assert ev.total >= value - 4.0 * stderr - 1e-9
 
@@ -444,7 +444,7 @@ class TestSampleLowerBound:
             threshold=0.0,
         )
         cert = optimize(problem, OptimizerConfig(steps=2000, lr=0.01))
-        value, stderr = sample_lower_bound(problem, n_samples=200, seed=0, weight_draws=5000)
+        [(value, stderr)] = sample_lower_bound([problem], n_samples=200, seed=0, weight_draws=5000)
         assert cert.bound >= value - 4.0 * stderr
 
     def test_monotone_one_dim_box_hits_corner(self):
@@ -455,14 +455,14 @@ class TestSampleLowerBound:
             objective=LogitDiff(target=0, true=1),
             threshold=0.0,
         )
-        value, stderr = sample_lower_bound(problem, n_samples=50, seed=0)
+        [(value, stderr)] = sample_lower_bound([problem], n_samples=50, seed=0)
         assert value == pytest.approx(0.75, abs=1e-9)
         assert stderr == 0.0
 
     def test_reproducible(self):
         net, problem = random_problem(seed=5)
-        a = sample_lower_bound(problem, n_samples=300, seed=42, weight_draws=40, hill_steps=5)
-        b = sample_lower_bound(problem, n_samples=300, seed=42, weight_draws=40, hill_steps=5)
+        a = sample_lower_bound([problem], n_samples=300, seed=42, weight_draws=40, hill_steps=5)
+        b = sample_lower_bound([problem], n_samples=300, seed=42, weight_draws=40, hill_steps=5)
         assert a == b
 
     def test_sigma_zero_noise_family_is_center_point(self):
@@ -481,5 +481,7 @@ class TestSampleLowerBound:
             [layer.out_dim for layer in net.layers],
         )
         total = evaluate_dual(point_problem, stack, bounds).total
-        value, stderr = sample_lower_bound(point_problem, n_samples=800, seed=3, weight_draws=200)
+        [(value, stderr)] = sample_lower_bound(
+            [point_problem], n_samples=800, seed=3, weight_draws=200
+        )
         assert total >= value - 4.0 * max(stderr, 1e-12) - 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from funclag import (
 )
 from funclag.model import softmax
 
-from oracles import evaluate, mc_expectation
+from oracles import evaluate, mc_expectation, sample_lower_bound_alone
 
 
 class TestMcExpectation:
@@ -141,13 +142,13 @@ class TestBatchedObjectiveEstimate:
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(DROPOUT_NETS[net_name])
         x = np.random.default_rng(n_points).random((n_points, 3))
-        for objective in OBJECTIVES:
-            got = oracle._batch_objective_estimate(
-                net, objective, x, 50, np.random.default_rng(9)
-            )
+        got = oracle._batch_objective_estimate(
+            net, list(OBJECTIVES), x, 50, np.random.default_rng(9)
+        )
+        for k, objective in enumerate(OBJECTIVES):
             want = _per_draw_estimate(net, objective, x, 50, np.random.default_rng(9))
             for g, w in zip(got, want):
-                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+                np.testing.assert_array_equal(g[:, k].view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("budget", [1024, 1, 7])
     @pytest.mark.parametrize("net_name", sorted(GAUSSIAN_NETS))
@@ -157,15 +158,109 @@ class TestBatchedObjectiveEstimate:
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(GAUSSIAN_NETS[net_name])
         x = np.random.default_rng(4).random((2, 3))
-        for objective in OBJECTIVES:
-            mean, err = oracle._batch_objective_estimate(
-                net, objective, x, 4000, np.random.default_rng(1)
-            )
+        mean, err = oracle._batch_objective_estimate(
+            net, list(OBJECTIVES), x, 4000, np.random.default_rng(1)
+        )
+        for k, objective in enumerate(OBJECTIVES):
             ref_mean, ref_err = _per_draw_estimate(
                 net, objective, x, 4000, np.random.default_rng(2)
             )
-            assert np.all(err > 0.0)
-            assert np.all(np.abs(mean - ref_mean) <= 4.0 * np.hypot(err, ref_err))
+            assert np.all(err[:, k] > 0.0)
+            assert np.all(np.abs(mean[:, k] - ref_mean) <= 4.0 * np.hypot(err[:, k], ref_err))
+
+    @pytest.mark.parametrize("net_name", sorted(GAUSSIAN_NETS))
+    def test_chunks_sized_for_fewer_points_draw_as_those_points_alone(self, net_name):
+        # six rows in chunks sized for two draw the weights, tail redraws
+        # included, as an estimate of two rows does
+        net = _stochastic_net(GAUSSIAN_NETS[net_name])
+        x = np.random.default_rng(4).random((6, 3))
+        for draws in (200, 700):
+            got = oracle._batch_objective_estimate(
+                net, list(OBJECTIVES), x, draws, np.random.default_rng(3), points=2
+            )
+            rng = np.random.default_rng(3)
+            pair = oracle._batch_objective_estimate(net, list(OBJECTIVES), x[2:4], draws, rng)
+            for g, w in zip(got, pair):
+                np.testing.assert_array_equal(g[2:4], w)
+
+
+def _label_problems(seed: int, truncation: float | None = None):
+    """Every label's problem of ``random_problem(seed)``'s spec, sharing one
+    network and input set; ``truncation`` replaces every Gaussian's."""
+    net, problem = random_problem(seed)
+    if truncation is not None:
+        net = CanonicalNetwork(layers=tuple(
+            dataclasses.replace(layer, weights=dataclasses.replace(
+                layer.weights, truncation=truncation))
+            if isinstance(layer.weights, DiagonalGaussian) else layer
+            for layer in net.layers
+        ))
+        problem = dataclasses.replace(problem, network=net)
+    if isinstance(problem.objective, LogitDiff):
+        true = problem.objective.true
+        objectives = [LogitDiff(target=j, true=true) for j in range(net.output_dim) if j != true]
+    else:
+        objectives = [ExpectedSoftmax(label=j) for j in range(net.output_dim)]
+    return [dataclasses.replace(problem, objective=objective) for objective in objectives]
+
+
+# random_problem seeds by weights and input set (logit differences at 11,
+# 14 and 35, softmax labels elsewhere); Gaussian nets also at truncation 0.5
+ATTACK_CASES = [
+    (11, None), (12, None),  # deterministic, box
+    (4, None),  # deterministic, sub-Gaussian
+    (6, None), (6, 0.5), (35, None), (35, 0.5),  # Gaussian, box
+    (7, None), (7, 0.5),  # Gaussian, sub-Gaussian
+    (14, None), (28, None),  # dropout, box
+    (18, None),  # dropout, sub-Gaussian
+    (31, None), (31, 0.5),  # Gaussian then dropout, box
+]
+
+
+class TestSampleLowerBoundPerLabel:
+    @pytest.mark.parametrize("hill_steps", [0, 5, 60])
+    @pytest.mark.parametrize("seed,truncation", ATTACK_CASES)
+    def test_each_label_bit_identical_to_its_attack_alone(self, seed, truncation, hill_steps):
+        problems = _label_problems(seed, truncation)
+        kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=hill_steps)
+        got = sample_lower_bound(problems, **kwargs)
+        assert len(got) == len(problems)
+        for problem, pair in zip(problems, got):
+            want = sample_lower_bound_alone(problem, **kwargs)
+            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
+
+    def test_lone_problem_gets_its_attack_alone(self):
+        problem = _label_problems(35)[1]
+        kwargs = dict(n_samples=50, seed=2, weight_draws=20, hill_steps=25)
+        [pair] = sample_lower_bound([problem], **kwargs)
+        assert tuple(map(float.hex, pair)) == tuple(
+            map(float.hex, sample_lower_bound_alone(problem, **kwargs))
+        )
+
+    @pytest.mark.parametrize("seed", [12, 6, 28])
+    def test_labels_leave_the_climb_in_different_rounds(self, monkeypatch, seed):
+        # a deterministic, a Gaussian and a dropout net whose climb calls
+        # shrink as labels leave: a label that leaves estimates its climbed
+        # point from a copy of the generator the others go on drawing from
+        calls = []
+        original = oracle._batch_objective_estimate
+
+        def spy(net, objectives, x, *args, **kwargs):
+            calls.append((x.shape[0], kwargs.get("points")))
+            return original(net, objectives, x, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_batch_objective_estimate", spy)
+        problems = _label_problems(seed)
+        kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=60)
+        got = sample_lower_bound(problems, **kwargs)
+        climb = [k for k, (_, points) in enumerate(calls) if points == 2]
+        finals = [k for k, (rows, points) in enumerate(calls) if rows == 1 and points is None]
+        assert len(finals) == len(problems)
+        assert finals[0] < climb[-1]
+        assert len({calls[k][0] for k in climb}) > 1
+        for problem, pair in zip(problems, got):
+            want = sample_lower_bound_alone(problem, **kwargs)
+            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
 
 
 class TestSampleLowerBoundArguments:
@@ -176,9 +271,28 @@ class TestSampleLowerBoundArguments:
     def test_rejects_bad_counts(self, kwargs):
         _, problem = random_problem(120)
         with pytest.raises(ValueError):
-            sample_lower_bound(problem, **{"n_samples": 10, **kwargs})
+            sample_lower_bound([problem], **{"n_samples": 10, **kwargs})
 
     def test_zero_hill_steps_allowed(self):
         _, problem = random_problem(120)
-        value, stderr = sample_lower_bound(problem, n_samples=10, weight_draws=5, hill_steps=0)
+        [(value, stderr)] = sample_lower_bound(
+            [problem], n_samples=10, weight_draws=5, hill_steps=0
+        )
         assert np.isfinite(value) and np.isfinite(stderr)
+
+    def test_empty_list_has_no_attacks(self):
+        assert sample_lower_bound([], n_samples=10, weight_draws=5) == []
+
+    def test_rejects_problems_of_different_networks(self):
+        problems = _label_problems(11)
+        other_net, _ = random_problem(11)
+        mixed = [problems[0], dataclasses.replace(problems[1], network=other_net)]
+        with pytest.raises(ValueError, match="one network"):
+            sample_lower_bound(mixed, n_samples=10, weight_draws=5)
+
+    def test_rejects_problems_of_different_input_sets(self):
+        problems = _label_problems(11)
+        shifted = dataclasses.replace(problems[0].input_set, epsilon=0.5)
+        mixed = [problems[0], dataclasses.replace(problems[1], input_set=shifted)]
+        with pytest.raises(ValueError, match="one input set"):
+            sample_lower_bound(mixed, n_samples=10, weight_draws=5)
