@@ -1,9 +1,10 @@
 """Command-line front end: verify, bounds and auc subcommands.
 
 ``verify`` loads a model and spec config, expands the spec into its
-per-target problems, runs the dual optimization on each, and writes one
-JSON file: a summary plus the per-problem certificates.  Reals in that
-file are hex-float strings so reloading reproduces them bit for bit.
+per-target problems, runs the dual optimization on each and one sampled
+attack for all of them, and writes one compact JSON file (sorted keys,
+no whitespace): a summary plus the per-problem certificates.  Reals in
+that file are hex-float strings so reloading reproduces them bit for bit.
 Exit codes: 0 verified, 1 sound but not verified, 2 error.
 """
 
@@ -118,7 +119,10 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
         "bound": worst,
         "certificates": [c.to_jsonable() for c in certificates],
     }
-    Path(out_path).write_text(json.dumps(encode_reals(doc), indent=1, sort_keys=True))
+    # compact separators keep the C encoder, which an indent would not
+    Path(out_path).write_text(
+        json.dumps(encode_reals(doc), sort_keys=True, separators=(",", ":"))
+    )
     status = "verified" if verified else "not verified"
     click.echo(f"{status}: worst certified margin {worst:.6g} over {len(certificates)} problem(s)")
     sys.exit(_EXIT_VERIFIED if verified else _EXIT_NOT_VERIFIED)

@@ -81,14 +81,14 @@ JOBS = {
 }
 
 GOLDEN = {
-    "robust-linear": "ed701a84546b92f095ee1543ca81f1e6812d50988911faf8ae5f6706501bbf7b",
-    "adversarial-linear": "0628c2de915c8055c2fcdb07667b7e22d398e90b09bb5151d3c2611030d36eb8",
-    "dist-linexp": "84ce787c4bec1a7934ee16202b2c037cfc3ffd1f4ed900f7a02f57fbceda5e31",
-    "robust-quadratic": "2e000a7f39a672f977650decebcde6a771e31c3d31fae30b7a6a0a748baafd10",
-    "wide-linear": "2d7ab7e31c04a69d3128ccf4f4a650ed1a44b7462d53c0f3f595089d92d6a510",
-    "gaussian-adversarial": "3811979837934eee0898c32b417f829b08b91c2c30624b58fe8cecb99938188f",
-    "mixed-adversarial": "0114b451e5e3df841532fbcbf1b21559abf1dbfe2e93dad29e7bacb3e79b706d",
-    "dropout-dist-linexp": "ef2810d128c851ff05b1337ec86bb9403ebd428c982756efc2b47a0603bf8c0d",
+    "robust-linear": "ef5954e744a26e597a41be5f75d171542decbf30e72de8dd10153ea2d6527895",
+    "adversarial-linear": "001df35930176b960f1319bfe86e28bb6e8b24a9e4adeea83010be615f8b9685",
+    "dist-linexp": "e66de727702ec4b8c8cfbdb9091c8976b0fb6d20c71a446c99eff6c7ce3d0e29",
+    "robust-quadratic": "2d510bde312103ffeb7067711c233f0c0816ae70ac661b8b8162d1a12e5c0998",
+    "wide-linear": "4be7385042780ec827920b2849244f8880db1f98d5f71c7f369ab483598e870a",
+    "gaussian-adversarial": "09669b75123ecf4886ff3cc3413ae3618ee8badbd9630ab954944f67555610a1",
+    "mixed-adversarial": "180a7f150bb88d03fdb6e23a352b9e8e84ff37c374f956d447c8786f09e884b3",
+    "dropout-dist-linexp": "febca3914be0d64f0995868b3caa5a54ab2f4594e717a654beb97dc71870597e",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for
