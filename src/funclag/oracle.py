@@ -255,7 +255,7 @@ def sample_lower_bound(
     for _ in range(hill_steps):
         improved = np.zeros(len(objectives), dtype=bool)
         for i in range(x.shape[1]):
-            # a coordinate has a zero step only on a zero-width side of the box
+            # a step is zero only on a zero-width coordinate of the box
             moving = np.flatnonzero(live & (step[:, i] != 0.0))
             if moving.size == 0:
                 continue
@@ -266,16 +266,13 @@ def sample_lower_bound(
             means, errs = _batch_objective_estimate(
                 net, objectives, trials, min(weight_draws, 200), rng, points=2
             )
-            rows = np.arange(trials.shape[0])
             owner = moving.repeat(2)
-            vals = means[rows, owner].reshape(-1, 2)
-            j = np.argmax(vals, axis=1)
+            j = np.argmax(means[np.arange(owner.size), owner].reshape(-1, 2), axis=1)
             chosen = 2 * np.arange(moving.size) + j
-            better = vals[np.arange(moving.size), j] > best_val[moving]
-            up = moving[better]
-            best_val[up] = means[chosen[better], up]
-            best_err[up] = errs[chosen[better], up]
-            x[up] = trials[chosen[better]]
+            better = means[chosen, moving] > best_val[moving]
+            up, chosen = moving[better], chosen[better]
+            best_val[up], best_err[up] = means[chosen, up], errs[chosen, up]
+            x[up] = trials[chosen]
             improved[up] = True
         halving = live & ~improved
         step[halving] *= 0.5
