@@ -19,27 +19,25 @@ x_j = clip(log(lin_j / mu), lo_j, hi_j) for one mu > 0.  As log mu falls,
 each j in J+ moves lo -> interior -> hi past log lin_j - lo_j, then
 log lin_j - hi_j.  So the maximizer's assignment is one of the
 2|J+| + 1 patterns on the way, times the three states of x_m: at most
-6n - 3 rows.  Case a needs lin_m in [-1/4, 0], and case b needs
-sum(lin[F]) <= 1/4, which drops more rows.
+6n - 3 rows.  Case a needs lin_m in [-1/4, 0].  Case b needs
+sum(lin[F]) <= D / (4C), and its C sums every fixed exp, D = exp(x_m)
+among them; a float sum of non-negative terms is no smaller than any of
+them, so D / (4C) <= 1/4 holds in floats too, and a row with x_m fixed
+whose free coefficients sum past 1/4 holds no point and is dropped.
 
-Screen, then replay.  Each row's candidates are scored in plain floats by
-the same closed forms, every test widened by a small slack, so the
-screen scores every candidate the scalar code accepts.  The rows whose
-screened value lies within a 1e-9 window of the screened top are re-run
-in enumeration order (base 3, first coordinate slowest, all-lower first)
-through the scalar per-assignment code, starting from the all-lower
-corner and replacing the incumbent only on a strictly greater value.
-So are the rows whose fixed exps sum below the smallest normal float or
-above the square root of the largest, unscored: the scalar code solves
-those in shifted logits.
-The full 3^n scalar pass returns the first candidate in that order that
-attains the scalar maximum, which is the box maximum.  That candidate's
+Score, then replay.  One plain-float step, ``assignment_candidates``,
+computes each row's candidates, and ``_score`` scores them.  It and the
+numpy ``_objective`` evaluate the same point and differ only by rounding,
+so only the candidates scored within a 1e-9 window of the top are
+re-scored by ``_objective``: in enumeration order (base 3, first
+coordinate slowest, all-lower first), starting from the all-lower corner
+and replacing the incumbent only on a strictly greater value.  The full
+3^n loop over the same step returns the first candidate in that order
+that attains the maximum, which is the box maximum.  That candidate's
 assignment is a water-filling row (on a zero-width coordinate the rows
-may hold its hi twin, which computes the same point), its screened
-value lies within rounding of the maximum, and no screened candidate,
-being a box point, exceeds the maximum by more than rounding.  So the
-replay keeps it and returns the same value and witness, bit for bit,
-as the full pass.
+may hold its hi twin, which computes the same point), and its score lies
+within rounding of the maximum, so the replay returns the same value and
+witness, bit for bit, as the full loop.
 """
 
 from __future__ import annotations
@@ -56,14 +54,18 @@ from .result import EXACT, InnerResult
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
-_SCREEN_SLACK = 1e-12
 _REPLAY_WINDOW = 1e-9
 # the closed forms run in unshifted logits while the fixed exps sum inside
 # [_TINY, _HUGE]: normal floats whose case-a / case-b arithmetic cannot overflow
 _TINY, _HUGE = np.finfo(float).tiny, math.sqrt(np.finfo(float).max)
 
 
-def stationary_points_case_a(lam: np.ndarray, i: int, c: float) -> list[np.ndarray]:
+def _log(v: float) -> float:
+    # lam_j / D can underflow to 0; the point then leaves the box
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def stationary_points_case_a(lam: list, i: int, c: float) -> list[list[float]]:
     """Stationary points of exp(x_i) / (sum_j exp(x_j) + C) + lam . x.
 
     Returns full candidate vectors over the free coordinates.  The list
@@ -71,52 +73,46 @@ def stationary_points_case_a(lam: np.ndarray, i: int, c: float) -> list[np.ndarr
     branches whose shares are non-positive, whose denominator vanishes,
     or whose shares cannot satisfy the C = 0 normalization are dropped.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not (-0.25 <= lam[i] <= 0.0):
-        return []
-    others = np.delete(lam, i)
-    if np.any(others < 0.0):
+    if not (-0.25 <= lam[i] <= 0.0) or any(v < 0.0 for j, v in enumerate(lam) if j != i):
         return []
     sq = math.sqrt(max(1.0 + 4.0 * lam[i], 0.0))
-    points: list[np.ndarray] = []
+    points = []
     for denom in {1.0 + sq, 1.0 - sq}:
         if denom == 0.0:
             continue
-        shares = 2.0 * lam / denom
+        shares = [2.0 * v / denom for v in lam]
         shares[i] = denom / 2.0
-        if np.any(shares <= 0.0):
+        if min(shares) <= 0.0:
             continue
-        total = float(shares.sum())
+        total = sum(shares)
         if c > 0.0:
             if total >= 1.0:
                 continue
-            x = np.log(shares) + math.log(c / (1.0 - total))
+            offset = math.log(c / (1.0 - total))
+        elif abs(total - 1.0) > _SUM_ONE_TOL:
+            continue
         else:
-            if abs(total - 1.0) > _SUM_ONE_TOL:
-                continue
-            x = np.log(shares)
-        points.append(x)
+            offset = 0.0
+        points.append([math.log(share) + offset for share in shares])
     return points
 
 
-def stationary_points_case_b(lam: np.ndarray, c: float, d: float) -> list[np.ndarray]:
+def stationary_points_case_b(lam: list, c: float, d: float) -> list[list[float]]:
     """Stationary points of D / (sum_j exp(x_j) + C) + lam . x.
 
     Empty unless every lam_j is positive and sum(lam) <= D / (4C);
     otherwise both roots of the denominator quadratic are returned.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
+    if min(lam) <= 0.0:
         return []
-    total = float(lam.sum())
+    total = sum(lam)
     if total > d / (4.0 * c):
         return []
     disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
     points = []
     for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
-        if t <= 0.0:
-            continue
-        points.append(np.log(lam / d) + 2.0 * math.log(t))
+        if t > 0.0:
+            points.append([_log(v / d) + 2.0 * math.log(t) for v in lam])
     return points
 
 
@@ -124,41 +120,40 @@ def _objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
     return float(softmax(x)[m] + lin @ x)
 
 
-def _assignment_candidates(
-    m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray, assignment: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Candidate points of one lo/hi/interior assignment, in scalar arithmetic.
+def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[list[float]]:
+    """Candidate points of one lo/hi/interior assignment, in plain floats.
 
-    This is the reference per-assignment step: the replay runs it on the
-    assignments the screen keeps, so its arithmetic decides the result.
+    ``exp_lo`` and ``exp_hi`` are exp of the bounds (inf past overflow).
+    The fixed exps are summed into C; outside [_TINY, _HUGE] they are
+    summed again in logits moved down by the largest fixed one (softmax
+    is shift-invariant) and the points are moved back.
     """
-    n = len(assignment)
-    free = [j for j in range(n) if assignment[j] == _INTERIOR]
-    x = np.where(np.asarray(assignment) == _UPPER, hi, lo).astype(float)
+    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
+    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
     if not free:
         return [x]
-    fixed = [j for j in range(n) if assignment[j] != _INTERIOR]
-    with np.errstate(over="ignore"):
-        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
+    fixed = [j for j, s in enumerate(assignment) if s != _INTERIOR]
+    exps = {j: exp_hi[j] if assignment[j] == _UPPER else exp_lo[j] for j in fixed}
     shift = 0.0
-    if fixed and not _TINY <= c <= _HUGE:
-        # solve in logits moved down by the largest fixed one (softmax is
-        # shift-invariant) and move the points back
-        shift = float(x[fixed].max())
-        c = float(np.exp(x[fixed] - shift).sum())
-    if m in free:
-        points = stationary_points_case_a(lin[free], free.index(m), c)
+    if fixed and not _TINY <= sum(exps.values()) <= _HUGE:
+        shift = max(x[j] for j in fixed)
+        exps = {j: math.exp(x[j] - shift) for j in fixed}
+    c = sum(exps.values())
+    lam = [lin[j] for j in free]
+    if assignment[m] == _INTERIOR:
+        points = stationary_points_case_a(lam, free.index(m), c)
     else:
-        points = stationary_points_case_b(lin[free], c, float(np.exp(x[m] - shift)))
-    if shift:
-        points = [xs + shift for xs in points]
+        points = stationary_points_case_b(lam, c, exps[m])
     trials = []
     for xs in points:
-        if np.any(xs < lo[free] - _BOX_TOL) or np.any(xs > hi[free] + _BOX_TOL):
-            continue
         trial = x.copy()
-        trial[free] = np.clip(xs, lo[free], hi[free])
-        trials.append(trial)
+        for j, v in zip(free, xs):
+            v += shift
+            if not lo[j] - _BOX_TOL <= v <= hi[j] + _BOX_TOL:
+                break
+            trial[j] = min(max(v, lo[j]), hi[j])
+        else:
+            trials.append(trial)
     return trials
 
 
@@ -185,7 +180,7 @@ def _rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
             _, state, j = events[step - 1]
             pattern[j] = state
         free = [lin[j] for j in rising if pattern[j] == _INTERIOR]
-        blocked = bool(free) and sum(free) > 0.25 * (1.0 + _SCREEN_SLACK)
+        blocked = bool(free) and sum(free) > 0.25
         for state in states:
             if not (blocked and state != _INTERIOR):
                 rows.append(pattern[:m] + [state] + pattern[m + 1:])
@@ -198,85 +193,6 @@ def _score(m: int, lin: list, x: list) -> float:
     return e[m] / sum(e) + sum(a * v for a, v in zip(lin, x))
 
 
-def _log(v: float) -> float:
-    # lin_j / exp(x_m) can underflow to 0; the point then leaves the box
-    return math.log(v) if v > 0.0 else -math.inf
-
-
-def _screen_row(m, lin, lo, hi, exp_lo, exp_hi, row):
-    """Screened values of one assignment's candidates, or None to replay it unscored.
-
-    The case-a / case-b closed forms of ``_assignment_candidates`` in
-    plain floats, each test widened by a small slack, so the screen
-    scores every candidate the scalar code accepts.  A row whose fixed
-    exps sum outside [_TINY, _HUGE] is left unscored: there the scalar
-    code solves in shifted logits.
-    """
-    x = [h if s == _UPPER else low for s, low, h in zip(row, lo, hi)]
-    free = [j for j, s in enumerate(row) if s == _INTERIOR]
-    if not free:
-        return [_score(m, lin, x)]
-    fixed = len(free) < len(row)
-    c = sum(eh if s == _UPPER else el for s, el, eh in zip(row, exp_lo, exp_hi) if s != _INTERIOR)
-    if fixed and not _TINY <= c <= _HUGE:
-        return None
-    points = []
-    if row[m] == _INTERIOR:
-        sq = math.sqrt(max(1.0 + 4.0 * lin[m], 0.0))
-        for denom in {1.0 + sq, 1.0 - sq} - {0.0}:
-            shares = [denom / 2.0 if j == m else 2.0 * lin[j] / denom for j in free]
-            if min(shares) <= 0.0:
-                continue
-            total = sum(shares)
-            if not fixed:
-                if abs(total - 1.0) > _SUM_ONE_TOL + _SCREEN_SLACK:
-                    continue
-                offset = 0.0
-            elif total < 1.0:
-                offset = math.log(c / (1.0 - total))
-            elif total < 1.0 + _SCREEN_SLACK:
-                return None
-            else:
-                continue
-            points.append([math.log(share) + offset for share in shares])
-    else:
-        d = exp_hi[m] if row[m] == _UPPER else exp_lo[m]
-        lam = [lin[j] for j in free]
-        total = sum(lam)
-        if not total <= d / (4.0 * c) * (1.0 + _SCREEN_SLACK):
-            return []
-        disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
-        for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
-            if t > 0.0:
-                points.append([_log(a / d) + 2.0 * math.log(t) for a in lam])
-    values = []
-    for xs in points:
-        trial = x.copy()
-        for j, v in zip(free, xs):
-            slack = _BOX_TOL + _SCREEN_SLACK * (1.0 + abs(v))
-            if not lo[j] - slack <= v <= hi[j] + slack:
-                break
-            trial[j] = min(max(v, lo[j]), hi[j])
-        else:
-            values.append(_score(m, lin, trial))
-    return values
-
-
-def _screen(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, ...]]:
-    """Water-filling assignments whose screened value is near the top, in enumeration order."""
-    lin_f, lo_f, hi_f = lin.tolist(), lo.tolist(), hi.tolist()
-    with np.errstate(over="ignore"):
-        # an infinite exp sums past _HUGE, so its rows replay unscored
-        exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
-    screened = [(row, _screen_row(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row))
-                for row in _rows(m, lin_f, lo_f, hi_f)]
-    top = max(v for _, values in screened if values for v in values)
-    floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
-    replay = [row for row, values in screened
-              if values is None or any(not v < floor for v in values)]
-    return sorted(tuple(row) for row in replay)
-
-
 def final_softmax_exact(m: int, lam_k: Multiplier, box: Interval) -> InnerResult:
     """Exact max of softmax_m(x) - lam_k(x) over the box.
 
@@ -285,10 +201,20 @@ def final_softmax_exact(m: int, lam_k: Multiplier, box: Interval) -> InnerResult
     """
     lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
+    lin_f, lo_f, hi_f = lin.tolist(), lo.tolist(), hi.tolist()
+    with np.errstate(over="ignore"):
+        # an infinite exp sums past _HUGE, so its rows solve in shifted logits
+        exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
+    scored = [(row, point, _score(m, lin_f, point))
+              for row in _rows(m, lin_f, lo_f, hi_f)
+              for point in assignment_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row)]
+    top = max(score for _, _, score in scored)
+    floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
     best_x = lo.copy()
     best_f = _objective(m, lin, best_x)
-    for assignment in _screen(m, lin, lo, hi):
-        for trial in _assignment_candidates(m, lin, lo, hi, assignment):
+    for _, point, score in sorted(scored, key=lambda entry: entry[0]):
+        if not score < floor:
+            trial = np.array(point)
             value = _objective(m, lin, trial)
             if value > best_f:
                 best_f, best_x = value, trial

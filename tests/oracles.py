@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import special
 
-from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
+from funclag.inner.softmax_exact import assignment_candidates
 from funclag.model import (
     CanonicalLayer,
     Deterministic,
@@ -220,40 +220,20 @@ def softmax_objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
 def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The plain 3^n loop of max softmax_m(x) + lin . x: (assignment, value, point) per candidate.
 
-    The all-lower start comes first with assignment None, then each
-    lo/hi/interior assignment's candidates in enumeration order (base 3,
-    first coordinate slowest, all-lower first).  When the fixed exps sum
-    below the smallest normal float or above the square root of the
-    largest, the stationary points are solved in logits moved down by the
-    largest fixed one.  The box maximum is the first candidate attaining
-    the largest value.
+    The all-lower start comes first with assignment None, then the
+    candidates of ``assignment_candidates`` for each lo/hi/interior
+    assignment in enumeration order (base 3, first coordinate slowest,
+    all-lower first), each scored in numpy.  The box maximum is the first
+    candidate attaining the largest value.
     """
-    n = lo.shape[0]
+    bounds = (lin.tolist(), lo.tolist(), hi.tolist())
+    with np.errstate(over="ignore"):
+        exps = (np.exp(lo).tolist(), np.exp(hi).tolist())
     yield None, softmax_objective(m, lin, lo), lo.copy()
-    for assignment in itertools.product((0, 1, 2), repeat=n):
-        free = [j for j in range(n) if assignment[j] == 2]
-        x = np.where(np.asarray(assignment) == 1, hi, lo).astype(float)
-        if not free:
+    for assignment in itertools.product((0, 1, 2), repeat=lo.shape[0]):
+        for point in assignment_candidates(m, *bounds, *exps, assignment):
+            x = np.array(point)
             yield assignment, softmax_objective(m, lin, x), x
-            continue
-        fixed = [j for j in range(n) if assignment[j] != 2]
-        c = float(np.exp(x[fixed]).sum()) if fixed else 0.0
-        shifted = fixed and not np.finfo(float).tiny <= c <= np.sqrt(np.finfo(float).max)
-        shift = float(x[fixed].max()) if shifted else 0.0
-        if shift:
-            c = float(np.exp(x[fixed] - shift).sum())
-        if m in free:
-            candidates = stationary_points_case_a(lin[free], free.index(m), c)
-        else:
-            candidates = stationary_points_case_b(lin[free], c, float(np.exp(x[m] - shift)))
-        for xs in candidates:
-            xs = xs + shift if shift else xs
-            if np.any(xs < lo[free] - 1e-9) or np.any(xs > hi[free] + 1e-9):
-                continue
-            trial = x.copy()
-            trial[free] = np.clip(xs, lo[free], hi[free])
-            yield assignment, softmax_objective(m, lin, trial), trial
-
 
 
 # --- the sampled attack of one problem alone ---------------------------------

@@ -91,7 +91,7 @@ def check_against_reference(m, lin, box, seen):
 
 class TestStationaryPointsCaseA:
     def test_zero_discriminant(self):
-        pts = stationary_points_case_a(np.array([-0.25, 0.1]), 0, 1.0)
+        pts = stationary_points_case_a([-0.25, 0.1], 0, 1.0)
         assert len(pts) == 1
         e = np.exp(pts[0])
         shares = e / (e.sum() + 1.0)
@@ -99,14 +99,14 @@ class TestStationaryPointsCaseA:
 
     def test_share_split(self):
         # lam_i = -0.1875 gives shares 0.75 and 0.25 on the two branches
-        pts = stationary_points_case_a(np.array([-0.1875, 0.05]), 0, 1.0)
+        pts = stationary_points_case_a([-0.1875, 0.05], 0, 1.0)
         shares = sorted(
             float(np.exp(x[0]) / (np.exp(x).sum() + 1.0)) for x in pts
         )
         assert shares == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_positive_lam_i_empty(self):
-        assert stationary_points_case_a(np.array([0.1, 0.2]), 0, 1.0) == []
+        assert stationary_points_case_a([0.1, 0.2], 0, 1.0) == []
 
     def test_candidates_are_stationary(self):
         rng = np.random.default_rng(0)
@@ -114,7 +114,7 @@ class TestStationaryPointsCaseA:
         for _ in range(200):
             lam = np.array([-rng.random() * 0.25, rng.random(), rng.random()])
             c = float(rng.random() * 2)
-            for x in stationary_points_case_a(lam, 0, c):
+            for x in stationary_points_case_a(lam.tolist(), 0, c):
                 found += 1
                 assert np.max(np.abs(case_a_gradient(lam, 0, c, x))) <= 1e-8
         assert found > 0
@@ -122,7 +122,7 @@ class TestStationaryPointsCaseA:
 
 class TestStationaryPointsCaseB:
     def test_boundary_case(self):
-        pts = stationary_points_case_b(np.array([1.0]), 1.0, 4.0)
+        pts = stationary_points_case_b([1.0], 1.0, 4.0)
         assert len(pts) == 1
         np.testing.assert_allclose(pts[0], [0.0], atol=1e-12)
         # embedded arithmetic check: f(0) = 4 / (e^0 + 1) = 2 with zero slope
@@ -130,11 +130,11 @@ class TestStationaryPointsCaseB:
         assert case_b_gradient(np.array([1.0]), 1.0, 4.0, np.zeros(1))[0] == pytest.approx(0.0)
 
     def test_nonpositive_lam_empty(self):
-        assert stationary_points_case_b(np.array([1.0, -0.1]), 1.0, 4.0) == []
+        assert stationary_points_case_b([1.0, -0.1], 1.0, 4.0) == []
 
     def test_sum_condition(self):
         # sum(lam) beyond D / (4C) leaves no stationary point
-        assert stationary_points_case_b(np.array([1.1]), 1.0, 4.0) == []
+        assert stationary_points_case_b([1.1], 1.0, 4.0) == []
 
     def test_candidates_are_stationary(self):
         rng = np.random.default_rng(1)
@@ -143,7 +143,7 @@ class TestStationaryPointsCaseB:
             lam = rng.random(2) * 0.2 + 0.01
             c = float(rng.random() + 0.2)
             d = float(4.0 * c * lam.sum() * (1.0 + rng.random()))
-            for x in stationary_points_case_b(lam, c, d):
+            for x in stationary_points_case_b(lam.tolist(), c, d):
                 found += 1
                 assert np.max(np.abs(case_b_gradient(lam, c, d, x))) <= 1e-8
         assert found > 0
@@ -366,3 +366,20 @@ class TestRows:
         rows = softmax_exact._rows(0, [-0.1, 0.2, 0.1], [0.0] * 3, [1.0] * 3)
         assert [row[0] for row in rows if row[1:] == [2, 2]] == [2]
         assert sorted(row[0] for row in rows if row[1:] == [2, 0]) == [0, 1, 2]
+
+    @pytest.mark.parametrize("lin_1, kept", [(0.25, True), (float(np.nextafter(0.25, 1.0)), False)])
+    def test_quarter_cut_needs_no_slack(self, lin_1, kept):
+        # with only the target fixed C = D, so D / (4C) is 1/4 exactly: free
+        # coefficients summing to 1/4 keep case b's double root, at x_1 = x_0,
+        # and one float past 1/4 leaves no point, so the row can go
+        lin, lo, hi = [0.1, lin_1], [0.0, -1.0], [1.0, 2.0]
+        rows = softmax_exact._rows(0, lin, lo, hi)
+        assert ([0, 2] in rows, [1, 2] in rows) == (kept, kept)
+        exps = (np.exp(lo).tolist(), np.exp(hi).tolist())
+        for state, x_0 in ((0, lo[0]), (1, hi[0])):
+            points = softmax_exact.assignment_candidates(0, lin, lo, hi, *exps, (state, 2))
+            assert len(points) == kept
+            if kept:
+                assert points[0][1] == pytest.approx(x_0, abs=1e-12)
+        seen = dict.fromkeys(FUZZ_COVERAGE, 0)
+        check_against_reference(0, np.array(lin), Interval(np.array(lo), np.array(hi)), seen)
