@@ -285,6 +285,30 @@ def sample_lower_bound(
     return results
 
 
+def truncated_normal(rng, scale: float, radius: np.ndarray, k: int) -> np.ndarray:
+    """k rows of N(0, scale^2) noise cut at +-radius, coordinate by coordinate.
+
+    Rejection sampling that redraws only the rejected entries in each
+    round.  Where the radius is below the scale, the proposal is uniform
+    on [-r, r] and is kept with probability exp(-u^2 / 2 scale^2), which
+    is at least e^-1/2; elsewhere it is the normal itself, which lands
+    inside +-r at least 68 % of the time.  So each round keeps most of
+    what is left, however small the radius.  A radius of 0 gets no noise.
+    """
+    bound = np.broadcast_to(radius, (k, radius.shape[0])).ravel()
+    noise = np.zeros(bound.shape)
+    left = np.flatnonzero(bound > 0.0)
+    while left.size:
+        r = bound[left]
+        narrow = r < scale
+        u = np.where(narrow, r * rng.uniform(-1.0, 1.0, r.size), rng.normal(0.0, scale, r.size))
+        keep = np.where(narrow, rng.random(r.size) < np.exp(-0.5 * (u / scale) ** 2),
+                        np.abs(u) <= r)
+        noise[left[keep]] = u[keep]
+        left = left[~keep]
+    return noise.reshape(k, radius.shape[0])
+
+
 def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
     """Best estimate of each objective over a catalog of feasible noise distributions.
 
@@ -320,15 +344,7 @@ def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
     samplers = [lambda k: np.zeros((k, dim))]
     if scale_cap > 0.0 and np.any(radius > 0.0):
         for s in (scale_cap, 0.5 * scale_cap):
-            def trunc_normal(k, s=s):
-                draw = np.where(radius > 0.0, rng.normal(0.0, s, size=(k, dim)), 0.0)
-                bad = np.abs(draw) > radius
-                while np.any(bad):
-                    draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)
-                    bad = np.abs(draw) > radius
-                return draw
-
-            samplers.append(trunc_normal)
+            samplers.append(lambda k, s=s: truncated_normal(rng, s, radius, k))
         two_point = np.minimum(scale_cap, radius)
         samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
     best_val = np.full(len(objectives), -math.inf)

@@ -39,6 +39,7 @@ from funclag.multipliers import (
     init_stack,
     with_params,
 )
+from funclag.oracle import truncated_normal
 from funclag.specs import LogitDiff, SubGaussianNoise
 
 
@@ -343,15 +344,7 @@ def _sub_gaussian_alone(problem, n, rng):
     samplers = [lambda k: np.zeros((k, dim))]
     if scale_cap > 0.0 and np.any(radius > 0.0):
         for s in (scale_cap, 0.5 * scale_cap):
-            def trunc_normal(k, s=s):
-                draw = np.where(radius > 0.0, rng.normal(0.0, s, size=(k, dim)), 0.0)
-                bad = np.abs(draw) > radius
-                while np.any(bad):
-                    draw = np.where(bad, rng.normal(0.0, s, size=(k, dim)), draw)
-                    bad = np.abs(draw) > radius
-                return draw
-
-            samplers.append(trunc_normal)
+            samplers.append(lambda k, s=s: truncated_normal(rng, s, radius, k))
         two_point = np.minimum(scale_cap, radius)
         samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
     best_val, best_err = -math.inf, 0.0

@@ -83,12 +83,12 @@ JOBS = {
 GOLDEN = {
     "robust-linear": "ef5954e744a26e597a41be5f75d171542decbf30e72de8dd10153ea2d6527895",
     "adversarial-linear": "001df35930176b960f1319bfe86e28bb6e8b24a9e4adeea83010be615f8b9685",
-    "dist-linexp": "e66de727702ec4b8c8cfbdb9091c8976b0fb6d20c71a446c99eff6c7ce3d0e29",
+    "dist-linexp": "39799a49e389865ddb977cef89ee15bbec66bc9d1a99c130df7a57dbbea2b7f1",
     "robust-quadratic": "2d510bde312103ffeb7067711c233f0c0816ae70ac661b8b8162d1a12e5c0998",
     "wide-linear": "4be7385042780ec827920b2849244f8880db1f98d5f71c7f369ab483598e870a",
     "gaussian-adversarial": "09669b75123ecf4886ff3cc3413ae3618ee8badbd9630ab954944f67555610a1",
     "mixed-adversarial": "180a7f150bb88d03fdb6e23a352b9e8e84ff37c374f956d447c8786f09e884b3",
-    "dropout-dist-linexp": "febca3914be0d64f0995868b3caa5a54ab2f4594e717a654beb97dc71870597e",
+    "dropout-dist-linexp": "202272ef2a23360c56822bba585f485b3c39e66c902110bb6d531a19278e2dc8",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for

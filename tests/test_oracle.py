@@ -1,8 +1,14 @@
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import funclag.oracle as oracle
 from funclag import (
@@ -215,6 +221,55 @@ ATTACK_CASES = [
     (18, None),  # dropout, sub-Gaussian
     (31, None), (31, 0.5),  # Gaussian then dropout, box
 ]
+
+
+MODEL = Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json"
+EDGE_ATTACK = """
+import sys, time
+from funclag.cli import load_model
+from funclag.oracle import sample_lower_bound
+from funclag.specs import build_problem
+net = load_model(sys.argv[1])
+spec = {"type": "dist_robust_ood", "input": [1e-9, 0.5, 0.6, 0.4, 0.7, 0.2],
+        "epsilon": 0.1, "sigma": 0.05, "p_max": 0.2, "clip": True}
+start = time.perf_counter()
+sample_lower_bound(build_problem(net, spec), n_samples=1000, seed=0)
+print(time.perf_counter() - start)
+"""
+
+
+class TestTruncatedNormal:
+    @pytest.mark.parametrize("ratio", [0.9, 2.0])
+    def test_moments_match_the_truncated_law(self, ratio):
+        # radius below the scale (uniform proposal) and above it (normal
+        # proposal): mean and variance within 4 stderr of N(0, s^2) cut at +-r
+        scale, k = 0.1, 40_000
+        radius = np.array([ratio * scale, 0.0])
+        noise = oracle.truncated_normal(np.random.default_rng(3), scale, radius, k)
+        assert np.all(np.abs(noise[:, 0]) <= radius[0]) and np.all(noise[:, 1] == 0.0)
+        law = stats.truncnorm(-ratio, ratio, scale=scale)
+        var, fourth = law.var(), law.moment(4)
+        x = noise[:, 0]
+        assert abs(x.mean()) <= 4.0 * math.sqrt(var / k)
+        assert abs(np.mean(x**2) - var) <= 4.0 * math.sqrt((fourth - var**2) / k)
+
+    def test_center_just_inside_a_clipped_edge(self):
+        # a radius of 1e-9 at noise scale 0.05: redrawing the whole block
+        # until every entry fits took about s / r rounds.  A child process
+        # with a timeout keeps a regression from hanging the suite.
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", EDGE_ATTACK, str(MODEL)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout.split()[-1]) < 1.0
+        radius = np.array([1e-9, 0.1, 0.0])
+        noise = oracle.truncated_normal(np.random.default_rng(0), 0.05, radius, 1000)
+        assert np.all(np.abs(noise) <= radius)
+        assert np.all(noise[:, 0] != 0.0) and np.all(noise[:, 2] == 0.0)
 
 
 class TestSampleLowerBoundPerLabel:
