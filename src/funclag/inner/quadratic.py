@@ -16,11 +16,15 @@ symmetric eigensolver's top eigenvalue, escalated until a Cholesky
 factorization proves it, with the Gershgorin row bound as the
 always-valid fallback.
 
-Gradients in the penalties and in the multiplier parameters are those
-of the Danskin surrogate: with the top eigenvector and the active set of
-kappa frozen, the bound is affine in the rescaled QP data, and its
-gradient there is pulled back in closed form through the rescaling, the
-QP assembly and the expected coefficients of lam_next.
+Each bound takes one route.  The coefficients of the layer QP are built
+once per call; ``_build_qp`` assembles and rescales the QP at one
+penalty point, and ``_shift_step`` gives the uncertified value, active
+set, top eigenvector and Danskin weight at one kappa, for the penalty
+search and the kappa loop alike.  Gradients are those of the Danskin
+surrogate: with the eigenvector and the active set frozen, the bound is
+affine in the rescaled QP data, and ``_pull_back`` maps its gradient
+there in closed form to the penalties and, at the eigenpair of the
+certified iterate, to both multipliers.
 """
 
 from __future__ import annotations
@@ -94,52 +98,77 @@ def certified_lambda_max(a: np.ndarray) -> float:
 
 def shifted_diagonal_bound(mf: np.ndarray, kappa: np.ndarray) -> float:
     """Certified value 0.5 * sum max(kappa + max(lmax, 0), 0) at this kappa."""
-    lmax = certified_lambda_max(mf - np.diag(kappa))
-    s = max(lmax, 0.0)
+    s = max(certified_lambda_max(mf - np.diag(kappa)), 0.0)
     return 0.5 * float(np.maximum(kappa + s, 0.0).sum())
 
 
-def qp_box_bound(h: np.ndarray, g: np.ndarray, c0: float) -> tuple[float, np.ndarray]:
-    """Bound max of c0 + g.t + 0.5 t'Ht over t in [-1, 1]^d.
+def _shift_step(mf: np.ndarray, kappa: np.ndarray):
+    """Uncertified shift value at kappa, its active set A, top eigenvector v and
+    Danskin weight: the value is 0.5 * sum(kappa_A) + weight * v'(Mf - diag(kappa))v,
+    with weight 0.5 |A| when lambda_max > 0 and 0 otherwise."""
+    lmax, v = top_eigenpair(mf - np.diag(kappa))
+    s = max(lmax, 0.0)
+    est = 0.5 * float(np.maximum(kappa + s, 0.0).sum())
+    active = (kappa + s) > 0.0
+    weight = 0.5 * float(np.count_nonzero(active)) if lmax > 0.0 else 0.0
+    return est, active, v, weight
+
+
+def qp_box_bound(mf: np.ndarray, c0: float):
+    """Bound max of c0 + g.t + 0.5 t'Ht over t in [-1, 1]^d, given Mf = [[0, g'], [g, H]].
 
     Runs subgradient descent on the shift vector kappa from zero,
-    tracking the best iterate by its uncertified top eigenvalue; the
+    tracking the best iterate by its uncertified shift value; the
     returned value is the *certified* bound re-evaluated at that
-    iterate, so it is sound regardless of the tracking accuracy.
+    iterate, so it is sound regardless of the tracking accuracy.  The
+    iterate's kappa, top eigenvector and Danskin weight come with it.
     """
-    d = g.shape[0]
-    mf = _pack_mf(h, g)
-    kappa = np.zeros(d + 1)
-
-    best_est = math.inf
-    best_kappa = kappa.copy()
+    kappa = np.zeros(mf.shape[0])
     scale = max(1.0, float(np.max(np.abs(mf))))
+    best = None
     for t in range(_KAPPA_STEPS):
-        lmax, v = top_eigenpair(mf - np.diag(kappa))
-        s = max(lmax, 0.0)
-        est = 0.5 * float(np.maximum(kappa + s, 0.0).sum())
-        if est < best_est:
-            best_est = est
-            best_kappa = kappa.copy()
-        active = (kappa + s) > 0.0
-        grad = 0.5 * active.astype(float)
-        if lmax > 0.0:
-            grad -= 0.5 * float(active.sum()) * v**2
+        est, active, v, weight = _shift_step(mf, kappa)
+        if best is None or est < best[0]:
+            best = (est, kappa, v, weight)
+        grad = 0.5 * active - weight * v**2 if weight else 0.5 * active
         lr = 0.5 * scale / (1.0 + 0.15 * t)
         kappa = kappa - lr * grad
-    best_val = c0 + shifted_diagonal_bound(mf, best_kappa)
-    return float(best_val), best_kappa
+    _, kappa, v, weight = best
+    return float(c0 + shifted_diagonal_bound(mf, kappa)), kappa, v, weight
 
 
-def _reduce_and_rescale(h, g, c0, lo, hi):
-    """Substitute degenerate coordinates and map the rest onto [-1, 1] (maybe none)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _coefficients(layer, q_k, q_k_lin, q_n, q_n_lin, box):
+    """The penalty-free data of the layer QP, built once per bound: (Q_k, q_k), the
+    coefficients (c0, m, M) of E[lam_next], then the box of x, or of (x, y) on a relu layer."""
+    lo, hi = box.lo, box.hi
+    if layer.activation == "relu":
+        lo = np.concatenate([lo, np.maximum(lo, 0.0)])
+        hi = np.concatenate([hi, np.maximum(hi, 0.0)])
+    return (q_k, q_k_lin, *expected_quadratic_coeffs(layer, q_n, q_n_lin), lo, hi)
+
+
+def _build_qp(layer, coeffs, zeta, zeta_plus, zeta_minus) -> tuple[np.ndarray, float]:
+    """(Mf, c0) of the layer QP at one penalty point, rescaled onto [-1, 1]^d.
+
+    On a relu layer the variables are (x, y) with the relu constraints
+    dualized.  Degenerate coordinates are substituted (maybe all of
+    them), the rest mapped onto [-1, 1], and the rescaled (g, H) packed
+    as Mf = [[0, g'], [g, H]].
+    """
+    q_k, q_k_lin, c0, m, big_m, lo, hi = coeffs
+    if layer.activation == "identity":
+        h, g = big_m - q_k, m - q_k_lin
+    else:
+        n = layer.in_dim
+        h = np.zeros((2 * n, 2 * n))
+        h[:n, :n] = -q_k
+        h[n:, n:] = big_m - 2.0 * np.diag(zeta)
+        h[:n, n:] = h[n:, :n] = np.diag(zeta)
+        g = np.concatenate([-q_k_lin - zeta_plus, m + zeta_plus + zeta_minus])
     fixed = hi - lo <= 0.0
     if np.any(fixed):
-        vals = 0.5 * (lo + hi)
         keep = ~fixed
-        xf = vals[fixed]
+        xf = (0.5 * (lo + hi))[fixed]
         c0 = c0 + float(g[fixed] @ xf) + 0.5 * float(xf @ h[np.ix_(fixed, fixed)] @ xf)
         g = g[keep] + h[np.ix_(keep, fixed)] @ xf
         h = h[np.ix_(keep, keep)]
@@ -147,13 +176,14 @@ def _reduce_and_rescale(h, g, c0, lo, hi):
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     c0 = c0 + float(g @ center) + 0.5 * float(center @ h @ center)
-    g_scaled = half * (g + h @ center)
-    h_scaled = h * np.outer(half, half)
-    return h_scaled, g_scaled, c0
+    mf = np.zeros((g.shape[0] + 1, g.shape[0] + 1))
+    mf[0, 1:] = mf[1:, 0] = half * (g + h @ center)
+    mf[1:, 1:] = h * np.outer(half, half)
+    return mf, c0
 
 
 def _rescale_adjoint(grad_g, grad_h, lo, hi):
-    """Pull a gradient in the (g, H) that _reduce_and_rescale returns back to its input.
+    """Pull a gradient in the rescaled (g, H) of _build_qp back to the assembled QP.
 
     Over all coordinates the reduction substitutes x = p + half * t, with
     p the midpoint (a fixed coordinate's value) and half zero on fixed
@@ -171,39 +201,20 @@ def _rescale_adjoint(grad_g, grad_h, lo, hi):
     return p + scaled_g, 0.5 * np.outer(p, p) + np.outer(scaled_g, p) + full_h
 
 
-def _assemble_relu_qp(layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_minus):
-    """Build (H, g, c0) in variables (x, y) with the relu constraints dualized."""
-    c0, m, big_m = expected_quadratic_coeffs(layer, q_n, q_n_lin)
-    n = layer.in_dim
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = -q_k
-    h[n:, n:] = big_m - 2.0 * np.diag(zeta)
-    h[:n, n:] = np.diag(zeta)
-    h[n:, :n] = np.diag(zeta)
-    g = np.concatenate([-q_k_lin - zeta_plus, m + zeta_plus + zeta_minus])
-    return h, g, c0
+def _pull_back(layer, coeffs, v, weight):
+    """Gradient of the frozen surrogate in the layer data.
 
-
-def _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
-    """(H, g, c0, lo, hi) of the layer QP before reduction."""
-    q_k, q_k_lin = as_quadratic(lam_k, layer.in_dim)
-    q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
-    if layer.activation == "identity":
-        c0, m, big_m = expected_quadratic_coeffs(layer, q_n, q_n_lin)
-        return big_m - q_k, m - q_k_lin, c0, box.lo, box.hi
-    h, g, c0 = _assemble_relu_qp(layer, q_k, q_k_lin, q_n, q_n_lin, zeta, zeta_plus, zeta_minus)
-    lo = np.concatenate([box.lo, np.maximum(box.lo, 0.0)])
-    hi = np.concatenate([box.hi, np.maximum(box.hi, 0.0)])
-    return h, g, c0, lo, hi
-
-
-def _assembly_adjoint(layer, grad_h, grad_g):
-    """Adjoint of _assemble in (H, g); c0 is E[lam_next]'s constant with weight one.
-
-    Returns the gradients in (Q_k, q_k), in the coefficients (M, m) of
-    E[lam_next] and in the penalties stacked as (zeta, zeta_plus,
-    zeta_minus), the last None for an identity layer.
+    With the top eigenvector v = (v0, w) and the Danskin weight of
+    _shift_step frozen, the bound c0 + 0.5 * sum(kappa_A) +
+    weight * v'(Mf - diag(kappa))v is affine in the rescaled QP data
+    (c0, g, H), with gradient (1, 2 weight v0 w, weight w w').  Returns
+    that gradient pulled back to (Q_k, q_k), to E[lam_next]'s (M, m) and
+    to the penalties stacked as (zeta, zeta_plus, zeta_minus), the last
+    None for an identity layer.
     """
+    w = v[1:]
+    lo, hi = coeffs[-2:]
+    grad_g, grad_h = _rescale_adjoint(2.0 * weight * v[0] * w, weight * np.outer(w, w), lo, hi)
     if layer.activation == "identity":
         return -grad_h, -grad_g, grad_h, grad_g, None
     n = layer.in_dim
@@ -211,18 +222,6 @@ def _assembly_adjoint(layer, grad_h, grad_g):
     grad_zeta = np.diag(grad_h[x, y]) + np.diag(grad_h[y, x]) - 2.0 * np.diag(grad_h[y, y])
     penalties = np.concatenate([grad_zeta, grad_g[y] - grad_g[x], grad_g[y]])
     return -grad_h[x, x], -grad_g[x], grad_h[y, y], grad_g[y], penalties
-
-
-def _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
-    return _reduce_and_rescale(*_assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus))
-
-
-def _penalties(duals: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(zeta, zeta_plus, zeta_minus) from internal duals, the signed pair clamped at 0."""
-    zeta = np.asarray(duals.get("zeta", np.zeros(n)), dtype=float)
-    zeta_plus = np.maximum(np.asarray(duals.get("zeta_plus", np.zeros(n)), dtype=float), 0.0)
-    zeta_minus = np.maximum(np.asarray(duals.get("zeta_minus", np.zeros(n)), dtype=float), 0.0)
-    return zeta, zeta_plus, zeta_minus
 
 
 def quadratic_bound_with_duals(
@@ -233,21 +232,16 @@ def quadratic_bound_with_duals(
     duals: dict,
 ) -> float:
     """Certified bound at the given internal duals (sign-clamped as needed)."""
-    zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
-    h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    n = layer.in_dim
+    zeta, zeta_plus, zeta_minus = (np.asarray(duals.get(key, np.zeros(n)), dtype=float)
+                                   for key in ("zeta", "zeta_plus", "zeta_minus"))
+    views = (*as_quadratic(lam_k, n), *as_quadratic(lam_next, layer.out_dim))
+    coeffs = _coefficients(layer, *views, box)
+    mf, c0 = _build_qp(layer, coeffs, zeta, np.maximum(zeta_plus, 0.0), np.maximum(zeta_minus, 0.0))
     kappa = duals.get("kappa")
-    if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
-        kappa = np.zeros(g.shape[0] + 1)
-    return float(c0 + shifted_diagonal_bound(_pack_mf(h, g), np.asarray(kappa, dtype=float)))
-
-
-def _pack_mf(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    d = g.shape[0]
-    mf = np.zeros((d + 1, d + 1))
-    mf[0, 1:] = g
-    mf[1:, 0] = g
-    mf[1:, 1:] = h
-    return mf
+    if kappa is None or np.shape(kappa) != (mf.shape[0],):
+        kappa = np.zeros(mf.shape[0])
+    return float(c0 + shifted_diagonal_bound(mf, np.asarray(kappa, dtype=float)))
 
 
 def inner_quadratic_bound(
@@ -261,11 +255,11 @@ def inner_quadratic_bound(
     When both quadratic blocks vanish the problem is linear and the exact
     per-coordinate closed form is returned instead.  Otherwise, on a relu
     layer, the penalties (zeta, zeta_plus, zeta_minus) take a few
-    subgradient steps from zero, tracked by the Danskin surrogate.  The
-    zero penalties and the best iterate, when it moved off zero, each get
-    a few shift-vector steps from kappa = 0 and a certified value; every
-    such value is a valid bound, and the smallest one is returned
-    together with its duals and the surrogate's gradients at them.
+    subgradient steps from zero, tracked by the shift value at kappa = 0.
+    The zero penalties and the best iterate, when it moved off zero, each
+    get a kappa loop and a certified value; every such value is a valid
+    bound, and the smallest one is returned with its duals and the
+    gradients frozen at the eigenpair its kappa loop kept.
     """
     n = layer.in_dim
     q_k, q_k_lin = as_quadratic(lam_k, n)
@@ -273,43 +267,41 @@ def inner_quadratic_bound(
     if not q_k.any() and not q_n.any():
         return _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin)
 
-    zeros = np.zeros(n)
-    starts = [(zeros, zeros, zeros)]
+    coeffs = _coefficients(layer, q_k, q_k_lin, q_n, q_n_lin, box)
+    starts = [(np.zeros(n),) * 3]
     if layer.activation == "relu":
-        # the penalty search is tracked by the cheap Danskin surrogate; only
-        # the zero start and the winning iterate get a certified evaluation
-        params = np.zeros(3 * n)
-        best_params = params.copy()
+        # only the zero start and the winning iterate get a certified evaluation
+        params = best_params = np.zeros(3 * n)
         best_est = math.inf
         scale = float(max(1.0, np.abs(q_k).max(initial=0.0), np.abs(q_n).max(initial=0.0)))
         for t in range(_PENALTY_STEPS):
-            est, blocks = _danskin(
-                layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], None
-            )
-            if est < best_est:
-                best_est = est
-                best_params = params.copy()
+            mf, c0 = _build_qp(layer, coeffs, *np.split(params, 3))
+            est, _, v, weight = _shift_step(mf, np.zeros(mf.shape[0]))
+            if c0 + est < best_est:
+                best_est, best_params = c0 + est, params
             lr = 0.3 * scale / (1.0 + 0.2 * t)
-            params = params - lr * blocks[4]
+            params = params - lr * _pull_back(layer, coeffs, v, weight)[4]
             params[n:] = np.maximum(params[n:], 0.0)
         # a search that kept the zero start would only repeat its solve
         if best_params.any():
             starts.append(np.split(best_params, 3))
 
-    best_val = math.inf
     best = None
-    for z, zp, zm in starts:
-        h, g, c0 = _qp_data(layer, lam_k, lam_next, box, z, zp, zm)
-        val, kap = qp_box_bound(h, g, c0)
-        if val < best_val:
-            best_val = val
-            best = (z, zp, zm, kap)
-    duals = dict(zip(("zeta", "zeta_plus", "zeta_minus", "kappa"), best))
+    for penalties in starts:
+        val, kappa, v, weight = qp_box_bound(*_build_qp(layer, coeffs, *penalties))
+        if best is None or val < best[0]:
+            best = (val, (*penalties, kappa), v, weight)
+    val, duals, v, weight = best
+    grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = _pull_back(layer, coeffs, v, weight)
+    grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
     return InnerResult(
-        value=best_val,
+        value=val,
         mode=UPPER_BOUND,
-        grads=_param_grads(layer, lam_k, lam_next, box, duals),
-        internal_duals=duals,
+        grads=(
+            as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
+            as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
+        ),
+        internal_duals=dict(zip(("zeta", "zeta_plus", "zeta_minus", "kappa"), duals)),
     )
 
 
@@ -326,51 +318,3 @@ def _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin) -> InnerResult:
         as_quadratic_adjoint(lam_next, 0.5 * (np.outer(feat, feat) + np.diag(var)), feat),
     )
     return res
-
-
-def _danskin(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
-    """Danskin value of the bound at kappa and its gradient in the layer data.
-
-    With the top eigenvector v = (v0, w) of Mf - diag(kappa) and the
-    active set A of kappa frozen, the bound c0 + 0.5 * sum(kappa_A) +
-    0.5 |A| v'(Mf - diag(kappa))v (the last term only when lambda_max > 0)
-    is affine in the rescaled QP data (c0, g, H), with gradient
-    (1, |A| v0 w, 0.5 |A| w w').  Returns (value, the gradients of
-    _assembly_adjoint).
-    """
-    h, g, c0, lo, hi = _assemble(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    h_s, g_s, c0_s = _reduce_and_rescale(h, g, c0, lo, hi)
-    if kappa is None or np.asarray(kappa).shape != (g_s.shape[0] + 1,):
-        kappa = np.zeros(g_s.shape[0] + 1)
-    lmax, v = top_eigenpair(_pack_mf(h_s, g_s) - np.diag(kappa))
-    s = max(lmax, 0.0)
-    value = c0_s + 0.5 * float(np.maximum(kappa + s, 0.0).sum())
-    weight = 0.5 * float(np.count_nonzero(kappa + s > 0.0)) if lmax > 0.0 else 0.0
-    w = v[1:]
-    grad_g, grad_h = _rescale_adjoint(2.0 * weight * v[0] * w, weight * np.outer(w, w), lo, hi)
-    return value, _assembly_adjoint(layer, grad_h, grad_g)
-
-
-def _param_grads(
-    layer: CanonicalLayer,
-    lam_k: Multiplier,
-    lam_next: Multiplier,
-    box: Interval,
-    duals: dict,
-) -> tuple[dict, dict]:
-    """Danskin gradients of the bound in both multipliers' parameters.
-
-    The gradient is the surrogate's of ``_danskin`` at the frozen
-    internal duals, mapped onto lam_k through its (Q, q) and onto
-    lam_next through the expected coefficients of E[lam_next].
-    """
-    zeta, zeta_plus, zeta_minus = _penalties(duals, layer.in_dim)
-    _, blocks = _danskin(
-        layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, duals.get("kappa")
-    )
-    grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = blocks
-    grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
-    return (
-        as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
-        as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
-    )

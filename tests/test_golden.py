@@ -3,8 +3,10 @@
 Certificates are hex-float JSON, so any change to the arithmetic of an
 inner solver, an envelope gradient, the outer loop or the sampled attack
 changes the SHA-256 of the output file.  The jobs below are small and
-together reach every final-layer solver, every transition solver and
-both forward paths of the attack (weight draws shared by a batch of
+together reach every final-layer solver, every transition solver, the
+three routes of the quadratic bound (an identity layer; a relu layer
+with one start; a relu layer whose penalty start is certified and wins)
+and both forward paths of the attack (weight draws shared by a batch of
 points, and one draw per noisy input row); ``test_jobs_cover_every_path``
 asserts that they do.  A change meant to alter certificates regenerates the
 digests with ``PYTHONPATH=src python tests/test_golden.py``, which also
@@ -22,6 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 import funclag.inner
+import funclag.inner.quadratic
 import funclag.oracle
 from funclag.cli import main
 from funclag.model import model_to_dict
@@ -92,12 +95,15 @@ GOLDEN = {
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for
-# shared weight draws and ("attack", "per_row") for one draw per row
+# shared weight draws and ("attack", "per_row") for one draw per row, and
+# the quadratic routes are those of _quadratic_path
 EXPECTED = {
     "robust-linear": {"inner_linear", "final_softmax_exact"},
     "adversarial-linear": {"inner_linear", "final_linear"},
     "dist-linexp": {"inner_linexp_input", "inner_linexp_transition"},
-    "robust-quadratic": {"inner_quadratic_bound", "final_softmax_exact"},
+    "robust-quadratic": {"inner_quadratic_bound", "final_softmax_exact",
+                         ("quadratic", "identity"), ("quadratic", "relu", "one start"),
+                         ("quadratic", "relu", "penalty start wins")},
     "wide-linear": {"inner_linear", "final_softmax_exact"},
     "gaussian-adversarial": {"final_linear", ("attack", "draws")},
     "mixed-adversarial": {"final_linear", ("attack", "draws")},
@@ -118,6 +124,17 @@ def _attack_path(layers, h, weights):
     if any(w.ndim == 3 for w, _ in weights):
         return ("attack", "draws")
     return None
+
+
+def _quadratic_path(layer, starts: int, result):
+    """The route of one quadratic bound that ran ``starts`` kappa loops."""
+    if layer.activation == "identity":
+        return ("quadratic", "identity")
+    if starts == 1:
+        return ("quadratic", "relu", "one start")
+    duals = result.internal_duals
+    won = any(duals[key].any() for key in ("zeta", "zeta_plus", "zeta_minus"))
+    return ("quadratic", "relu", "penalty start wins" if won else "zero start wins")
 
 
 def run_job(name: str, workdir: Path) -> tuple[int, bytes]:
@@ -154,6 +171,23 @@ def outputs(tmp_path_factory):
     for solver in SOLVERS:
         recording(funclag.inner, solver, lambda *a, solver=solver, **k: solver)
     recording(funclag.oracle, "forward", _attack_path)
+    starts = []
+    box_bound = funclag.inner.quadratic.qp_box_bound
+    solver = funclag.inner.inner_quadratic_bound
+
+    def counted_box_bound(*args):
+        starts.append(1)
+        return box_bound(*args)
+
+    def quadratic_route(layer, *args):
+        starts.clear()
+        result = solver(layer, *args)
+        if starts:  # none for the exact linear solve at Q = 0
+            reached.add(_quadratic_path(layer, len(starts), result))
+        return result
+
+    patch.setattr(funclag.inner.quadratic, "qp_box_bound", counted_box_bound)
+    patch.setattr(funclag.inner, "inner_quadratic_bound", quadratic_route)
     results = {}
     try:
         for name in JOBS:

@@ -12,17 +12,24 @@ from funclag import (
 )
 from funclag.inner import inner_linear, inner_quadratic_bound
 from funclag.inner.quadratic import (
-    _danskin,
-    _pack_mf,
-    _param_grads,
-    _qp_data,
+    _build_qp,
+    _coefficients,
+    _pull_back,
+    _shift_step,
     certified_lambda_max,
     gershgorin_upper,
     qp_box_bound,
     quadratic_bound_with_duals,
     top_eigenpair,
 )
-from funclag.multipliers import get_params, with_params, zero_param_grads
+from funclag.multipliers import (
+    as_quadratic,
+    as_quadratic_adjoint,
+    expected_quadratic_coeffs_adjoint,
+    get_params,
+    with_params,
+    zero_param_grads,
+)
 
 from conftest import det_layer
 from oracles import expected_under_layer
@@ -31,6 +38,11 @@ from oracles import expected_under_layer
 def sym(rng, n, scale=1.0):
     a = scale * rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
+
+
+def pack(h, g):
+    """The matrix [[0, g'], [g, H]] that qp_box_bound takes."""
+    return np.block([[np.zeros((1, 1)), g[None, :]], [g[:, None], h]])
 
 
 class TestEigenvalueBounds:
@@ -108,7 +120,7 @@ class TestQpBoxBound:
     def test_negative_diagonal_is_tight_at_zero(self):
         # max of 0.5 z' diag(d) z with d <= 0 over the unit box is 0
         h = np.diag([-1.0, -0.5])
-        value, kappa = qp_box_bound(h, np.zeros(2), 0.0)
+        value, kappa, _, _ = qp_box_bound(pack(h, np.zeros(2)), 0.0)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_dominates_enumeration(self):
@@ -118,11 +130,68 @@ class TestQpBoxBound:
             h = sym(rng, n)
             g = rng.standard_normal(n)
             c0 = float(rng.standard_normal())
-            value, _ = qp_box_bound(h, g, c0)
+            mf = pack(h, g)
+            value, kappa, v, weight = qp_box_bound(mf, c0)
+            # the eigenpair comes from the kept iterate, not a later one
+            _, _, v_again, weight_again = _shift_step(mf, kappa)
+            assert np.array_equal(v, v_again) and weight == weight_again
             zs = np.array(np.meshgrid(*[np.linspace(-1, 1, 41)] * n, indexing="ij"))
             pts = zs.reshape(n, -1).T
             vals = c0 + pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
             assert value >= vals.max() - 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "both"])
+    def test_non_finite_qp_raises_a_numerical_error(self, bad, where):
+        # the eigensolver returns NaN or raises; with NaN shift values no
+        # iterate beats another, and the certified check still has the last
+        # word.  An infinite entry also makes the step size infinite, which
+        # numpy warns about; under optimize's errstate that is an error too.
+        h = {"diagonal": np.array([[bad]]), "off-diagonal": np.array([[1.0]]),
+             "both": np.array([[1.0, bad], [bad, -1.0]])}[where]
+        g = np.full(h.shape[0], bad if where != "diagonal" else 0.5)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises((quadratic.NumericalError, np.linalg.LinAlgError)):
+                qp_box_bound(pack(h, g), 0.0)
+
+
+class TestSingleRoute:
+    """Per call: one coefficient build, and one eigendecomposition per penalty
+    iterate, per kappa iterate and per certification, none for the gradient."""
+
+    def _count(self, monkeypatch, layer, lam_k, lam_next, box):
+        calls = {"coeffs": 0, "eig": 0, "starts": 0}
+
+        def spy(name, key):
+            original = getattr(quadratic, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(quadratic, name, wrapper)
+
+        spy("expected_quadratic_coeffs", "coeffs")
+        spy("top_eigenpair", "eig")
+        spy("qp_box_bound", "starts")
+        inner_quadratic_bound(layer, lam_k, lam_next, box)
+        monkeypatch.undo()
+        return calls
+
+    def test_one_coefficient_build_and_no_repeated_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        eig_calls = {}
+        for i in range(60):
+            activation = ("relu", "identity")[i % 2]
+            layer = _random_layer(rng, 2, 3, activation, ("deterministic", "gaussian")[i % 3 // 2])
+            lam_k = _random_multiplier(rng, ("linear", "quadratic")[i % 4 // 2], 2)
+            lam_next = Quadratic(Q=sym(rng, 3), q=rng.standard_normal(3))
+            calls = self._count(monkeypatch, layer, lam_k, lam_next, _random_box(rng, 2, "none"))
+            assert calls["coeffs"] == 1
+            penalty_iterates = quadratic._PENALTY_STEPS if activation == "relu" else 0
+            assert calls["eig"] == penalty_iterates + (quadratic._KAPPA_STEPS + 1) * calls["starts"]
+            eig_calls[(activation, calls["starts"])] = calls["eig"]
+        assert eig_calls == {("identity", 1): 11, ("relu", 1): 13, ("relu", 2): 24}
 
 
 class TestInnerQuadraticBound:
@@ -245,27 +314,60 @@ def _unit_param_bumps(lam):
             yield name, idx, with_params(lam, bumped)
 
 
+def _qp(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
+    """The layer QP's coefficients, and its (Mf, c0) at one penalty point."""
+    n, m = layer.in_dim, layer.out_dim
+    coeffs = _coefficients(layer, *as_quadratic(lam_k, n), *as_quadratic(lam_next, m), box)
+    return coeffs, *_build_qp(layer, coeffs, zeta, zeta_plus, zeta_minus)
+
+
+def _penalties(duals, n):
+    """(zeta, zeta_plus, zeta_minus) of random duals, the signed pair clamped at 0."""
+    zeros = np.zeros(n)
+    return (
+        duals.get("zeta", zeros),
+        np.maximum(duals.get("zeta_plus", zeros), 0.0),
+        np.maximum(duals.get("zeta_minus", zeros), 0.0),
+    )
+
+
+def _kappa(kappa, mf):
+    return kappa if kappa is not None and np.shape(kappa) == (mf.shape[0],) else np.zeros(mf.shape[0])
+
+
 def _frozen_surrogate(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, frozen):
     """The surrogate at frozen (v, active set, lambda_max > 0, kappa): affine in its inputs."""
     v, active, positive, kappa = frozen
-    h, g, c0 = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    _, mf, c0 = _qp(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
     val = c0 + 0.5 * float(kappa[active].sum())
     if positive:
-        val += 0.5 * float(active.sum()) * float(v @ (_pack_mf(h, g) - np.diag(kappa)) @ v)
+        val += 0.5 * float(active.sum()) * float(v @ (mf - np.diag(kappa)) @ v)
     return val
 
 
 def _freeze(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
-    h, g, _ = _qp_data(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
-    if kappa is None or np.asarray(kappa).shape != (g.shape[0] + 1,):
-        kappa = np.zeros(g.shape[0] + 1)
-    lmax, v = top_eigenpair(_pack_mf(h, g) - np.diag(kappa))
+    _, mf, _ = _qp(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus)
+    kappa = _kappa(kappa, mf)
+    lmax, v = top_eigenpair(mf - np.diag(kappa))
     return v, (kappa + max(lmax, 0.0)) > 0.0, lmax > 0.0, kappa
 
 
+def frozen_param_grads(layer, lam_k, lam_next, box, duals):
+    """_pull_back's gradient at the eigenpair of _shift_step, mapped onto both
+    multipliers as inner_quadratic_bound maps it."""
+    coeffs, mf, _ = _qp(layer, lam_k, lam_next, box, *_penalties(duals, layer.in_dim))
+    _, _, v, weight = _shift_step(mf, _kappa(duals.get("kappa"), mf))
+    grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = _pull_back(layer, coeffs, v, weight)
+    grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
+    return (
+        as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
+        as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
+    )
+
+
 def bump_param_grads(layer, lam_k, lam_next, box, duals):
-    """Unit-bump differences of the frozen surrogate, as _param_grads takes them."""
-    penalties = quadratic._penalties(duals, layer.in_dim)
+    """Unit-bump differences of the frozen surrogate in both multipliers' parameters."""
+    penalties = _penalties(duals, layer.in_dim)
     frozen = _freeze(layer, lam_k, lam_next, box, *penalties, duals.get("kappa"))
     grads_k, grads_next = zero_param_grads(lam_k), zero_param_grads(lam_next)
     base = _frozen_surrogate(layer, lam_k, lam_next, box, *penalties, frozen)
@@ -364,16 +466,35 @@ class TestAdjointGradients:
                 duals["kappa"] = rng.standard_normal(2 * n_in + 1 if activation == "relu" else n_in + 1)
             yield layer, lam_k, lam_next, box, duals
 
+    @staticmethod
+    def _worst(got_pair, ref_pair):
+        worst = 0.0
+        for got, ref in zip(got_pair, ref_pair):
+            assert got.keys() == ref.keys()
+            for name in ref:
+                assert got[name].shape == ref[name].shape
+                worst = max(worst, float(np.max(np.abs(got[name] - ref[name]), initial=0.0)))
+        return worst
+
     def test_param_grads_match_unit_bumps(self):
         worst = 0.0
         for layer, lam_k, lam_next, box, duals in self._instances(20, 300):
-            grads_k, grads_next = _param_grads(layer, lam_k, lam_next, box, duals)
-            ref_k, ref_next = bump_param_grads(layer, lam_k, lam_next, box, duals)
-            for got, ref in ((grads_k, ref_k), (grads_next, ref_next)):
-                assert got.keys() == ref.keys()
-                for name in ref:
-                    assert got[name].shape == ref[name].shape
-                    worst = max(worst, float(np.max(np.abs(got[name] - ref[name]), initial=0.0)))
+            got = frozen_param_grads(layer, lam_k, lam_next, box, duals)
+            worst = max(worst, self._worst(got, bump_param_grads(layer, lam_k, lam_next, box, duals)))
+        assert worst <= 1e-12
+
+    def test_bound_grads_match_unit_bumps_at_its_duals(self):
+        # the gradient inner_quadratic_bound returns, frozen at the eigenpair its
+        # kappa loop kept, is the surrogate's at the duals it returns
+        worst, checked = 0.0, 0
+        for layer, lam_k, lam_next, box, _ in self._instances(20, 300):
+            if _kind(lam_k) != "quadratic" and _kind(lam_next) != "quadratic":
+                continue
+            res = inner_quadratic_bound(layer, lam_k, lam_next, box)
+            ref = bump_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
+            worst = max(worst, self._worst(res.grads, ref))
+            checked += 1
+        assert checked >= 150
         assert worst <= 1e-12
 
     def test_penalty_grads_match_unit_bumps(self):
@@ -385,10 +506,9 @@ class TestAdjointGradients:
             n = layer.in_dim
             params = np.concatenate([rng.standard_normal(n), rng.random(2 * n)])
             kappa = duals.get("kappa")
-            _, blocks = _danskin(
-                layer, lam_k, lam_next, box, params[:n], params[n : 2 * n], params[2 * n :], kappa
-            )
-            got = blocks[4]
+            coeffs, mf, _ = _qp(layer, lam_k, lam_next, box, *np.split(params, 3))
+            _, _, v, weight = _shift_step(mf, _kappa(kappa, mf))
+            got = _pull_back(layer, coeffs, v, weight)[4]
             ref = bump_penalty_grads(layer, lam_k, lam_next, box, params, kappa)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
             checked += 1
