@@ -5,7 +5,8 @@ per-target problems, runs the dual optimization on each and one sampled
 attack for all of them, and writes one compact JSON file (sorted keys,
 no whitespace): a summary plus the per-problem certificates.  Reals in
 that file are hex-float strings so reloading reproduces them bit for bit.
-Exit codes: 0 verified, 1 sound but not verified, 2 error.
+Exit codes: 0 verified, 1 sound but not verified, 2 error (an unreadable
+or unwritable file among them).
 """
 
 from __future__ import annotations
@@ -48,11 +49,29 @@ def _all_finite(values) -> bool:
     )
 
 
-def _load_spec_config(path: str) -> dict:
+def _read_json(path, what: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read spec config: {exc}")
+    # missing, not UTF-8, not JSON, or nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        _fail(f"cannot read {what}: {type(exc).__name__}: {exc}")
+
+
+def _problems_or_fail(net, spec_path: str):
+    spec_config = _read_json(spec_path, "spec config")
+    try:
+        return build_problem(net, spec_config)
+    except ConfigError as exc:
+        _fail(str(exc))
+    except RecursionError:
+        _fail("spec config is nested too deeply")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
 
 
 def _load_model_or_fail(path: str):
@@ -84,11 +103,7 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
            seed, attack, out_path):
     """Run the dual optimization and write certificates."""
     net = _load_model_or_fail(model_path)
-    spec_config = _load_spec_config(spec_path)
-    try:
-        problems = build_problem(net, spec_config)
-    except ConfigError as exc:
-        _fail(str(exc))
+    problems = _problems_or_fail(net, spec_path)
 
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
@@ -120,9 +135,7 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
         "certificates": [c.to_jsonable() for c in certificates],
     }
     # compact separators keep the C encoder, which an indent would not
-    Path(out_path).write_text(
-        json.dumps(encode_reals(doc), sort_keys=True, separators=(",", ":"))
-    )
+    _write(out_path, json.dumps(encode_reals(doc), sort_keys=True, separators=(",", ":")))
     status = "verified" if verified else "not verified"
     click.echo(f"{status}: worst certified margin {worst:.6g} over {len(certificates)} problem(s)")
     sys.exit(_EXIT_VERIFIED if verified else _EXIT_NOT_VERIFIED)
@@ -135,16 +148,12 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
 def bounds(model_path, spec_path, out_path):
     """Dump the per-layer activation boxes for a spec's input set."""
     net = _load_model_or_fail(model_path)
-    spec_config = _load_spec_config(spec_path)
-    try:
-        problems = build_problem(net, spec_config)
-    except ConfigError as exc:
-        _fail(str(exc))
+    problems = _problems_or_fail(net, spec_path)
     try:
         layer_bounds = propagate_intervals(net, problems[0].support_box())
     except ValueError as exc:
         _fail(str(exc))
-    Path(out_path).write_text(json.dumps({"layers": layer_bounds.to_lists()}, indent=1))
+    _write(out_path, json.dumps({"layers": layer_bounds.to_lists()}, indent=1))
     widths = "/".join(str(len(box.lo)) for box in layer_bounds.boxes)
     click.echo(f"wrote boxes for layer widths {widths}")
     sys.exit(0)
@@ -158,10 +167,7 @@ def bounds(model_path, spec_path, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def auc(id_path, certs_dir, out_path):
     """Aggregate per-sample certificates into guaranteed/adversarial AUC."""
-    try:
-        id_scores = json.loads(Path(id_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot read id scores: {exc}")
+    id_scores = _read_json(id_path, "id scores")
     if not _all_finite(id_scores):
         _fail("id scores must be a non-empty list of finite numbers")
     cert_files = sorted(Path(certs_dir).glob("*.json")) if Path(certs_dir).is_dir() else []
@@ -173,12 +179,12 @@ def auc(id_path, certs_dir, out_path):
     have_attacks = True
     for path in cert_files:
         try:
-            doc = decode_reals(json.loads(path.read_text()))
+            doc = decode_reals(_read_json(path, f"certificate file {path.name}"))
             certs = doc["certificates"]
             # per-sample confidence score: worst certified label bound
             per_label = [c["metadata"]["objective_bound"] for c in certs]
             attack_vals = [c["metadata"].get("attack_value") for c in certs]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             _fail(f"bad certificate file {path.name}: {exc}")
         if not _all_finite(per_label):
             _fail(f"bad certificate file {path.name}: no certificates, or a non-finite "
@@ -198,7 +204,7 @@ def auc(id_path, certs_dir, out_path):
     if have_attacks:
         attacks_arr = np.clip(np.asarray(attacks_per_sample), 0.0, 1.0)
         result["aauc"] = adversarial_auc(attacks_arr, id_scores)
-    Path(out_path).write_text(json.dumps(result, indent=1, sort_keys=True))
+    _write(out_path, json.dumps(result, indent=1, sort_keys=True))
     summary = f"GAUC {result['gauc']:.4f}"
     if have_attacks:
         summary += f", AAUC {result['aauc']:.4f}"

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import inner
 from .bounds import LayerBounds, propagate_intervals
-from .jsonio import sha256_of
+from .jsonio import is_real, sha256_of
 from .model import CanonicalNetwork, StructureError, model_to_dict
 from .multipliers import (
     Linear,
@@ -209,9 +209,13 @@ class Certificate:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "Certificate":
+        bound, verified = doc["bound"], doc["verified"]
+        if not isinstance(verified, bool) or not is_real(bound):
+            raise ValueError(f"certificate needs a boolean verified and a real bound, "
+                             f"got {verified!r} and {bound!r}")
         return cls(
-            bound=float(doc["bound"]),
-            verified=bool(doc["verified"]),
+            bound=float(bound),
+            verified=verified,
             stack=stack_from_jsonable(doc["multipliers"]),
             trace=doc["trace"],
             metadata=doc["metadata"],

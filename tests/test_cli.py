@@ -279,6 +279,35 @@ class TestVerify:
         assert "cannot load model" in result.output and "truncation" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"type": "robust_ood", "input": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "epsilon": 0.04, '
+         b'"p_max": 0.2, "note": "\xff"}',
+         b"[" * 200_000 + b"]" * 200_000,
+         # json reads it, the spec checks would recurse past the limit
+         b'{"type": "robust_ood", "input": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "p_max": 0.2, '
+         b'"epsilon": ' + b"[" * 600 + b"0.04" + b"]" * 600 + b"}"],
+        ids=["not-utf8", "nested-document", "nested-field"],
+    )
+    def test_unreadable_spec_exits_two(self, tmp_path, command, content):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        out = tmp_path / "out.json"
+        result = run_cli([command, "--model", MODEL, "--spec", str(spec), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.output and "spec config" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_unwritable_out_exits_two(self, tmp_path, command):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "missing" / "out.json"
+        flags = ["--steps", "0", "--no-attack"] if command == "verify" else []
+        result = run_cli([command, "--model", MODEL, "--spec", spec, *flags, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: cannot write output" in result.output
+
     def test_threads_option_is_gone(self, tmp_path):
         spec = write_spec(tmp_path)
         result = CliRunner().invoke(
@@ -354,6 +383,24 @@ class TestVerify:
         Certificate.from_jsonable(entry)
         with pytest.raises(ValueError, match="contradicts"):
             Certificate.from_jsonable({**entry, "verified": True})
+
+    @pytest.mark.parametrize(
+        "verified, bound",
+        [("false", -0.5), ([], 0.5), (0, 0.5), (False, True), (True, None), (False, "0.5")],
+    )
+    def test_certificate_needs_a_boolean_and_a_real(self, tmp_path, verified, bound):
+        # bool("false") is True, so a string verified would load as verified
+        spec = write_spec(tmp_path, p_max=0.05)
+        out = tmp_path / "cert.json"
+        run_cli(
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
+             "--out", str(out)]
+        )
+        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
+        from funclag.dual import Certificate
+
+        with pytest.raises(ValueError, match="boolean verified and a real bound"):
+            Certificate.from_jsonable({**entry, "verified": verified, "bound": bound})
 
     def test_non_finite_bound_is_rejected(self, tmp_path):
         # a NaN bound with verified false passes the sign check on its own
@@ -574,6 +621,41 @@ class TestAuc:
         result = self.run_auc(tmp_path, certs, ids)
         assert result.exit_code == 2
         assert "id scores" in result.output
+
+    @pytest.mark.parametrize("content", [b"[0.9, \xff]", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not-utf8", "nested"])
+    def test_unreadable_id_scores_exit_two(self, tmp_path, content):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        id_path = tmp_path / "ids.json"
+        id_path.write_bytes(content)
+        out = tmp_path / "auc.json"
+        result = run_cli(["auc", "--id-scores", str(id_path), "--certs", certs, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: cannot read id scores" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"certificates": "\xff"}', b"[" * 200_000 + b"]" * 200_000,
+         b'{"certificates": [{"metadata": {"objective_bound": "0xzz"}}]}'],
+        ids=["not-utf8", "nested", "bad-hex-float"],
+    )
+    def test_unreadable_certificate_file_exits_two(self, tmp_path, content):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3], [0.1, 0.4]])
+        (tmp_path / "certs" / "sample_1.json").write_bytes(content)
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.output and "certificate file sample_1.json" in result.output
+        assert not (tmp_path / "auc.json").exists()
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        id_path = tmp_path / "ids.json"
+        id_path.write_text(json.dumps([0.9]))
+        out = tmp_path / "missing" / "auc.json"
+        result = run_cli(["auc", "--id-scores", str(id_path), "--certs", certs, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: cannot write output" in result.output
 
     def test_matches_brute_force(self, tmp_path):
         rng = np.random.default_rng(3)
