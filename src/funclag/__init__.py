@@ -5,7 +5,6 @@ Lagrange multipliers."""
 from . import inner
 from .bounds import (
     Interval,
-    LayerBounds,
     interval_activation,
     interval_affine,
     propagate_intervals,
@@ -15,9 +14,9 @@ from .dual import (
     DualEvaluation,
     OptimizerConfig,
     evaluate_dual,
+    init_stack,
     lambda_star_affine,
     optimize,
-    stack_families,
 )
 from .model import (
     CanonicalLayer,
@@ -40,10 +39,8 @@ from .multipliers import (
     Linear,
     LinExp,
     Multiplier,
-    MultiplierStack,
     Quadratic,
     UnsupportedCombination,
-    init_stack,
 )
 from .oracle import random_problem, sample_lower_bound
 from .specs import (

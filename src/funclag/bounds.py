@@ -39,27 +39,9 @@ class Interval:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
 
-@dataclass(frozen=True)
-class LayerBounds:
-    """Boxes for x_0 (the input) through x_K (the logits)."""
-
-    boxes: tuple[Interval, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def box(self, k: int) -> Interval:
-        return self.boxes[k]
-
-    def to_lists(self) -> list:
-        """Nested [lo, hi] pairs per layer, for the JSON dump."""
-        return [
-            [[float(lo), float(hi)] for lo, hi in zip(box.lo, box.hi)]
-            for box in self.boxes
-        ]
+def boxes_to_lists(boxes) -> list:
+    """Nested [lo, hi] pairs per layer, the JSON view of a tuple of boxes."""
+    return [[[float(lo), float(hi)] for lo, hi in zip(box.lo, box.hi)] for box in boxes]
 
 
 def interval_affine(x: Interval, w: Interval, b: Interval) -> Interval:
@@ -89,10 +71,11 @@ def interval_activation(x: Interval, activation: str) -> Interval:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def propagate_intervals(net: CanonicalNetwork, input_box: Interval) -> LayerBounds:
-    """Compose weight supports and interval affine maps layer by layer.
+def propagate_intervals(net: CanonicalNetwork, input_box: Interval) -> tuple[Interval, ...]:
+    """The boxes of x_0 (the input) through x_K (the logits).
 
-    Raises ValueError when a box leaves the finite range; the overflow
+    Composes weight supports and interval affine maps layer by layer, and
+    raises ValueError when a box leaves the finite range; the overflow
     itself is not reported separately.
     """
     if input_box.lo.shape != (net.input_dim,):
@@ -108,4 +91,4 @@ def propagate_intervals(net: CanonicalNetwork, input_box: Interval) -> LayerBoun
                 current, Interval(*layer.weights.support), Interval(*layer.bias.support)
             )
         boxes.append(current)
-    return LayerBounds(boxes=tuple(boxes))
+    return tuple(boxes)

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bounds import propagate_intervals
+from .bounds import boxes_to_lists, propagate_intervals
 from .dual import Certificate, OptimizerConfig, optimize
 from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
@@ -90,10 +90,10 @@ def main():
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--family", type=click.Choice(["linear", "linexp", "quadratic"]), default="linear")
-@click.option("--steps", default=1000, show_default=True)
-@click.option("--lr", default=1e-3, show_default=True)
-@click.option("--decay-every", default=250, show_default=True)
-@click.option("--certify-every", default=50, show_default=True,
+@click.option("--steps", default=OptimizerConfig.steps, show_default=True)
+@click.option("--lr", default=OptimizerConfig.lr, show_default=True)
+@click.option("--decay-every", default=OptimizerConfig.decay_every, show_default=True)
+@click.option("--certify-every", default=OptimizerConfig.certify_every, show_default=True,
               help="steps between the values that count toward the bound and the early stop")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--attack/--no-attack", default=True, show_default=True,
@@ -150,11 +150,11 @@ def bounds(model_path, spec_path, out_path):
     net = _load_model_or_fail(model_path)
     problems = _problems_or_fail(net, spec_path)
     try:
-        layer_bounds = propagate_intervals(net, problems[0].support_box())
+        boxes = propagate_intervals(net, problems[0].support_box())
     except ValueError as exc:
         _fail(str(exc))
-    _write(out_path, json.dumps({"layers": layer_bounds.to_lists()}, indent=1))
-    widths = "/".join(str(len(box.lo)) for box in layer_bounds.boxes)
+    _write(out_path, json.dumps({"layers": boxes_to_lists(boxes)}, indent=1))
+    widths = "/".join(str(len(box.lo)) for box in boxes)
     click.echo(f"wrote boxes for layer widths {widths}")
     sys.exit(0)
 
@@ -168,8 +168,8 @@ def bounds(model_path, spec_path, out_path):
 def auc(id_path, certs_dir, out_path):
     """Aggregate per-sample certificates into guaranteed/adversarial AUC."""
     id_scores = _read_json(id_path, "id scores")
-    if not _all_finite(id_scores):
-        _fail("id scores must be a non-empty list of finite numbers")
+    if not _all_finite(id_scores) or not all(0.0 <= v <= 1.0 for v in id_scores):
+        _fail("id scores must be a non-empty list of numbers in [0, 1]")
     cert_files = sorted(Path(certs_dir).glob("*.json")) if Path(certs_dir).is_dir() else []
     if not cert_files:
         _fail(f"no certificate files in {certs_dir}")
@@ -197,10 +197,9 @@ def auc(id_path, certs_dir, out_path):
         else:
             attacks_per_sample.append(min(max(attack_vals), 1.0))
 
-    id_scores = np.clip(np.asarray(id_scores, dtype=float), 0.0, 1.0)
     bounds_arr = np.clip(np.asarray(bounds_per_sample), 0.0, 1.0)
     result = {"gauc": guaranteed_auc(bounds_arr, id_scores), "n_ood": len(bounds_arr),
-              "n_id": int(id_scores.size)}
+              "n_id": len(id_scores)}
     if have_attacks:
         attacks_arr = np.clip(np.asarray(attacks_per_sample), 0.0, 1.0)
         result["aauc"] = adversarial_auc(attacks_arr, id_scores)

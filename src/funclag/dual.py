@@ -25,22 +25,23 @@ views (``linear_coeffs``, ``as_quadratic``).
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inner
-from .bounds import LayerBounds, propagate_intervals
+from .bounds import Interval, boxes_to_lists, propagate_intervals
 from .jsonio import is_real, sha256_of
 from .model import CanonicalNetwork, StructureError, model_to_dict
 from .multipliers import (
     Linear,
     LinExp,
-    MultiplierStack,
+    Multiplier,
+    Quadratic,
     UnsupportedCombination,
     get_params,
-    init_stack,
     stack_from_jsonable,
     stack_to_jsonable,
     with_params,
@@ -89,8 +90,8 @@ def _solve_problem(k, problem, stack, bounds):
     net = problem.network
     K = net.depth
     if k == K:
-        return _solve_final(problem, stack[K - 1], bounds.box(K))
-    layer, box, lam_next = net.layers[k], bounds.box(k), stack[k]
+        return _solve_final(problem, stack[K - 1], bounds[K])
+    layer, box, lam_next = net.layers[k], bounds[k], stack[k]
     input_set = problem.input_set
     if k == 0 and isinstance(input_set, SubGaussianNoise):
         if not isinstance(lam_next, LinExp):
@@ -106,10 +107,16 @@ def _solve_problem(k, problem, stack, bounds):
 
 def evaluate_dual(
     problem: VerificationProblem,
-    stack: MultiplierStack,
-    bounds: LayerBounds,
+    stack: tuple[Multiplier, ...],
+    bounds: tuple[Interval, ...],
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack: a sound bound on the optimum and its gradient."""
+    """Evaluate the dual at a multiplier stack: a sound bound on the optimum and its gradient.
+
+    The stack holds lam_1 .. lam_K: entry k (0-based) attaches to the
+    output of layer k, and the multipliers at the two ends of the dual
+    (lam_0 and lam_{K+1}) are identically zero and never stored.  The
+    bounds are the boxes of x_0 (the input) through x_K (the logits).
+    """
     K = problem.network.depth
     if len(stack) != K:
         raise ValueError(f"stack has {len(stack)} multipliers, network has {K} layers")
@@ -117,7 +124,7 @@ def evaluate_dual(
         raise ValueError("bounds do not match the network depth")
 
     results = [_solve_problem(k, problem, stack, bounds) for k in range(K + 1)]
-    grads = [zero_param_grads(lam) for lam in stack.lams]
+    grads = [zero_param_grads(lam) for lam in stack]
     for k, res in enumerate(results):
         # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
         for i, contribution in zip((k - 1, k), res.grads):
@@ -157,20 +164,29 @@ class _Adam:
         return out
 
 
-def stack_families(problem: VerificationProblem, family: str) -> list[str]:
-    """Per-boundary family names realizing one of the three run families."""
-    net = problem.network
-    K = net.depth
+def init_stack(problem: VerificationProblem, family: str) -> tuple[Multiplier, ...]:
+    """The starting stack of one of the three run families.
+
+    ``linear`` is linear at every boundary; ``linexp`` puts a linexp
+    multiplier on the input layer's output and linear ones after it;
+    ``quadratic`` is quadratic at every boundary but the logits, which
+    stay linear.  Every parameter starts at zero except the linexp kappa,
+    which starts at -10 so the exponential term is effectively off.
+    """
+    widths = [layer.out_dim for layer in problem.network.layers]
+    linear = tuple(Linear(theta=np.zeros(n)) for n in widths)
     if family == "linear":
-        return ["linear"] * K
+        return linear
     if family == "linexp":
         if not isinstance(problem.input_set, SubGaussianNoise):
             raise UnsupportedCombination("the linexp family needs a sub-Gaussian input set")
-        if K < 2:
+        if len(widths) < 2:
             raise UnsupportedCombination("the linexp family needs at least two layers")
-        return ["linexp"] + ["linear"] * (K - 1)
+        n = widths[0]
+        return (LinExp(alpha=np.zeros(n), gamma=np.zeros(n), kappa=-10.0),) + linear[1:]
     if family == "quadratic":
-        return ["quadratic"] * (K - 1) + ["linear"]
+        quadratic = tuple(Quadratic(Q=np.zeros((n, n)), q=np.zeros(n)) for n in widths[:-1])
+        return quadratic + linear[-1:]
     raise UnsupportedCombination(f"unknown multiplier family {family!r}")
 
 
@@ -185,17 +201,10 @@ class Certificate:
 
     bound: float
     verified: bool
-    stack: MultiplierStack
+    stack: tuple[Multiplier, ...]
     trace: list[dict]
     metadata: dict
     fingerprint: dict
-
-    def __post_init__(self):
-        # documents read back through from_jsonable come from outside
-        if not math.isfinite(self.bound):
-            raise ValueError(f"certificate bound {self.bound!r} is not finite")
-        if self.verified != (self.bound <= 0.0):
-            raise ValueError(f"verified={self.verified} contradicts bound {self.bound!r}")
 
     def to_jsonable(self) -> dict:
         return {
@@ -208,22 +217,50 @@ class Certificate:
         }
 
     @classmethod
-    def from_jsonable(cls, doc: dict) -> "Certificate":
-        bound, verified = doc["bound"], doc["verified"]
+    def from_jsonable(cls, doc) -> "Certificate":
+        """Load a certificate document; a malformed or inconsistent one raises
+        ValueError, and an unknown multiplier family UnsupportedCombination."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a certificate is a JSON object, got {type(doc).__name__}")
+        bound, verified = doc.get("bound"), doc.get("verified")
         if not isinstance(verified, bool) or not is_real(bound):
             raise ValueError(f"certificate needs a boolean verified and a real bound, "
                              f"got {verified!r} and {bound!r}")
-        return cls(
-            bound=float(bound),
-            verified=verified,
-            stack=stack_from_jsonable(doc["multipliers"]),
-            trace=doc["trace"],
-            metadata=doc["metadata"],
-            fingerprint=doc["fingerprint"],
-        )
+        if not math.isfinite(bound):
+            raise ValueError(f"certificate bound {bound!r} is not finite")
+        if verified != (bound <= 0.0):
+            raise ValueError(f"verified={verified} contradicts bound {bound!r}")
+        lams, trace, meta = doc.get("multipliers"), doc.get("trace"), doc.get("metadata")
+        digests = doc.get("fingerprint")
+        checks = {
+            "a non-empty list of multipliers": isinstance(lams, list) and bool(lams),
+            "a non-empty trace of objects with an integer step": (
+                isinstance(trace, list) and bool(trace)
+                and all(isinstance(e, dict) and type(e.get("step")) is int for e in trace)
+            ),
+            "metadata with a finite threshold and objective_bound = bound + threshold": (
+                isinstance(meta, dict) and is_real(meta.get("objective_bound"))
+                and is_real(meta.get("threshold")) and math.isfinite(meta["threshold"])
+                and meta["objective_bound"] == bound + meta["threshold"]
+            ),
+            "a fingerprint of exactly model, spec and bounds SHA-256 digests": (
+                isinstance(digests, dict) and sorted(digests) == ["bounds", "model", "spec"]
+                and all(isinstance(h, str) and re.fullmatch("[0-9a-f]{64}", h)
+                        for h in digests.values())
+            ),
+        }
+        for needed, holds in checks.items():
+            if not holds:
+                raise ValueError(f"certificate needs {needed}")
+        try:
+            stack = stack_from_jsonable(lams)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"certificate has a malformed multiplier entry: {exc!r}") from exc
+        return cls(bound=float(bound), verified=verified, stack=stack, trace=trace,
+                   metadata=meta, fingerprint=digests)
 
 
-def problem_fingerprint(problem: VerificationProblem, bounds: LayerBounds) -> dict:
+def problem_fingerprint(problem: VerificationProblem, bounds: tuple[Interval, ...]) -> dict:
     iset = problem.input_set
     spec_doc = {
         "input_set": {
@@ -246,7 +283,7 @@ def problem_fingerprint(problem: VerificationProblem, bounds: LayerBounds) -> di
     return {
         "model": sha256_of(model_to_dict(problem.network)),
         "spec": sha256_of(spec_doc),
-        "bounds": sha256_of(bounds.to_lists()),
+        "bounds": sha256_of(boxes_to_lists(bounds)),
     }
 
 
@@ -254,8 +291,8 @@ def optimize(
     problem: VerificationProblem,
     config: OptimizerConfig | None = None,
     family: str = "linear",
-    bounds: LayerBounds | None = None,
-    stack: MultiplierStack | None = None,
+    bounds: tuple[Interval, ...] | None = None,
+    stack: tuple[Multiplier, ...] | None = None,
 ) -> Certificate:
     """Gradient-based outer minimization with periodic certified values.
 
@@ -283,8 +320,7 @@ def optimize(
     if bounds is None:
         bounds = propagate_intervals(net, problem.support_box())
     if stack is None:
-        families = stack_families(problem, family)
-        stack = init_stack(families, [layer.out_dim for layer in net.layers])
+        stack = init_stack(problem, family)
 
     threshold = problem.threshold
     evaluation = evaluate_dual(problem, stack, bounds)
@@ -294,7 +330,7 @@ def optimize(
     best_stack = stack
 
     if config.steps > 0 and (best_margin > 0.0 or not config.early_stop):
-        params = [get_params(lam) for lam in stack.lams]
+        params = [get_params(lam) for lam in stack]
         adam = _Adam(params)
         # an overflow or NaN past step 0 raises FloatingPointError and ends the run
         with np.errstate(over="raise", invalid="raise"):
@@ -303,9 +339,7 @@ def optimize(
                 entry = {"step": step, "train_value": value, "certified_value": None}
                 try:
                     params = adam.step(params, evaluation.grads, lr)
-                    stack = MultiplierStack(
-                        lams=tuple(with_params(lam, p) for lam, p in zip(stack.lams, params))
-                    )
+                    stack = tuple(with_params(lam, p) for lam, p in zip(stack, params))
                     evaluation = evaluate_dual(problem, stack, bounds)
                     value = _finite_total(evaluation)
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -367,7 +401,7 @@ def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:
 # --- exact multipliers for affine networks --------------------------------
 
 
-def lambda_star_affine(net: CanonicalNetwork, c) -> MultiplierStack:
+def lambda_star_affine(net: CanonicalNetwork, c) -> tuple[Linear, ...]:
     """The tight linear multipliers for a deterministic affine network.
 
     Backward recursion lam_K = c . x, lam_k = lam_{k+1}(W_{k+1} x + b_{k+1})
@@ -376,10 +410,7 @@ def lambda_star_affine(net: CanonicalNetwork, c) -> MultiplierStack:
     """
     if not net.is_affine():
         raise StructureError("exact multipliers require an affine deterministic network")
-    c = np.asarray(c, dtype=float)
-    thetas = [np.zeros(0)] * net.depth
-    theta = c
-    for k in range(net.depth - 1, -1, -1):
-        thetas[k] = theta
-        theta = net.layers[k].weights.mean.T @ theta
-    return MultiplierStack(lams=tuple(Linear(theta=t) for t in thetas))
+    thetas = [np.asarray(c, dtype=float)]
+    for layer in reversed(net.layers[1:]):
+        thetas.insert(0, layer.weights.mean.T @ thetas[0])
+    return tuple(Linear(theta=t) for t in thetas)

@@ -60,10 +60,7 @@ def decode_reals(obj):
     return obj
 
 
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, no float formatting drift."""
-    return json.dumps(encode_reals(obj), sort_keys=True, separators=(",", ":"))
-
-
 def sha256_of(obj) -> str:
-    return hashlib.sha256(dumps_canonical(obj).encode()).hexdigest()
+    """SHA-256 of the canonical JSON text: sorted keys, hex-float reals."""
+    text = json.dumps(encode_reals(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -180,64 +180,17 @@ def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:
 # --- stacks --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplierStack:
-    """One multiplier per layer boundary, lam_1 .. lam_K.
-
-    Entry k (0-based) attaches to the output of layer k; the multipliers
-    at the two ends of the dual (lam_0 and lam_{K+1}) are identically
-    zero and never stored.
-    """
-
-    lams: tuple[Multiplier, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lams", tuple(self.lams))
-
-    def __len__(self) -> int:
-        return len(self.lams)
-
-    def __getitem__(self, i: int) -> Multiplier:
-        return self.lams[i]
-
-
-DEFAULT_LINEXP_KAPPA = -10.0
-
-
-def init_stack(families, widths) -> MultiplierStack:
-    """The initial stack, one family name per boundary.
-
-    Every parameter starts at zero except the linexp kappa, which starts
-    at a large negative value so the exponential term is effectively off.
-    """
-    if len(families) != len(widths):
-        raise ValueError("families and widths must have equal length")
-    lams: list[Multiplier] = []
-    for family, width in zip(families, widths):
-        if family == "linear":
-            lams.append(Linear(theta=np.zeros(width)))
-        elif family == "linexp":
-            lams.append(
-                LinExp(alpha=np.zeros(width), gamma=np.zeros(width), kappa=DEFAULT_LINEXP_KAPPA)
-            )
-        elif family == "quadratic":
-            lams.append(Quadratic(Q=np.zeros((width, width)), q=np.zeros(width)))
-        else:
-            raise ValueError(f"unknown multiplier family {family!r}")
-    return MultiplierStack(lams=tuple(lams))
-
-
-def stack_to_jsonable(stack: MultiplierStack) -> list[dict]:
+def stack_to_jsonable(stack) -> list[dict]:
     return [
         {
             "family": _FAMILY_NAMES[type(lam)],
             "params": {name: arr.tolist() for name, arr in get_params(lam).items()},
         }
-        for lam in stack.lams
+        for lam in stack
     ]
 
 
-def stack_from_jsonable(entries) -> MultiplierStack:
+def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
     """Rebuild a stack; a family's parameters must be exactly its fields, all finite."""
     lams: list[Multiplier] = []
     for entry in entries:
@@ -253,4 +206,4 @@ def stack_from_jsonable(entries) -> MultiplierStack:
         if not all(np.isfinite(arr).all() for arr in values.values()):
             raise ValueError(f"{family} multiplier has a non-finite parameter")
         lams.append(cls(**values))
-    return MultiplierStack(lams=tuple(lams))
+    return tuple(lams)

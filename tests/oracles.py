@@ -31,14 +31,13 @@ from funclag.multipliers import (
     Linear,
     LinExp,
     Multiplier,
-    MultiplierStack,
     Quadratic,
     UnsupportedCombination,
     expected_quadratic_coeffs,
     get_params,
-    init_stack,
     with_params,
 )
+from funclag.dual import init_stack
 from funclag.oracle import truncated_normal
 from funclag.specs import LogitDiff, SubGaussianNoise
 
@@ -58,24 +57,22 @@ def evaluate(lam: Multiplier, y):
     return values if y.ndim == 2 else float(values[0])
 
 
-def noisy_stack(families, widths, scale: float, seed: int) -> MultiplierStack:
+def noisy_stack(problem, family: str, scale: float, seed: int) -> tuple[Multiplier, ...]:
     """``init_stack`` plus reproducible Gaussian noise of the given scale.
 
     Noise is drawn multiplier by multiplier in parameter order (theta;
     alpha, gamma, kappa; Q, q), and a quadratic's Q is symmetrized.
     """
     rng = np.random.default_rng(seed)
-    return MultiplierStack(
-        lams=tuple(
-            with_params(
-                lam,
-                {
-                    name: value + scale * rng.standard_normal(value.shape)
-                    for name, value in get_params(lam).items()
-                },
-            )
-            for lam in init_stack(families, widths).lams
+    return tuple(
+        with_params(
+            lam,
+            {
+                name: value + scale * rng.standard_normal(value.shape)
+                for name, value in get_params(lam).items()
+            },
         )
+        for lam in init_stack(problem, family)
     )
 
 

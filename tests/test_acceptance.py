@@ -25,7 +25,6 @@ from funclag import (
     LinExp,
     Linear,
     LogitDiff,
-    MultiplierStack,
     OptimizerConfig,
     Quadratic,
     SubGaussianNoise,
@@ -41,7 +40,6 @@ from funclag import (
     softmax,
 )
 from funclag.cli import main as cli_main
-from funclag.dual import stack_families
 from funclag.inner import final_softmax_exact, inner_quadratic_bound
 from funclag.inner.softmax_exact import stationary_points_case_b
 from funclag.oracle import random_problem
@@ -73,12 +71,7 @@ def test_criterion_1_weak_duality_fuzz():
     for index in range(200):
         net, problem = random_problem(seed=index)
         family = pick_family(problem, index)
-        stack = noisy_stack(
-            stack_families(problem, family),
-            [layer.out_dim for layer in net.layers],
-            scale=0.15,
-            seed=index,
-        )
+        stack = noisy_stack(problem, family, scale=0.15, seed=index)
         bounds = propagate_intervals(net, problem.support_box())
         total = evaluate_dual(problem, stack, bounds).total
         [(value, stderr)] = sample_lower_bound(
@@ -102,9 +95,9 @@ def test_criterion_2_zero_multiplier_reduction():
         kind = "adversarial" if index % 2 == 0 else "robust_ood"
         net, problem = random_problem(seed=1_000 + index, kinds=(kind,))
         bounds = propagate_intervals(net, problem.support_box())
-        stack = MultiplierStack(lams=tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers))
+        stack = tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers)
         total = evaluate_dual(problem, stack, bounds).total
-        box = bounds.box(net.depth)
+        box = bounds[net.depth]
         if isinstance(problem.objective, LogitDiff):
             c = problem.objective.coefficients(net.output_dim)
             reference = float(np.maximum(c * box.lo, c * box.hi).sum())

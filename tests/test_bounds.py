@@ -90,8 +90,8 @@ class TestPropagate:
         net = CanonicalNetwork(layers=(det_layer(np.eye(2), np.zeros(2)),))
         box = Interval(np.array([-0.5, 0.25]), np.array([0.5, 0.75]))
         bounds = propagate_intervals(net, box)
-        np.testing.assert_array_equal(bounds.box(1).lo, box.lo)
-        np.testing.assert_array_equal(bounds.box(1).hi, box.hi)
+        np.testing.assert_array_equal(bounds[1].lo, box.lo)
+        np.testing.assert_array_equal(bounds[1].hi, box.hi)
 
     def test_monte_carlo_containment(self):
         # exact containment for sampled inputs and truncated weights
@@ -105,7 +105,7 @@ class TestPropagate:
                 weights = draw_weights(net.layers, 1, np.random.default_rng((seed, trial)))
                 for k in range(net.depth):
                     out = forward(net.layers[k : k + 1], out, weights[k : k + 1])
-                    assert bounds.box(k + 1).contains(out, tol=0.0)
+                    assert bounds[k + 1].contains(out, tol=0.0)
 
     def test_monotone_in_input_box(self):
         net, problem = random_problem(seed=3)
@@ -114,8 +114,8 @@ class TestPropagate:
         inner = propagate_intervals(net, box)
         outer = propagate_intervals(net, wide)
         for k in range(len(inner)):
-            assert np.all(outer.box(k).lo <= inner.box(k).lo + 1e-15)
-            assert np.all(outer.box(k).hi >= inner.box(k).hi - 1e-15)
+            assert np.all(outer[k].lo <= inner[k].lo + 1e-15)
+            assert np.all(outer[k].hi >= inner[k].hi - 1e-15)
 
     def test_degenerate_randomness_matches_deterministic(self):
         w = np.array([[1.0, -0.5], [0.3, 0.8]])
@@ -134,8 +134,8 @@ class TestPropagate:
         got = propagate_intervals(stochastic, box)
         want = propagate_intervals(deterministic, box)
         for k in range(len(got)):
-            np.testing.assert_array_equal(got.box(k).lo, want.box(k).lo)
-            np.testing.assert_array_equal(got.box(k).hi, want.box(k).hi)
+            np.testing.assert_array_equal(got[k].lo, want[k].lo)
+            np.testing.assert_array_equal(got[k].hi, want[k].hi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import funclag
 import funclag.cli
 from funclag.cli import main
+from funclag.dual import Certificate
 from funclag.jsonio import decode_reals
 from funclag.specs import guaranteed_auc
 
@@ -35,6 +36,49 @@ def write_spec(tmp_path, name="spec.json", **overrides):
 
 def run_cli(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def step_zero_certificate(tmp_path) -> dict:
+    """The first certificate of a zero-step, attack-free, unverified run, decoded."""
+    spec = write_spec(tmp_path, p_max=0.05)
+    out = tmp_path / "cert.json"
+    run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
+             "--out", str(out)])
+    return decode_reals(json.loads(out.read_text()))["certificates"][0]
+
+
+DIGEST = "0123456789abcdef" * 4
+# (field, corruption of its value or None to drop it, expected message)
+CORRUPTIONS = [
+    ("multipliers", None, "multipliers"),
+    ("multipliers", lambda lams: [], "multipliers"),
+    ("multipliers", lambda lams: lams[0], "multipliers"),
+    ("multipliers", lambda lams: ["linear"], "malformed multiplier entry"),
+    ("multipliers", lambda lams: [{"params": lams[0]["params"]}], "malformed multiplier entry"),
+    ("multipliers", lambda lams: [{**lams[0], "params": 5}], "malformed multiplier entry"),
+    ("trace", None, "trace"),
+    ("trace", lambda trace: [], "trace"),
+    ("trace", lambda trace: "x", "trace"),
+    ("trace", lambda trace: [5], "trace"),
+    ("trace", lambda trace: [{**trace[0], "step": 0.0}], "integer step"),
+    ("trace", lambda trace: [{**trace[0], "step": True}], "integer step"),
+    ("metadata", None, "metadata"),
+    ("metadata", lambda meta: 5, "metadata"),
+    ("metadata", lambda meta: {k: v for k, v in meta.items() if k != "threshold"}, "threshold"),
+    ("metadata", lambda meta: {**meta, "threshold": "0.05"}, "threshold"),
+    ("metadata", lambda meta: {**meta, "threshold": math.inf, "objective_bound": math.inf},
+     "finite threshold"),
+    ("metadata", lambda meta: {**meta, "objective_bound": meta["objective_bound"] + 1e-9},
+     "objective_bound = bound \\+ threshold"),
+    ("metadata", lambda meta: {**meta, "objective_bound": None}, "objective_bound"),
+    ("fingerprint", None, "fingerprint"),
+    ("fingerprint", lambda fp: None, "fingerprint"),
+    ("fingerprint", lambda fp: {k: v for k, v in fp.items() if k != "spec"}, "fingerprint"),
+    ("fingerprint", lambda fp: {**fp, "extra": DIGEST}, "fingerprint"),
+    ("fingerprint", lambda fp: {**fp, "model": DIGEST[:-1]}, "fingerprint"),
+    ("fingerprint", lambda fp: {**fp, "model": DIGEST.upper()}, "fingerprint"),
+    ("fingerprint", lambda fp: {**fp, "bounds": 5}, "fingerprint"),
+]
 
 
 class TestVerify:
@@ -308,6 +352,11 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert "error: cannot write output" in result.output
 
+    def test_help_shows_the_optimizer_defaults(self):
+        text = " ".join(run_cli(["verify", "--help"]).output.split())
+        for default in (1000, 0.001, 250, 50):
+            assert f"[default: {default}]" in text
+
     def test_threads_option_is_gone(self, tmp_path):
         spec = write_spec(tmp_path)
         result = CliRunner().invoke(
@@ -351,7 +400,7 @@ class TestVerify:
              "--certify-every", "6", "--out", str(out)]
         )
         doc = decode_reals(json.loads(out.read_text()))
-        from funclag.dual import Certificate, evaluate_dual, problem_fingerprint
+        from funclag.dual import evaluate_dual, problem_fingerprint
 
         problems = funclag.build_problem(
             funclag.load_model(MODEL), json.loads(Path(spec).read_text())
@@ -370,16 +419,8 @@ class TestVerify:
             assert total - problem.threshold == cert.bound
 
     def test_doctored_certificate_is_rejected(self, tmp_path):
-        spec = write_spec(tmp_path, p_max=0.05)
-        out = tmp_path / "cert.json"
-        run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
-             "--out", str(out)]
-        )
-        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
+        entry = step_zero_certificate(tmp_path)
         assert entry["bound"] > 0.0 and entry["verified"] is False
-        from funclag.dual import Certificate
-
         Certificate.from_jsonable(entry)
         with pytest.raises(ValueError, match="contradicts"):
             Certificate.from_jsonable({**entry, "verified": True})
@@ -390,31 +431,33 @@ class TestVerify:
     )
     def test_certificate_needs_a_boolean_and_a_real(self, tmp_path, verified, bound):
         # bool("false") is True, so a string verified would load as verified
-        spec = write_spec(tmp_path, p_max=0.05)
-        out = tmp_path / "cert.json"
-        run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
-             "--out", str(out)]
-        )
-        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
-        from funclag.dual import Certificate
-
+        entry = step_zero_certificate(tmp_path)
         with pytest.raises(ValueError, match="boolean verified and a real bound"):
             Certificate.from_jsonable({**entry, "verified": verified, "bound": bound})
 
     def test_non_finite_bound_is_rejected(self, tmp_path):
         # a NaN bound with verified false passes the sign check on its own
-        spec = write_spec(tmp_path, p_max=0.05)
-        out = tmp_path / "cert.json"
-        run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
-             "--out", str(out)]
-        )
-        entry = decode_reals(json.loads(out.read_text()))["certificates"][0]
-        from funclag.dual import Certificate
-
+        entry = step_zero_certificate(tmp_path)
         with pytest.raises(ValueError, match="not finite"):
             Certificate.from_jsonable({**entry, "bound": math.nan, "verified": False})
+
+    def test_hollow_certificate_is_rejected(self):
+        doc = {"bound": 0.5, "verified": False, "multipliers": [], "trace": "x",
+               "metadata": 5, "fingerprint": None}
+        with pytest.raises(ValueError, match="multipliers"):
+            Certificate.from_jsonable(doc)
+        with pytest.raises(ValueError, match="JSON object"):
+            Certificate.from_jsonable([doc])
+
+    @pytest.mark.parametrize("field, corrupt, match", CORRUPTIONS,
+                             ids=[f"{field}-{i}" for i, (field, _, _) in enumerate(CORRUPTIONS)])
+    def test_each_corrupted_field_is_rejected(self, tmp_path, field, corrupt, match):
+        entry = step_zero_certificate(tmp_path)
+        doc = {key: value for key, value in entry.items() if key != field}
+        if corrupt is not None:
+            doc[field] = corrupt(entry[field])
+        with pytest.raises(ValueError, match=match):
+            Certificate.from_jsonable(doc)
 
     @pytest.mark.parametrize(
         "spec_type,labels",
@@ -614,13 +657,17 @@ class TestAuc:
         assert result.exit_code == 2
         assert not (tmp_path / "auc.json").exists()
 
-    @pytest.mark.parametrize("ids", [{"scores": [0.9]}, ["0.9"], [[0.9]], [], [0.9, None]],
-                             ids=["object", "strings", "nested", "empty", "null"])
+    @pytest.mark.parametrize(
+        "ids",
+        [{"scores": [0.9]}, ["0.9"], [[0.9]], [], [0.9, None], [1.7], [-0.1]],
+        ids=["object", "strings", "nested", "empty", "null", "above-one", "below-zero"],
+    )
     def test_malformed_id_scores_exit_two(self, tmp_path, ids):
         certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
         result = self.run_auc(tmp_path, certs, ids)
         assert result.exit_code == 2
-        assert "id scores" in result.output
+        assert "error: " in result.output and "id scores" in result.output
+        assert not (tmp_path / "auc.json").exists()
 
     @pytest.mark.parametrize("content", [b"[0.9, \xff]", b"[" * 200_000 + b"]" * 200_000],
                              ids=["not-utf8", "nested"])

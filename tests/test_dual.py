@@ -12,7 +12,6 @@ from funclag import (
     ExpectedSoftmax,
     LogitDiff,
     Linear,
-    MultiplierStack,
     OptimizerConfig,
     StructureError,
     SubGaussianNoise,
@@ -24,7 +23,6 @@ from funclag import (
     propagate_intervals,
     sample_lower_bound,
 )
-from funclag.dual import stack_families
 from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 
@@ -33,7 +31,7 @@ from oracles import box_softmax_max, noisy_stack, softmax_objective
 
 
 def zero_stack(net):
-    return MultiplierStack(lams=tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers))
+    return tuple(Linear(theta=np.zeros(layer.out_dim)) for layer in net.layers)
 
 
 class TestEvaluateDual:
@@ -42,7 +40,7 @@ class TestEvaluateDual:
         bounds = propagate_intervals(two_layer_net, problem.support_box())
         ev = evaluate_dual(problem, zero_stack(two_layer_net), bounds)
         c = problem.objective.coefficients(2)
-        box = bounds.box(2)
+        box = bounds[2]
         interval_bound = float(np.maximum(c * box.lo, c * box.hi).sum())
         assert ev.total == pytest.approx(interval_bound, abs=1e-12)
         assert ev.values[0] == 0.0 and ev.values[1] == 0.0
@@ -56,7 +54,7 @@ class TestEvaluateDual:
         )
         bounds = propagate_intervals(two_layer_net, problem.support_box())
         ev = evaluate_dual(problem, zero_stack(two_layer_net), bounds)
-        assert ev.total == pytest.approx(box_softmax_max(1, bounds.box(2)), abs=1e-9)
+        assert ev.total == pytest.approx(box_softmax_max(1, bounds[2]), abs=1e-9)
 
     def test_weak_duality_on_random_stacks(self):
         for seed in range(12):
@@ -67,12 +65,7 @@ class TestEvaluateDual:
                 family = "linear"
             else:
                 family = ("linear", "quadratic")[seed % 2]
-            stack = noisy_stack(
-                stack_families(problem, family),
-                [layer.out_dim for layer in net.layers],
-                scale=0.15,
-                seed=seed,
-            )
+            stack = noisy_stack(problem, family, scale=0.15, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
             ev = evaluate_dual(problem, stack, bounds)
             [(value, stderr)] = sample_lower_bound(
@@ -96,16 +89,12 @@ class TestEvaluateDual:
         )
         # a linexp input multiplier needs a noise family, not a box
         box_problem = logit_diff_problem(two_layer_net)
-        linexp_stack = MultiplierStack(
-            lams=(LinExp(alpha=np.zeros(2), gamma=np.zeros(2), kappa=-10.0),
-                  Linear(theta=np.zeros(2)))
-        )
+        linexp_stack = (LinExp(alpha=np.zeros(2), gamma=np.zeros(2), kappa=-10.0),
+                        Linear(theta=np.zeros(2)))
         with pytest.raises(UnsupportedCombination):
             evaluate_dual(box_problem, linexp_stack, bounds)
         # neither objective has a solver for a quadratic final multiplier
-        quadratic_stack = MultiplierStack(
-            lams=(Linear(theta=np.zeros(2)), Quadratic(Q=np.eye(2), q=np.zeros(2)))
-        )
+        quadratic_stack = (Linear(theta=np.zeros(2)), Quadratic(Q=np.eye(2), q=np.zeros(2)))
         with pytest.raises(UnsupportedCombination):
             evaluate_dual(box_problem, quadratic_stack, bounds)
         softmax_problem = VerificationProblem(
@@ -121,7 +110,7 @@ class TestEvaluateDual:
 def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
     """Central differences of the dual match its gradient entry by entry."""
     grads = evaluate_dual(problem, stack, bounds).grads
-    for i, lam in enumerate(stack.lams):
+    for i, lam in enumerate(stack):
         params = get_params(lam)
         for name, arr in params.items():
             flat = np.atleast_1d(np.asarray(arr, dtype=float))
@@ -132,11 +121,8 @@ def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
                     vec = np.atleast_1d(bumped[name]).ravel()
                     vec[j] += sign * h
                     bumped[name] = vec.reshape(np.shape(arr)) if np.shape(arr) else vec[0]
-                    stack2 = MultiplierStack(
-                        lams=tuple(
-                            with_params(l, bumped) if ii == i else l
-                            for ii, l in enumerate(stack.lams)
-                        )
+                    stack2 = tuple(
+                        with_params(l, bumped) if ii == i else l for ii, l in enumerate(stack)
                     )
                     values.append(evaluate_dual(problem, stack2, bounds).total)
                 fd = (values[0] - values[1]) / (2.0 * h)
@@ -148,12 +134,7 @@ class TestSubgradient:
     def test_finite_difference_agreement(self):
         for seed in (1, 4):
             net, problem = random_problem(seed=seed, kinds=("robust_ood",))
-            stack = noisy_stack(
-                stack_families(problem, "linear"),
-                [layer.out_dim for layer in net.layers],
-                scale=0.3,
-                seed=seed,
-            )
+            stack = noisy_stack(problem, "linear", scale=0.3, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
             assert_finite_differences(problem, stack, bounds, h=1e-5, rtol=1e-4)
 
@@ -162,12 +143,7 @@ class TestSubgradient:
         # zeta, the transition bound's envelope gradient
         for seed in (0, 1, 6):
             net, problem = random_problem(seed=seed, kinds=("dist_robust_ood",))
-            stack = noisy_stack(
-                stack_families(problem, "linexp"),
-                [layer.out_dim for layer in net.layers],
-                scale=0.3,
-                seed=seed,
-            )
+            stack = noisy_stack(problem, "linexp", scale=0.3, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
             assert_finite_differences(problem, stack, bounds, h=1e-6, rtol=1e-7, entries=8)
 
@@ -186,7 +162,7 @@ class TestSubgradient:
             threshold=0.0,
         )
         bounds = propagate_intervals(net, problem.support_box())
-        stack = MultiplierStack(lams=(Linear(theta=np.zeros(2)), Linear(theta=np.zeros(2))))
+        stack = (Linear(theta=np.zeros(2)), Linear(theta=np.zeros(2)))
         grads = evaluate_dual(problem, stack, bounds).grads
         for g in grads:
             np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
@@ -198,17 +174,16 @@ class TestSubgradient:
         kinds = ("dist_robust_ood",) if family == "linexp" else ("adversarial", "robust_ood")
         for seed in (0, 4, 9):
             net, problem = random_problem(seed=seed, kinds=kinds)
-            families = stack_families(problem, family.partition("-")[0])
-            widths = [layer.out_dim for layer in net.layers]
+            base = family.partition("-")[0]
             if family == "quadratic-zero":
-                stack = init_stack(families, widths)
+                stack = init_stack(problem, base)
             else:
-                stack = noisy_stack(families, widths, scale=0.2, seed=seed)
+                stack = noisy_stack(problem, base, scale=0.2, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
             evaluation = evaluate_dual(problem, stack, bounds)
             # g_k's two sides: lam_k (none for g_0) and lam_{k+1} (none for g_K)
-            sides = [(None, stack[0])] + list(zip(stack.lams, stack.lams[1:] + (None,)))
-            pairs = list(zip(stack.lams, evaluation.grads))
+            sides = [(None, stack[0])] + list(zip(stack, stack[1:] + (None,)))
+            pairs = list(zip(stack, evaluation.grads))
             for res, lams in zip(evaluation.results, sides):
                 pairs += [(lam, g) for lam, g in zip(lams, res.grads) if lam is not None]
             assert len(evaluation.grads) == len(stack)
@@ -230,8 +205,8 @@ class TestLambdaStarAffine:
         )
         from funclag.inner import final_linear, inner_linear
 
-        g0 = inner_linear(net.layers[0], Linear(theta=np.zeros(1)), stack[0], bounds.box(0))
-        gK = final_linear(np.array([1.0]), stack[0], bounds.box(1))
+        g0 = inner_linear(net.layers[0], Linear(theta=np.zeros(1)), stack[0], bounds[0])
+        gK = final_linear(np.array([1.0]), stack[0], bounds[1])
         assert g0.value + gK.value == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_network(self):
@@ -240,7 +215,7 @@ class TestLambdaStarAffine:
         )
         c = np.array([1.0, -1.0, 0.5])
         stack = lambda_star_affine(net, c)
-        for lam in stack.lams:
+        for lam in stack:
             np.testing.assert_allclose(lam.theta, c)
 
     def test_random_affine_matches_closed_form(self):
@@ -276,7 +251,7 @@ class TestOptimize:
         bounds = propagate_intervals(two_layer_net, problem.support_box())
         cert = optimize(problem, OptimizerConfig(steps=0), family="linear")
         c = problem.objective.coefficients(2)
-        box = bounds.box(2)
+        box = bounds[2]
         interval_bound = float(np.maximum(c * box.lo, c * box.hi).sum())
         assert cert.metadata["objective_bound"] == pytest.approx(interval_bound, abs=1e-12)
 
@@ -355,9 +330,7 @@ class TestOptimize:
             threshold=0.5,
         )
         bounds = propagate_intervals(net, problem.support_box())
-        stack = noisy_stack(
-            stack_families(problem, "linear"), [6, 8], scale=0.2, seed=1
-        )
+        stack = noisy_stack(problem, "linear", scale=0.2, seed=1)
         evaluation = evaluate_dual(problem, stack, bounds)
         assert evaluation.results[-1].mode == "exact"
 
@@ -377,10 +350,10 @@ class TestOptimize:
             threshold=0.5,
         )
         bounds = propagate_intervals(net, problem.support_box())
-        stack = noisy_stack(stack_families(problem, "linear"), [6, 16], scale=0.2, seed=2)
+        stack = noisy_stack(problem, "linear", scale=0.2, seed=2)
         final = evaluate_dual(problem, stack, bounds).results[-1]
         assert final.mode == "exact"
-        box = bounds.box(net.depth)
+        box = bounds[net.depth]
         assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
         lin = -stack[1].theta
         assert final.value == softmax_objective(5, lin, final.witness)
@@ -476,10 +449,7 @@ class TestSampleLowerBound:
             objective=problem.objective, threshold=problem.threshold,
         )
         bounds = propagate_intervals(net, point_problem.support_box())
-        stack = init_stack(
-            stack_families(point_problem, "linexp"),
-            [layer.out_dim for layer in net.layers],
-        )
+        stack = init_stack(point_problem, "linexp")
         total = evaluate_dual(point_problem, stack, bounds).total
         [(value, stderr)] = sample_lower_bound(
             [point_problem], n_samples=800, seed=3, weight_draws=200

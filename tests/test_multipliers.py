@@ -5,13 +5,16 @@ import pytest
 
 from funclag import (
     CanonicalLayer,
+    CanonicalNetwork,
     Deterministic,
     DiagonalGaussian,
     Dropout,
     LinExp,
     Linear,
     Quadratic,
+    SubGaussianNoise,
     UnsupportedCombination,
+    VerificationProblem,
     init_stack,
 )
 from funclag.multipliers import (
@@ -21,7 +24,17 @@ from funclag.multipliers import (
     with_params,
 )
 
+from conftest import det_layer, logit_diff_problem
 from oracles import evaluate, expected_under_layer, mc_expectation, noisy_stack
+
+
+def noise_problem(net):
+    """``logit_diff_problem`` with a sub-Gaussian input set, the one linexp takes."""
+    box = logit_diff_problem(net)
+    noise = SubGaussianNoise(center=box.input_set.center, epsilon=0.2, sigma=0.1, clip=False)
+    return VerificationProblem(
+        network=net, input_set=noise, objective=box.objective, threshold=box.threshold
+    )
 
 
 class TestEvaluate:
@@ -132,27 +145,36 @@ class TestExpectedUnderLayer:
 
 
 class TestInitStack:
-    def test_zeros_strategy(self):
-        stack = init_stack(["linear", "quadratic"], [2, 3])
-        assert np.all(stack[0].theta == 0.0)
-        assert np.all(stack[1].Q == 0.0) and np.all(stack[1].q == 0.0)
+    def test_zeros_strategy(self, two_layer_net):
+        stack = init_stack(logit_diff_problem(two_layer_net), "quadratic")
+        assert np.all(stack[0].Q == 0.0) and np.all(stack[0].q == 0.0)
+        assert np.all(stack[1].theta == 0.0)
 
-    def test_linexp_kappa_starts_large_negative(self):
-        stack = init_stack(["linexp", "linear"], [2, 2])
+    def test_linexp_kappa_starts_large_negative(self, two_layer_net):
+        stack = init_stack(noise_problem(two_layer_net), "linexp")
+        assert isinstance(stack[1], Linear)
         assert stack[0].kappa == -10.0
         # exp term at init is at most e^-10 * e^{gamma.x} = e^-10 for gamma 0
         assert math.exp(stack[0].kappa) <= 1e-4
 
+    def test_unsupported_families_raise(self, two_layer_net):
+        with pytest.raises(UnsupportedCombination, match="sub-Gaussian input set"):
+            init_stack(logit_diff_problem(two_layer_net), "linexp")
+        one_layer = CanonicalNetwork(layers=(det_layer(np.eye(2), np.zeros(2)),))
+        with pytest.raises(UnsupportedCombination, match="at least two layers"):
+            init_stack(noise_problem(one_layer), "linexp")
+        with pytest.raises(UnsupportedCombination, match="unknown multiplier family 'cubic'"):
+            init_stack(logit_diff_problem(two_layer_net), "cubic")
+
 
 class TestSerialization:
-    def test_round_trip(self):
-        stack = noisy_stack(
-            ["linexp", "quadratic", "quadratic", "linear"], [2, 3, 2, 4], scale=0.01, seed=3
-        )
+    def test_round_trip(self, two_layer_net):
+        stack = noisy_stack(noise_problem(two_layer_net), "linexp", scale=0.01, seed=3)
+        stack += noisy_stack(logit_diff_problem(two_layer_net), "quadratic", scale=0.01, seed=4)
         doc = stack_to_jsonable(stack)
         back = stack_from_jsonable(doc)
-        assert [d["family"] for d in doc] == ["linexp", "quadratic", "quadratic", "linear"]
-        for lam, lam2 in zip(stack.lams, back.lams):
+        assert [d["family"] for d in doc] == ["linexp", "linear", "quadratic", "linear"]
+        for lam, lam2 in zip(stack, back):
             for name, arr in get_params(lam).items():
                 np.testing.assert_array_equal(arr, get_params(lam2)[name])
 
