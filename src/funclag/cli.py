@@ -1,8 +1,8 @@
 """Command-line front end: verify, bounds and auc subcommands.
 
 ``verify`` loads a model and spec config, expands the spec into its
-per-target problems, runs the dual optimization on each and one sampled
-attack for all of them, and writes one compact JSON file (sorted keys,
+per-target problems, runs one dual optimization and one sampled attack
+for all of them, and writes one compact JSON file (sorted keys,
 no whitespace): a summary plus the per-problem certificates.  Reals in
 that file are hex-float strings so reloading reproduces them bit for bit.
 Exit codes: 0 verified, 1 sound but not verified, 2 error (an unreadable
@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .bounds import boxes_to_lists, propagate_intervals
-from .dual import Certificate, OptimizerConfig, optimize
+from .dual import OptimizerConfig, optimize
 from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
 from .multipliers import UnsupportedCombination
@@ -108,12 +108,11 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
     )
-    certificates: list[Certificate] = []
     try:
-        for problem in problems:
-            cert = optimize(problem, config=config, family=family)
+        # one optimization per spec: its labels step together
+        certificates = optimize(problems, config=config, family=family)
+        for cert in certificates:
             cert.metadata["config"]["seed"] = seed
-            certificates.append(cert)
         if attack:
             # one attack per spec: every label reads the same draws
             attacks = sample_lower_bound(

@@ -12,6 +12,10 @@ bound, and a dual evaluation is a pure function of the problem, the
 stack and the boxes, so the value that drives a gradient step is also
 a value a certificate may hold.
 
+A batch of problems (the labels of one spec) shares one dual evaluation:
+each multiplier has one row per problem, each layer is solved once for
+all rows, and every row gets the bits it gets alone.
+
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
 the sub-Gaussian input bound is the one special case of position 0, and
@@ -42,8 +46,10 @@ from .multipliers import (
     Quadratic,
     UnsupportedCombination,
     get_params,
+    rows,
     stack_from_jsonable,
     stack_to_jsonable,
+    take_rows,
     with_params,
     zero_param_grads,
 )
@@ -62,42 +68,43 @@ class OptimizerConfig:
 
 @dataclass
 class DualEvaluation:
-    """One full dual evaluation: per-layer values, their sum and its gradient.
+    """One full dual evaluation of a batch: per-layer values, their sums and gradients.
 
-    ``grads`` holds, per multiplier of the stack, the envelope gradient of
-    ``total`` keyed like ``get_params``.
+    Each value holds one entry per row, and ``total`` sums them per row,
+    left to right.  ``grads`` holds, per multiplier of the stack, the
+    envelope gradient of ``total`` keyed like ``get_params``.
     """
 
-    values: list[float]
+    values: list[np.ndarray]
     results: list[inner.InnerResult]
-    total: float
+    total: np.ndarray
     grads: list[dict]
 
 
-def _solve_final(problem, lam_K, box):
-    objective = problem.objective
-    if isinstance(objective, LogitDiff):
-        return inner.final_linear(objective.coefficients(box.lo.shape[0]), lam_K, box)
+def _solve_final(problems, lam_K, box):
+    if isinstance(problems[0].objective, LogitDiff):
+        c = np.array([p.objective.coefficients(box.lo.shape[0]) for p in problems])
+        return inner.final_linear(c, lam_K, box)
     if not isinstance(lam_K, Linear):
         raise UnsupportedCombination(
             f"no final-layer solver for {type(lam_K).__name__} with a softmax objective"
         )
-    return inner.final_softmax_exact(objective.label, lam_K, box)
+    return inner.final_softmax_exact([p.objective.label for p in problems], lam_K, box)
 
 
-def _solve_problem(k, problem, stack, bounds):
-    """Solve g_k; on a box input set g_0 is the transition problem with lam_0 = 0."""
-    net = problem.network
+def _solve_problem(k, problems, stack, bounds):
+    """Solve g_k for every row; on a box input set g_0 is the transition problem with lam_0 = 0."""
+    net = problems[0].network
     K = net.depth
     if k == K:
-        return _solve_final(problem, stack[K - 1], bounds[K])
+        return _solve_final(problems, stack[K - 1], bounds[K])
     layer, box, lam_next = net.layers[k], bounds[k], stack[k]
-    input_set = problem.input_set
+    input_set = problems[0].input_set
     if k == 0 and isinstance(input_set, SubGaussianNoise):
         if not isinstance(lam_next, LinExp):
             raise UnsupportedCombination("sub-Gaussian input sets need a linexp input multiplier")
         return inner.inner_linexp_input(layer, input_set.center, input_set.sigma, lam_next)
-    lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros(layer.in_dim))
+    lam_k = stack[k - 1] if k > 0 else Linear(theta=np.zeros((len(problems), layer.in_dim)))
     if isinstance(lam_k, LinExp):
         return inner.inner_linexp_transition(lam_k, lam_next, layer, box)
     if isinstance(lam_k, Linear) and isinstance(lam_next, Linear):
@@ -106,24 +113,33 @@ def _solve_problem(k, problem, stack, bounds):
 
 
 def evaluate_dual(
-    problem: VerificationProblem,
+    problems: list[VerificationProblem],
     stack: tuple[Multiplier, ...],
     bounds: tuple[Interval, ...],
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack: a sound bound on the optimum and its gradient.
+    """Evaluate the dual at a multiplier stack: per row, a sound bound on the optimum
+    and its gradient.
 
-    The stack holds lam_1 .. lam_K: entry k (0-based) attaches to the
-    output of layer k, and the multipliers at the two ends of the dual
-    (lam_0 and lam_{K+1}) are identically zero and never stored.  The
-    bounds are the boxes of x_0 (the input) through x_K (the logits).
+    The problems share one network, one input set and one objective
+    kind, and each multiplier holds one row per problem.  The stack holds
+    lam_1 .. lam_K: entry k (0-based) attaches to the output of layer k,
+    and the multipliers at the two ends of the dual (lam_0 and lam_{K+1})
+    are identically zero and never stored.  The bounds are the boxes of
+    x_0 (the input) through x_K (the logits).
     """
-    K = problem.network.depth
+    first = problems[0]
+    if any(p.network is not first.network or p.input_set is not first.input_set
+           or type(p.objective) is not type(first.objective) for p in problems):
+        raise ValueError("the problems must share a network, an input set and an objective kind")
+    K = first.network.depth
     if len(stack) != K:
         raise ValueError(f"stack has {len(stack)} multipliers, network has {K} layers")
+    if any(rows(lam) != len(problems) for lam in stack):
+        raise ValueError(f"the stack must have one row per problem ({len(problems)})")
     if len(bounds) != K + 1:
         raise ValueError("bounds do not match the network depth")
 
-    results = [_solve_problem(k, problem, stack, bounds) for k in range(K + 1)]
+    results = [_solve_problem(k, problems, stack, bounds) for k in range(K + 1)]
     grads = [zero_param_grads(lam) for lam in stack]
     for k, res in enumerate(results):
         # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
@@ -132,40 +148,38 @@ def evaluate_dual(
                 for name, value in contribution.items():
                     grads[i][name] = grads[i][name] + np.asarray(value)
     values = [res.value for res in results]
-    return DualEvaluation(values=values, results=results, total=float(sum(values)), grads=grads)
+    total = np.array([sum(row) for row in zip(*(v.tolist() for v in values))])
+    return DualEvaluation(values=values, results=results, total=total, grads=grads)
 
 
 # --- outer optimization ---------------------------------------------------
 
 
-class _Adam:
-    """Adam on a list of parameter dicts (beta1 0.9, beta2 0.999, eps 1e-8)."""
-
-    def __init__(self, params: list[dict]):
-        self.m = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
-        self.v = [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
-        self.t = 0
-
-    def step(self, params: list[dict], grads: list[dict], lr: float) -> list[dict]:
-        self.t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
-        out = []
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            new_p = {}
-            for name in p:
-                grad = np.asarray(g[name])
-                m[name] = b1 * m[name] + (1.0 - b1) * grad
-                v[name] = b2 * v[name] + (1.0 - b2) * grad**2
-                step = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-                new_p[name] = p[name] - step
-            out.append(new_p)
-        return out
+def _take(state: tuple, index) -> tuple:
+    """The rows ``index`` of every array of an optimizer state."""
+    return tuple([{name: arr[index] for name, arr in d.items()} for d in part] for part in state)
 
 
-def init_stack(problem: VerificationProblem, family: str) -> tuple[Multiplier, ...]:
-    """The starting stack of one of the three run families.
+def _advance(problems, stack, bounds, state, t, lr):
+    """Step t for a batch: one Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on the state
+    (params, grads, m, v), each a list of per-boundary dicts of row arrays, then the
+    dual at the new stack.  Returns the new state, the new stack and the finite totals."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    params, ms, vs = [], [], []
+    for p, g, m, v in zip(*state):
+        ms.append({name: b1 * m[name] + (1.0 - b1) * g[name] for name in p})
+        vs.append({name: b2 * v[name] + (1.0 - b2) * g[name] ** 2 for name in p})
+        params.append({name: p[name] - lr * (ms[-1][name] / bc1)
+                       / (np.sqrt(vs[-1][name] / bc2) + eps) for name in p})
+    stack = tuple(with_params(lam, p) for lam, p in zip(stack, params))
+    evaluation = evaluate_dual(problems, stack, bounds)
+    return (params, evaluation.grads, ms, vs), stack, _finite_totals(evaluation)
+
+
+def init_stack(problems: list[VerificationProblem], family: str) -> tuple[Multiplier, ...]:
+    """The starting stack of one of the three run families, one row per problem.
 
     ``linear`` is linear at every boundary; ``linexp`` puts a linexp
     multiplier on the input layer's output and linear ones after it;
@@ -173,20 +187,22 @@ def init_stack(problem: VerificationProblem, family: str) -> tuple[Multiplier, .
     stay linear.  Every parameter starts at zero except the linexp kappa,
     which starts at -10 so the exponential term is effectively off.
     """
-    widths = [layer.out_dim for layer in problem.network.layers]
-    linear = tuple(Linear(theta=np.zeros(n)) for n in widths)
+    b = len(problems)
+    widths = [layer.out_dim for layer in problems[0].network.layers]
+    linear = tuple(Linear(theta=np.zeros((b, n))) for n in widths)
     if family == "linear":
         return linear
     if family == "linexp":
-        if not isinstance(problem.input_set, SubGaussianNoise):
+        if not isinstance(problems[0].input_set, SubGaussianNoise):
             raise UnsupportedCombination("the linexp family needs a sub-Gaussian input set")
         if len(widths) < 2:
             raise UnsupportedCombination("the linexp family needs at least two layers")
         n = widths[0]
-        return (LinExp(alpha=np.zeros(n), gamma=np.zeros(n), kappa=-10.0),) + linear[1:]
+        lam1 = LinExp(alpha=np.zeros((b, n)), gamma=np.zeros((b, n)), kappa=np.full(b, -10.0))
+        return (lam1,) + linear[1:]
     if family == "quadratic":
-        quadratic = tuple(Quadratic(Q=np.zeros((n, n)), q=np.zeros(n)) for n in widths[:-1])
-        return quadratic + linear[-1:]
+        return tuple(Quadratic(Q=np.zeros((b, n, n)), q=np.zeros((b, n)))
+                     for n in widths[:-1]) + linear[-1:]
     raise UnsupportedCombination(f"unknown multiplier family {family!r}")
 
 
@@ -234,9 +250,17 @@ class Certificate:
         digests = doc.get("fingerprint")
         checks = {
             "a non-empty list of multipliers": isinstance(lams, list) and bool(lams),
-            "a non-empty trace of objects with an integer step": (
-                isinstance(trace, list) and bool(trace)
-                and all(isinstance(e, dict) and type(e.get("step")) is int for e in trace)
+            "a trace of entries with exactly an integer step (0, 1, ...), a finite "
+            "train_value and a finite certified_value (null allowed past step 0)": (
+                isinstance(trace, list) and bool(trace) and all(
+                    isinstance(e, dict)
+                    and sorted(e) == ["certified_value", "step", "train_value"]
+                    and type(e["step"]) is int and e["step"] == i
+                    and is_real(e["train_value"]) and math.isfinite(e["train_value"])
+                    and (e["certified_value"] is None and i > 0
+                         or is_real(e["certified_value"]) and math.isfinite(e["certified_value"]))
+                    for i, e in enumerate(trace)
+                )
             ),
             "metadata with a finite threshold and objective_bound = bound + threshold": (
                 isinstance(meta, dict) and is_real(meta.get("objective_bound"))
@@ -252,6 +276,11 @@ class Certificate:
         for needed, holds in checks.items():
             if not holds:
                 raise ValueError(f"certificate needs {needed}")
+        margins = [e["certified_value"] - meta["threshold"] for e in trace
+                   if e["certified_value"] is not None]
+        if min(margins) != bound:
+            raise ValueError(f"certificate bound {bound!r} is not the least certified margin "
+                             f"of its trace, {min(margins)!r}")
         try:
             stack = stack_from_jsonable(lams)
         except (KeyError, TypeError) as exc:
@@ -260,53 +289,56 @@ class Certificate:
                    metadata=meta, fingerprint=digests)
 
 
-def problem_fingerprint(problem: VerificationProblem, bounds: tuple[Interval, ...]) -> dict:
-    iset = problem.input_set
-    spec_doc = {
-        "input_set": {
-            "kind": type(iset).__name__,
-            "center": iset.center.tolist(),
-            "epsilon": iset.epsilon,
-            "sigma": getattr(iset, "sigma", None),
-            "clip": iset.clip,
-        },
-        "objective": {
-            "kind": type(problem.objective).__name__,
-            **(
-                {"target": problem.objective.target, "true": problem.objective.true}
-                if isinstance(problem.objective, LogitDiff)
-                else {"label": problem.objective.label}
-            ),
-        },
-        "threshold": problem.threshold,
-    }
-    return {
-        "model": sha256_of(model_to_dict(problem.network)),
-        "spec": sha256_of(spec_doc),
-        "bounds": sha256_of(boxes_to_lists(bounds)),
-    }
+def fingerprints(problems: list[VerificationProblem], bounds: tuple[Interval, ...]) -> list[dict]:
+    """Per problem, the model, spec and bounds digests; the shared two are computed once."""
+    model, boxes = sha256_of(model_to_dict(problems[0].network)), sha256_of(boxes_to_lists(bounds))
+    out = []
+    for problem in problems:
+        iset = problem.input_set
+        spec_doc = {
+            "input_set": {
+                "kind": type(iset).__name__,
+                "center": iset.center.tolist(),
+                "epsilon": iset.epsilon,
+                "sigma": getattr(iset, "sigma", None),
+                "clip": iset.clip,
+            },
+            "objective": {
+                "kind": type(problem.objective).__name__,
+                **(
+                    {"target": problem.objective.target, "true": problem.objective.true}
+                    if isinstance(problem.objective, LogitDiff)
+                    else {"label": problem.objective.label}
+                ),
+            },
+            "threshold": problem.threshold,
+        }
+        out.append({"model": model, "spec": sha256_of(spec_doc), "bounds": boxes})
+    return out
 
 
 def optimize(
-    problem: VerificationProblem,
+    problems: list[VerificationProblem],
     config: OptimizerConfig | None = None,
     family: str = "linear",
     bounds: tuple[Interval, ...] | None = None,
     stack: tuple[Multiplier, ...] | None = None,
-) -> Certificate:
-    """Gradient-based outer minimization with periodic certified values.
+) -> list[Certificate]:
+    """Gradient-based outer minimization with periodic certified values, per problem.
 
-    Runs Adam on the multiplier parameters and evaluates each stack once:
-    after t updates the dual at stack_t is step t+1's ``train_value``,
-    and its gradient takes that step.  At step 0, every
-    ``certify_every`` steps and at the last step the same value is step
-    t's ``certified_value`` and updates the best sound bound; the run
-    stops early as soon as that margin is non-positive.  The certificate
-    records the best bound, the stack that achieved it, and the trace.
-    A non-finite dual value raises ``FloatingPointError``, and so does a
-    numpy overflow or invalid operation after step 0.  An
-    ``ArithmeticError`` or a ``np.linalg.LinAlgError`` after step 0 ends
-    the run with a ``RuntimeWarning``; the certificate then holds the
+    The problems (a batch, as for ``evaluate_dual``) step together, one
+    row each, and each gets the certificate it gets alone.  Runs Adam on
+    the multiplier parameters and evaluates each stack once: after t
+    updates the dual at stack_t is step t+1's ``train_value``, and its
+    gradient takes that step.  At step 0, every ``certify_every`` steps
+    and at the last step the same value is step t's ``certified_value``
+    and updates the row's best sound bound; a row stops early as soon as
+    that margin is non-positive.  A certificate records the best bound,
+    the stack row that achieved it, and the trace.  A non-finite dual
+    value raises ``FloatingPointError``, and so does a numpy overflow or
+    invalid operation after step 0.  An ``ArithmeticError`` or a
+    ``np.linalg.LinAlgError`` after step 0 ends only the rows that raise
+    it alone, each with a ``RuntimeWarning``; their certificates hold the
     steps completed before it.  One raised at step 0 propagates.
     """
     config = config or OptimizerConfig()
@@ -316,77 +348,95 @@ def optimize(
         raise ValueError("certify_every and decay_every must be at least 1")
     if not 0.0 < config.lr < math.inf:
         raise ValueError(f"lr must be finite and positive, got {config.lr!r}")
-    net = problem.network
+    net = problems[0].network
     if bounds is None:
-        bounds = propagate_intervals(net, problem.support_box())
+        bounds = propagate_intervals(net, problems[0].support_box())
     if stack is None:
-        stack = init_stack(problem, family)
+        stack = init_stack(problems, family)
 
-    threshold = problem.threshold
-    evaluation = evaluate_dual(problem, stack, bounds)
-    value = _finite_total(evaluation)
-    trace: list[dict] = [{"step": 0, "train_value": value, "certified_value": value}]
-    best_margin = value - threshold
-    best_stack = stack
+    thresholds = [p.threshold for p in problems]
+    evaluation = evaluate_dual(problems, stack, bounds)
+    values = _finite_totals(evaluation)
+    traces = [[{"step": 0, "train_value": v, "certified_value": v}] for v in values]
+    best = [v - t for v, t in zip(values, thresholds)]
+    best_stacks = [tuple(take_rows(lam, [i]) for lam in stack) for i in range(len(problems))]
 
-    if config.steps > 0 and (best_margin > 0.0 or not config.early_stop):
-        params = [get_params(lam) for lam in stack]
-        adam = _Adam(params)
-        # an overflow or NaN past step 0 raises FloatingPointError and ends the run
-        with np.errstate(over="raise", invalid="raise"):
-            for step in range(1, config.steps + 1):
-                lr = config.lr * (0.1 ** (step // config.decay_every))
-                entry = {"step": step, "train_value": value, "certified_value": None}
-                try:
-                    params = adam.step(params, evaluation.grads, lr)
-                    stack = tuple(with_params(lam, p) for lam, p in zip(stack, params))
-                    evaluation = evaluate_dual(problem, stack, bounds)
-                    value = _finite_total(evaluation)
-                except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                    # a diverging run keeps the sound bound it already has
-                    warnings.warn(
-                        f"optimization stopped at step {step} by {type(exc).__name__}: {exc}; "
-                        "keeping the best certified bound",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    break
-                if step % config.certify_every == 0 or step == config.steps:
-                    entry["certified_value"] = value
-                    if value - threshold < best_margin:
-                        best_margin = value - threshold
-                        best_stack = stack
-                trace.append(entry)
-                if config.early_stop and best_margin <= 0.0:
-                    break
+    # the rows still stepping, as problem indices
+    live = [i for i, margin in enumerate(best)
+            if config.steps > 0 and (margin > 0.0 or not config.early_stop)]
+    params = [get_params(lam) for lam in stack]
+    moments = [{name: np.zeros_like(arr) for name, arr in p.items()} for p in params]
+    state = _take((params, evaluation.grads, moments, moments), live)
+    # an overflow or NaN past step 0 raises FloatingPointError and ends its row
+    step = 1
+    with np.errstate(over="raise", invalid="raise"):
+        while live and step <= config.steps:
+            lr = config.lr * (0.1 ** (step // config.decay_every))
+            batch = [problems[i] for i in live]
+            try:
+                state_next, stack, totals = _advance(batch, stack, bounds, state, step, lr)
+            except (ArithmeticError, np.linalg.LinAlgError):
+                # re-run the step row by row; the rows that raise alone end, and the
+                # step is taken again without them
+                keep = []
+                for j, problem in enumerate(batch):
+                    try:
+                        _advance([problem], stack, bounds, _take(state, [j]), step, lr)
+                        keep.append(j)
+                    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                        # a diverging row keeps the sound bound it already has
+                        warnings.warn(f"optimization stopped at step {step} by "
+                                      f"{type(exc).__name__}: {exc}; keeping the best "
+                                      "certified bound", RuntimeWarning, stacklevel=2)
+                if len(keep) == len(live):
+                    raise
+                live, state = [live[j] for j in keep], _take(state, keep)
+                continue
+            state = state_next
+            certify = step % config.certify_every == 0 or step == config.steps
+            for j, i in enumerate(live):
+                entry = {"step": step, "train_value": values[i], "certified_value": None}
+                values[i] = totals[j]
+                if certify:
+                    entry["certified_value"] = totals[j]
+                    if totals[j] - thresholds[i] < best[i]:
+                        best[i] = totals[j] - thresholds[i]
+                        best_stacks[i] = tuple(take_rows(lam, [j]) for lam in stack)
+                traces[i].append(entry)
+            if config.early_stop and any(best[i] <= 0.0 for i in live):
+                keep = [j for j, i in enumerate(live) if best[i] > 0.0]
+                live, state = [live[j] for j in keep], _take(state, keep)
+            step += 1
 
-    metadata = {
-        "family": family,
-        "threshold": threshold,
-        "objective_bound": best_margin + threshold,
-        "gaussian_truncation": _truncation_levels(net),
-        "config": {
-            "steps": config.steps,
-            "lr": config.lr,
-            "decay_every": config.decay_every,
-            "certify_every": config.certify_every,
-            "init": "zeros",
-        },
-    }
-    return Certificate(
-        bound=best_margin,
-        verified=best_margin <= 0.0,
-        stack=best_stack,
-        trace=trace,
-        metadata=metadata,
-        fingerprint=problem_fingerprint(problem, bounds),
-    )
+    return [
+        Certificate(
+            bound=margin,
+            verified=margin <= 0.0,
+            stack=best_stacks[i],
+            trace=traces[i],
+            metadata={
+                "family": family,
+                "threshold": thresholds[i],
+                "objective_bound": margin + thresholds[i],
+                "gaussian_truncation": _truncation_levels(net),
+                "config": {
+                    "steps": config.steps,
+                    "lr": config.lr,
+                    "decay_every": config.decay_every,
+                    "certify_every": config.certify_every,
+                    "init": "zeros",
+                },
+            },
+            fingerprint=fingerprint,
+        )
+        for i, (margin, fingerprint) in enumerate(zip(best, fingerprints(problems, bounds)))
+    ]
 
 
-def _finite_total(evaluation: DualEvaluation) -> float:
-    if not math.isfinite(evaluation.total):
+def _finite_totals(evaluation: DualEvaluation) -> list[float]:
+    if not np.isfinite(evaluation.total).all():
         raise FloatingPointError("the dual value is not finite")
-    return evaluation.total
+    return evaluation.total.tolist()
 
 
 def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:

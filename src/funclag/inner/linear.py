@@ -57,8 +57,9 @@ def activation_linear_max(a, b, lo, hi, activation: str) -> tuple[np.ndarray, np
 
 
 def mean_output(layer: CanonicalLayer, x: np.ndarray) -> np.ndarray:
-    """E[W s(x) + b]: the layer output at x under the mean weights."""
-    return layer.weights.mean @ layer.apply_activation(x) + layer.bias.mean
+    """E[W s(x) + b] at each row of x: the layer output under the mean weights."""
+    w = layer.weights.mean
+    return np.array([w @ s for s in layer.apply_activation(x)]) + layer.bias.mean
 
 
 def inner_linear(
@@ -67,24 +68,28 @@ def inner_linear(
     lam_next: Multiplier,
     box: Interval,
 ) -> InnerResult:
-    """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box."""
+    """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box, per row;
+    W' theta is taken one row at a time and each row's maxima summed left to right."""
     theta_k = linear_coeffs(lam_k)
     theta_next = linear_coeffs(lam_next)
-    a = layer.weights.mean.T @ theta_next
+    w, b = layer.weights.mean, layer.bias.mean
+    a = np.array([w.T @ theta for theta in theta_next])
     values, witness = activation_linear_max(a, theta_k, box.lo, box.hi, layer.activation)
-    total = float(theta_next @ layer.bias.mean)
-    for v in values.tolist():
-        total += v
+    totals = []
+    for theta, row in zip(theta_next, values.tolist()):
+        total = float(theta @ b)
+        for v in row:
+            total += v
+        totals.append(total)
     grads = ({"theta": -witness}, {"theta": mean_output(layer, witness)})
-    return InnerResult(value=total, mode=EXACT, witness=witness, grads=grads)
+    return InnerResult(value=totals, mode=EXACT, witness=witness, grads=grads)
 
 
 def final_linear(c, lam_k: Multiplier, box: Interval) -> InnerResult:
-    """Exact box maximum of (c - theta_K) . x for a linear objective."""
-    c = np.asarray(c, dtype=float)
-    d = c - linear_coeffs(lam_k)
+    """Exact box maximum of (c - theta_K) . x for a linear objective, per row of c and theta."""
+    d = np.asarray(c, dtype=float) - linear_coeffs(lam_k)
     at_lo = d * box.lo
     at_hi = d * box.hi
     witness = np.where(at_hi > at_lo, box.hi, box.lo)
-    value = float(np.maximum(at_lo, at_hi).sum())
+    value = np.maximum(at_lo, at_hi).sum(axis=-1)
     return InnerResult(value=value, mode=EXACT, witness=witness, grads=({"theta": -witness}, None))

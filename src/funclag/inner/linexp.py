@@ -30,7 +30,7 @@ from ..bounds import Interval
 from ..model import CanonicalLayer
 from ..multipliers import LinExp, Multiplier, linear_coeffs
 from .linear import activation_candidates, activation_linear_max, mean_output
-from .result import UPPER_BOUND, InnerResult
+from .result import UPPER_BOUND, InnerResult, from_rows
 
 _ZETA_LOG_CAP = 45.0  # zeta stays below e^45, where the bound is finite; any zeta is sound
 
@@ -41,7 +41,7 @@ def inner_linexp_input(
     sigma: float,
     lam1: LinExp,
 ) -> InnerResult:
-    """Sound bound on the input problem for sub-Gaussian noise families.
+    """Sound bound on the input problem for sub-Gaussian noise families, per row.
 
     The bound is smooth in (alpha, gamma, kappa), so its gradient is exact.
     """
@@ -51,25 +51,27 @@ def inner_linexp_input(
         raise ValueError("layer 0 must have an identity activation")
     w = layer.weights.mean
     nominal = w @ np.asarray(center, dtype=float) + layer.bias.mean
-    wtg = w.T @ lam1.gamma
-    exponent = 0.5 * sigma**2 * float(wtg @ wtg) + float(lam1.gamma @ nominal) + lam1.kappa
-    e = math.exp(exponent)
-    grads = {"alpha": nominal, "gamma": e * (sigma**2 * (w @ wtg) + nominal), "kappa": e}
-    return InnerResult(
-        value=float(lam1.alpha @ nominal) + e, mode=UPPER_BOUND, grads=(None, grads)
-    )
+    rows = []
+    for alpha, gamma, kappa in zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist()):
+        wtg = w.T @ gamma
+        exponent = 0.5 * sigma**2 * float(wtg @ wtg) + float(gamma @ nominal) + kappa
+        e = math.exp(exponent)
+        grads = {"alpha": nominal, "gamma": e * (sigma**2 * (w @ wtg) + nominal), "kappa": e}
+        rows.append((float(alpha @ nominal) + e, None, (None, grads), {}))
+    return from_rows(UPPER_BOUND, rows)
 
 
-def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> tuple[np.ndarray, float]:
-    """(W'beta, beta.b) of the successor's expected linear part."""
-    beta = linear_coeffs(lam2)
-    return layer.weights.mean.T @ beta, float(beta @ layer.bias.mean)
+def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> list[tuple]:
+    """Per row, (W'beta, beta.b) of the successor's expected linear part."""
+    w, b = layer.weights.mean, layer.bias.mean
+    return [(w.T @ beta, float(beta @ b)) for beta in linear_coeffs(lam2)]
 
 
 def transition_bound_at_zeta(
-    lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer, box: Interval, zeta
+    alpha, gamma, kappa: float, coeffs: tuple, layer: CanonicalLayer, box: Interval, zeta
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bound value at zeta >= 0 plus the per-coordinate witnesses.
+    """One row's bound value at zeta >= 0 plus the per-coordinate witnesses, with
+    (alpha, gamma, kappa) its linexp multiplier and ``coeffs`` its successor's (W'beta, beta.b).
 
     With the exponential epigraph dualized by zeta, the remaining box
     maximization is the separable one of ``inner_linear`` with
@@ -77,12 +79,12 @@ def transition_bound_at_zeta(
     witness row per entry.
     """
     zeta = np.maximum(np.asarray(zeta, dtype=float), 0.0)
-    c, bias_term = _transition_coeffs(lam2, layer)
-    b = lam1.alpha + zeta[..., None] * lam1.gamma
+    c, bias_term = coeffs
+    b = alpha + zeta[..., None] * gamma
     values, witness = activation_linear_max(c, b, box.lo, box.hi, layer.activation)
     positive = zeta > 0.0
     log_zeta = np.log(np.where(positive, zeta, 1.0))
-    entropy = np.where(positive, zeta * (log_zeta - 1.0 - lam1.kappa), 0.0)
+    entropy = np.where(positive, zeta * (log_zeta - 1.0 - kappa), 0.0)
     return bias_term + entropy + values.sum(axis=-1), witness
 
 
@@ -92,7 +94,7 @@ def inner_linexp_transition(
     layer: CanonicalLayer,
     box: Interval,
 ) -> InnerResult:
-    """Sound bound on max_x E[lam2(layer(x))] - lam1(x) over the box, at the best zeta.
+    """Sound bound on max_x E[lam2(layer(x))] - lam1(x) over the box, at each row's best zeta.
 
     Candidate k of coordinate j scores icpt + zeta * slope, so the bound
     F(zeta) is convex with kinks only where two candidate lines of one
@@ -100,30 +102,30 @@ def inner_linexp_transition(
     zeta = exp(kappa + g.x); the minimum is at a kink or at such a point
     clipped into its piece.
     """
-    c, _ = _transition_coeffs(lam2, layer)
-    lines = [
-        (c * s - lam1.alpha * z, -lam1.gamma * z, inside)
-        for z, s, inside in activation_candidates(box.lo, box.hi, layer.activation)
-    ]
+    candidates = activation_candidates(box.lo, box.hi, layer.activation)
     zeta_cap = math.exp(_ZETA_LOG_CAP)
-    breaks = [np.array([0.0, zeta_cap])]
-    for (icpt1, slope1, inside1), (icpt2, slope2, inside2) in itertools.combinations(lines, 2):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (icpt1 - icpt2) / (slope2 - slope1)
-        breaks.append(cross[inside1 & inside2 & (cross > 0.0) & (cross < zeta_cap)])
-    breaks = np.sort(np.concatenate(breaks))
-    _, piece_x = transition_bound_at_zeta(lam1, lam2, layer, box, 0.5 * (breaks[:-1] + breaks[1:]))
-    stationary = np.exp(np.minimum(lam1.kappa + piece_x @ lam1.gamma, _ZETA_LOG_CAP))
-    zetas = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
-    values, witness = transition_bound_at_zeta(lam1, lam2, layer, box, zetas)
-    best = int(np.argmin(values))
-    # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
-    x, zeta = witness[best], float(zetas[best])
-    grads = (
-        {"alpha": -x, "gamma": -zeta * x, "kappa": -zeta},
-        {"theta": mean_output(layer, x)},
-    )
-    return InnerResult(
-        value=values[best], mode=UPPER_BOUND, witness=x, grads=grads,
-        internal_duals={"zeta": zeta},
-    )
+    rows = []
+    for alpha, gamma, kappa, coeffs in zip(
+        lam1.alpha, lam1.gamma, lam1.kappa.tolist(), _transition_coeffs(lam2, layer)
+    ):
+        lines = [(coeffs[0] * s - alpha * z, -gamma * z, inside) for z, s, inside in candidates]
+        breaks = [np.array([0.0, zeta_cap])]
+        for (icpt1, slope1, inside1), (icpt2, slope2, inside2) in itertools.combinations(lines, 2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (icpt1 - icpt2) / (slope2 - slope1)
+            breaks.append(cross[inside1 & inside2 & (cross > 0.0) & (cross < zeta_cap)])
+        breaks = np.sort(np.concatenate(breaks))
+        row = (alpha, gamma, kappa, coeffs, layer, box)
+        _, piece_x = transition_bound_at_zeta(*row, 0.5 * (breaks[:-1] + breaks[1:]))
+        stationary = np.exp(np.minimum(kappa + piece_x @ gamma, _ZETA_LOG_CAP))
+        zetas = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
+        values, witness = transition_bound_at_zeta(*row, zetas)
+        best = int(np.argmin(values))
+        # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
+        x, zeta = witness[best], float(zetas[best])
+        grads = (
+            {"alpha": -x, "gamma": -zeta * x, "kappa": -zeta},
+            {"theta": mean_output(layer, x[np.newaxis])[0]},
+        )
+        rows.append((values[best], x, grads, {"zeta": zeta}))
+    return from_rows(UPPER_BOUND, rows)

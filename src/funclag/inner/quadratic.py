@@ -44,7 +44,7 @@ from ..multipliers import (
     expected_quadratic_coeffs_adjoint,
 )
 from .linear import inner_linear
-from .result import UPPER_BOUND, InnerResult
+from .result import EXACT, UPPER_BOUND, InnerResult, from_rows
 
 
 # the one schedule, started from zero: subgradient steps on the diagonal
@@ -224,46 +224,33 @@ def _pull_back(layer, coeffs, v, weight):
     return -grad_h[x, x], -grad_g[x], grad_h[y, y], grad_g[y], penalties
 
 
-def quadratic_bound_with_duals(
-    layer: CanonicalLayer,
-    lam_k: Multiplier,
-    lam_next: Multiplier,
-    box: Interval,
-    duals: dict,
-) -> float:
-    """Certified bound at the given internal duals (sign-clamped as needed)."""
-    n = layer.in_dim
-    zeta, zeta_plus, zeta_minus = (np.asarray(duals.get(key, np.zeros(n)), dtype=float)
-                                   for key in ("zeta", "zeta_plus", "zeta_minus"))
-    views = (*as_quadratic(lam_k, n), *as_quadratic(lam_next, layer.out_dim))
-    coeffs = _coefficients(layer, *views, box)
-    mf, c0 = _build_qp(layer, coeffs, zeta, np.maximum(zeta_plus, 0.0), np.maximum(zeta_minus, 0.0))
-    kappa = duals.get("kappa")
-    if kappa is None or np.shape(kappa) != (mf.shape[0],):
-        kappa = np.zeros(mf.shape[0])
-    return float(c0 + shifted_diagonal_bound(mf, np.asarray(kappa, dtype=float)))
-
-
 def inner_quadratic_bound(
     layer: CanonicalLayer,
     lam_k: Multiplier,
     lam_next: Multiplier,
     box: Interval,
 ) -> InnerResult:
-    """Sound bound on the quadratic-multiplier layer problem.
+    """Sound bound on the quadratic-multiplier layer problem, row by row.
 
-    When both quadratic blocks vanish the problem is linear and the exact
-    per-coordinate closed form is returned instead.  Otherwise, on a relu
-    layer, the penalties (zeta, zeta_plus, zeta_minus) take a few
-    subgradient steps from zero, tracked by the shift value at kappa = 0.
-    The zero penalties and the best iterate, when it moved off zero, each
-    get a kappa loop and a certified value; every such value is a valid
-    bound, and the smallest one is returned with its duals and the
+    When both quadratic blocks of a row vanish its problem is linear and
+    the exact per-coordinate closed form is returned instead.  Otherwise,
+    on a relu layer, the penalties (zeta, zeta_plus, zeta_minus) take a
+    few subgradient steps from zero, tracked by the shift value at
+    kappa = 0.  The zero penalties and the best iterate, when it moved off
+    zero, each get a kappa loop and a certified value; every such value is
+    a valid bound, and the smallest one is returned with its duals and the
     gradients frozen at the eigenpair its kappa loop kept.
     """
     n = layer.in_dim
-    q_k, q_k_lin = as_quadratic(lam_k, n)
-    q_n, q_n_lin = as_quadratic(lam_next, layer.out_dim)
+    views = zip(*as_quadratic(lam_k, n), *as_quadratic(lam_next, layer.out_dim))
+    rows = [_quadratic_row(layer, lam_k, lam_next, box, *view) for view in views]
+    # only exact rows have witnesses; a batch with bounds among them is a bound
+    return from_rows(EXACT if all(row[1] is not None for row in rows) else UPPER_BOUND, rows)
+
+
+def _quadratic_row(layer, lam_k, lam_next, box, q_k, q_k_lin, q_n, q_n_lin):
+    """One row's (value, witness, grads, duals); lam_k and lam_next give only the families."""
+    n = layer.in_dim
     if not q_k.any() and not q_n.any():
         return _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin)
 
@@ -294,27 +281,22 @@ def inner_quadratic_bound(
     val, duals, v, weight = best
     grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = _pull_back(layer, coeffs, v, weight)
     grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
-    return InnerResult(
-        value=val,
-        mode=UPPER_BOUND,
-        grads=(
-            as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
-            as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
-        ),
-        internal_duals=dict(zip(("zeta", "zeta_plus", "zeta_minus", "kappa"), duals)),
+    grads = (
+        as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
+        as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
     )
+    return val, None, grads, dict(zip(("zeta", "zeta_plus", "zeta_minus", "kappa"), duals))
 
 
-def _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin) -> InnerResult:
-    """The exact linear solve at Q = 0, its gradients mapped onto both multipliers:
+def _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin):
+    """The exact linear solve at Q = 0 as a row, its gradients mapped onto both multipliers:
     at the witness x, -(0.5 x x', x) for lam_k and (0.5 (E[y] E[y]' + diag Var[y]),
     E[y]) for lam_next, with y = W s(x) + b."""
     res = inner_linear(layer, Linear(theta=q_k_lin), Linear(theta=q_n_lin), box)
-    x = res.witness
-    feat = res.grads[1]["theta"]
+    x, feat = res.witness[0], res.grads[1]["theta"][0]
     var = layer.weights.variance @ layer.apply_activation(x) ** 2 + layer.bias.variance
-    res.grads = (
-        as_quadratic_adjoint(lam_k, -0.5 * np.outer(x, x), res.grads[0]["theta"]),
+    grads = (
+        as_quadratic_adjoint(lam_k, -0.5 * np.outer(x, x), res.grads[0]["theta"][0]),
         as_quadratic_adjoint(lam_next, 0.5 * (np.outer(feat, feat) + np.diag(var)), feat),
     )
-    return res
+    return res.value[0], x, grads, {}

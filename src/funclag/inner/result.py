@@ -12,22 +12,23 @@ UPPER_BOUND = "upper_bound"
 
 @dataclass
 class InnerResult:
-    """Outcome of one per-layer maximization.
+    """Outcome of one per-layer maximization, one row per row of the multipliers.
 
     ``mode`` states the guarantee: ``exact`` results carry a feasible
     witness attaining the value, and ``upper_bound`` results dominate the
     true maximum by construction; no other kind of result exists, so any
-    value may enter a certificate.  ``grads`` is (grads_prev, grads_next),
-    the envelope (Danskin) gradient of ``value`` in the parameters of
-    (lam_k, lam_next) at the maximizer of the relaxation the solver
-    bounded, each a dict keyed like ``get_params`` and None for a side
-    without a multiplier.  ``internal_duals`` records the auxiliary dual
-    parameters (zeta, kappa, ...) a bound construction used, so the
-    same bound can be re-evaluated at perturbed duals; no solver reads
-    them back, so a result depends on its inputs alone.
+    value may enter a certificate.  ``value`` holds one bound per row.
+    ``grads`` is (grads_prev, grads_next), the envelope (Danskin) gradient
+    of each row's value in the parameters of (lam_k, lam_next) at the
+    maximizer of the relaxation the solver bounded, each a dict keyed like
+    ``get_params`` and None for a side without a multiplier.
+    ``internal_duals`` records the auxiliary dual parameters (zeta, kappa,
+    ...) a bound construction used, so the same bound can be re-evaluated
+    at perturbed duals; no solver reads them back, so a result depends on
+    its inputs alone.  Every array carries the row axis first.
     """
 
-    value: float
+    value: np.ndarray
     mode: str
     witness: np.ndarray | None = None
     grads: tuple[dict | None, dict | None] = (None, None)
@@ -36,4 +37,18 @@ class InnerResult:
     def __post_init__(self):
         if self.mode not in (EXACT, UPPER_BOUND):
             raise ValueError(f"unknown inner-result mode {self.mode!r}")
-        self.value = float(self.value)
+        self.value = np.asarray(self.value, dtype=float).reshape(-1)
+
+
+def from_rows(mode: str, rows: list[tuple]) -> InnerResult:
+    """One result from per-row (value, witness, grads, internal_duals) tuples; it keeps
+    the witnesses and internal duals only where every row has them."""
+    values, witnesses, grads, duals = zip(*rows)
+    sides = tuple(
+        None if side[0] is None else {name: np.array([g[name] for g in side]) for name in side[0]}
+        for side in zip(*grads)
+    )
+    witness = None if any(w is None for w in witnesses) else np.array(witnesses)
+    kept = [name for name in duals[0] if all(name in d for d in duals)]
+    return InnerResult(value=np.array(values), mode=mode, witness=witness, grads=sides,
+                       internal_duals={name: np.array([d[name] for d in duals]) for name in kept})

@@ -49,7 +49,7 @@ import numpy as np
 from ..bounds import Interval
 from ..model import softmax
 from ..multipliers import Multiplier, linear_coeffs
-from .result import EXACT, InnerResult
+from .result import EXACT, InnerResult, from_rows
 
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
@@ -193,29 +193,32 @@ def _score(m: int, lin: list, x: list) -> float:
     return e[m] / sum(e) + sum(a * v for a, v in zip(lin, x))
 
 
-def final_softmax_exact(m: int, lam_k: Multiplier, box: Interval) -> InnerResult:
-    """Exact max of softmax_m(x) - lam_k(x) over the box.
+def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult:
+    """Exact max of softmax_m(x) - lam_k(x) over the box, with label m of each row.
 
     Ties between equally-good candidates keep the first one in the fixed
     3^n enumeration order (all-lower first), so the witness is reproducible.
     """
-    lin = -linear_coeffs(lam_k)
     lo, hi = box.lo, box.hi
-    lin_f, lo_f, hi_f = lin.tolist(), lo.tolist(), hi.tolist()
+    lo_f, hi_f = lo.tolist(), hi.tolist()
     with np.errstate(over="ignore"):
         # an infinite exp sums past _HUGE, so its rows solve in shifted logits
         exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
-    scored = [(row, point, _score(m, lin_f, point))
-              for row in _rows(m, lin_f, lo_f, hi_f)
-              for point in assignment_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row)]
-    top = max(score for _, _, score in scored)
-    floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
-    best_x = lo.copy()
-    best_f = _objective(m, lin, best_x)
-    for _, point, score in sorted(scored, key=lambda entry: entry[0]):
-        if not score < floor:
-            trial = np.array(point)
-            value = _objective(m, lin, trial)
-            if value > best_f:
-                best_f, best_x = value, trial
-    return InnerResult(value=best_f, mode=EXACT, witness=best_x, grads=({"theta": -best_x}, None))
+    rows = []
+    for m, lin in zip(labels, -linear_coeffs(lam_k)):
+        lin_f = lin.tolist()
+        scored = [(row, point, _score(m, lin_f, point))
+                  for row in _rows(m, lin_f, lo_f, hi_f)
+                  for point in assignment_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row)]
+        top = max(score for _, _, score in scored)
+        floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
+        best_x = lo.copy()
+        best_f = _objective(m, lin, best_x)
+        for _, point, score in sorted(scored, key=lambda entry: entry[0]):
+            if not score < floor:
+                trial = np.array(point)
+                value = _objective(m, lin, trial)
+                if value > best_f:
+                    best_f, best_x = value, trial
+        rows.append((best_f, best_x, ({"theta": -best_x}, None), {}))
+    return from_rows(EXACT, rows)

@@ -8,6 +8,9 @@ quadratic multipliers need only the first and second weight moments
 and the quadratic coefficients of that expectation live here.  Linexp
 multipliers sit only on the output of the deterministic input layer, so
 no solve takes an expectation of an exponential over random weights.
+
+Every parameter has a leading row axis, one row per problem of a batch;
+a parameter given without it is one row.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ class UnsupportedCombination(Exception):
     """No closed form or sound solver exists for this pairing."""
 
 
-def _vec(x, name: str) -> np.ndarray:
+def _rows(x, name: str, ndim: int) -> np.ndarray:
+    """A parameter with ndim axes, the first the row axis; one row may omit it."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
+    if arr.ndim == ndim - 1:
+        arr = arr[np.newaxis]
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('a scalar', 'a vector')[ndim - 2]} per row")
     arr.setflags(write=False)
     return arr
 
@@ -38,7 +44,7 @@ class Linear:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _vec(self.theta, "theta"))
+        object.__setattr__(self, "theta", _rows(self.theta, "theta", 2))
 
 
 @dataclass(frozen=True)
@@ -47,17 +53,14 @@ class LinExp:
 
     alpha: np.ndarray
     gamma: np.ndarray
-    kappa: float
+    kappa: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _vec(self.alpha, "alpha"))
-        object.__setattr__(self, "gamma", _vec(self.gamma, "gamma"))
-        kappa = np.asarray(self.kappa, dtype=float)
-        if kappa.ndim != 0:
-            raise ValueError("kappa must be a scalar")
-        object.__setattr__(self, "kappa", float(kappa))
-        if self.alpha.shape != self.gamma.shape:
-            raise ValueError("alpha and gamma must share one length")
+        object.__setattr__(self, "alpha", _rows(self.alpha, "alpha", 2))
+        object.__setattr__(self, "gamma", _rows(self.gamma, "gamma", 2))
+        object.__setattr__(self, "kappa", _rows(self.kappa, "kappa", 1))
+        if self.alpha.shape != self.gamma.shape or self.kappa.shape != self.alpha.shape[:1]:
+            raise ValueError("alpha, gamma and kappa need one row count, alpha and gamma one width")
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,17 @@ class Quadratic:
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be a square matrix")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        Q = Q[np.newaxis] if Q.ndim == 2 else Q
+        if Q.ndim != 3 or Q.shape[1] != Q.shape[2]:
+            raise ValueError("Q must be a square matrix per row")
+        Qt = Q.swapaxes(1, 2)
+        if not np.allclose(Q, Qt, atol=1e-12):
             raise ValueError("Q must be symmetric")
-        Q = 0.5 * (Q + Q.T)
+        Q = 0.5 * (Q + Qt)
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "q", _vec(self.q, "q"))
-        if self.q.shape[0] != Q.shape[0]:
+        object.__setattr__(self, "q", _rows(self.q, "q", 2))
+        if self.q.shape != Q.shape[:2]:
             raise ValueError("Q and q dimensions disagree")
 
 
@@ -88,10 +93,20 @@ _FAMILY_CLASSES = {"linear": Linear, "linexp": LinExp, "quadratic": Quadratic}
 _FAMILY_NAMES = {cls: name for name, cls in _FAMILY_CLASSES.items()}
 
 
+def rows(lam: Multiplier) -> int:
+    """The number of rows of a multiplier."""
+    return getattr(lam, fields(lam)[0].name).shape[0]
+
+
+def take_rows(lam: Multiplier, index) -> Multiplier:
+    """The multiplier of the rows picked by ``index`` (an index array or a slice)."""
+    return type(lam)(**{f.name: getattr(lam, f.name)[index] for f in fields(lam)})
+
+
 def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, q) such that lam(x) = 0.5 x'Qx + q.x, for the quadratic-family views."""
+    """(Q, q) per row such that lam(x) = 0.5 x'Qx + q.x, for the quadratic-family views."""
     if isinstance(lam, Linear):
-        return np.zeros((width, width)), lam.theta
+        return np.zeros((rows(lam), width, width)), lam.theta
     if isinstance(lam, Quadratic):
         return lam.Q, lam.q
     raise UnsupportedCombination(
@@ -100,7 +115,7 @@ def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_quadratic_adjoint(lam: Multiplier, grad_q_mat: np.ndarray, grad_q: np.ndarray) -> dict:
-    """Map a gradient in the (Q, q) of ``as_quadratic`` onto lam's parameters.
+    """Map one row's gradient in the (Q, q) of ``as_quadratic`` onto lam's parameters.
 
     A quadratic's symmetric off-diagonal pair Q_ij = Q_ji is one tied
     parameter, as the optimizer updates it.
@@ -113,7 +128,7 @@ def as_quadratic_adjoint(lam: Multiplier, grad_q_mat: np.ndarray, grad_q: np.nda
 
 
 def linear_coeffs(lam: Multiplier) -> np.ndarray:
-    """The theta vector of a linear multiplier."""
+    """The theta rows of a linear multiplier."""
     if isinstance(lam, Linear):
         return lam.theta
     raise UnsupportedCombination(f"{type(lam).__name__} is not linear")
@@ -157,7 +172,7 @@ def expected_quadratic_coeffs_adjoint(
 
 
 def get_params(lam: Multiplier) -> dict[str, np.ndarray]:
-    """The trainable parameter arrays of a multiplier (kappa as a 0-d array)."""
+    """The trainable parameter arrays of a multiplier, row axis first."""
     return {f.name: np.array(getattr(lam, f.name)) for f in fields(lam)}
 
 
@@ -169,7 +184,7 @@ def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
     """
     if isinstance(lam, Quadratic):
         q_mat = np.asarray(params["Q"], dtype=float)
-        params = {**params, "Q": 0.5 * (q_mat + q_mat.T)}
+        params = {**params, "Q": 0.5 * (q_mat + q_mat.swapaxes(-1, -2))}
     return type(lam)(**{f.name: params[f.name] for f in fields(lam)})
 
 
@@ -181,17 +196,21 @@ def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:
 
 
 def stack_to_jsonable(stack) -> list[dict]:
+    """The JSON view of a one-row stack: every parameter without its row axis."""
+    if any(rows(lam) != 1 for lam in stack):
+        raise ValueError("only a one-row stack has a JSON view")
     return [
         {
             "family": _FAMILY_NAMES[type(lam)],
-            "params": {name: arr.tolist() for name, arr in get_params(lam).items()},
+            "params": {name: arr[0].tolist() for name, arr in get_params(lam).items()},
         }
         for lam in stack
     ]
 
 
 def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
-    """Rebuild a stack; a family's parameters must be exactly its fields, all finite."""
+    """Rebuild a one-row stack; a family's parameters must be exactly its fields, each
+    without the row axis and all finite."""
     lams: list[Multiplier] = []
     for entry in entries:
         family = entry["family"]
@@ -205,5 +224,9 @@ def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
         values = {name: np.asarray(params[name], dtype=float) for name in names}
         if not all(np.isfinite(arr).all() for arr in values.values()):
             raise ValueError(f"{family} multiplier has a non-finite parameter")
-        lams.append(cls(**values))
+        lam = cls(**values)
+        for name in names:
+            if values[name].ndim == getattr(lam, name).ndim:
+                raise ValueError(f"{family} parameter {name} has one axis too many")
+        lams.append(lam)
     return tuple(lams)

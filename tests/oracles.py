@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
 
+from funclag.inner import final_softmax_exact
 from funclag.inner.softmax_exact import assignment_candidates
 from funclag.model import (
     CanonicalLayer,
@@ -42,19 +44,34 @@ from funclag.oracle import truncated_normal
 from funclag.specs import LogitDiff, SubGaussianNoise
 
 
+def one_row(lam: Multiplier) -> dict:
+    """The parameters of a one-row multiplier, without the row axis."""
+    params = get_params(lam)
+    assert all(arr.shape[0] == 1 for arr in params.values())
+    return {name: arr[0] for name, arr in params.items()}
+
+
 def evaluate(lam: Multiplier, y):
-    """lam at the rows of an (N, n) array, or a float at one point (n,)."""
+    """A one-row lam at the rows of an (N, n) array, or a float at one point (n,)."""
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
+    p = one_row(lam)
     if isinstance(lam, Linear):
-        values = rows @ lam.theta
+        values = rows @ p["theta"]
     elif isinstance(lam, Quadratic):
-        values = 0.5 * np.einsum("ni,ij,nj->n", rows, lam.Q, rows) + rows @ lam.q
+        values = 0.5 * np.einsum("ni,ij,nj->n", rows, p["Q"], rows) + rows @ p["q"]
     elif isinstance(lam, LinExp):
-        values = rows @ lam.alpha + np.exp(rows @ lam.gamma + lam.kappa)
+        values = rows @ p["alpha"] + np.exp(rows @ p["gamma"] + p["kappa"])
     else:
         raise TypeError(f"cannot evaluate {type(lam).__name__}")
     return values if y.ndim == 2 else float(values[0])
+
+
+def softmax_row(m: int, lam_k: Multiplier, box):
+    """``final_softmax_exact`` on one row with label m: its mode, value and witness."""
+    res = final_softmax_exact([m], lam_k, box)
+    [value], [witness] = res.value, res.witness
+    return SimpleNamespace(mode=res.mode, value=value, witness=witness)
 
 
 def noisy_stack(problem, family: str, scale: float, seed: int) -> tuple[Multiplier, ...]:
@@ -72,7 +89,7 @@ def noisy_stack(problem, family: str, scale: float, seed: int) -> tuple[Multipli
                 for name, value in get_params(lam).items()
             },
         )
-        for lam in init_stack(problem, family)
+        for lam in init_stack([problem], family)
     )
 
 
@@ -97,7 +114,7 @@ def weight_log_mgf(dist, theta: np.ndarray) -> np.ndarray:
 
 
 def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
-    """E over (W, b) of lam(W s(x) + b) at a fixed layer input x.
+    """E over (W, b) of a one-row lam(W s(x) + b) at a fixed layer input x.
 
     Linear and quadratic parts need the first two weight moments; the
     exponential part of a linexp multiplier factorizes into per-entry
@@ -109,20 +126,21 @@ def expected_under_layer(lam: Multiplier, layer: CanonicalLayer, x) -> float:
         raise ValueError(f"x must have shape ({layer.in_dim},), got {x.shape}")
     s = layer.apply_activation(x)
     mean_out = layer.weights.mean @ s + layer.bias.mean
+    p = one_row(lam)
 
     if isinstance(lam, Linear):
-        return float(lam.theta @ mean_out)
+        return float(p["theta"] @ mean_out)
     if isinstance(lam, Quadratic):
-        c0, m, M = expected_quadratic_coeffs(layer, lam.Q, lam.q)
+        c0, m, M = expected_quadratic_coeffs(layer, p["Q"], p["q"])
         return float(c0 + m @ s + 0.5 * s @ M @ s)
     if isinstance(lam, LinExp):
-        linear_part = float(lam.alpha @ mean_out)
+        linear_part = float(p["alpha"] @ mean_out)
         # E[exp(gamma.(Ws+b) + kappa)] = exp(kappa) * prod_ij mgf_ij(gamma_i s_j)
         # * prod_i mgf_bias_i(gamma_i), accumulated in log space.
-        theta_w = np.outer(lam.gamma, s)
-        log_exp = lam.kappa
+        theta_w = np.outer(p["gamma"], s)
+        log_exp = float(p["kappa"])
         log_exp += float(np.sum(weight_log_mgf(layer.weights, theta_w)))
-        log_exp += float(np.sum(weight_log_mgf(layer.bias, lam.gamma)))
+        log_exp += float(np.sum(weight_log_mgf(layer.bias, p["gamma"])))
         return linear_part + float(np.exp(log_exp))
     raise UnsupportedCombination(
         f"no closed-form expectation for {type(lam).__name__}"

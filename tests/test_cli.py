@@ -62,6 +62,30 @@ CORRUPTIONS = [
     ("trace", lambda trace: [5], "trace"),
     ("trace", lambda trace: [{**trace[0], "step": 0.0}], "integer step"),
     ("trace", lambda trace: [{**trace[0], "step": True}], "integer step"),
+    ("trace", lambda trace: [{**trace[0], "step": 1}], "integer step"),
+    ("trace", lambda trace: [trace[0], {**trace[0], "step": 2}], "integer step"),
+    ("trace", lambda trace: [trace[0], {"step": 1}], "integer step"),
+    ("trace", lambda trace: [{**trace[0], "note": 1}], "integer step"),
+    ("trace", lambda trace: [{k: v for k, v in trace[0].items() if k != "train_value"}],
+     "integer step"),
+    ("trace", lambda trace: [{**trace[0], "train_value": "x"}], "finite train_value"),
+    ("trace", lambda trace: [{**trace[0], "train_value": math.nan}], "finite train_value"),
+    ("trace", lambda trace: [{**trace[0], "train_value": -math.inf}], "finite train_value"),
+    ("trace", lambda trace: [{**trace[0], "train_value": True}], "finite train_value"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": None}], "certified_value"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": math.nan}], "certified_value"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": "0.1"}], "certified_value"),
+    ("trace", lambda trace: [trace[0], {**trace[0], "step": 1, "certified_value": math.inf}],
+     "certified_value"),
+    ("trace", lambda trace: [{**trace[0], "train_value": "x", "certified_value": -5.0}],
+     "train_value"),
+    ("trace", lambda trace: [{"step": 0, "train_value": math.nan, "certified_value": None},
+                             {"step": 0}], "integer step"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": trace[0]["certified_value"] + 1e-9}],
+     "least certified margin"),
+    ("trace", lambda trace: [trace[0], {**trace[0], "step": 1,
+                                        "certified_value": trace[0]["certified_value"] - 1.0}],
+     "least certified margin"),
     ("metadata", None, "metadata"),
     ("metadata", lambda meta: 5, "metadata"),
     ("metadata", lambda meta: {k: v for k, v in meta.items() if k != "threshold"}, "threshold"),
@@ -400,7 +424,7 @@ class TestVerify:
              "--certify-every", "6", "--out", str(out)]
         )
         doc = decode_reals(json.loads(out.read_text()))
-        from funclag.dual import evaluate_dual, problem_fingerprint
+        from funclag.dual import evaluate_dual, fingerprints
 
         problems = funclag.build_problem(
             funclag.load_model(MODEL), json.loads(Path(spec).read_text())
@@ -414,8 +438,8 @@ class TestVerify:
             assert rebuilt["multipliers"] == entry["multipliers"]
             # a dual evaluation is pure: the stored stack alone reproduces the bound
             bounds = funclag.propagate_intervals(problem.network, problem.support_box())
-            assert problem_fingerprint(problem, bounds) == cert.fingerprint
-            total = evaluate_dual(problem, cert.stack, bounds).total
+            assert fingerprints([problem], bounds) == [cert.fingerprint]
+            [total] = evaluate_dual([problem], cert.stack, bounds).total
             assert total - problem.threshold == cert.bound
 
     def test_doctored_certificate_is_rejected(self, tmp_path):

@@ -38,7 +38,7 @@ class TestEvaluateDual:
     def test_zero_stack_linear_objective(self, two_layer_net):
         problem = logit_diff_problem(two_layer_net, epsilon=0.1)
         bounds = propagate_intervals(two_layer_net, problem.support_box())
-        ev = evaluate_dual(problem, zero_stack(two_layer_net), bounds)
+        ev = evaluate_dual([problem], zero_stack(two_layer_net), bounds)
         c = problem.objective.coefficients(2)
         box = bounds[2]
         interval_bound = float(np.maximum(c * box.lo, c * box.hi).sum())
@@ -53,7 +53,7 @@ class TestEvaluateDual:
             threshold=0.5,
         )
         bounds = propagate_intervals(two_layer_net, problem.support_box())
-        ev = evaluate_dual(problem, zero_stack(two_layer_net), bounds)
+        ev = evaluate_dual([problem], zero_stack(two_layer_net), bounds)
         assert ev.total == pytest.approx(box_softmax_max(1, bounds[2]), abs=1e-9)
 
     def test_weak_duality_on_random_stacks(self):
@@ -67,7 +67,7 @@ class TestEvaluateDual:
                 family = ("linear", "quadratic")[seed % 2]
             stack = noisy_stack(problem, family, scale=0.15, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
-            ev = evaluate_dual(problem, stack, bounds)
+            ev = evaluate_dual([problem], stack, bounds)
             [(value, stderr)] = sample_lower_bound(
                 [problem], n_samples=1500, seed=seed, weight_draws=50, hill_steps=5
             )
@@ -92,11 +92,11 @@ class TestEvaluateDual:
         linexp_stack = (LinExp(alpha=np.zeros(2), gamma=np.zeros(2), kappa=-10.0),
                         Linear(theta=np.zeros(2)))
         with pytest.raises(UnsupportedCombination):
-            evaluate_dual(box_problem, linexp_stack, bounds)
+            evaluate_dual([box_problem], linexp_stack, bounds)
         # neither objective has a solver for a quadratic final multiplier
         quadratic_stack = (Linear(theta=np.zeros(2)), Quadratic(Q=np.eye(2), q=np.zeros(2)))
         with pytest.raises(UnsupportedCombination):
-            evaluate_dual(box_problem, quadratic_stack, bounds)
+            evaluate_dual([box_problem], quadratic_stack, bounds)
         softmax_problem = VerificationProblem(
             network=two_layer_net,
             input_set=box_problem.input_set,
@@ -104,12 +104,12 @@ class TestEvaluateDual:
             threshold=0.5,
         )
         with pytest.raises(UnsupportedCombination, match="softmax"):
-            evaluate_dual(softmax_problem, quadratic_stack, bounds)
+            evaluate_dual([softmax_problem], quadratic_stack, bounds)
 
 
 def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
     """Central differences of the dual match its gradient entry by entry."""
-    grads = evaluate_dual(problem, stack, bounds).grads
+    grads = evaluate_dual([problem], stack, bounds).grads
     for i, lam in enumerate(stack):
         params = get_params(lam)
         for name, arr in params.items():
@@ -124,7 +124,7 @@ def assert_finite_differences(problem, stack, bounds, h, rtol, entries=3):
                     stack2 = tuple(
                         with_params(l, bumped) if ii == i else l for ii, l in enumerate(stack)
                     )
-                    values.append(evaluate_dual(problem, stack2, bounds).total)
+                    values.append(evaluate_dual([problem], stack2, bounds).total[0])
                 fd = (values[0] - values[1]) / (2.0 * h)
                 analytic = float(np.atleast_1d(np.asarray(grads[i][name])).ravel()[j])
                 assert abs(fd - analytic) <= rtol * max(1.0, abs(fd))
@@ -163,7 +163,7 @@ class TestSubgradient:
         )
         bounds = propagate_intervals(net, problem.support_box())
         stack = (Linear(theta=np.zeros(2)), Linear(theta=np.zeros(2)))
-        grads = evaluate_dual(problem, stack, bounds).grads
+        grads = evaluate_dual([problem], stack, bounds).grads
         for g in grads:
             np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
 
@@ -176,11 +176,11 @@ class TestSubgradient:
             net, problem = random_problem(seed=seed, kinds=kinds)
             base = family.partition("-")[0]
             if family == "quadratic-zero":
-                stack = init_stack(problem, base)
+                stack = init_stack([problem], base)
             else:
                 stack = noisy_stack(problem, base, scale=0.2, seed=seed)
             bounds = propagate_intervals(net, problem.support_box())
-            evaluation = evaluate_dual(problem, stack, bounds)
+            evaluation = evaluate_dual([problem], stack, bounds)
             # g_k's two sides: lam_k (none for g_0) and lam_{k+1} (none for g_K)
             sides = [(None, stack[0])] + list(zip(stack, stack[1:] + (None,)))
             pairs = list(zip(stack, evaluation.grads))
@@ -199,7 +199,7 @@ class TestLambdaStarAffine:
         # y = 2x on [-1, 1] with c = 1: lambda*(x) = x and g = 2 = OPT
         net = CanonicalNetwork(layers=(det_layer([[2.0]], [0.0]),))
         stack = lambda_star_affine(net, np.array([1.0]))
-        np.testing.assert_allclose(stack[0].theta, [1.0])
+        np.testing.assert_allclose(stack[0].theta, [[1.0]])
         bounds = propagate_intervals(
             net, BoxOfDeltas(center=np.array([0.0]), epsilon=1.0, clip=False).support_box()
         )
@@ -207,7 +207,7 @@ class TestLambdaStarAffine:
 
         g0 = inner_linear(net.layers[0], Linear(theta=np.zeros(1)), stack[0], bounds[0])
         gK = final_linear(np.array([1.0]), stack[0], bounds[1])
-        assert g0.value + gK.value == pytest.approx(2.0, abs=1e-12)
+        assert (g0.value + gK.value).tolist() == pytest.approx([2.0], abs=1e-12)
 
     def test_identity_network(self):
         net = CanonicalNetwork(
@@ -216,7 +216,7 @@ class TestLambdaStarAffine:
         c = np.array([1.0, -1.0, 0.5])
         stack = lambda_star_affine(net, c)
         for lam in stack:
-            np.testing.assert_allclose(lam.theta, c)
+            np.testing.assert_allclose(lam.theta, [c])
 
     def test_random_affine_matches_closed_form(self):
         rng = np.random.default_rng(0)
@@ -226,7 +226,7 @@ class TestLambdaStarAffine:
             c = problem.objective.coefficients(net.output_dim)
             stack = lambda_star_affine(net, c)
             bounds = propagate_intervals(net, problem.support_box())
-            total = evaluate_dual(problem, stack, bounds).total
+            [total] = evaluate_dual([problem], stack, bounds).total
             # oracle: compose the affine maps and box-maximize exactly
             mat = np.eye(net.input_dim)
             offset = np.zeros(net.input_dim)
@@ -249,7 +249,7 @@ class TestOptimize:
     def test_certify_at_init_equals_interval_bound(self, two_layer_net):
         problem = logit_diff_problem(two_layer_net, epsilon=0.1)
         bounds = propagate_intervals(two_layer_net, problem.support_box())
-        cert = optimize(problem, OptimizerConfig(steps=0), family="linear")
+        [cert] = optimize([problem], OptimizerConfig(steps=0), family="linear")
         c = problem.objective.coefficients(2)
         box = bounds[2]
         interval_bound = float(np.maximum(c * box.lo, c * box.hi).sum())
@@ -264,7 +264,7 @@ class TestOptimize:
             objective=ExpectedSoftmax(label=0),
             threshold=0.999,
         )
-        cert = optimize(problem, OptimizerConfig(steps=500), family="linear")
+        [cert] = optimize([problem], OptimizerConfig(steps=500), family="linear")
         assert cert.verified
         assert len(cert.trace) == 1  # stopped right after the initial certify
         certified = [e["certified_value"] for e in cert.trace if e["certified_value"] is not None]
@@ -272,8 +272,8 @@ class TestOptimize:
 
     def test_best_bound_is_trace_minimum(self):
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
-        cert = optimize(
-            problem,
+        [cert] = optimize(
+            [problem],
             OptimizerConfig(steps=60, lr=0.05, certify_every=20, early_stop=False),
             family="linear",
         )
@@ -297,8 +297,8 @@ class TestOptimize:
 
         monkeypatch.setattr(funclag.dual, "evaluate_dual", counting)
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
-        cert = optimize(
-            problem,
+        [cert] = optimize(
+            [problem],
             OptimizerConfig(steps=60, lr=0.05, certify_every=20, early_stop=False),
             family="linear",
         )
@@ -307,8 +307,8 @@ class TestOptimize:
 
     def test_quadratic_family_trains(self):
         net, problem = random_problem(seed=6, kinds=("robust_ood",))
-        cert = optimize(
-            problem,
+        [cert] = optimize(
+            [problem],
             OptimizerConfig(steps=60, lr=0.03, decay_every=30, certify_every=30, early_stop=False),
             family="quadratic",
         )
@@ -331,7 +331,7 @@ class TestOptimize:
         )
         bounds = propagate_intervals(net, problem.support_box())
         stack = noisy_stack(problem, "linear", scale=0.2, seed=1)
-        evaluation = evaluate_dual(problem, stack, bounds)
+        evaluation = evaluate_dual([problem], stack, bounds)
         assert evaluation.results[-1].mode == "exact"
 
     def test_wide_softmax_output_is_solved_exactly(self):
@@ -351,16 +351,17 @@ class TestOptimize:
         )
         bounds = propagate_intervals(net, problem.support_box())
         stack = noisy_stack(problem, "linear", scale=0.2, seed=2)
-        final = evaluate_dual(problem, stack, bounds).results[-1]
+        final = evaluate_dual([problem], stack, bounds).results[-1]
         assert final.mode == "exact"
         box = bounds[net.depth]
-        assert np.all((box.lo <= final.witness) & (final.witness <= box.hi))
-        lin = -stack[1].theta
-        assert final.value == softmax_objective(5, lin, final.witness)
+        [value], [witness] = final.value, final.witness
+        assert np.all((box.lo <= witness) & (witness <= box.hi))
+        lin = -stack[1].theta[0]
+        assert value == softmax_objective(5, lin, witness)
         corners = np.where(rng.random((500, 16)) < 0.5, box.lo, box.hi)
         points = box.lo + rng.random((5000, 16)) * (box.hi - box.lo)
         for sample in (corners, points):
-            assert final.value >= max(softmax_objective(5, lin, x) for x in sample)
+            assert value >= max(softmax_objective(5, lin, x) for x in sample)
 
     def test_logits_past_exp_overflow_run_every_step(self):
         # logits near 715 overflow a plain exp; the output solve replays
@@ -375,8 +376,9 @@ class TestOptimize:
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                cert = optimize(
-                    problem, OptimizerConfig(steps=20, lr=0.05, certify_every=5, early_stop=False)
+                [cert] = optimize(
+                    [problem],
+                    OptimizerConfig(steps=20, lr=0.05, certify_every=5, early_stop=False),
                 )
             assert [entry["step"] for entry in cert.trace] == list(range(21))
 
@@ -386,9 +388,9 @@ class TestOptimize:
         problem = logit_diff_problem(net)
         c = problem.objective.coefficients(net.output_dim)
         bounds = propagate_intervals(net, problem.support_box())
-        opt = evaluate_dual(problem, lambda_star_affine(net, c), bounds).total
-        cert = optimize(
-            problem,
+        [opt] = evaluate_dual([problem], lambda_star_affine(net, c), bounds).total
+        [cert] = optimize(
+            [problem],
             OptimizerConfig(steps=600, lr=0.05, decay_every=200, certify_every=25, early_stop=False),
             family="linear",
         )
@@ -416,7 +418,7 @@ class TestSampleLowerBound:
             objective=LogitDiff(target=0, true=1),
             threshold=0.0,
         )
-        cert = optimize(problem, OptimizerConfig(steps=2000, lr=0.01))
+        [cert] = optimize([problem], OptimizerConfig(steps=2000, lr=0.01))
         [(value, stderr)] = sample_lower_bound([problem], n_samples=200, seed=0, weight_draws=5000)
         assert cert.bound >= value - 4.0 * stderr
 
@@ -449,8 +451,8 @@ class TestSampleLowerBound:
             objective=problem.objective, threshold=problem.threshold,
         )
         bounds = propagate_intervals(net, point_problem.support_box())
-        stack = init_stack(point_problem, "linexp")
-        total = evaluate_dual(point_problem, stack, bounds).total
+        stack = init_stack([point_problem], "linexp")
+        [total] = evaluate_dual([point_problem], stack, bounds).total
         [(value, stderr)] = sample_lower_bound(
             [point_problem], n_samples=800, seed=3, weight_draws=200
         )

@@ -126,13 +126,12 @@ def _attack_path(layers, h, weights):
     return None
 
 
-def _quadratic_path(layer, starts: int, result):
-    """The route of one quadratic bound that ran ``starts`` kappa loops."""
+def _quadratic_path(layer, starts: int, duals: dict):
+    """The route of one row's quadratic bound that ran ``starts`` kappa loops."""
     if layer.activation == "identity":
         return ("quadratic", "identity")
     if starts == 1:
         return ("quadratic", "relu", "one start")
-    duals = result.internal_duals
     won = any(duals[key].any() for key in ("zeta", "zeta_plus", "zeta_minus"))
     return ("quadratic", "relu", "penalty start wins" if won else "zero start wins")
 
@@ -173,7 +172,7 @@ def outputs(tmp_path_factory):
     recording(funclag.oracle, "forward", _attack_path)
     starts = []
     box_bound = funclag.inner.quadratic.qp_box_bound
-    solver = funclag.inner.inner_quadratic_bound
+    solve_row = funclag.inner.quadratic._quadratic_row
 
     def counted_box_bound(*args):
         starts.append(1)
@@ -181,13 +180,13 @@ def outputs(tmp_path_factory):
 
     def quadratic_route(layer, *args):
         starts.clear()
-        result = solver(layer, *args)
+        row = solve_row(layer, *args)
         if starts:  # none for the exact linear solve at Q = 0
-            reached.add(_quadratic_path(layer, len(starts), result))
-        return result
+            reached.add(_quadratic_path(layer, len(starts), row[3]))
+        return row
 
     patch.setattr(funclag.inner.quadratic, "qp_box_bound", counted_box_bound)
-    patch.setattr(funclag.inner, "inner_quadratic_bound", quadratic_route)
+    patch.setattr(funclag.inner.quadratic, "_quadratic_row", quadratic_route)
     results = {}
     try:
         for name in JOBS:

