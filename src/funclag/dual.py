@@ -70,9 +70,8 @@ class OptimizerConfig:
 class DualEvaluation:
     """One full dual evaluation of a batch: per-layer values, their sums and gradients.
 
-    Each value holds one entry per row, and ``total`` sums them per row,
-    left to right.  ``grads`` holds, per multiplier of the stack, the
-    envelope gradient of ``total`` keyed like ``get_params``.
+    Each value and ``total`` hold one entry per row.  ``grads`` holds, per
+    multiplier of the stack, the envelope gradient of ``total`` keyed like ``get_params``.
     """
 
     values: list[np.ndarray]
@@ -117,8 +116,7 @@ def evaluate_dual(
     stack: tuple[Multiplier, ...],
     bounds: tuple[Interval, ...],
 ) -> DualEvaluation:
-    """Evaluate the dual at a multiplier stack: per row, a sound bound on the optimum
-    and its gradient.
+    """Evaluate the dual at a multiplier stack: per row, a sound bound and its gradient.
 
     The problems share one network, one input set and one objective
     kind, and each multiplier holds one row per problem.  The stack holds
@@ -162,8 +160,8 @@ def _take(state: tuple, index) -> tuple:
 
 def _advance(problems, stack, bounds, state, t, lr):
     """Step t for a batch: one Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on the state
-    (params, grads, m, v), each a list of per-boundary dicts of row arrays, then the
-    dual at the new stack.  Returns the new state, the new stack and the finite totals."""
+    (params, grads, m, v), lists of per-boundary dicts of row arrays, then the dual at the
+    new stack; returns the new state, the new stack and the finite totals."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
@@ -364,9 +362,8 @@ def optimize(
     # the rows still stepping, as problem indices
     live = [i for i, margin in enumerate(best)
             if config.steps > 0 and (margin > 0.0 or not config.early_stop)]
-    params = [get_params(lam) for lam in stack]
-    moments = [{name: np.zeros_like(arr) for name, arr in p.items()} for p in params]
-    state = _take((params, evaluation.grads, moments, moments), live)
+    moments = [zero_param_grads(lam) for lam in stack]
+    state = _take(([get_params(lam) for lam in stack], evaluation.grads, moments, moments), live)
     # an overflow or NaN past step 0 raises FloatingPointError and ends its row
     step = 1
     with np.errstate(over="raise", invalid="raise"):
@@ -434,9 +431,10 @@ def optimize(
 
 
 def _finite_totals(evaluation: DualEvaluation) -> list[float]:
-    if not np.isfinite(evaluation.total).all():
+    totals = evaluation.total.tolist()
+    if not all(map(math.isfinite, totals)):
         raise FloatingPointError("the dual value is not finite")
-    return evaluation.total.tolist()
+    return totals
 
 
 def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:

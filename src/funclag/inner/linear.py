@@ -56,10 +56,15 @@ def activation_linear_max(a, b, lo, hi, activation: str) -> tuple[np.ndarray, np
     return best_v, best_z
 
 
+def matvec_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x_i for each row x_i: numpy's stacked matmul runs one matrix-vector product
+    per row, so each row gets the bits of its product alone."""
+    return np.matmul(w, x[..., np.newaxis])[..., 0]
+
+
 def mean_output(layer: CanonicalLayer, x: np.ndarray) -> np.ndarray:
     """E[W s(x) + b] at each row of x: the layer output under the mean weights."""
-    w = layer.weights.mean
-    return np.array([w @ s for s in layer.apply_activation(x)]) + layer.bias.mean
+    return matvec_rows(layer.weights.mean, layer.apply_activation(x)) + layer.bias.mean
 
 
 def inner_linear(
@@ -68,12 +73,10 @@ def inner_linear(
     lam_next: Multiplier,
     box: Interval,
 ) -> InnerResult:
-    """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box, per row;
-    W' theta is taken one row at a time and each row's maxima summed left to right."""
+    """Exact solve of max_x E[lam_next(W s(x) + b)] - lam_k(x) over the box, per row."""
     theta_k = linear_coeffs(lam_k)
     theta_next = linear_coeffs(lam_next)
-    w, b = layer.weights.mean, layer.bias.mean
-    a = np.array([w.T @ theta for theta in theta_next])
+    a, b = matvec_rows(layer.weights.mean.T, theta_next), layer.bias.mean
     values, witness = activation_linear_max(a, theta_k, box.lo, box.hi, layer.activation)
     totals = []
     for theta, row in zip(theta_next, values.tolist()):

@@ -29,8 +29,8 @@ import numpy as np
 from ..bounds import Interval
 from ..model import CanonicalLayer
 from ..multipliers import LinExp, Multiplier, linear_coeffs
-from .linear import activation_candidates, activation_linear_max, mean_output
-from .result import UPPER_BOUND, InnerResult, from_rows
+from .linear import activation_candidates, activation_linear_max, matvec_rows, mean_output
+from .result import UPPER_BOUND, InnerResult
 
 _ZETA_LOG_CAP = 45.0  # zeta stays below e^45, where the bound is finite; any zeta is sound
 
@@ -51,20 +51,14 @@ def inner_linexp_input(
         raise ValueError("layer 0 must have an identity activation")
     w = layer.weights.mean
     nominal = w @ np.asarray(center, dtype=float) + layer.bias.mean
-    rows = []
-    for alpha, gamma, kappa in zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist()):
-        wtg = w.T @ gamma
-        exponent = 0.5 * sigma**2 * float(wtg @ wtg) + float(gamma @ nominal) + kappa
-        e = math.exp(exponent)
-        grads = {"alpha": nominal, "gamma": e * (sigma**2 * (w @ wtg) + nominal), "kappa": e}
-        rows.append((float(alpha @ nominal) + e, None, (None, grads), {}))
-    return from_rows(UPPER_BOUND, rows)
-
-
-def _transition_coeffs(lam2: Multiplier, layer: CanonicalLayer) -> list[tuple]:
-    """Per row, (W'beta, beta.b) of the successor's expected linear part."""
-    w, b = layer.weights.mean, layer.bias.mean
-    return [(w.T @ beta, float(beta @ b)) for beta in linear_coeffs(lam2)]
+    wtg = matvec_rows(w.T, lam1.gamma)
+    e = np.array([math.exp(0.5 * sigma**2 * float(u @ u) + float(gamma @ nominal) + kappa)
+                  for u, gamma, kappa in zip(wtg, lam1.gamma, lam1.kappa.tolist())])
+    grads = {"alpha": np.tile(nominal, (len(e), 1)),
+             "gamma": e[:, np.newaxis] * (sigma**2 * matvec_rows(w, wtg) + nominal),
+             "kappa": e}
+    value = np.array([float(alpha @ nominal) for alpha in lam1.alpha]) + e
+    return InnerResult(value=value, mode=UPPER_BOUND, grads=(None, grads))
 
 
 def transition_bound_at_zeta(
@@ -104,10 +98,11 @@ def inner_linexp_transition(
     """
     candidates = activation_candidates(box.lo, box.hi, layer.activation)
     zeta_cap = math.exp(_ZETA_LOG_CAP)
-    rows = []
-    for alpha, gamma, kappa, coeffs in zip(
-        lam1.alpha, lam1.gamma, lam1.kappa.tolist(), _transition_coeffs(lam2, layer)
-    ):
+    # per row, (W'beta, beta.b) of the successor's expected linear part
+    beta, bias = linear_coeffs(lam2), layer.bias.mean
+    successor = zip(matvec_rows(layer.weights.mean.T, beta), [float(r @ bias) for r in beta])
+    best_rows = []
+    for alpha, gamma, kappa, coeffs in zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist(), successor):
         lines = [(coeffs[0] * s - alpha * z, -gamma * z, inside) for z, s, inside in candidates]
         breaks = [np.array([0.0, zeta_cap])]
         for (icpt1, slope1, inside1), (icpt2, slope2, inside2) in itertools.combinations(lines, 2):
@@ -118,14 +113,15 @@ def inner_linexp_transition(
         row = (alpha, gamma, kappa, coeffs, layer, box)
         _, piece_x = transition_bound_at_zeta(*row, 0.5 * (breaks[:-1] + breaks[1:]))
         stationary = np.exp(np.minimum(kappa + piece_x @ gamma, _ZETA_LOG_CAP))
-        zetas = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
-        values, witness = transition_bound_at_zeta(*row, zetas)
-        best = int(np.argmin(values))
-        # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
-        x, zeta = witness[best], float(zetas[best])
-        grads = (
-            {"alpha": -x, "gamma": -zeta * x, "kappa": -zeta},
-            {"theta": mean_output(layer, x[np.newaxis])[0]},
-        )
-        rows.append((values[best], x, grads, {"zeta": zeta}))
-    return from_rows(UPPER_BOUND, rows)
+        trials = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
+        bounds, witness = transition_bound_at_zeta(*row, trials)
+        best = int(np.argmin(bounds))
+        best_rows.append((bounds[best], witness[best], trials[best]))
+    # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
+    values, x, zeta = (np.array(part) for part in zip(*best_rows))
+    grads = (
+        {"alpha": -x, "gamma": -zeta[:, np.newaxis] * x, "kappa": -zeta},
+        {"theta": mean_output(layer, x)},
+    )
+    return InnerResult(value=values, mode=UPPER_BOUND, witness=x, grads=grads,
+                       internal_duals={"zeta": zeta})

@@ -44,7 +44,7 @@ from ..multipliers import (
     expected_quadratic_coeffs_adjoint,
 )
 from .linear import inner_linear
-from .result import EXACT, UPPER_BOUND, InnerResult, from_rows
+from .result import EXACT, UPPER_BOUND, InnerResult
 
 
 # the one schedule, started from zero: subgradient steps on the diagonal
@@ -243,9 +243,22 @@ def inner_quadratic_bound(
     """
     n = layer.in_dim
     views = zip(*as_quadratic(lam_k, n), *as_quadratic(lam_next, layer.out_dim))
-    rows = [_quadratic_row(layer, lam_k, lam_next, box, *view) for view in views]
-    # only exact rows have witnesses; a batch with bounds among them is a bound
-    return from_rows(EXACT if all(row[1] is not None for row in rows) else UPPER_BOUND, rows)
+    return _stack_rows([_quadratic_row(layer, lam_k, lam_next, box, *view) for view in views])
+
+
+def _stack_rows(rows: list[tuple]) -> InnerResult:
+    """One result from per-row (value, witness, grads, internal_duals) tuples: exact, with
+    the witnesses, when every row is; else a bound with the duals that every row has."""
+    values, witnesses, grads, duals = zip(*rows)
+    sides = tuple(
+        None if side[0] is None else {name: np.array([g[name] for g in side]) for name in side[0]}
+        for side in zip(*grads)
+    )
+    exact = all(w is not None for w in witnesses)
+    kept = [name for name in duals[0] if all(name in d for d in duals)]
+    return InnerResult(np.array(values), EXACT if exact else UPPER_BOUND,
+                       np.array(witnesses) if exact else None, sides,
+                       {name: np.array([d[name] for d in duals]) for name in kept})
 
 
 def _quadratic_row(layer, lam_k, lam_next, box, q_k, q_k_lin, q_n, q_n_lin):

@@ -25,7 +25,7 @@ class InnerResult:
     ``internal_duals`` records the auxiliary dual parameters (zeta, kappa,
     ...) a bound construction used, so the same bound can be re-evaluated
     at perturbed duals; no solver reads them back, so a result depends on
-    its inputs alone.  Every array carries the row axis first.
+    its inputs alone.  Every array has the row axis first.
     """
 
     value: np.ndarray
@@ -39,16 +39,3 @@ class InnerResult:
             raise ValueError(f"unknown inner-result mode {self.mode!r}")
         self.value = np.asarray(self.value, dtype=float).reshape(-1)
 
-
-def from_rows(mode: str, rows: list[tuple]) -> InnerResult:
-    """One result from per-row (value, witness, grads, internal_duals) tuples; it keeps
-    the witnesses and internal duals only where every row has them."""
-    values, witnesses, grads, duals = zip(*rows)
-    sides = tuple(
-        None if side[0] is None else {name: np.array([g[name] for g in side]) for name in side[0]}
-        for side in zip(*grads)
-    )
-    witness = None if any(w is None for w in witnesses) else np.array(witnesses)
-    kept = [name for name in duals[0] if all(name in d for d in duals)]
-    return InnerResult(value=np.array(values), mode=mode, witness=witness, grads=sides,
-                       internal_duals={name: np.array([d[name] for d in duals]) for name in kept})

@@ -49,7 +49,7 @@ import numpy as np
 from ..bounds import Interval
 from ..model import softmax
 from ..multipliers import Multiplier, linear_coeffs
-from .result import EXACT, InnerResult, from_rows
+from .result import EXACT, InnerResult
 
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
@@ -204,7 +204,7 @@ def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult
     with np.errstate(over="ignore"):
         # an infinite exp sums past _HUGE, so its rows solve in shifted logits
         exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
-    rows = []
+    best_rows = []
     for m, lin in zip(labels, -linear_coeffs(lam_k)):
         lin_f = lin.tolist()
         scored = [(row, point, _score(m, lin_f, point))
@@ -220,5 +220,6 @@ def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult
                 value = _objective(m, lin, trial)
                 if value > best_f:
                     best_f, best_x = value, trial
-        rows.append((best_f, best_x, ({"theta": -best_x}, None), {}))
-    return from_rows(EXACT, rows)
+        best_rows.append((best_f, best_x))
+    values, witness = (np.array(part) for part in zip(*best_rows))
+    return InnerResult(values, EXACT, witness, grads=({"theta": -witness}, None))

@@ -60,7 +60,7 @@ class LinExp:
         object.__setattr__(self, "gamma", _rows(self.gamma, "gamma", 2))
         object.__setattr__(self, "kappa", _rows(self.kappa, "kappa", 1))
         if self.alpha.shape != self.gamma.shape or self.kappa.shape != self.alpha.shape[:1]:
-            raise ValueError("alpha, gamma and kappa need one row count, alpha and gamma one width")
+            raise ValueError("alpha, gamma and kappa need one row count, alpha and gamma a width")
 
 
 @dataclass(frozen=True)

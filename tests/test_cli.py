@@ -483,6 +483,29 @@ class TestVerify:
         with pytest.raises(ValueError, match=match):
             Certificate.from_jsonable(doc)
 
+    def test_one_optimization_per_spec(self, tmp_path, monkeypatch):
+        # three labels, two stopping early at different steps, share one interval
+        # pass, one model digest and one dual evaluation per step of the longest row
+        import funclag.dual
+
+        calls = {"propagate_intervals": 0, "model_to_dict": 0, "evaluate_dual": 0}
+        for name in calls:
+            original = getattr(funclag.dual, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(funclag.dual, name, counting)
+        spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.35)
+        out = tmp_path / "cert.json"
+        result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "60",
+                          "--lr", "0.05", "--certify-every", "5", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        certs = decode_reals(json.loads(out.read_text()))["certificates"]
+        assert [len(c["trace"]) for c in certs] == [1, 61, 11]
+        assert calls == {"propagate_intervals": 1, "model_to_dict": 1, "evaluate_dual": 61}
+
     @pytest.mark.parametrize(
         "spec_type,labels",
         [("robust_ood", [0, 1, 2]), ("adversarial", [1, 2]), ("dist_robust_ood", [0, 1, 2])],

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -23,7 +24,8 @@ from funclag import (
     propagate_intervals,
     sample_lower_bound,
 )
-from funclag.multipliers import get_params, with_params
+from funclag.jsonio import encode_reals
+from funclag.multipliers import get_params, take_rows, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
@@ -398,6 +400,103 @@ class TestOptimize:
         achieved = cert.metadata["objective_bound"]
         assert achieved <= start + 1e-12
         assert achieved >= opt - 1e-9  # weak duality even after optimization
+
+
+def expand(problem):
+    """A problem's spec expanded to every label of its kind, as ``build_problem`` does."""
+    net, objective = problem.network, problem.objective
+    if isinstance(objective, LogitDiff):
+        objectives = [LogitDiff(target=target, true=objective.true)
+                      for target in range(net.output_dim) if target != objective.true]
+    else:
+        objectives = [ExpectedSoftmax(label=label) for label in range(net.output_dim)]
+    return [VerificationProblem(network=net, input_set=problem.input_set, objective=o,
+                                threshold=problem.threshold) for o in objectives]
+
+
+def spec_problems(seed):
+    """``random_problem``'s spec expanded, and the family ``verify`` would run on it:
+    linexp for a sub-Gaussian input set, else linear (quadratic on every fourth seed)."""
+    _, problem = random_problem(seed=seed)
+    if isinstance(problem.input_set, SubGaussianNoise):
+        return expand(problem), "linexp"
+    return expand(problem), "quadratic" if seed % 4 == 3 else "linear"
+
+
+def cert_bytes(cert):
+    return json.dumps(encode_reals(cert.to_jsonable()), sort_keys=True)
+
+
+BATCH_CONFIG = OptimizerConfig(steps=24, lr=0.05, decay_every=10, certify_every=4)
+
+
+class TestBatch:
+    def test_rows_match_their_solo_runs(self):
+        # a row's certificate is the same bytes alone or among the labels of its spec,
+        # early stops, the quadratic row loop and the linexp rows included
+        seen = set()
+        for seed in range(50):
+            problems, family = spec_problems(seed)
+            certs = optimize(problems, BATCH_CONFIG, family=family)
+            assert len(certs) == len(problems)
+            for problem, cert in zip(problems, certs):
+                [alone] = optimize([problem], BATCH_CONFIG, family=family)
+                assert cert_bytes(cert) == cert_bytes(alone), (seed, problem.objective)
+            seen.add(family)
+            seen.add("three rows or more" if len(problems) >= 3 else "fewer rows")
+            seen.update("stopped early" for c in certs if len(c.trace) <= BATCH_CONFIG.steps)
+            seen.update("ran out" for c in certs if len(c.trace) > BATCH_CONFIG.steps)
+        assert seen == {"linear", "linexp", "quadratic", "stopped early", "ran out",
+                        "three rows or more", "fewer rows"}
+
+    def test_a_raising_row_ends_alone(self, monkeypatch):
+        # label 1's output solve raises FloatingPointError from step 5 on: that row
+        # ends at step 5 with the warning, and every row matches its solo run
+        import funclag.inner
+
+        _, problem = random_problem(seed=2, kinds=("robust_ood",))
+        problems = expand(problem)
+        original = funclag.inner.final_softmax_exact
+        solves = []
+
+        def flaky(labels, lam_k, box):
+            if 1 in labels:
+                solves.append(labels)
+                if len(solves) > 5:
+                    raise FloatingPointError("injected")
+            return original(labels, lam_k, box)
+
+        monkeypatch.setattr(funclag.inner, "final_softmax_exact", flaky)
+        config = OptimizerConfig(steps=12, lr=0.05, certify_every=3, early_stop=False)
+        with pytest.warns(RuntimeWarning, match="stopped at step 5 by FloatingPointError"):
+            certs = optimize(problems, config)
+        assert len(problems) >= 3
+        assert [len(c.trace) for c in certs] == [5 if i == 1 else 13 for i in range(len(certs))]
+        for i, (problem, cert) in enumerate(zip(problems, certs)):
+            solves.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                [alone] = optimize([problem], config)
+            messages = [str(w.message) for w in caught]
+            assert [m.startswith("optimization stopped at step 5 by FloatingPointError")
+                    for m in messages] == ([True] if i == 1 else [])
+            assert cert_bytes(cert) == cert_bytes(alone), i
+
+    def test_a_batch_shares_one_network_input_set_and_objective_kind(self, two_layer_net):
+        problem = logit_diff_problem(two_layer_net)
+        bounds = propagate_intervals(two_layer_net, problem.support_box())
+        stack = init_stack([problem, problem], "linear")
+        assert evaluate_dual([problem, problem], stack, bounds).total.shape == (2,)
+        other_set = logit_diff_problem(two_layer_net)
+        softmax = VerificationProblem(network=two_layer_net, input_set=problem.input_set,
+                                      objective=ExpectedSoftmax(label=0), threshold=0.5)
+        for pair in ([problem, other_set], [problem, softmax]):
+            with pytest.raises(ValueError, match="must share"):
+                evaluate_dual(pair, stack, bounds)
+        with pytest.raises(ValueError, match="one row per problem"):
+            evaluate_dual([problem], stack, bounds)
+        with pytest.raises(ValueError, match="one row per problem"):
+            evaluate_dual([problem] * 2, tuple(take_rows(lam, [0]) for lam in stack), bounds)
 
 
 class TestSampleLowerBound:

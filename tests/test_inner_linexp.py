@@ -5,7 +5,7 @@ import pytest
 
 from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
-from funclag.inner.linexp import _transition_coeffs, transition_bound_at_zeta
+from funclag.inner.linexp import transition_bound_at_zeta
 
 from conftest import det_layer
 from oracles import evaluate, one_row
@@ -13,8 +13,8 @@ from oracles import evaluate, one_row
 
 def at_zeta(lam1, lam2, layer, box, zeta):
     """``transition_bound_at_zeta`` for one-row multipliers."""
-    p = one_row(lam1)
-    [coeffs] = _transition_coeffs(lam2, layer)
+    p, beta = one_row(lam1), one_row(lam2)["theta"]
+    coeffs = (layer.weights.mean.T @ beta, float(beta @ layer.bias.mean))
     return transition_bound_at_zeta(p["alpha"], p["gamma"], float(p["kappa"]), coeffs, layer,
                                     box, zeta)
 

@@ -19,8 +19,10 @@ from funclag import (
 )
 from funclag.multipliers import (
     get_params,
+    rows,
     stack_from_jsonable,
     stack_to_jsonable,
+    take_rows,
     with_params,
 )
 
@@ -211,3 +213,35 @@ class TestSerialization:
         rebuilt = with_params(lam, get_params(lam))
         np.testing.assert_array_equal(rebuilt.Q, lam.Q)
         np.testing.assert_array_equal(rebuilt.q, lam.q)
+
+
+class TestRows:
+    def test_a_parameter_without_the_row_axis_is_one_row(self):
+        lam = LinExp(alpha=np.zeros(2), gamma=np.ones(2), kappa=-1.0)
+        assert (lam.alpha.shape, lam.gamma.shape, lam.kappa.shape) == ((1, 2), (1, 2), (1,))
+        assert Quadratic(Q=np.eye(2), q=np.zeros(2)).Q.shape == (1, 2, 2)
+        assert rows(lam) == 1 and rows(Linear(theta=np.zeros((3, 2)))) == 3
+
+    @pytest.mark.parametrize("params, match", [
+        ({"alpha": np.zeros((2, 3)), "gamma": np.zeros((2, 3)), "kappa": np.zeros(3)}, "row"),
+        ({"alpha": np.zeros((2, 3)), "gamma": np.zeros((1, 3)), "kappa": np.zeros(2)}, "row"),
+        ({"alpha": np.zeros((2, 3)), "gamma": np.zeros((2, 3)), "kappa": np.zeros((2, 1))},
+         "kappa"),
+    ])
+    def test_rows_must_agree(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            LinExp(**params)
+
+    def test_take_rows_keeps_each_row(self):
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((3, 2, 2))
+        lam = Quadratic(Q=q + q.transpose(0, 2, 1), q=rng.standard_normal((3, 2)))
+        picked = take_rows(lam, [2, 0])
+        np.testing.assert_array_equal(picked.Q, lam.Q[[2, 0]])
+        np.testing.assert_array_equal(picked.q, lam.q[[2, 0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            Quadratic(Q=np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), q=np.zeros((2, 2)))
+
+    def test_only_a_one_row_stack_has_a_json_view(self):
+        with pytest.raises(ValueError, match="one-row"):
+            stack_to_jsonable((Linear(theta=np.zeros((2, 3))),))
