@@ -51,14 +51,16 @@ def inner_linexp_input(
         raise ValueError("layer 0 must have an identity activation")
     w = layer.weights.mean
     nominal = w @ np.asarray(center, dtype=float) + layer.bias.mean
-    wtg = matvec_rows(w.T, lam1.gamma)
-    e = np.array([math.exp(0.5 * sigma**2 * float(u @ u) + float(gamma @ nominal) + kappa)
-                  for u, gamma, kappa in zip(wtg, lam1.gamma, lam1.kappa.tolist())])
-    grads = {"alpha": np.tile(nominal, (len(e), 1)),
-             "gamma": e[:, np.newaxis] * (sigma**2 * matvec_rows(w, wtg) + nominal),
-             "kappa": e}
-    value = np.array([float(alpha @ nominal) for alpha in lam1.alpha]) + e
-    return InnerResult(value=value, mode=UPPER_BOUND, grads=(None, grads))
+    values, gamma_grads, es = [], [], []
+    for alpha, gamma, kappa in zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist()):
+        wtg = w.T @ gamma
+        e = math.exp(0.5 * sigma**2 * float(wtg @ wtg) + float(gamma @ nominal) + kappa)
+        values.append(float(alpha @ nominal) + e)
+        gamma_grads.append(e * (sigma**2 * (w @ wtg) + nominal))
+        es.append(e)
+    grads = {"alpha": nominal[np.newaxis].repeat(len(es), axis=0),
+             "gamma": np.array(gamma_grads), "kappa": np.array(es)}
+    return InnerResult(value=values, mode=UPPER_BOUND, grads=(None, grads))
 
 
 def transition_bound_at_zeta(

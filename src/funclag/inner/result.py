@@ -37,5 +37,4 @@ class InnerResult:
     def __post_init__(self):
         if self.mode not in (EXACT, UPPER_BOUND):
             raise ValueError(f"unknown inner-result mode {self.mode!r}")
-        self.value = np.asarray(self.value, dtype=float).reshape(-1)
-
+        self.value = np.asarray(self.value, dtype=float)

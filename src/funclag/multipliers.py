@@ -189,7 +189,7 @@ def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
 
 
 def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in get_params(lam).items()}
+    return {f.name: np.zeros_like(getattr(lam, f.name)) for f in fields(lam)}
 
 
 # --- stacks --------------------------------------------------------------

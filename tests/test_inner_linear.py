@@ -3,7 +3,7 @@ import pytest
 
 from funclag import Interval, Linear
 from funclag.inner import final_linear, inner_linear
-from funclag.inner.linear import activation_linear_max
+from funclag.inner.linear import activation_linear_max, matvec_rows
 
 from conftest import det_layer
 
@@ -153,3 +153,16 @@ def test_rows_solve_as_they_do_alone():
                 for side, side_alone in zip(res.grads, one.grads):
                     for name in side_alone or {}:
                         assert side[name][i].tobytes() == side_alone[name].tobytes()
+
+
+def test_matvec_rows_matches_lone_products():
+    # the stacked product of every row is bit for bit the product of that row alone,
+    # for C- and F-ordered matrices and transposed views alike
+    rng = np.random.default_rng(5)
+    for trial in range(500):
+        m, n, rows = (int(v) for v in rng.integers(1, 20, 3))
+        w = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+        w = (w, np.asfortranarray(w), w.T.copy().T)[trial % 3]
+        x, y = rng.standard_normal((rows, n)), rng.standard_normal((rows, m))
+        assert matvec_rows(w, x).tobytes() == np.array([w @ v for v in x]).tobytes()
+        assert matvec_rows(w.T, y).tobytes() == np.array([w.T @ v for v in y]).tobytes()
