@@ -167,11 +167,12 @@ def _advance(problems, stack, bounds, state, t, lr):
     bc2 = 1.0 - b2**t
     params, ms, vs = [], [], []
     for p, g, m, v in zip(*state):
-        params.append({}), ms.append({}), vs.append({})
-        for name, arr in p.items():
-            ms[-1][name] = m_new = b1 * m[name] + (1.0 - b1) * g[name]
-            vs[-1][name] = v_new = b2 * v[name] + (1.0 - b2) * g[name] ** 2
-            params[-1][name] = arr - lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + eps)
+        m = {name: b1 * m[name] + (1.0 - b1) * g[name] for name in p}
+        v = {name: b2 * v[name] + (1.0 - b2) * g[name] ** 2 for name in p}
+        params.append({name: p[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+                       for name in p})
+        ms.append(m)
+        vs.append(v)
     stack = tuple(with_params(lam, p) for lam, p in zip(stack, params))
     evaluation = evaluate_dual(problems, stack, bounds)
     return (params, evaluation.grads, ms, vs), stack, _finite_totals(evaluation)
