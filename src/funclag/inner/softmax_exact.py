@@ -25,23 +25,31 @@ among them; a float sum of non-negative terms is no smaller than any of
 them, so D / (4C) <= 1/4 holds in floats too, and a row with x_m fixed
 whose free coefficients sum past 1/4 holds no point and is dropped.
 
-Score, then replay.  One plain-float step, ``assignment_candidates``,
-computes each row's candidates, and ``_score`` scores them.  It and the
-numpy ``_objective`` evaluate the same point and differ only by rounding,
-so only the candidates scored within a 1e-9 window of the top are
-re-scored by ``_objective``: in enumeration order (base 3, first
-coordinate slowest, all-lower first), starting from the all-lower corner
-and replacing the incumbent only on a strictly greater value.  The full
-3^n loop over the same step returns the first candidate in that order
-that attains the maximum, which is the box maximum.  That candidate's
-assignment is a water-filling row (on a zero-width coordinate the rows
-may hold its hi twin, which computes the same point), and its score lies
-within rounding of the maximum, so the replay returns the same value and
-witness, bit for bit, as the full loop.
+Walk, score, then replay.  ``walk_rows`` moves along the water-filling
+events of one label with the pattern and its lo/hi point held in place,
+and yields each row with that point and its interior coordinates.  One
+plain-float step, ``row_candidates``, turns a row into its candidate
+points (``assignment_candidates`` is the same step on any assignment),
+and ``_score`` scores them.  It and the numpy ``_objective`` evaluate the
+same point and differ only by rounding, so only the candidates scored
+within a 1e-9 window of the top are sorted into enumeration order (base
+3, first coordinate slowest, all-lower first) and re-scored by
+``_objective``, the incumbent replaced only on a strictly greater value.
+The full 3^n loop over the same step, started from the all-lower corner,
+returns the first candidate in that order that attains the maximum,
+which is the box maximum.  That candidate's assignment is a water-filling
+row (on a zero-width coordinate the rows may hold its hi twin, which
+computes the same point), and its score lies within rounding of the
+maximum, so the replay returns the same value and witness, bit for bit,
+as the full loop.  The replay needs no start of its own: every walk
+begins with the all-lower row, whose one point is the corner.  Either
+that point is in the window and replayed first, or every windowed
+candidate scores more than the window above it and beats the corner.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -60,95 +68,72 @@ _REPLAY_WINDOW = 1e-9
 _TINY, _HUGE = np.finfo(float).tiny, math.sqrt(np.finfo(float).max)
 
 
-def _log(v: float) -> float:
-    # lam_j / D can underflow to 0; the point then leaves the box
-    return math.log(v) if v > 0.0 else -math.inf
-
-
-def stationary_points_case_a(lam: list, i: int, c: float) -> list[list[float]]:
-    """Stationary points of exp(x_i) / (sum_j exp(x_j) + C) + lam . x.
-
-    Returns full candidate vectors over the free coordinates.  The list
-    is empty unless lam_i lies in [-1/4, 0] and lam_j >= 0 elsewhere;
-    branches whose shares are non-positive, whose denominator vanishes,
-    or whose shares cannot satisfy the C = 0 normalization are dropped.
-    """
-    if not (-0.25 <= lam[i] <= 0.0) or any(v < 0.0 for j, v in enumerate(lam) if j != i):
-        return []
-    sq = math.sqrt(max(1.0 + 4.0 * lam[i], 0.0))
-    points = []
-    for denom in {1.0 + sq, 1.0 - sq}:
-        if denom == 0.0:
-            continue
-        shares = [2.0 * v / denom for v in lam]
-        shares[i] = denom / 2.0
-        if min(shares) <= 0.0:
-            continue
-        total = sum(shares)
-        if c > 0.0:
-            if total >= 1.0:
-                continue
-            offset = math.log(c / (1.0 - total))
-        elif abs(total - 1.0) > _SUM_ONE_TOL:
-            continue
-        else:
-            offset = 0.0
-        points.append([math.log(share) + offset for share in shares])
-    return points
-
-
-def stationary_points_case_b(lam: list, c: float, d: float) -> list[list[float]]:
-    """Stationary points of D / (sum_j exp(x_j) + C) + lam . x.
-
-    Empty unless every lam_j is positive and sum(lam) <= D / (4C);
-    otherwise both roots of the denominator quadratic are returned.
-    """
-    if min(lam) <= 0.0:
-        return []
-    total = sum(lam)
-    if total > d / (4.0 * c):
-        return []
-    disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
-    points = []
-    for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
-        if t > 0.0:
-            points.append([_log(v / d) + 2.0 * math.log(t) for v in lam])
-    return points
-
-
 def _objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
     return float(softmax(x)[m] + lin @ x)
 
 
-def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[list[float]]:
-    """Candidate points of one lo/hi/interior assignment, in plain floats.
+def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[float]]:
+    """Candidate points of one lo/hi/interior row, in plain floats.
 
-    ``exp_lo`` and ``exp_hi`` are exp of the bounds (inf past overflow).
-    The fixed exps are summed into C; outside [_TINY, _HUGE] they are
-    summed again in logits moved down by the largest fixed one (softmax
-    is shift-invariant) and the points are moved back.
+    ``x`` is the row's lo/hi point (lo where interior) and ``free`` its
+    interior coordinates in order; neither is changed.  ``exp_lo`` and
+    ``exp_hi`` are exp of the bounds (inf past overflow).  The fixed exps
+    are summed into C; outside [_TINY, _HUGE] they are summed again in
+    logits moved down by the largest fixed one (softmax is shift-invariant)
+    and the points are moved back.  Each closed-form point is a list of
+    ratios and an offset: its free coordinates are log(ratio) + offset.
+    Case a (x_m free) needs lam_m in [-1/4, 0] and lam_j >= 0 elsewhere;
+    its two branches solve a quadratic in x_m's own share and are dropped
+    when a share is non-positive, the denominator vanishes or the shares
+    miss the C = 0 normalization.  Case b (x_m fixed, D = its exp) needs
+    every lam_j positive and sum(lam) <= D / (4C); both roots t of the
+    denominator quadratic give shares proportional to lam.  A point is
+    dropped at its first coordinate outside the box.
     """
-    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
-    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
     if not free:
-        return [x]
-    fixed = [j for j, s in enumerate(assignment) if s != _INTERIOR]
-    exps = {j: exp_hi[j] if assignment[j] == _UPPER else exp_lo[j] for j in fixed}
-    shift = 0.0
-    if fixed and not _TINY <= sum(exps.values()) <= _HUGE:
-        shift = max(x[j] for j in fixed)
-        exps = {j: math.exp(x[j] - shift) for j in fixed}
-    c = sum(exps.values())
+        return [x.copy()]
+    exps = [exp_hi[j] if s == _UPPER else exp_lo[j] for j, s in enumerate(row) if s != _INTERIOR]
+    c, shift = sum(exps), 0.0
+    if exps and not _TINY <= c <= _HUGE:
+        shift = max(v for v, s in zip(x, row) if s != _INTERIOR)
+        exps = [math.exp(v - shift) for v, s in zip(x, row) if s != _INTERIOR]
+        c = sum(exps)
     lam = [lin[j] for j in free]
-    if assignment[m] == _INTERIOR:
-        points = stationary_points_case_a(lam, free.index(m), c)
-    else:
-        points = stationary_points_case_b(lam, c, exps[m])
+    points = []
+    if row[m] == _INTERIOR:
+        i = free.index(m)
+        if -0.25 <= lam[i] <= 0.0 and not any(v < 0.0 for j, v in enumerate(lam) if j != i):
+            sq = math.sqrt(max(1.0 + 4.0 * lam[i], 0.0))
+            # sets here and for case b's roots: a double root is one point, and
+            # the set order fixes which of two tied points the replay meets first
+            for denom in {1.0 + sq, 1.0 - sq}:
+                if denom == 0.0:
+                    continue
+                shares = [2.0 * v / denom for v in lam]
+                shares[i] = denom / 2.0
+                if min(shares) <= 0.0:
+                    continue
+                total = sum(shares)
+                if c > 0.0:
+                    if not total >= 1.0:
+                        points.append((shares, math.log(c / (1.0 - total))))
+                elif not abs(total - 1.0) > _SUM_ONE_TOL:
+                    points.append((shares, 0.0))
+    elif not min(lam) <= 0.0:
+        # x_m's exp sits behind the fixed coordinates before m
+        total, d = sum(lam), exps[m - bisect.bisect(free, m)]
+        if not total > d / (4.0 * c):
+            disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
+            ratios = [v / d for v in lam]
+            for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
+                if t > 0.0:
+                    points.append((ratios, 2.0 * math.log(t)))
     trials = []
-    for xs in points:
+    for ratios, offset in points:
         trial = x.copy()
-        for j, v in zip(free, xs):
-            v += shift
+        for j, r in zip(free, ratios):
+            # lam_j / D can underflow to 0; the point then leaves the box
+            v = (math.log(r) if r > 0.0 else -math.inf) + offset + shift
             if not lo[j] - _BOX_TOL <= v <= hi[j] + _BOX_TOL:
                 break
             trial[j] = min(max(v, lo[j]), hi[j])
@@ -157,14 +142,24 @@ def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[li
     return trials
 
 
-def _rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
-    """The water-filling assignments, the only ones that can hold the maximizer.
+def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[list[float]]:
+    """``row_candidates`` of any lo/hi/interior assignment."""
+    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
+    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
+    return row_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment, x, free)
+
+
+def walk_rows(m: int, lin: list, lo: list, hi: list):
+    """The water-filling rows, the only assignments that can hold the maximizer.
 
     Coordinates j != m with lin_j <= 0 sit at lo.  Those in J+ (lin_j > 0)
     move lo -> interior -> hi as log mu falls past log lin_j - lo_j, then
     log lin_j - hi_j, interior first on a tie; every step is a pattern.
     x_m is lo, hi, or interior when lin_m is in [-1/4, 0].  Rows with x_m
     fixed whose free coordinates sum past 1/4 hold no case-b point.
+    Yields (row, x, free): the row, its lo/hi point and its interior
+    coordinates in order.  Row, point and free list change in place as
+    the events fire, so a caller that keeps one keeps a copy.
     """
     n = len(lin)
     rising = [j for j in range(n) if j != m and lin[j] > 0.0]
@@ -173,18 +168,26 @@ def _rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
         + [(math.log(lin[j]) - hi[j], _UPPER, j) for j in rising],
         key=lambda event: (-event[0], event[1] == _UPPER),
     )
-    states = [0, _UPPER] + ([_INTERIOR] if -0.25 <= lin[m] <= 0.0 else [])
-    pattern, rows = [0] * n, []
+    target_free = -0.25 <= lin[m] <= 0.0
+    row, x, free = [0] * n, list(lo), []
     for step in range(len(events) + 1):
         if step:
             _, state, j = events[step - 1]
-            pattern[j] = state
-        free = [lin[j] for j in rising if pattern[j] == _INTERIOR]
-        blocked = bool(free) and sum(free) > 0.25
-        for state in states:
-            if not (blocked and state != _INTERIOR):
-                rows.append(pattern[:m] + [state] + pattern[m + 1:])
-    return rows
+            row[j] = state
+            if state == _INTERIOR:
+                bisect.insort(free, j)
+            else:
+                free.remove(j)
+                x[j] = hi[j]
+        if not sum(lin[j] for j in free) > 0.25:
+            yield row, x, free
+            row[m], x[m] = _UPPER, hi[m]
+            yield row, x, free
+            x[m] = lo[m]
+        if target_free:
+            row[m] = _INTERIOR
+            yield row, x, sorted([*free, m])
+        row[m] = 0
 
 
 def _score(m: int, lin: list, x: list) -> float:
@@ -199,27 +202,22 @@ def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult
     Ties between equally-good candidates keep the first one in the fixed
     3^n enumeration order (all-lower first), so the witness is reproducible.
     """
-    lo, hi = box.lo, box.hi
-    lo_f, hi_f = lo.tolist(), hi.tolist()
+    lo_f, hi_f = box.lo.tolist(), box.hi.tolist()
     with np.errstate(over="ignore"):
         # an infinite exp sums past _HUGE, so its rows solve in shifted logits
-        exp_lo, exp_hi = np.exp(lo).tolist(), np.exp(hi).tolist()
+        exp_lo, exp_hi = np.exp(box.lo).tolist(), np.exp(box.hi).tolist()
     best_rows = []
     for m, lin in zip(labels, -linear_coeffs(lam_k)):
         lin_f = lin.tolist()
-        scored = [(row, point, _score(m, lin_f, point))
-                  for row in _rows(m, lin_f, lo_f, hi_f)
-                  for point in assignment_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row)]
+        scored = [(tuple(row), point, _score(m, lin_f, point))
+                  for row, x, free in walk_rows(m, lin_f, lo_f, hi_f)
+                  for point in row_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row, x, free)]
         top = max(score for _, _, score in scored)
         floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
-        best_x = lo.copy()
-        best_f = _objective(m, lin, best_x)
-        for _, point, score in sorted(scored, key=lambda entry: entry[0]):
-            if not score < floor:
-                trial = np.array(point)
-                value = _objective(m, lin, trial)
-                if value > best_f:
-                    best_f, best_x = value, trial
-        best_rows.append((best_f, best_x))
+        window = sorted((entry for entry in scored if not entry[2] < floor),
+                        key=lambda entry: entry[0])
+        # max keeps the first of equal values: the incumbent changes only on a greater one
+        replay = [(_objective(m, lin, x), x) for x in (np.array(point) for _, point, _ in window)]
+        best_rows.append(max(replay, key=lambda entry: entry[0]))
     values, witness = (np.array(part) for part in zip(*best_rows))
     return InnerResult(values, EXACT, witness, grads=({"theta": -witness}, None))

@@ -396,9 +396,9 @@ def model_to_dict(net: CanonicalNetwork) -> dict:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(layers, h: np.ndarray, weights) -> np.ndarray:

@@ -4,7 +4,8 @@ None of these runs in a verification.  They are the slow, direct routes:
 multipliers evaluated at points, closed-form layer expectations through
 per-entry moment generating functions, Monte Carlo layer expectations,
 exhaustive dropout patterns, reproducible noisy multiplier stacks, the
-full 3^n enumeration of the softmax output problem, and the sampled
+full 3^n enumeration of the softmax output problem, the per-assignment
+softmax step and water-filling rows as first written, and the sampled
 attack of one problem alone.
 """
 
@@ -18,7 +19,15 @@ import numpy as np
 from scipy import special
 
 from funclag.inner import final_softmax_exact
-from funclag.inner.softmax_exact import assignment_candidates
+from funclag.inner.softmax_exact import (
+    _BOX_TOL,
+    _HUGE,
+    _INTERIOR,
+    _SUM_ONE_TOL,
+    _TINY,
+    _UPPER,
+    assignment_candidates,
+)
 from funclag.model import (
     CanonicalLayer,
     Deterministic,
@@ -250,6 +259,137 @@ def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray
         for point in assignment_candidates(m, *bounds, *exps, assignment):
             x = np.array(point)
             yield assignment, softmax_objective(m, lin, x), x
+
+
+# --- the softmax output step and rows as first written --------------------
+#
+# Bit-for-bit references for ``assignment_candidates``, ``row_candidates``
+# and ``walk_rows``: one lo/hi/interior assignment solved through separate
+# closed forms, and the water-filling rows built row by row.
+
+
+def _log(v: float) -> float:
+    # lam_j / D can underflow to 0; the point then leaves the box
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def stationary_points_case_a(lam: list, i: int, c: float) -> list[list[float]]:
+    """Stationary points of exp(x_i) / (sum_j exp(x_j) + C) + lam . x.
+
+    Returns full candidate vectors over the free coordinates.  The list
+    is empty unless lam_i lies in [-1/4, 0] and lam_j >= 0 elsewhere;
+    branches whose shares are non-positive, whose denominator vanishes,
+    or whose shares cannot satisfy the C = 0 normalization are dropped.
+    """
+    if not (-0.25 <= lam[i] <= 0.0) or any(v < 0.0 for j, v in enumerate(lam) if j != i):
+        return []
+    sq = math.sqrt(max(1.0 + 4.0 * lam[i], 0.0))
+    points = []
+    for denom in {1.0 + sq, 1.0 - sq}:
+        if denom == 0.0:
+            continue
+        shares = [2.0 * v / denom for v in lam]
+        shares[i] = denom / 2.0
+        if min(shares) <= 0.0:
+            continue
+        total = sum(shares)
+        if c > 0.0:
+            if total >= 1.0:
+                continue
+            offset = math.log(c / (1.0 - total))
+        elif abs(total - 1.0) > _SUM_ONE_TOL:
+            continue
+        else:
+            offset = 0.0
+        points.append([math.log(share) + offset for share in shares])
+    return points
+
+
+def stationary_points_case_b(lam: list, c: float, d: float) -> list[list[float]]:
+    """Stationary points of D / (sum_j exp(x_j) + C) + lam . x.
+
+    Empty unless every lam_j is positive and sum(lam) <= D / (4C);
+    otherwise both roots of the denominator quadratic are returned.
+    """
+    if min(lam) <= 0.0:
+        return []
+    total = sum(lam)
+    if total > d / (4.0 * c):
+        return []
+    disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
+    points = []
+    for t in {d * (1.0 + disc) / (2.0 * total), d * (1.0 - disc) / (2.0 * total)}:
+        if t > 0.0:
+            points.append([_log(v / d) + 2.0 * math.log(t) for v in lam])
+    return points
+
+
+def reference_assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi,
+                                    assignment) -> list[list[float]]:
+    """Candidate points of one lo/hi/interior assignment, in plain floats.
+
+    ``exp_lo`` and ``exp_hi`` are exp of the bounds (inf past overflow).
+    The fixed exps are summed into C; outside [_TINY, _HUGE] they are
+    summed again in logits moved down by the largest fixed one (softmax
+    is shift-invariant) and the points are moved back.
+    """
+    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
+    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
+    if not free:
+        return [x]
+    fixed = [j for j, s in enumerate(assignment) if s != _INTERIOR]
+    exps = {j: exp_hi[j] if assignment[j] == _UPPER else exp_lo[j] for j in fixed}
+    shift = 0.0
+    if fixed and not _TINY <= sum(exps.values()) <= _HUGE:
+        shift = max(x[j] for j in fixed)
+        exps = {j: math.exp(x[j] - shift) for j in fixed}
+    c = sum(exps.values())
+    lam = [lin[j] for j in free]
+    if assignment[m] == _INTERIOR:
+        points = stationary_points_case_a(lam, free.index(m), c)
+    else:
+        points = stationary_points_case_b(lam, c, exps[m])
+    trials = []
+    for xs in points:
+        trial = x.copy()
+        for j, v in zip(free, xs):
+            v += shift
+            if not lo[j] - _BOX_TOL <= v <= hi[j] + _BOX_TOL:
+                break
+            trial[j] = min(max(v, lo[j]), hi[j])
+        else:
+            trials.append(trial)
+    return trials
+
+
+def reference_rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
+    """The water-filling assignments, the only ones that can hold the maximizer.
+
+    Coordinates j != m with lin_j <= 0 sit at lo.  Those in J+ (lin_j > 0)
+    move lo -> interior -> hi as log mu falls past log lin_j - lo_j, then
+    log lin_j - hi_j, interior first on a tie; every step is a pattern.
+    x_m is lo, hi, or interior when lin_m is in [-1/4, 0].  Rows with x_m
+    fixed whose free coordinates sum past 1/4 hold no case-b point.
+    """
+    n = len(lin)
+    rising = [j for j in range(n) if j != m and lin[j] > 0.0]
+    events = sorted(
+        [(math.log(lin[j]) - lo[j], _INTERIOR, j) for j in rising]
+        + [(math.log(lin[j]) - hi[j], _UPPER, j) for j in rising],
+        key=lambda event: (-event[0], event[1] == _UPPER),
+    )
+    states = [0, _UPPER] + ([_INTERIOR] if -0.25 <= lin[m] <= 0.0 else [])
+    pattern, rows = [0] * n, []
+    for step in range(len(events) + 1):
+        if step:
+            _, state, j = events[step - 1]
+            pattern[j] = state
+        free = [lin[j] for j in rising if pattern[j] == _INTERIOR]
+        blocked = bool(free) and sum(free) > 0.25
+        for state in states:
+            if not (blocked and state != _INTERIOR):
+                rows.append(pattern[:m] + [state] + pattern[m + 1:])
+    return rows
 
 
 # --- the sampled attack of one problem alone ---------------------------------

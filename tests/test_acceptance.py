@@ -41,11 +41,17 @@ from funclag import (
 )
 from funclag.cli import main as cli_main
 from funclag.inner import final_softmax_exact, inner_quadratic_bound
-from funclag.inner.softmax_exact import stationary_points_case_b
 from funclag.oracle import random_problem
 
 from conftest import det_layer
-from oracles import box_softmax_max, evaluate, expected_under_layer, mc_expectation, noisy_stack
+from oracles import (
+    box_softmax_max,
+    evaluate,
+    expected_under_layer,
+    mc_expectation,
+    noisy_stack,
+    stationary_points_case_b,
+)
 
 MODEL_PATH = str(Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,26 @@ import pytest
 from funclag import Interval, Linear, softmax
 from funclag.inner import softmax_exact
 from funclag.inner.result import EXACT
-from funclag.inner.softmax_exact import stationary_points_case_a, stationary_points_case_b
 
-from oracles import box_softmax_max, box_softmax_min, reference_candidates, softmax_row
+from oracles import (
+    box_softmax_max,
+    box_softmax_min,
+    reference_assignment_candidates,
+    reference_candidates,
+    reference_rows,
+    softmax_row,
+    stationary_points_case_a,
+    stationary_points_case_b,
+)
 
 
 def objective(m, lin, x):
     return float(softmax(x)[m] + lin @ x)
+
+
+def walk(m, lin, lo, hi):
+    """The rows of ``walk_rows``, each copied as it is yielded."""
+    return [list(row) for row, _, _ in softmax_exact.walk_rows(m, lin, lo, hi)]
 
 
 def case_a_gradient(lam, i, c, x):
@@ -223,8 +237,7 @@ class TestFinalSoftmaxExact:
             else:
                 lin = 0.3 * rng.standard_normal(n)
                 lin[m] = -0.25 * rng.random() if trial % 3 == 1 else lin[m]
-            rows = {tuple(row) for row in softmax_exact._rows(m, lin.tolist(), lo.tolist(),
-                                                              hi.tolist())}
+            rows = {tuple(row) for row in walk(m, lin.tolist(), lo.tolist(), hi.tolist())}
             assert len(rows) <= 6 * n - 3
             candidates = list(reference_candidates(m, lin, lo, hi))
             top = max(value for _, value, _ in candidates)
@@ -327,7 +340,7 @@ class TestRows:
         # thresholds log lin_j - lo_j, log lin_j - hi_j: j=1 interior at
         # log 0.1, j=2 interior at log 0.05, j=1 hi at log 0.1 - 1, j=2 hi
         # at log 0.05 - 1; x_0 takes all three states since lin_0 = 0
-        rows = softmax_exact._rows(0, [0.0, 0.1, 0.05], [0.0] * 3, [1.0] * 3)
+        rows = walk(0, [0.0, 0.1, 0.05], [0.0] * 3, [1.0] * 3)
         patterns = [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)]
         assert rows == [[state, a, b] for a, b in patterns for state in (0, 1, 2)]
         assert len(rows) == 6 * 3 - 3
@@ -335,7 +348,7 @@ class TestRows:
     def test_tied_thresholds_take_interior_first(self):
         # log lin_1 - hi_1 == log lin_2 - lo_2: j=2 turns interior before
         # j=1 reaches hi, so (hi, lo) is no pattern and (interior, interior) is
-        rows = softmax_exact._rows(0, [0.0, 0.1, 0.1], [0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
+        rows = walk(0, [0.0, 0.1, 0.1], [0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
         patterns = {(row[1], row[2]) for row in rows}
         assert patterns == {(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)}
 
@@ -347,7 +360,7 @@ class TestRows:
             lin = 0.3 * rng.standard_normal(n)
             lin[rng.random(n) < 0.3] = 0.0
             lo = rng.standard_normal(n)
-            rows = softmax_exact._rows(m, lin.tolist(), lo.tolist(), (lo + rng.random(n)).tolist())
+            rows = walk(m, lin.tolist(), lo.tolist(), (lo + rng.random(n)).tolist())
             at_lo = [j for j in range(n) if j != m and lin[j] <= 0.0]
             assert rows and all(row[j] == 0 for row in rows for j in at_lo)
             assert len(rows) <= 6 * n - 3
@@ -356,14 +369,14 @@ class TestRows:
         "lin_m, interior", [(-0.3, False), (-0.25, True), (-0.1, True), (0.0, True), (0.1, False)]
     )
     def test_target_is_interior_only_for_lin_m_in_a_quarter(self, lin_m, interior):
-        rows = softmax_exact._rows(1, [0.05, lin_m, 0.02], [0.0, -1.0, 0.5], [2.0, 1.0, 1.0])
+        rows = walk(1, [0.05, lin_m, 0.02], [0.0, -1.0, 0.5], [2.0, 1.0, 1.0])
         assert any(row[1] == 2 for row in rows) == interior
         assert {row[1] for row in rows} >= {0, 1}
 
     def test_fixed_target_rows_past_a_quarter_are_dropped(self):
         # with both others interior sum(lin[F]) = 0.3 > 1/4: case b has no
         # point there, so only the interior target is kept
-        rows = softmax_exact._rows(0, [-0.1, 0.2, 0.1], [0.0] * 3, [1.0] * 3)
+        rows = walk(0, [-0.1, 0.2, 0.1], [0.0] * 3, [1.0] * 3)
         assert [row[0] for row in rows if row[1:] == [2, 2]] == [2]
         assert sorted(row[0] for row in rows if row[1:] == [2, 0]) == [0, 1, 2]
 
@@ -373,7 +386,7 @@ class TestRows:
         # coefficients summing to 1/4 keep case b's double root, at x_1 = x_0,
         # and one float past 1/4 leaves no point, so the row can go
         lin, lo, hi = [0.1, lin_1], [0.0, -1.0], [1.0, 2.0]
-        rows = softmax_exact._rows(0, lin, lo, hi)
+        rows = walk(0, lin, lo, hi)
         assert ([0, 2] in rows, [1, 2] in rows) == (kept, kept)
         exps = (np.exp(lo).tolist(), np.exp(hi).tolist())
         for state, x_0 in ((0, lo[0]), (1, hi[0])):
@@ -383,3 +396,99 @@ class TestRows:
                 assert points[0][1] == pytest.approx(x_0, abs=1e-12)
         seen = dict.fromkeys(FUZZ_COVERAGE, 0)
         check_against_reference(0, np.array(lin), Interval(np.array(lo), np.array(hi)), seen)
+
+    def test_walk_yields_the_reference_rows_in_order(self):
+        """Same rows as the row-by-row reference, all-lower first, at most 6n - 3."""
+        seen = dict.fromkeys(FUZZ_COVERAGE, 0)
+        rng = np.random.default_rng(14)
+        for n in range(1, 13):
+            for i in range(14):
+                m, lin, box = fuzz_instance(rng, n, i % 7, seen)
+                args = (m, lin.tolist(), box.lo.tolist(), box.hi.tolist())
+                rows = walk(*args)
+                assert rows == reference_rows(*args), (n, i)
+                assert rows[0] == [0] * n
+                assert len(rows) <= 6 * n - 3
+
+    def test_walk_yields_each_rows_point_and_interior(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 13):
+            for i in range(7):
+                m, lin, box = fuzz_instance(rng, n, i, dict.fromkeys(FUZZ_COVERAGE, 0))
+                lo, hi = box.lo.tolist(), box.hi.tolist()
+                for row, x, free in softmax_exact.walk_rows(m, lin.tolist(), lo, hi):
+                    assert x == [h if s == 1 else low for s, low, h in zip(row, lo, hi)]
+                    assert free == [j for j, s in enumerate(row) if s == 2]
+
+
+def step_inputs(m, lin, box):
+    with np.errstate(over="ignore"):
+        exps = (np.exp(box.lo).tolist(), np.exp(box.hi).tolist())
+    return m, lin.tolist(), box.lo.tolist(), box.hi.tolist(), *exps
+
+
+def hexed(points):
+    return [[float.hex(v) for v in point] for point in points]
+
+
+def coverage(row, inputs, points, seen):
+    """Count the row features the step must reproduce, in ``seen``."""
+    m, _, lo, hi, exp_lo, exp_hi = inputs
+    fixed = [exp_hi[j] if s == 1 else exp_lo[j] for j, s in enumerate(row) if s != 2]
+    if 2 in row:
+        seen["case a" if row[m] == 2 else "case b"] += bool(points)
+        normal = softmax_exact._TINY <= sum(fixed) <= softmax_exact._HUGE
+        seen["shifted"] += bool(fixed) and not normal
+    seen["zero width"] += any(low == h for low, h in zip(lo, hi))
+
+
+class TestRowCandidates:
+    """The step returns the reference's points, compared float by float."""
+
+    KINDS = ("case a", "case b", "shifted", "zero width")
+
+    def test_every_assignment_matches_the_reference(self):
+        seen = dict.fromkeys(FUZZ_COVERAGE + self.KINDS, 0)
+        rng = np.random.default_rng(16)
+        for n in range(1, 7):
+            for i in range(14):
+                inputs = step_inputs(*fuzz_instance(rng, n, i % 7, seen))
+                for assignment in itertools.product((0, 1, 2), repeat=n):
+                    points = softmax_exact.assignment_candidates(*inputs, assignment)
+                    assert hexed(points) == hexed(reference_assignment_candidates(*inputs,
+                                                                                  assignment))
+                    coverage(assignment, inputs, points, seen)
+        assert all(seen[kind] > 0 for kind in self.KINDS), seen
+
+    def test_every_row_matches_the_reference(self):
+        seen = dict.fromkeys(FUZZ_COVERAGE + self.KINDS, 0)
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            for i in range(21):
+                inputs = step_inputs(*fuzz_instance(rng, n, i % 7, seen))
+                for row, x, free in softmax_exact.walk_rows(*inputs[:4]):
+                    points = softmax_exact.row_candidates(*inputs, row, x, free)
+                    assert hexed(points) == hexed(reference_assignment_candidates(*inputs, row))
+                    coverage(row, inputs, points, seen)
+        assert all(seen[kind] > 0 for kind in self.KINDS), seen
+
+
+@pytest.mark.parametrize("offset", [0.0, -800.0, 705.0])
+def test_batch_gives_each_label_its_single_call(offset):
+    """Labels solved in one call get the value and witness of their own call, bit for bit."""
+    rng = np.random.default_rng(18 + int(abs(offset)))
+    for trial in range(24):
+        n, count = 2 + trial % 7, 1 + trial % 8
+        labels = rng.integers(n, size=count).tolist()
+        theta = 0.3 * rng.standard_normal((count, n))
+        if trial % 3 == 0:
+            # one label and multiplier row repeated through the batch
+            labels, theta = [labels[0]] * count, np.repeat(theta[:1], count, axis=0)
+        lo = offset + 1.5 * rng.standard_normal(n)
+        box = Interval(lo, lo + 2.5 * rng.random(n))
+        with np.errstate(over="raise", invalid="raise"):
+            res = softmax_exact.final_softmax_exact(labels, Linear(theta=theta), box)
+            for i, m in enumerate(labels):
+                alone = softmax_exact.final_softmax_exact([m], Linear(theta=theta[i:i + 1]), box)
+                assert res.value[i].hex() == alone.value[0].hex(), (trial, i)
+                assert res.witness[i].tobytes() == alone.witness[0].tobytes(), (trial, i)
