@@ -38,13 +38,14 @@ def activation_candidates(lo, hi, activation: str) -> list[tuple]:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def activation_linear_max(a, b, lo, hi, activation: str) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-coordinate max of a * s(z) - b * z over [lo, hi]: (values, witness).
+def activation_linear_max(a, b, candidates: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-coordinate max of a * s(z) - b * z over a box: (values, witness).
 
-    Ties go to the first candidate, the smallest z.  The arguments
-    broadcast, so a stack of b rows solves one box for several b at once.
+    ``candidates`` are the box's ``activation_candidates``.  Ties go to the
+    first candidate, the smallest z.  The arguments broadcast, so a stack
+    of b rows solves one box for several b at once.
     """
-    (best_z, s, _), *rest = activation_candidates(lo, hi, activation)
+    (best_z, s, _), *rest = candidates
     best_v = a * s - b * best_z
     for z, s, inside in rest:
         v = a * s - b * z
@@ -77,7 +78,8 @@ def inner_linear(
     theta_k = linear_coeffs(lam_k)
     theta_next = linear_coeffs(lam_next)
     a, b = matvec_rows(layer.weights.mean.T, theta_next), layer.bias.mean
-    values, witness = activation_linear_max(a, theta_k, box.lo, box.hi, layer.activation)
+    candidates = activation_candidates(box.lo, box.hi, layer.activation)
+    values, witness = activation_linear_max(a, theta_k, candidates)
     totals = []
     for theta, row in zip(theta_next, values.tolist()):
         total = float(theta @ b)

@@ -64,10 +64,11 @@ def inner_linexp_input(
 
 
 def transition_bound_at_zeta(
-    alpha, gamma, kappa: float, coeffs: tuple, layer: CanonicalLayer, box: Interval, zeta
+    alpha, gamma, kappa: float, coeffs: tuple, candidates: list[tuple], zeta
 ) -> tuple[np.ndarray, np.ndarray]:
     """One row's bound value at zeta >= 0 plus the per-coordinate witnesses, with
-    (alpha, gamma, kappa) its linexp multiplier and ``coeffs`` its successor's (W'beta, beta.b).
+    (alpha, gamma, kappa) its linexp multiplier, ``coeffs`` its successor's (W'beta, beta.b)
+    and ``candidates`` the box's ``activation_candidates``.
 
     With the exponential epigraph dualized by zeta, the remaining box
     maximization is the separable one of ``inner_linear`` with
@@ -77,7 +78,7 @@ def transition_bound_at_zeta(
     zeta = np.maximum(np.asarray(zeta, dtype=float), 0.0)
     c, bias_term = coeffs
     b = alpha + zeta[..., None] * gamma
-    values, witness = activation_linear_max(c, b, box.lo, box.hi, layer.activation)
+    values, witness = activation_linear_max(c, b, candidates)
     positive = zeta > 0.0
     log_zeta = np.log(np.where(positive, zeta, 1.0))
     entropy = np.where(positive, zeta * (log_zeta - 1.0 - kappa), 0.0)
@@ -112,7 +113,7 @@ def inner_linexp_transition(
                 cross = (icpt1 - icpt2) / (slope2 - slope1)
             breaks.append(cross[inside1 & inside2 & (cross > 0.0) & (cross < zeta_cap)])
         breaks = np.sort(np.concatenate(breaks))
-        row = (alpha, gamma, kappa, coeffs, layer, box)
+        row = (alpha, gamma, kappa, coeffs, candidates)
         _, piece_x = transition_bound_at_zeta(*row, 0.5 * (breaks[:-1] + breaks[1:]))
         stationary = np.exp(np.minimum(kappa + piece_x @ gamma, _ZETA_LOG_CAP))
         trials = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])

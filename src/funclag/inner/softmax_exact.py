@@ -25,26 +25,18 @@ among them; a float sum of non-negative terms is no smaller than any of
 them, so D / (4C) <= 1/4 holds in floats too, and a row with x_m fixed
 whose free coefficients sum past 1/4 holds no point and is dropped.
 
-Walk, score, then replay.  ``walk_rows`` moves along the water-filling
-events of one label with the pattern and its lo/hi point held in place,
-and yields each row with that point and its interior coordinates.  One
+Walk, then score.  ``walk_rows`` moves along the water-filling events
+of one label with the pattern and its lo/hi point held in place, and
+yields each row with that point and its interior coordinates.  One
 plain-float step, ``row_candidates``, turns a row into its candidate
-points (``assignment_candidates`` is the same step on any assignment),
-and ``_score`` scores them.  It and the numpy ``_objective`` evaluate the
-same point and differ only by rounding, so only the candidates scored
-within a 1e-9 window of the top are sorted into enumeration order (base
-3, first coordinate slowest, all-lower first) and re-scored by
-``_objective``, the incumbent replaced only on a strictly greater value.
-The full 3^n loop over the same step, started from the all-lower corner,
-returns the first candidate in that order that attains the maximum,
-which is the box maximum.  That candidate's assignment is a water-filling
-row (on a zero-width coordinate the rows may hold its hi twin, which
-computes the same point), and its score lies within rounding of the
-maximum, so the replay returns the same value and witness, bit for bit,
-as the full loop.  The replay needs no start of its own: every walk
-begins with the all-lower row, whose one point is the corner.  Either
-that point is in the window and replayed first, or every windowed
-candidate scores more than the window above it and beats the corner.
+points (``assignment_candidates`` is the same step on any assignment).
+The candidates are sorted into the enumeration order (base 3, first
+coordinate slowest, all-lower first) and scored in one numpy pass over
+their C-ordered block, whose row-wise softmax and stacked matvec give
+each point the bits of its lone evaluation, so the first maximizer is
+the one the full 3^n loop over the same step returns: the box maximum.
+Its assignment is a water-filling row (on a zero-width coordinate the
+rows may hold its hi twin, which computes the same point).
 """
 
 from __future__ import annotations
@@ -57,19 +49,15 @@ import numpy as np
 from ..bounds import Interval
 from ..model import softmax
 from ..multipliers import Multiplier, linear_coeffs
+from .linear import matvec_rows
 from .result import EXACT, InnerResult
 
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
-_REPLAY_WINDOW = 1e-9
 # the closed forms run in unshifted logits while the fixed exps sum inside
 # [_TINY, _HUGE]: normal floats whose case-a / case-b arithmetic cannot overflow
 _TINY, _HUGE = np.finfo(float).tiny, math.sqrt(np.finfo(float).max)
-
-
-def _objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
-    return float(softmax(x)[m] + lin @ x)
 
 
 def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[float]]:
@@ -105,7 +93,7 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
         if -0.25 <= lam[i] <= 0.0 and not any(v < 0.0 for j, v in enumerate(lam) if j != i):
             sq = math.sqrt(max(1.0 + 4.0 * lam[i], 0.0))
             # sets here and for case b's roots: a double root is one point, and
-            # the set order fixes which of two tied points the replay meets first
+            # the set order fixes which of two tied points comes first
             for denom in {1.0 + sq, 1.0 - sq}:
                 if denom == 0.0:
                     continue
@@ -190,12 +178,6 @@ def walk_rows(m: int, lin: list, lo: list, hi: list):
         row[m] = 0
 
 
-def _score(m: int, lin: list, x: list) -> float:
-    top = max(x)
-    e = [math.exp(v - top) for v in x]
-    return e[m] / sum(e) + sum(a * v for a, v in zip(lin, x))
-
-
 def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult:
     """Exact max of softmax_m(x) - lam_k(x) over the box, with label m of each row.
 
@@ -209,15 +191,15 @@ def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult
     best_rows = []
     for m, lin in zip(labels, -linear_coeffs(lam_k)):
         lin_f = lin.tolist()
-        scored = [(tuple(row), point, _score(m, lin_f, point))
-                  for row, x, free in walk_rows(m, lin_f, lo_f, hi_f)
-                  for point in row_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row, x, free)]
-        top = max(score for _, _, score in scored)
-        floor = top - _REPLAY_WINDOW * max(1.0, abs(top))
-        window = sorted((entry for entry in scored if not entry[2] < floor),
-                        key=lambda entry: entry[0])
-        # max keeps the first of equal values: the incumbent changes only on a greater one
-        replay = [(_objective(m, lin, x), x) for x in (np.array(point) for _, point, _ in window)]
-        best_rows.append(max(replay, key=lambda entry: entry[0]))
+        keyed = [(tuple(row), point)
+                 for row, x, free in walk_rows(m, lin_f, lo_f, hi_f)
+                 for point in row_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row, x, free)]
+        # into enumeration order; the sort is stable, so a row's points keep their order
+        keyed.sort(key=lambda entry: entry[0])
+        points = np.array([point for _, point in keyed])
+        scores = softmax(points)[:, m] + matvec_rows(points[:, np.newaxis], lin)[:, 0]
+        # argmax keeps the first of equal values, as the enumeration order does
+        best = np.argmax(scores)
+        best_rows.append((scores[best], points[best]))
     values, witness = (np.array(part) for part in zip(*best_rows))
     return InnerResult(values, EXACT, witness, grads=({"theta": -witness}, None))

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from funclag import Interval, Linear
+from funclag import Interval, Linear, softmax
 from funclag.inner import final_linear, inner_linear
-from funclag.inner.linear import activation_linear_max, matvec_rows
+from funclag.inner.linear import activation_candidates, activation_linear_max, matvec_rows
 
 from conftest import det_layer
 
 
 def coordinate_max(a, b, lo, hi, activation):
-    values, witness = activation_linear_max(*(np.array([v]) for v in (a, b, lo, hi)), activation)
+    a, b, lo, hi = (np.array([v]) for v in (a, b, lo, hi))
+    values, witness = activation_linear_max(a, b, activation_candidates(lo, hi, activation))
     return float(values[0]), float(witness[0])
 
 
@@ -42,16 +43,18 @@ class TestScalarMax:
         lo = rng.standard_normal(4)
         hi = lo + rng.random(4)
         a, b = rng.standard_normal(4), rng.standard_normal((5, 4))
-        values, witness = activation_linear_max(a, b, lo, hi, "relu")
+        candidates = activation_candidates(lo, hi, "relu")
+        values, witness = activation_linear_max(a, b, candidates)
         assert values.shape == witness.shape == (5, 4)
         for row in range(5):
-            v, z = activation_linear_max(a, b[row], lo, hi, "relu")
+            v, z = activation_linear_max(a, b[row], candidates)
             np.testing.assert_array_equal(values[row], v)
             np.testing.assert_array_equal(witness[row], z)
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
-            activation_linear_max(np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), "tanh")
+            activation_linear_max(np.ones(1), np.zeros(1),
+                                  activation_candidates(np.zeros(1), np.ones(1), "tanh"))
 
 
 class TestInnerLinear:
@@ -166,3 +169,11 @@ def test_matvec_rows_matches_lone_products():
         x, y = rng.standard_normal((rows, n)), rng.standard_normal((rows, m))
         assert matvec_rows(w, x).tobytes() == np.array([w @ v for v in x]).tobytes()
         assert matvec_rows(w.T, y).tobytes() == np.array([w.T @ v for v in y]).tobytes()
+        # the exact output solve scores a C-ordered block of candidates: each row's
+        # product with one vector and its row-wise softmax keep their lone bits (a
+        # strided row's softmax sums in another order, so the C order is needed)
+        points, lin = np.ascontiguousarray(10.0 * w), x[0]
+        assert (matvec_rows(points[:, np.newaxis], lin)[:, 0].tobytes()
+                == np.array([lin @ v for v in points]).tobytes())
+        k = trial % n
+        assert softmax(points)[:, k].tobytes() == np.array([softmax(v)[k] for v in points]).tobytes()

@@ -5,6 +5,7 @@ import pytest
 
 from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
+from funclag.inner.linear import activation_candidates
 from funclag.inner.linexp import transition_bound_at_zeta
 
 from conftest import det_layer
@@ -15,8 +16,9 @@ def at_zeta(lam1, lam2, layer, box, zeta):
     """``transition_bound_at_zeta`` for one-row multipliers."""
     p, beta = one_row(lam1), one_row(lam2)["theta"]
     coeffs = (layer.weights.mean.T @ beta, float(beta @ layer.bias.mean))
-    return transition_bound_at_zeta(p["alpha"], p["gamma"], float(p["kappa"]), coeffs, layer,
-                                    box, zeta)
+    candidates = activation_candidates(box.lo, box.hi, layer.activation)
+    return transition_bound_at_zeta(p["alpha"], p["gamma"], float(p["kappa"]), coeffs,
+                                    candidates, zeta)
 
 
 def random_transition_instance(rng, n=2, m=2):

@@ -334,6 +334,30 @@ class TestFinalSoftmaxExact:
             sampled = float((softmax(points)[:, m] + points @ lin).max())
             assert res.value >= sampled - 1e-12 * abs(sampled)
 
+    @pytest.mark.parametrize("lo, hi, scale, raises", [
+        (-1e308, 1e308, 0.1, True),    # x - max(x) overflows in the softmax
+        (1e307, 1e308, 1e10, True),    # lin . x overflows
+        (1e307, 1e308, 0.1, False),
+        (0.0, 1e290, -1e10, False),
+    ])
+    def test_logits_near_the_float_range(self, lo, hi, scale, raises):
+        # under the dual's error state the solve raises where scoring a candidate
+        # overflows, and otherwise returns the 3^n loop's first best, bit for bit
+        for n in range(2, 5):
+            lin = scale * np.array([1.0, -0.5, 0.25, -0.125][:n])
+            box = Interval(np.full(n, lo), np.full(n, hi))
+            for m in range(n):
+                with np.errstate(over="raise", invalid="raise"):
+                    if raises:
+                        with pytest.raises(FloatingPointError):
+                            softmax_row(m, Linear(theta=-lin), box)
+                        continue
+                    res = softmax_row(m, Linear(theta=-lin), box)
+                    candidates = list(reference_candidates(m, lin, box.lo, box.hi))
+                top = max(value for _, value, _ in candidates)
+                _, value, witness = next(c for c in candidates if c[1] == top)
+                assert res.value == value and np.array_equal(res.witness, witness)
+
 
 class TestRows:
     def test_positive_coordinates_fill_in_threshold_order(self):
@@ -471,6 +495,26 @@ class TestRowCandidates:
                     assert hexed(points) == hexed(reference_assignment_candidates(*inputs, row))
                     coverage(row, inputs, points, seen)
         assert all(seen[kind] > 0 for kind in self.KINDS), seen
+
+    def test_zero_offset_logs_match_the_reference(self):
+        # case a with C = 0: every coordinate free and lin_m exactly minus the others'
+        # dyadic sum, so the shares sum to one and the offset is zero; the wide box
+        # clips no point, so each coordinate is the log of its share, where a
+        # last-bit change in the log shows
+        rng = np.random.default_rng(19)
+        unclipped = 0
+        for trial in range(1500):
+            n = 2 + trial % 11
+            m = int(rng.integers(n))
+            lin = rng.integers(1, 2**10, n) / 2.0**16
+            lin[m] = 0.0
+            lin[m] = -lin.sum()
+            lo = -40.0 - rng.random(n)
+            inputs = step_inputs(m, lin, Interval(lo, -lo))
+            points = softmax_exact.assignment_candidates(*inputs, (2,) * n)
+            assert hexed(points) == hexed(reference_assignment_candidates(*inputs, (2,) * n))
+            unclipped += sum(lo[j] < v < -lo[j] for point in points for j, v in enumerate(point))
+        assert unclipped >= 20_000, unclipped
 
 
 @pytest.mark.parametrize("offset", [0.0, -800.0, 705.0])
