@@ -20,7 +20,7 @@ Each bound takes one route.  The coefficients of the layer QP are built
 once per call; ``_build_qp`` assembles and rescales the QP at one
 penalty point, and ``_shift_step`` gives the uncertified value, active
 set, top eigenvector and Danskin weight at one kappa, for the penalty
-search and the kappa loop alike.  Gradients are those of the Danskin
+step and the kappa loop alike.  Gradients are those of the Danskin
 surrogate: with the eigenvector and the active set frozen, the bound is
 affine in the rescaled QP data, and ``_pull_back`` maps its gradient
 there in closed form to the penalties and, at the eigenpair of the
@@ -28,8 +28,6 @@ certified iterate, to both multipliers.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -47,10 +45,8 @@ from .linear import inner_linear
 from .result import EXACT, UPPER_BOUND, InnerResult
 
 
-# the one schedule, started from zero: subgradient steps on the diagonal
-# shift kappa and on the relu penalties
+# subgradient steps on the diagonal shift kappa, started from zero
 _KAPPA_STEPS = 10
-_PENALTY_STEPS = 2
 
 
 class NumericalError(ArithmeticError):
@@ -234,12 +230,12 @@ def inner_quadratic_bound(
 
     When both quadratic blocks of a row vanish its problem is linear and
     the exact per-coordinate closed form is returned instead.  Otherwise,
-    on a relu layer, the penalties (zeta, zeta_plus, zeta_minus) take a
-    few subgradient steps from zero, tracked by the shift value at
-    kappa = 0.  The zero penalties and the best iterate, when it moved off
-    zero, each get a kappa loop and a certified value; every such value is
-    a valid bound, and the smallest one is returned with its duals and the
-    gradients frozen at the eigenpair its kappa loop kept.
+    on a relu layer, the penalties (zeta, zeta_plus, zeta_minus) take one
+    subgradient step from zero on the zero start's shift value at
+    kappa = 0.  The zero penalties, and the moved ones when their kappa = 0
+    value is lower, each get a kappa loop and a certified value; every
+    such value is a valid bound, and the smallest one is returned with its
+    duals and the gradients frozen at the eigenpair its kappa loop kept.
     """
     n = layer.in_dim
     views = zip(*as_quadratic(lam_k, n), *as_quadratic(lam_next, layer.out_dim))
@@ -268,27 +264,25 @@ def _quadratic_row(layer, lam_k, lam_next, box, q_k, q_k_lin, q_n, q_n_lin):
         return _exact_linear(layer, lam_k, lam_next, box, q_k_lin, q_n_lin)
 
     coeffs = _coefficients(layer, q_k, q_k_lin, q_n, q_n_lin, box)
-    starts = [(np.zeros(n),) * 3]
+    zero = (np.zeros(n),) * 3
+    starts = [(zero, _build_qp(layer, coeffs, *zero))]
     if layer.activation == "relu":
-        # only the zero start and the winning iterate get a certified evaluation
-        params = best_params = np.zeros(3 * n)
-        best_est = math.inf
+        # one subgradient step on the penalties from the zero start's kappa = 0
+        # eigenpair; the moved point is certified only when its kappa = 0 value is lower
+        mf, c0 = starts[0][1]
+        est, _, v, weight = _shift_step(mf, np.zeros(mf.shape[0]))
         scale = float(max(1.0, np.abs(q_k).max(initial=0.0), np.abs(q_n).max(initial=0.0)))
-        for t in range(_PENALTY_STEPS):
-            mf, c0 = _build_qp(layer, coeffs, *np.split(params, 3))
-            est, _, v, weight = _shift_step(mf, np.zeros(mf.shape[0]))
-            if c0 + est < best_est:
-                best_est, best_params = c0 + est, params
-            lr = 0.3 * scale / (1.0 + 0.2 * t)
-            params = params - lr * _pull_back(layer, coeffs, v, weight)[4]
-            params[n:] = np.maximum(params[n:], 0.0)
-        # a search that kept the zero start would only repeat its solve
-        if best_params.any():
-            starts.append(np.split(best_params, 3))
+        params = 0.0 - 0.3 * scale * _pull_back(layer, coeffs, v, weight)[4]
+        params[n:] = np.maximum(params[n:], 0.0)
+        if params.any():
+            penalties = tuple(np.split(params, 3))
+            mf_moved, c0_moved = _build_qp(layer, coeffs, *penalties)
+            if c0_moved + _shift_step(mf_moved, np.zeros(mf_moved.shape[0]))[0] < c0 + est:
+                starts.append((penalties, (mf_moved, c0_moved)))
 
     best = None
-    for penalties in starts:
-        val, kappa, v, weight = qp_box_bound(*_build_qp(layer, coeffs, *penalties))
+    for penalties, qp in starts:
+        val, kappa, v, weight = qp_box_bound(*qp)
         if best is None or val < best[0]:
             best = (val, (*penalties, kappa), v, weight)
     val, duals, v, weight = best

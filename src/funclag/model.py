@@ -421,34 +421,59 @@ def mean_weights(layers) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(layer.weights.mean, layer.bias.mean) for layer in layers]
 
 
+def truncated_normal(rng, scale: float, radius: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows of N(0, scale^2) draws cut at +-radius, column by column.
+
+    One block of ``scale`` times standard normals, then only the entries
+    past their cut are redrawn, in C order: first by fresh normals where
+    the radius is at least the scale, then the rest by uniforms u on
+    [-r, r] kept with probability exp(-u^2 / 2 scale^2) >= e^-1/2, so a
+    small radius takes few rounds and a radius of 0 gives 0.  With no
+    radius below the scale, ``rng`` is consumed by the normals alone.
+    """
+    # weight draws (unit scale, no cut below 1) skip scaling and splitting
+    block = rng.standard_normal((rows, radius.size))
+    if scale != 1.0:
+        block *= scale
+    flat = block.reshape(-1)
+    wide = (np.abs(block) > radius).reshape(-1).nonzero()[0]
+    thin = wide[:0]
+    if np.any(radius < scale):
+        narrow = radius[wide % radius.size] < scale
+        wide, thin = wide[~narrow], wide[narrow]
+    while wide.size:
+        flat[wide] = scale * rng.standard_normal(wide.size)
+        wide = wide[np.abs(flat[wide]) > radius[wide % radius.size]]
+    while thin.size:
+        u = radius[thin % radius.size] * rng.uniform(-1.0, 1.0, thin.size)
+        flat[thin] = u
+        thin = thin[rng.random(thin.size) >= np.exp(-0.5 * (u / scale) ** 2)]
+    return block
+
+
 def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
     """``take`` draws of every (W, b), stacked on a leading axis.
 
-    One standard-normal block covers the Gaussian entries of all draws,
+    One block of standard normals cut at each tensor's truncation
+    (:func:`truncated_normal`) covers the Gaussian entries of all draws,
     draw by draw in layer order (weights before bias), and one uniform
     block the dropout entries; a deterministic tensor draws nothing and
-    stays unstacked.  Normal entries past their tensor's truncation are
-    redrawn in C order until none is left, so every Gaussian draw lies in
-    the support the boxes enclose.  Without Gaussian tensors, ``rng`` is
-    consumed exactly as by ``take`` successive draws.
+    stays unstacked.  So every Gaussian draw lies in the support the
+    boxes enclose.  Without Gaussian tensors, ``rng`` is consumed exactly
+    as by ``take`` successive draws.
     """
     tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
     blocks = {}
-    for noise, draw in (("normal", rng.standard_normal), ("uniform", rng.random)):
+    for noise in ("normal", "uniform"):
         drawn = [dist for dist in tensors if dist.noise == noise]
         if not drawn:
             continue
         sizes = [math.prod(dist.shape) for dist in drawn]
-        block = draw((take, sum(sizes)))
         if noise == "normal":
-            # one check of the whole block against each column's cut, then
-            # only the redrawn entries are checked again
-            limit = np.array([dist.truncation for dist in drawn]).repeat(sizes)
-            flat = block.reshape(-1)
-            tail = (np.abs(block) > limit).reshape(-1).nonzero()[0]
-            while tail.size:
-                flat[tail] = draw(tail.size)
-                tail = tail[np.abs(flat[tail]) > limit[tail % limit.size]]
+            cuts = np.array([dist.truncation for dist in drawn]).repeat(sizes)
+            block = truncated_normal(rng, 1.0, cuts, take)
+        else:
+            block = rng.random((take, sum(sizes)))
         ends = itertools.accumulate(sizes)
         blocks[noise] = iter([block[:, end - size:end] for size, end in zip(sizes, ends)])
     realized = iter([

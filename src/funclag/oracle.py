@@ -26,6 +26,7 @@ from .model import (
     forward,
     mean_weights,
     softmax,
+    truncated_normal,
 )
 from .specs import (
     BoxOfDeltas,
@@ -285,30 +286,6 @@ def sample_lower_bound(
     return results
 
 
-def truncated_normal(rng, scale: float, radius: np.ndarray, k: int) -> np.ndarray:
-    """k rows of N(0, scale^2) noise cut at +-radius, coordinate by coordinate.
-
-    Rejection sampling that redraws only the rejected entries in each
-    round.  Where the radius is below the scale, the proposal is uniform
-    on [-r, r] and is kept with probability exp(-u^2 / 2 scale^2), which
-    is at least e^-1/2; elsewhere it is the normal itself, which lands
-    inside +-r at least 68 % of the time.  So each round keeps most of
-    what is left, however small the radius.  A radius of 0 gets no noise.
-    """
-    bound = np.broadcast_to(radius, (k, radius.shape[0])).ravel()
-    noise = np.zeros(bound.shape)
-    left = np.flatnonzero(bound > 0.0)
-    while left.size:
-        r = bound[left]
-        narrow = r < scale
-        u = np.where(narrow, r * rng.uniform(-1.0, 1.0, r.size), rng.normal(0.0, scale, r.size))
-        keep = np.where(narrow, rng.random(r.size) < np.exp(-0.5 * (u / scale) ** 2),
-                        np.abs(u) <= r)
-        noise[left[keep]] = u[keep]
-        left = left[~keep]
-    return noise.reshape(k, radius.shape[0])
-
-
 def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
     """Best estimate of each objective over a catalog of feasible noise distributions.
 
@@ -316,8 +293,9 @@ def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
     (possibly clipped) box around the center, and a sub-Gaussian mgf with
     the set's sigma.  Symmetric truncation radii keep the mean at zero
     even when clipping shrinks one side of the box, and symmetric
-    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian.  A
-    coordinate with radius 0 (a clipped center on the box edge) gets no
+    truncated Gaussians with scale <= sigma stay sigma-sub-Gaussian; they
+    come from :func:`truncated_normal`, the sampler of Gaussian weights.
+    A coordinate with radius 0 (a clipped center on the box edge) gets no
     noise.  Each distribution is sampled once, and one forward pass of
     its rows scores every objective.
     """

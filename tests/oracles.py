@@ -5,8 +5,9 @@ multipliers evaluated at points, closed-form layer expectations through
 per-entry moment generating functions, Monte Carlo layer expectations,
 exhaustive dropout patterns, reproducible noisy multiplier stacks, the
 full 3^n enumeration of the softmax output problem, the per-assignment
-softmax step and water-filling rows as first written, and the sampled
-attack of one problem alone.
+softmax step and water-filling rows as first written, the Gaussian
+weight block as first written, and the sampled attack of one problem
+alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from funclag.model import (
     forward,
     mean_weights,
     softmax,
+    truncated_normal,
 )
 from funclag.multipliers import (
     Linear,
@@ -49,7 +51,6 @@ from funclag.multipliers import (
     with_params,
 )
 from funclag.dual import init_stack
-from funclag.oracle import truncated_normal
 from funclag.specs import LogitDiff, SubGaussianNoise
 
 
@@ -393,6 +394,22 @@ def reference_rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
 
 
 # --- the sampled attack of one problem alone ---------------------------------
+
+
+def normal_block_as_first_written(rng, limit: np.ndarray, take: int) -> np.ndarray:
+    """The standard-normal block of ``draw_weights`` as first written: ``take``
+    rows of normals, then every entry past its column's ``limit`` redrawn as a
+    whole normal, in C order, until none is left."""
+    draw = rng.standard_normal
+    block = draw((take, limit.size))
+    # one check of the whole block against each column's cut, then
+    # only the redrawn entries are checked again
+    flat = block.reshape(-1)
+    tail = (np.abs(block) > limit).reshape(-1).nonzero()[0]
+    while tail.size:
+        flat[tail] = draw(tail.size)
+        tail = tail[np.abs(flat[tail]) > limit[tail % limit.size]]
+    return block
 
 
 def _objective_values(objective, logits):

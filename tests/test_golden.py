@@ -5,9 +5,10 @@ inner solver, an envelope gradient, the outer loop or the sampled attack
 changes the SHA-256 of the output file.  The jobs below are small and
 together reach every final-layer solver, every transition solver, the
 three routes of the quadratic bound (an identity layer; a relu layer
-with one start; a relu layer whose penalty start is certified and wins)
-and both forward paths of the attack (weight draws shared by a batch of
-points, and one draw per noisy input row); ``test_jobs_cover_every_path``
+with one start; a relu layer whose penalty start is certified and wins),
+both forward paths of the attack (weight draws shared by a batch of
+points, and one draw per noisy input row) and input noise cut below its
+scale (uniform proposals); ``test_jobs_cover_every_path``
 asserts that they do.  A change meant to alter certificates regenerates the
 digests with ``PYTHONPATH=src python tests/test_golden.py``, which also
 names the jobs whose digest differs from ``GOLDEN``.
@@ -70,6 +71,10 @@ JOBS = {
                                   "true_label": 0}, []),
     "dist-linexp": (None, {"type": "dist_robust_ood", "input": CENTER, "epsilon": 0.04,
                            "sigma": 0.05, "p_max": 0.2}, ["--family", "linexp"]),
+    # the clipped first coordinate has noise radius 0.01, below both noise scales
+    "clipped-dist-linexp": (None, {"type": "dist_robust_ood", "input": [0.01, *CENTER[1:]],
+                                   "epsilon": 0.04, "sigma": 0.05, "p_max": 0.2, "clip": True},
+                            ["--family", "linexp"]),
     "robust-quadratic": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
                                 "p_max": 0.3}, ["--family", "quadratic", "--steps", "2",
                                                 "--certify-every", "2"]),
@@ -86,21 +91,24 @@ JOBS = {
 GOLDEN = {
     "robust-linear": "ef5954e744a26e597a41be5f75d171542decbf30e72de8dd10153ea2d6527895",
     "adversarial-linear": "001df35930176b960f1319bfe86e28bb6e8b24a9e4adeea83010be615f8b9685",
-    "dist-linexp": "39799a49e389865ddb977cef89ee15bbec66bc9d1a99c130df7a57dbbea2b7f1",
+    "dist-linexp": "9677c087015bf60e7de066b1615fbf2d95e76116c258e1a4058106364195489f",
+    "clipped-dist-linexp": "6943f4932cb8e52c4cded66362c6cf98a272d6036fad08ed743ee7cb0d9ecd14",
     "robust-quadratic": "2d510bde312103ffeb7067711c233f0c0816ae70ac661b8b8162d1a12e5c0998",
     "wide-linear": "4be7385042780ec827920b2849244f8880db1f98d5f71c7f369ab483598e870a",
     "gaussian-adversarial": "09669b75123ecf4886ff3cc3413ae3618ee8badbd9630ab954944f67555610a1",
     "mixed-adversarial": "180a7f150bb88d03fdb6e23a352b9e8e84ff37c374f956d447c8786f09e884b3",
-    "dropout-dist-linexp": "202272ef2a23360c56822bba585f485b3c39e66c902110bb6d531a19278e2dc8",
+    "dropout-dist-linexp": "0a84760e90ca12fd5996fa9038540b831393efdd49dcba9a0e6d0278052d88f3",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for
-# shared weight draws and ("attack", "per_row") for one draw per row, and
-# the quadratic routes are those of _quadratic_path
+# shared weight draws and ("attack", "per_row") for one draw per row,
+# ("attack", "narrow cut") is noise drawn with some radius below its scale,
+# and the quadratic routes are those of _quadratic_path
 EXPECTED = {
     "robust-linear": {"inner_linear", "final_softmax_exact"},
     "adversarial-linear": {"inner_linear", "final_linear"},
     "dist-linexp": {"inner_linexp_input", "inner_linexp_transition"},
+    "clipped-dist-linexp": {"inner_linexp_input", ("attack", "narrow cut")},
     "robust-quadratic": {"inner_quadratic_bound", "final_softmax_exact",
                          ("quadratic", "identity"), ("quadratic", "relu", "one start"),
                          ("quadratic", "relu", "penalty start wins")},
@@ -124,6 +132,11 @@ def _attack_path(layers, h, weights):
     if any(w.ndim == 3 for w, _ in weights):
         return ("attack", "draws")
     return None
+
+
+def _noise_path(rng, scale, radius, rows):
+    """The uniform-proposal path of the noise sampler: some radius below the scale."""
+    return ("attack", "narrow cut") if np.any(radius < scale) else None
 
 
 def _quadratic_path(layer, starts: int, duals: dict):
@@ -170,6 +183,7 @@ def outputs(tmp_path_factory):
     for solver in SOLVERS:
         recording(funclag.inner, solver, lambda *a, solver=solver, **k: solver)
     recording(funclag.oracle, "forward", _attack_path)
+    recording(funclag.oracle, "truncated_normal", _noise_path)
     starts = []
     box_bound = funclag.inner.quadratic.qp_box_bound
     solve_row = funclag.inner.quadratic._quadratic_row

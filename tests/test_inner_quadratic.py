@@ -156,11 +156,12 @@ class TestQpBoxBound:
 
 
 class TestSingleRoute:
-    """Per call: one coefficient build, and one eigendecomposition per penalty
-    iterate, per kappa iterate and per certification, none for the gradient."""
+    """Per call: one coefficient build, one QP build per penalty point, and one
+    eigendecomposition per penalty point, per kappa iterate and per
+    certification, none for the gradient."""
 
     def _count(self, monkeypatch, layer, lam_k, lam_next, box):
-        calls = {"coeffs": 0, "eig": 0, "starts": 0}
+        calls = {"coeffs": 0, "builds": 0, "eig": 0, "starts": 0}
 
         def spy(name, key):
             original = getattr(quadratic, name)
@@ -172,6 +173,7 @@ class TestSingleRoute:
             monkeypatch.setattr(quadratic, name, wrapper)
 
         spy("expected_quadratic_coeffs", "coeffs")
+        spy("_build_qp", "builds")
         spy("top_eigenpair", "eig")
         spy("qp_box_bound", "starts")
         inner_quadratic_bound(layer, lam_k, lam_next, box)
@@ -188,10 +190,14 @@ class TestSingleRoute:
             lam_next = Quadratic(Q=sym(rng, 3), q=rng.standard_normal(3))
             calls = self._count(monkeypatch, layer, lam_k, lam_next, _random_box(rng, 2, "none"))
             assert calls["coeffs"] == 1
-            penalty_iterates = quadratic._PENALTY_STEPS if activation == "relu" else 0
-            assert calls["eig"] == penalty_iterates + (quadratic._KAPPA_STEPS + 1) * calls["starts"]
-            eig_calls[(activation, calls["starts"])] = calls["eig"]
-        assert eig_calls == {("identity", 1): 11, ("relu", 1): 13, ("relu", 2): 24}
+            # a relu row solves kappa = 0 once at the zero start and once at the
+            # moved point, which is built only when the step is non-zero
+            shift_solves = calls["builds"] if activation == "relu" else 0
+            assert calls["eig"] == shift_solves + (quadratic._KAPPA_STEPS + 1) * calls["starts"]
+            eig_calls[(activation, calls["builds"], calls["starts"])] = calls["eig"]
+        assert eig_calls == {
+            ("identity", 1, 1): 11, ("relu", 1, 1): 12, ("relu", 2, 1): 13, ("relu", 2, 2): 24,
+        }
 
 
 class TestInnerQuadraticBound:

@@ -25,9 +25,14 @@ from funclag import (
     random_problem,
     sample_lower_bound,
 )
-from funclag.model import softmax
+from funclag.model import softmax, truncated_normal
 
-from oracles import evaluate, mc_expectation, sample_lower_bound_alone
+from oracles import (
+    evaluate,
+    mc_expectation,
+    normal_block_as_first_written,
+    sample_lower_bound_alone,
+)
 
 
 class TestMcExpectation:
@@ -239,19 +244,41 @@ print(time.perf_counter() - start)
 
 
 class TestTruncatedNormal:
-    @pytest.mark.parametrize("ratio", [0.9, 2.0])
-    def test_moments_match_the_truncated_law(self, ratio):
-        # radius below the scale (uniform proposal) and above it (normal
-        # proposal): mean and variance within 4 stderr of N(0, s^2) cut at +-r
-        scale, k = 0.1, 40_000
-        radius = np.array([ratio * scale, 0.0])
-        noise = oracle.truncated_normal(np.random.default_rng(3), scale, radius, k)
-        assert np.all(np.abs(noise[:, 0]) <= radius[0]) and np.all(noise[:, 1] == 0.0)
-        law = stats.truncnorm(-ratio, ratio, scale=scale)
-        var, fourth = law.var(), law.moment(4)
-        x = noise[:, 0]
-        assert abs(x.mean()) <= 4.0 * math.sqrt(var / k)
-        assert abs(np.mean(x**2) - var) <= 4.0 * math.sqrt((fourth - var**2) / k)
+    @pytest.mark.parametrize("scale,ratios", [
+        pytest.param(0.1, [0.9], id="0.9"),
+        pytest.param(0.1, [2.0], id="2.0"),
+        # narrow and wide columns in one call, at and away from the unit scale
+        pytest.param(0.1, [0.25, 0.9, 1.0, 2.0, 3.0], id="mixed-0.1"),
+        pytest.param(1.0, [0.25, 0.9, 1.0, 2.0, 3.0], id="mixed-1"),
+        pytest.param(2.5, [3.0, 0.5, 1.5, 0.9], id="mixed-2.5"),
+    ])
+    def test_moments_match_the_truncated_law(self, scale, ratios):
+        # radii below the scale (uniform proposal) and above it (normal
+        # proposal): each column's mean and variance within 4 stderr of
+        # N(0, s^2) cut at +-r, and a zero radius gives no noise
+        k = 40_000
+        radius = scale * np.array([*ratios, 0.0])
+        noise = truncated_normal(np.random.default_rng(3), scale, radius, k)
+        assert noise.shape == (k, radius.size)
+        assert np.all(np.abs(noise) <= radius) and np.all(noise[:, -1] == 0.0)
+        for ratio, x in zip(ratios, noise.T):
+            law = stats.truncnorm(-ratio, ratio, scale=scale)
+            var, fourth = law.var(), law.moment(4)
+            assert abs(x.mean()) <= 4.0 * math.sqrt(var / k), ratio
+            assert abs(np.mean(x**2) - var) <= 4.0 * math.sqrt((fourth - var**2) / k), ratio
+
+    def test_cuts_at_or_above_the_scale_keep_the_normal_redraw_bytes(self):
+        # with no radius below the scale, the draws and the generator state
+        # after them are those of the whole-normal redraw loop
+        shapes = np.random.default_rng(11)
+        for seed in range(40):
+            cols, rows = int(shapes.integers(1, 30)), int(shapes.integers(1, 400))
+            cuts = shapes.choice([1.0, 1.5, 2.0, 3.0, 4.0], cols) + shapes.random(cols) * (seed % 2)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = truncated_normal(got_rng, 1.0, cuts, rows)
+            want = normal_block_as_first_written(want_rng, cuts, rows)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_center_just_inside_a_clipped_edge(self):
         # a radius of 1e-9 at noise scale 0.05: redrawing the whole block
@@ -267,7 +294,7 @@ class TestTruncatedNormal:
         assert result.returncode == 0, result.stderr
         assert float(result.stdout.split()[-1]) < 1.0
         radius = np.array([1e-9, 0.1, 0.0])
-        noise = oracle.truncated_normal(np.random.default_rng(0), 0.05, radius, 1000)
+        noise = truncated_normal(np.random.default_rng(0), 0.05, radius, 1000)
         assert np.all(np.abs(noise) <= radius)
         assert np.all(noise[:, 0] != 0.0) and np.all(noise[:, 2] == 0.0)
 

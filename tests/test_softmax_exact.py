@@ -516,6 +516,37 @@ class TestRowCandidates:
             unclipped += sum(lo[j] < v < -lo[j] for point in points for j, v in enumerate(point))
         assert unclipped >= 20_000, unclipped
 
+    def test_shifted_exps_reach_unclipped_points(self):
+        # case b next to its double root (sum(lam) = D / 4C (1 - delta)) with
+        # every fixed logit past exp's normal range, so C and D are summed in
+        # shifted logits; a root moves by about 1 / sqrt(delta) ulps per ulp of
+        # C or D, so a last-bit change in one shifted exp reaches the point,
+        # and the box clips no free coordinate
+        rng = np.random.default_rng(20)
+        unclipped = 0
+        for trial in range(300):
+            n = 3 + trial % 5
+            m = int(rng.integers(n))
+            others = [j for j in range(n) if j != m]
+            free = sorted(rng.choice(others, int(rng.integers(1, n - 1)), replace=False))
+            row = tuple(2 if j in free else int(rng.integers(2)) for j in range(n))
+            x = (-800.0, 400.0, 720.0)[trial % 3] - 3.0 * rng.random(n)
+            shift = max(x[j] for j in range(n) if row[j] != 2)
+            exps = [math.exp(x[j] - shift) for j in range(n) if row[j] != 2]
+            c, d = sum(exps), math.exp(x[m] - shift)
+            weights = rng.random(len(free)) + 0.1
+            lin = np.zeros(n)
+            lin[free] = weights / weights.sum() * d / (4.0 * c) * (1.0 - 10.0 ** -rng.uniform(9, 12))
+            lo, hi = x - 0.5 * np.equal(row, 1), x + 0.5 * np.equal(row, 0)
+            # the free coordinates at the double root t = D / (2 sum(lam))
+            mid = np.log(lin[free] / d) + 2.0 * math.log(d / (2.0 * lin.sum())) + shift
+            lo[free], hi[free] = mid - 2.0, mid + 2.0
+            inputs = step_inputs(m, lin, Interval(lo, hi))
+            points = softmax_exact.assignment_candidates(*inputs, row)
+            assert hexed(points) == hexed(reference_assignment_candidates(*inputs, row))
+            unclipped += sum(lo[j] < point[j] < hi[j] for point in points for j in free)
+        assert unclipped >= 1000, unclipped
+
 
 @pytest.mark.parametrize("offset", [0.0, -800.0, 705.0])
 def test_batch_gives_each_label_its_single_call(offset):
