@@ -29,9 +29,7 @@ from .model import (
     SchemaError,
     ShapeError,
     StructureError,
-    forward_sample,
     load_model,
-    mean_softmax_estimate,
     model_to_dict,
     softmax,
 )

@@ -95,7 +95,7 @@ def main():
 @click.option("--decay-every", default=OptimizerConfig.decay_every, show_default=True)
 @click.option("--certify-every", default=OptimizerConfig.certify_every, show_default=True,
               help="steps between the values that count toward the bound and the early stop")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--attack/--no-attack", default=True, show_default=True,
               help="record a sampled attack value per problem")
 @click.option("--out", "out_path", required=True, type=click.Path())

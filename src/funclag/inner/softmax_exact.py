@@ -29,7 +29,7 @@ Walk, then score.  ``walk_rows`` moves along the water-filling events
 of one label with the pattern and its lo/hi point held in place, and
 yields each row with that point and its interior coordinates.  One
 plain-float step, ``row_candidates``, turns a row into its candidate
-points (``assignment_candidates`` is the same step on any assignment).
+points (the tests' 3^n reference runs it on every assignment).
 The candidates are sorted into the enumeration order (base 3, first
 coordinate slowest, all-lower first) and scored in one numpy pass over
 their C-ordered block, whose row-wise softmax and stacked matvec give
@@ -128,13 +128,6 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
         else:
             trials.append(trial)
     return trials
-
-
-def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[list[float]]:
-    """``row_candidates`` of any lo/hi/interior assignment."""
-    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
-    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
-    return row_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment, x, free)
 
 
 def walk_rows(m: int, lin: list, lo: list, hi: list):

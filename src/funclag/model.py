@@ -482,37 +482,3 @@ def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
     ])
     return list(zip(realized, realized))
 
-
-def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
-    """One stochastic forward pass with one :func:`draw_weights` draw.
-
-    The pass is a pure function of (net, x, seed).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
-    rng = np.random.default_rng(seed)
-    return forward(net.layers, x[np.newaxis], draw_weights(net.layers, 1, rng)).reshape(-1)
-
-
-def mean_softmax_estimate(
-    net: CanonicalNetwork, x, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of the expected softmax output.
-
-    Returns the per-class sample mean (a probability vector) and the
-    per-class standard error of that mean.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    rows = np.asarray(x, dtype=float)[np.newaxis]
-    probs = np.empty((n_samples, net.output_dim))
-    for i in range(n_samples):
-        probs[i] = softmax(forward(net.layers, rows, draw_weights(net.layers, 1, rng))).reshape(-1)
-    mean = probs.mean(axis=0)
-    if n_samples == 1 or net.is_deterministic():
-        stderr = np.zeros(net.output_dim)
-    else:
-        stderr = probs.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, stderr

@@ -130,60 +130,88 @@ def random_problem(
 # One batched weight estimate holds at most max(points, _ROW_BUDGET)
 # (draw, point) rows per array pass, counting the points of one label.
 _ROW_BUDGET = 1024
+# a climb trial's two rows move its coordinate up, then down
+_UP_DOWN = np.array([1.0, -1.0])
 
 
-def _objective_values(objectives, logits: np.ndarray) -> np.ndarray:
-    """Every objective at every row: (..., N, out) logits to (..., N, len(objectives))."""
-    values = np.empty(logits.shape[:-1] + (len(objectives),))
-    diffs = [k for k, objective in enumerate(objectives) if isinstance(objective, LogitDiff)]
-    if diffs:
-        targets = [objectives[k].target for k in diffs]
-        trues = [objectives[k].true for k in diffs]
-        values[..., diffs] = logits[..., targets] - logits[..., trues]
-    probs = [k for k, objective in enumerate(objectives) if not isinstance(objective, LogitDiff)]
-    if probs:
-        values[..., probs] = softmax(logits)[..., [objectives[k].label for k in probs]]
-    return values
+class _Estimator:
+    """What every estimate of one spec's attack reads, built once per attack.
 
-
-def _batch_objective_estimate(net, objectives, x, weight_draws, rng, points=None):
-    """Estimates (mean, stderr) of every objective at every input, (N, L) each.
-
-    Weight draws run in chunks of at most max(points, _ROW_BUDGET)
-    (draw, point) rows, where ``points`` (default N) is the batch the
-    chunks are sized for: a batch of several labels' points passes one
-    label's count, so ``rng`` is consumed as by that label alone.  Layers
-    before the first stochastic tensor run once.  Each draw is applied to
-    every row, so a row's estimate does not depend on the other rows, and
-    the sums accumulate in draw order: on a net without Gaussian tensors
-    the estimate equals, bit for bit, a loop over single draws.  A
-    Gaussian tail redraw takes its normals after the whole chunk's, so
-    there the draws depend on the chunking, though not their distribution.
+    The objectives' index arrays (a logit difference's target and true
+    label, a softmax objective's label, dummies elsewhere), whether the
+    net draws at all, and the mean weights of the layers before its first
+    stochastic tensor: every layer on a net that draws nothing.
     """
-    if net.is_deterministic():
-        # a zero-stddev Gaussian counts as deterministic and draws nothing
-        values = _objective_values(objectives, forward(net.layers, x, mean_weights(net.layers)))
-        return values, np.zeros_like(values)
-    first = next(
-        i for i, layer in enumerate(net.layers) if layer.weights.noise or layer.bias.noise
-    )
-    layers = net.layers[first:]
-    hidden = forward(net.layers[:first], x, mean_weights(net.layers[:first]))
-    per_chunk = max(_ROW_BUDGET // (points or x.shape[0]), 1)
-    total = np.zeros((1, x.shape[0], len(objectives)))
-    total_sq = np.zeros_like(total)
-    for done in range(0, weight_draws, per_chunk):
-        take = min(per_chunk, weight_draws - done)
-        values = _objective_values(
-            objectives, forward(layers, hidden, draw_weights(layers, take, rng))
+
+    def __init__(self, net: CanonicalNetwork, objectives):
+        self.diff = np.array([isinstance(objective, LogitDiff) for objective in objectives])
+        self.all_diff, self.any_diff = bool(self.diff.all()), bool(self.diff.any())
+        self.targets, self.trues, self.labels = (
+            np.array([getattr(objective, name, 0) for objective in objectives])
+            for name in ("target", "true", "label")
         )
-        # cumsum adds draw after draw; a sum over axis 0 is pairwise for one point
-        total = np.cumsum(np.concatenate([total, values]), axis=0)[-1:]
-        total_sq = np.cumsum(np.concatenate([total_sq, values**2]), axis=0)[-1:]
-    mean = total[0] / weight_draws
-    var = np.maximum(total_sq[0] / weight_draws - mean**2, 0.0)
-    stderr = np.sqrt(var / weight_draws)
-    return mean, stderr
+        # a zero-stddev Gaussian counts as deterministic and draws nothing
+        self.draws = not net.is_deterministic()
+        first = net.depth
+        if self.draws:
+            first = next(
+                i for i, layer in enumerate(net.layers) if layer.weights.noise or layer.bias.noise
+            )
+        self.prefix, self.suffix = net.layers[:first], net.layers[first:]
+        self.prefix_weights = mean_weights(self.prefix)
+
+    def values(self, logits: np.ndarray, cols=None) -> np.ndarray:
+        """Objectives at the rows of (..., N, out) logits.
+
+        Every objective at every row, (..., N, L); or with ``cols``, the
+        objective ``cols[r]`` at row r, (..., N).
+        """
+        rows = np.arange(logits.shape[-2])
+        if cols is None:
+            rows, cols = rows[:, np.newaxis], np.arange(self.diff.size)
+
+        def diffs():
+            return logits[..., rows, self.targets[cols]] - logits[..., rows, self.trues[cols]]
+
+        if self.all_diff:
+            return diffs()
+        probs = softmax(logits)[..., rows, self.labels[cols]]
+        return np.where(self.diff[cols], diffs(), probs) if self.any_diff else probs
+
+    def estimate(self, x, weight_draws, rng, points=None, cols=None):
+        """Estimates (mean, stderr) of the objectives at every input, shaped as :meth:`values`.
+
+        Weight draws run in chunks of at most max(points, _ROW_BUDGET)
+        (draw, point) rows, where ``points`` (default N) is the batch the
+        chunks are sized for: a batch of several labels' points passes one
+        label's count, so ``rng`` is consumed as by that label alone.  The
+        mean prefix runs once; a net that draws nothing leaves ``rng``
+        alone.  Each draw is applied to every row, so a row's estimate does
+        not depend on the other rows, and the sums accumulate in draw
+        order: on a net without Gaussian tensors the estimate equals, bit
+        for bit, a loop over single draws.  A Gaussian tail redraw takes
+        its normals after the whole chunk's, so there the draws depend on
+        the chunking, though not their distribution.
+        """
+        hidden = forward(self.prefix, x, self.prefix_weights)
+        if not self.draws:
+            values = self.values(hidden, cols)
+            return values, np.zeros_like(values)
+        per_chunk = max(_ROW_BUDGET // (points or x.shape[0]), 1)
+        total = np.zeros((1, x.shape[0]) if cols is not None else (1, x.shape[0], self.diff.size))
+        total_sq = np.zeros_like(total)
+        for done in range(0, weight_draws, per_chunk):
+            take = min(per_chunk, weight_draws - done)
+            values = self.values(
+                forward(self.suffix, hidden, draw_weights(self.suffix, take, rng)), cols
+            )
+            # cumsum adds draw after draw; a sum over axis 0 is pairwise for one point
+            total = np.cumsum(np.concatenate([total, values]), axis=0)[-1:]
+            total_sq = np.cumsum(np.concatenate([total_sq, values**2]), axis=0)[-1:]
+        mean = total[0] / weight_draws
+        var = np.maximum(total_sq[0] / weight_draws - mean**2, 0.0)
+        stderr = np.sqrt(var / weight_draws)
+        return mean, stderr
 
 
 def sample_lower_bound(
@@ -219,60 +247,62 @@ def sample_lower_bound(
     net, input_set = problems[0].network, problems[0].input_set
     if any(p.network is not net or p.input_set is not input_set for p in problems):
         raise ValueError("the problems must share one network and one input set")
-    objectives = [p.objective for p in problems]
+    estimator = _Estimator(net, [p.objective for p in problems])
     rng = np.random.default_rng(seed)
 
     if isinstance(input_set, SubGaussianNoise):
-        return _sub_gaussian_lower_bounds(net, input_set, objectives, n_samples, rng)
+        return _sub_gaussian_lower_bounds(net, input_set, estimator, n_samples, rng)
 
     box = input_set.support_box()
     lo, hi = box.lo, box.hi
     points = lo + rng.random((n_samples, lo.shape[0])) * (hi - lo)
-    means, stderrs = _batch_objective_estimate(net, objectives, points, weight_draws, rng)
+    means, stderrs = estimator.estimate(points, weight_draws, rng)
     best_idx = np.argmax(means, axis=0)
-    labels = np.arange(len(objectives))
+    labels = np.arange(len(problems))
     best_val, best_err = means[best_idx, labels], stderrs[best_idx, labels]
     if hill_steps == 0:
         return list(zip(best_val.tolist(), best_err.tolist()))
 
     # Each label's climb draws its weights as its own generator would, so
     # the labels still climbing share one generator; a label leaves with a
-    # copy of it and takes its final estimate from that.
+    # copy of it (on a net that draws, else with it) and takes its final
+    # estimate from that.
     x = points[best_idx]
-    step = np.tile(0.25 * (hi - lo), (len(objectives), 1))
+    step = np.tile(0.25 * (hi - lo), (len(problems), 1))
     floor = 1e-6 * float((hi - lo).max() + 1e-12)
-    live = np.ones(len(objectives), dtype=bool)
-    results = [None] * len(objectives)
+    climb_draws = min(weight_draws, 200)
+    live = np.ones(len(problems), dtype=bool)
+    results = [None] * len(problems)
 
     def final_estimates(leaving):
         # a fresh estimate at the climbed point avoids max-selection bias;
         # one row per call, as a label alone makes it
         for k in leaving:
-            mean, err = _batch_objective_estimate(
-                net, objectives[k:k + 1], x[k:k + 1], weight_draws, copy.deepcopy(rng)
+            mean, err = estimator.estimate(
+                x[k:k + 1], weight_draws, copy.deepcopy(rng) if estimator.draws else rng,
+                cols=labels[k:k + 1],
             )
-            results[k] = (float(mean[0, 0]), float(err[0, 0]))
+            results[k] = (float(mean[0]), float(err[0]))
 
     for _ in range(hill_steps):
-        improved = np.zeros(len(objectives), dtype=bool)
-        for i in range(x.shape[1]):
-            # a step is zero only on a zero-width coordinate of the box
-            moving = np.flatnonzero(live & (step[:, i] != 0.0))
+        improved = np.zeros(len(problems), dtype=bool)
+        # a step is zero only on a zero-width coordinate of the box
+        movable = live[:, np.newaxis] & (step != 0.0)
+        for i, moving in enumerate(column.nonzero()[0] for column in movable.T):
             if moving.size == 0:
                 continue
             # rows 2k and 2k + 1 move label moving[k] up and down
             trials = x[moving].repeat(2, axis=0)
-            trials[0::2, i] = np.clip(x[moving, i] + step[moving, i], lo[i], hi[i])
-            trials[1::2, i] = np.clip(x[moving, i] - step[moving, i], lo[i], hi[i])
-            means, errs = _batch_objective_estimate(
-                net, objectives, trials, min(weight_draws, 200), rng, points=2
+            shifted = trials[:, i] + (step[moving, i, np.newaxis] * _UP_DOWN).reshape(-1)
+            # np.clip's bits without its per-call overhead
+            trials[:, i] = np.minimum(np.maximum(shifted, lo[i]), hi[i])
+            means, errs = estimator.estimate(
+                trials, climb_draws, rng, points=2, cols=moving.repeat(2)
             )
-            owner = moving.repeat(2)
-            j = np.argmax(means[np.arange(owner.size), owner].reshape(-1, 2), axis=1)
-            chosen = 2 * np.arange(moving.size) + j
-            better = means[chosen, moving] > best_val[moving]
+            chosen = 2 * np.arange(moving.size) + np.argmax(means.reshape(-1, 2), axis=1)
+            better = means[chosen] > best_val[moving]
             up, chosen = moving[better], chosen[better]
-            best_val[up], best_err[up] = means[chosen, up], errs[chosen, up]
+            best_val[up], best_err[up] = means[chosen], errs[chosen]
             x[up] = trials[chosen]
             improved[up] = True
         halving = live & ~improved
@@ -286,7 +316,7 @@ def sample_lower_bound(
     return results
 
 
-def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
+def _sub_gaussian_lower_bounds(net, input_set, estimator, n, rng):
     """Best estimate of each objective over a catalog of feasible noise distributions.
 
     Feasibility means zero mean, i.i.d. coordinates, support inside the
@@ -307,12 +337,12 @@ def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
 
     def estimate(noise_sampler):
         x = center + noise_sampler(n)
-        if net.is_deterministic():
-            values, _ = _batch_objective_estimate(net, objectives, x, 1, rng)
-        else:
+        if estimator.draws:
             # joint (noise, weight) draws: one weight realization per row
             logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
-            values = _objective_values(objectives, logits[:, 0])
+            values = estimator.values(logits[:, 0])
+        else:
+            values, _ = estimator.estimate(x, 1, rng)
         # a contiguous row per objective sums as a lone objective's values do
         per_objective = np.ascontiguousarray(values.T)
         mean = per_objective.mean(axis=1)
@@ -325,8 +355,8 @@ def _sub_gaussian_lower_bounds(net, input_set, objectives, n, rng):
             samplers.append(lambda k, s=s: truncated_normal(rng, s, radius, k))
         two_point = np.minimum(scale_cap, radius)
         samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
-    best_val = np.full(len(objectives), -math.inf)
-    best_err = np.zeros(len(objectives))
+    best_val = np.full(estimator.diff.size, -math.inf)
+    best_err = np.zeros(estimator.diff.size)
     for sampler in samplers:
         val, err = estimate(sampler)
         better = val > best_val

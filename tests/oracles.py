@@ -4,10 +4,11 @@ None of these runs in a verification.  They are the slow, direct routes:
 multipliers evaluated at points, closed-form layer expectations through
 per-entry moment generating functions, Monte Carlo layer expectations,
 exhaustive dropout patterns, reproducible noisy multiplier stacks, the
-full 3^n enumeration of the softmax output problem, the per-assignment
-softmax step and water-filling rows as first written, the Gaussian
-weight block as first written, and the sampled attack of one problem
-alone.
+full 3^n enumeration of the softmax output problem, the softmax step
+on any assignment, the per-assignment softmax step and water-filling
+rows as first written, the Gaussian weight block as first written, one
+stochastic forward pass, the Monte Carlo mean softmax, and the sampled
+attack of one problem alone.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from funclag.inner.softmax_exact import (
     _SUM_ONE_TOL,
     _TINY,
     _UPPER,
-    assignment_candidates,
+    row_candidates,
 )
 from funclag.model import (
     CanonicalLayer,
+    CanonicalNetwork,
     Deterministic,
     DiagonalGaussian,
     Dropout,
+    ShapeError,
     draw_weights,
     forward,
     mean_weights,
@@ -243,6 +246,13 @@ def softmax_objective(m: int, lin: np.ndarray, x: np.ndarray) -> float:
     return float(softmax(x)[m] + lin @ x)
 
 
+def assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment) -> list[list[float]]:
+    """``row_candidates`` of any lo/hi/interior assignment."""
+    x = [h if s == _UPPER else low for s, low, h in zip(assignment, lo, hi)]
+    free = [j for j, s in enumerate(assignment) if s == _INTERIOR]
+    return row_candidates(m, lin, lo, hi, exp_lo, exp_hi, assignment, x, free)
+
+
 def reference_candidates(m: int, lin: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The plain 3^n loop of max softmax_m(x) + lin . x: (assignment, value, point) per candidate.
 
@@ -391,6 +401,44 @@ def reference_rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
             if not (blocked and state != _INTERIOR):
                 rows.append(pattern[:m] + [state] + pattern[m + 1:])
     return rows
+
+
+# --- stochastic forward passes ---------------------------------------------
+
+
+def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
+    """One stochastic forward pass with one :func:`draw_weights` draw.
+
+    The pass is a pure function of (net, x, seed).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.input_dim,):
+        raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
+    rng = np.random.default_rng(seed)
+    return forward(net.layers, x[np.newaxis], draw_weights(net.layers, 1, rng)).reshape(-1)
+
+
+def mean_softmax_estimate(
+    net: CanonicalNetwork, x, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo estimate of the expected softmax output.
+
+    Returns the per-class sample mean (a probability vector) and the
+    per-class standard error of that mean.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(x, dtype=float)[np.newaxis]
+    probs = np.empty((n_samples, net.output_dim))
+    for i in range(n_samples):
+        probs[i] = softmax(forward(net.layers, rows, draw_weights(net.layers, 1, rng))).reshape(-1)
+    mean = probs.mean(axis=0)
+    if n_samples == 1 or net.is_deterministic():
+        stderr = np.zeros(net.output_dim)
+    else:
+        stderr = probs.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    return mean, stderr
 
 
 # --- the sampled attack of one problem alone ---------------------------------

@@ -18,6 +18,8 @@ from funclag.dual import Certificate
 from funclag.jsonio import decode_reals
 from funclag.specs import guaranteed_auc
 
+from oracles import forward_sample
+
 MODEL = str(Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json")
 
 
@@ -381,6 +383,19 @@ class TestVerify:
         for default in (1000, 0.001, 250, 50):
             assert f"[default: {default}]" in text
 
+    def test_negative_seed_is_rejected_before_optimizing(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("optimize ran")
+
+        monkeypatch.setattr(funclag.cli, "optimize", never)
+        spec = write_spec(tmp_path)
+        out = tmp_path / "cert.json"
+        result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--seed", "-1",
+                          "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+        assert not out.exists()
+
     def test_threads_option_is_gone(self, tmp_path):
         spec = write_spec(tmp_path)
         result = CliRunner().invoke(
@@ -625,7 +640,7 @@ class TestBounds:
         out = tmp_path / "bounds.json"
         run_cli(["bounds", "--model", MODEL, "--spec", spec, "--out", str(out)])
         doc = json.loads(out.read_text())
-        from funclag import forward_sample, load_model
+        from funclag import load_model
 
         net = load_model(MODEL)
         rng = np.random.default_rng(0)

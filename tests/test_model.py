@@ -14,15 +14,13 @@ from funclag import (
     ParseError,
     SchemaError,
     ShapeError,
-    forward_sample,
     load_model,
-    mean_softmax_estimate,
     model_to_dict,
     softmax,
 )
 from funclag.model import draw_weights
 
-from oracles import enumerate_dropout_patterns
+from oracles import enumerate_dropout_patterns, forward_sample, mean_softmax_estimate
 
 
 def write_model(tmp_path, doc):

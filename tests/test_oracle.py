@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,9 +155,7 @@ class TestBatchedObjectiveEstimate:
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(DROPOUT_NETS[net_name])
         x = np.random.default_rng(n_points).random((n_points, 3))
-        got = oracle._batch_objective_estimate(
-            net, list(OBJECTIVES), x, 50, np.random.default_rng(9)
-        )
+        got = oracle._Estimator(net, OBJECTIVES).estimate(x, 50, np.random.default_rng(9))
         for k, objective in enumerate(OBJECTIVES):
             want = _per_draw_estimate(net, objective, x, 50, np.random.default_rng(9))
             for g, w in zip(got, want):
@@ -169,8 +169,8 @@ class TestBatchedObjectiveEstimate:
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(GAUSSIAN_NETS[net_name])
         x = np.random.default_rng(4).random((2, 3))
-        mean, err = oracle._batch_objective_estimate(
-            net, list(OBJECTIVES), x, 4000, np.random.default_rng(1)
+        mean, err = oracle._Estimator(net, OBJECTIVES).estimate(
+            x, 4000, np.random.default_rng(1)
         )
         for k, objective in enumerate(OBJECTIVES):
             ref_mean, ref_err = _per_draw_estimate(
@@ -185,14 +185,27 @@ class TestBatchedObjectiveEstimate:
         # included, as an estimate of two rows does
         net = _stochastic_net(GAUSSIAN_NETS[net_name])
         x = np.random.default_rng(4).random((6, 3))
+        estimator = oracle._Estimator(net, OBJECTIVES)
         for draws in (200, 700):
-            got = oracle._batch_objective_estimate(
-                net, list(OBJECTIVES), x, draws, np.random.default_rng(3), points=2
-            )
-            rng = np.random.default_rng(3)
-            pair = oracle._batch_objective_estimate(net, list(OBJECTIVES), x[2:4], draws, rng)
+            got = estimator.estimate(x, draws, np.random.default_rng(3), points=2)
+            pair = estimator.estimate(x[2:4], draws, np.random.default_rng(3))
             for g, w in zip(got, pair):
                 np.testing.assert_array_equal(g[2:4], w)
+
+    @pytest.mark.parametrize(
+        "net_name", ["deterministic", *sorted(DROPOUT_NETS), *sorted(GAUSSIAN_NETS)]
+    )
+    def test_one_objective_per_row_is_its_column_of_every_objective(self, net_name):
+        # the climb scores row r by objective cols[r] alone; the sums run
+        # element by element, so the bits are those of the full estimate
+        net = _stochastic_net({**DROPOUT_NETS, **GAUSSIAN_NETS}.get(net_name, {}))
+        x = np.random.default_rng(5).random((6, 3))
+        cols = np.array([0, 0, 1, 1, 1, 0])
+        estimator = oracle._Estimator(net, OBJECTIVES)
+        every = estimator.estimate(x, 300, np.random.default_rng(8), points=2)
+        owned = estimator.estimate(x, 300, np.random.default_rng(8), points=2, cols=cols)
+        for g, w in zip(owned, every):
+            assert g.tobytes() == w[np.arange(6), cols].tobytes()
 
 
 def _label_problems(seed: int, truncation: float | None = None):
@@ -323,15 +336,21 @@ class TestSampleLowerBoundPerLabel:
     def test_labels_leave_the_climb_in_different_rounds(self, monkeypatch, seed):
         # a deterministic, a Gaussian and a dropout net whose climb calls
         # shrink as labels leave: a label that leaves estimates its climbed
-        # point from a copy of the generator the others go on drawing from
-        calls = []
-        original = oracle._batch_objective_estimate
+        # point from a copy of the generator the others go on drawing from,
+        # or from the generator itself on a net that draws nothing
+        calls, copies = [], []
+        original = oracle._Estimator.estimate
 
-        def spy(net, objectives, x, *args, **kwargs):
+        def spy(estimator, x, *args, **kwargs):
             calls.append((x.shape[0], kwargs.get("points")))
-            return original(net, objectives, x, *args, **kwargs)
+            return original(estimator, x, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_batch_objective_estimate", spy)
+        def counted_deepcopy(obj):
+            copies.append(type(obj))
+            return copy.deepcopy(obj)
+
+        monkeypatch.setattr(oracle._Estimator, "estimate", spy)
+        monkeypatch.setattr(oracle, "copy", SimpleNamespace(deepcopy=counted_deepcopy))
         problems = _label_problems(seed)
         kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=60)
         got = sample_lower_bound(problems, **kwargs)
@@ -340,6 +359,28 @@ class TestSampleLowerBoundPerLabel:
         assert len(finals) == len(problems)
         assert finals[0] < climb[-1]
         assert len({calls[k][0] for k in climb}) > 1
+        draws = not problems[0].network.is_deterministic()
+        assert copies == [np.random.Generator] * (len(problems) if draws else 0)
+        for problem, pair in zip(problems, got):
+            want = sample_lower_bound_alone(problem, **kwargs)
+            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
+
+
+    @pytest.mark.parametrize("hill_steps", [0, 25])
+    @pytest.mark.parametrize("seed", [11, 4, 6, 7, 14, 18])
+    def test_mixed_objective_kinds_get_their_attacks_alone(self, seed, hill_steps):
+        # softmax and logit-difference problems interleaved in one call, on
+        # deterministic (11, 4), Gaussian (6, 7) and dropout (14, 18) nets
+        # with a box (11, 6, 14) or a sub-Gaussian input set (4, 7, 18)
+        problem = _label_problems(seed)[0]
+        last = problem.network.output_dim - 1
+        objectives = [
+            ExpectedSoftmax(label=0), LogitDiff(target=last, true=0),
+            ExpectedSoftmax(label=last), LogitDiff(target=0, true=1),
+        ]
+        problems = [dataclasses.replace(problem, objective=o) for o in objectives]
+        kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=hill_steps)
+        got = sample_lower_bound(problems, **kwargs)
         for problem, pair in zip(problems, got):
             want = sample_lower_bound_alone(problem, **kwargs)
             assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))

@@ -9,6 +9,7 @@ from funclag.inner import softmax_exact
 from funclag.inner.result import EXACT
 
 from oracles import (
+    assignment_candidates,
     box_softmax_max,
     box_softmax_min,
     reference_assignment_candidates,
@@ -414,7 +415,7 @@ class TestRows:
         assert ([0, 2] in rows, [1, 2] in rows) == (kept, kept)
         exps = (np.exp(lo).tolist(), np.exp(hi).tolist())
         for state, x_0 in ((0, lo[0]), (1, hi[0])):
-            points = softmax_exact.assignment_candidates(0, lin, lo, hi, *exps, (state, 2))
+            points = assignment_candidates(0, lin, lo, hi, *exps, (state, 2))
             assert len(points) == kept
             if kept:
                 assert points[0][1] == pytest.approx(x_0, abs=1e-12)
@@ -478,7 +479,7 @@ class TestRowCandidates:
             for i in range(14):
                 inputs = step_inputs(*fuzz_instance(rng, n, i % 7, seen))
                 for assignment in itertools.product((0, 1, 2), repeat=n):
-                    points = softmax_exact.assignment_candidates(*inputs, assignment)
+                    points = assignment_candidates(*inputs, assignment)
                     assert hexed(points) == hexed(reference_assignment_candidates(*inputs,
                                                                                   assignment))
                     coverage(assignment, inputs, points, seen)
@@ -511,7 +512,7 @@ class TestRowCandidates:
             lin[m] = -lin.sum()
             lo = -40.0 - rng.random(n)
             inputs = step_inputs(m, lin, Interval(lo, -lo))
-            points = softmax_exact.assignment_candidates(*inputs, (2,) * n)
+            points = assignment_candidates(*inputs, (2,) * n)
             assert hexed(points) == hexed(reference_assignment_candidates(*inputs, (2,) * n))
             unclipped += sum(lo[j] < v < -lo[j] for point in points for j, v in enumerate(point))
         assert unclipped >= 20_000, unclipped
@@ -542,7 +543,7 @@ class TestRowCandidates:
             mid = np.log(lin[free] / d) + 2.0 * math.log(d / (2.0 * lin.sum())) + shift
             lo[free], hi[free] = mid - 2.0, mid + 2.0
             inputs = step_inputs(m, lin, Interval(lo, hi))
-            points = softmax_exact.assignment_candidates(*inputs, row)
+            points = assignment_candidates(*inputs, row)
             assert hexed(points) == hexed(reference_assignment_candidates(*inputs, row))
             unclipped += sum(lo[j] < point[j] < hi[j] for point in points for j in free)
         assert unclipped >= 1000, unclipped
