@@ -14,7 +14,10 @@ a value a certificate may hold.
 
 A batch of problems (the labels of one spec) shares one dual evaluation:
 each multiplier has one row per problem, each layer is solved once for
-all rows, and every row gets the bits it gets alone.
+all rows, and every row gets the bits it gets alone.  The outer loop
+keeps Adam's state as four (rows, P) arrays, every parameter of the
+stack flattened into columns in ``get_params`` order, so a step is a
+few whole-array operations and a row leaves the state by one indexing.
 
 Dispatch has three positions.  A box input problem g_0 is a transition
 problem with lam_0 = 0, so g_0 .. g_{K-1} share one transition solver;
@@ -153,29 +156,43 @@ def evaluate_dual(
 # --- outer optimization ---------------------------------------------------
 
 
-def _take(state: tuple, index) -> tuple:
-    """The rows ``index`` of every array of an optimizer state."""
-    return tuple([{name: arr[index] for name, arr in d.items()} for d in part] for part in state)
+def _param_layout(stack: tuple[Multiplier, ...]) -> list[list[tuple]]:
+    """Where each parameter sits in the columns of the optimizer's (rows, P) arrays: per
+    multiplier, (name, shape without the row axis, start, stop) in ``get_params`` order."""
+    layout, start = [], 0
+    for lam in stack:
+        entry = []
+        for name, arr in get_params(lam).items():
+            stop = start + math.prod(arr.shape[1:])
+            entry.append((name, arr.shape[1:], start, stop))
+            start = stop
+        layout.append(entry)
+    return layout
 
 
-def _advance(problems, stack, bounds, state, t, lr):
+def _flat(parts: list[dict]) -> np.ndarray:
+    """Per-multiplier dicts of row arrays as one (rows, P) array, in layout order."""
+    return np.concatenate([arr.reshape(arr.shape[0], -1)
+                           for part in parts for arr in part.values()], axis=1)
+
+
+def _advance(problems, stack, bounds, layout, state, t, lr):
     """Step t for a batch: one Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on the state
-    (params, grads, m, v), lists of per-boundary dicts of row arrays, then the dual at the
+    (params, grads, m, v), four (rows, P) arrays laid out by ``layout``, then the dual at the
     new stack; returns the new state, the new stack and the finite totals."""
     b1, b2, eps = 0.9, 0.999, 1e-8
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    params, ms, vs = [], [], []
-    for p, g, m, v in zip(*state):
-        m = {name: b1 * m[name] + (1.0 - b1) * g[name] for name in p}
-        v = {name: b2 * v[name] + (1.0 - b2) * g[name] ** 2 for name in p}
-        params.append({name: p[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-                       for name in p})
-        ms.append(m)
-        vs.append(v)
-    stack = tuple(with_params(lam, p) for lam, p in zip(stack, params))
+    params, grads, m, v = state
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads**2
+    params = params - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    # each parameter copied out contiguous, the layout the solvers' products always had
+    stack = tuple(
+        with_params(lam, {name: np.ascontiguousarray(params[:, start:stop]).reshape(-1, *shape)
+                          for name, shape, start, stop in entry})
+        for lam, entry in zip(stack, layout)
+    )
     evaluation = evaluate_dual(problems, stack, bounds)
-    return (params, evaluation.grads, ms, vs), stack, _finite_totals(evaluation)
+    return (params, _flat(evaluation.grads), m, v), stack, _finite_totals(evaluation)
 
 
 def init_stack(problems: list[VerificationProblem], family: str) -> tuple[Multiplier, ...]:
@@ -364,8 +381,9 @@ def optimize(
     # the rows still stepping, as problem indices
     live = [i for i, margin in enumerate(best)
             if config.steps > 0 and (margin > 0.0 or not config.early_stop)]
-    moments = [zero_param_grads(lam) for lam in stack]
-    state = _take(([get_params(lam) for lam in stack], evaluation.grads, moments, moments), live)
+    layout = _param_layout(stack)
+    params = _flat([get_params(lam) for lam in stack])[live]
+    state = (params, _flat(evaluation.grads)[live], np.zeros_like(params), np.zeros_like(params))
     # an overflow or NaN past step 0 raises FloatingPointError and ends its row
     step = 1
     with np.errstate(over="raise", invalid="raise"):
@@ -373,14 +391,15 @@ def optimize(
             lr = config.lr * (0.1 ** (step // config.decay_every))
             batch = [problems[i] for i in live]
             try:
-                state_next, stack, totals = _advance(batch, stack, bounds, state, step, lr)
+                state_next, stack, totals = _advance(batch, stack, bounds, layout, state, step, lr)
             except (ArithmeticError, np.linalg.LinAlgError):
                 # re-run the step row by row; the rows that raise alone end, and the
                 # step is taken again without them
                 keep = []
                 for j, problem in enumerate(batch):
                     try:
-                        _advance([problem], stack, bounds, _take(state, [j]), step, lr)
+                        _advance([problem], stack, bounds, layout,
+                                 tuple(a[[j]] for a in state), step, lr)
                         keep.append(j)
                     except (ArithmeticError, np.linalg.LinAlgError) as exc:
                         # a diverging row keeps the sound bound it already has
@@ -389,7 +408,7 @@ def optimize(
                                       "certified bound", RuntimeWarning, stacklevel=2)
                 if len(keep) == len(live):
                     raise
-                live, state = [live[j] for j in keep], _take(state, keep)
+                live, state = [live[j] for j in keep], tuple(a[keep] for a in state)
                 continue
             state = state_next
             certify = step % config.certify_every == 0 or step == config.steps
@@ -404,7 +423,7 @@ def optimize(
                 traces[i].append(entry)
             if config.early_stop and any(best[i] <= 0.0 for i in live):
                 keep = [j for j, i in enumerate(live) if best[i] > 0.0]
-                live, state = [live[j] for j in keep], _take(state, keep)
+                live, state = [live[j] for j in keep], tuple(a[keep] for a in state)
             step += 1
 
     return [

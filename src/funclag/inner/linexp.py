@@ -16,12 +16,12 @@ fixed zeta the remaining box maximization separates per coordinate and
 has a closed form, so every zeta gives a valid upper bound.  That bound
 is convex and piecewise smooth in zeta with at most 3n kinks, so its
 minimum has a closed form too: the best of the kinks and of one
-stationary point per piece.
+stationary point per piece.  All rows of a batch take that closed form
+in one array pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -33,6 +33,8 @@ from .linear import activation_candidates, activation_linear_max, matvec_rows, m
 from .result import UPPER_BOUND, InnerResult
 
 _ZETA_LOG_CAP = 45.0  # zeta stays below e^45, where the bound is finite; any zeta is sound
+# by candidate count, the pairs (i, k) of candidates whose crossing counts: i < k
+_UPPER = {k: np.triu(np.ones((k, k), dtype=bool), 1)[..., np.newaxis] for k in (2, 3)}
 
 
 def inner_linexp_input(
@@ -73,7 +75,9 @@ def transition_bound_at_zeta(
     With the exponential epigraph dualized by zeta, the remaining box
     maximization is the separable one of ``inner_linear`` with
     b = alpha + zeta * gamma.  An array of zetas gives one value and one
-    witness row per entry.
+    witness row per entry.  The arguments broadcast, so (rows, 1, n)
+    multipliers, (rows, 1) kappa and bias terms and (rows, trials)
+    zetas evaluate several rows at once.
     """
     zeta = np.maximum(np.asarray(zeta, dtype=float), 0.0)
     c, bias_term = coeffs
@@ -98,30 +102,57 @@ def inner_linexp_transition(
     coordinate cross.  Between kinks the witness x is fixed and F' = 0 at
     zeta = exp(kappa + g.x); the minimum is at a kink or at such a point
     clipped into its piece.
+
+    All rows run in one array pass.  Each row's sorted kinks are padded
+    to the widest row's count with copies of its last kink, the cap: a
+    padded piece has zero width, and its trials repeat the cap's, which
+    comes first, so every row keeps its own first minimizer and the bits
+    it gets alone.
     """
     candidates = activation_candidates(box.lo, box.hi, layer.activation)
     zeta_cap = math.exp(_ZETA_LOG_CAP)
+    kappa = lam1.kappa[:, np.newaxis]
+    alpha, gamma = lam1.alpha[:, np.newaxis], lam1.gamma[:, np.newaxis]
     # per row, (W'beta, beta.b) of the successor's expected linear part
     beta, bias = linear_coeffs(lam2), layer.bias.mean
-    successor = zip(matvec_rows(layer.weights.mean.T, beta), [float(r @ bias) for r in beta])
-    best_rows = []
-    for alpha, gamma, kappa, coeffs in zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist(), successor):
-        lines = [(coeffs[0] * s - alpha * z, -gamma * z, inside) for z, s, inside in candidates]
-        breaks = [np.array([0.0, zeta_cap])]
-        for (icpt1, slope1, inside1), (icpt2, slope2, inside2) in itertools.combinations(lines, 2):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = (icpt1 - icpt2) / (slope2 - slope1)
-            breaks.append(cross[inside1 & inside2 & (cross > 0.0) & (cross < zeta_cap)])
-        breaks = np.sort(np.concatenate(breaks))
-        row = (alpha, gamma, kappa, coeffs, candidates)
-        _, piece_x = transition_bound_at_zeta(*row, 0.5 * (breaks[:-1] + breaks[1:]))
-        stationary = np.exp(np.minimum(kappa + piece_x @ gamma, _ZETA_LOG_CAP))
-        trials = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
-        bounds, witness = transition_bound_at_zeta(*row, trials)
-        best = int(np.argmin(bounds))
-        best_rows.append((bounds[best], witness[best], trials[best]))
+    coeffs = matvec_rows(layer.weights.mean.T, beta)[:, np.newaxis]
+    bias_terms = np.array([[r @ bias] for r in beta])
+    # (rows, candidates, n) intercepts and slopes, and where each candidate counts
+    z, s = np.empty((2, len(candidates), box.lo.shape[0]))
+    inside = np.empty(z.shape, dtype=bool)
+    for k, candidate in enumerate(candidates):
+        z[k], s[k], inside[k] = candidate
+    icpt = coeffs * s - alpha * z
+    slope = -gamma * z
+    # crossings [i, k] of every candidate pair (rows, i, k, n), valid for i < k only
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (icpt[:, :, np.newaxis] - icpt[:, np.newaxis]) / (
+            slope[:, np.newaxis] - slope[:, :, np.newaxis])
+    valid = (inside[:, np.newaxis] & inside[np.newaxis] & _UPPER[len(candidates)]
+             & (cross > 0.0) & (cross < zeta_cap))
+    # per row 0, its valid crossings in order, then the cap repeated to the widest row
+    counts = valid.sum(axis=(1, 2, 3))
+    kinks = np.where(valid, cross, zeta_cap)
+    kinks[:, 0, 0, 0] = 0.0  # a pair (i, i) never crosses
+    kinks = kinks.reshape(len(counts), -1)
+    kinks.sort(axis=1)
+    breaks = kinks[:, :counts.max() + 2]
+    # each piece's witness: the box maximization of transition_bound_at_zeta at its midpoint
+    middle = 0.5 * (breaks[:, :-1] + breaks[:, 1:])
+    _, piece_x = activation_linear_max(coeffs, alpha + middle[..., np.newaxis] * gamma, candidates)
+    # g.x over a row's own pieces, one matrix-vector product each: BLAS may round a
+    # product differently in a taller matrix, so the pads stay out; they clip to the cap
+    exponents = np.zeros(middle.shape)
+    for r, (x, g, count) in enumerate(zip(piece_x, lam1.gamma, counts.tolist())):
+        exponents[r, :count + 1] = x[:count + 1] @ g
+    stationary = np.exp(np.minimum(kappa + exponents, _ZETA_LOG_CAP))
+    clipped = np.minimum(np.maximum(stationary, breaks[:, :-1]), breaks[:, 1:])
+    trials = np.concatenate([breaks, clipped], axis=1)
+    bounds, witness = transition_bound_at_zeta(alpha, gamma, kappa, (coeffs, bias_terms),
+                                               candidates, trials)
+    index = np.arange(len(counts)), bounds.argmin(axis=1)
+    values, x, zeta = bounds[index], witness[index], trials[index]
     # envelope at the frozen (x, zeta): lam1 enters as -(alpha.x + zeta * (gamma.x + kappa))
-    values, x, zeta = (np.array(part) for part in zip(*best_rows))
     grads = (
         {"alpha": -x, "gamma": -zeta[:, np.newaxis] * x, "kappa": -zeta},
         {"theta": mean_output(layer, x)},

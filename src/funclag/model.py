@@ -451,8 +451,8 @@ def truncated_normal(rng, scale: float, radius: np.ndarray, rows: int) -> np.nda
     return block
 
 
-def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
-    """``take`` draws of every (W, b), stacked on a leading axis.
+class WeightDraws:
+    """``take`` draws of every (W, b) of ``layers``, stacked on a leading axis.
 
     One block of standard normals cut at each tensor's truncation
     (:func:`truncated_normal`) covers the Gaussian entries of all draws,
@@ -460,25 +460,42 @@ def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
     block the dropout entries; a deterministic tensor draws nothing and
     stays unstacked.  So every Gaussian draw lies in the support the
     boxes enclose.  Without Gaussian tensors, ``rng`` is consumed exactly
-    as by ``take`` successive draws.
+    as by ``take`` successive draws.  The blocks' widths, cuts and
+    columns depend on the layers alone and are laid out once, so a
+    caller drawing again and again builds one ``WeightDraws``.
     """
-    tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
-    blocks = {}
-    for noise in ("normal", "uniform"):
-        drawn = [dist for dist in tensors if dist.noise == noise]
-        if not drawn:
-            continue
-        sizes = [math.prod(dist.shape) for dist in drawn]
-        if noise == "normal":
-            cuts = np.array([dist.truncation for dist in drawn]).repeat(sizes)
-            block = truncated_normal(rng, 1.0, cuts, take)
-        else:
-            block = rng.random((take, sum(sizes)))
-        ends = itertools.accumulate(sizes)
-        blocks[noise] = iter([block[:, end - size:end] for size, end in zip(sizes, ends)])
-    realized = iter([
-        dist.realize(next(blocks[dist.noise]).reshape((take, *dist.shape)) if dist.noise else None)
-        for dist in tensors
-    ])
-    return list(zip(realized, realized))
 
+    def __init__(self, layers):
+        self.tensors = [dist for layer in layers for dist in (layer.weights, layer.bias)]
+        # per tensor, the columns of its entries in its noise kind's block
+        self.columns = [None] * len(self.tensors)
+        widths = {}
+        for noise in ("normal", "uniform"):
+            drawn = [i for i, dist in enumerate(self.tensors) if dist.noise == noise]
+            sizes = [math.prod(self.tensors[i].shape) for i in drawn]
+            for i, size, end in zip(drawn, sizes, itertools.accumulate(sizes)):
+                self.columns[i] = slice(end - size, end)
+            widths[noise] = sizes
+        # the normal block's cut per column, the uniform block's width
+        self.cuts = np.array([dist.truncation for dist in self.tensors
+                              if dist.noise == "normal"]).repeat(widths["normal"])
+        self.uniform_width = sum(widths["uniform"])
+
+    def __call__(self, take: int, rng: np.random.Generator) -> list[tuple]:
+        blocks = {}
+        if self.cuts.size:
+            blocks["normal"] = truncated_normal(rng, 1.0, self.cuts, take)
+        if self.uniform_width:
+            blocks["uniform"] = rng.random((take, self.uniform_width))
+        realized = iter([
+            dist.realize(blocks[dist.noise][:, cols].reshape((take, *dist.shape))
+                         if dist.noise else None)
+            for dist, cols in zip(self.tensors, self.columns)
+        ])
+        return list(zip(realized, realized))
+
+
+def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
+    """``take`` draws of every (W, b), stacked on a leading axis: one call of
+    :class:`WeightDraws`."""
+    return WeightDraws(layers)(take, rng)

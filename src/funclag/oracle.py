@@ -22,7 +22,7 @@ from .model import (
     Deterministic,
     DiagonalGaussian,
     Dropout,
-    draw_weights,
+    WeightDraws,
     forward,
     mean_weights,
     softmax,
@@ -139,8 +139,9 @@ class _Estimator:
 
     The objectives' index arrays (a logit difference's target and true
     label, a softmax objective's label, dummies elsewhere), whether the
-    net draws at all, and the mean weights of the layers before its first
-    stochastic tensor: every layer on a net that draws nothing.
+    net draws at all, the mean weights of the layers before its first
+    stochastic tensor (every layer on a net that draws nothing), and the
+    weight draws of the layers from it on and of the whole net.
     """
 
     def __init__(self, net: CanonicalNetwork, objectives):
@@ -159,6 +160,7 @@ class _Estimator:
             )
         self.prefix, self.suffix = net.layers[:first], net.layers[first:]
         self.prefix_weights = mean_weights(self.prefix)
+        self.draw_suffix, self.draw_all = WeightDraws(self.suffix), WeightDraws(net.layers)
 
     def values(self, logits: np.ndarray, cols=None) -> np.ndarray:
         """Objectives at the rows of (..., N, out) logits.
@@ -203,7 +205,7 @@ class _Estimator:
         for done in range(0, weight_draws, per_chunk):
             take = min(per_chunk, weight_draws - done)
             values = self.values(
-                forward(self.suffix, hidden, draw_weights(self.suffix, take, rng)), cols
+                forward(self.suffix, hidden, self.draw_suffix(take, rng)), cols
             )
             # cumsum adds draw after draw; a sum over axis 0 is pairwise for one point
             total = np.cumsum(np.concatenate([total, values]), axis=0)[-1:]
@@ -339,7 +341,7 @@ def _sub_gaussian_lower_bounds(net, input_set, estimator, n, rng):
         x = center + noise_sampler(n)
         if estimator.draws:
             # joint (noise, weight) draws: one weight realization per row
-            logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
+            logits = forward(net.layers, x[:, np.newaxis], estimator.draw_all(n, rng))
             values = estimator.values(logits[:, 0])
         else:
             values, _ = estimator.estimate(x, 1, rng)

@@ -6,8 +6,8 @@ per-entry moment generating functions, Monte Carlo layer expectations,
 exhaustive dropout patterns, reproducible noisy multiplier stacks, the
 full 3^n enumeration of the softmax output problem, the softmax step
 on any assignment, the per-assignment softmax step and water-filling
-rows as first written, the Gaussian weight block as first written, one
-stochastic forward pass, the Monte Carlo mean softmax, and the sampled
+rows as first written, the linexp transition bound row by row, the
+Gaussian weight block as first written, one stochastic forward pass, the Monte Carlo mean softmax, and the sampled
 attack of one problem alone.
 """
 
@@ -20,7 +20,11 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import special
 
-from funclag.inner import final_softmax_exact
+from funclag.bounds import Interval
+from funclag.inner import InnerResult, final_softmax_exact
+from funclag.inner.linear import activation_candidates, matvec_rows, mean_output
+from funclag.inner.linexp import _ZETA_LOG_CAP, transition_bound_at_zeta
+from funclag.inner.result import UPPER_BOUND
 from funclag.inner.softmax_exact import (
     _BOX_TOL,
     _HUGE,
@@ -45,6 +49,7 @@ from funclag.model import (
 )
 from funclag.multipliers import (
     Linear,
+    linear_coeffs,
     LinExp,
     Multiplier,
     Quadratic,
@@ -439,6 +444,55 @@ def mean_softmax_estimate(
     else:
         stderr = probs.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return mean, stderr
+
+
+# --- the linexp transition bound row by row ----------------------------------
+
+
+def linexp_transition_breaks(lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer,
+                             box: Interval) -> list[np.ndarray]:
+    """Per row of a linexp transition, its sorted kinks in zeta: 0, every valid crossing
+    of two candidate lines of one coordinate, and the cap."""
+    candidates = activation_candidates(box.lo, box.hi, layer.activation)
+    zeta_cap = math.exp(_ZETA_LOG_CAP)
+    coeff_rows = matvec_rows(layer.weights.mean.T, linear_coeffs(lam2))
+    out = []
+    for alpha, gamma, coeffs in zip(lam1.alpha, lam1.gamma, coeff_rows):
+        lines = [(coeffs * s - alpha * z, -gamma * z, inside) for z, s, inside in candidates]
+        breaks = [np.array([0.0, zeta_cap])]
+        for (icpt1, slope1, inside1), (icpt2, slope2, inside2) in itertools.combinations(lines, 2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (icpt1 - icpt2) / (slope2 - slope1)
+            breaks.append(cross[inside1 & inside2 & (cross > 0.0) & (cross < zeta_cap)])
+        out.append(np.sort(np.concatenate(breaks)))
+    return out
+
+
+def linexp_transition_rows(lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer,
+                           box: Interval) -> InnerResult:
+    """``inner_linexp_transition`` as it was before its rows ran in one pass: each row
+    evaluates its own pieces and trials."""
+    candidates = activation_candidates(box.lo, box.hi, layer.activation)
+    beta, bias = linear_coeffs(lam2), layer.bias.mean
+    successor = zip(matvec_rows(layer.weights.mean.T, beta), [float(r @ bias) for r in beta])
+    rows = zip(lam1.alpha, lam1.gamma, lam1.kappa.tolist(), successor,
+               linexp_transition_breaks(lam1, lam2, layer, box))
+    best_rows = []
+    for alpha, gamma, kappa, coeffs, breaks in rows:
+        row = (alpha, gamma, kappa, coeffs, candidates)
+        _, piece_x = transition_bound_at_zeta(*row, 0.5 * (breaks[:-1] + breaks[1:]))
+        stationary = np.exp(np.minimum(kappa + piece_x @ gamma, _ZETA_LOG_CAP))
+        trials = np.concatenate([breaks, np.clip(stationary, breaks[:-1], breaks[1:])])
+        bounds, witness = transition_bound_at_zeta(*row, trials)
+        best = int(np.argmin(bounds))
+        best_rows.append((bounds[best], witness[best], trials[best]))
+    values, x, zeta = (np.array(part) for part in zip(*best_rows))
+    grads = (
+        {"alpha": -x, "gamma": -zeta[:, np.newaxis] * x, "kappa": -zeta},
+        {"theta": mean_output(layer, x)},
+    )
+    return InnerResult(value=values, mode=UPPER_BOUND, witness=x, grads=grads,
+                       internal_duals={"zeta": zeta})
 
 
 # --- the sampled attack of one problem alone ---------------------------------

@@ -451,11 +451,10 @@ class TestBatch:
 
     def test_a_raising_row_ends_alone(self, monkeypatch):
         # label 1's output solve raises FloatingPointError from step 5 on: that row
-        # ends at step 5 with the warning, and every row matches its solo run
+        # ends at step 5 with the warning, and every row matches its solo run; under
+        # each family, so the dropped row takes a 1-D kappa and 3-D Q rows with it
         import funclag.inner
 
-        _, problem = random_problem(seed=2, kinds=("robust_ood",))
-        problems = expand(problem)
         original = funclag.inner.final_softmax_exact
         solves = []
 
@@ -468,19 +467,25 @@ class TestBatch:
 
         monkeypatch.setattr(funclag.inner, "final_softmax_exact", flaky)
         config = OptimizerConfig(steps=12, lr=0.05, certify_every=3, early_stop=False)
-        with pytest.warns(RuntimeWarning, match="stopped at step 5 by FloatingPointError"):
-            certs = optimize(problems, config)
-        assert len(problems) >= 3
-        assert [len(c.trace) for c in certs] == [5 if i == 1 else 13 for i in range(len(certs))]
-        for i, (problem, cert) in enumerate(zip(problems, certs)):
+        for kind, family in (("robust_ood", "linear"), ("robust_ood", "quadratic"),
+                             ("dist_robust_ood", "linexp")):
+            _, problem = random_problem(seed=2, kinds=(kind,))
+            problems = expand(problem)
             solves.clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                [alone] = optimize([problem], config)
-            messages = [str(w.message) for w in caught]
-            assert [m.startswith("optimization stopped at step 5 by FloatingPointError")
-                    for m in messages] == ([True] if i == 1 else [])
-            assert cert_bytes(cert) == cert_bytes(alone), i
+            with pytest.warns(RuntimeWarning, match="stopped at step 5 by FloatingPointError"):
+                certs = optimize(problems, config, family=family)
+            assert len(problems) >= 3
+            assert [len(c.trace) for c in certs] == [5 if i == 1 else 13
+                                                     for i in range(len(certs))], family
+            for i, (problem, cert) in enumerate(zip(problems, certs)):
+                solves.clear()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    [alone] = optimize([problem], config, family=family)
+                messages = [str(w.message) for w in caught]
+                assert [m.startswith("optimization stopped at step 5 by FloatingPointError")
+                        for m in messages] == ([True] if i == 1 else []), (family, i)
+                assert cert_bytes(cert) == cert_bytes(alone), (family, i)
 
     def test_a_batch_shares_one_network_input_set_and_objective_kind(self, two_layer_net):
         problem = logit_diff_problem(two_layer_net)

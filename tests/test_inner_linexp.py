@@ -7,9 +7,10 @@ from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
 from funclag.inner.linear import activation_candidates
 from funclag.inner.linexp import transition_bound_at_zeta
+from funclag.multipliers import take_rows
 
 from conftest import det_layer
-from oracles import evaluate, one_row
+from oracles import evaluate, linexp_transition_breaks, linexp_transition_rows, one_row
 
 
 def at_zeta(lam1, lam2, layer, box, zeta):
@@ -171,3 +172,63 @@ class TestTransitionBound:
             res = inner_linexp_transition(lam1, lam2, layer, box)
             grid = min(at_zeta(lam1, lam2, layer, box, z)[0] for z in zetas)
             assert res.value <= grid + 1e-12 * abs(grid)
+
+
+def result_hexes(res, row=None):
+    """Value, witness, zeta and both gradients of a transition result as ``float.hex``,
+    of every row or of one."""
+    parts = [res.value, res.witness, res.internal_duals["zeta"],
+             *res.grads[0].values(), *res.grads[1].values()]
+    return [[float(v).hex() for v in np.ravel(part if row is None else part[row])]
+            for part in parts]
+
+
+def random_transition_batch(rng, rows, n, m, activation):
+    """A transition with ``rows`` rows: random, flat (gamma = 0, so no line crosses
+    another) and steep (kappa + max g.x in [20, 45]) rows mixed."""
+    layer = det_layer(rng.standard_normal((m, n)), 0.3 * rng.standard_normal(m), activation)
+    lo = rng.standard_normal(n)
+    box = Interval(lo, lo + 2.0 * rng.random(n))
+    alpha = 0.5 * rng.standard_normal((rows, n))
+    gamma = 0.5 * rng.standard_normal((rows, n))
+    kappa = 0.5 * rng.standard_normal(rows)
+    kind = rng.integers(0, 3, rows)
+    gamma[kind == 1] = 0.0
+    steep = kind == 2
+    gamma[steep] *= 10.0 ** rng.uniform(-1.0, 1.5, (int(steep.sum()), 1))
+    gmax = np.maximum(gamma * box.lo, gamma * box.hi).sum(axis=1)
+    kappa[steep] = rng.uniform(20.0, 45.0, int(steep.sum())) - gmax[steep]
+    lam1 = LinExp(alpha=alpha, gamma=gamma, kappa=kappa)
+    return layer, lam1, Linear(theta=rng.standard_normal((rows, m))), box
+
+
+class TestOnePass:
+    # the one-pass solve against the row-by-row reference, bit for bit
+    def test_matches_the_row_by_row_reference(self):
+        rng = np.random.default_rng(27)
+        total_rows, seen = 0, set()
+        for trial in range(120):
+            activation = ("relu", "identity")[trial % 2]
+            rows, n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            layer, lam1, lam2, box = random_transition_batch(rng, rows, n, m, activation)
+            res = inner_linexp_transition(lam1, lam2, layer, box)
+            ref = linexp_transition_rows(lam1, lam2, layer, box)
+            assert result_hexes(res) == result_hexes(ref), trial
+            counts = [b.size - 2 for b in linexp_transition_breaks(lam1, lam2, layer, box)]
+            total_rows += rows
+            seen.add(activation)
+            seen.update("padded" for c in counts if c < max(counts))
+            seen.update("no crossing" for c in counts if c == 0)
+        assert total_rows >= 200
+        assert seen == {"relu", "identity", "padded", "no crossing"}
+
+    def test_a_row_gets_the_bits_it_gets_alone(self):
+        rng = np.random.default_rng(28)
+        for trial in range(30):
+            activation = ("relu", "identity")[trial % 2]
+            layer, lam1, lam2, box = random_transition_batch(rng, 5, 4, 2, activation)
+            res = inner_linexp_transition(lam1, lam2, layer, box)
+            for r in range(5):
+                alone = inner_linexp_transition(take_rows(lam1, [r]), take_rows(lam2, [r]),
+                                                layer, box)
+                assert result_hexes(alone) == result_hexes(res, r), (trial, r)

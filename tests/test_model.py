@@ -18,7 +18,8 @@ from funclag import (
     model_to_dict,
     softmax,
 )
-from funclag.model import draw_weights
+from funclag.model import WeightDraws, draw_weights
+from funclag.oracle import random_problem
 
 from oracles import enumerate_dropout_patterns, forward_sample, mean_softmax_estimate
 
@@ -193,6 +194,21 @@ class TestWeightKinds:
             sq = (draws - dist.mean) ** 2
             stderr = sq.std(axis=0) / np.sqrt(n)
             assert np.all(np.abs(sq.mean(axis=0) - dist.variance) <= 4.0 * stderr)
+
+
+    def test_one_layout_draws_as_a_fresh_one_each_call(self):
+        # Gaussian (seed 6), dropout (seed 8) and both (seed 31) nets: a WeightDraws
+        # reused call after call gives the bits and leaves the generator as draw_weights
+        # called afresh each time
+        for seed in (6, 8, 31):
+            net, _ = random_problem(seed)
+            draws = WeightDraws(net.layers)
+            reused, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+            for take in (1, 7, 300, 2):
+                for (w1, b1), (w2, b2) in zip(draws(take, reused),
+                                              draw_weights(net.layers, take, fresh)):
+                    assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+            assert reused.random() == fresh.random()
 
 
 class TestForwardSample:
