@@ -146,6 +146,7 @@ def inner_linexp_transition(
     for r, (x, g, count) in enumerate(zip(piece_x, lam1.gamma, counts.tolist())):
         exponents[r, :count + 1] = x[:count + 1] @ g
     stationary = np.exp(np.minimum(kappa + exponents, _ZETA_LOG_CAP))
+    # np.clip's bits without its per-call overhead
     clipped = np.minimum(np.maximum(stationary, breaks[:, :-1]), breaks[:, 1:])
     trials = np.concatenate([breaks, clipped], axis=1)
     bounds, witness = transition_bound_at_zeta(alpha, gamma, kappa, (coeffs, bias_terms),
