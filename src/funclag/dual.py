@@ -49,12 +49,12 @@ from .multipliers import (
     Quadratic,
     UnsupportedCombination,
     get_params,
+    param_names,
     rows,
     stack_from_jsonable,
     stack_to_jsonable,
     take_rows,
     with_params,
-    zero_param_grads,
 )
 from .specs import LogitDiff, SubGaussianNoise, VerificationProblem
 
@@ -141,13 +141,19 @@ def evaluate_dual(
         raise ValueError("bounds do not match the network depth")
 
     results = [_solve_problem(k, problems, stack, bounds) for k in range(K + 1)]
-    grads = [zero_param_grads(lam) for lam in stack]
+    sums = [{} for _ in stack]
     for k, res in enumerate(results):
         # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
         for i, contribution in zip((k - 1, k), res.grads):
             if contribution and 0 <= i < K:
                 for name, value in contribution.items():
-                    grads[i][name] = grads[i][name] + np.asarray(value)
+                    # the first term adds to 0.0, which turns a -0.0 into 0.0 as a zero array does
+                    sums[i][name] = sums[i].get(name, 0.0) + np.asarray(value)
+    grads = [
+        {name: sums[i][name] if name in sums[i] else np.zeros_like(getattr(lam, name))
+         for name in param_names(lam)}
+        for i, lam in enumerate(stack)
+    ]
     values = [res.value for res in results]
     total = np.array([sum(row) for row in zip(*(v.tolist() for v in values))])
     return DualEvaluation(values=values, results=results, total=total, grads=grads)

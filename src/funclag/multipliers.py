@@ -91,16 +91,23 @@ Multiplier = Linear | LinExp | Quadratic
 # the family name each class is serialized under
 _FAMILY_CLASSES = {"linear": Linear, "linexp": LinExp, "quadratic": Quadratic}
 _FAMILY_NAMES = {cls: name for name, cls in _FAMILY_CLASSES.items()}
+# each family's parameter names in field order, read once rather than per call
+_PARAM_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FAMILY_NAMES}
+
+
+def param_names(lam: Multiplier) -> tuple[str, ...]:
+    """The parameter names of a multiplier, in ``get_params`` order."""
+    return _PARAM_NAMES[type(lam)]
 
 
 def rows(lam: Multiplier) -> int:
     """The number of rows of a multiplier."""
-    return getattr(lam, fields(lam)[0].name).shape[0]
+    return getattr(lam, _PARAM_NAMES[type(lam)][0]).shape[0]
 
 
 def take_rows(lam: Multiplier, index) -> Multiplier:
     """The multiplier of the rows picked by ``index`` (an index array or a slice)."""
-    return type(lam)(**{f.name: getattr(lam, f.name)[index] for f in fields(lam)})
+    return type(lam)(**{name: getattr(lam, name)[index] for name in param_names(lam)})
 
 
 def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +180,7 @@ def expected_quadratic_coeffs_adjoint(
 
 def get_params(lam: Multiplier) -> dict[str, np.ndarray]:
     """The trainable parameter arrays of a multiplier, row axis first."""
-    return {f.name: np.array(getattr(lam, f.name)) for f in fields(lam)}
+    return {name: np.array(getattr(lam, name)) for name in param_names(lam)}
 
 
 def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
@@ -185,11 +192,7 @@ def with_params(lam: Multiplier, params: dict[str, np.ndarray]) -> Multiplier:
     if isinstance(lam, Quadratic):
         q_mat = np.asarray(params["Q"], dtype=float)
         params = {**params, "Q": 0.5 * (q_mat + q_mat.swapaxes(-1, -2))}
-    return type(lam)(**{f.name: params[f.name] for f in fields(lam)})
-
-
-def zero_param_grads(lam: Multiplier) -> dict[str, np.ndarray]:
-    return {f.name: np.zeros_like(getattr(lam, f.name)) for f in fields(lam)}
+    return type(lam)(**{name: params[name] for name in param_names(lam)})
 
 
 # --- stacks --------------------------------------------------------------
@@ -217,7 +220,7 @@ def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
         cls = _FAMILY_CLASSES.get(family)
         if cls is None:
             raise UnsupportedCombination(f"unknown multiplier family {family!r}")
-        names = [f.name for f in fields(cls)]
+        names = list(_PARAM_NAMES[cls])
         params = entry["params"]
         if sorted(params) != sorted(names):
             raise ValueError(f"{family} multiplier needs parameters {names}, got {sorted(params)}")

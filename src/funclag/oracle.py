@@ -230,13 +230,23 @@ def sample_lower_bound(
     get alone with ``seed``, bit for bit, while every label reads the same
     forward passes.  Box input sets: the objective is estimated at random
     box points and each label's best point is refined by coordinate hill
-    climbing, all labels in lockstep.  Sub-Gaussian input sets: the
-    expectation is estimated under a small catalog of feasible noise
-    distributions (a point mass at zero, truncated Gaussians, a symmetric
-    two-point mixture).  Returns one (value, stderr) per problem; never a
-    certificate.  Raises ValueError when the problems do not share one
-    network and one input set, or when ``n_samples`` < 1,
-    ``weight_draws`` < 1 or ``hill_steps`` < 0.
+    climbing, all labels in lockstep.  A climb round goes over the
+    coordinates in passes, one estimate each: a pass scores a window of
+    coordinates, for each the up and down trials of every label still
+    climbing, built from the current points.  It keeps its results up to
+    the first coordinate that improves a label, and the next pass starts
+    after that coordinate from the moved points, so every trial is the one
+    a label alone would score.  On a net that draws nothing the window is
+    every coordinate left in the round (a forward pass gives a row the
+    bytes it has in any block of two or more rows); on a net that draws it
+    is one coordinate, so each coordinate's trials take their own weight
+    block and no draws go to trials a cut would discard.  Sub-Gaussian
+    input sets: the expectation is estimated under a small catalog of
+    feasible noise distributions (a point mass at zero, truncated
+    Gaussians, a symmetric two-point mixture).  Returns one (value,
+    stderr) per problem; never a certificate.  Raises ValueError when the
+    problems do not share one network and one input set, or when
+    ``n_samples`` < 1, ``weight_draws`` < 1 or ``hill_steps`` < 0.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -277,8 +287,10 @@ def sample_lower_bound(
     results = [None] * len(problems)
 
     def final_estimates(leaving):
-        # a fresh estimate at the climbed point avoids max-selection bias;
-        # one row per call, as a label alone makes it
+        # A fresh estimate at the climbed point avoids max-selection bias.
+        # One row per call, as a label alone makes it: a one-row product may
+        # take another BLAS path than a block of two or more rows, so batching
+        # these rows could change their last bits.
         for k in leaving:
             mean, err = estimator.estimate(
                 x[k:k + 1], weight_draws, copy.deepcopy(rng) if estimator.draws else rng,
@@ -290,23 +302,37 @@ def sample_lower_bound(
         improved = np.zeros(len(problems), dtype=bool)
         # a step is zero only on a zero-width coordinate of the box
         movable = live[:, np.newaxis] & (step != 0.0)
-        for i, moving in enumerate(column.nonzero()[0] for column in movable.T):
-            if moving.size == 0:
-                continue
-            # rows 2k and 2k + 1 move label moving[k] up and down
-            trials = x[moving].repeat(2, axis=0)
-            shifted = trials[:, i] + (step[moving, i, np.newaxis] * _UP_DOWN).reshape(-1)
+        # the round's (coordinate, label) pairs in coordinate order; pair p's
+        # trial rows 2p and 2p + 1 move its label's coordinate up and down
+        coords, movers = movable.T.nonzero()
+        row_coords, row_labels = coords.repeat(2), movers.repeat(2)
+        row_shifts = (step[movers, coords, np.newaxis] * _UP_DOWN).reshape(-1)
+        p = 0
+        while p < coords.size:
+            # a pass scores a window of coordinates: one on a net that draws,
+            # so each takes its own weight block, else every one left
+            q = coords.size
+            if estimator.draws:
+                q = int(np.searchsorted(coords, coords[p], side="right"))
+            cols, at = row_labels[2 * p:2 * q], row_coords[2 * p:2 * q]
+            trials = x[cols]
+            rows = np.arange(cols.size)
+            shifted = trials[rows, at] + row_shifts[2 * p:2 * q]
             # np.clip's bits without its per-call overhead
-            trials[:, i] = np.minimum(np.maximum(shifted, lo[i]), hi[i])
-            means, errs = estimator.estimate(
-                trials, climb_draws, rng, points=2, cols=moving.repeat(2)
-            )
-            chosen = 2 * np.arange(moving.size) + np.argmax(means.reshape(-1, 2), axis=1)
-            better = means[chosen] > best_val[moving]
-            up, chosen = moving[better], chosen[better]
-            best_val[up], best_err[up] = means[chosen], errs[chosen]
-            x[up] = trials[chosen]
-            improved[up] = True
+            trials[rows, at] = np.minimum(np.maximum(shifted, lo[at]), hi[at])
+            means, errs = estimator.estimate(trials, climb_draws, rng, points=2, cols=cols)
+            chosen = 2 * np.arange(q - p) + np.argmax(means.reshape(-1, 2), axis=1)
+            better = means[chosen] > best_val[movers[p:q]]
+            if better.any():
+                # the pass ends with the first coordinate that improves a label:
+                # the later trials were built from the points before that move
+                q = int(np.searchsorted(coords, coords[p + np.argmax(better)], side="right"))
+                better = better[:q - p]
+                up, chosen = movers[p:q][better], chosen[:q - p][better]
+                best_val[up], best_err[up] = means[chosen], errs[chosen]
+                x[up] = trials[chosen]
+                improved[up] = True
+            p = q
         halving = live & ~improved
         step[halving] *= 0.5
         leaving = halving & (step.max(axis=1) < floor)

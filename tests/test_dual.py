@@ -195,6 +195,31 @@ class TestSubgradient:
                 for name, arr in params.items():
                     assert np.shape(grad[name]) == arr.shape, (seed, name)
 
+    @pytest.mark.parametrize("sides", [
+        # lam_1 gets two -0.0 terms (from g_0 and g_1), lam_2 one (from g_2)
+        {0: (None, True), 1: (True, None), 2: (True, None)},
+        # no solver gradient at all
+        {0: (None, None), 1: (None, None), 2: (None, None)},
+    ], ids=["negative-zero-terms", "no-terms"])
+    def test_gradient_sums_are_positive_zero(self, monkeypatch, two_layer_net, sides):
+        # the sums read as if they started from zero arrays: -0.0 terms sum
+        # to +0.0, and a multiplier no solver touches gets zeros
+        import funclag.dual
+        from funclag.inner import InnerResult
+
+        def solve(k, problems, stack, bounds):
+            grads = tuple({"theta": np.full((1, 2), -0.0)} if side else None for side in sides[k])
+            return InnerResult(value=np.zeros(1), mode="exact", grads=grads)
+
+        monkeypatch.setattr(funclag.dual, "_solve_problem", solve)
+        problem = logit_diff_problem(two_layer_net, epsilon=0.1)
+        bounds = propagate_intervals(two_layer_net, problem.support_box())
+        grads = evaluate_dual([problem], zero_stack(two_layer_net), bounds).grads
+        assert [list(g) for g in grads] == [["theta"], ["theta"]]
+        for g in grads:
+            assert g["theta"].shape == (1, 2)
+            assert not np.signbit(g["theta"]).any() and not g["theta"].any()
+
 
 class TestLambdaStarAffine:
     def test_one_layer_doubling(self):

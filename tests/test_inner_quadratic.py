@@ -28,7 +28,6 @@ from funclag.multipliers import (
     expected_quadratic_coeffs_adjoint,
     get_params,
     with_params,
-    zero_param_grads,
 )
 
 from conftest import det_layer
@@ -394,7 +393,8 @@ def bump_param_grads(layer, lam_k, lam_next, box, duals):
     """Unit-bump differences of the frozen surrogate in both multipliers' parameters."""
     penalties = _penalties(duals, layer.in_dim)
     frozen = _freeze(layer, lam_k, lam_next, box, *penalties, duals.get("kappa"))
-    grads_k, grads_next = zero_param_grads(lam_k), zero_param_grads(lam_next)
+    grads_k, grads_next = ({name: np.zeros_like(arr) for name, arr in get_params(lam).items()}
+                           for lam in (lam_k, lam_next))
     base = _frozen_surrogate(layer, lam_k, lam_next, box, *penalties, frozen)
     for lam, grads, place in ((lam_k, grads_k, 0), (lam_next, grads_next, 1)):
         for name, idx, bumped in _unit_param_bumps(lam):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from funclag import (
     model_to_dict,
     softmax,
 )
-from funclag.model import WeightDraws, draw_weights
+from funclag.model import WeightDraws, draw_weights, forward, mean_weights
 from funclag.oracle import random_problem
 
 from oracles import enumerate_dropout_patterns, forward_sample, mean_softmax_estimate
@@ -254,6 +255,43 @@ class TestForwardSample:
     def test_input_shape_checked(self, two_layer_net):
         with pytest.raises(ShapeError):
             forward_sample(two_layer_net, np.array([1.0, 2.0, 3.0]), seed=0)
+
+
+BUNDLED = Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json"
+
+
+def wide_net() -> CanonicalNetwork:
+    """A deterministic 6-16-8 net drawn as the benchmark's wide net is."""
+    rng = np.random.default_rng(0)
+    dims = [6, 16, 8]
+    return CanonicalNetwork(layers=tuple(
+        CanonicalLayer(
+            activation="identity" if i == 0 else "relu",
+            weights=Deterministic(
+                2.0 * rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])),
+            bias=Deterministic(0.1 * rng.standard_normal(dims[i + 1])),
+        )
+        for i in range(2)
+    ))
+
+
+class TestForwardRowBytes:
+    @pytest.mark.parametrize("net_name", ["bundled", "wide"])
+    def test_a_row_keeps_its_bytes_in_any_block_of_two_or_more_rows(self, net_name):
+        # the sampled attack scores many points' trials in one block and
+        # relies on each row's bytes being those of a small block; a
+        # one-row block may take another BLAS path, so it is not compared
+        net = load_model(BUNDLED) if net_name == "bundled" else wide_net()
+        weights = mean_weights(net.layers)
+        rng = np.random.default_rng(1)
+        x = rng.random((200, net.input_dim))
+        full = forward(net.layers, x, weights)
+        for size in [*range(2, 40), 63, 64, 65, 100, 127, 128, 129, 199]:
+            picked = rng.choice(200, size, replace=False)
+            start = int(rng.integers(0, 201 - size))
+            for rows in (picked, np.arange(start, start + size)):
+                block = forward(net.layers, x[rows], weights)
+                assert block.tobytes() == full[rows].tobytes(), (size, rows)
 
 
 class TestMeanSoftmaxEstimate:

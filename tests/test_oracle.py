@@ -208,10 +208,10 @@ class TestBatchedObjectiveEstimate:
             assert g.tobytes() == w[np.arange(6), cols].tobytes()
 
 
-def _label_problems(seed: int, truncation: float | None = None):
-    """Every label's problem of ``random_problem(seed)``'s spec, sharing one
-    network and input set; ``truncation`` replaces every Gaussian's."""
-    net, problem = random_problem(seed)
+def _label_problems(seed: int, truncation: float | None = None, **shape):
+    """Every label's problem of ``random_problem(seed, **shape)``'s spec,
+    sharing one network and input set; ``truncation`` replaces every Gaussian's."""
+    net, problem = random_problem(seed, **shape)
     if truncation is not None:
         net = CanonicalNetwork(layers=tuple(
             dataclasses.replace(layer, weights=dataclasses.replace(
@@ -228,17 +228,24 @@ def _label_problems(seed: int, truncation: float | None = None):
     return [dataclasses.replace(problem, objective=objective) for objective in objectives]
 
 
+# random_problem's shape arguments that make seed 1390 a deterministic 7-14-8
+# softmax net on a box: the benchmark's wide net has 6-16-8
+WIDE = dict(max_layers=2, max_width=16, max_classes=8, kinds=("robust_ood",))
+
 # random_problem seeds by weights and input set (logit differences at 11,
 # 14 and 35, softmax labels elsewhere); Gaussian nets also at truncation 0.5
 ATTACK_CASES = [
-    (11, None), (12, None),  # deterministic, box
-    (4, None),  # deterministic, sub-Gaussian
-    (6, None), (6, 0.5), (35, None), (35, 0.5),  # Gaussian, box
-    (7, None), (7, 0.5),  # Gaussian, sub-Gaussian
-    (14, None), (28, None),  # dropout, box
-    (18, None),  # dropout, sub-Gaussian
-    (31, None), (31, 0.5),  # Gaussian then dropout, box
-]
+    pytest.param(seed, truncation, {}, id=f"{seed}-{truncation}")
+    for seed, truncation in [
+        (11, None), (12, None),  # deterministic, box
+        (4, None),  # deterministic, sub-Gaussian
+        (6, None), (6, 0.5), (35, None), (35, 0.5),  # Gaussian, box
+        (7, None), (7, 0.5),  # Gaussian, sub-Gaussian
+        (14, None), (28, None),  # dropout, box
+        (18, None),  # dropout, sub-Gaussian
+        (31, None), (31, 0.5),  # Gaussian then dropout, box
+    ]
+] + [pytest.param(1390, None, WIDE, id="1390-wide")]  # deterministic, box
 
 
 MODEL = Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json"
@@ -314,9 +321,10 @@ class TestTruncatedNormal:
 
 class TestSampleLowerBoundPerLabel:
     @pytest.mark.parametrize("hill_steps", [0, 5, 60])
-    @pytest.mark.parametrize("seed,truncation", ATTACK_CASES)
-    def test_each_label_bit_identical_to_its_attack_alone(self, seed, truncation, hill_steps):
-        problems = _label_problems(seed, truncation)
+    @pytest.mark.parametrize("seed,truncation,shape", ATTACK_CASES)
+    def test_each_label_bit_identical_to_its_attack_alone(self, seed, truncation, shape,
+                                                          hill_steps):
+        problems = _label_problems(seed, truncation, **shape)
         kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=hill_steps)
         got = sample_lower_bound(problems, **kwargs)
         assert len(got) == len(problems)
@@ -335,14 +343,16 @@ class TestSampleLowerBoundPerLabel:
     @pytest.mark.parametrize("seed", [12, 6, 28])
     def test_labels_leave_the_climb_in_different_rounds(self, monkeypatch, seed):
         # a deterministic, a Gaussian and a dropout net whose climb calls
-        # shrink as labels leave: a label that leaves estimates its climbed
+        # lose labels as they leave: a label that leaves estimates its climbed
         # point from a copy of the generator the others go on drawing from,
         # or from the generator itself on a net that draws nothing
         calls, copies = [], []
         original = oracle._Estimator.estimate
 
         def spy(estimator, x, *args, **kwargs):
-            calls.append((x.shape[0], kwargs.get("points")))
+            labels = kwargs.get("cols")
+            labels = None if labels is None else frozenset(labels.tolist())
+            calls.append((x.shape[0], kwargs.get("points"), labels))
             return original(estimator, x, *args, **kwargs)
 
         def counted_deepcopy(obj):
@@ -354,11 +364,12 @@ class TestSampleLowerBoundPerLabel:
         problems = _label_problems(seed)
         kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=60)
         got = sample_lower_bound(problems, **kwargs)
-        climb = [k for k, (_, points) in enumerate(calls) if points == 2]
-        finals = [k for k, (rows, points) in enumerate(calls) if rows == 1 and points is None]
+        climb = [k for k, (_, points, _) in enumerate(calls) if points == 2]
+        finals = [k for k, (rows, points, _) in enumerate(calls) if rows == 1 and points is None]
         assert len(finals) == len(problems)
         assert finals[0] < climb[-1]
-        assert len({calls[k][0] for k in climb}) > 1
+        # the labels climbing at the first round's first call, and at the last call
+        assert calls[climb[0]][2] == set(range(len(problems))) > calls[climb[-1]][2]
         draws = not problems[0].network.is_deterministic()
         assert copies == [np.random.Generator] * (len(problems) if draws else 0)
         for problem, pair in zip(problems, got):
@@ -381,6 +392,79 @@ class TestSampleLowerBoundPerLabel:
         problems = [dataclasses.replace(problem, objective=o) for o in objectives]
         kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=hill_steps)
         got = sample_lower_bound(problems, **kwargs)
+        for problem, pair in zip(problems, got):
+            want = sample_lower_bound_alone(problem, **kwargs)
+            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
+
+
+def _climb_calls(monkeypatch, problems, **kwargs):
+    """The attack's results, and its climb calls (those sized for two points):
+    per call, the coordinate each trial pair moves, each pair's best mean and
+    its label; the start sample's means come first, as (means, None, None)."""
+    calls = []
+    original = oracle._Estimator.estimate
+
+    def spy(estimator, x, *args, **kw):
+        means, errs = original(estimator, x, *args, **kw)
+        if kw.get("points") == 2:
+            # up and down differ at the one coordinate the pair moves
+            moved = [int(np.flatnonzero(up != down)[0]) for up, down in zip(x[::2], x[1::2])]
+            calls.append((np.array(moved), means.reshape(-1, 2).max(axis=1), kw["cols"][::2]))
+        elif not calls:
+            calls.append((means, None, None))
+        return means, errs
+
+    monkeypatch.setattr(oracle._Estimator, "estimate", spy)
+    return sample_lower_bound(problems, **kwargs), calls
+
+
+class TestClimbWindow:
+    def test_a_net_that_draws_nothing_scores_the_rest_of_a_pass_per_call(self, monkeypatch):
+        # each call moves the coordinates from where the pass stands to the
+        # last, every live label each; it ends with the first coordinate
+        # that beats a label's best, and the next call starts after it
+        problems = _label_problems(1390, **WIDE)
+        dim = problems[0].network.input_dim
+        kwargs = dict(n_samples=40, seed=3, weight_draws=30, hill_steps=60)
+        got, calls = _climb_calls(monkeypatch, problems, **kwargs)
+        (start_means, _, _), climb = calls[0], calls[1:]
+        best = start_means.max(axis=0)
+        first, quiet_rounds, cuts = 0, 0, 0
+        for moved, means, labels in climb:
+            live = np.unique(labels)
+            assert moved.tolist() == np.repeat(np.arange(first, dim), live.size).tolist()
+            assert labels.tolist() == np.tile(live, dim - first).tolist()
+            better = means > best[labels]
+            if not better.any():
+                # a call from the first coordinate that improves nothing is a whole round
+                quiet_rounds += first == 0
+                first = 0
+                continue
+            cut = moved[np.argmax(better)]
+            keep = better & (moved == cut)
+            best[labels[keep]] = means[keep]
+            cuts += cut < dim - 1
+            first = (cut + 1) % dim
+        assert quiet_rounds > 0 and cuts > 0
+        for problem, pair in zip(problems, got):
+            want = sample_lower_bound_alone(problem, **kwargs)
+            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
+
+    @pytest.mark.parametrize("seed", [6, 28])
+    def test_a_net_that_draws_scores_one_coordinate_per_call(self, monkeypatch, seed):
+        # a Gaussian (6) and a dropout (28) net: each coordinate's trials
+        # take their own weight block, whether or not a label improves
+        problems = _label_problems(seed)
+        dim = problems[0].network.input_dim
+        kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=60)
+        got, calls = _climb_calls(monkeypatch, problems, **kwargs)
+        coordinates = []
+        for moved, _, labels in calls[1:]:
+            assert np.unique(moved).size == 1
+            assert labels.tolist() == sorted(set(labels.tolist()))
+            coordinates.append(int(moved[0]))
+        assert len(coordinates) > dim
+        assert coordinates == [i % dim for i in range(len(coordinates))]
         for problem, pair in zip(problems, got):
             want = sample_lower_bound_alone(problem, **kwargs)
             assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
