@@ -15,7 +15,6 @@ from .dual import (
     OptimizerConfig,
     evaluate_dual,
     init_stack,
-    lambda_star_affine,
     optimize,
 )
 from .model import (

@@ -34,10 +34,6 @@ class Interval:
         if np.any(lo > hi):
             raise ValueError("lo must not exceed hi")
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
 
 def boxes_to_lists(boxes) -> list:
     """Nested [lo, hi] pairs per layer, the JSON view of a tuple of boxes."""

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .bounds import boxes_to_lists, propagate_intervals
-from .dual import OptimizerConfig, optimize
+from .dual import Certificate, OptimizerConfig, optimize
 from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
 from .multipliers import UnsupportedCombination
@@ -165,7 +165,7 @@ def bounds(model_path, spec_path, out_path):
               help="directory of verify outputs, one per OOD sample")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def auc(id_path, certs_dir, out_path):
-    """Aggregate per-sample certificates into guaranteed/adversarial AUC."""
+    """Aggregate per-sample OOD certificates into guaranteed/adversarial AUC."""
     id_scores = _read_json(id_path, "id scores")
     if not _all_finite(id_scores) or not all(0.0 <= v <= 1.0 for v in id_scores):
         _fail("id scores must be a non-empty list of numbers in [0, 1]")
@@ -179,20 +179,18 @@ def auc(id_path, certs_dir, out_path):
     for path in cert_files:
         try:
             doc = decode_reals(_read_json(path, f"certificate file {path.name}"))
-            certs = doc["certificates"]
-            # per-sample confidence score: worst certified label bound
-            per_label = [c["metadata"]["objective_bound"] for c in certs]
-            attack_vals = [c["metadata"].get("attack_value") for c in certs]
-        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            certs = [Certificate.from_jsonable(entry) for entry in doc["certificates"]]
+        except (ValueError, UnsupportedCombination, KeyError, TypeError, RecursionError) as exc:
             _fail(f"bad certificate file {path.name}: {exc}")
-        if not _all_finite(per_label):
-            _fail(f"bad certificate file {path.name}: no certificates, or a non-finite "
-                  "objective bound")
-        bounds_per_sample.append(min(max(per_label), 1.0))
-        if any(v is None for v in attack_vals):
+        # an OOD spec's threshold is its p_max, strictly inside (0, 1)
+        if not certs or not all(0.0 < c.metadata["threshold"] < 1.0 for c in certs):
+            _fail(f"bad certificate file {path.name}: no certificates, or not OOD ones "
+                  "(a threshold outside (0, 1))")
+        # per-sample confidence score: worst certified label bound
+        bounds_per_sample.append(min(max(c.metadata["objective_bound"] for c in certs), 1.0))
+        attack_vals = [c.metadata.get("attack_value") for c in certs]
+        if None in attack_vals:
             have_attacks = False
-        elif not _all_finite(attack_vals):
-            _fail(f"bad certificate file {path.name}: a non-finite attack value")
         else:
             attacks_per_sample.append(min(max(attack_vals), 1.0))
 

@@ -34,14 +34,14 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import inner
 from .bounds import Interval, boxes_to_lists, propagate_intervals
 from .jsonio import is_real, sha256_of
-from .model import CanonicalNetwork, StructureError, model_to_dict
+from .model import CanonicalNetwork, model_to_dict
 from .multipliers import (
     Linear,
     LinExp,
@@ -290,6 +290,13 @@ class Certificate:
                 and is_real(meta.get("threshold")) and math.isfinite(meta["threshold"])
                 and meta["objective_bound"] == bound + meta["threshold"]
             ),
+            "a finite real attack_value and attack_stderr, or neither": (
+                isinstance(meta, dict) and (
+                    "attack_value" not in meta and "attack_stderr" not in meta
+                    or all(is_real(meta.get(k)) and math.isfinite(meta[k])
+                           for k in ("attack_value", "attack_stderr"))
+                )
+            ),
             "a fingerprint of exactly model, spec and bounds SHA-256 digests": (
                 isinstance(digests, dict) and sorted(digests) == ["bounds", "model", "spec"]
                 and all(isinstance(h, str) and re.fullmatch("[0-9a-f]{64}", h)
@@ -326,14 +333,8 @@ def fingerprints(problems: list[VerificationProblem], bounds: tuple[Interval, ..
                 "sigma": getattr(iset, "sigma", None),
                 "clip": iset.clip,
             },
-            "objective": {
-                "kind": type(problem.objective).__name__,
-                **(
-                    {"target": problem.objective.target, "true": problem.objective.true}
-                    if isinstance(problem.objective, LogitDiff)
-                    else {"label": problem.objective.label}
-                ),
-            },
+            "objective": {"kind": type(problem.objective).__name__,
+                          **asdict(problem.objective)},
             "threshold": problem.threshold,
         }
         out.append({"model": model, "spec": sha256_of(spec_doc), "bounds": boxes})
@@ -471,21 +472,3 @@ def _truncation_levels(net: CanonicalNetwork) -> list[float | None]:
             default=None)
         for layer in net.layers
     ]
-
-
-# --- exact multipliers for affine networks --------------------------------
-
-
-def lambda_star_affine(net: CanonicalNetwork, c) -> tuple[Linear, ...]:
-    """The tight linear multipliers for a deterministic affine network.
-
-    Backward recursion lam_K = c . x, lam_k = lam_{k+1}(W_{k+1} x + b_{k+1})
-    keeps every multiplier linear (constant offsets telescope out of the
-    dual), and the dual evaluates exactly to the specification optimum.
-    """
-    if not net.is_affine():
-        raise StructureError("exact multipliers require an affine deterministic network")
-    thetas = [np.asarray(c, dtype=float)]
-    for layer in reversed(net.layers[1:]):
-        thetas.insert(0, layer.weights.mean.T @ thetas[0])
-    return tuple(Linear(theta=t) for t in thetas)

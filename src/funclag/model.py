@@ -286,12 +286,6 @@ class CanonicalNetwork:
     def is_deterministic(self) -> bool:
         return all(layer.is_deterministic() for layer in self.layers)
 
-    def is_affine(self) -> bool:
-        """True when every activation is identity and every weight is a point mass."""
-        return self.is_deterministic() and all(
-            layer.activation == "identity" for layer in self.layers
-        )
-
 
 # --- JSON model format -------------------------------------------------
 
@@ -405,7 +399,7 @@ def forward(layers, h: np.ndarray, weights) -> np.ndarray:
     """Outputs of ``layers`` at the rows of ``h`` (..., N, in) under realized weights.
 
     ``weights`` holds one realized (W, b) pair per layer, from
-    :func:`mean_weights` or :func:`draw_weights`.
+    :func:`mean_weights` or a :class:`WeightDraws` call.
     A pair is either one (out, in) matrix and (out,) vector applied to
     every row, or a stack of ``take`` draws, (take, out, in) and
     (take, out), each applied to every row of its slice of ``h``.
@@ -493,9 +487,3 @@ class WeightDraws:
             for dist, cols in zip(self.tensors, self.columns)
         ])
         return list(zip(realized, realized))
-
-
-def draw_weights(layers, take: int, rng: np.random.Generator) -> list[tuple]:
-    """``take`` draws of every (W, b), stacked on a leading axis: one call of
-    :class:`WeightDraws`."""
-    return WeightDraws(layers)(take, rng)

@@ -137,16 +137,16 @@ _UP_DOWN = np.array([1.0, -1.0])
 class _Estimator:
     """What every estimate of one spec's attack reads, built once per attack.
 
-    The objectives' index arrays (a logit difference's target and true
-    label, a softmax objective's label, dummies elsewhere), whether the
-    net draws at all, the mean weights of the layers before its first
-    stochastic tensor (every layer on a net that draws nothing), and the
-    weight draws of the layers from it on and of the whole net.
+    The objectives' one kind (``diff``: logit differences, else softmax
+    objectives) and index arrays (target and true label, or label;
+    dummies for the other kind), whether the net draws at all, the mean
+    weights of the layers before its first stochastic tensor (every layer
+    on a net that draws nothing), and the weight draws of the layers from
+    it on and of the whole net.
     """
 
     def __init__(self, net: CanonicalNetwork, objectives):
-        self.diff = np.array([isinstance(objective, LogitDiff) for objective in objectives])
-        self.all_diff, self.any_diff = bool(self.diff.all()), bool(self.diff.any())
+        self.diff = isinstance(objectives[0], LogitDiff)
         self.targets, self.trues, self.labels = (
             np.array([getattr(objective, name, 0) for objective in objectives])
             for name in ("target", "true", "label")
@@ -170,15 +170,10 @@ class _Estimator:
         """
         rows = np.arange(logits.shape[-2])
         if cols is None:
-            rows, cols = rows[:, np.newaxis], np.arange(self.diff.size)
-
-        def diffs():
+            rows, cols = rows[:, np.newaxis], np.arange(self.labels.size)
+        if self.diff:
             return logits[..., rows, self.targets[cols]] - logits[..., rows, self.trues[cols]]
-
-        if self.all_diff:
-            return diffs()
-        probs = softmax(logits)[..., rows, self.labels[cols]]
-        return np.where(self.diff[cols], diffs(), probs) if self.any_diff else probs
+        return softmax(logits)[..., rows, self.labels[cols]]
 
     def estimate(self, x, weight_draws, rng, points=None, cols=None):
         """Estimates (mean, stderr) of the objectives at every input, shaped as :meth:`values`.
@@ -200,7 +195,7 @@ class _Estimator:
             values = self.values(hidden, cols)
             return values, np.zeros_like(values)
         per_chunk = max(_ROW_BUDGET // (points or x.shape[0]), 1)
-        total = np.zeros((1, x.shape[0]) if cols is not None else (1, x.shape[0], self.diff.size))
+        total = np.zeros((1, x.shape[0]) if cols is not None else (1, x.shape[0], self.labels.size))
         total_sq = np.zeros_like(total)
         for done in range(0, weight_draws, per_chunk):
             take = min(per_chunk, weight_draws - done)
@@ -245,8 +240,9 @@ def sample_lower_bound(
     feasible noise distributions (a point mass at zero, truncated
     Gaussians, a symmetric two-point mixture).  Returns one (value,
     stderr) per problem; never a certificate.  Raises ValueError when the
-    problems do not share one network and one input set, or when
-    ``n_samples`` < 1, ``weight_draws`` < 1 or ``hill_steps`` < 0.
+    problems do not share one network, one input set and one objective
+    kind, or when ``n_samples`` < 1, ``weight_draws`` < 1 or
+    ``hill_steps`` < 0.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -259,6 +255,8 @@ def sample_lower_bound(
     net, input_set = problems[0].network, problems[0].input_set
     if any(p.network is not net or p.input_set is not input_set for p in problems):
         raise ValueError("the problems must share one network and one input set")
+    if any(type(p.objective) is not type(problems[0].objective) for p in problems):
+        raise ValueError("the problems must share one objective kind")
     estimator = _Estimator(net, [p.objective for p in problems])
     rng = np.random.default_rng(seed)
 
@@ -383,8 +381,8 @@ def _sub_gaussian_lower_bounds(net, input_set, estimator, n, rng):
             samplers.append(lambda k, s=s: truncated_normal(rng, s, radius, k))
         two_point = np.minimum(scale_cap, radius)
         samplers.append(lambda k: two_point * (2.0 * (rng.random((k, dim)) < 0.5) - 1.0))
-    best_val = np.full(estimator.diff.size, -math.inf)
-    best_err = np.zeros(estimator.diff.size)
+    best_val = np.full(estimator.labels.size, -math.inf)
+    best_err = np.zeros(estimator.labels.size)
     for sampler in samplers:
         val, err = estimate(sampler)
         better = val > best_val

@@ -6,9 +6,10 @@ per-entry moment generating functions, Monte Carlo layer expectations,
 exhaustive dropout patterns, reproducible noisy multiplier stacks, the
 full 3^n enumeration of the softmax output problem, the softmax step
 on any assignment, the per-assignment softmax step and water-filling
-rows as first written, the linexp transition bound row by row, the
-Gaussian weight block as first written, one stochastic forward pass, the Monte Carlo mean softmax, and the sampled
-attack of one problem alone.
+rows as first written, the exact multipliers of an affine network, box
+membership, the linexp transition bound row by row, the Gaussian weight
+block as first written, one stochastic forward pass, the Monte Carlo
+mean softmax, and the sampled attack of one problem alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from funclag.model import (
     DiagonalGaussian,
     Dropout,
     ShapeError,
-    draw_weights,
+    StructureError,
+    WeightDraws,
     forward,
     mean_weights,
     softmax,
@@ -170,7 +172,7 @@ def mc_expectation(
 ) -> tuple[float, float]:
     """Sample mean and standard error of lam(W s(x) + b) over weight draws.
 
-    The weights come from ``draw_weights``, so Gaussian ones are truncated,
+    The weights come from ``WeightDraws``, so Gaussian ones are truncated,
     as in the closed-form expectations this oracle validates.  Draws are
     batched, so millions of samples stay cheap.
     """
@@ -180,7 +182,7 @@ def mc_expectation(
     done = 0
     while done < n:
         take = min(100_000, n - done)
-        y = forward([layer], row, draw_weights([layer], take, rng))
+        y = forward([layer], row, WeightDraws([layer])(take, rng))
         values = evaluate(lam, np.broadcast_to(y, (take, 1, layer.out_dim))[:, 0])
         total += float(values.sum())
         total_sq += float((values**2).sum())
@@ -408,11 +410,42 @@ def reference_rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
     return rows
 
 
+# --- exact multipliers for affine networks, box membership -------------------
+
+
+def is_affine(net: CanonicalNetwork) -> bool:
+    """True when every activation is identity and every weight is a point mass."""
+    return net.is_deterministic() and all(
+        layer.activation == "identity" for layer in net.layers
+    )
+
+
+def lambda_star_affine(net: CanonicalNetwork, c) -> tuple[Linear, ...]:
+    """The tight linear multipliers for a deterministic affine network.
+
+    Backward recursion lam_K = c . x, lam_k = lam_{k+1}(W_{k+1} x + b_{k+1})
+    keeps every multiplier linear (constant offsets telescope out of the
+    dual), and the dual evaluates exactly to the specification optimum.
+    """
+    if not is_affine(net):
+        raise StructureError("exact multipliers require an affine deterministic network")
+    thetas = [np.asarray(c, dtype=float)]
+    for layer in reversed(net.layers[1:]):
+        thetas.insert(0, layer.weights.mean.T @ thetas[0])
+    return tuple(Linear(theta=t) for t in thetas)
+
+
+def contains(box: Interval, x, tol: float = 0.0) -> bool:
+    """True when every entry of ``x`` lies in ``box``, widened by ``tol``."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(x >= box.lo - tol) and np.all(x <= box.hi + tol))
+
+
 # --- stochastic forward passes ---------------------------------------------
 
 
 def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
-    """One stochastic forward pass with one :func:`draw_weights` draw.
+    """One stochastic forward pass with one :class:`WeightDraws` draw.
 
     The pass is a pure function of (net, x, seed).
     """
@@ -420,7 +453,7 @@ def forward_sample(net: CanonicalNetwork, x, seed: int) -> np.ndarray:
     if x.shape != (net.input_dim,):
         raise ShapeError(f"input must have shape ({net.input_dim},), got {x.shape}")
     rng = np.random.default_rng(seed)
-    return forward(net.layers, x[np.newaxis], draw_weights(net.layers, 1, rng)).reshape(-1)
+    return forward(net.layers, x[np.newaxis], WeightDraws(net.layers)(1, rng)).reshape(-1)
 
 
 def mean_softmax_estimate(
@@ -437,7 +470,8 @@ def mean_softmax_estimate(
     rows = np.asarray(x, dtype=float)[np.newaxis]
     probs = np.empty((n_samples, net.output_dim))
     for i in range(n_samples):
-        probs[i] = softmax(forward(net.layers, rows, draw_weights(net.layers, 1, rng))).reshape(-1)
+        logits = forward(net.layers, rows, WeightDraws(net.layers)(1, rng))
+        probs[i] = softmax(logits).reshape(-1)
     mean = probs.mean(axis=0)
     if n_samples == 1 or net.is_deterministic():
         stderr = np.zeros(net.output_dim)
@@ -499,7 +533,7 @@ def linexp_transition_rows(lam1: LinExp, lam2: Multiplier, layer: CanonicalLayer
 
 
 def normal_block_as_first_written(rng, limit: np.ndarray, take: int) -> np.ndarray:
-    """The standard-normal block of ``draw_weights`` as first written: ``take``
+    """The standard-normal block of ``WeightDraws`` as first written: ``take``
     rows of normals, then every entry past its column's ``limit`` redrawn as a
     whole normal, in C order, until none is left."""
     draw = rng.standard_normal
@@ -537,7 +571,7 @@ def objective_estimate(net, objective, x, weight_draws, rng, row_budget=1024):
     for done in range(0, weight_draws, per_chunk):
         take = min(per_chunk, weight_draws - done)
         values = _objective_values(
-            objective, forward(layers, hidden, draw_weights(layers, take, rng))
+            objective, forward(layers, hidden, WeightDraws(layers)(take, rng))
         )
         total = np.cumsum(np.vstack([total, values]), axis=0)[-1]
         total_sq = np.cumsum(np.vstack([total_sq, values**2]), axis=0)[-1]
@@ -609,7 +643,7 @@ def _sub_gaussian_alone(problem, n, rng):
         if net.is_deterministic():
             values, _ = objective_estimate(net, problem.objective, x, 1, rng)
         else:
-            logits = forward(net.layers, x[:, np.newaxis], draw_weights(net.layers, n, rng))
+            logits = forward(net.layers, x[:, np.newaxis], WeightDraws(net.layers)(n, rng))
             values = _objective_values(problem.objective, logits[:, 0])
         mean = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -32,7 +32,6 @@ from funclag import (
     adversarial_auc,
     evaluate_dual,
     guaranteed_auc,
-    lambda_star_affine,
     load_model,
     optimize,
     propagate_intervals,
@@ -48,6 +47,7 @@ from oracles import (
     box_softmax_max,
     evaluate,
     expected_under_layer,
+    lambda_star_affine,
     mc_expectation,
     noisy_stack,
     stationary_points_case_b,

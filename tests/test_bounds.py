@@ -14,10 +14,11 @@ from funclag import (
     interval_affine,
     propagate_intervals,
 )
-from funclag.model import draw_weights, forward
+from funclag.model import WeightDraws, forward
 from funclag.oracle import random_problem
 
 from conftest import det_layer
+from oracles import contains
 
 
 class TestWeightSupport:
@@ -102,10 +103,10 @@ class TestPropagate:
             rng = np.random.default_rng(seed + 1000)
             for trial in range(1_700):
                 out = box.lo + rng.random((1, net.input_dim)) * (box.hi - box.lo)
-                weights = draw_weights(net.layers, 1, np.random.default_rng((seed, trial)))
+                weights = WeightDraws(net.layers)(1, np.random.default_rng((seed, trial)))
                 for k in range(net.depth):
                     out = forward(net.layers[k : k + 1], out, weights[k : k + 1])
-                    assert bounds[k + 1].contains(out, tol=0.0)
+                    assert contains(bounds[k + 1], out, tol=0.0)
 
     def test_monotone_in_input_box(self):
         net, problem = random_problem(seed=3)

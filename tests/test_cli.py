@@ -15,8 +15,8 @@ import funclag
 import funclag.cli
 from funclag.cli import main
 from funclag.dual import Certificate
-from funclag.jsonio import decode_reals
-from funclag.specs import guaranteed_auc
+from funclag.jsonio import decode_reals, encode_reals
+from funclag.specs import adversarial_auc, guaranteed_auc
 
 from oracles import forward_sample
 
@@ -97,6 +97,16 @@ CORRUPTIONS = [
     ("metadata", lambda meta: {**meta, "objective_bound": meta["objective_bound"] + 1e-9},
      "objective_bound = bound \\+ threshold"),
     ("metadata", lambda meta: {**meta, "objective_bound": None}, "objective_bound"),
+    ("metadata", lambda meta: {**meta, "attack_value": 0.1}, "attack_value and attack_stderr"),
+    ("metadata", lambda meta: {**meta, "attack_stderr": 0.0}, "attack_value and attack_stderr"),
+    ("metadata", lambda meta: {**meta, "attack_value": math.nan, "attack_stderr": 0.0},
+     "finite real attack_value"),
+    ("metadata", lambda meta: {**meta, "attack_value": 0.1, "attack_stderr": math.inf},
+     "finite real attack_value"),
+    ("metadata", lambda meta: {**meta, "attack_value": "0.1", "attack_stderr": 0.0},
+     "finite real attack_value"),
+    ("metadata", lambda meta: {**meta, "attack_value": None, "attack_stderr": None},
+     "finite real attack_value"),
     ("fingerprint", None, "fingerprint"),
     ("fingerprint", lambda fp: None, "fingerprint"),
     ("fingerprint", lambda fp: {k: v for k, v in fp.items() if k != "spec"}, "fingerprint"),
@@ -656,23 +666,29 @@ class TestBounds:
 
 
 class TestAuc:
-    def make_cert_dir(self, tmp_path, per_sample_bounds, attacks=None):
+    def make_cert_dir(self, tmp_path, per_sample_bounds, attacks=None, threshold=0.5):
+        """One file per sample, each label's certificate one the loader accepts: a
+        one-entry trace at the label's objective bound, one linear multiplier and
+        three digests."""
         directory = tmp_path / "certs"
         directory.mkdir()
         for i, bounds in enumerate(per_sample_bounds):
             certs = []
-            for j, bound in enumerate(bounds):
-                metadata = {"objective_bound": float.hex(float(bound)), "threshold": float.hex(0.5)}
+            for j, value in enumerate(map(float, bounds)):
+                margin = value - threshold
+                metadata = {"objective_bound": margin + threshold, "threshold": threshold}
                 if attacks is not None:
-                    metadata["attack_value"] = float.hex(float(attacks[i][j]))
-                    metadata["attack_stderr"] = float.hex(0.0)
-                certs.append(
-                    {"bound": float.hex(float(bound - 0.5)), "verified": bound <= 0.5,
-                     "trace": [], "multipliers": [], "metadata": metadata, "fingerprint": {}}
+                    metadata.update(attack_value=float(attacks[i][j]), attack_stderr=0.0)
+                cert = Certificate(
+                    bound=margin, verified=margin <= 0.0,
+                    stack=(funclag.Linear(theta=np.zeros((1, 3))),),
+                    trace=[{"step": 0, "train_value": value, "certified_value": value}],
+                    metadata=metadata,
+                    fingerprint={"model": DIGEST, "spec": DIGEST, "bounds": DIGEST},
                 )
-            (directory / f"sample_{i}.json").write_text(
-                json.dumps({"verified": False, "bound": float.hex(0.0), "certificates": certs})
-            )
+                certs.append(cert.to_jsonable())
+            doc = {"verified": False, "bound": 0.0, "certificates": certs}
+            (directory / f"sample_{i}.json").write_text(json.dumps(encode_reals(doc)))
         return str(directory)
 
     def test_single_id_above_all_bounds(self, tmp_path):
@@ -708,7 +724,9 @@ class TestAuc:
         assert "sample_0.json" in result.output
 
     @pytest.mark.parametrize("field", ["objective_bound", "attack_value"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    # encode_reals writes a non-finite float as a string; json.dumps as a bare literal
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"])
     def test_non_finite_value_exits_two(self, tmp_path, field, value):
         certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]], attacks=[[0.1, 0.2]])
         path = tmp_path / "certs" / "sample_0.json"
@@ -718,6 +736,58 @@ class TestAuc:
         result = self.run_auc(tmp_path, certs)
         assert result.exit_code == 2
         assert not (tmp_path / "auc.json").exists()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_outside_the_unit_interval_exits_two(self, tmp_path, threshold):
+        # an OOD spec's threshold is its p_max, strictly inside (0, 1); an
+        # adversarial one has 0, and its logit differences are no confidence scores
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]], threshold=threshold)
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2
+        assert "bad certificate file sample_0.json" in result.output
+        assert not (tmp_path / "auc.json").exists()
+
+    def test_adversarial_verify_output_exits_two(self, tmp_path):
+        spec = write_spec(tmp_path, type="adversarial", true_label=0)
+        (tmp_path / "certs").mkdir()
+        run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "0", "--no-attack",
+                 "--out", str(tmp_path / "certs" / "adversarial.json")])
+        result = self.run_auc(tmp_path, str(tmp_path / "certs"))
+        assert result.exit_code == 2
+        assert "bad certificate file adversarial.json" in result.output
+
+    def test_reads_verify_outputs(self, tmp_path):
+        # one robust_ood/linear and one dist_robust_ood/linexp output of the bundled model
+        directory = tmp_path / "certs"
+        directory.mkdir()
+        runs = [("robust_ood", "linear", {}), ("dist_robust_ood", "linexp", {"sigma": 0.05})]
+        for kind, family, extra in runs:
+            spec = write_spec(tmp_path, f"{kind}.json", type=kind, p_max=0.3,
+                              input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], **extra)
+            result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--family", family,
+                              "--steps", "6", "--certify-every", "3",
+                              "--out", str(directory / f"{kind}.json")])
+            assert result.exit_code in (0, 1), result.output
+        ids = [0.1, 0.35, 0.6, 0.95]
+        result = self.run_auc(tmp_path, str(directory), ids)
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "auc.json").read_text())
+        # per sample, the worst label's value, capped at 1
+        worst = {"objective_bound": [], "attack_value": []}
+        for path in sorted(directory.glob("*.json")):
+            certs = decode_reals(json.loads(path.read_text()))["certificates"]
+            for field, values in worst.items():
+                values.append(min(max(c["metadata"][field] for c in certs), 1.0))
+        assert doc["gauc"] == guaranteed_auc(np.clip(worst["objective_bound"], 0.0, 1.0), ids)
+        assert doc["aauc"] == adversarial_auc(np.clip(worst["attack_value"], 0.0, 1.0), ids)
+        # a copy with one objective_bound moved off bound + threshold
+        entry = json.loads((directory / "robust_ood.json").read_text())
+        meta = entry["certificates"][0]["metadata"]
+        meta["objective_bound"] = float.hex(float.fromhex(meta["objective_bound"]) - 0.25)
+        (directory / "robust_ood_copy.json").write_text(json.dumps(entry))
+        result = self.run_auc(tmp_path, str(directory), ids)
+        assert result.exit_code == 2
+        assert "bad certificate file robust_ood_copy.json" in result.output
 
     @pytest.mark.parametrize(
         "ids",

@@ -19,7 +19,6 @@ from funclag import (
     VerificationProblem,
     evaluate_dual,
     init_stack,
-    lambda_star_affine,
     optimize,
     propagate_intervals,
     sample_lower_bound,
@@ -29,7 +28,7 @@ from funclag.multipliers import get_params, take_rows, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
-from oracles import box_softmax_max, noisy_stack, softmax_objective
+from oracles import box_softmax_max, lambda_star_affine, noisy_stack, softmax_objective
 
 
 def zero_stack(net):

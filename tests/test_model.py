@@ -19,7 +19,7 @@ from funclag import (
     model_to_dict,
     softmax,
 )
-from funclag.model import WeightDraws, draw_weights, forward, mean_weights
+from funclag.model import WeightDraws, forward, mean_weights
 from funclag.oracle import random_problem
 
 from oracles import enumerate_dropout_patterns, forward_sample, mean_softmax_estimate
@@ -188,7 +188,7 @@ class TestWeightKinds:
                                   truncation=2.0 * cut),
         )
         n = 100_000
-        ((w, b),) = draw_weights([layer], n, np.random.default_rng(5))
+        ((w, b),) = WeightDraws([layer])(n, np.random.default_rng(5))
         for dist, draws in ((layer.weights, w), (layer.bias, b)):
             lo, hi = dist.support
             assert np.all((draws >= lo) & (draws <= hi))
@@ -199,15 +199,15 @@ class TestWeightKinds:
 
     def test_one_layout_draws_as_a_fresh_one_each_call(self):
         # Gaussian (seed 6), dropout (seed 8) and both (seed 31) nets: a WeightDraws
-        # reused call after call gives the bits and leaves the generator as draw_weights
-        # called afresh each time
+        # reused call after call gives the bits and leaves the generator as a fresh
+        # WeightDraws built for each call
         for seed in (6, 8, 31):
             net, _ = random_problem(seed)
             draws = WeightDraws(net.layers)
             reused, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
             for take in (1, 7, 300, 2):
                 for (w1, b1), (w2, b2) in zip(draws(take, reused),
-                                              draw_weights(net.layers, take, fresh)):
+                                              WeightDraws(net.layers)(take, fresh)):
                     assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
             assert reused.random() == fresh.random()
 

@@ -143,65 +143,78 @@ GAUSSIAN_NETS = {
     # all normals are drawn before all uniforms
     "gaussian-then-dropout": {(1, "weights"): "gaussian", (2, "weights"): "dropout"},
 }
-OBJECTIVES = (LogitDiff(target=2, true=0), ExpectedSoftmax(label=1))
+# an attack scores one objective kind: two objectives of each
+OBJECTIVES = {
+    "logit-diff": (LogitDiff(target=2, true=0), LogitDiff(target=1, true=2)),
+    "softmax": (ExpectedSoftmax(label=1), ExpectedSoftmax(label=2)),
+}
+per_kind = pytest.mark.parametrize("objectives", OBJECTIVES.values(), ids=OBJECTIVES.keys())
 
 
 class TestBatchedObjectiveEstimate:
+    @per_kind
     @pytest.mark.parametrize("budget", [1024, 1, 7])
     @pytest.mark.parametrize("n_points", [1, 2, 200])
     @pytest.mark.parametrize("net_name", sorted(DROPOUT_NETS))
-    def test_bit_identical_to_per_draw_loop(self, monkeypatch, net_name, n_points, budget):
+    def test_bit_identical_to_per_draw_loop(self, monkeypatch, net_name, n_points, budget,
+                                            objectives):
         # budget 7 makes chunks of 7 or 3 draws, neither of which divides 50
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(DROPOUT_NETS[net_name])
         x = np.random.default_rng(n_points).random((n_points, 3))
-        got = oracle._Estimator(net, OBJECTIVES).estimate(x, 50, np.random.default_rng(9))
-        for k, objective in enumerate(OBJECTIVES):
+        got = oracle._Estimator(net, objectives).estimate(x, 50, np.random.default_rng(9))
+        for k, objective in enumerate(objectives):
             want = _per_draw_estimate(net, objective, x, 50, np.random.default_rng(9))
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g[:, k].view(np.int64), w.view(np.int64))
 
+    @per_kind
     @pytest.mark.parametrize("budget", [1024, 1, 7])
     @pytest.mark.parametrize("net_name", sorted(GAUSSIAN_NETS))
-    def test_gaussian_nets_agree_in_distribution(self, monkeypatch, net_name, budget):
+    def test_gaussian_nets_agree_in_distribution(self, monkeypatch, net_name, budget,
+                                                 objectives):
         # a tail redraw takes its normals after the chunk's, so the draws
         # depend on the chunking; their truncated distribution does not
         monkeypatch.setattr(oracle, "_ROW_BUDGET", budget)
         net = _stochastic_net(GAUSSIAN_NETS[net_name])
         x = np.random.default_rng(4).random((2, 3))
-        mean, err = oracle._Estimator(net, OBJECTIVES).estimate(
+        mean, err = oracle._Estimator(net, objectives).estimate(
             x, 4000, np.random.default_rng(1)
         )
-        for k, objective in enumerate(OBJECTIVES):
+        for k, objective in enumerate(objectives):
             ref_mean, ref_err = _per_draw_estimate(
                 net, objective, x, 4000, np.random.default_rng(2)
             )
             assert np.all(err[:, k] > 0.0)
             assert np.all(np.abs(mean[:, k] - ref_mean) <= 4.0 * np.hypot(err[:, k], ref_err))
 
+    @per_kind
     @pytest.mark.parametrize("net_name", sorted(GAUSSIAN_NETS))
-    def test_chunks_sized_for_fewer_points_draw_as_those_points_alone(self, net_name):
+    def test_chunks_sized_for_fewer_points_draw_as_those_points_alone(self, net_name,
+                                                                      objectives):
         # six rows in chunks sized for two draw the weights, tail redraws
         # included, as an estimate of two rows does
         net = _stochastic_net(GAUSSIAN_NETS[net_name])
         x = np.random.default_rng(4).random((6, 3))
-        estimator = oracle._Estimator(net, OBJECTIVES)
+        estimator = oracle._Estimator(net, objectives)
         for draws in (200, 700):
             got = estimator.estimate(x, draws, np.random.default_rng(3), points=2)
             pair = estimator.estimate(x[2:4], draws, np.random.default_rng(3))
             for g, w in zip(got, pair):
                 np.testing.assert_array_equal(g[2:4], w)
 
+    @per_kind
     @pytest.mark.parametrize(
         "net_name", ["deterministic", *sorted(DROPOUT_NETS), *sorted(GAUSSIAN_NETS)]
     )
-    def test_one_objective_per_row_is_its_column_of_every_objective(self, net_name):
+    def test_one_objective_per_row_is_its_column_of_every_objective(self, net_name,
+                                                                    objectives):
         # the climb scores row r by objective cols[r] alone; the sums run
         # element by element, so the bits are those of the full estimate
         net = _stochastic_net({**DROPOUT_NETS, **GAUSSIAN_NETS}.get(net_name, {}))
         x = np.random.default_rng(5).random((6, 3))
         cols = np.array([0, 0, 1, 1, 1, 0])
-        estimator = oracle._Estimator(net, OBJECTIVES)
+        estimator = oracle._Estimator(net, objectives)
         every = estimator.estimate(x, 300, np.random.default_rng(8), points=2)
         owned = estimator.estimate(x, 300, np.random.default_rng(8), points=2, cols=cols)
         for g, w in zip(owned, every):
@@ -377,26 +390,6 @@ class TestSampleLowerBoundPerLabel:
             assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
 
 
-    @pytest.mark.parametrize("hill_steps", [0, 25])
-    @pytest.mark.parametrize("seed", [11, 4, 6, 7, 14, 18])
-    def test_mixed_objective_kinds_get_their_attacks_alone(self, seed, hill_steps):
-        # softmax and logit-difference problems interleaved in one call, on
-        # deterministic (11, 4), Gaussian (6, 7) and dropout (14, 18) nets
-        # with a box (11, 6, 14) or a sub-Gaussian input set (4, 7, 18)
-        problem = _label_problems(seed)[0]
-        last = problem.network.output_dim - 1
-        objectives = [
-            ExpectedSoftmax(label=0), LogitDiff(target=last, true=0),
-            ExpectedSoftmax(label=last), LogitDiff(target=0, true=1),
-        ]
-        problems = [dataclasses.replace(problem, objective=o) for o in objectives]
-        kwargs = dict(n_samples=40, seed=seed, weight_draws=30, hill_steps=hill_steps)
-        got = sample_lower_bound(problems, **kwargs)
-        for problem, pair in zip(problems, got):
-            want = sample_lower_bound_alone(problem, **kwargs)
-            assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want))
-
-
 def _climb_calls(monkeypatch, problems, **kwargs):
     """The attack's results, and its climb calls (those sized for two points):
     per call, the coordinate each trial pair moves, each pair's best mean and
@@ -502,4 +495,14 @@ class TestSampleLowerBoundArguments:
         shifted = dataclasses.replace(problems[0].input_set, epsilon=0.5)
         mixed = [problems[0], dataclasses.replace(problems[1], input_set=shifted)]
         with pytest.raises(ValueError, match="one input set"):
+            sample_lower_bound(mixed, n_samples=10, weight_draws=5)
+
+    @pytest.mark.parametrize("seed", [11, 4])
+    def test_rejects_problems_of_different_objective_kinds(self, seed):
+        # a logit difference next to a softmax objective, on a box (11) and a
+        # sub-Gaussian input set (4)
+        problem = _label_problems(seed)[0]
+        mixed = [dataclasses.replace(problem, objective=o) for o in
+                 (ExpectedSoftmax(label=0), LogitDiff(target=1, true=0))]
+        with pytest.raises(ValueError, match="one objective kind"):
             sample_lower_bound(mixed, n_samples=10, weight_draws=5)
