@@ -5,14 +5,13 @@ per-target problems, runs one dual optimization and one sampled attack
 for all of them, and writes one compact JSON file (sorted keys,
 no whitespace): a summary plus the per-problem certificates.  Reals in
 that file are hex-float strings so reloading reproduces them bit for bit.
-Exit codes: 0 verified, 1 sound but not verified, 2 error (an unreadable
-or unwritable file among them).
+Exit codes: 0 verified, 1 sound but not verified, 2 any error (an
+unreadable or unwritable file, or anything a subcommand raises).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .bounds import boxes_to_lists, propagate_intervals
 from .dual import Certificate, OptimizerConfig, optimize
-from .jsonio import decode_reals, encode_reals, is_real
+from .jsonio import decode_reals, encode_reals
 from .model import load_model
 from .multipliers import UnsupportedCombination
 from .oracle import sample_lower_bound
@@ -30,6 +29,7 @@ from .specs import (
     adversarial_auc,
     build_problem,
     guaranteed_auc,
+    validate_scores,
 )
 
 _EXIT_VERIFIED = 0
@@ -40,13 +40,6 @@ _EXIT_ERROR = 2
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(_EXIT_ERROR)
-
-
-def _all_finite(values) -> bool:
-    """True for a non-empty list of finite JSON numbers."""
-    return isinstance(values, list) and bool(values) and all(
-        is_real(v) and math.isfinite(v) for v in values
-    )
 
 
 def _read_json(path, what: str):
@@ -81,7 +74,23 @@ def _load_model_or_fail(path: str):
         _fail(f"cannot load model: {exc}")
 
 
-@click.group()
+class _Main(click.Group):
+    """Whatever a subcommand raises and does not handle exits 2 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except (UnsupportedCombination, ValueError) as exc:
+            _fail(str(exc))
+        except ArithmeticError as exc:
+            _fail(f"numerical failure: {type(exc).__name__}: {exc}")
+        except Exception as exc:
+            _fail(f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Main)
 def main():
     """Certified bounds on probabilistic specifications of small networks."""
 
@@ -89,7 +98,8 @@ def main():
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--family", type=click.Choice(["linear", "linexp", "quadratic"]), default="linear")
+@click.option("--family", type=click.Choice(["linear", "linexp", "quadratic"]),
+              help="default: linexp on a sub-Gaussian input set, else linear")
 @click.option("--steps", default=OptimizerConfig.steps, show_default=True)
 @click.option("--lr", default=OptimizerConfig.lr, show_default=True)
 @click.option("--decay-every", default=OptimizerConfig.decay_every, show_default=True)
@@ -108,23 +118,18 @@ def verify(model_path, spec_path, family, steps, lr, decay_every, certify_every,
     config = OptimizerConfig(
         steps=steps, lr=lr, decay_every=decay_every, certify_every=certify_every,
     )
-    try:
-        # one optimization per spec: its labels step together
-        certificates = optimize(problems, config=config, family=family)
-        for cert in certificates:
-            cert.metadata["config"]["seed"] = seed
-        if attack:
-            # one attack per spec: every label reads the same draws
-            attacks = sample_lower_bound(
-                problems, n_samples=200, seed=seed, weight_draws=200, hill_steps=25
-            )
-            for cert, (value, stderr) in zip(certificates, attacks):
-                cert.metadata["attack_value"] = value
-                cert.metadata["attack_stderr"] = stderr
-    except (UnsupportedCombination, ValueError) as exc:
-        _fail(str(exc))
-    except ArithmeticError as exc:
-        _fail(f"numerical failure: {type(exc).__name__}: {exc}")
+    # one optimization per spec: its labels step together
+    certificates = optimize(problems, config=config, family=family)
+    for cert in certificates:
+        cert.metadata["config"]["seed"] = seed
+    if attack:
+        # one attack per spec: every label reads the same draws
+        attacks = sample_lower_bound(
+            problems, n_samples=200, seed=seed, weight_draws=200, hill_steps=25
+        )
+        for cert, (value, stderr) in zip(certificates, attacks):
+            cert.metadata["attack_value"] = value
+            cert.metadata["attack_stderr"] = stderr
 
     verified = all(c.verified for c in certificates)
     worst = max(c.bound for c in certificates)
@@ -148,10 +153,7 @@ def bounds(model_path, spec_path, out_path):
     """Dump the per-layer activation boxes for a spec's input set."""
     net = _load_model_or_fail(model_path)
     problems = _problems_or_fail(net, spec_path)
-    try:
-        boxes = propagate_intervals(net, problems[0].support_box())
-    except ValueError as exc:
-        _fail(str(exc))
+    boxes = propagate_intervals(net, problems[0].support_box())
     _write(out_path, json.dumps({"layers": boxes_to_lists(boxes)}, indent=1))
     widths = "/".join(str(len(box.lo)) for box in boxes)
     click.echo(f"wrote boxes for layer widths {widths}")
@@ -166,9 +168,7 @@ def bounds(model_path, spec_path, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def auc(id_path, certs_dir, out_path):
     """Aggregate per-sample OOD certificates into guaranteed/adversarial AUC."""
-    id_scores = _read_json(id_path, "id scores")
-    if not _all_finite(id_scores) or not all(0.0 <= v <= 1.0 for v in id_scores):
-        _fail("id scores must be a non-empty list of numbers in [0, 1]")
+    id_scores = validate_scores(_read_json(id_path, "id scores"), "id scores")
     cert_files = sorted(Path(certs_dir).glob("*.json")) if Path(certs_dir).is_dir() else []
     if not cert_files:
         _fail(f"no certificate files in {certs_dir}")

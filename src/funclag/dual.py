@@ -344,7 +344,7 @@ def fingerprints(problems: list[VerificationProblem], bounds: tuple[Interval, ..
 def optimize(
     problems: list[VerificationProblem],
     config: OptimizerConfig | None = None,
-    family: str = "linear",
+    family: str | None = None,
     bounds: tuple[Interval, ...] | None = None,
     stack: tuple[Multiplier, ...] | None = None,
 ) -> list[Certificate]:
@@ -358,9 +358,12 @@ def optimize(
     and at the last step the same value is step t's ``certified_value``
     and updates the row's best sound bound; a row stops early as soon as
     that margin is non-positive.  A certificate records the best bound,
-    the stack row that achieved it, and the trace.  A non-finite dual
-    value raises ``FloatingPointError``, and so does a numpy overflow or
-    invalid operation after step 0.  An ``ArithmeticError`` or a
+    the stack row that achieved it, and the trace.  The family defaults to
+    linexp on a sub-Gaussian input set and to linear otherwise; the start
+    is ``stack`` when given (recorded as ``"given"``), else the family's
+    zero stack (``"zeros"``).  A non-finite dual value raises
+    ``FloatingPointError``, and so does a numpy overflow or invalid
+    operation after step 0.  An ``ArithmeticError`` or a
     ``np.linalg.LinAlgError`` after step 0 ends only the rows that raise
     it alone, each with a ``RuntimeWarning``; their certificates hold the
     steps completed before it.  One raised at step 0 propagates.
@@ -375,6 +378,9 @@ def optimize(
     net = problems[0].network
     if bounds is None:
         bounds = propagate_intervals(net, problems[0].support_box())
+    if family is None:
+        family = "linexp" if isinstance(problems[0].input_set, SubGaussianNoise) else "linear"
+    init = "zeros" if stack is None else "given"
     if stack is None:
         stack = init_stack(problems, family)
 
@@ -449,7 +455,7 @@ def optimize(
                     "lr": config.lr,
                     "decay_every": config.decay_every,
                     "certify_every": config.certify_every,
-                    "init": "zeros",
+                    "init": init,
                 },
             },
             fingerprint=fingerprint,

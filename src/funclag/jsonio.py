@@ -18,14 +18,28 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def all_reals(value) -> bool:
+def _all_reals(value) -> bool:
     """True for a real or nested lists of reals, checked entry by entry (``[0.5, true]``
     converts to a float array); a numpy array passes on an integer or float dtype."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iuf"
     if isinstance(value, (list, tuple)):
-        return all(all_reals(v) for v in value)
+        return all(_all_reals(v) for v in value)
     return is_real(value)
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """The one reader for numbers from outside the program: a number or rectangular nested
+    lists of them as a float array.  Anything else is a ValueError naming ``name``."""
+    if not _all_reals(value):
+        raise ValueError(f"{name} must hold numbers, not booleans, strings or other values")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # a ragged list, or an int past float range
+        raise ValueError(f"{name} must be a number or a rectangular list of numbers") from exc
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return arr
 
 
 def encode_reals(obj):

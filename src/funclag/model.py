@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .jsonio import all_reals, is_real
+from .jsonio import is_real, real_array
 
 
 class ModelError(Exception):
@@ -49,13 +49,9 @@ _ACTIVATIONS = ("identity", "relu")
 
 
 def _as_array(values, what: str, ndim: int | None = None) -> np.ndarray:
-    if not all_reals(values):
-        raise ValueError(f"{what} must hold numbers, not booleans or strings")
-    arr = np.asarray(values, dtype=float)
+    arr = real_array(values, what)
     if ndim is not None and arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr
 

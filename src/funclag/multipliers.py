@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .jsonio import real_array
 from .model import CanonicalLayer
 
 
@@ -213,7 +214,7 @@ def stack_to_jsonable(stack) -> list[dict]:
 
 def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
     """Rebuild a one-row stack; a family's parameters must be exactly its fields, each
-    without the row axis and all finite."""
+    read by ``real_array`` and without the row axis."""
     lams: list[Multiplier] = []
     for entry in entries:
         family = entry["family"]
@@ -224,9 +225,7 @@ def stack_from_jsonable(entries) -> tuple[Multiplier, ...]:
         params = entry["params"]
         if sorted(params) != sorted(names):
             raise ValueError(f"{family} multiplier needs parameters {names}, got {sorted(params)}")
-        values = {name: np.asarray(params[name], dtype=float) for name in names}
-        if not all(np.isfinite(arr).all() for arr in values.values()):
-            raise ValueError(f"{family} multiplier has a non-finite parameter")
+        values = {name: real_array(params[name], f"{family} parameter {name}") for name in names}
         lam = cls(**values)
         for name in names:
             if values[name].ndim == getattr(lam, name).ndim:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Interval
-from .jsonio import all_reals
+from .jsonio import real_array
 from .model import CanonicalNetwork
 
 
@@ -127,8 +127,7 @@ class VerificationProblem:
         n = self.network.input_dim
         if self.input_set.center.shape != (n,):
             raise ConfigError(
-                f"input center has {self.input_set.center.shape[0]} coordinates, "
-                f"network expects {n}"
+                f"input center has shape {self.input_set.center.shape}, network expects ({n},)"
             )
         labels = (
             (self.objective.target, self.objective.true)
@@ -144,30 +143,22 @@ class VerificationProblem:
 
 
 _SPEC_TYPES = ("adversarial", "robust_ood", "dist_robust_ood")
+# every key some spec type reads; any other key is a mistake, not a comment
+_SPEC_KEYS = {"type", "input", "epsilon", "clip", "true_label", "p_max", "sigma"}
 
 
-def _number(config: dict, key: str, convert=float):
-    """config[key] through ``convert``; missing, non-numeric (a string or a boolean,
-    also inside a list) or non-finite is a ConfigError."""
+def _number(config: dict, key: str, scalar: bool = True):
+    """config[key] read by ``real_array``: a float, or an array of any shape when not
+    ``scalar``; a missing or malformed value is a ConfigError naming the key."""
     if key not in config:
         raise ConfigError(f"missing field {key!r}")
-    raw = config[key]
-    if not all_reals(raw):
-        raise ConfigError(f"{key} must be numeric, got {raw!r}")
     try:
-        value = convert(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be numeric, got {raw!r}") from exc
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
-    return value
-
-
-def _label(value) -> int:
-    """A class label; int() would truncate 1.7 to 1."""
-    if int(value) != float(value):
-        raise ConfigError(f"true_label must be an integer, got {value!r}")
-    return int(value)
+        value = real_array(config[key], key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if scalar and value.ndim:
+        raise ConfigError(f"{key} must be a number, got shape {value.shape}")
+    return float(value) if scalar else value
 
 
 def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProblem]:
@@ -183,22 +174,22 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
     spec_type = config.get("type")
     if spec_type not in _SPEC_TYPES:
         raise ConfigError(f"type must be one of {_SPEC_TYPES}")
-    center = _number(config, "input", lambda v: np.asarray(v, dtype=float))
+    unknown = sorted(set(config) - _SPEC_KEYS, key=str)
+    if unknown:
+        raise ConfigError(f"unknown spec keys {unknown}; a spec reads {sorted(_SPEC_KEYS)}")
+    center = _number(config, "input", scalar=False)
     epsilon = _number(config, "epsilon")
-    if center.ndim != 1 or center.shape[0] != net.input_dim:
-        raise ConfigError("input must be a vector matching the network input_dim")
     clip = config.get("clip", True)
     if not isinstance(clip, bool):
         raise ConfigError(f"clip must be true or false, got {clip!r}")
 
     if spec_type == "adversarial":
-        if "true_label" not in config:
-            raise ConfigError("adversarial specs need true_label")
         if net.output_dim < 2:
             raise ConfigError("adversarial specs need a model with at least two outputs")
-        true_label = _number(config, "true_label", _label)
-        if not 0 <= true_label < net.output_dim:
-            raise ConfigError("true_label out of range")
+        true_label = _number(config, "true_label")
+        if true_label != int(true_label):  # int() would truncate 1.7 to 1
+            raise ConfigError(f"true_label must be an integer, got {true_label!r}")
+        true_label = int(true_label)
         input_set = BoxOfDeltas(center=center, epsilon=epsilon, clip=clip)
         return [
             VerificationProblem(
@@ -211,16 +202,12 @@ def build_problem(net: CanonicalNetwork, config: dict) -> list[VerificationProbl
             if j != true_label
         ]
 
-    if "p_max" not in config:
-        raise ConfigError("OOD specs need p_max")
     p_max = _number(config, "p_max")
     if not 0.0 < p_max < 1.0:
         raise ConfigError("p_max must lie strictly inside (0, 1)")
     if spec_type == "robust_ood":
         input_set = BoxOfDeltas(center=center, epsilon=epsilon, clip=clip)
     else:
-        if "sigma" not in config:
-            raise ConfigError("dist_robust_ood specs need sigma")
         input_set = SubGaussianNoise(
             center=center, epsilon=epsilon, sigma=_number(config, "sigma"), clip=clip
         )
@@ -248,8 +235,11 @@ def _pairwise_auc(positives: np.ndarray, negatives: np.ndarray) -> float:
     return float((below + not_above) / (2.0 * len(positives) * len(negatives)))
 
 
-def _validate_scores(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def validate_scores(values, name: str) -> np.ndarray:
+    """A non-empty list of numbers in [0, 1], read by ``real_array``."""
+    arr = real_array(values, name)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyInput(f"{name} is empty")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -264,8 +254,8 @@ def guaranteed_auc(ood_upper_bounds, id_scores) -> float:
     the pairwise statistic is antitone in the OOD scores, so scoring the
     OOD samples by their bounds can only lower the AUC.
     """
-    bounds = _validate_scores(ood_upper_bounds, "ood_upper_bounds")
-    ids = _validate_scores(id_scores, "id_scores")
+    bounds = validate_scores(ood_upper_bounds, "ood_upper_bounds")
+    ids = validate_scores(id_scores, "id_scores")
     return _pairwise_auc(ids, bounds)
 
 
@@ -275,6 +265,6 @@ def adversarial_auc(ood_attack_scores, id_scores) -> float:
     Attack scores under-estimate the true worst-case OOD confidence, and
     lowering OOD scores raises the pairwise statistic.
     """
-    attacks = _validate_scores(ood_attack_scores, "ood_attack_scores")
-    ids = _validate_scores(id_scores, "id_scores")
+    attacks = validate_scores(ood_attack_scores, "ood_attack_scores")
+    ids = validate_scores(id_scores, "id_scores")
     return _pairwise_auc(ids, attacks)

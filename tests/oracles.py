@@ -7,7 +7,8 @@ exhaustive dropout patterns, reproducible noisy multiplier stacks, the
 full 3^n enumeration of the softmax output problem, the softmax step
 on any assignment, the per-assignment softmax step and water-filling
 rows as first written, the exact multipliers of an affine network, box
-membership, the linexp transition bound row by row, the Gaussian weight
+membership, the exact logit difference of a deterministic ReLU net by a
+big-M MILP, the linexp transition bound row by row, the Gaussian weight
 block as first written, one stochastic forward pass, the Monte Carlo
 mean softmax, and the sampled attack of one problem alone.
 """
@@ -20,8 +21,9 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from funclag.bounds import Interval
+from funclag.bounds import Interval, propagate_intervals
 from funclag.inner import InnerResult, final_softmax_exact
 from funclag.inner.linear import activation_candidates, matvec_rows, mean_output
 from funclag.inner.linexp import _ZETA_LOG_CAP, transition_bound_at_zeta
@@ -439,6 +441,70 @@ def contains(box: Interval, x, tol: float = 0.0) -> bool:
     """True when every entry of ``x`` lies in ``box``, widened by ``tol``."""
     x = np.asarray(x, dtype=float)
     return bool(np.all(x >= box.lo - tol) and np.all(x <= box.hi + tol))
+
+
+# --- exact logit differences on deterministic ReLU nets --------------------
+
+
+def exact_logit_diff(net: CanonicalNetwork, box: Interval, c) -> tuple[float, float]:
+    """The maximum of c . logits over ``box`` on a deterministic net, by a big-M MILP.
+
+    One binary per hidden ReLU unit picks its side; the big-M constants are
+    the ``propagate_intervals`` boxes (Tjeng, Xiao and Tedrake, ICLR 2019),
+    and HiGHS solves to a zero relative gap.  Returns the MILP objective and
+    c . logits of the network at the MILP's input, clipped into ``box``: the
+    second is achieved, so no sound bound may fall below it.
+    """
+    if not net.is_deterministic():
+        raise StructureError("the MILP needs a deterministic network")
+    c = np.asarray(c, dtype=float)
+    boxes = propagate_intervals(net, box)
+    lo, hi, integer = [], [], []
+
+    def columns(low, high, is_int=0):
+        start = len(lo)
+        lo.extend(low)
+        hi.extend(high)
+        integer.extend([is_int] * len(low))
+        return np.arange(start, len(lo))
+
+    # x[k]: the pre-activations x_k in their box; relu[k]: the output and the
+    # switch of layer k's ReLU
+    x = [columns(b.lo, b.hi) for b in boxes]
+    relu = {k: (columns(np.maximum(boxes[k].lo, 0.0), np.maximum(boxes[k].hi, 0.0)),
+                columns(np.zeros(len(x[k])), np.ones(len(x[k])), 1))
+            for k, layer in enumerate(net.layers) if layer.activation == "relu"}
+    blocks, row_lo, row_hi = [], [], []
+
+    def rows(parts, low, high):
+        block = np.zeros((len(low), len(lo)))
+        for cols, coef in parts:
+            block[:, cols] += coef
+        blocks.append(block)
+        row_lo.append(low)
+        row_hi.append(high)
+
+    for k, layer in enumerate(net.layers):
+        n, (l, u) = len(x[k]), (boxes[k].lo, boxes[k].hi)
+        eye = np.eye(n)
+        if k in relu:
+            a, d = relu[k]
+            rows([(a, eye), (x[k], -eye)], np.zeros(n), np.full(n, np.inf))  # a >= x
+            rows([(a, eye), (x[k], -eye), (d, -np.diag(l))], np.full(n, -np.inf), -l)
+            rows([(a, eye), (d, -np.diag(u))], np.full(n, -np.inf), np.zeros(n))
+        w, b = layer.weights.mean, layer.bias.mean
+        rows([(x[k + 1], np.eye(len(b))), (relu[k][0] if k in relu else x[k], -w)], b, b)
+    objective = np.zeros(len(lo))
+    objective[x[-1]] = -c
+    result = milp(objective, integrality=np.array(integer), bounds=Bounds(lo, hi),
+                  constraints=LinearConstraint(np.vstack(blocks), np.concatenate(row_lo),
+                                               np.concatenate(row_hi)),
+                  options={"mip_rel_gap": 0.0})
+    if result.status != 0:
+        raise RuntimeError(f"the MILP did not solve: {result.message}")
+    x0 = np.clip(result.x[x[0]], box.lo, box.hi)
+    logits = forward(net.layers, x0[np.newaxis], mean_weights(net.layers))[0]
+    return float(-result.fun), float(c @ logits)
 
 
 # --- stochastic forward passes ---------------------------------------------

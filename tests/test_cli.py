@@ -114,6 +114,10 @@ CORRUPTIONS = [
     ("fingerprint", lambda fp: {**fp, "model": DIGEST[:-1]}, "fingerprint"),
     ("fingerprint", lambda fp: {**fp, "model": DIGEST.upper()}, "fingerprint"),
     ("fingerprint", lambda fp: {**fp, "bounds": 5}, "fingerprint"),
+    ("multipliers", lambda lams: [{**lams[0], "params": {"theta": [True] * 3}}],
+     "theta must hold numbers"),
+    ("multipliers", lambda lams: [{**lams[0], "params": {"theta": ["0.5"] * 3}}],
+     "theta must hold numbers"),
 ]
 
 
@@ -296,7 +300,9 @@ class TestVerify:
          ("epsilon", math.inf), ("input", [math.nan] + [0.5] * 5), ("sigma", math.inf),
          # json keeps "0.04" a string and true a bool; neither is a number
          ("epsilon", "0.04"), ("epsilon", True), ("sigma", True), ("input", [True, False] * 3),
-         ("input", [0.5] * 5 + [True]), ("true_label", "1")],
+         ("input", [0.5] * 5 + [True]), ("true_label", "1"),
+         # VerificationProblem checks the shape
+         ("input", 0.5), ("input", [[0.5] * 6])],
     )
     def test_non_numeric_spec_field_exits_two(self, tmp_path, command, field, value):
         kind = {"sigma": "dist_robust_ood", "true_label": "adversarial"}.get(field, "robust_ood")
@@ -313,7 +319,10 @@ class TestVerify:
         [({"type": "adversarial", "true_label": 1.7}, "true_label"),
          ({"type": "adversarial", "true_label": True}, "true_label"),
          ({"clip": "false"}, "clip"),
-         ({"clip": 1}, "clip")],
+         ({"clip": 1}, "clip"),
+         # a key no spec type reads would be ignored: the run would cover the clipped box
+         ({"input": [0.98, 0.5, 0.5, 0.5, 0.5, 0.5], "Clip": False}, "unknown spec keys ['Clip']"),
+         ({"note": "first OOD sample"}, "unknown spec keys ['note']")],
     )
     def test_spec_value_that_would_change_the_spec_exits_two(
         self, tmp_path, command, overrides, field
@@ -324,6 +333,42 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert field in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["optimize", "sample_lower_bound"])
+    def test_an_unexpected_failure_exits_two(self, tmp_path, monkeypatch, target):
+        # exit 1 means "sound but not verified", so an escaped exception must not get it
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(funclag.cli, target, broken)
+        spec = write_spec(tmp_path)
+        out = tmp_path / "cert.json"
+        result = CliRunner().invoke(
+            main, ["verify", "--model", MODEL, "--spec", spec, "--steps", "2", "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: RuntimeError: broken on purpose" in result.output
+        assert not out.exists()
+
+    def test_family_defaults_to_linexp_on_a_sub_gaussian_spec(self, tmp_path):
+        spec = write_spec(tmp_path, type="dist_robust_ood", sigma=0.1, p_max=0.2)
+        out = tmp_path / "cert.json"
+        result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "4",
+                          "--out", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        doc = decode_reals(json.loads(out.read_text()))
+        assert [c["metadata"]["family"] for c in doc["certificates"]] == ["linexp"] * 3
+
+    def test_family_defaults_to_linear_on_a_box_spec(self, tmp_path):
+        spec = write_spec(tmp_path, p_max=0.2)
+        outputs = []
+        for flags in ([], ["--family", "linear"]):
+            out = tmp_path / f"cert{len(outputs)}.json"
+            result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "4",
+                              *flags, "--out", str(out)])
+            assert result.exit_code in (0, 1), result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["verify", "bounds"])
     def test_adversarial_spec_on_one_output_exits_two(self, tmp_path, command):
@@ -735,6 +780,20 @@ class TestAuc:
         path.write_text(json.dumps(doc))
         result = self.run_auc(tmp_path, certs)
         assert result.exit_code == 2
+        assert not (tmp_path / "auc.json").exists()
+
+    @pytest.mark.parametrize("entry", [True, "0.5"], ids=["boolean", "string"])
+    def test_a_multiplier_entry_that_is_no_number_exits_two(self, tmp_path, entry):
+        # np.asarray(..., dtype=float) would read true as 1.0 and "0.5" as 0.5
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        path = tmp_path / "certs" / "sample_0.json"
+        doc = json.loads(path.read_text())
+        doc["certificates"][0]["multipliers"][0]["params"]["theta"][0] = entry
+        path.write_text(json.dumps(doc))
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2, result.output
+        assert "bad certificate file sample_0.json" in result.output
+        assert "theta must hold numbers" in result.output
         assert not (tmp_path / "auc.json").exists()
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0])

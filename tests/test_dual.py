@@ -425,6 +425,26 @@ class TestOptimize:
         assert achieved <= start + 1e-12
         assert achieved >= opt - 1e-9  # weak duality even after optimization
 
+    def test_the_start_is_recorded(self):
+        # a given stack is "given" even when it holds a family's zeros; without one the
+        # run starts from the zero stack and says so
+        net, problem = random_problem(seed=2, kinds=("robust_ood",))
+        config = OptimizerConfig(steps=3, lr=0.05, certify_every=1)
+        zeros = init_stack([problem], "linear")
+        tenths = tuple(with_params(lam, {name: np.full_like(arr, 0.1)
+                                         for name, arr in get_params(lam).items()})
+                       for lam in zeros)
+        for stack, init in [(None, "zeros"), (tenths, "given"), (zeros, "given")]:
+            [cert] = optimize([problem], config, stack=stack)
+            assert cert.metadata["config"]["init"] == init
+
+    def test_the_family_follows_the_input_set(self):
+        for kind, family in [("dist_robust_ood", "linexp"), ("robust_ood", "linear"),
+                             ("adversarial", "linear")]:
+            _, problem = random_problem(seed=3, kinds=(kind,))
+            [cert] = optimize([problem], OptimizerConfig(steps=2))
+            assert cert.metadata["family"] == family
+
 
 def expand(problem):
     """A problem's spec expanded to every label of its kind, as ``build_problem`` does."""

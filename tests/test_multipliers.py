@@ -200,9 +200,13 @@ class TestSerialization:
             ({"family": "linear", "params": {"theta": [[0.5]]}}, "theta"),
             ({"family": "quadratic", "params": {"Q": [1.0], "q": [0.0]}}, "Q"),
             ({"family": "quadratic", "params": {"Q": [[1.0]], "q": 0.0}}, "q"),
+            # np.asarray(..., dtype=float) would read these as 1.0 and 0.5
+            ({"family": "linear", "params": {"theta": [True, 0.5]}}, "theta must hold numbers"),
+            ({"family": "linexp", "params": {"alpha": [0.0], "gamma": [0.0], "kappa": "0.5"}},
+             "kappa must hold numbers"),
         ],
         ids=["non_finite", "missing", "extra", "list_kappa", "scalar_alpha", "matrix_theta",
-             "vector_Q", "scalar_q"],
+             "vector_Q", "scalar_q", "boolean", "string"],
     )
     def test_malformed_parameters_are_rejected(self, entry, match):
         with pytest.raises(ValueError, match=match):

@@ -96,6 +96,10 @@ class TestBuildProblem:
             {"epsilon": True},
             {"type": "dist_robust_ood", "p_max": 0.5, "sigma": True},
             {"true_label": "1"},
+            # VerificationProblem checks these
+            {"true_label": -1},
+            {"input": 0.5},
+            {"input": [[0.5, 0.5]]},
         ],
     )
     def test_config_errors(self, mutation):
@@ -132,6 +136,30 @@ class TestBuildProblem:
         net = random_affine_net(rng)
         with pytest.raises(ConfigError, match="input"):
             build_problem(net, base_config(net, input=entries(net.input_dim)))
+
+    @pytest.mark.parametrize("key", ["Clip", "true label", "name"])
+    def test_keys_no_spec_type_reads_are_rejected(self, key):
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        with pytest.raises(ConfigError, match=f"unknown spec keys \\['{key}'\\]"):
+            build_problem(net, base_config(net, **{key: False}))
+
+    def test_a_key_another_spec_type_reads_is_accepted(self):
+        # sigma belongs to dist_robust_ood; a shared spec template may carry it
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        assert len(build_problem(net, base_config(net, sigma=0.1))) == net.output_dim - 1
+
+    @pytest.mark.parametrize("kind, field", [("adversarial", "true_label"),
+                                             ("robust_ood", "p_max"),
+                                             ("dist_robust_ood", "sigma")])
+    def test_a_missing_field_is_named(self, kind, field):
+        rng = np.random.default_rng(4)
+        net = random_affine_net(rng)
+        config = base_config(net, type=kind, p_max=0.5, sigma=0.1)
+        del config[field]
+        with pytest.raises(ConfigError, match=f"missing field '{field}'"):
+            build_problem(net, config)
 
     def test_numpy_inputs_still_load(self):
         rng = np.random.default_rng(4)
@@ -208,6 +236,19 @@ class TestAuc:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             guaranteed_auc([1.5], [0.5])
+
+    @pytest.mark.parametrize("auc, ood_name", [(guaranteed_auc, "ood_upper_bounds"),
+                                               (adversarial_auc, "ood_attack_scores")])
+    @pytest.mark.parametrize("scores", [
+        [0.2, float("nan")], [0.2, float("inf")], [float("-inf"), 0.7], [0.2, True], ["0.5"],
+        [[0.2, 0.7]], [0.2, [0.7]],
+    ], ids=["nan", "inf", "-inf", "boolean", "string", "nested", "ragged"])
+    @pytest.mark.parametrize("side", ["ood", "id"])
+    def test_scores_that_are_no_finite_numbers_rejected(self, auc, ood_name, scores, side):
+        # NaN passes both range comparisons; asarray reads true as 1.0 and "0.5" as 0.5
+        args = (scores, [0.5]) if side == "ood" else ([0.5], scores)
+        with pytest.raises(ValueError, match=ood_name if side == "ood" else "id_scores"):
+            auc(*args)
 
 
 @settings(max_examples=50, deadline=None)
