@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from .bounds import boxes_to_lists, propagate_intervals
-from .dual import Certificate, OptimizerConfig, optimize
-from .jsonio import decode_reals, encode_reals
+from .dual import FAMILIES, Certificate, OptimizerConfig, optimize
+from .jsonio import decode_reals, encode_reals, is_real
 from .model import load_model
 from .multipliers import UnsupportedCombination
 from .oracle import sample_lower_bound
@@ -98,7 +98,7 @@ def main():
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--family", type=click.Choice(["linear", "linexp", "quadratic"]),
+@click.option("--family", type=click.Choice(FAMILIES),
               help="default: linexp on a sub-Gaussian input set, else linear")
 @click.option("--steps", default=OptimizerConfig.steps, show_default=True)
 @click.option("--lr", default=OptimizerConfig.lr, show_default=True)
@@ -186,6 +186,11 @@ def auc(id_path, certs_dir, out_path):
         if not certs or not all(0.0 < c.metadata["threshold"] < 1.0 for c in certs):
             _fail(f"bad certificate file {path.name}: no certificates, or not OOD ones "
                   "(a threshold outside (0, 1))")
+        verified, worst = doc.get("verified"), doc.get("bound")
+        if not (isinstance(verified, bool) and verified == all(c.verified for c in certs)
+                and is_real(worst) and worst == max(c.bound for c in certs)):
+            _fail(f"bad certificate file {path.name}: verified {verified!r} and bound {worst!r} "
+                  "are not all(verified) and max(bound) of its certificates")
         # per-sample confidence score: worst certified label bound
         bounds_per_sample.append(min(max(c.metadata["objective_bound"] for c in certs), 1.0))
         attack_vals = [c.metadata.get("attack_value") for c in certs]

@@ -201,32 +201,57 @@ def _advance(problems, stack, bounds, layout, state, t, lr):
     return (params, _flat(evaluation.grads), m, v), stack, _finite_totals(evaluation)
 
 
-def init_stack(problems: list[VerificationProblem], family: str) -> tuple[Multiplier, ...]:
-    """The starting stack of one of the three run families, one row per problem.
+FAMILIES = ("linear", "linexp", "quadratic")
+
+
+def family_layout(family: str, depth: int) -> tuple[type, ...]:
+    """The multiplier kinds of a run family's stack on a network of ``depth`` layers.
 
     ``linear`` is linear at every boundary; ``linexp`` puts a linexp
     multiplier on the input layer's output and linear ones after it;
     ``quadratic`` is quadratic at every boundary but the logits, which
-    stay linear.  Every parameter starts at zero except the linexp kappa,
-    which starts at -10 so the exponential term is effectively off.
+    stay linear.
+    """
+    if family == "linear":
+        return (Linear,) * depth
+    if family == "linexp":
+        if depth < 2:
+            raise UnsupportedCombination("the linexp family needs at least two layers")
+        return (LinExp,) + (Linear,) * (depth - 1)
+    if family == "quadratic":
+        return (Quadratic,) * (depth - 1) + (Linear,)
+    raise UnsupportedCombination(f"unknown multiplier family {family!r}")
+
+
+def init_stack(problems: list[VerificationProblem], family: str) -> tuple[Multiplier, ...]:
+    """The starting stack of one of the run families (``family_layout``), one row per
+    problem.  Every parameter starts at zero except the linexp kappa, which starts at
+    -10 so the exponential term is effectively off.
     """
     b = len(problems)
     widths = [layer.out_dim for layer in problems[0].network.layers]
-    linear = tuple(Linear(theta=np.zeros((b, n))) for n in widths)
-    if family == "linear":
-        return linear
-    if family == "linexp":
-        if not isinstance(problems[0].input_set, SubGaussianNoise):
-            raise UnsupportedCombination("the linexp family needs a sub-Gaussian input set")
-        if len(widths) < 2:
-            raise UnsupportedCombination("the linexp family needs at least two layers")
-        n = widths[0]
-        lam1 = LinExp(alpha=np.zeros((b, n)), gamma=np.zeros((b, n)), kappa=np.full(b, -10.0))
-        return (lam1,) + linear[1:]
-    if family == "quadratic":
-        return tuple(Quadratic(Q=np.zeros((b, n, n)), q=np.zeros((b, n)))
-                     for n in widths[:-1]) + linear[-1:]
-    raise UnsupportedCombination(f"unknown multiplier family {family!r}")
+    if family == "linexp" and not isinstance(problems[0].input_set, SubGaussianNoise):
+        raise UnsupportedCombination("the linexp family needs a sub-Gaussian input set")
+    zeros = {
+        Linear: lambda n: Linear(theta=np.zeros((b, n))),
+        LinExp: lambda n: LinExp(alpha=np.zeros((b, n)), gamma=np.zeros((b, n)),
+                                 kappa=np.full(b, -10.0)),
+        Quadratic: lambda n: Quadratic(Q=np.zeros((b, n, n)), q=np.zeros((b, n))),
+    }
+    return tuple(zeros[kind](n) for kind, n in zip(family_layout(family, len(widths)), widths))
+
+
+def _is_count(value, least: int) -> bool:
+    """An integer (not a bool) of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _laid_out(stack: tuple[Multiplier, ...], family: str) -> bool:
+    """True when ``stack`` has the multiplier kinds ``init_stack`` gives ``family``."""
+    try:
+        return tuple(map(type, stack)) == family_layout(family, len(stack))
+    except UnsupportedCombination:
+        return False
 
 
 @dataclass
@@ -290,6 +315,12 @@ class Certificate:
                 and is_real(meta.get("threshold")) and math.isfinite(meta["threshold"])
                 and meta["objective_bound"] == bound + meta["threshold"]
             ),
+            "a family of linear, linexp or quadratic": (
+                isinstance(meta, dict) and meta.get("family") in FAMILIES
+            ),
+            f"a config of exactly {_CONFIG_RULE}": (
+                isinstance(meta, dict) and _is_config(meta.get("config"))
+            ),
             "a finite real attack_value and attack_stderr, or neither": (
                 isinstance(meta, dict) and (
                     "attack_value" not in meta and "attack_stderr" not in meta
@@ -315,8 +346,30 @@ class Certificate:
             stack = stack_from_jsonable(lams)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"certificate has a malformed multiplier entry: {exc!r}") from exc
+        if not _laid_out(stack, meta["family"]):
+            kinds = "+".join(type(lam).__name__ for lam in stack)
+            raise ValueError(f"certificate's {kinds} stack is not laid out as the "
+                             f"{meta['family']} family's")
         return cls(bound=float(bound), verified=verified, stack=stack, trace=trace,
                    metadata=meta, fingerprint=digests)
+
+
+_CONFIG_KEYS = ["certify_every", "decay_every", "init", "lr", "steps"]
+_CONFIG_RULE = ("an integer steps >= 0, a finite real lr > 0, integer decay_every and "
+                "certify_every >= 1, init zeros or given, and optionally an integer seed >= 0")
+
+
+def _is_config(config) -> bool:
+    """The run settings ``optimize`` records, plus the seed ``verify`` adds (_CONFIG_RULE)."""
+    return (
+        isinstance(config, dict)
+        and sorted(config) in (_CONFIG_KEYS, sorted(_CONFIG_KEYS + ["seed"]))
+        and _is_count(config["steps"], 0)
+        and _is_count(config["decay_every"], 1) and _is_count(config["certify_every"], 1)
+        and is_real(config["lr"]) and 0.0 < config["lr"] < math.inf
+        and config["init"] in ("zeros", "given")
+        and _is_count(config.get("seed", 0), 0)
+    )
 
 
 def fingerprints(problems: list[VerificationProblem], bounds: tuple[Interval, ...]) -> list[dict]:
@@ -369,20 +422,21 @@ def optimize(
     steps completed before it.  One raised at step 0 propagates.
     """
     config = config or OptimizerConfig()
-    if config.steps < 0:
-        raise ValueError("steps must be non-negative")
-    if config.certify_every < 1 or config.decay_every < 1:
-        raise ValueError("certify_every and decay_every must be at least 1")
-    if not 0.0 < config.lr < math.inf:
-        raise ValueError(f"lr must be finite and positive, got {config.lr!r}")
+    # the settings each certificate records, held to the loader's rule
+    settings = {"steps": config.steps, "lr": config.lr, "decay_every": config.decay_every,
+                "certify_every": config.certify_every,
+                "init": "zeros" if stack is None else "given"}
+    if not _is_config(settings):
+        raise ValueError(f"optimizer settings must be {_CONFIG_RULE}; got {settings}")
     net = problems[0].network
     if bounds is None:
         bounds = propagate_intervals(net, problems[0].support_box())
     if family is None:
         family = "linexp" if isinstance(problems[0].input_set, SubGaussianNoise) else "linear"
-    init = "zeros" if stack is None else "given"
     if stack is None:
         stack = init_stack(problems, family)
+    elif not _laid_out(stack, family):
+        raise ValueError(f"the given stack is not laid out as the {family} family's")
 
     thresholds = [p.threshold for p in problems]
     evaluation = evaluate_dual(problems, stack, bounds)
@@ -450,13 +504,7 @@ def optimize(
                 "threshold": thresholds[i],
                 "objective_bound": margin + thresholds[i],
                 "gaussian_truncation": _truncation_levels(net),
-                "config": {
-                    "steps": config.steps,
-                    "lr": config.lr,
-                    "decay_every": config.decay_every,
-                    "certify_every": config.certify_every,
-                    "init": init,
-                },
+                "config": dict(settings),
             },
             fingerprint=fingerprint,
         )

@@ -25,6 +25,32 @@ among them; a float sum of non-negative terms is no smaller than any of
 them, so D / (4C) <= 1/4 holds in floats too, and a row with x_m fixed
 whose free coefficients sum past 1/4 holds no point and is dropped.
 
+Pins.  The rule for lin_j <= 0 generalizes from 0 to the box.  softmax_k
+is least at (x_k = lo_k, others hi) and greatest at (x_k = hi_k, others
+lo), so for j != m the product s_m s_j lies in [s_m^min s_j^min,
+min(s_m^max s_j^max, 1/4)], and s_m (1 - s_m) between its values at
+s_m^min and s_m^max, or up to 1/4 when 1/2 lies between them.  That
+bounds each partial derivative, lin_j - s_m s_j for j != m and
+s_m (1 - s_m) + lin_m for m, on the whole box.  Where it stays above
+delta > 0, every point with x_j < hi_j loses delta (hi_j - x_j) to the
+same point with x_j = hi_j, and no stationary point has x_j interior, so
+the maximizer has x_j = hi_j: j is pinned at hi (below -delta, at lo).
+With the pinned coordinates fixed the water-filling argument holds for
+the rest, so the walk gives a pinned j no events and a pinned m only its
+one state; rows keep their lo/hi/interior key.
+
+Same bits.  A pin needs delta and delta (hi_j - lo_j) both above
+_PIN_MARGIN times the score scale 1 + sum |lin_j| max(|lo_j|, |hi_j|),
+so a zero-width coordinate never pins.  A row holding j at its other
+bound scores below the box maximum by at least delta (hi_j - lo_j), far
+past the rounding of the scores and of the kept maximizer's candidate.
+A row holding j interior has no candidate at all: the partial
+derivatives are 1-Lipschitz in the max norm, so a stationary point of
+the row has a coordinate at least delta, ten times _BOX_TOL, outside
+the box, and the box test drops it.  So every dropped candidate scores
+below the kept maximum, the first best of the 3^n loop is kept, and the
+result keeps its bits.
+
 Walk, then score.  ``walk_rows`` moves along the water-filling events
 of one label with the pattern and its lo/hi point held in place, and
 yields each row with that point and its interior coordinates.  One
@@ -42,6 +68,7 @@ rows may hold its hi twin, which computes the same point).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +82,7 @@ from .result import EXACT, InnerResult
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
 _BOX_TOL = 1e-9
+_PIN_MARGIN = 10.0 * _BOX_TOL
 # the closed forms run in unshifted logits while the fixed exps sum inside
 # [_TINY, _HUGE]: normal floats whose case-a / case-b arithmetic cannot overflow
 _TINY, _HUGE = np.finfo(float).tiny, math.sqrt(np.finfo(float).max)
@@ -130,27 +158,85 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
     return trials
 
 
-def walk_rows(m: int, lin: list, lo: list, hi: list):
+def corner_shares(lo: list, hi: list) -> tuple[list, list]:
+    """Per coordinate k, the least and the greatest softmax_k on the box.
+
+    They sit at (x_k = lo_k, others hi) and (x_k = hi_k, others lo).  One
+    exp of each bound, shifted by the largest upper bound, and each sum
+    of all terms but one from prefix and suffix sums: O(n), and no
+    difference cancels.  A share whose own exp is below _TINY (or not a
+    number) takes the trivial bound, 0 or 1.
+    """
+    top = max(hi)
+    exp_lo = [math.exp(v - top) for v in lo]
+    exp_hi = [math.exp(v - top) for v in hi]
+    least = [a / (a + r) if a >= _TINY else 0.0 for a, r in zip(exp_lo, _all_but_one(exp_hi))]
+    most = [a / (a + r) if a >= _TINY else 1.0 for a, r in zip(exp_hi, _all_but_one(exp_lo))]
+    return least, most
+
+
+def _all_but_one(terms: list) -> list:
+    """Per k, the sum of every term but terms[k]."""
+    before = list(itertools.accumulate(terms, initial=0.0))
+    after = list(itertools.accumulate(reversed(terms), initial=0.0))[::-1]
+    return [b + a for b, a in zip(before, after[1:])]
+
+
+def pins(m: int, lin: list, lo: list, hi: list, least: list, most: list) -> dict:
+    """The coordinates whose partial derivative keeps one sign on the box, by margin.
+
+    ``least`` and ``most`` are ``corner_shares`` of the box.  Maps j to
+    _UPPER where the derivative stays above delta and to 0 (lo) where it
+    stays below -delta; delta and delta (hi_j - lo_j) must both pass
+    _PIN_MARGIN times the score scale.
+    """
+    margin = _PIN_MARGIN * (1.0 + sum(abs(c) * max(abs(a), abs(b))
+                                      for c, a, b in zip(lin, lo, hi)))
+    s_lo, s_hi = least[m], most[m]
+    pinned = {}
+    for j, (c, a, b) in enumerate(zip(lin, lo, hi)):
+        if j == m:
+            ends = (s_lo * (1.0 - s_lo), s_hi * (1.0 - s_hi))
+            low = c + min(ends)
+            high = c + (0.25 if s_lo <= 0.5 <= s_hi else max(ends))
+        else:
+            low = c - min(s_hi * most[j], 0.25)
+            high = c - s_lo * least[j]
+        if low > margin and low * (b - a) > margin:
+            pinned[j] = _UPPER
+        elif -high > margin and -high * (b - a) > margin:
+            pinned[j] = 0
+    return pinned
+
+
+def walk_rows(m: int, lin: list, lo: list, hi: list, pinned: dict | None = None):
     """The water-filling rows, the only assignments that can hold the maximizer.
 
     Coordinates j != m with lin_j <= 0 sit at lo.  Those in J+ (lin_j > 0)
     move lo -> interior -> hi as log mu falls past log lin_j - lo_j, then
     log lin_j - hi_j, interior first on a tie; every step is a pattern.
     x_m is lo, hi, or interior when lin_m is in [-1/4, 0].  Rows with x_m
-    fixed whose free coordinates sum past 1/4 hold no case-b point.
+    fixed whose free coefficients sum past 1/4 hold no case-b point.  A
+    coordinate in ``pinned`` (see ``pins``) holds its state throughout:
+    it has no events, and a pinned m takes only its one state.
     Yields (row, x, free): the row, its lo/hi point and its interior
     coordinates in order.  Row, point and free list change in place as
     the events fire, so a caller that keeps one keeps a copy.
     """
+    pinned = pinned or {}
     n = len(lin)
-    rising = [j for j in range(n) if j != m and lin[j] > 0.0]
+    rising = [j for j in range(n) if j != m and lin[j] > 0.0 and j not in pinned]
     events = sorted(
         [(math.log(lin[j]) - lo[j], _INTERIOR, j) for j in rising]
         + [(math.log(lin[j]) - hi[j], _UPPER, j) for j in rising],
         key=lambda event: (-event[0], event[1] == _UPPER),
     )
-    target_free = -0.25 <= lin[m] <= 0.0
     row, x, free = [0] * n, list(lo), []
+    for j, state in pinned.items():
+        if j != m and state == _UPPER:
+            row[j], x[j] = _UPPER, hi[j]
+    target = pinned.get(m)
+    target_free = target is None and -0.25 <= lin[m] <= 0.0
     for step in range(len(events) + 1):
         if step:
             _, state, j = events[step - 1]
@@ -161,14 +247,16 @@ def walk_rows(m: int, lin: list, lo: list, hi: list):
                 free.remove(j)
                 x[j] = hi[j]
         if not sum(lin[j] for j in free) > 0.25:
-            yield row, x, free
-            row[m], x[m] = _UPPER, hi[m]
-            yield row, x, free
-            x[m] = lo[m]
+            if target != _UPPER:
+                yield row, x, free
+            if target != 0:
+                row[m], x[m] = _UPPER, hi[m]
+                yield row, x, free
+                row[m], x[m] = 0, lo[m]
         if target_free:
             row[m] = _INTERIOR
             yield row, x, sorted([*free, m])
-        row[m] = 0
+            row[m] = 0
 
 
 def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult:
@@ -181,11 +269,13 @@ def final_softmax_exact(labels, lam_k: Multiplier, box: Interval) -> InnerResult
     with np.errstate(over="ignore"):
         # an infinite exp sums past _HUGE, so its rows solve in shifted logits
         exp_lo, exp_hi = np.exp(box.lo).tolist(), np.exp(box.hi).tolist()
+    least, most = corner_shares(lo_f, hi_f)
     best_rows = []
     for m, lin in zip(labels, -linear_coeffs(lam_k)):
         lin_f = lin.tolist()
+        pinned = pins(m, lin_f, lo_f, hi_f, least, most)
         keyed = [(tuple(row), point)
-                 for row, x, free in walk_rows(m, lin_f, lo_f, hi_f)
+                 for row, x, free in walk_rows(m, lin_f, lo_f, hi_f, pinned)
                  for point in row_candidates(m, lin_f, lo_f, hi_f, exp_lo, exp_hi, row, x, free)]
         # into enumeration order; the sort is stable, so a row's points keep their order
         keyed.sort(key=lambda entry: entry[0])

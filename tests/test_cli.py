@@ -50,6 +50,7 @@ def step_zero_certificate(tmp_path) -> dict:
 
 
 DIGEST = "0123456789abcdef" * 4
+CONFIG = {"steps": 0, "lr": 0.001, "decay_every": 250, "certify_every": 50, "init": "zeros"}
 # (field, corruption of its value or None to drop it, expected message)
 CORRUPTIONS = [
     ("multipliers", None, "multipliers"),
@@ -107,6 +108,24 @@ CORRUPTIONS = [
      "finite real attack_value"),
     ("metadata", lambda meta: {**meta, "attack_value": None, "attack_stderr": None},
      "finite real attack_value"),
+    ("metadata", lambda meta: {k: v for k, v in meta.items() if k != "family"}, "family"),
+    ("metadata", lambda meta: {**meta, "family": "cubic"}, "family of linear"),
+    ("metadata", lambda meta: {**meta, "family": ["linear"]}, "family of linear"),
+    ("metadata", lambda meta: {**meta, "family": "quadratic"},
+     "Linear\\+Linear stack is not laid out as the quadratic family's"),
+    ("metadata", lambda meta: {**meta, "family": "linexp"}, "not laid out as the linexp"),
+    ("metadata", lambda meta: {k: v for k, v in meta.items() if k != "config"}, "config"),
+    ("metadata", lambda meta: {**meta, "config": "nonsense"}, "config"),
+    ("metadata", lambda meta: {**meta, "config": {**meta["config"], "extra": 1}}, "config"),
+    ("metadata", lambda meta: {**meta, "config": {k: v for k, v in meta["config"].items()
+                                                  if k != "lr"}}, "config"),
+    *[("metadata", lambda meta, key=key, value=value: {**meta, "config": {**meta["config"],
+                                                                          key: value}}, "config")
+      for key, value in [("steps", -1), ("steps", 1.0), ("steps", True), ("steps", "3"),
+                         ("lr", 0.0), ("lr", -0.05), ("lr", math.inf), ("lr", math.nan),
+                         ("lr", "0.05"), ("lr", True), ("decay_every", 0), ("decay_every", 2.5),
+                         ("certify_every", 0), ("certify_every", None), ("init", "random"),
+                         ("init", ["zeros"]), ("seed", -1), ("seed", 1.0), ("seed", False)]],
     ("fingerprint", None, "fingerprint"),
     ("fingerprint", lambda fp: None, "fingerprint"),
     ("fingerprint", lambda fp: {k: v for k, v in fp.items() if k != "spec"}, "fingerprint"),
@@ -512,6 +531,32 @@ class TestVerify:
             [total] = evaluate_dual([problem], cert.stack, bounds).total
             assert total - problem.threshold == cert.bound
 
+    def test_relabelled_family_and_config_are_rejected(self, tmp_path):
+        # a LinExp+Linear stack called quadratic, with a config that is no config
+        spec = write_spec(tmp_path, type="dist_robust_ood", p_max=0.2, sigma=0.05)
+        (tmp_path / "certs").mkdir()
+        out = tmp_path / "certs" / "dist.json"
+        run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "2", "--no-attack",
+                 "--out", str(out)])
+        doc = decode_reals(json.loads(out.read_text()))
+        entry = doc["certificates"][0]
+        assert [lam["family"] for lam in entry["multipliers"]] == ["linexp", "linear"]
+        Certificate.from_jsonable(entry)
+        relabelled = {**entry, "metadata": {**entry["metadata"], "family": "quadratic"}}
+        with pytest.raises(ValueError, match="LinExp\\+Linear stack is not laid out"):
+            Certificate.from_jsonable(relabelled)
+        with pytest.raises(ValueError, match="config"):
+            Certificate.from_jsonable(
+                {**entry, "metadata": {**relabelled["metadata"], "config": "nonsense"}})
+        for certificate in doc["certificates"]:
+            certificate["metadata"].update(family="quadratic", config="nonsense")
+        out.write_text(json.dumps(encode_reals(doc)))
+        (tmp_path / "ids.json").write_text("[0.5]")
+        result = run_cli(["auc", "--id-scores", str(tmp_path / "ids.json"),
+                          "--certs", str(tmp_path / "certs"), "--out", str(tmp_path / "auc.json")])
+        assert result.exit_code == 2
+        assert "bad certificate file dist.json" in result.output
+
     def test_doctored_certificate_is_rejected(self, tmp_path):
         entry = step_zero_certificate(tmp_path)
         assert entry["bound"] > 0.0 and entry["verified"] is False
@@ -713,15 +758,17 @@ class TestBounds:
 class TestAuc:
     def make_cert_dir(self, tmp_path, per_sample_bounds, attacks=None, threshold=0.5):
         """One file per sample, each label's certificate one the loader accepts: a
-        one-entry trace at the label's objective bound, one linear multiplier and
-        three digests."""
+        one-entry trace at the label's objective bound, one linear multiplier, the
+        linear family, a zero-step config and three digests; each file's verified and
+        bound are those of its certificates."""
         directory = tmp_path / "certs"
         directory.mkdir()
         for i, bounds in enumerate(per_sample_bounds):
             certs = []
             for j, value in enumerate(map(float, bounds)):
                 margin = value - threshold
-                metadata = {"objective_bound": margin + threshold, "threshold": threshold}
+                metadata = {"objective_bound": margin + threshold, "threshold": threshold,
+                            "family": "linear", "config": CONFIG}
                 if attacks is not None:
                     metadata.update(attack_value=float(attacks[i][j]), attack_stderr=0.0)
                 cert = Certificate(
@@ -732,7 +779,8 @@ class TestAuc:
                     fingerprint={"model": DIGEST, "spec": DIGEST, "bounds": DIGEST},
                 )
                 certs.append(cert.to_jsonable())
-            doc = {"verified": False, "bound": 0.0, "certificates": certs}
+            doc = {"verified": all(c["verified"] for c in certs),
+                   "bound": max((c["bound"] for c in certs), default=0.0), "certificates": certs}
             (directory / f"sample_{i}.json").write_text(json.dumps(encode_reals(doc)))
         return str(directory)
 
@@ -761,6 +809,46 @@ class TestAuc:
         id_path.write_text(json.dumps(ids))
         return run_cli(["auc", "--id-scores", str(id_path), "--certs", certs,
                         "--out", str(tmp_path / "auc.json")])
+
+    @pytest.mark.parametrize("verified, bound", [
+        (True, -1.0),      # the certificates' worst margin is 0.285
+        (False, -1.0),
+        (True, "worst"),
+        (False, "first"),  # the first certificate's margin, not the worst
+        (0, "worst"),
+        ("false", "worst"),
+        (False, None),
+        (False, True),
+    ])
+    def test_summary_other_than_the_certificates_exits_two(self, tmp_path, verified, bound):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.785]])
+        path = tmp_path / "certs" / "sample_0.json"
+        doc = json.loads(path.read_text())
+        margins = [decode_reals(c)["bound"] for c in doc["certificates"]]
+        assert margins == [-0.3, pytest.approx(0.285)]
+        doc["verified"] = verified
+        doc["bound"] = {"worst": margins[1], "first": margins[0]}.get(bound, bound)
+        path.write_text(json.dumps(doc))
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2, result.output
+        assert "bad certificate file sample_0.json" in result.output
+        assert "max(bound) of its certificates" in result.output
+        assert not (tmp_path / "auc.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", -1), ("steps", 2.0), ("lr", 0.0), ("lr", "inf"), ("decay_every", 0),
+        ("certify_every", True), ("init", "random"), ("seed", -3), ("extra", 1),
+    ])
+    def test_bad_config_exits_two(self, tmp_path, key, value):
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        path = tmp_path / "certs" / "sample_0.json"
+        doc = json.loads(path.read_text())
+        doc["certificates"][1]["metadata"]["config"][key] = value
+        path.write_text(json.dumps(doc))
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2, result.output
+        assert "bad certificate file sample_0.json" in result.output
+        assert "config" in result.output
 
     def test_empty_certificate_list_exits_two(self, tmp_path):
         certs = self.make_cert_dir(tmp_path, [[]])

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -437,6 +438,37 @@ class TestOptimize:
         for stack, init in [(None, "zeros"), (tenths, "given"), (zeros, "given")]:
             [cert] = optimize([problem], config, stack=stack)
             assert cert.metadata["config"]["init"] == init
+
+    def test_a_given_stack_must_have_its_familys_layout(self):
+        # the loader refuses a certificate whose stack is not its family's, so the
+        # optimizer refuses to write one
+        _, box_problem = random_problem(seed=2, kinds=("robust_ood",))
+        _, noise_problem = random_problem(seed=3, kinds=("dist_robust_ood",))
+        config = OptimizerConfig(steps=1)
+        linear = init_stack([noise_problem], "linear")
+        with pytest.raises(ValueError, match="not laid out as the linexp family's"):
+            optimize([noise_problem], config, stack=linear)
+        with pytest.raises(ValueError, match="not laid out as the quadratic family's"):
+            optimize([noise_problem], config, family="quadratic", stack=linear)
+        [cert] = optimize([box_problem], config, family="linear",
+                          stack=init_stack([box_problem], "linear"))
+        assert cert.metadata["family"] == "linear"
+        quadratic = init_stack([box_problem], "quadratic")
+        with pytest.raises(ValueError, match="not laid out as the linear family's"):
+            optimize([box_problem], config, stack=quadratic)
+        with pytest.raises(ValueError, match="not laid out as the quadratic family's"):
+            optimize([box_problem], config, family="quadratic", stack=quadratic[:-1])
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", -1), ("steps", 2.0), ("steps", True), ("decay_every", 0),
+        ("certify_every", 0), ("certify_every", 1.5), ("lr", 0.0), ("lr", float("inf")),
+        ("lr", True),
+    ])
+    def test_a_config_the_loader_refuses_is_refused(self, field, value):
+        _, problem = random_problem(seed=2, kinds=("robust_ood",))
+        config = OptimizerConfig(**{"steps": 1, field: value})
+        with pytest.raises(ValueError, match=re.escape(f"'{field}': {value!r}")):
+            optimize([problem], config)
 
     def test_the_family_follows_the_input_set(self):
         for kind, family in [("dist_robust_ood", "linexp"), ("robust_ood", "linear"),

@@ -28,6 +28,8 @@ import funclag.inner
 import funclag.inner.quadratic
 import funclag.oracle
 from funclag.cli import main
+from funclag.dual import Certificate
+from funclag.jsonio import decode_reals
 from funclag.model import model_to_dict
 from funclag.oracle import random_problem
 
@@ -166,7 +168,7 @@ def run_job(name: str, workdir: Path) -> tuple[int, bytes]:
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Every job's exit code, output digest and the solver paths it reached."""
+    """Every job's exit code, output digest, the solver paths it reached and its output."""
     workdir = tmp_path_factory.mktemp("golden")
     patch = pytest.MonkeyPatch()
     reached: set = set()
@@ -206,7 +208,7 @@ def outputs(tmp_path_factory):
         for name in JOBS:
             reached.clear()
             code, data = run_job(name, workdir)
-            results[name] = (code, hashlib.sha256(data).hexdigest(), set(reached))
+            results[name] = (code, hashlib.sha256(data).hexdigest(), set(reached), data)
     finally:
         patch.undo()
     return results
@@ -214,9 +216,18 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_output_matches_golden_digest(outputs, name):
-    code, digest, _ = outputs[name]
+    code, digest, *_ = outputs[name]
     assert code in (0, 1)
     assert digest == GOLDEN[name]
+
+
+def test_every_output_loads(outputs):
+    """The strict loader accepts every certificate, and auc every summary."""
+    for name, (*_, data) in outputs.items():
+        doc = decode_reals(json.loads(data))
+        certs = [Certificate.from_jsonable(entry) for entry in doc["certificates"]]
+        assert doc["verified"] is all(c.verified for c in certs), name
+        assert doc["bound"] == max(c.bound for c in certs), name
 
 
 def test_jobs_cover_every_path(outputs):

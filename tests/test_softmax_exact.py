@@ -446,6 +446,116 @@ class TestRows:
                     assert free == [j for j, s in enumerate(row) if s == 2]
 
 
+def unpinned(m, lin, box):
+    """The solve with no coordinate pinned: the plain water-filling rows."""
+    pins = softmax_exact.pins
+    softmax_exact.pins = lambda *args: {}
+    try:
+        return softmax_row(m, Linear(theta=-lin), box)
+    finally:
+        softmax_exact.pins = pins
+
+
+def box_pins(m, lin, box):
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    return softmax_exact.pins(m, lin.tolist(), lo, hi, *softmax_exact.corner_shares(lo, hi))
+
+
+def derivative_ranges(m, box):
+    """Per coordinate, the least and greatest softmax term of its partial derivative on
+    the box: s_m s_j for j != m, -s_m (1 - s_m) for m (as bounded in ``pins``)."""
+    least, most = softmax_exact.corner_shares(box.lo.tolist(), box.hi.tolist())
+    ranges = [(least[m] * least[j], min(most[m] * most[j], 0.25)) for j in range(len(least))]
+    ends = [s * (1.0 - s) for s in (least[m], most[m])]
+    top = 0.25 if least[m] <= 0.5 <= most[m] else max(ends)
+    ranges[m] = (-top, -min(ends))
+    return ranges
+
+
+def narrow_instance(rng, n):
+    """A box of widths at most 0.05 whose lin_j sit just past, or just inside, an end
+    of their derivative's range, by 1e-12 to 1e-2 either way."""
+    m = int(rng.integers(n))
+    lo = 1.5 * rng.standard_normal(n)
+    box = Interval(lo, lo + 0.05 * rng.random(n))
+    ends = [pair[int(rng.integers(2))] for pair in derivative_ranges(m, box)]
+    lin = np.array(ends) + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, -2.0, n)
+    return m, lin, box
+
+
+class TestPins:
+    """Pinned coordinates cut rows, never the solve's bits."""
+
+    def test_pins_keep_the_bits(self):
+        # fuzz kinds and narrow boxes: the pinned solve is the unpinned walk's and the
+        # 3^n loop's, bit for bit, and each pinned coordinate of the witness is at its pin
+        seen = dict.fromkeys(FUZZ_COVERAGE, 0)
+        pinned = dict.fromkeys(["other lo", "other hi", "target lo", "target hi"], 0)
+        rng = np.random.default_rng(21)
+        for i in range(700):
+            n = 1 + i % 6
+            m, lin, box = (narrow_instance(rng, n) if i % 2 else
+                           fuzz_instance(rng, n, i // 2 % 7, seen))
+            pins = box_pins(m, lin, box)
+            for j, state in pins.items():
+                pinned[f"{'target' if j == m else 'other'} {'hi' if state else 'lo'}"] += 1
+            res = softmax_row(m, Linear(theta=-lin), box)
+            plain = unpinned(m, lin, box)
+            assert res.value.tobytes() == plain.value.tobytes(), (m, lin, box)
+            assert res.witness.tobytes() == plain.witness.tobytes(), (m, lin, box)
+            check_against_reference(m, lin, box, seen)
+            for j, state in pins.items():
+                assert res.witness[j] == (box.hi[j] if state else box.lo[j])
+        assert all(count >= 50 for count in pinned.values()), pinned
+
+    def test_pins_cut_the_rows(self):
+        # a pinned coordinate gets no events, and a pinned target one state
+        rng = np.random.default_rng(22)
+        cut = 0
+        for i in range(300):
+            n = 2 + i % 6
+            m, lin, box = narrow_instance(rng, n)
+            lo, hi = box.lo.tolist(), box.hi.tolist()
+            pins = box_pins(m, lin, box)
+            rows = [list(row) for row, _, _ in softmax_exact.walk_rows(m, lin.tolist(), lo, hi,
+                                                                       pins)]
+            assert rows and all(row[j] == state for row in rows for j, state in pins.items())
+            cut += len(walk(m, lin.tolist(), lo, hi)) - len(rows)
+        assert cut > 1000, cut
+
+    @pytest.mark.parametrize("past", [1e-13, -1e-13, 0.0])
+    def test_a_derivative_bound_near_zero_does_not_pin(self, past):
+        # every lin_j within 1e-12 of an end of its derivative's range, on a wide box
+        rng = np.random.default_rng(23)
+        for trial in range(40):
+            n = 2 + trial % 4
+            m = int(rng.integers(n))
+            lo = rng.standard_normal(n)
+            box = Interval(lo, lo + 0.5 + rng.random(n))
+            ends = [pair[trial % 2] for pair in derivative_ranges(m, box)]
+            lin = np.array(ends) + past
+            assert box_pins(m, lin, box) == {}
+            check_against_reference(m, lin, box, dict.fromkeys(FUZZ_COVERAGE, 0))
+
+    def test_zero_width_never_pins(self):
+        m, lin = 0, np.array([0.9, 0.8, -0.7])
+        box = Interval(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+        assert box_pins(m, lin, box) == {2: 0}
+
+    @pytest.mark.parametrize("offset", [0.0, -800.0, 705.0, 1000.0])
+    def test_corner_shares_are_the_box_extremes(self, offset):
+        rng = np.random.default_rng(24)
+        for trial in range(30):
+            n = 1 + trial % 6
+            lo = offset + 3.0 * rng.standard_normal(n)
+            box = Interval(lo, lo + 2.0 * rng.random(n))
+            least, most = softmax_exact.corner_shares(box.lo.tolist(), box.hi.tolist())
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(n):
+                    assert least[k] == pytest.approx(box_softmax_min(k, box), rel=1e-12, abs=1e-300)
+                    assert most[k] == pytest.approx(box_softmax_max(k, box), rel=1e-12, abs=1e-300)
+
+
 def step_inputs(m, lin, box):
     with np.errstate(over="ignore"):
         exps = (np.exp(box.lo).tolist(), np.exp(box.hi).tolist())
