@@ -53,19 +53,19 @@ from .multipliers import (
     rows,
     stack_from_jsonable,
     stack_to_jsonable,
-    take_rows,
     with_params,
 )
 from .specs import LogitDiff, SubGaussianNoise, VerificationProblem
 
 @dataclass
 class OptimizerConfig:
-    """Outer-loop settings; the learning-rate schedule divides by 10."""
+    """Outer-loop settings: Adam runs ``steps`` steps at ``lr``, divided by 10 every
+    ``decay_every`` steps; with ``early_stop`` a row stops at its first non-positive
+    margin."""
 
     steps: int = 1000
     lr: float = 1e-3
     decay_every: int = 250
-    certify_every: int = 50
     early_stop: bool = True
 
 
@@ -182,23 +182,29 @@ def _flat(parts: list[dict]) -> np.ndarray:
                            for part in parts for arr in part.values()], axis=1)
 
 
+def _stack_of(stack: tuple[Multiplier, ...], layout: list[list[tuple]],
+              params: np.ndarray) -> tuple[Multiplier, ...]:
+    """The stack of ``stack``'s families whose rows are the rows of ``params`` (rows, P),
+    laid out by ``layout``."""
+    # each parameter copied out contiguous, the layout the solvers' products always had
+    return tuple(
+        with_params(lam, {name: np.ascontiguousarray(params[:, start:stop]).reshape(-1, *shape)
+                          for name, shape, start, stop in entry})
+        for lam, entry in zip(stack, layout)
+    )
+
+
 def _advance(problems, stack, bounds, layout, state, t, lr):
     """Step t for a batch: one Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on the state
     (params, grads, m, v), four (rows, P) arrays laid out by ``layout``, then the dual at the
-    new stack; returns the new state, the new stack and the finite totals."""
+    new stack; returns the new state and the finite totals."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     params, grads, m, v = state
     m = b1 * m + (1.0 - b1) * grads
     v = b2 * v + (1.0 - b2) * grads**2
     params = params - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-    # each parameter copied out contiguous, the layout the solvers' products always had
-    stack = tuple(
-        with_params(lam, {name: np.ascontiguousarray(params[:, start:stop]).reshape(-1, *shape)
-                          for name, shape, start, stop in entry})
-        for lam, entry in zip(stack, layout)
-    )
-    evaluation = evaluate_dual(problems, stack, bounds)
-    return (params, _flat(evaluation.grads), m, v), stack, _finite_totals(evaluation)
+    evaluation = evaluate_dual(problems, _stack_of(stack, layout, params), bounds)
+    return (params, _flat(evaluation.grads), m, v), _finite_totals(evaluation)
 
 
 FAMILIES = ("linear", "linexp", "quadratic")
@@ -259,8 +265,9 @@ class Certificate:
     """Machine-checkable outcome of one verification run.
 
     ``bound`` is the best certified margin (objective bound minus the
-    problem threshold), so ``verified`` holds exactly when bound <= 0.
-    Trace entries carry raw objective values.
+    problem threshold), the least over the trace, so ``verified`` holds
+    exactly when bound <= 0.  Trace entries carry raw objective values,
+    one per evaluated stack.
     """
 
     bound: float
@@ -298,15 +305,12 @@ class Certificate:
         digests = doc.get("fingerprint")
         checks = {
             "a non-empty list of multipliers": isinstance(lams, list) and bool(lams),
-            "a trace of entries with exactly an integer step (0, 1, ...), a finite "
-            "train_value and a finite certified_value (null allowed past step 0)": (
+            "a trace of entries with exactly an integer step (0, 1, ...) and a finite "
+            "certified_value": (
                 isinstance(trace, list) and bool(trace) and all(
-                    isinstance(e, dict)
-                    and sorted(e) == ["certified_value", "step", "train_value"]
+                    isinstance(e, dict) and sorted(e) == ["certified_value", "step"]
                     and type(e["step"]) is int and e["step"] == i
-                    and is_real(e["train_value"]) and math.isfinite(e["train_value"])
-                    and (e["certified_value"] is None and i > 0
-                         or is_real(e["certified_value"]) and math.isfinite(e["certified_value"]))
+                    and is_real(e["certified_value"]) and math.isfinite(e["certified_value"])
                     for i, e in enumerate(trace)
                 )
             ),
@@ -337,8 +341,7 @@ class Certificate:
         for needed, holds in checks.items():
             if not holds:
                 raise ValueError(f"certificate needs {needed}")
-        margins = [e["certified_value"] - meta["threshold"] for e in trace
-                   if e["certified_value"] is not None]
+        margins = [e["certified_value"] - meta["threshold"] for e in trace]
         if min(margins) != bound:
             raise ValueError(f"certificate bound {bound!r} is not the least certified margin "
                              f"of its trace, {min(margins)!r}")
@@ -354,9 +357,9 @@ class Certificate:
                    metadata=meta, fingerprint=digests)
 
 
-_CONFIG_KEYS = ["certify_every", "decay_every", "init", "lr", "steps"]
-_CONFIG_RULE = ("an integer steps >= 0, a finite real lr > 0, integer decay_every and "
-                "certify_every >= 1, init zeros or given, and optionally an integer seed >= 0")
+_CONFIG_KEYS = ["decay_every", "init", "lr", "steps"]
+_CONFIG_RULE = ("an integer steps >= 0, a finite real lr > 0, an integer decay_every >= 1, "
+                "init zeros or given, and optionally an integer seed >= 0")
 
 
 def _is_config(config) -> bool:
@@ -365,7 +368,7 @@ def _is_config(config) -> bool:
         isinstance(config, dict)
         and sorted(config) in (_CONFIG_KEYS, sorted(_CONFIG_KEYS + ["seed"]))
         and _is_count(config["steps"], 0)
-        and _is_count(config["decay_every"], 1) and _is_count(config["certify_every"], 1)
+        and _is_count(config["decay_every"], 1)
         and is_real(config["lr"]) and 0.0 < config["lr"] < math.inf
         and config["init"] in ("zeros", "given")
         and _is_count(config.get("seed", 0), 0)
@@ -401,19 +404,20 @@ def optimize(
     bounds: tuple[Interval, ...] | None = None,
     stack: tuple[Multiplier, ...] | None = None,
 ) -> list[Certificate]:
-    """Gradient-based outer minimization with periodic certified values, per problem.
+    """Gradient-based outer minimization of the dual, per problem.
 
     The problems (a batch, as for ``evaluate_dual``) step together, one
     row each, and each gets the certificate it gets alone.  Runs Adam on
     the multiplier parameters and evaluates each stack once: after t
-    updates the dual at stack_t is step t+1's ``train_value``, and its
-    gradient takes that step.  At step 0, every ``certify_every`` steps
-    and at the last step the same value is step t's ``certified_value``
-    and updates the row's best sound bound; a row stops early as soon as
-    that margin is non-positive.  A certificate records the best bound,
-    the stack row that achieved it, and the trace.  The family defaults to
-    linexp on a sub-Gaussian input set and to linear otherwise; the start
-    is ``stack`` when given (recorded as ``"given"``), else the family's
+    updates the dual at stack_t is step t's ``certified_value``, and its
+    gradient takes step t+1.  By weak duality every such value is a
+    sound bound, so each one can lower the row's best bound, and with
+    ``early_stop`` a row stops at its first non-positive margin.  A
+    certificate records the best bound, the stack row that achieved it
+    (rebuilt from its row of the optimizer's parameters, as the step
+    built it), and the trace.  The family defaults to linexp on a
+    sub-Gaussian input set and to linear otherwise; the start is
+    ``stack`` when given (recorded as ``"given"``), else the family's
     zero stack (``"zeros"``).  A non-finite dual value raises
     ``FloatingPointError``, and so does a numpy overflow or invalid
     operation after step 0.  An ``ArithmeticError`` or a
@@ -424,7 +428,6 @@ def optimize(
     config = config or OptimizerConfig()
     # the settings each certificate records, held to the loader's rule
     settings = {"steps": config.steps, "lr": config.lr, "decay_every": config.decay_every,
-                "certify_every": config.certify_every,
                 "init": "zeros" if stack is None else "given"}
     if not _is_config(settings):
         raise ValueError(f"optimizer settings must be {_CONFIG_RULE}; got {settings}")
@@ -440,16 +443,17 @@ def optimize(
 
     thresholds = [p.threshold for p in problems]
     evaluation = evaluate_dual(problems, stack, bounds)
-    values = _finite_totals(evaluation)
-    traces = [[{"step": 0, "train_value": v, "certified_value": v}] for v in values]
-    best = [v - t for v, t in zip(values, thresholds)]
-    best_stacks = [tuple(take_rows(lam, [i]) for lam in stack) for i in range(len(problems))]
+    totals = _finite_totals(evaluation)
+    traces = [[{"step": 0, "certified_value": v}] for v in totals]
+    best = [v - t for v, t in zip(totals, thresholds)]
+    layout = _param_layout(stack)
+    # per problem, the parameters of the stack that gave its best bound
+    best_params = _flat([get_params(lam) for lam in stack])
 
     # the rows still stepping, as problem indices
     live = [i for i, margin in enumerate(best)
             if config.steps > 0 and (margin > 0.0 or not config.early_stop)]
-    layout = _param_layout(stack)
-    params = _flat([get_params(lam) for lam in stack])[live]
+    params = best_params[live]
     state = (params, _flat(evaluation.grads)[live], np.zeros_like(params), np.zeros_like(params))
     # an overflow or NaN past step 0 raises FloatingPointError and ends its row
     step = 1
@@ -458,7 +462,7 @@ def optimize(
             lr = config.lr * (0.1 ** (step // config.decay_every))
             batch = [problems[i] for i in live]
             try:
-                state_next, stack, totals = _advance(batch, stack, bounds, layout, state, step, lr)
+                state_next, totals = _advance(batch, stack, bounds, layout, state, step, lr)
             except (ArithmeticError, np.linalg.LinAlgError):
                 # re-run the step row by row; the rows that raise alone end, and the
                 # step is taken again without them
@@ -478,16 +482,11 @@ def optimize(
                 live, state = [live[j] for j in keep], tuple(a[keep] for a in state)
                 continue
             state = state_next
-            certify = step % config.certify_every == 0 or step == config.steps
             for j, i in enumerate(live):
-                entry = {"step": step, "train_value": values[i], "certified_value": None}
-                values[i] = totals[j]
-                if certify:
-                    entry["certified_value"] = totals[j]
-                    if totals[j] - thresholds[i] < best[i]:
-                        best[i] = totals[j] - thresholds[i]
-                        best_stacks[i] = tuple(take_rows(lam, [j]) for lam in stack)
-                traces[i].append(entry)
+                traces[i].append({"step": step, "certified_value": totals[j]})
+                if totals[j] - thresholds[i] < best[i]:
+                    best[i] = totals[j] - thresholds[i]
+                    best_params[i] = state[0][j]
             if config.early_stop and any(best[i] <= 0.0 for i in live):
                 keep = [j for j, i in enumerate(live) if best[i] > 0.0]
                 live, state = [live[j] for j in keep], tuple(a[keep] for a in state)
@@ -497,7 +496,7 @@ def optimize(
         Certificate(
             bound=margin,
             verified=margin <= 0.0,
-            stack=best_stacks[i],
+            stack=_stack_of(stack, layout, best_params[[i]]),
             trace=traces[i],
             metadata={
                 "family": family,

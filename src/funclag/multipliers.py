@@ -106,11 +106,6 @@ def rows(lam: Multiplier) -> int:
     return getattr(lam, _PARAM_NAMES[type(lam)][0]).shape[0]
 
 
-def take_rows(lam: Multiplier, index) -> Multiplier:
-    """The multiplier of the rows picked by ``index`` (an index array or a slice)."""
-    return type(lam)(**{name: getattr(lam, name)[index] for name in param_names(lam)})
-
-
 def as_quadratic(lam: Multiplier, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(Q, q) per row such that lam(x) = 0.5 x'Qx + q.x, for the quadratic-family views."""
     if isinstance(lam, Linear):

@@ -8,7 +8,7 @@ full 3^n enumeration of the softmax output problem, the softmax step
 on any assignment, the per-assignment softmax step and water-filling
 rows as first written, the exact multipliers of an affine network, box
 membership, the exact logit difference of a deterministic ReLU net by a
-big-M MILP, the linexp transition bound row by row, the Gaussian weight
+big-M MILP and its LP relaxation, the rows of a multiplier, the linexp transition bound row by row, the Gaussian weight
 block as first written, one stochastic forward pass, the Monte Carlo
 mean softmax, and the sampled attack of one problem alone.
 """
@@ -60,6 +60,7 @@ from funclag.multipliers import (
     UnsupportedCombination,
     expected_quadratic_coeffs,
     get_params,
+    param_names,
     with_params,
 )
 from funclag.dual import init_stack
@@ -71,6 +72,11 @@ def one_row(lam: Multiplier) -> dict:
     params = get_params(lam)
     assert all(arr.shape[0] == 1 for arr in params.values())
     return {name: arr[0] for name, arr in params.items()}
+
+
+def take_rows(lam: Multiplier, index) -> Multiplier:
+    """The multiplier of the rows picked by ``index`` (an index array or a slice)."""
+    return type(lam)(**{name: getattr(lam, name)[index] for name in param_names(lam)})
 
 
 def evaluate(lam: Multiplier, y):
@@ -455,10 +461,32 @@ def exact_logit_diff(net: CanonicalNetwork, box: Interval, c) -> tuple[float, fl
     c . logits of the network at the MILP's input, clipped into ``box``: the
     second is achieved, so no sound bound may fall below it.
     """
+    result, inputs = _big_m(net, propagate_intervals(net, box), c, relaxed=False)
+    x0 = np.clip(result.x[inputs], box.lo, box.hi)
+    logits = forward(net.layers, x0[np.newaxis], mean_weights(net.layers))[0]
+    return float(-result.fun), float(np.asarray(c, dtype=float) @ logits)
+
+
+def triangle_lp(net: CanonicalNetwork, boxes: tuple[Interval, ...], c) -> float:
+    """The maximum of c . logits over the triangle relaxation of a deterministic net.
+
+    The big-M model of ``exact_logit_diff`` on the boxes of x_0 .. x_K, with
+    its binaries relaxed to [0, 1]; on each ReLU unit that is the convex hull
+    of the unit's graph over its box.  A linear multiplier stack on the same
+    boxes relaxes each layer to that hull and no further, so the LP optimum is
+    the least dual value the linear family can reach, and every linear-family
+    value lies at or above it (weak duality).
+    """
+    result, _ = _big_m(net, boxes, c, relaxed=True)
+    return float(-result.fun)
+
+
+def _big_m(net: CanonicalNetwork, boxes: tuple[Interval, ...], c, relaxed: bool):
+    """The big-M model of max c . x_K over ``boxes``, solved by HiGHS (binaries relaxed to
+    [0, 1] when ``relaxed``): the ``milp`` result and the columns of x_0."""
     if not net.is_deterministic():
         raise StructureError("the MILP needs a deterministic network")
     c = np.asarray(c, dtype=float)
-    boxes = propagate_intervals(net, box)
     lo, hi, integer = [], [], []
 
     def columns(low, high, is_int=0):
@@ -472,7 +500,7 @@ def exact_logit_diff(net: CanonicalNetwork, box: Interval, c) -> tuple[float, fl
     # switch of layer k's ReLU
     x = [columns(b.lo, b.hi) for b in boxes]
     relu = {k: (columns(np.maximum(boxes[k].lo, 0.0), np.maximum(boxes[k].hi, 0.0)),
-                columns(np.zeros(len(x[k])), np.ones(len(x[k])), 1))
+                columns(np.zeros(len(x[k])), np.ones(len(x[k])), int(not relaxed)))
             for k, layer in enumerate(net.layers) if layer.activation == "relu"}
     blocks, row_lo, row_hi = [], [], []
 
@@ -502,9 +530,7 @@ def exact_logit_diff(net: CanonicalNetwork, box: Interval, c) -> tuple[float, fl
                   options={"mip_rel_gap": 0.0})
     if result.status != 0:
         raise RuntimeError(f"the MILP did not solve: {result.message}")
-    x0 = np.clip(result.x[x[0]], box.lo, box.hi)
-    logits = forward(net.layers, x0[np.newaxis], mean_weights(net.layers))[0]
-    return float(-result.fun), float(c @ logits)
+    return result, x[0]
 
 
 # --- stochastic forward passes ---------------------------------------------

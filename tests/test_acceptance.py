@@ -160,7 +160,7 @@ def test_criterion_3_affine_tightness():
             [cert] = optimize(
                 [problem],
                 OptimizerConfig(
-                    steps=steps, lr=lr, decay_every=250, certify_every=5,
+                    steps=steps, lr=lr, decay_every=250,
                     early_stop=False,
                 ),
                 family="linear",
@@ -361,7 +361,7 @@ def test_criterion_8_trend_checks():
     wins_distributional = 0
     n_instances = 50
     config = OptimizerConfig(
-        steps=250, lr=0.05, decay_every=100, certify_every=50, early_stop=False
+        steps=250, lr=0.05, decay_every=100, early_stop=False
     )
     for i in range(n_instances):
         center = 0.2 + 0.6 * rng.random(net.input_dim)
@@ -435,7 +435,7 @@ def test_criterion_10_determinism(tmp_path):
             cli_main,
             [
                 "verify", "--model", MODEL_PATH, "--spec", str(spec_path),
-                "--steps", "30", "--certify-every", "10", "--seed", "11",
+                "--steps", "30", "--seed", "11",
                 "--out", str(out),
             ],
             catch_exceptions=False,

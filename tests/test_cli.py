@@ -50,7 +50,7 @@ def step_zero_certificate(tmp_path) -> dict:
 
 
 DIGEST = "0123456789abcdef" * 4
-CONFIG = {"steps": 0, "lr": 0.001, "decay_every": 250, "certify_every": 50, "init": "zeros"}
+CONFIG = {"steps": 0, "lr": 0.001, "decay_every": 250, "init": "zeros"}
 # (field, corruption of its value or None to drop it, expected message)
 CORRUPTIONS = [
     ("multipliers", None, "multipliers"),
@@ -69,21 +69,24 @@ CORRUPTIONS = [
     ("trace", lambda trace: [trace[0], {**trace[0], "step": 2}], "integer step"),
     ("trace", lambda trace: [trace[0], {"step": 1}], "integer step"),
     ("trace", lambda trace: [{**trace[0], "note": 1}], "integer step"),
-    ("trace", lambda trace: [{k: v for k, v in trace[0].items() if k != "train_value"}],
+    # the format before every value counted: a train_value beside each certified_value
+    ("trace", lambda trace: [{**trace[0], "train_value": trace[0]["certified_value"]}],
      "integer step"),
-    ("trace", lambda trace: [{**trace[0], "train_value": "x"}], "finite train_value"),
-    ("trace", lambda trace: [{**trace[0], "train_value": math.nan}], "finite train_value"),
-    ("trace", lambda trace: [{**trace[0], "train_value": -math.inf}], "finite train_value"),
-    ("trace", lambda trace: [{**trace[0], "train_value": True}], "finite train_value"),
+    ("trace", lambda trace: [{k: v for k, v in trace[0].items() if k != "certified_value"}],
+     "integer step"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": -math.inf}],
+     "finite certified_value"),
+    ("trace", lambda trace: [{**trace[0], "certified_value": True}], "finite certified_value"),
+    ("trace", lambda trace: [trace[0], {**trace[0], "step": 1, "certified_value": None}],
+     "finite certified_value"),
     ("trace", lambda trace: [{**trace[0], "certified_value": None}], "certified_value"),
     ("trace", lambda trace: [{**trace[0], "certified_value": math.nan}], "certified_value"),
     ("trace", lambda trace: [{**trace[0], "certified_value": "0.1"}], "certified_value"),
     ("trace", lambda trace: [trace[0], {**trace[0], "step": 1, "certified_value": math.inf}],
      "certified_value"),
-    ("trace", lambda trace: [{**trace[0], "train_value": "x", "certified_value": -5.0}],
-     "train_value"),
-    ("trace", lambda trace: [{"step": 0, "train_value": math.nan, "certified_value": None},
-                             {"step": 0}], "integer step"),
+    ("trace", lambda trace: [trace[0], {"step": 1, "train_value": 0.0, "certified_value": None}],
+     "integer step"),
+    ("trace", lambda trace: [{"step": 0, "certified_value": None}, {"step": 0}], "integer step"),
     ("trace", lambda trace: [{**trace[0], "certified_value": trace[0]["certified_value"] + 1e-9}],
      "least certified margin"),
     ("trace", lambda trace: [trace[0], {**trace[0], "step": 1,
@@ -124,7 +127,7 @@ CORRUPTIONS = [
       for key, value in [("steps", -1), ("steps", 1.0), ("steps", True), ("steps", "3"),
                          ("lr", 0.0), ("lr", -0.05), ("lr", math.inf), ("lr", math.nan),
                          ("lr", "0.05"), ("lr", True), ("decay_every", 0), ("decay_every", 2.5),
-                         ("certify_every", 0), ("certify_every", None), ("init", "random"),
+                         ("certify_every", 50), ("decay_every", None), ("init", "random"),
                          ("init", ["zeros"]), ("seed", -1), ("seed", 1.0), ("seed", False)]],
     ("fingerprint", None, "fingerprint"),
     ("fingerprint", lambda fp: None, "fingerprint"),
@@ -159,8 +162,7 @@ class TestVerify:
         spec = write_spec(tmp_path, p_max=0.05)
         out = tmp_path / "cert.json"
         result = run_cli(
-            ["verify", "--model", MODEL, "--spec", spec, "--steps", "20",
-             "--certify-every", "10", "--out", str(out)]
+            ["verify", "--model", MODEL, "--spec", spec, "--steps", "20", "--out", str(out)]
         )
         assert result.exit_code == 1
         doc = decode_reals(json.loads(out.read_text()))
@@ -256,7 +258,7 @@ class TestVerify:
         ):
             result = run_cli(
                 ["verify", "--model", MODEL, "--spec", spec, "--family", family,
-                 "--lr", "1e308", "--steps", "6", "--certify-every", "1", "--no-attack",
+                 "--lr", "1e308", "--steps", "6", "--no-attack",
                  "--out", str(out)]
             )
         assert result.exit_code in (0, 1), result.output
@@ -275,7 +277,7 @@ class TestVerify:
             warnings.simplefilter("default")
             result = run_cli(
                 ["verify", "--model", MODEL, "--spec", spec, "--family", family,
-                 "--lr", "1e308", "--steps", "6", "--certify-every", "1", "--no-attack",
+                 "--lr", "1e308", "--steps", "6", "--no-attack",
                  "--out", str(tmp_path / "cert.json")]
             )
         runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -297,7 +299,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--certify-every", "0"), ("--decay-every", "0"), ("--lr", "nan")],
+        [("--steps", "-1"), ("--decay-every", "0"), ("--lr", "nan")],
     )
     def test_bad_outer_loop_setting_exits_two(self, tmp_path, flag, value):
         spec = write_spec(tmp_path, p_max=0.2)
@@ -454,8 +456,10 @@ class TestVerify:
 
     def test_help_shows_the_optimizer_defaults(self):
         text = " ".join(run_cli(["verify", "--help"]).output.split())
-        for default in (1000, 0.001, 250, 50):
+        for default in (1000, 0.001, 250):
             assert f"[default: {default}]" in text
+        # every step counts; the ignored --certify-every is not offered
+        assert "certify" not in text
 
     def test_negative_seed_is_rejected_before_optimizing(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
@@ -495,7 +499,7 @@ class TestVerify:
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "funclag.cli", "verify", "--model", MODEL, "--spec", spec,
-             "--family", "linexp", "--steps", "2", "--certify-every", "2", "--out", str(out)],
+             "--family", "linexp", "--steps", "2", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode in (0, 1), result.stderr
@@ -510,7 +514,7 @@ class TestVerify:
         out = tmp_path / "cert.json"
         run_cli(
             ["verify", "--model", MODEL, "--spec", spec, "--family", family, "--steps", "12",
-             "--certify-every", "6", "--out", str(out)]
+             "--out", str(out)]
         )
         doc = decode_reals(json.loads(out.read_text()))
         from funclag.dual import evaluate_dual, fingerprints
@@ -615,10 +619,10 @@ class TestVerify:
         spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.35)
         out = tmp_path / "cert.json"
         result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "60",
-                          "--lr", "0.05", "--certify-every", "5", "--out", str(out)])
+                          "--lr", "0.05", "--out", str(out)])
         assert result.exit_code == 1, result.output
         certs = decode_reals(json.loads(out.read_text()))["certificates"]
-        assert [len(c["trace"]) for c in certs] == [1, 61, 11]
+        assert [len(c["trace"]) for c in certs] == [1, 61, 9]
         assert calls == {"propagate_intervals": 1, "model_to_dict": 1, "evaluate_dual": 61}
 
     @pytest.mark.parametrize(
@@ -640,7 +644,7 @@ class TestVerify:
         family = ["--family", "linexp"] if spec_type == "dist_robust_ood" else []
         out = tmp_path / "cert.json"
         result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "2",
-                          "--certify-every", "2", "--seed", "4", *family, "--out", str(out)])
+                          "--seed", "4", *family, "--out", str(out)])
         assert result.exit_code in (0, 1), result.output
         [problems] = calls
         objectives = [p.objective for p in problems]
@@ -652,7 +656,7 @@ class TestVerify:
 
         calls.clear()
         result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "2",
-                          "--certify-every", "2", "--no-attack", *family, "--out", str(out)])
+                          "--no-attack", *family, "--out", str(out)])
         assert result.exit_code in (0, 1), result.output
         assert calls == []
         certs = decode_reals(json.loads(out.read_text()))["certificates"]
@@ -665,10 +669,25 @@ class TestVerify:
             out = tmp_path / f"cert_{run}.json"
             run_cli(
                 ["verify", "--model", MODEL, "--spec", spec, "--steps", "15",
-                 "--certify-every", "5", "--seed", "7", "--out", str(out)]
+                 "--seed", "7", "--out", str(out)]
             )
             contents.append(out.read_bytes())
         assert all(c == contents[0] for c in contents[1:])
+
+    def test_certify_every_is_accepted_and_ignored(self, tmp_path):
+        # every step's value counts; the flag stays only so that command lines that
+        # still pass it run (the third label stops early at step 8)
+        spec = write_spec(tmp_path, input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], p_max=0.35)
+        outputs = []
+        for flags in ([], ["--certify-every", "7"]):
+            out = tmp_path / f"cert{len(flags)}.json"
+            result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--steps", "20",
+                              "--lr", "0.05", *flags, "--out", str(out)])
+            assert result.exit_code == 1, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        certs = decode_reals(json.loads(outputs[0]))["certificates"]
+        assert [len(c["trace"]) for c in certs] == [1, 21, 9]
 
 
 class TestBounds:
@@ -774,7 +793,7 @@ class TestAuc:
                 cert = Certificate(
                     bound=margin, verified=margin <= 0.0,
                     stack=(funclag.Linear(theta=np.zeros((1, 3))),),
-                    trace=[{"step": 0, "train_value": value, "certified_value": value}],
+                    trace=[{"step": 0, "certified_value": value}],
                     metadata=metadata,
                     fingerprint={"model": DIGEST, "spec": DIGEST, "bounds": DIGEST},
                 )
@@ -837,7 +856,7 @@ class TestAuc:
 
     @pytest.mark.parametrize("key, value", [
         ("steps", -1), ("steps", 2.0), ("lr", 0.0), ("lr", "inf"), ("decay_every", 0),
-        ("certify_every", True), ("init", "random"), ("seed", -3), ("extra", 1),
+        ("certify_every", 50), ("init", "random"), ("seed", -3), ("extra", 1),
     ])
     def test_bad_config_exits_two(self, tmp_path, key, value):
         certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
@@ -849,6 +868,24 @@ class TestAuc:
         assert result.exit_code == 2, result.output
         assert "bad certificate file sample_0.json" in result.output
         assert "config" in result.output
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda trace: [{**trace[0], "train_value": trace[0]["certified_value"]}],
+        lambda trace: [trace[0], {"step": 1, "certified_value": None}],
+    ], ids=["train_value", "null-certified_value"])
+    def test_a_trace_entry_of_the_old_format_exits_two(self, tmp_path, corrupt):
+        # before every step counted, an entry held a train_value, and a null
+        # certified_value between the steps that certified
+        certs = self.make_cert_dir(tmp_path, [[0.2, 0.3]])
+        path = tmp_path / "certs" / "sample_0.json"
+        doc = json.loads(path.read_text())
+        doc["certificates"][1]["trace"] = corrupt(doc["certificates"][1]["trace"])
+        path.write_text(json.dumps(doc))
+        result = self.run_auc(tmp_path, certs)
+        assert result.exit_code == 2, result.output
+        assert "bad certificate file sample_0.json" in result.output
+        assert "finite certified_value" in result.output
+        assert not (tmp_path / "auc.json").exists()
 
     def test_empty_certificate_list_exits_two(self, tmp_path):
         certs = self.make_cert_dir(tmp_path, [[]])
@@ -912,8 +949,7 @@ class TestAuc:
             spec = write_spec(tmp_path, f"{kind}.json", type=kind, p_max=0.3,
                               input=[0.3, 0.5, 0.6, 0.4, 0.7, 0.2], **extra)
             result = run_cli(["verify", "--model", MODEL, "--spec", spec, "--family", family,
-                              "--steps", "6", "--certify-every", "3",
-                              "--out", str(directory / f"{kind}.json")])
+                              "--steps", "6", "--out", str(directory / f"{kind}.json")])
             assert result.exit_code in (0, 1), result.output
         ids = [0.1, 0.35, 0.6, 0.95]
         result = self.run_auc(tmp_path, str(directory), ids)

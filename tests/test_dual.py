@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,17 @@ from funclag import (
     sample_lower_bound,
 )
 from funclag.jsonio import encode_reals
-from funclag.multipliers import get_params, take_rows, with_params
+from funclag.multipliers import get_params, with_params
 from funclag.oracle import random_problem
 
 from conftest import det_layer, logit_diff_problem, random_affine_net
-from oracles import box_softmax_max, lambda_star_affine, noisy_stack, softmax_objective
+from oracles import (
+    box_softmax_max,
+    lambda_star_affine,
+    noisy_stack,
+    softmax_objective,
+    take_rows,
+)
 
 
 def zero_stack(net):
@@ -293,26 +300,27 @@ class TestOptimize:
         )
         [cert] = optimize([problem], OptimizerConfig(steps=500), family="linear")
         assert cert.verified
-        assert len(cert.trace) == 1  # stopped right after the initial certify
-        certified = [e["certified_value"] for e in cert.trace if e["certified_value"] is not None]
-        assert min(certified) - problem.threshold <= 0.0
+        assert len(cert.trace) == 1  # stopped right after the step-0 value
+        assert cert.trace[0]["certified_value"] - problem.threshold <= 0.0
 
     def test_best_bound_is_trace_minimum(self):
+        # every evaluated stack certifies: one value per step, and the bound is the
+        # least margin over all of them, here at a step between multiples of 20
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
         [cert] = optimize(
             [problem],
-            OptimizerConfig(steps=60, lr=0.05, certify_every=20, early_stop=False),
+            OptimizerConfig(steps=60, lr=0.05, early_stop=False),
             family="linear",
         )
-        certified = [e["certified_value"] for e in cert.trace if e["certified_value"] is not None]
-        running_min = np.minimum.accumulate(certified)
-        assert cert.metadata["objective_bound"] == pytest.approx(float(running_min[-1]), abs=0.0)
-        # tracked minimum is non-increasing by construction
-        assert np.all(np.diff(running_min) <= 0.0)
+        assert [sorted(e) for e in cert.trace] == [["certified_value", "step"]] * 61
+        margins = [e["certified_value"] - problem.threshold for e in cert.trace]
+        assert cert.bound == min(margins)
+        assert cert.metadata["objective_bound"] == cert.bound + problem.threshold
+        assert margins.index(cert.bound) % 20 != 0
 
     def test_each_stack_is_evaluated_once(self, monkeypatch):
-        # stack_0 .. stack_60, each once: the value that takes the gradient
-        # at a certify step is the certified value
+        # stack_0 .. stack_60, each once: the value that takes the gradient is the
+        # certified value, and the best of all 61 is the bound
         import funclag.dual
 
         calls = []
@@ -326,17 +334,17 @@ class TestOptimize:
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
         [cert] = optimize(
             [problem],
-            OptimizerConfig(steps=60, lr=0.05, certify_every=20, early_stop=False),
+            OptimizerConfig(steps=60, lr=0.05, early_stop=False),
             family="linear",
         )
         assert len(calls) == 61
-        assert cert.bound == -0.17638086129746655
+        assert cert.bound == -0.17827304746767203
 
     def test_quadratic_family_trains(self):
         net, problem = random_problem(seed=6, kinds=("robust_ood",))
         [cert] = optimize(
             [problem],
-            OptimizerConfig(steps=60, lr=0.03, decay_every=30, certify_every=30, early_stop=False),
+            OptimizerConfig(steps=60, lr=0.03, decay_every=30, early_stop=False),
             family="quadratic",
         )
         zero_bound = cert.trace[0]["certified_value"]
@@ -405,7 +413,7 @@ class TestOptimize:
                 warnings.simplefilter("error")
                 [cert] = optimize(
                     [problem],
-                    OptimizerConfig(steps=20, lr=0.05, certify_every=5, early_stop=False),
+                    OptimizerConfig(steps=20, lr=0.05, early_stop=False),
                 )
             assert [entry["step"] for entry in cert.trace] == list(range(21))
 
@@ -418,7 +426,7 @@ class TestOptimize:
         [opt] = evaluate_dual([problem], lambda_star_affine(net, c), bounds).total
         [cert] = optimize(
             [problem],
-            OptimizerConfig(steps=600, lr=0.05, decay_every=200, certify_every=25, early_stop=False),
+            OptimizerConfig(steps=600, lr=0.05, decay_every=200, early_stop=False),
             family="linear",
         )
         start = cert.trace[0]["certified_value"]
@@ -430,7 +438,7 @@ class TestOptimize:
         # a given stack is "given" even when it holds a family's zeros; without one the
         # run starts from the zero stack and says so
         net, problem = random_problem(seed=2, kinds=("robust_ood",))
-        config = OptimizerConfig(steps=3, lr=0.05, certify_every=1)
+        config = OptimizerConfig(steps=3, lr=0.05)
         zeros = init_stack([problem], "linear")
         tenths = tuple(with_params(lam, {name: np.full_like(arr, 0.1)
                                          for name, arr in get_params(lam).items()})
@@ -461,7 +469,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("field, value", [
         ("steps", -1), ("steps", 2.0), ("steps", True), ("decay_every", 0),
-        ("certify_every", 0), ("certify_every", 1.5), ("lr", 0.0), ("lr", float("inf")),
+        ("decay_every", 1.5), ("steps", None), ("lr", 0.0), ("lr", float("inf")),
         ("lr", True),
     ])
     def test_a_config_the_loader_refuses_is_refused(self, field, value):
@@ -503,10 +511,55 @@ def cert_bytes(cert):
     return json.dumps(encode_reals(cert.to_jsonable()), sort_keys=True)
 
 
-BATCH_CONFIG = OptimizerConfig(steps=24, lr=0.05, decay_every=10, certify_every=4)
+BATCH_CONFIG = OptimizerConfig(steps=24, lr=0.05, decay_every=10)
+
+
+def stacked(stacks):
+    """One stack holding the rows of ``stacks`` in order."""
+    return tuple(type(lams[0])(**{name: np.concatenate([getattr(lam, name) for lam in lams])
+                                  for name in get_params(lams[0])})
+                 for lams in zip(*stacks))
 
 
 class TestBatch:
+    @pytest.mark.parametrize("seed", [0, 1, 95])
+    def test_a_certificate_stack_reproduces_its_bound(self, seed):
+        # evaluate_dual at a certificate's stack gives the trace value that is its bound,
+        # bit for bit, alone and with the other rows' stacks in one batch (seeds 0, 1
+        # and 95 run the linexp, linear and quadratic families, and their bounds come
+        # from steps 0, 4, 5, 17 and 24)
+        problems, family = spec_problems(seed)
+        certs = optimize(problems, replace(BATCH_CONFIG, early_stop=False), family=family)
+        assert len(problems) >= 2
+        bounds = propagate_intervals(problems[0].network, problems[0].support_box())
+        values = []
+        for problem, cert in zip(problems, certs):
+            margins = [e["certified_value"] - problem.threshold for e in cert.trace]
+            values.append(cert.trace[margins.index(cert.bound)]["certified_value"])
+            [alone] = evaluate_dual([problem], cert.stack, bounds).total.tolist()
+            assert alone == values[-1], (seed, problem.objective)
+        batch = evaluate_dual(problems, stacked([c.stack for c in certs]), bounds)
+        assert batch.total.tolist() == values
+
+    def test_early_stop_ends_a_row_at_its_first_non_positive_entry(self):
+        # a row that stops early has the trace it has without early stop, up to its
+        # first non-positive margin; the steps fall anywhere, not on a certify grid
+        stops = set()
+        for seed, family in [(22, "linexp"), (41, "linear"), (79, "quadratic")]:
+            problems, spec_family = spec_problems(seed)
+            assert spec_family == family
+            full = optimize(problems, replace(BATCH_CONFIG, early_stop=False), family=family)
+            early = optimize(problems, BATCH_CONFIG, family=family)
+            for problem, row, cert in zip(problems, full, early):
+                margins = [e["certified_value"] - problem.threshold for e in row.trace]
+                first = next((s for s, m in enumerate(margins) if m <= 0.0), None)
+                if first is None:
+                    assert cert.trace == row.trace and cert.bound == row.bound
+                    continue
+                assert cert.trace == row.trace[:first + 1], (seed, problem.objective)
+                assert cert.bound == margins[first] and cert.verified
+                stops.add(first)
+        assert stops == {0, 2, 11, 13, 15}
     def test_rows_match_their_solo_runs(self):
         # a row's certificate is the same bytes alone or among the labels of its spec,
         # early stops, the quadratic row loop and the linexp rows included
@@ -542,7 +595,7 @@ class TestBatch:
             return original(labels, lam_k, box)
 
         monkeypatch.setattr(funclag.inner, "final_softmax_exact", flaky)
-        config = OptimizerConfig(steps=12, lr=0.05, certify_every=3, early_stop=False)
+        config = OptimizerConfig(steps=12, lr=0.05, early_stop=False)
         for kind, family in (("robust_ood", "linear"), ("robust_ood", "quadratic"),
                              ("dist_robust_ood", "linexp")):
             _, problem = random_problem(seed=2, kinds=(kind,))

@@ -2,7 +2,9 @@
 
 ``exact_logit_diff`` solves the logit-difference problem as a big-M MILP,
 so on these nets every certified bound must lie above the value it
-achieves, and no attack may beat its objective.
+achieves, and no attack may beat its objective.  ``triangle_lp`` is the
+same model relaxed, the least value the linear family can reach, so no
+value of a linear run may fall below it.
 """
 
 import math
@@ -17,15 +19,16 @@ from funclag import (
     OptimizerConfig,
     VerificationProblem,
     optimize,
+    propagate_intervals,
 )
 from funclag.model import forward, mean_weights
 from funclag.oracle import random_problem, sample_lower_bound
 
 from conftest import det_layer
-from oracles import exact_logit_diff
+from oracles import exact_logit_diff, triangle_lp
 
 PANEL_SIZE = 200
-CONFIG = OptimizerConfig(steps=30, lr=0.05, decay_every=10, certify_every=10)
+CONFIG = OptimizerConfig(steps=30, lr=0.05, decay_every=10)
 
 
 def deep_probe(dims) -> VerificationProblem:
@@ -67,21 +70,40 @@ def panel():
             for p in problems]
 
 
+@pytest.fixture(scope="module")
+def certificates(panel):
+    """Each panel problem's certificate from a 30-step linear run."""
+    return [optimize([problem], CONFIG)[0] for problem, *_ in panel]
+
+
 def test_the_deep_probe_values_are_pinned(panel):
     for (problem, exact, achieved), (_, value) in zip(panel[-2:], DEEP_PROBES.values()):
         assert exact == pytest.approx(value, abs=1e-6)
         assert achieved == pytest.approx(value, abs=1e-6)
 
 
-def test_no_certified_bound_falls_below_an_achieved_value(panel):
+def test_no_certified_bound_falls_below_an_achieved_value(panel, certificates):
     # the bounds are summed in plain floating point, not rounded outward, so a
     # bound may sit a few ulps below the exact value; the slack is 4 ulps of
     # max(|value|, 1), the scale of the summed terms, until the inner solves round
     # outward
-    for problem, _, achieved in panel:
-        [cert] = optimize([problem], CONFIG)
+    for (problem, _, achieved), cert in zip(panel, certificates):
+        assert cert.metadata["family"] == "linear"
         slack = 4 * np.spacing(max(abs(achieved), 1.0))
         assert cert.metadata["objective_bound"] >= achieved - slack, problem.objective
+
+
+def test_no_linear_value_falls_below_the_triangle_lp(panel, certificates):
+    # every value of the run certifies, so each one, not only the bound, lies above
+    # the linear family's optimum over the same boxes, with the slack above; the
+    # relaxation in turn lies above the MILP to HiGHS' tolerance
+    for (problem, exact, _), cert in zip(panel, certificates):
+        net = problem.network
+        boxes = propagate_intervals(net, problem.support_box())
+        lp = triangle_lp(net, boxes, problem.objective.coefficients(net.output_dim))
+        assert lp >= exact - 1e-6, problem.objective
+        slack = 4 * np.spacing(max(abs(lp), 1.0))
+        assert min(e["certified_value"] for e in cert.trace) >= lp - slack, problem.objective
 
 
 def test_the_attack_never_beats_the_milp(panel):

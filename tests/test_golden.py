@@ -7,11 +7,13 @@ together reach every final-layer solver, every transition solver, the
 three routes of the quadratic bound (an identity layer; a relu layer
 with one start; a relu layer whose penalty start is certified and wins),
 both forward paths of the attack (weight draws shared by a batch of
-points, and one draw per noisy input row) and input noise cut below its
-scale (uniform proposals); ``test_jobs_cover_every_path``
-asserts that they do.  A change meant to alter certificates regenerates the
-digests with ``PYTHONPATH=src python tests/test_golden.py``, which also
-names the jobs whose digest differs from ``GOLDEN``.
+points, and one draw per noisy input row), input noise cut below its
+scale (uniform proposals), a bound taken between the steps that
+certified before every step did, and an early stop at such a step;
+``test_jobs_cover_every_path`` asserts that they do.  A change meant to
+alter certificates regenerates the digests with
+``PYTHONPATH=src python tests/test_golden.py``, which also names the
+jobs whose digest differs from ``GOLDEN``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ def _random_job(seed: int) -> tuple[dict, dict]:
 JOBS = {
     "robust-linear": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
                              "p_max": 0.2}, []),
+    # label 0 stops early at step 4; label 1 runs every step and keeps step 4's bound
+    "robust-linear-five-steps": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
+                                        "p_max": 0.255}, ["--steps", "5"]),
     "adversarial-linear": (None, {"type": "adversarial", "input": CENTER, "epsilon": 0.12,
                                   "true_label": 0}, []),
     "dist-linexp": (None, {"type": "dist_robust_ood", "input": CENTER, "epsilon": 0.04,
@@ -78,8 +83,7 @@ JOBS = {
                                    "epsilon": 0.04, "sigma": 0.05, "p_max": 0.2, "clip": True},
                             ["--family", "linexp"]),
     "robust-quadratic": (None, {"type": "robust_ood", "input": CENTER, "epsilon": 0.04,
-                                "p_max": 0.3}, ["--family", "quadratic", "--steps", "2",
-                                                "--certify-every", "2"]),
+                                "p_max": 0.3}, ["--family", "quadratic", "--steps", "2"]),
     "wide-linear": (_wide_model(), {"type": "robust_ood", "input": [0.5] * 5,
                                     "epsilon": 0.04, "p_max": 0.3}, []),
     # Gaussian weights, box input: one weight draw shared by the batch
@@ -91,15 +95,16 @@ JOBS = {
 }
 
 GOLDEN = {
-    "robust-linear": "ef5954e744a26e597a41be5f75d171542decbf30e72de8dd10153ea2d6527895",
-    "adversarial-linear": "001df35930176b960f1319bfe86e28bb6e8b24a9e4adeea83010be615f8b9685",
-    "dist-linexp": "9677c087015bf60e7de066b1615fbf2d95e76116c258e1a4058106364195489f",
-    "clipped-dist-linexp": "6943f4932cb8e52c4cded66362c6cf98a272d6036fad08ed743ee7cb0d9ecd14",
-    "robust-quadratic": "2d510bde312103ffeb7067711c233f0c0816ae70ac661b8b8162d1a12e5c0998",
-    "wide-linear": "4be7385042780ec827920b2849244f8880db1f98d5f71c7f369ab483598e870a",
-    "gaussian-adversarial": "09669b75123ecf4886ff3cc3413ae3618ee8badbd9630ab954944f67555610a1",
-    "mixed-adversarial": "180a7f150bb88d03fdb6e23a352b9e8e84ff37c374f956d447c8786f09e884b3",
-    "dropout-dist-linexp": "0a84760e90ca12fd5996fa9038540b831393efdd49dcba9a0e6d0278052d88f3",
+    "robust-linear": "66faca3d1c31bb0fc24a461d2d0059e7180ec1fda5b3206626a47a9bc5ec1890",
+    "robust-linear-five-steps": "c4b6285fcf3522656294927a5f255f6f62c10d15e09fdcef9e24d902d931b003",
+    "adversarial-linear": "40e19626a7e68ac6fabfbb7bfc3934345c335045e4d1bcad4b4ec58c7cfd4da3",
+    "dist-linexp": "fb3c4cb91d3e9958e2f44234b6e20682513704efaeab5c2155459b90387222e1",
+    "clipped-dist-linexp": "4a5277f1a65eec8b9a3a179c0fdc106eb9e60e2b5e70e66e7f44b0da7002b02d",
+    "robust-quadratic": "bb85005a5f34825f114287bf26dd17fa7863a2af7ea6b19894c97f50a62d2636",
+    "wide-linear": "6000c6ca1d3f730725ec896bdd2102c2f472c3a47ba501d8f24bc43416d78cd2",
+    "gaussian-adversarial": "2d2e3a48cba0da0cd37d332584958a29bf4e13b80fbd76bd5e4e447e6db66778",
+    "mixed-adversarial": "b1d640154f9999c81d12c8c9350395e814eb672e9ffce27ebfdd3f2786df47ff",
+    "dropout-dist-linexp": "40bee39995e97114a8fb0a2380f2d2abe2edd03c18a88646412bc09bb894ca42",
 }
 
 # what each job must reach; the attack path is ("attack", "draws") for
@@ -108,6 +113,7 @@ GOLDEN = {
 # and the quadratic routes are those of _quadratic_path
 EXPECTED = {
     "robust-linear": {"inner_linear", "final_softmax_exact"},
+    "robust-linear-five-steps": {"inner_linear", "final_softmax_exact"},
     "adversarial-linear": {"inner_linear", "final_linear"},
     "dist-linexp": {"inner_linexp_input", "inner_linexp_transition"},
     "clipped-dist-linexp": {"inner_linexp_input", ("attack", "narrow cut")},
@@ -119,6 +125,10 @@ EXPECTED = {
     "mixed-adversarial": {"final_linear", ("attack", "draws")},
     "dropout-dist-linexp": {"inner_linexp_input", ("attack", "per_row")},
 }
+
+# before every step's value counted, run_job passed --certify-every 3: only step 0,
+# every third step and the last step could give a bound or stop a row
+OLD_CERTIFY_EVERY = 3
 
 SOLVERS = [
     "inner_linear", "final_linear", "inner_linexp_input", "inner_linexp_transition",
@@ -161,7 +171,7 @@ def run_job(name: str, workdir: Path) -> tuple[int, bytes]:
     spec_path.write_text(json.dumps(spec))
     out = workdir / f"{name}-out.json"
     args = ["verify", "--model", str(model_path), "--spec", str(spec_path), "--steps", "3",
-            "--lr", "0.05", "--certify-every", "3", "--seed", "3", *flags, "--out", str(out)]
+            "--lr", "0.05", "--seed", "3", *flags, "--out", str(out)]
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     return result.exit_code, out.read_bytes()
 
@@ -235,6 +245,20 @@ def test_jobs_cover_every_path(outputs):
     for name, expected in EXPECTED.items():
         missing = expected - outputs[name][2]
         assert not missing, f"{name} did not reach {missing}"
+    # some row that ran every step has its bound from a step off the old grid, and
+    # some row stops early at such a step
+    best_off_grid, stop_off_grid = set(), set()
+    for name, (*_, data) in outputs.items():
+        for cert in decode_reals(json.loads(data))["certificates"]:
+            steps = cert["metadata"]["config"]["steps"]
+            margins = [e["certified_value"] - cert["metadata"]["threshold"]
+                       for e in cert["trace"]]
+            last, best = len(margins) - 1, margins.index(cert["bound"])
+            stopped = last < steps
+            step = last if stopped else best
+            if step % OLD_CERTIFY_EVERY and step != steps:
+                (stop_off_grid if stopped else best_off_grid).add(name)
+    assert best_off_grid and stop_off_grid, (best_off_grid, stop_off_grid)
 
 
 if __name__ == "__main__":

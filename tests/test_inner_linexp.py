@@ -7,10 +7,15 @@ from funclag import Interval, LinExp, Linear
 from funclag.inner import inner_linear, inner_linexp_input, inner_linexp_transition
 from funclag.inner.linear import activation_candidates
 from funclag.inner.linexp import transition_bound_at_zeta
-from funclag.multipliers import take_rows
 
 from conftest import det_layer
-from oracles import evaluate, linexp_transition_breaks, linexp_transition_rows, one_row
+from oracles import (
+    evaluate,
+    linexp_transition_breaks,
+    linexp_transition_rows,
+    one_row,
+    take_rows,
+)
 
 
 def at_zeta(lam1, lam2, layer, box, zeta):

@@ -22,12 +22,11 @@ from funclag.multipliers import (
     rows,
     stack_from_jsonable,
     stack_to_jsonable,
-    take_rows,
     with_params,
 )
 
 from conftest import det_layer, logit_diff_problem
-from oracles import evaluate, expected_under_layer, mc_expectation, noisy_stack
+from oracles import evaluate, expected_under_layer, mc_expectation, noisy_stack, take_rows
 
 
 def noise_problem(net):
