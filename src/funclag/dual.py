@@ -40,6 +40,7 @@ import numpy as np
 
 from . import inner
 from .bounds import Interval, boxes_to_lists, propagate_intervals
+from .inner.result import fold
 from .jsonio import is_real, sha256_of
 from .model import CanonicalNetwork, model_to_dict
 from .multipliers import (
@@ -71,13 +72,12 @@ class OptimizerConfig:
 
 @dataclass
 class DualEvaluation:
-    """One full dual evaluation of a batch: per-layer values, their sums and gradients.
+    """One full dual evaluation of a batch: per-layer results, their sums and gradients.
 
-    Each value and ``total`` hold one entry per row.  ``grads`` holds, per
+    ``results[k].value`` (g_k) and ``total`` hold one entry per row.  ``grads`` holds, per
     multiplier of the stack, the envelope gradient of ``total`` keyed like ``get_params``.
     """
 
-    values: list[np.ndarray]
     results: list[inner.InnerResult]
     total: np.ndarray
     grads: list[dict]
@@ -141,22 +141,16 @@ def evaluate_dual(
         raise ValueError("bounds do not match the network depth")
 
     results = [_solve_problem(k, problems, stack, bounds) for k in range(K + 1)]
-    sums = [{} for _ in stack]
+    grads = [{name: np.zeros(getattr(lam, name).shape) for name in param_names(lam)}
+             for lam in stack]
     for k, res in enumerate(results):
         # g_k touches lam_k (stack entry k - 1; g_0's is the fixed zero) and lam_{k+1}
         for i, contribution in zip((k - 1, k), res.grads):
             if contribution and 0 <= i < K:
                 for name, value in contribution.items():
-                    # the first term adds to 0.0, which turns a -0.0 into 0.0 as a zero array does
-                    sums[i][name] = sums[i].get(name, 0.0) + np.asarray(value)
-    grads = [
-        {name: sums[i][name] if name in sums[i] else np.zeros_like(getattr(lam, name))
-         for name in param_names(lam)}
-        for i, lam in enumerate(stack)
-    ]
-    values = [res.value for res in results]
-    total = np.array([sum(row) for row in zip(*(v.tolist() for v in values))])
-    return DualEvaluation(values=values, results=results, total=total, grads=grads)
+                    grads[i][name] += value
+    total = np.array([fold(row) for row in zip(*(res.value.tolist() for res in results))])
+    return DualEvaluation(results=results, total=total, grads=grads)
 
 
 # --- outer optimization ---------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from ..bounds import Interval
 from ..model import CanonicalLayer
 from ..multipliers import Multiplier, linear_coeffs
-from .result import EXACT, InnerResult
+from .result import EXACT, InnerResult, fold
 
 
 def activation_candidates(lo, hi, activation: str) -> list[tuple]:
@@ -80,12 +80,7 @@ def inner_linear(
     a, b = matvec_rows(layer.weights.mean.T, theta_next), layer.bias.mean
     candidates = activation_candidates(box.lo, box.hi, layer.activation)
     values, witness = activation_linear_max(a, theta_k, candidates)
-    totals = []
-    for theta, row in zip(theta_next, values.tolist()):
-        total = float(theta @ b)
-        for v in row:
-            total += v
-        totals.append(total)
+    totals = [fold(row, float(theta @ b)) for theta, row in zip(theta_next, values.tolist())]
     grads = ({"theta": -witness}, {"theta": mean_output(layer, witness)})
     return InnerResult(value=totals, mode=EXACT, witness=witness, grads=grads)
 

@@ -1,4 +1,4 @@
-"""Result record shared by all inner maximization solvers."""
+"""Result record shared by all inner maximization solvers, and the one float sum."""
 
 from __future__ import annotations
 
@@ -8,6 +8,20 @@ import numpy as np
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
+
+
+def fold(terms, start=0.0):
+    """start + t0 + t1 + ..., left to right in plain float additions.
+
+    Every sum whose bits reach a certificate goes through here.  The
+    builtin ``sum`` of floats is compensated (Neumaier) from Python 3.12
+    on, so its bits depend on the interpreter; one rounding per term, in
+    order, gives the same bits on every version.
+    """
+    total = start
+    for term in terms:
+        total = total + term
+    return total
 
 
 @dataclass

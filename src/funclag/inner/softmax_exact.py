@@ -77,7 +77,7 @@ from ..bounds import Interval
 from ..model import softmax
 from ..multipliers import Multiplier, linear_coeffs
 from .linear import matvec_rows
-from .result import EXACT, InnerResult
+from .result import EXACT, InnerResult, fold
 
 _UPPER, _INTERIOR = 1, 2
 _SUM_ONE_TOL = 1e-9
@@ -109,11 +109,11 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
     if not free:
         return [x.copy()]
     exps = [exp_hi[j] if s == _UPPER else exp_lo[j] for j, s in enumerate(row) if s != _INTERIOR]
-    c, shift = sum(exps), 0.0
+    c, shift = fold(exps), 0.0
     if exps and not _TINY <= c <= _HUGE:
         shift = max(v for v, s in zip(x, row) if s != _INTERIOR)
         exps = [math.exp(v - shift) for v, s in zip(x, row) if s != _INTERIOR]
-        c = sum(exps)
+        c = fold(exps)
     lam = [lin[j] for j in free]
     points = []
     if row[m] == _INTERIOR:
@@ -129,7 +129,7 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
                 shares[i] = denom / 2.0
                 if min(shares) <= 0.0:
                     continue
-                total = sum(shares)
+                total = fold(shares)
                 if c > 0.0:
                     if not total >= 1.0:
                         points.append((shares, math.log(c / (1.0 - total))))
@@ -137,7 +137,7 @@ def row_candidates(m, lin, lo, hi, exp_lo, exp_hi, row, x, free) -> list[list[fl
                     points.append((shares, 0.0))
     elif not min(lam) <= 0.0:
         # x_m's exp sits behind the fixed coordinates before m
-        total, d = sum(lam), exps[m - bisect.bisect(free, m)]
+        total, d = fold(lam), exps[m - bisect.bisect(free, m)]
         if not total > d / (4.0 * c):
             disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
             ratios = [v / d for v in lam]
@@ -190,8 +190,8 @@ def pins(m: int, lin: list, lo: list, hi: list, least: list, most: list) -> dict
     stays below -delta; delta and delta (hi_j - lo_j) must both pass
     _PIN_MARGIN times the score scale.
     """
-    margin = _PIN_MARGIN * (1.0 + sum(abs(c) * max(abs(a), abs(b))
-                                      for c, a, b in zip(lin, lo, hi)))
+    margin = _PIN_MARGIN * (1.0 + fold(abs(c) * max(abs(a), abs(b))
+                                       for c, a, b in zip(lin, lo, hi)))
     s_lo, s_hi = least[m], most[m]
     pinned = {}
     for j, (c, a, b) in enumerate(zip(lin, lo, hi)):
@@ -246,7 +246,7 @@ def walk_rows(m: int, lin: list, lo: list, hi: list, pinned: dict | None = None)
             else:
                 free.remove(j)
                 x[j] = hi[j]
-        if not sum(lin[j] for j in free) > 0.25:
+        if not fold(lin[j] for j in free) > 0.25:
             if target != _UPPER:
                 yield row, x, free
             if target != 0:

@@ -20,7 +20,7 @@ from .jsonio import real_array
 from .model import CanonicalNetwork
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A specification config does not describe a valid problem."""
 
 

@@ -10,7 +10,8 @@ rows as first written, the exact multipliers of an affine network, box
 membership, the exact logit difference of a deterministic ReLU net by a
 big-M MILP and its LP relaxation, the rows of a multiplier, the linexp transition bound row by row, the Gaussian weight
 block as first written, one stochastic forward pass, the Monte Carlo
-mean softmax, and the sampled attack of one problem alone.
+mean softmax, the sampled attack of one problem alone, and the builtin
+``sum`` of CPython 3.12.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from funclag.bounds import Interval, propagate_intervals
 from funclag.inner import InnerResult, final_softmax_exact
 from funclag.inner.linear import activation_candidates, matvec_rows, mean_output
 from funclag.inner.linexp import _ZETA_LOG_CAP, transition_bound_at_zeta
-from funclag.inner.result import UPPER_BOUND
+from funclag.inner.result import UPPER_BOUND, fold
 from funclag.inner.softmax_exact import (
     _BOX_TOL,
     _HUGE,
@@ -318,7 +319,7 @@ def stationary_points_case_a(lam: list, i: int, c: float) -> list[list[float]]:
         shares[i] = denom / 2.0
         if min(shares) <= 0.0:
             continue
-        total = sum(shares)
+        total = fold(shares)
         if c > 0.0:
             if total >= 1.0:
                 continue
@@ -339,7 +340,7 @@ def stationary_points_case_b(lam: list, c: float, d: float) -> list[list[float]]
     """
     if min(lam) <= 0.0:
         return []
-    total = sum(lam)
+    total = fold(lam)
     if total > d / (4.0 * c):
         return []
     disc = math.sqrt(max(1.0 - 4.0 * c * total / d, 0.0))
@@ -366,10 +367,10 @@ def reference_assignment_candidates(m, lin, lo, hi, exp_lo, exp_hi,
     fixed = [j for j, s in enumerate(assignment) if s != _INTERIOR]
     exps = {j: exp_hi[j] if assignment[j] == _UPPER else exp_lo[j] for j in fixed}
     shift = 0.0
-    if fixed and not _TINY <= sum(exps.values()) <= _HUGE:
+    if fixed and not _TINY <= fold(exps.values()) <= _HUGE:
         shift = max(x[j] for j in fixed)
         exps = {j: math.exp(x[j] - shift) for j in fixed}
-    c = sum(exps.values())
+    c = fold(exps.values())
     lam = [lin[j] for j in free]
     if assignment[m] == _INTERIOR:
         points = stationary_points_case_a(lam, free.index(m), c)
@@ -411,7 +412,7 @@ def reference_rows(m: int, lin: list, lo: list, hi: list) -> list[list[int]]:
             _, state, j = events[step - 1]
             pattern[j] = state
         free = [lin[j] for j in rising if pattern[j] == _INTERIOR]
-        blocked = bool(free) and sum(free) > 0.25
+        blocked = bool(free) and fold(free) > 0.25
         for state in states:
             if not (blocked and state != _INTERIOR):
                 rows.append(pattern[:m] + [state] + pattern[m + 1:])
@@ -753,3 +754,56 @@ def _sub_gaussian_alone(problem, n, rng):
         if val > best_val:
             best_val, best_err = val, err
     return best_val, best_err
+
+
+# --- the builtin sum of CPython 3.12 ------------------------------------------
+
+_LONG_MIN, _LONG_MAX = -2**63, 2**63 - 1
+
+
+def sum_312(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum``, step for step as ``builtin_sum_impl`` runs it.
+
+    From an int start, ints inside a C long that keep the total inside one add exactly;
+    the first other item is added to the int with plain ``+``.  From a float,
+    floats add with Neumaier's compensation c, ints inside a C long add as
+    floats, and c joins the total, when non-zero and finite, at the end or
+    before the first other item.  What remains adds with plain ``+``.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if (type(item) in (int, bool) and _LONG_MIN <= item <= _LONG_MAX
+                    and _LONG_MIN <= result + item <= _LONG_MAX):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and _LONG_MIN <= item <= _LONG_MAX:
+                total += float(item)
+                continue
+            if c and math.isfinite(c):
+                total += c
+            result = total + item
+            break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        result = result + item
+    return result

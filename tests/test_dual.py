@@ -52,7 +52,7 @@ class TestEvaluateDual:
         box = bounds[2]
         interval_bound = float(np.maximum(c * box.lo, c * box.hi).sum())
         assert ev.total == pytest.approx(interval_bound, abs=1e-12)
-        assert ev.values[0] == 0.0 and ev.values[1] == 0.0
+        assert ev.results[0].value == 0.0 and ev.results[1].value == 0.0
 
     def test_zero_stack_softmax_objective(self, two_layer_net):
         problem = VerificationProblem(

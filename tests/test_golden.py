@@ -10,7 +10,10 @@ both forward paths of the attack (weight draws shared by a batch of
 points, and one draw per noisy input row), input noise cut below its
 scale (uniform proposals), a bound taken between the steps that
 certified before every step did, and an early stop at such a step;
-``test_jobs_cover_every_path`` asserts that they do.  A change meant to
+``test_jobs_cover_every_path`` asserts that they do.  The digests must not
+depend on the interpreter's float ``sum``, compensated from Python 3.12 on,
+so ``test_digests_hold_under_the_312_sum`` runs every job again under
+``oracles.sum_312``.  A change meant to
 alter certificates regenerates the digests with
 ``PYTHONPATH=src python tests/test_golden.py``, which also names the
 jobs whose digest differs from ``GOLDEN``.
@@ -18,8 +21,11 @@ jobs whose digest differs from ``GOLDEN``.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +37,11 @@ import funclag.inner.quadratic
 import funclag.oracle
 from funclag.cli import main
 from funclag.dual import Certificate
+from funclag.inner.result import fold
 from funclag.jsonio import decode_reals
 from funclag.model import model_to_dict
 from funclag.oracle import random_problem
+from oracles import sum_312
 
 BUNDLED = Path(__file__).resolve().parent.parent / "models" / "synthetic_two_layer.json"
 CENTER = [0.3, 0.5, 0.6, 0.4, 0.7, 0.2]
@@ -259,6 +267,32 @@ def test_jobs_cover_every_path(outputs):
             if step % OLD_CERTIFY_EVERY and step != steps:
                 (stop_off_grid if stopped else best_off_grid).add(name)
     assert best_off_grid and stop_off_grid, (best_off_grid, stop_off_grid)
+
+
+def test_sum_312_gives_the_documented_results():
+    # Python 3.12's sum of floats is compensated; fold adds left to right
+    assert sum_312([0.1] * 10) == 1.0 and fold([0.1] * 10) == 0.9999999999999999
+    assert sum_312([1e16, 1.0, -1e16]) == 1.0 and fold([1e16, 1.0, -1e16]) == 0.0
+    assert sum_312([]) == 0 and type(sum_312([])) is int
+    assert sum_312([2, True, 0.5]) == 3.5
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="the builtin sum is compensated from 3.12")
+def test_sum_312_matches_the_builtin_sum():
+    rng = random.Random(0)
+    for _ in range(2000):
+        terms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                 for _ in range(rng.randint(0, 8))]
+        start = rng.choice([0, 0.0, -0.0, 1.5])
+        assert repr(sum_312(terms, start)) == repr(sum(terms, start)), (terms, start)
+
+
+def test_digests_hold_under_the_312_sum(tmp_path, monkeypatch):
+    """Every certified sum is a fold, so the outputs keep their bytes where the
+    builtin sum of floats is compensated."""
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    digests = {name: hashlib.sha256(run_job(name, tmp_path)[1]).hexdigest() for name in JOBS}
+    assert digests == GOLDEN
 
 
 if __name__ == "__main__":

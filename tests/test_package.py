@@ -1,6 +1,6 @@
 """The shipped package depends on the standard library, numpy and click only,
-each weight kind is the one home of its own semantics, and each inner solver
-the one home of its bound's gradient."""
+each weight kind is the one home of its own semantics, each inner solver
+the one home of its bound's gradient, and every certified sum a fold."""
 
 import ast
 import os
@@ -112,6 +112,31 @@ def test_solver_guards_see_a_violation(tmp_path):
     )
     assert list(attribute_reads(probe, "internal_duals")) == [2]
     assert inner_calls(probe) == {"inner_linear"}
+
+
+def builtin_sum_calls(path: Path):
+    """Line numbers where one module calls the builtin ``sum``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [SRC / "funclag" / "dual.py", *sorted(INNER.glob("*.py"))],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_certified_sums_go_through_fold(path):
+    # the builtin sum of floats is compensated from Python 3.12 on, so its bits
+    # depend on the interpreter; inner.result.fold adds left to right everywhere
+    lines = list(builtin_sum_calls(path))
+    assert not lines, f"{path.relative_to(SRC)} calls the builtin sum on lines {lines}"
+
+
+def test_sum_guard_sees_a_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(xs):\n    return np.sum(xs) + fold(xs)\n\ng = sum([0.1, 0.2])\n")
+    assert list(builtin_sum_calls(probe)) == [4]
 
 
 def test_import_loads_no_test_dependency():
